@@ -790,7 +790,7 @@ impl DurableQueryRegistry {
         let (next_id, queries) = decode_query_set(&snap.sections[2])?;
         let mut registry = QueryRegistry::restore(graph, config, gpma, snap.epoch);
         for (id, collect, q) in &queries {
-            registry.restore_query(
+            registry.register_with_id(
                 *id,
                 q,
                 QueryConfig {

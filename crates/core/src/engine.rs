@@ -1,25 +1,30 @@
-//! The GAMMA engine: the four-component pipeline of Figure 3.
+//! The GAMMA engine for one `(G, Q)` pair, and the configuration and
+//! result types every engine shares.
 //!
-//! Per batch: (1) **Preprocess** — canonicalize the update stream, and
-//! after the structural update re-encode only dirty vertices and refresh
-//! their candidate-table rows (host work, overlappable with device
-//! compute); (2) **Update** — apply the batch to the GPMA device store,
-//! collecting simulated update cycles (Figure 12); (3) **BDSM kernel** —
-//! the warp-centric WBM search, run once over deletion anchors against the
+//! [`GammaEngine`] runs the four-component pipeline of Figure 3 per batch:
+//! (1) **Preprocess** — canonicalize the update stream, and after the
+//! structural update re-encode only dirty vertices and refresh their
+//! candidate-table rows (host work, overlappable with device compute);
+//! (2) **Update** — apply the batch to the GPMA device store, collecting
+//! simulated update cycles (Figure 12); (3) **BDSM kernel** — the
+//! warp-centric WBM search, run once over deletion anchors against the
 //! pre-update graph (negative matches) and once over insertion anchors
 //! against the post-update graph (positive matches); (4) **Postprocess** —
 //! gather matches and statistics.
+//!
+//! The pipeline itself lives in
+//! [`QueryRegistry::apply_canonical_batch`]: a `GammaEngine` is a view
+//! that holds a single-device registry with exactly one registration and
+//! reports that registration's delta as a [`BatchResult`].
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use gamma_gpma::{Gpma, GpmaConfig};
-use gamma_gpu::{Device, DeviceConfig, KernelStats};
+use gamma_gpu::{DeviceConfig, KernelStats};
 use gamma_graph::{DynamicGraph, QueryGraph, Update, UpdateBatch, VLabel, VMatch, VertexId};
 
-use crate::encoding::{CandidateTable, IncrementalEncoder};
-use crate::wbm::{run_phase, QueryMeta};
+use crate::registry::{QueryConfig, QueryId, QueryRegistry};
+use crate::wbm::QueryMeta;
 
 /// Work-stealing strategy selector (re-export of the simulator's).
 pub type StealingMode = gamma_gpu::Stealing;
@@ -107,16 +112,11 @@ pub struct BatchResult {
     pub stats: BatchStats,
 }
 
-/// The batch-dynamic subgraph matching engine for one `(G, Q)` pair.
+/// The batch-dynamic subgraph matching engine for one `(G, Q)` pair: a
+/// view of a single-device [`QueryRegistry`] that holds exactly one
+/// registration.
 pub struct GammaEngine {
-    graph: DynamicGraph,
-    gpma: Option<Gpma>,
-    encoder: IncrementalEncoder,
-    table: Option<CandidateTable>,
-    meta: Arc<QueryMeta>,
-    device: Device,
-    config: GammaConfig,
-    batches_processed: u64,
+    registry: QueryRegistry,
 }
 
 impl GammaEngine {
@@ -124,26 +124,7 @@ impl GammaEngine {
     /// table, computes per-edge matching orders and the coalesced-search
     /// plan, and bulk-loads the GPMA device store.
     pub fn new(graph: DynamicGraph, query: &QueryGraph, config: GammaConfig) -> Self {
-        let (encoder, table) = IncrementalEncoder::build(&graph, query, config.counter_bits);
-        let meta = Arc::new(QueryMeta::build(
-            query,
-            &table,
-            encoder.scheme(),
-            config.coalesced_search,
-            config.max_degenerate_k,
-        ));
-        let gpma = Gpma::from_graph(&graph, config.gpma.clone());
-        let device = Device::new(config.device.clone());
-        Self {
-            graph,
-            gpma: Some(gpma),
-            encoder,
-            table: Some(table),
-            meta,
-            device,
-            config,
-            batches_processed: 0,
-        }
+        Self::view(QueryRegistry::new(graph, config), query)
     }
 
     /// Rebuilds an engine from recovered state: the host graph mirror and
@@ -161,78 +142,49 @@ impl GammaEngine {
         gpma: Gpma,
         batches_processed: u64,
     ) -> Self {
-        assert_eq!(
-            gpma.num_edges(),
-            graph.num_edges(),
-            "restored gpma and graph mirror disagree on edge count"
-        );
-        let (encoder, table) = IncrementalEncoder::build(&graph, query, config.counter_bits);
-        let meta = Arc::new(QueryMeta::build(
+        Self::view(
+            QueryRegistry::restore(graph, config, gpma, batches_processed),
             query,
-            &table,
-            encoder.scheme(),
-            config.coalesced_search,
-            config.max_degenerate_k,
-        ));
-        let device = Device::new(config.device.clone());
-        Self {
-            graph,
-            gpma: Some(gpma),
-            encoder,
-            table: Some(table),
-            meta,
-            device,
-            config,
-            batches_processed,
-        }
+        )
+    }
+
+    fn view(mut registry: QueryRegistry, query: &QueryGraph) -> Self {
+        registry.register(query, QueryConfig::default());
+        Self { registry }
     }
 
     /// Read access to the GPMA device store (snapshot support).
     pub fn gpma(&self) -> &Gpma {
-        self.gpma.as_ref().expect("gpma present between batches")
+        self.registry.gpma()
     }
 
     /// Read access to the host mirror of the data graph.
     pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+        self.registry.graph()
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &GammaConfig {
-        &self.config
+        self.registry.config()
     }
 
     /// The kernel metadata (seeds, coalesced plan) — useful for inspection.
     pub fn meta(&self) -> &QueryMeta {
-        &self.meta
+        self.registry
+            .meta(QueryId(0))
+            .expect("an engine holds its one registration")
     }
 
     /// Adds a fresh vertex (vertex insertions are modeled as a vertex plus
     /// a collection of edge insertions, per §II-A).
     pub fn add_vertex(&mut self, label: VLabel) -> VertexId {
-        let v = self.graph.add_vertex(label);
-        self.gpma
-            .as_mut()
-            .expect("gpma present between batches")
-            .ensure_vertices(self.graph.num_vertices());
-        // Encode the isolated vertex and give it a candidate row.
-        let dirty = self.encoder.reencode(&self.graph, &[v]);
-        self.table
-            .as_mut()
-            .expect("table present between batches")
-            .refresh(&dirty, &self.encoder.encodings, &self.encoder.qcodes);
-        v
+        self.registry.add_vertex(label)
     }
 
     /// Applies one update batch and returns the incremental matches
     /// (Problem Statement, §II-A). See the module docs for the pipeline.
     pub fn apply_batch(&mut self, raw: &[Update]) -> BatchResult {
-        let host_t0 = Instant::now();
-        let batch = UpdateBatch::canonicalize(&self.graph, raw);
-        let canon_seconds = host_t0.elapsed().as_secs_f64();
-        let mut result = self.apply_canonical_batch(&batch);
-        result.stats.preprocess_seconds += canon_seconds;
-        result
+        self.registry.apply_batch(raw).into_single()
     }
 
     /// Applies an already-canonicalized batch (the entry point the
@@ -240,147 +192,16 @@ impl GammaEngine {
     /// against a shadow mirror). The batch must be canonical with respect
     /// to this engine's current graph.
     pub fn apply_canonical_batch(&mut self, batch: &UpdateBatch) -> BatchResult {
-        let mut result = BatchResult::default();
-        result.stats.net_updates = batch.len();
-        if batch.is_empty() {
-            self.batches_processed += 1;
-            return result;
-        }
-
-        let abort = Arc::new(AtomicBool::new(false));
-        let deadline_guard = self.config.timeout.map(|t| spawn_watchdog(t, &abort));
-
-        // Phase 1: negative matches on the pre-update graph, anchored at
-        // net deletions.
-        if !batch.deletes.is_empty() {
-            let (matches, count, stats) = self.kernel_phase(&batch.deletes, &abort);
-            result.negative = matches;
-            result.negative_count = count;
-            result.stats.kernel.absorb(&stats);
-        }
-
-        // Phase 2: structural update — device (GPMA) and host mirror.
-        let pre_update_cycles = self.gpma.as_ref().expect("gpma").stats().sim_cycles;
-        {
-            let gpma = self.gpma.as_mut().expect("gpma");
-            let dels: Vec<(VertexId, VertexId)> =
-                batch.deletes.iter().map(|d| (d.u, d.v)).collect();
-            gpma.delete_edges(&dels);
-            let ins: Vec<(VertexId, VertexId, gamma_graph::ELabel)> =
-                batch.inserts.iter().map(|i| (i.u, i.v, i.label)).collect();
-            gpma.insert_edges(&ins);
-        }
-        result.stats.update_cycles =
-            self.gpma.as_ref().expect("gpma").stats().sim_cycles - pre_update_cycles;
-        batch.apply(&mut self.graph);
-
-        // Phase 3: preprocess for the next kernel — re-encode touched
-        // vertices, refresh dirty candidate rows (host work).
-        let pre_t = Instant::now();
-        let mut touched: Vec<VertexId> = batch
-            .deletes
-            .iter()
-            .chain(batch.inserts.iter())
-            .flat_map(|u| [u.u, u.v])
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let dirty = self.encoder.reencode(&self.graph, &touched);
-        result.stats.dirty_vertices = dirty.len();
-        self.table.as_mut().expect("table").refresh(
-            &dirty,
-            &self.encoder.encodings,
-            &self.encoder.qcodes,
-        );
-        let preprocess = pre_t.elapsed().as_secs_f64();
-
-        // Phase 4: positive matches on the post-update graph, anchored at
-        // net insertions.
-        if !batch.inserts.is_empty() {
-            let (matches, count, stats) = self.kernel_phase(&batch.inserts, &abort);
-            result.positive = matches;
-            result.positive_count = count;
-            result.stats.kernel.absorb(&stats);
-        }
-
-        drop(deadline_guard);
-        result.stats.timed_out = abort.load(Ordering::Relaxed);
-        result.stats.preprocess_seconds = preprocess;
-        self.batches_processed += 1;
-        result
-    }
-
-    /// Runs one kernel phase (positive or negative) over `anchors`.
-    fn kernel_phase(
-        &mut self,
-        anchors: &[Update],
-        abort: &Arc<AtomicBool>,
-    ) -> (Vec<VMatch>, u64, KernelStats) {
-        let gpma = self.gpma.take().expect("gpma present");
-        let table = self.table.take().expect("table present");
-        // Share the encoding table with the launch — no O(|V|) copy; the
-        // encoder clones-on-write only if a later batch dirties codes
-        // while a reference is still alive (it never is between batches).
-        let encodings = Arc::clone(&self.encoder.encodings);
-        let (gpma, table, matches, count, stats) = run_phase(
-            &self.device,
-            gpma,
-            Arc::clone(&self.meta),
-            table,
-            encodings,
-            anchors,
-            self.config.collect_matches,
-            self.config.match_limit,
-            Arc::clone(abort),
-            self.config.bitmap_intersect,
-        );
-        self.gpma = Some(gpma);
-        self.table = Some(table);
-        (matches, count, stats)
+        self.registry.apply_canonical_batch(batch).into_single()
     }
 
     /// Number of batches processed so far.
     pub fn batches_processed(&self) -> u64 {
-        self.batches_processed
+        self.registry.batches_processed()
     }
 
     /// Simulated seconds for a cycle count under this engine's clock.
     pub fn seconds(&self, cycles: u64) -> f64 {
-        self.device.seconds(cycles)
-    }
-}
-
-/// A guard whose thread sets `abort` after `timeout` unless dropped first.
-pub(crate) struct Watchdog {
-    cancel: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-pub(crate) fn spawn_watchdog(timeout: Duration, abort: &Arc<AtomicBool>) -> Watchdog {
-    let cancel = Arc::new(AtomicBool::new(false));
-    let c = Arc::clone(&cancel);
-    let a = Arc::clone(abort);
-    let handle = std::thread::spawn(move || {
-        let start = Instant::now();
-        while start.elapsed() < timeout {
-            if c.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1).min(timeout / 10));
-        }
-        a.store(true, Ordering::Relaxed);
-    });
-    Watchdog {
-        cancel,
-        handle: Some(handle),
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.cancel.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.registry.seconds(cycles)
     }
 }

@@ -12,15 +12,18 @@
 //!   warp-cooperative intersections, the anchor-order dedup rule, splits
 //!   for warp-level work stealing (§V-A), permuted-partial injection.
 //! * [`bfs`] — the BFS-expansion comparison kernel behind Figure 5.
-//! * [`engine`] — the synchronous engine tying the stages together.
+//! * [`registry`] — the one batch pipeline, and the standing-query
+//!   serving tier on it: N registered patterns over one graph, with
+//!   shared encoders per label-set class and shared-prefix grouped kernel
+//!   launches, run on one device or on the shard runtime.
+//! * [`engine`] — the synchronous engine: a view of a registry with one
+//!   registration, plus the shared configuration and result types.
 //! * [`pipeline`] — the asynchronous pipelined variant of Figure 3
 //!   (preprocessing of batch k+1 overlaps the device work of batch k).
-//! * [`registry`] — the standing-query serving tier: N registered
-//!   patterns over one graph, with shared encoders per label-set class
-//!   and shared-prefix grouped kernel launches.
-//! * [`shard`] — the multi-device sharded engine: hash/range/greedy
-//!   vertex partitioning, boundary-replicated per-shard GPMA stores, and
-//!   a barrier-free virtual-time runtime with inter-device batch stealing.
+//! * [`shard`] — the multi-device shard runtime and its one-query view,
+//!   the sharded engine: hash/range/greedy vertex partitioning, per-shard
+//!   resident sets over one shared GPMA store, and a barrier-free
+//!   virtual-time runtime with inter-device batch stealing.
 //! * [`comm`] — the inter-shard messaging fabric: double-buffered
 //!   per-(src,dst) migrant batches with virtual-cycle ready stamps.
 //! * [`durable`] — crash recovery: write-ahead logged batches + atomic

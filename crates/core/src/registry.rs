@@ -27,6 +27,17 @@
 //! *each* member (the levels are genuinely shared — there is no meaningful
 //! per-member split of a shared prefix scan).
 //!
+//! [`QueryRegistry::apply_canonical_batch`] is also the only batch
+//! pipeline in the crate (Figure 3: negative launches, store update,
+//! mirror apply, re-encode and candidate refresh, positive launches, under
+//! one per-batch deadline). Its launches run on one of two executors,
+//! fixed by the constructor: one simulated device
+//! ([`QueryRegistry::new`]), or the partitioned shard runtime of
+//! [`crate::shard`] ([`ShardedQueryRegistry`], whose groups hold identical
+//! patterns only). [`GammaEngine`](crate::GammaEngine) and
+//! [`ShardedEngine`](crate::ShardedEngine) are views that hold a registry
+//! with exactly one registration.
+//!
 //! # Example
 //!
 //! ```
@@ -71,16 +82,18 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gamma_gpma::Gpma;
 use gamma_gpu::{Device, KernelStats};
-use gamma_graph::{DynamicGraph, QueryGraph, Update, UpdateBatch, VLabel, VMatch, VertexId};
+use gamma_graph::{
+    DynamicGraph, ELabel, QueryGraph, Update, UpdateBatch, VLabel, VMatch, VertexId,
+};
 
 use crate::encoding::{CandidateTable, EncodingScheme, IncrementalEncoder};
-use crate::engine::{spawn_watchdog, GammaConfig};
+use crate::engine::{BatchResult, BatchStats, GammaConfig};
 use crate::order::compatible_prefix_len;
-use crate::shard::{ShardedConfig, ShardedEngine};
+use crate::shard::{Partition, ShardRuntime, ShardedConfig};
 use crate::wbm::{run_group_phase, run_phase, GroupMember, QueryMeta, SeedPlan};
 
 /// Opaque handle to a registered standing query.
@@ -153,12 +166,34 @@ impl RegistryBatchResult {
     pub fn delta(&self, id: QueryId) -> Option<&QueryDelta> {
         self.deltas.iter().find(|d| d.id == id)
     }
+
+    /// The result as a one-registration view reports it: the single
+    /// delta plus the batch's shared costs.
+    pub(crate) fn into_single(mut self) -> BatchResult {
+        debug_assert_eq!(self.deltas.len(), 1, "a view holds one registration");
+        let d = self.deltas.pop().unwrap_or_default();
+        BatchResult {
+            positive: d.positive,
+            negative: d.negative,
+            positive_count: d.positive_count,
+            negative_count: d.negative_count,
+            stats: BatchStats {
+                preprocess_seconds: self.preprocess_seconds,
+                update_cycles: self.update_cycles,
+                kernel: self.kernel,
+                dirty_vertices: self.dirty_vertices,
+                timed_out: self.timed_out,
+                net_updates: self.net_updates,
+            },
+        }
+    }
 }
 
 /// One shared [`IncrementalEncoder`] per distinct (label set, counter
 /// width) class of registered queries. Slots with `refs == 0` are kept as
-/// tombstones (bounded by the number of distinct label sets ever seen) and
-/// revived on a matching registration; dead slots are skipped per batch.
+/// tombstones (bounded by the number of distinct label sets ever seen):
+/// dead slots are skipped per batch, and a matching registration rebuilds
+/// one in place.
 struct EncoderSlot {
     enc: IncrementalEncoder,
     refs: usize,
@@ -178,7 +213,8 @@ struct QueryState {
     /// Per-query candidate table (`None` only while a launch borrows it).
     table: Option<CandidateTable>,
     /// Metadata for singleton launches (honors the registry's coalesced
-    /// setting — a singleton serves exactly like a dedicated engine).
+    /// setting on the single device — a singleton serves exactly like a
+    /// dedicated engine; plain on the shard executor).
     full_meta: Arc<QueryMeta>,
     stats: QueryStats,
 }
@@ -190,16 +226,28 @@ struct Group {
     members: Vec<usize>,
     /// Per-seed shared prefix length (min over members).
     prefix: Vec<usize>,
-    /// Truncated-order metadata for shared launches (`None` iff singleton).
+    /// Truncated-order metadata for shared launches (`None` for
+    /// singletons and on the shard executor).
     shared_meta: Option<Arc<QueryMeta>>,
 }
 
-/// The standing-query serving tier over one dynamic data graph. See the
+/// Where a registry's kernel launches run, fixed by its constructor.
+enum Executor {
+    /// One simulated device: singleton groups launch through
+    /// [`run_phase`], shared-prefix groups through [`run_group_phase`].
+    Device(Device),
+    /// The partitioned multi-device runtime of [`crate::shard`]: one
+    /// launch per group of identical patterns.
+    Shards(ShardRuntime),
+}
+
+/// The standing-query serving tier over one dynamic data graph — and the
+/// one batch pipeline every engine runs through. See the
 /// [module docs](self) for the sharing model and a worked example.
 pub struct QueryRegistry {
     graph: DynamicGraph,
     gpma: Option<Gpma>,
-    device: Device,
+    exec: Executor,
     config: GammaConfig,
     slots: Vec<EncoderSlot>,
     /// Registered queries in [`QueryId`] order.
@@ -210,24 +258,13 @@ pub struct QueryRegistry {
 }
 
 impl QueryRegistry {
-    /// Builds an empty registry over `graph`. `config.coalesced_search`
-    /// applies to singleton groups only — shared launches always run plain
-    /// per-edge orders (results are identical either way; the coalesced
-    /// toggle is a pinned parity invariant).
+    /// Builds an empty registry over `graph` on one simulated device.
+    /// `config.coalesced_search` applies to singleton groups only — shared
+    /// launches always run plain per-edge orders (results are identical
+    /// either way; the coalesced toggle is a pinned parity invariant).
     pub fn new(graph: DynamicGraph, config: GammaConfig) -> Self {
         let gpma = Gpma::from_graph(&graph, config.gpma.clone());
-        let device = Device::new(config.device.clone());
-        Self {
-            graph,
-            gpma: Some(gpma),
-            device,
-            config,
-            slots: Vec::new(),
-            queries: Vec::new(),
-            groups: Vec::new(),
-            next_id: 0,
-            batches_processed: 0,
-        }
+        Self::restore(graph, config, gpma, 0)
     }
 
     /// Rebuilds a registry from recovered state: the host graph mirror and
@@ -243,16 +280,72 @@ impl QueryRegistry {
         gpma: Gpma,
         batches_processed: u64,
     ) -> Self {
+        let device = Device::new(config.device.clone());
+        Self::assemble(
+            graph,
+            gpma,
+            Executor::Device(device),
+            config,
+            batches_processed,
+        )
+    }
+
+    /// An empty registry on the shard executor over `partition`. The
+    /// shard runtime builds its own store (see `ShardRuntime::build`);
+    /// `config.base.coalesced_search` is ignored, and groups hold
+    /// identical patterns only — the shard kernel cannot fork a shared
+    /// prefix.
+    pub(crate) fn sharded(
+        graph: DynamicGraph,
+        config: &ShardedConfig,
+        partition: Partition,
+    ) -> Self {
+        let (runtime, store) = ShardRuntime::build(&graph, config, partition);
+        Self::assemble(
+            graph,
+            store,
+            Executor::Shards(runtime),
+            config.base.clone(),
+            0,
+        )
+    }
+
+    /// [`sharded`](Self::sharded) from recovered state: the snapshotted
+    /// partition, shared store and per-shard resident sets.
+    pub(crate) fn restore_sharded(
+        graph: DynamicGraph,
+        config: &ShardedConfig,
+        partition: Partition,
+        store: Gpma,
+        residents: Vec<Vec<bool>>,
+        batches_processed: u64,
+    ) -> Self {
+        let runtime = ShardRuntime::restore(&graph, config, partition, residents);
+        Self::assemble(
+            graph,
+            store,
+            Executor::Shards(runtime),
+            config.base.clone(),
+            batches_processed,
+        )
+    }
+
+    fn assemble(
+        graph: DynamicGraph,
+        gpma: Gpma,
+        exec: Executor,
+        config: GammaConfig,
+        batches_processed: u64,
+    ) -> Self {
         assert_eq!(
             gpma.num_edges(),
             graph.num_edges(),
-            "restored gpma and graph mirror disagree on edge count"
+            "gpma and graph mirror disagree on edge count"
         );
-        let device = Device::new(config.device.clone());
         Self {
             graph,
             gpma: Some(gpma),
-            device,
+            exec,
             config,
             slots: Vec::new(),
             queries: Vec::new(),
@@ -262,12 +355,13 @@ impl QueryRegistry {
         }
     }
 
-    /// Re-registers a recovered query under its original id (ids must
-    /// arrive in increasing order).
-    pub(crate) fn restore_query(&mut self, id: QueryId, query: &QueryGraph, qcfg: QueryConfig) {
+    /// Registers a query under a chosen id (ids must arrive in increasing
+    /// order): recovered queries keep their original ids, and a sharded
+    /// engine view's one registration takes [`ShardedConfig::query_id`].
+    pub(crate) fn register_with_id(&mut self, id: QueryId, query: &QueryGraph, qcfg: QueryConfig) {
         assert!(
             id.0 >= self.next_id,
-            "restored query ids must be increasing"
+            "registered query ids must be increasing"
         );
         self.next_id = id.0;
         let got = self.register(query, qcfg);
@@ -287,20 +381,32 @@ impl QueryRegistry {
         want.sort_unstable();
         want.dedup();
 
-        let slot = match self
+        let found = self
             .slots
             .iter()
-            .position(|s| s.enc.scheme().labels() == want.as_slice())
-        {
-            Some(i) => {
+            .position(|s| s.enc.scheme().labels() == want.as_slice());
+        // A fresh encoder build derives this query's candidate table too.
+        // Tombstones are rebuilt: batches skipped them while they were dead.
+        let (slot, built) = match found {
+            Some(i) if self.slots[i].refs > 0 => {
                 self.slots[i].refs += 1;
-                i
+                (i, None)
             }
-            None => {
-                let (enc, _table) =
+            _ => {
+                let (enc, table) =
                     IncrementalEncoder::build(&self.graph, query, self.config.counter_bits);
-                self.slots.push(EncoderSlot { enc, refs: 1 });
-                self.slots.len() - 1
+                let fresh = EncoderSlot { enc, refs: 1 };
+                let i = match found {
+                    Some(i) => {
+                        self.slots[i] = fresh;
+                        i
+                    }
+                    None => {
+                        self.slots.push(fresh);
+                        self.slots.len() - 1
+                    }
+                };
+                (i, Some(table))
             }
         };
 
@@ -308,18 +414,20 @@ impl QueryRegistry {
         let qcodes: Vec<u64> = (0..query.num_vertices() as u8)
             .map(|u| scheme.encode_query_vertex(query, u))
             .collect();
-        let table = CandidateTable::from_encodings(&self.slots[slot].enc.encodings, &qcodes);
+        let table = built.unwrap_or_else(|| {
+            CandidateTable::from_encodings(&self.slots[slot].enc.encodings, &qcodes)
+        });
         let plain = QueryMeta::build(query, &table, scheme, false, 0);
-        let full_meta = if self.config.coalesced_search {
-            Arc::new(QueryMeta::build(
+        // The shard kernel always searches one seed per query edge.
+        let full_meta = match self.exec {
+            Executor::Device(_) if self.config.coalesced_search => Arc::new(QueryMeta::build(
                 query,
                 &table,
                 scheme,
                 true,
                 self.config.max_degenerate_k,
-            ))
-        } else {
-            Arc::new(plain.clone())
+            )),
+            _ => Arc::new(plain.clone()),
         };
 
         let id = QueryId(self.next_id);
@@ -354,14 +462,25 @@ impl QueryRegistry {
     /// A query joins the first group whose representative (a) shares its
     /// encoder slot, (b) has the same seed count, and (c) is gate-
     /// equivalent over ≥ 2 order positions on *every* seed; the group's
-    /// per-seed shared prefix is the min over members.
+    /// per-seed shared prefix is the min over members. On the shard
+    /// executor a query joins only a representative with an identical
+    /// pattern.
     fn rebuild_groups(&mut self) {
+        let sharded = matches!(self.exec, Executor::Shards(_));
         self.groups.clear();
         for qi in 0..self.queries.len() {
             let st = &self.queries[qi];
             let mut joined = false;
             for g in &mut self.groups {
                 let rep = &self.queries[g.members[0]];
+                if sharded {
+                    if rep.q == st.q {
+                        g.members.push(qi);
+                        joined = true;
+                        break;
+                    }
+                    continue;
+                }
                 if rep.slot != st.slot || rep.seeds.len() != st.seeds.len() {
                     continue;
                 }
@@ -396,6 +515,9 @@ impl QueryRegistry {
                     shared_meta: None,
                 });
             }
+        }
+        if sharded {
+            return;
         }
         for g in &mut self.groups {
             if g.members.len() < 2 {
@@ -435,11 +557,11 @@ impl QueryRegistry {
     }
 
     /// Applies an already-canonicalized batch (must be canonical w.r.t.
-    /// the registry's current graph). The pipeline mirrors
-    /// [`GammaEngine::apply_canonical_batch`](crate::GammaEngine::apply_canonical_batch):
-    /// negative launches on the pre-update graph, one shared structural
-    /// update, one re-encode per live encoder slot, a candidate refresh
-    /// per query, positive launches on the post-update graph.
+    /// the registry's current graph). This is the four-stage pipeline of
+    /// Figure 3 that every engine runs: negative launches on the
+    /// pre-update graph, one shared structural update, one re-encode per
+    /// live encoder slot, a candidate refresh per query, positive launches
+    /// on the post-update graph.
     pub fn apply_canonical_batch(&mut self, batch: &UpdateBatch) -> RegistryBatchResult {
         let mut result = RegistryBatchResult {
             deltas: self
@@ -464,24 +586,32 @@ impl QueryRegistry {
         let abort = Arc::new(AtomicBool::new(false));
         let deadline_guard = self.config.timeout.map(|t| spawn_watchdog(t, &abort));
 
+        // Negative matches on the pre-update graph, anchored at net
+        // deletions.
         if !batch.deletes.is_empty() {
             self.run_groups(&batch.deletes, &abort, &mut result, false);
         }
 
-        let pre_update_cycles = self.gpma.as_ref().expect("gpma").stats().sim_cycles;
-        {
-            let gpma = self.gpma.as_mut().expect("gpma");
-            let dels: Vec<(VertexId, VertexId)> =
-                batch.deletes.iter().map(|d| (d.u, d.v)).collect();
-            gpma.delete_edges(&dels);
-            let ins: Vec<(VertexId, VertexId, gamma_graph::ELabel)> =
-                batch.inserts.iter().map(|i| (i.u, i.v, i.label)).collect();
-            gpma.insert_edges(&ins);
-        }
-        result.update_cycles =
-            self.gpma.as_ref().expect("gpma").stats().sim_cycles - pre_update_cycles;
+        // Structural update: the batch lands once on the shared store,
+        // then on the host mirror. The shard executor charges each
+        // simulated device its share of the measured cycles.
+        let gpma = self.gpma.as_mut().expect("gpma present between batches");
+        let dels: Vec<(VertexId, VertexId)> = batch.deletes.iter().map(|d| (d.u, d.v)).collect();
+        let ins: Vec<(VertexId, VertexId, ELabel)> =
+            batch.inserts.iter().map(|i| (i.u, i.v, i.label)).collect();
+        let pre = gpma.stats().sim_cycles;
+        gpma.delete_edges(&dels);
+        let after_del = gpma.stats().sim_cycles;
+        gpma.insert_edges(&ins);
+        let (del_cycles, ins_cycles) = (after_del - pre, gpma.stats().sim_cycles - after_del);
+        result.update_cycles = match &mut self.exec {
+            Executor::Device(_) => del_cycles + ins_cycles,
+            Executor::Shards(rt) => rt.charge_update(&self.graph, batch, del_cycles, ins_cycles),
+        };
         batch.apply(&mut self.graph);
 
+        // Preprocess for the next kernel: re-encode touched vertices once
+        // per live encoder slot, refresh every query's dirty rows.
         let pre_t = Instant::now();
         let mut touched: Vec<VertexId> = batch
             .deletes
@@ -491,22 +621,11 @@ impl QueryRegistry {
             .collect();
         touched.sort_unstable();
         touched.dedup();
-        for si in 0..self.slots.len() {
-            if self.slots[si].refs == 0 {
-                continue;
-            }
-            let dirty = self.slots[si].enc.reencode(&self.graph, &touched);
-            result.dirty_vertices += dirty.len();
-            let encodings = Arc::clone(&self.slots[si].enc.encodings);
-            for st in self.queries.iter_mut().filter(|s| s.slot == si) {
-                st.table
-                    .as_mut()
-                    .expect("table present between launches")
-                    .refresh(&dirty, &encodings, &st.qcodes);
-            }
-        }
+        result.dirty_vertices = self.reencode(&touched);
         result.preprocess_seconds = pre_t.elapsed().as_secs_f64();
 
+        // Positive matches on the post-update graph, anchored at net
+        // insertions.
         if !batch.inserts.is_empty() {
             self.run_groups(&batch.inserts, &abort, &mut result, true);
         }
@@ -523,8 +642,9 @@ impl QueryRegistry {
         result
     }
 
-    /// Runs one kernel phase (negative or positive) for every group,
-    /// routing each member's matches into its delta.
+    /// Runs one kernel phase (negative or positive) for every group on
+    /// the registry's executor, routing each member's matches into its
+    /// delta.
     fn run_groups(
         &mut self,
         anchors: &[Update],
@@ -534,77 +654,101 @@ impl QueryRegistry {
     ) {
         for gi in 0..self.groups.len() {
             let members = self.groups[gi].members.clone();
-            if members.len() == 1 {
-                let qi = members[0];
-                let (meta, encodings, collect) = {
-                    let st = &self.queries[qi];
-                    (
+            let (outputs, stats) = match &mut self.exec {
+                Executor::Device(device) if members.len() == 1 => {
+                    let st = &mut self.queries[members[0]];
+                    let encodings = Arc::clone(&self.slots[st.slot].enc.encodings);
+                    let gpma = self.gpma.take().expect("gpma present");
+                    let table = st.table.take().expect("table present");
+                    let (gpma, table, matches, count, stats) = run_phase(
+                        device,
+                        gpma,
                         Arc::clone(&st.full_meta),
-                        Arc::clone(&self.slots[st.slot].enc.encodings),
+                        table,
+                        encodings,
+                        anchors,
                         st.collect,
-                    )
-                };
-                let gpma = self.gpma.take().expect("gpma present");
-                let table = self.queries[qi].table.take().expect("table present");
-                let (gpma, table, matches, count, stats) = run_phase(
-                    &self.device,
-                    gpma,
-                    meta,
-                    table,
-                    encodings,
-                    anchors,
-                    collect,
-                    self.config.match_limit,
-                    Arc::clone(abort),
-                    self.config.bitmap_intersect,
-                );
-                self.gpma = Some(gpma);
-                self.queries[qi].table = Some(table);
-                Self::route(&mut result.deltas[qi], matches, count, &stats, positive);
-                result.kernel.absorb(&stats);
-            } else {
-                let shared_meta = Arc::clone(
-                    self.groups[gi]
-                        .shared_meta
-                        .as_ref()
-                        .expect("multi-member groups carry shared metadata"),
-                );
-                let encodings =
-                    Arc::clone(&self.slots[self.queries[members[0]].slot].enc.encodings);
-                let group_members: Vec<GroupMember> = members
-                    .iter()
-                    .map(|&qi| {
-                        let st = &mut self.queries[qi];
-                        GroupMember {
-                            q: st.q.clone(),
-                            seeds: st.seeds.clone(),
-                            table: st.table.take().expect("table present"),
-                            collect: st.collect,
-                        }
-                    })
-                    .collect();
-                let gpma = self.gpma.take().expect("gpma present");
-                let (gpma, group_members, outputs, stats) = run_group_phase(
-                    &self.device,
-                    gpma,
-                    shared_meta,
-                    group_members,
-                    encodings,
-                    anchors,
-                    self.config.match_limit,
-                    Arc::clone(abort),
-                    self.config.bitmap_intersect,
-                );
-                self.gpma = Some(gpma);
-                for (mi, (member, (matches, count))) in
-                    group_members.into_iter().zip(outputs).enumerate()
-                {
-                    let qi = members[mi];
-                    self.queries[qi].table = Some(member.table);
-                    Self::route(&mut result.deltas[qi], matches, count, &stats, positive);
+                        self.config.match_limit,
+                        Arc::clone(abort),
+                        self.config.bitmap_intersect,
+                    );
+                    self.gpma = Some(gpma);
+                    st.table = Some(table);
+                    (vec![(matches, count)], stats)
                 }
-                result.kernel.absorb(&stats);
+                Executor::Device(device) => {
+                    let shared_meta = Arc::clone(
+                        self.groups[gi]
+                            .shared_meta
+                            .as_ref()
+                            .expect("multi-member groups carry shared metadata"),
+                    );
+                    let encodings =
+                        Arc::clone(&self.slots[self.queries[members[0]].slot].enc.encodings);
+                    let group_members: Vec<GroupMember> = members
+                        .iter()
+                        .map(|&qi| {
+                            let st = &mut self.queries[qi];
+                            GroupMember {
+                                q: st.q.clone(),
+                                seeds: st.seeds.clone(),
+                                table: st.table.take().expect("table present"),
+                                collect: st.collect,
+                            }
+                        })
+                        .collect();
+                    let gpma = self.gpma.take().expect("gpma present");
+                    let (gpma, group_members, outputs, stats) = run_group_phase(
+                        device,
+                        gpma,
+                        shared_meta,
+                        group_members,
+                        encodings,
+                        anchors,
+                        self.config.match_limit,
+                        Arc::clone(abort),
+                        self.config.bitmap_intersect,
+                    );
+                    self.gpma = Some(gpma);
+                    for (&qi, member) in members.iter().zip(group_members) {
+                        self.queries[qi].table = Some(member.table);
+                    }
+                    (outputs, stats)
+                }
+                Executor::Shards(rt) => {
+                    // Identical patterns: one launch under the
+                    // representative's id, its delta cloned per member.
+                    let rep = &self.queries[members[0]];
+                    let collect = members.iter().any(|&qi| self.queries[qi].collect);
+                    let (matches, count, stats) = rt.kernel_phase(
+                        &self.graph,
+                        self.gpma.as_ref().expect("gpma present"),
+                        rep.table.as_ref().expect("table present"),
+                        &rep.full_meta,
+                        &self.config,
+                        anchors,
+                        collect,
+                        rep.id.0,
+                        abort,
+                    );
+                    let outputs = members
+                        .iter()
+                        .map(|&qi| {
+                            let ms = if self.queries[qi].collect {
+                                matches.clone()
+                            } else {
+                                Vec::new()
+                            };
+                            (ms, count)
+                        })
+                        .collect();
+                    (outputs, stats)
+                }
+            };
+            for (&qi, (matches, count)) in members.iter().zip(outputs) {
+                Self::route(&mut result.deltas[qi], matches, count, &stats, positive);
             }
+            result.kernel.absorb(&stats);
         }
     }
 
@@ -627,18 +771,33 @@ impl QueryRegistry {
 
     /// Adds a fresh data vertex (vertex insertions are a vertex plus edge
     /// insertions, §II-A): encoded under every live slot, with a candidate
-    /// row in every query's table.
+    /// row in every query's table (and, on the shard executor, resident
+    /// on its owner).
     pub fn add_vertex(&mut self, label: VLabel) -> VertexId {
         let v = self.graph.add_vertex(label);
+        let n = self.graph.num_vertices();
         self.gpma
             .as_mut()
             .expect("gpma present between batches")
-            .ensure_vertices(self.graph.num_vertices());
+            .ensure_vertices(n);
+        if let Executor::Shards(rt) = &mut self.exec {
+            rt.add_vertex(v, n);
+        }
+        self.reencode(&[v]);
+        v
+    }
+
+    /// Re-encodes `touched` under every live encoder slot and refreshes
+    /// every query's dirty candidate rows; returns the number of dirty
+    /// vertices summed over slots.
+    fn reencode(&mut self, touched: &[VertexId]) -> usize {
+        let mut dirty_total = 0;
         for si in 0..self.slots.len() {
             if self.slots[si].refs == 0 {
                 continue;
             }
-            let dirty = self.slots[si].enc.reencode(&self.graph, &[v]);
+            let dirty = self.slots[si].enc.reencode(&self.graph, touched);
+            dirty_total += dirty.len();
             let encodings = Arc::clone(&self.slots[si].enc.encodings);
             for st in self.queries.iter_mut().filter(|s| s.slot == si) {
                 st.table
@@ -647,7 +806,7 @@ impl QueryRegistry {
                     .refresh(&dirty, &encodings, &st.qcodes);
             }
         }
-        v
+        dirty_total
     }
 
     /// Number of currently registered queries.
@@ -685,6 +844,15 @@ impl QueryRegistry {
         self.queries.iter().find(|s| s.id == id).map(|s| &s.q)
     }
 
+    /// The kernel metadata (seeds, coalesced plan) `id`'s singleton
+    /// launches run under.
+    pub(crate) fn meta(&self, id: QueryId) -> Option<&QueryMeta> {
+        self.queries
+            .iter()
+            .find(|s| s.id == id)
+            .map(|s| s.full_meta.as_ref())
+    }
+
     /// Whether `id` materializes its match deltas.
     pub fn collects(&self, id: QueryId) -> Option<bool> {
         self.queries.iter().find(|s| s.id == id).map(|s| s.collect)
@@ -705,6 +873,14 @@ impl QueryRegistry {
         self.gpma.as_ref().expect("gpma present between batches")
     }
 
+    /// The shard runtime, if this registry runs on the shard executor.
+    pub(crate) fn shard_runtime(&self) -> Option<&ShardRuntime> {
+        match &self.exec {
+            Executor::Shards(rt) => Some(rt),
+            Executor::Device(_) => None,
+        }
+    }
+
     /// The registry-wide configuration.
     pub fn config(&self) -> &GammaConfig {
         &self.config
@@ -717,7 +893,7 @@ impl QueryRegistry {
 
     /// Simulated seconds for a cycle count under this registry's clock.
     pub fn seconds(&self, cycles: u64) -> f64 {
-        self.device.seconds(cycles)
+        self.config.device.cycles_to_seconds(cycles)
     }
 
     /// Live encoder slots (label-set classes with ≥ 1 registered query).
@@ -734,180 +910,119 @@ impl QueryRegistry {
     }
 }
 
+/// A guard whose thread sets `abort` after `timeout` unless dropped first.
+struct Watchdog {
+    cancel: Arc<AtomicBool>,
+    handle: Option<std::thread::JoinHandle<()>>,
+}
+
+fn spawn_watchdog(timeout: Duration, abort: &Arc<AtomicBool>) -> Watchdog {
+    let cancel = Arc::new(AtomicBool::new(false));
+    let c = Arc::clone(&cancel);
+    let a = Arc::clone(abort);
+    let handle = std::thread::spawn(move || {
+        let start = Instant::now();
+        while start.elapsed() < timeout {
+            if c.load(Ordering::Relaxed) {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1).min(timeout / 10));
+        }
+        a.store(true, Ordering::Relaxed);
+    });
+    Watchdog {
+        cancel,
+        handle: Some(handle),
+    }
+}
+
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        self.cancel.store(true, Ordering::Relaxed);
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Sharded serving tier
 // ---------------------------------------------------------------------------
 
-/// One sharded engine serving a class of identical registered patterns.
-struct ShardedClass {
-    q: QueryGraph,
-    engine: ShardedEngine,
-}
-
-/// One subscription to a sharded class.
-struct ShardedSub {
-    id: QueryId,
-    class: usize,
-    stats: QueryStats,
-}
-
-/// The standing-query serving tier over the multi-device
-/// [`ShardedEngine`] runtime.
+/// The standing-query serving tier on the multi-device shard executor:
+/// one graph mirror, one store and one partition (with its resident sets)
+/// for every registered pattern.
 ///
 /// Sharing model: **identity-class dedup** — subscriptions whose patterns
-/// are equal share one sharded engine (its per-batch work runs once, its
-/// deltas are cloned per subscriber), and every migrant envelope that
-/// engine ships across the interconnect is stamped with the class
-/// representative's [`QueryId`] ([`ShardedConfig::query_id`]). Shared-
-/// *prefix* grouping across non-identical patterns is single-device only
-/// (see [`QueryRegistry`]): the sharded kernel's migration/stealing
-/// soundness argument is per-query, and a forked envelope format is
-/// future work (tracked in ROADMAP).
+/// are equal share one group: its launches run once per phase, its deltas
+/// are cloned per subscriber, and every migrant envelope they ship across
+/// the interconnect is stamped with the group representative's
+/// [`QueryId`]. Shared-*prefix* grouping across non-identical patterns is
+/// single-device only (see [`QueryRegistry`]): the sharded kernel's
+/// migration/stealing soundness argument is per-query, and a forked
+/// envelope format is future work (tracked in ROADMAP).
 pub struct ShardedQueryRegistry {
-    /// Host mirror — the source graph for engines registered mid-stream.
-    graph: DynamicGraph,
-    config: ShardedConfig,
-    classes: Vec<ShardedClass>,
-    /// Subscriptions in [`QueryId`] order.
-    subs: Vec<ShardedSub>,
-    next_id: u64,
-    batches_processed: u64,
+    registry: QueryRegistry,
 }
 
 impl ShardedQueryRegistry {
-    /// Builds an empty sharded registry over `graph`.
-    /// `config.query_id` is ignored — each class engine gets its own tag.
+    /// Builds an empty sharded registry over `graph`, partitioned once
+    /// for every pattern registered later. `config.query_id` is ignored —
+    /// each group's launches are stamped with its representative's id.
     pub fn new(graph: DynamicGraph, config: ShardedConfig) -> Self {
+        let partition = Partition::build(config.strategy, config.num_shards, &graph);
         Self {
-            graph,
-            config,
-            classes: Vec::new(),
-            subs: Vec::new(),
-            next_id: 0,
-            batches_processed: 0,
+            registry: QueryRegistry::sharded(graph, &config, partition),
         }
     }
 
     /// Registers a standing query. Identical patterns (graph equality)
-    /// share one sharded engine; a novel pattern gets a fresh engine
-    /// built from the current graph state.
+    /// share one group; a novel pattern joins the existing partition and
+    /// resident sets with its own encoder-backed candidate table.
     pub fn register(&mut self, query: &QueryGraph) -> QueryId {
-        let id = QueryId(self.next_id);
-        self.next_id += 1;
-        let class = match self.classes.iter().position(|c| &c.q == query) {
-            Some(i) => i,
-            None => {
-                let mut cfg = self.config.clone();
-                cfg.query_id = id.0;
-                self.classes.push(ShardedClass {
-                    q: query.clone(),
-                    engine: ShardedEngine::new(self.graph.clone(), query, cfg),
-                });
-                self.classes.len() - 1
-            }
-        };
-        self.subs.push(ShardedSub {
-            id,
-            class,
-            stats: QueryStats::default(),
-        });
-        id
+        self.registry.register(query, QueryConfig::default())
     }
 
-    /// Removes a subscription; a class with no remaining subscribers
-    /// drops its engine. Returns `false` if `id` is unknown.
+    /// Removes a subscription. Returns `false` if `id` is unknown.
     pub fn unregister(&mut self, id: QueryId) -> bool {
-        let Some(pos) = self.subs.iter().position(|s| s.id == id) else {
-            return false;
-        };
-        let class = self.subs.remove(pos).class;
-        if !self.subs.iter().any(|s| s.class == class) {
-            self.classes.remove(class);
-            for s in &mut self.subs {
-                if s.class > class {
-                    s.class -= 1;
-                }
-            }
-        }
-        true
+        self.registry.unregister(id)
     }
 
-    /// Applies one update batch: once per class engine, with each class's
-    /// delta cloned to every subscriber.
+    /// Applies one update batch: once per group of identical patterns,
+    /// with each group's delta cloned to every subscriber.
     pub fn apply_batch(&mut self, raw: &[Update]) -> RegistryBatchResult {
-        let t0 = Instant::now();
-        let batch = UpdateBatch::canonicalize(&self.graph, raw);
-        let mut result = RegistryBatchResult {
-            net_updates: batch.len(),
-            ..RegistryBatchResult::default()
-        };
-        batch.apply(&mut self.graph);
-        result.preprocess_seconds = t0.elapsed().as_secs_f64();
-
-        let per_class: Vec<crate::engine::BatchResult> = self
-            .classes
-            .iter_mut()
-            .map(|c| c.engine.apply_batch(raw))
-            .collect();
-        for r in &per_class {
-            result.update_cycles += r.stats.update_cycles;
-            result.dirty_vertices += r.stats.dirty_vertices;
-            result.kernel.absorb(&r.stats.kernel);
-            result.preprocess_seconds += r.stats.preprocess_seconds;
-            result.timed_out |= r.stats.timed_out;
-        }
-        for sub in &mut self.subs {
-            let r = &per_class[sub.class];
-            result.deltas.push(QueryDelta {
-                id: sub.id,
-                positive: r.positive.clone(),
-                negative: r.negative.clone(),
-                positive_count: r.positive_count,
-                negative_count: r.negative_count,
-                kernel: r.stats.kernel.clone(),
-            });
-            sub.stats.batches += 1;
-            sub.stats.positive_total += r.positive_count;
-            sub.stats.negative_total += r.negative_count;
-            sub.stats.kernel.absorb(&r.stats.kernel);
-        }
-        self.batches_processed += 1;
-        result
+        self.registry.apply_batch(raw)
     }
 
-    /// Adds a fresh data vertex across the mirror and every class engine.
+    /// Adds a fresh data vertex (resident on its owner shard).
     pub fn add_vertex(&mut self, label: VLabel) -> VertexId {
-        let v = self.graph.add_vertex(label);
-        for c in &mut self.classes {
-            let cv = c.engine.add_vertex(label);
-            debug_assert_eq!(cv, v, "class engines and mirror must agree on ids");
-        }
-        v
+        self.registry.add_vertex(label)
     }
 
     /// Number of currently registered subscriptions.
     pub fn num_queries(&self) -> usize {
-        self.subs.len()
+        self.registry.num_queries()
     }
 
-    /// Number of class engines (≤ [`num_queries`](Self::num_queries)).
+    /// Number of groups of identical patterns (≤
+    /// [`num_queries`](Self::num_queries)).
     pub fn group_count(&self) -> usize {
-        self.classes.len()
+        self.registry.group_count()
     }
 
     /// Cumulative telemetry for `id`.
     pub fn stats(&self, id: QueryId) -> Option<&QueryStats> {
-        self.subs.iter().find(|s| s.id == id).map(|s| &s.stats)
+        self.registry.stats(id)
     }
 
     /// Read access to the host mirror of the data graph.
     pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
+        self.registry.graph()
     }
 
     /// Number of batches processed so far.
     pub fn batches_processed(&self) -> u64 {
-        self.batches_processed
+        self.registry.batches_processed()
     }
 }
 
@@ -1041,6 +1156,25 @@ mod tests {
         let r = reg.apply_batch(&[Update::delete(0, 2)]);
         assert_eq!(r.delta(b).unwrap().negative_count, 4);
         assert_eq!(r.delta(c).unwrap().negative_count, 4);
+    }
+
+    #[test]
+    fn revived_slot_sees_batches_it_skipped() {
+        // The {A,B} slot dies, a batch gives v2 (B) an A neighbor while no
+        // query re-encodes under it, then the class registers again.
+        let tri = triangle();
+        let mut reg = QueryRegistry::new(fig1(), GammaConfig::default());
+        reg.register(&triangle_with_tail(), QueryConfig::default());
+        let a = reg.register(&tri, QueryConfig::default());
+        assert!(reg.unregister(a));
+        reg.apply_batch(&[Update::insert(0, 2)]);
+        let b = reg.register(&tri, QueryConfig::default());
+        let mut engine = crate::GammaEngine::new(reg.graph().clone(), &tri, GammaConfig::default());
+        let batch = [Update::delete(0, 2)];
+        let e = engine.apply_batch(&batch);
+        assert_eq!(e.negative_count, 4);
+        let r = reg.apply_batch(&batch);
+        assert_eq!(r.delta(b).unwrap().negative_count, e.negative_count);
     }
 
     #[test]

@@ -1,5 +1,12 @@
-//! Multi-device sharded engine: the data graph partitioned across N
+//! The multi-device shard executor: the data graph partitioned across N
 //! simulated devices, driven by a barrier-free virtual-time runtime.
+//!
+//! The batch pipeline itself lives in [`crate::registry`]: a
+//! [`QueryRegistry`] runs its launches either on one simulated device or
+//! on this module's shard runtime, chosen by its constructor.
+//! [`ShardedEngine`] is a one-registration view of a registry on the
+//! shard runtime, and [`ShardedQueryRegistry`] serves K patterns over the
+//! same one partition, resident sets and store.
 //!
 //! The paper's engine is single-GPU; this module scales it along the axis
 //! the ROADMAP calls for — **sharding** — by generalizing the paper's
@@ -53,6 +60,7 @@
 //! every workload through 1/2/4 shards under the same oracle.
 //!
 //! [`CostModel::migrant_ship`]: gamma_gpu::CostModel::migrant_ship
+//! [`ShardedQueryRegistry`]: crate::registry::ShardedQueryRegistry
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,9 +74,10 @@ use gamma_graph::{
 };
 
 use crate::comm::{CommFabric, MIGRANT_BATCH};
-use crate::encoding::{CandidateTable, IncrementalEncoder};
+use crate::encoding::CandidateTable;
 use crate::engine::{BatchResult, GammaConfig};
 use crate::fault::FaultPlan;
+use crate::registry::{QueryConfig, QueryId, QueryRegistry};
 use crate::wbm::{IncidentRange, QueryMeta, UpdateOrder};
 
 /// Survivor chunks narrower than this are intersected candidate-by-
@@ -530,11 +539,13 @@ pub struct ShardedConfig {
     /// the default — injects nothing and leaves every phase byte-
     /// identical to a configuration without the fault subsystem.
     pub faults: Option<FaultPlan>,
-    /// Serving-tier tag stamped on every migrant envelope this engine
-    /// ships (see [`crate::registry::ShardedQueryRegistry`]): the raw
-    /// [`crate::registry::QueryId`] of the query class this engine
-    /// serves. Purely an envelope tag — it never influences routing,
-    /// costs, or results — so standalone engines leave the default `0`.
+    /// The raw [`QueryId`] of the single registration a [`ShardedEngine`]
+    /// view holds, stamped on every migrant envelope its launches ship.
+    /// [`ShardedQueryRegistry`](crate::registry::ShardedQueryRegistry)
+    /// ignores it: its ids start at 0 and each launch is stamped with its
+    /// group representative's id. Purely an envelope tag — it never
+    /// influences routing, costs, or results — so standalone engines
+    /// leave the default `0`.
     pub query_id: u64,
 }
 
@@ -585,10 +596,10 @@ pub struct ShardStats {
 // ---------------------------------------------------------------------------
 
 /// One simulated device: its resident set. The physical edge store is
-/// shared engine-wide (`ShardedEngine::store`): a resident vertex's run
-/// is *complete* by the residency invariant, so every shard's replica of
-/// it was bit-identical by construction and the engine keeps one copy —
-/// exactly as it already does for the encoder and candidate table. What
+/// the registry's one store, shared by every shard: a resident vertex's
+/// run is *complete* by the residency invariant, so every shard's replica
+/// of it was bit-identical by construction and one copy serves them all —
+/// exactly as it already does for the encoders and candidate tables. What
 /// remains per shard is the logical state the simulation needs: which
 /// runs this device holds (`resident`) and what its update/scan work
 /// costs, charged from its resident sub-batch sizes.
@@ -1515,77 +1526,49 @@ enum Action {
 }
 
 // ---------------------------------------------------------------------------
-// The engine
+// The shard executor
 // ---------------------------------------------------------------------------
 
-/// The batch-dynamic subgraph matching engine over N partitioned devices.
-///
-/// Drop-in compatible with [`GammaEngine`]'s batch API and bit-identical
-/// in its reported deltas; see the module docs for the distribution model.
-///
-/// [`GammaEngine`]: crate::GammaEngine
-pub struct ShardedEngine {
-    graph: DynamicGraph,
+/// The shard executor of a registry: the vertex partition, every shard's
+/// resident set, the shared degree vector, the live-shard mask and the
+/// cumulative cross-shard statistics. The registry owns the graph mirror,
+/// the one shared store, the encoders and the candidate tables, and lends
+/// them to [`ShardRuntime::kernel_phase`] per launch — so every registered
+/// pattern runs on the same partition and resident sets.
+pub(crate) struct ShardRuntime {
     partition: Partition,
     shards: Vec<Shard>,
-    /// The shared physical edge store. Every run a shard is allowed to
-    /// read (its resident vertices' runs) is complete, hence identical
-    /// across replicas — so one physical copy serves all simulated
-    /// devices; per-device update cost is charged from each shard's
-    /// resident sub-batch share of the measured store cycles.
-    store: Gpma,
-    /// Shared NLF encoder (vertex metadata is replicated conceptually;
-    /// since every replica was bit-identical by construction, the engine
-    /// stores one).
-    encoder: IncrementalEncoder,
-    table: CandidateTable,
-    meta: QueryMeta,
-    config: ShardedConfig,
     /// Shared true-degree vector, maintained incrementally per batch
     /// (O(batch) updates, not O(V) rebuilds).
     degrees: Arc<Vec<u32>>,
     stats: ShardStats,
-    batches_processed: u64,
+    stealing: ShardStealing,
+    faults: Option<FaultPlan>,
     /// Live-shard mask: `alive[s]` is cleared when shard `s` fail-stops
     /// (from a configured [`FaultPlan`]) and never set again — fail-stop
-    /// is permanent for the engine's lifetime (rejoin/rebalance is a
-    /// ROADMAP item). Not persisted: a recovered engine restarts with
+    /// is permanent for the runtime's lifetime (rejoin/rebalance is a
+    /// ROADMAP item). Not persisted: a recovered runtime restarts with
     /// every shard alive over the snapshotted (possibly repaired)
     /// partition.
     alive: Vec<bool>,
 }
 
-impl ShardedEngine {
-    /// Partitions `graph`, builds every shard's GPMA over its resident set
-    /// (owned + one-hop boundary) and the shared encoder/table, and
-    /// derives the per-edge matching orders (coalesced search off — one
-    /// seed per query edge keeps the distributed dedup rule identical to
-    /// the single-device engine's match attribution).
-    pub fn new(graph: DynamicGraph, query: &QueryGraph, config: ShardedConfig) -> Self {
-        let partition = Partition::build(config.strategy, config.num_shards, &graph);
-        Self::with_partition(graph, query, config, partition)
-    }
-
-    /// [`ShardedEngine::new`] with a caller-supplied partition (the
-    /// durable restore path reuses the snapshotted assignment; tests use
-    /// it to pin a placement).
-    pub fn with_partition(
-        graph: DynamicGraph,
-        query: &QueryGraph,
-        config: ShardedConfig,
+impl ShardRuntime {
+    /// Builds every shard's resident set (owned ∪ one-hop boundary) under
+    /// `partition`, plus the shared physical store over the full edge list
+    /// — a resident vertex's run is complete, so every shard reads the
+    /// same bytes a private replica would have held.
+    pub(crate) fn build(
+        graph: &DynamicGraph,
+        config: &ShardedConfig,
         partition: Partition,
-    ) -> Self {
+    ) -> (Self, Gpma) {
         assert_eq!(
             partition.num_shards(),
             config.num_shards,
             "partition shard count disagrees with configuration"
         );
         let n = graph.num_vertices();
-        let (encoder, table) = IncrementalEncoder::build(&graph, query, config.base.counter_bits);
-        // Resident sets (owned ∪ one-hop boundary) per shard, then one
-        // shared physical store over the full edge list — a resident
-        // vertex's run is complete, so every shard reads the same bytes
-        // a private replica would have held.
         let mut residents: Vec<Vec<bool>> = vec![vec![false; n]; config.num_shards];
         for v in 0..n as VertexId {
             let s = partition.owner(v);
@@ -1598,63 +1581,22 @@ impl ShardedEngine {
         let mut store = Gpma::new(n, config.base.gpma.clone());
         store.insert_edges(&edges);
         store.ensure_vertices(n);
-        let shards = residents
-            .into_iter()
-            .map(|resident| Shard {
-                resident: Arc::new(resident),
-            })
-            .collect();
-        let meta = QueryMeta::build(
-            query,
-            &table,
-            encoder.scheme(),
-            false, // coalesced search off: one seed per query edge
-            config.base.max_degenerate_k,
-        );
-        let degrees = Arc::new(
-            (0..n as VertexId)
-                .map(|v| graph.degree(v) as u32)
-                .collect::<Vec<u32>>(),
-        );
-        let num_shards = config.num_shards;
-        Self {
-            graph,
-            partition,
-            shards,
-            store,
-            encoder,
-            table,
-            meta,
-            config,
-            degrees,
-            stats: ShardStats {
-                pair_migrants: vec![0; num_shards * num_shards],
-                ..ShardStats::default()
-            },
-            batches_processed: 0,
-            alive: vec![true; num_shards],
-        }
+        (Self::restore(graph, config, partition, residents), store)
     }
 
-    /// Rebuilds a sharded engine from recovered state: the host graph
-    /// mirror, the snapshotted partition, the restored shared store, and
-    /// every shard's resident-set flags.
+    /// Rebuilds the runtime from recovered state: the snapshotted
+    /// partition and every shard's resident flags.
     ///
     /// Resident sets grow monotonically as batches touch new boundary
     /// vertices, so they cannot be rederived from the current graph alone
     /// — a fresh build's sets can be *smaller* than the incrementally
     /// maintained ones. They are therefore part of the snapshot, exactly
     /// like the GPMA geometry and (for greedy) the owner table.
-    /// Encoder/table/meta are pure functions of `(graph, query, config)`
-    /// and are rebuilt.
-    pub fn restore(
-        graph: DynamicGraph,
-        query: &QueryGraph,
-        config: ShardedConfig,
+    pub(crate) fn restore(
+        graph: &DynamicGraph,
+        config: &ShardedConfig,
         partition: Partition,
-        store: Gpma,
         residents: Vec<Vec<bool>>,
-        batches_processed: u64,
     ) -> Self {
         assert_eq!(
             residents.len(),
@@ -1667,21 +1609,15 @@ impl ShardedEngine {
             "restored partition shard count disagrees with configuration"
         );
         let n = graph.num_vertices();
-        let (encoder, table) = IncrementalEncoder::build(&graph, query, config.base.counter_bits);
-        let mut shards = Vec::with_capacity(config.num_shards);
-        for resident in residents {
-            assert_eq!(resident.len(), n, "resident bitmap length drift");
-            shards.push(Shard {
-                resident: Arc::new(resident),
-            });
-        }
-        let meta = QueryMeta::build(
-            query,
-            &table,
-            encoder.scheme(),
-            false, // coalesced search off, as in `new`
-            config.base.max_degenerate_k,
-        );
+        let shards = residents
+            .into_iter()
+            .map(|resident| {
+                assert_eq!(resident.len(), n, "resident bitmap length drift");
+                Shard {
+                    resident: Arc::new(resident),
+                }
+            })
+            .collect();
         let degrees = Arc::new(
             (0..n as VertexId)
                 .map(|v| graph.degree(v) as u32)
@@ -1689,92 +1625,62 @@ impl ShardedEngine {
         );
         let num_shards = config.num_shards;
         Self {
-            graph,
             partition,
             shards,
-            store,
-            encoder,
-            table,
-            meta,
-            config,
             degrees,
             stats: ShardStats {
                 pair_migrants: vec![0; num_shards * num_shards],
                 ..ShardStats::default()
             },
-            batches_processed,
+            stealing: config.stealing,
+            faults: config.faults.clone(),
             alive: vec![true; num_shards],
         }
     }
 
-    /// Read access to the host mirror of the data graph.
-    pub fn graph(&self) -> &DynamicGraph {
-        &self.graph
-    }
-
-    /// State for snapshotting: the shared physical store plus each
-    /// shard's resident flags, in shard order.
-    pub fn shard_state(&self) -> (&Gpma, Vec<&[bool]>) {
-        (
-            &self.store,
-            self.shards.iter().map(|s| s.resident.as_slice()).collect(),
-        )
-    }
-
-    /// The static vertex partition.
-    pub fn partition(&self) -> &Partition {
-        &self.partition
-    }
-
-    /// Cumulative cross-shard statistics.
-    pub fn shard_stats(&self) -> ShardStats {
-        self.stats.clone()
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &ShardedConfig {
-        &self.config
-    }
-
-    /// Number of batches processed so far.
-    pub fn batches_processed(&self) -> u64 {
-        self.batches_processed
-    }
-
-    /// Live-shard mask (all-true until a configured fault fires).
-    pub fn alive(&self) -> &[bool] {
-        &self.alive
-    }
-
-    /// The live shard responsible for vertex `v`: the partition owner
-    /// while it is alive, else the deterministic cyclic-successor
-    /// fallback. The durable layer routes per-shard WAL slices through
-    /// this, so logging agrees with where work actually executes.
-    pub fn owner_shard(&self, v: VertexId) -> usize {
-        live_owner(&self.partition, &self.alive, v)
-    }
-
-    /// Adds a fresh vertex (owned by its partition shard, resident there).
-    pub fn add_vertex(&mut self, label: VLabel) -> VertexId {
-        let v = self.graph.add_vertex(label);
-        let n = self.graph.num_vertices();
-        Arc::make_mut(&mut self.degrees).resize(n, 0);
+    /// Registers a freshly added vertex `v` (the graph now holds
+    /// `num_vertices`): resident on its live owner, degree 0.
+    pub(crate) fn add_vertex(&mut self, v: VertexId, num_vertices: usize) {
+        Arc::make_mut(&mut self.degrees).resize(num_vertices, 0);
         let owner = live_owner(&self.partition, &self.alive, v);
-        self.store.ensure_vertices(n);
         self.shards[owner].mark_resident(v);
-        let dirty = self.encoder.reencode(&self.graph, &[v]);
-        self.table
-            .refresh(&dirty, &self.encoder.encodings, &self.encoder.qcodes);
-        v
+    }
+
+    /// Charges one canonical batch's structural update to the simulated
+    /// devices and returns the batch's update cycles. The batch has
+    /// already landed once on the shared store, at the measured cost of
+    /// `del_cycles` and `ins_cycles`; `graph` is still the pre-batch
+    /// mirror, against which each shard's residency grows. The devices
+    /// update in parallel, each charged its resident sub-batch's
+    /// proportional share of the measured cycles, so the batch's update
+    /// time is the slowest shard's; a one-shard runtime is charged the
+    /// full measured cost exactly. The batch's endpoint deltas also land
+    /// in the degree vector.
+    pub(crate) fn charge_update(
+        &mut self,
+        graph: &DynamicGraph,
+        batch: &UpdateBatch,
+        del_cycles: u64,
+        ins_cycles: u64,
+    ) -> u64 {
+        let k_del = batch.deletes.len() as u64;
+        let k_ins = batch.inserts.len() as u64;
+        let mut max_update_cycles = 0u64;
+        for s in 0..self.shards.len() {
+            let share = self.grow_residency(graph, s, batch);
+            max_update_cycles =
+                max_update_cycles.max(share.cycles(del_cycles, k_del, ins_cycles, k_ins));
+        }
+        self.update_degrees(graph.num_vertices(), batch);
+        max_update_cycles
     }
 
     /// Folds a canonical batch's endpoint deltas into the shared degree
-    /// vector (call when the structural update lands).
-    fn update_degrees(&mut self, batch: &UpdateBatch) {
-        let need = self.graph.num_vertices();
+    /// vector (sized to `num_vertices`).
+    fn update_degrees(&mut self, num_vertices: usize, batch: &UpdateBatch) {
         let degrees = Arc::make_mut(&mut self.degrees);
-        if degrees.len() < need {
-            degrees.resize(need, 0);
+        if degrees.len() < num_vertices {
+            degrees.resize(num_vertices, 0);
         }
         // Checked: a canonical batch only deletes present edges, so a
         // degree underflow here is a canonicalization bug — fail loudly in
@@ -1794,104 +1700,17 @@ impl ShardedEngine {
         }
     }
 
-    /// Applies one update batch and returns the incremental matches —
-    /// the same four-phase pipeline as the single-device engine, with the
-    /// structural update routed per shard and both kernels distributed.
-    pub fn apply_batch(&mut self, raw: &[Update]) -> BatchResult {
-        let host_t0 = Instant::now();
-        let batch = UpdateBatch::canonicalize(&self.graph, raw);
-        let canon_seconds = host_t0.elapsed().as_secs_f64();
-        let mut result = self.apply_canonical_batch(&batch);
-        result.stats.preprocess_seconds += canon_seconds;
-        result
-    }
-
-    /// Applies an already-canonicalized batch (must be canonical w.r.t.
-    /// this engine's current graph).
-    pub fn apply_canonical_batch(&mut self, batch: &UpdateBatch) -> BatchResult {
-        let mut result = BatchResult::default();
-        result.stats.net_updates = batch.len();
-        if batch.is_empty() {
-            self.batches_processed += 1;
-            return result;
-        }
-        let abort = Arc::new(AtomicBool::new(false));
-        let deadline_guard = self
-            .config
-            .base
-            .timeout
-            .map(|t| crate::engine::spawn_watchdog(t, &abort));
-
-        // Phase 1: negative matches on the pre-update store.
-        if !batch.deletes.is_empty() {
-            let degrees = Arc::clone(&self.degrees);
-            let (matches, count, stats) = self.kernel_phase(&batch.deletes, degrees, &abort);
-            result.negative = matches;
-            result.negative_count = count;
-            result.stats.kernel.absorb(&stats);
-        }
-
-        // Phase 2: structural update. Residency grows per shard first
-        // (boundary pulls are computed against the pre-batch graph), then
-        // the batch lands once on the shared store. The simulated devices
-        // update in parallel, each charged its resident sub-batch's
-        // proportional share of the measured store cycles, so the batch's
-        // update time is the slowest shard's; a one-shard engine is
-        // charged the full measured cost exactly.
-        let shares: Vec<UpdateShare> = (0..self.shards.len())
-            .map(|s| self.grow_residency(s, batch))
-            .collect();
-        let (del_cycles, ins_cycles) = self.apply_shared_update(batch);
-        let k_del = batch.deletes.len() as u64;
-        let k_ins = batch.inserts.len() as u64;
-        let mut max_update_cycles = 0u64;
-        for share in &shares {
-            let cycles = share.cycles(del_cycles, k_del, ins_cycles, k_ins);
-            max_update_cycles = max_update_cycles.max(cycles);
-        }
-        result.stats.update_cycles = max_update_cycles;
-        batch.apply(&mut self.graph);
-        self.update_degrees(batch);
-
-        // Phase 3: host preprocess — re-encode touched vertices once and
-        // refresh the shared candidate rows (one table, not N replicas).
-        let pre_t = Instant::now();
-        let mut touched: Vec<VertexId> = batch
-            .deletes
-            .iter()
-            .chain(batch.inserts.iter())
-            .flat_map(|u| [u.u, u.v])
-            .collect();
-        touched.sort_unstable();
-        touched.dedup();
-        let dirty = self.encoder.reencode(&self.graph, &touched);
-        self.table
-            .refresh(&dirty, &self.encoder.encodings, &self.encoder.qcodes);
-        result.stats.dirty_vertices = dirty.len();
-        let preprocess = pre_t.elapsed().as_secs_f64();
-
-        // Phase 4: positive matches on the post-update store.
-        if !batch.inserts.is_empty() {
-            let degrees = Arc::clone(&self.degrees);
-            let (matches, count, stats) = self.kernel_phase(&batch.inserts, degrees, &abort);
-            result.positive = matches;
-            result.positive_count = count;
-            result.stats.kernel.absorb(&stats);
-        }
-
-        drop(deadline_guard);
-        result.stats.timed_out = abort.load(Ordering::Relaxed);
-        result.stats.preprocess_seconds = preprocess;
-        self.batches_processed += 1;
-        result
-    }
-
     /// Grows shard `s`'s resident set for one canonical batch (an
     /// insertion with an owned endpoint pulls the other endpoint into the
     /// boundary frontier) and returns the shard's update-work shares: how
     /// many of the batch's deletes/inserts touch its resident set, plus
     /// how many pre-batch adjacency edges its new residents materialize.
-    fn grow_residency(&mut self, s: usize, batch: &UpdateBatch) -> UpdateShare {
+    fn grow_residency(
+        &mut self,
+        graph: &DynamicGraph,
+        s: usize,
+        batch: &UpdateBatch,
+    ) -> UpdateShare {
         let mut new_residents: Vec<VertexId> = Vec::new();
         {
             let shard = &self.shards[s];
@@ -1907,7 +1726,7 @@ impl ShardedEngine {
         new_residents.dedup();
         let mut materialized = 0u64;
         for &v in &new_residents {
-            materialized += self.graph.neighbors(v).len() as u64;
+            materialized += graph.neighbors(v).len() as u64;
             self.shards[s].mark_resident(v);
         }
         let shard = &self.shards[s];
@@ -1928,69 +1747,52 @@ impl ShardedEngine {
         }
     }
 
-    /// Lands one canonical batch on the shared physical store and returns
-    /// the measured `(delete, insert)` simulated-cycle costs. Runs once
-    /// per batch; the per-device split happens in the caller via
-    /// [`UpdateShare::cycles`].
-    fn apply_shared_update(&mut self, batch: &UpdateBatch) -> (u64, u64) {
-        let dels: Vec<(VertexId, VertexId)> = batch.deletes.iter().map(|d| (d.u, d.v)).collect();
-        let ins: Vec<(VertexId, VertexId, ELabel)> =
-            batch.inserts.iter().map(|i| (i.u, i.v, i.label)).collect();
-        let pre = self.store.stats().sim_cycles;
-        self.store.delete_edges(&dels);
-        let after_del = self.store.stats().sim_cycles;
-        self.store.insert_edges(&ins);
-        self.store.ensure_vertices(
-            self.graph.num_vertices().max(
-                batch
-                    .inserts
-                    .iter()
-                    .map(|i| i.u.max(i.v) as usize + 1)
-                    .max()
-                    .unwrap_or(0),
-            ),
-        );
-        let total = self.store.stats().sim_cycles;
-        (after_del - pre, total - after_del)
-    }
-
-    /// One distributed kernel phase on the virtual-time executor: anchors
-    /// start on the shard owning their canonical endpoint; units run to
-    /// completion on per-shard lane clocks; migrants flow through the
-    /// batched comm fabric mid-phase (no barriers); idle shards steal
-    /// eligible published batches; the phase ends at quiescence. Every
-    /// scheduling decision reads virtual state only — the whole phase is
+    /// One distributed kernel phase on the virtual-time executor, for one
+    /// registered pattern (`table`, `meta`) over the registry's `graph`
+    /// and shared `store`: anchors start on the shard owning their
+    /// canonical endpoint; units run to completion on per-shard lane
+    /// clocks; migrants — stamped `query_id` — flow through the batched
+    /// comm fabric mid-phase (no barriers); idle shards steal eligible
+    /// published batches; the phase ends at quiescence. Every scheduling
+    /// decision reads virtual state only — the whole phase is
     /// bit-reproducible, including all cycle counters.
-    fn kernel_phase(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn kernel_phase(
         &mut self,
+        graph: &DynamicGraph,
+        store: &Gpma,
+        table: &CandidateTable,
+        meta: &QueryMeta,
+        config: &GammaConfig,
         anchors: &[Update],
-        degrees: Arc<Vec<u32>>,
+        collect: bool,
+        query_id: u64,
         abort: &Arc<AtomicBool>,
     ) -> (Vec<VMatch>, u64, KernelStats) {
         let wall_t0 = Instant::now();
+        let degrees = Arc::clone(&self.degrees);
         let num_shards = self.shards.len();
         let update_order = {
             let mut uo = UpdateOrder::build(anchors);
-            uo.index_vertices(self.graph.num_vertices());
+            uo.index_vertices(graph.num_vertices());
             uo
         };
         // One O(capacity) sweep over the shared store amortizes the
         // bitmap prefilter across every scan of the phase, on every
         // shard — resident runs are complete, so the signatures each
         // device would compute locally are the shared store's.
-        let signatures: Vec<u64> = if self.config.base.bitmap_intersect {
-            self.store.run_signatures()
+        let signatures: Vec<u64> = if config.bitmap_intersect {
+            store.run_signatures()
         } else {
             Vec::new()
         };
-        let dev = &self.config.base.device;
+        let dev = &config.device;
         let lanes_per_shard = (dev.num_sms * dev.warps_per_block).max(1);
         let cost = dev.cost;
         let warp_size = dev.warp_size;
-        let nv_words = self.meta.q.num_vertices() as u64;
-        let collect = self.config.base.collect_matches;
-        let match_limit = self.config.base.match_limit;
-        let stealing = self.config.stealing;
+        let nv_words = meta.q.num_vertices() as u64;
+        let match_limit = config.match_limit;
+        let stealing = self.stealing;
 
         // Anchor routing: an update edge starts on the shard owning its
         // canonical (smaller-id) endpoint — both endpoints are resident
@@ -2030,7 +1832,7 @@ impl ShardedEngine {
         // Snapshot of the fault schedule (cheap: `None` for every
         // non-chaos run). Faults are looked up by pure virtual
         // coordinates, so the whole chaos run replays bit-exactly.
-        let plan = self.config.faults.clone();
+        let plan = self.faults.clone();
         let mut step: u64 = 0;
         let mut faults_injected = 0u64;
         let mut failovers = 0u64;
@@ -2064,15 +1866,13 @@ impl ShardedEngine {
                     self.alive[dead] = false;
                     faults_injected += 1;
                     failovers += 1;
-                    let moved = self
-                        .partition
-                        .repair_failover(dead, &self.graph, &self.alive);
+                    let moved = self.partition.repair_failover(dead, graph, &self.alive);
                     // New owners inherit the owned ∪ one-hop residency
                     // invariant for their adopted vertices, so both scan
                     // directions stay licensed where migrants now land.
                     for &(v, new_owner) in &moved {
                         self.shards[new_owner].mark_resident(v);
-                        for &(w, _) in self.graph.neighbors(v) {
+                        for &(w, _) in graph.neighbors(v) {
                             self.shards[new_owner].mark_resident(w);
                         }
                     }
@@ -2089,7 +1889,7 @@ impl ShardedEngine {
                                 live_owner(&self.partition, &self.alive, lo)
                             }
                             UnitWork::Mig(mig) => migrant_dest(
-                                &self.meta,
+                                meta,
                                 &self.partition,
                                 &self.alive,
                                 &degrees,
@@ -2107,7 +1907,7 @@ impl ShardedEngine {
                     // normally).
                     for (stamp, mig) in fabric.drain_for_failover(dead) {
                         let dst = migrant_dest(
-                            &self.meta,
+                            meta,
                             &self.partition,
                             &self.alive,
                             &degrees,
@@ -2217,7 +2017,7 @@ impl ShardedEngine {
                     let mut taken = 0u64;
                     steal_buf.clear();
                     for mitem in batch.items.drain(..) {
-                        if mitem.steal_eligible(&self.meta, resident, &mut elig_buf) {
+                        if mitem.steal_eligible(meta, resident, &mut elig_buf) {
                             taken += 1;
                             local[s].push_back(Unit {
                                 ready,
@@ -2240,16 +2040,16 @@ impl ShardedEngine {
                     let env = ShardEnv {
                         shard_id: s,
                         partition: &self.partition,
-                        gpma: &self.store,
-                        table: &self.table,
-                        meta: &self.meta,
+                        gpma: store,
+                        table,
+                        meta,
                         update_order: &update_order,
                         degrees: &degrees,
                         resident: &self.shards[s].resident,
                         alive: &self.alive,
                         signatures: &signatures,
                         collect,
-                        query_id: self.config.query_id,
+                        query_id,
                     };
                     out.clear();
                     match unit.work {
@@ -2272,7 +2072,7 @@ impl ShardedEngine {
                         }
                         UnitWork::Mig(mig) => {
                             debug_assert_eq!(
-                                mig.qid, self.config.query_id,
+                                mig.qid, query_id,
                                 "migrant envelope routed to a different standing query"
                             );
                             let mut task = UnitTask {
@@ -2365,5 +2165,148 @@ impl ShardedEngine {
         agg.wall_seconds = wall_t0.elapsed().as_secs_f64();
 
         (sink, match_count, agg)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The engine view
+// ---------------------------------------------------------------------------
+
+/// The batch-dynamic subgraph matching engine over N partitioned devices:
+/// a view of a [`QueryRegistry`] on the shard executor that holds exactly
+/// one registration, whose id is [`ShardedConfig::query_id`].
+///
+/// Drop-in compatible with [`GammaEngine`]'s batch API and bit-identical
+/// in its reported deltas; see the module docs for the distribution model.
+///
+/// [`GammaEngine`]: crate::GammaEngine
+pub struct ShardedEngine {
+    registry: QueryRegistry,
+    config: ShardedConfig,
+}
+
+impl ShardedEngine {
+    /// Partitions `graph`, builds every shard's resident set (owned +
+    /// one-hop boundary), the shared store and the shared encoder/table,
+    /// and derives the per-edge matching orders (coalesced search off —
+    /// one seed per query edge keeps the distributed dedup rule identical
+    /// to the single-device engine's match attribution).
+    pub fn new(graph: DynamicGraph, query: &QueryGraph, config: ShardedConfig) -> Self {
+        let partition = Partition::build(config.strategy, config.num_shards, &graph);
+        Self::with_partition(graph, query, config, partition)
+    }
+
+    /// [`ShardedEngine::new`] with a caller-supplied partition (to pin a
+    /// placement).
+    pub fn with_partition(
+        graph: DynamicGraph,
+        query: &QueryGraph,
+        config: ShardedConfig,
+        partition: Partition,
+    ) -> Self {
+        let registry = QueryRegistry::sharded(graph, &config, partition);
+        Self::view(registry, query, config)
+    }
+
+    /// Rebuilds a sharded engine from recovered state: the host graph
+    /// mirror, the snapshotted partition, the restored shared store, and
+    /// every shard's resident-set flags. Encoder, table and metadata are
+    /// pure functions of `(graph, query, config)` and are rebuilt.
+    pub fn restore(
+        graph: DynamicGraph,
+        query: &QueryGraph,
+        config: ShardedConfig,
+        partition: Partition,
+        store: Gpma,
+        residents: Vec<Vec<bool>>,
+        batches_processed: u64,
+    ) -> Self {
+        let registry = QueryRegistry::restore_sharded(
+            graph,
+            &config,
+            partition,
+            store,
+            residents,
+            batches_processed,
+        );
+        Self::view(registry, query, config)
+    }
+
+    fn view(mut registry: QueryRegistry, query: &QueryGraph, config: ShardedConfig) -> Self {
+        registry.register_with_id(QueryId(config.query_id), query, QueryConfig::default());
+        Self { registry, config }
+    }
+
+    fn runtime(&self) -> &ShardRuntime {
+        self.registry
+            .shard_runtime()
+            .expect("a sharded engine's registry runs on the shard executor")
+    }
+
+    /// Read access to the host mirror of the data graph.
+    pub fn graph(&self) -> &DynamicGraph {
+        self.registry.graph()
+    }
+
+    /// State for snapshotting: the shared physical store plus each
+    /// shard's resident flags, in shard order.
+    pub fn shard_state(&self) -> (&Gpma, Vec<&[bool]>) {
+        let shards = &self.runtime().shards;
+        (
+            self.registry.gpma(),
+            shards.iter().map(|s| s.resident.as_slice()).collect(),
+        )
+    }
+
+    /// The vertex partition.
+    pub fn partition(&self) -> &Partition {
+        &self.runtime().partition
+    }
+
+    /// Cumulative cross-shard statistics.
+    pub fn shard_stats(&self) -> ShardStats {
+        self.runtime().stats.clone()
+    }
+
+    /// The engine's configuration.
+    pub fn config(&self) -> &ShardedConfig {
+        &self.config
+    }
+
+    /// Number of batches processed so far.
+    pub fn batches_processed(&self) -> u64 {
+        self.registry.batches_processed()
+    }
+
+    /// Live-shard mask (all-true until a configured fault fires).
+    pub fn alive(&self) -> &[bool] {
+        &self.runtime().alive
+    }
+
+    /// The live shard responsible for vertex `v`: the partition owner
+    /// while it is alive, else the deterministic cyclic-successor
+    /// fallback. The durable layer routes per-shard WAL slices through
+    /// this, so logging agrees with where work actually executes.
+    pub fn owner_shard(&self, v: VertexId) -> usize {
+        let rt = self.runtime();
+        live_owner(&rt.partition, &rt.alive, v)
+    }
+
+    /// Adds a fresh vertex (owned by its partition shard, resident there).
+    pub fn add_vertex(&mut self, label: VLabel) -> VertexId {
+        self.registry.add_vertex(label)
+    }
+
+    /// Applies one update batch and returns the incremental matches —
+    /// the registry pipeline with the structural update charged per shard
+    /// and both kernels distributed.
+    pub fn apply_batch(&mut self, raw: &[Update]) -> BatchResult {
+        self.registry.apply_batch(raw).into_single()
+    }
+
+    /// Applies an already-canonicalized batch (must be canonical w.r.t.
+    /// this engine's current graph).
+    pub fn apply_canonical_batch(&mut self, batch: &UpdateBatch) -> BatchResult {
+        self.registry.apply_canonical_batch(batch).into_single()
     }
 }

@@ -1485,40 +1485,19 @@ pub fn run_phase(
     u64,
     gamma_gpu::KernelStats,
 ) {
-    let update_order = {
-        let mut uo = UpdateOrder::build(anchors);
-        uo.index_vertices(gpma.num_vertices());
-        uo
-    };
-    // One O(capacity) sweep amortizes the bitmap prefilter across every
-    // scan of the phase (per-scan builds would dwarf the probes saved).
-    let signatures = if bitmap_intersect {
-        gpma.run_signatures()
-    } else {
-        Vec::new()
-    };
-    let shared = Arc::new(KernelShared {
+    let (shared, stats) = launch(
+        device,
         gpma,
         meta,
         table,
         encodings,
-        update_order,
-        sink: Mutex::new(Vec::new()),
-        match_count: AtomicU64::new(0),
+        anchors,
         collect,
-        abort,
         match_limit,
-        signatures,
-        group: None,
-    });
-    let tasks: Vec<Box<dyn WarpTask>> = anchors
-        .iter()
-        .enumerate()
-        .map(|(i, a)| Box::new(WbmTask::new(Arc::clone(&shared), a, i as u32)) as _)
-        .collect();
-    let stats = device.launch(tasks);
-    let shared = Arc::try_unwrap(shared)
-        .unwrap_or_else(|_| panic!("kernel tasks must release shared state"));
+        abort,
+        bitmap_intersect,
+        None,
+    );
     let count = shared.match_count.load(Ordering::Relaxed);
     (
         shared.gpma,
@@ -1557,44 +1536,25 @@ pub fn run_group_phase(
     Vec<(Vec<VMatch>, u64)>,
     gamma_gpu::KernelStats,
 ) {
-    let update_order = {
-        let mut uo = UpdateOrder::build(anchors);
-        uo.index_vertices(gpma.num_vertices());
-        uo
-    };
-    let signatures = if bitmap_intersect {
-        gpma.run_signatures()
-    } else {
-        Vec::new()
-    };
     let nm = members.len();
     let group = Arc::new(GroupShared {
         members,
         sinks: (0..nm).map(|_| Mutex::new(Vec::new())).collect(),
         counts: (0..nm).map(|_| AtomicU64::new(0)).collect(),
     });
-    let shared = Arc::new(KernelShared {
+    let (shared, stats) = launch(
+        device,
         gpma,
         meta,
-        table: CandidateTable::empty(),
+        CandidateTable::empty(),
         encodings,
-        update_order,
-        sink: Mutex::new(Vec::new()),
-        match_count: AtomicU64::new(0),
-        collect: false,
-        abort,
+        anchors,
+        false,
         match_limit,
-        signatures,
-        group: Some(Arc::clone(&group)),
-    });
-    let tasks: Vec<Box<dyn WarpTask>> = anchors
-        .iter()
-        .enumerate()
-        .map(|(i, a)| Box::new(WbmTask::new(Arc::clone(&shared), a, i as u32)) as _)
-        .collect();
-    let stats = device.launch(tasks);
-    let shared = Arc::try_unwrap(shared)
-        .unwrap_or_else(|_| panic!("kernel tasks must release shared state"));
+        abort,
+        bitmap_intersect,
+        Some(Arc::clone(&group)),
+    );
     drop(shared.group);
     let group =
         Arc::try_unwrap(group).unwrap_or_else(|_| panic!("kernel tasks must release group state"));
@@ -1605,4 +1565,59 @@ pub fn run_group_phase(
         .map(|(s, c)| (s.into_inner(), c.load(Ordering::Relaxed)))
         .collect();
     (shared.gpma, group.members, per_member, stats)
+}
+
+/// The launch body [`run_phase`] and [`run_group_phase`] share: index the
+/// phase's update order, sweep the run signatures, build the shared
+/// kernel state, launch one task per anchor, and take the state back once
+/// every task released it.
+#[allow(clippy::too_many_arguments)]
+fn launch(
+    device: &gamma_gpu::Device,
+    gpma: Gpma,
+    meta: Arc<QueryMeta>,
+    table: CandidateTable,
+    encodings: Arc<Vec<u64>>,
+    anchors: &[Update],
+    collect: bool,
+    match_limit: u64,
+    abort: Arc<AtomicBool>,
+    bitmap_intersect: bool,
+    group: Option<Arc<GroupShared>>,
+) -> (KernelShared, gamma_gpu::KernelStats) {
+    let update_order = {
+        let mut uo = UpdateOrder::build(anchors);
+        uo.index_vertices(gpma.num_vertices());
+        uo
+    };
+    // One O(capacity) sweep amortizes the bitmap prefilter across every
+    // scan of the phase (per-scan builds would dwarf the probes saved).
+    let signatures = if bitmap_intersect {
+        gpma.run_signatures()
+    } else {
+        Vec::new()
+    };
+    let shared = Arc::new(KernelShared {
+        gpma,
+        meta,
+        table,
+        encodings,
+        update_order,
+        sink: Mutex::new(Vec::new()),
+        match_count: AtomicU64::new(0),
+        collect,
+        abort,
+        match_limit,
+        signatures,
+        group,
+    });
+    let tasks: Vec<Box<dyn WarpTask>> = anchors
+        .iter()
+        .enumerate()
+        .map(|(i, a)| Box::new(WbmTask::new(Arc::clone(&shared), a, i as u32)) as _)
+        .collect();
+    let stats = device.launch(tasks);
+    let shared = Arc::try_unwrap(shared)
+        .unwrap_or_else(|_| panic!("kernel tasks must release shared state"));
+    (shared, stats)
 }

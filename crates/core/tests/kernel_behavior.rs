@@ -6,7 +6,10 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 use gamma_core::wbm::{build_update_order, KernelShared, QueryMeta, WbmTask};
-use gamma_core::{GammaConfig, GammaEngine, IncrementalEncoder, StealingMode};
+use gamma_core::{
+    GammaConfig, GammaEngine, IncrementalEncoder, QueryConfig, QueryRegistry, ShardedConfig,
+    ShardedEngine, ShardedQueryRegistry, StealingMode,
+};
 use gamma_datasets::{generate_queries, skewed_star_workload, DatasetPreset, QueryClass};
 use gamma_gpma::{Gpma, GpmaConfig};
 use gamma_gpu::{run_block, DeviceConfig, Stealing, WarpTask};
@@ -308,7 +311,21 @@ fn engine_abort_flag_stops_everything() {
     let mut cfg = GammaConfig::default();
     cfg.device.stealing = StealingMode::Active;
     cfg.timeout = Some(std::time::Duration::ZERO);
-    let mut engine = GammaEngine::new(g, q, cfg);
+    let mut engine = GammaEngine::new(g.clone(), q, cfg.clone());
     let r = engine.apply_batch(&ups);
     assert!(r.stats.timed_out);
+
+    // Every view of the one batch pipeline honours the same deadline.
+    let mut reg = QueryRegistry::new(g.clone(), cfg.clone());
+    reg.register(q, QueryConfig::default());
+    assert!(reg.apply_batch(&ups).timed_out, "registry");
+    let sharded = ShardedConfig {
+        base: cfg,
+        ..ShardedConfig::default()
+    };
+    let mut engine = ShardedEngine::new(g.clone(), q, sharded.clone());
+    assert!(engine.apply_batch(&ups).stats.timed_out, "sharded engine");
+    let mut reg = ShardedQueryRegistry::new(g, sharded);
+    reg.register(q);
+    assert!(reg.apply_batch(&ups).timed_out, "sharded registry");
 }

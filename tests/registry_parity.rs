@@ -10,14 +10,18 @@
 //!   [`GammaEngine`]s — batch by batch, counts and sorted-unique match
 //!   sets must agree exactly; and
 //! * one [`ShardedQueryRegistry`] at 2 and 4 simulated devices against
-//!   per-subscription dedicated [`ShardedEngine`]s.
+//!   per-subscription dedicated [`ShardedEngine`]s, its per-batch update
+//!   cycles equal to one dedicated engine's (one store for every
+//!   pattern).
+//!
+//! Mid-stream register/unregister churn runs on both tiers.
 //!
 //! The independent engines are themselves pinned to the enumeration
 //! oracle by `tests/differential.rs`, so agreement here closes the chain
 //! registry = engines = oracle without paying for a third enumeration.
 
 use gamma::datasets::{generate_queries, DatasetPreset, QueryClass, Zipf};
-use gamma::engine::registry::{QueryConfig, QueryRegistry, ShardedQueryRegistry};
+use gamma::engine::registry::{QueryConfig, QueryId, QueryRegistry, ShardedQueryRegistry};
 use gamma::engine::{
     GammaConfig, GammaEngine, PartitionStrategy, ShardStealing, ShardedConfig, ShardedEngine,
     StealingMode,
@@ -44,6 +48,17 @@ fn gamma_config() -> GammaConfig {
     cfg.device.stealing = StealingMode::Active;
     cfg.device.min_steal_hint = 2;
     cfg
+}
+
+fn sharded_config(num_shards: usize) -> ShardedConfig {
+    ShardedConfig {
+        base: gamma_config(),
+        num_shards,
+        strategy: PartitionStrategy::Hash,
+        stealing: ShardStealing::Active,
+        faults: None,
+        query_id: 0,
+    }
 }
 
 /// Same workload shape as `tests/differential.rs`: two insertion batches
@@ -187,14 +202,7 @@ fn run_sharded_registry_parity(preset: DatasetPreset, scale: f64, seed: u64) {
     subs.push(&qs[0]);
 
     for num_shards in [2usize, 4] {
-        let cfg = ShardedConfig {
-            base: gamma_config(),
-            num_shards,
-            strategy: PartitionStrategy::Hash,
-            stealing: ShardStealing::Active,
-            faults: None,
-            query_id: 0,
-        };
+        let cfg = sharded_config(num_shards);
         let mut reg = ShardedQueryRegistry::new(start.clone(), cfg.clone());
         let ids: Vec<_> = subs.iter().map(|q| reg.register(q)).collect();
         assert_eq!(reg.num_queries(), subs.len());
@@ -218,6 +226,14 @@ fn run_sharded_registry_parity(preset: DatasetPreset, scale: f64, seed: u64) {
                 );
                 let d = r.delta(*id).expect("registered id has a delta");
                 let e = engines[i].apply_batch(raw);
+                if i == 0 {
+                    // One store for every pattern: the registry's update
+                    // costs exactly what one dedicated engine's does.
+                    assert_eq!(
+                        r.update_cycles, e.stats.update_cycles,
+                        "update_cycles diverge at {context}"
+                    );
+                }
                 assert_eq!(
                     d.positive_count, e.positive_count,
                     "positive_count diverges at {context}"
@@ -257,7 +273,7 @@ fn run_midstream_churn(preset: DatasetPreset, scale: f64, seed: u64) {
     let qs = mixed_queries(&start, seed);
 
     let mut reg = QueryRegistry::new(start.clone(), gamma_config());
-    let mut live: Vec<(gamma::engine::registry::QueryId, GammaEngine)> = Vec::new();
+    let mut live: Vec<(QueryId, GammaEngine)> = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ffee);
 
     // Start with two subscriptions; churn the set between batches.
@@ -304,6 +320,61 @@ fn run_midstream_churn(preset: DatasetPreset, scale: f64, seed: u64) {
         }
     }
     assert!(!live.is_empty());
+
+    // The same churn on the shard executor: late registrations join the
+    // registry's existing partition and resident sets, and each live
+    // subscription tracks a sharded engine built from the registry's
+    // graph at its registration point.
+    for num_shards in [2usize, 4] {
+        let cfg = sharded_config(num_shards);
+        let mut reg = ShardedQueryRegistry::new(start.clone(), cfg.clone());
+        let mut live: Vec<(QueryId, ShardedEngine)> = Vec::new();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ffee);
+        for i in 0..2 {
+            let q = &qs[i % qs.len()];
+            let id = reg.register(q);
+            live.push((id, ShardedEngine::new(start.clone(), q, cfg.clone())));
+        }
+        for (bi, raw) in batches.iter().enumerate() {
+            let context = format!("batch {bi} (SHARD{num_shards} mid-stream churn)");
+            let r = reg.apply_batch(raw);
+            for (id, engine) in &mut live {
+                let d = r.delta(*id).expect("live id has a delta");
+                let e = engine.apply_batch(raw);
+                assert_eq!(
+                    d.positive_count, e.positive_count,
+                    "positive_count diverges at {context}"
+                );
+                assert_eq!(
+                    d.negative_count, e.negative_count,
+                    "negative_count diverges at {context}"
+                );
+                assert_eq!(
+                    sorted_unique(d.positive.clone(), "sharded-registry", "positive"),
+                    sorted_unique(e.positive.clone(), "sharded-engine", "positive"),
+                    "positive delta diverges at {context}"
+                );
+                assert_eq!(
+                    sorted_unique(d.negative.clone(), "sharded-registry", "negative"),
+                    sorted_unique(e.negative.clone(), "sharded-engine", "negative"),
+                    "negative delta diverges at {context}"
+                );
+            }
+            if live.len() > 1 && rng.random_bool(0.4) {
+                let victim = rng.random_range(0..live.len());
+                let (id, _) = live.remove(victim);
+                assert!(reg.unregister(id));
+                let r2 = reg.apply_batch(&[]);
+                assert!(r2.delta(id).is_none(), "unregistered id must stop routing");
+            }
+            if rng.random_bool(0.6) {
+                let q = &qs[rng.random_range(0..qs.len())];
+                let id = reg.register(q);
+                live.push((id, ShardedEngine::new(reg.graph().clone(), q, cfg.clone())));
+            }
+        }
+        assert!(!live.is_empty());
+    }
 }
 
 // ---------------------------------------------------------------------------

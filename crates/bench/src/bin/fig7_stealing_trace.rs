@@ -43,7 +43,6 @@ fn main() {
         ("after work stealing", Stealing::Active),
     ] {
         let gpma = Gpma::from_graph(&g2, GpmaConfig::default());
-        let signatures = gpma.run_signatures();
         let shared = Arc::new(wbm::KernelShared {
             gpma,
             meta: Arc::clone(&meta),
@@ -54,8 +53,9 @@ fn main() {
             match_count: std::sync::atomic::AtomicU64::new(0),
             collect: false,
             abort: Arc::new(AtomicBool::new(false)),
+            deadline: None,
             match_limit: u64::MAX,
-            signatures,
+            signatures: true,
             group: None,
         });
         let tasks: Vec<Box<dyn WarpTask>> = batch

@@ -45,6 +45,12 @@ pub struct GammaConfig {
     pub collect_matches: bool,
     /// Per-batch kernel timeout; exceeded batches are flagged
     /// [`BatchStats::timed_out`] ("unsolved" in the paper's metrics).
+    /// The batch's deadline is fixed when it starts; every kernel task
+    /// reads the clock on its first step and every
+    /// [`DEADLINE_POLL_STEPS`](crate::wbm::DEADLINE_POLL_STEPS) steps
+    /// after, and once the deadline has passed the kernels abort. A
+    /// timeout too large to add to the clock (`Duration::MAX`) is no
+    /// deadline, the same as `None`.
     pub timeout: Option<Duration>,
     /// Abort a phase after this many matches (guards runaway tree queries).
     pub match_limit: u64,

@@ -82,7 +82,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use gamma_gpma::Gpma;
 use gamma_gpu::{Device, KernelStats};
@@ -94,7 +94,7 @@ use crate::encoding::{CandidateTable, EncodingScheme, IncrementalEncoder};
 use crate::engine::{BatchResult, BatchStats, GammaConfig};
 use crate::order::compatible_prefix_len;
 use crate::shard::{Partition, ShardRuntime, ShardedConfig};
-use crate::wbm::{run_group_phase, run_phase, GroupMember, QueryMeta, SeedPlan};
+use crate::wbm::{run_group_phase, run_phase_until, GroupMember, QueryMeta, SeedPlan};
 
 /// Opaque handle to a registered standing query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -234,7 +234,8 @@ struct Group {
 /// Where a registry's kernel launches run, fixed by its constructor.
 enum Executor {
     /// One simulated device: singleton groups launch through
-    /// [`run_phase`], shared-prefix groups through [`run_group_phase`].
+    /// [`run_phase_until`], shared-prefix groups through
+    /// [`run_group_phase`].
     Device(Device),
     /// The partitioned multi-device runtime of [`crate::shard`]: one
     /// launch per group of identical patterns.
@@ -583,13 +584,18 @@ impl QueryRegistry {
             return result;
         }
 
+        // The kernels poll the deadline and raise `abort` once it has
+        // passed. A timeout too large to add (`Duration::MAX`) is none.
         let abort = Arc::new(AtomicBool::new(false));
-        let deadline_guard = self.config.timeout.map(|t| spawn_watchdog(t, &abort));
+        let deadline = self
+            .config
+            .timeout
+            .and_then(|t| Instant::now().checked_add(t));
 
         // Negative matches on the pre-update graph, anchored at net
         // deletions.
         if !batch.deletes.is_empty() {
-            self.run_groups(&batch.deletes, &abort, &mut result, false);
+            self.run_groups(&batch.deletes, &abort, deadline, &mut result, false);
         }
 
         // Structural update: the batch lands once on the shared store,
@@ -627,10 +633,9 @@ impl QueryRegistry {
         // Positive matches on the post-update graph, anchored at net
         // insertions.
         if !batch.inserts.is_empty() {
-            self.run_groups(&batch.inserts, &abort, &mut result, true);
+            self.run_groups(&batch.inserts, &abort, deadline, &mut result, true);
         }
 
-        drop(deadline_guard);
         result.timed_out = abort.load(Ordering::Relaxed);
         self.batches_processed += 1;
         for (st, d) in self.queries.iter_mut().zip(&result.deltas) {
@@ -649,6 +654,7 @@ impl QueryRegistry {
         &mut self,
         anchors: &[Update],
         abort: &Arc<AtomicBool>,
+        deadline: Option<Instant>,
         result: &mut RegistryBatchResult,
         positive: bool,
     ) {
@@ -660,7 +666,7 @@ impl QueryRegistry {
                     let encodings = Arc::clone(&self.slots[st.slot].enc.encodings);
                     let gpma = self.gpma.take().expect("gpma present");
                     let table = st.table.take().expect("table present");
-                    let (gpma, table, matches, count, stats) = run_phase(
+                    let (gpma, table, matches, count, stats) = run_phase_until(
                         device,
                         gpma,
                         Arc::clone(&st.full_meta),
@@ -670,6 +676,7 @@ impl QueryRegistry {
                         st.collect,
                         self.config.match_limit,
                         Arc::clone(abort),
+                        deadline,
                         self.config.bitmap_intersect,
                     );
                     self.gpma = Some(gpma);
@@ -707,6 +714,7 @@ impl QueryRegistry {
                         anchors,
                         self.config.match_limit,
                         Arc::clone(abort),
+                        deadline,
                         self.config.bitmap_intersect,
                     );
                     self.gpma = Some(gpma);
@@ -730,6 +738,7 @@ impl QueryRegistry {
                         collect,
                         rep.id.0,
                         abort,
+                        deadline,
                     );
                     let outputs = members
                         .iter()
@@ -907,41 +916,6 @@ impl QueryRegistry {
             .iter()
             .find(|s| s.id == id)
             .map(|s| self.slots[s.slot].enc.scheme())
-    }
-}
-
-/// A guard whose thread sets `abort` after `timeout` unless dropped first.
-struct Watchdog {
-    cancel: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-fn spawn_watchdog(timeout: Duration, abort: &Arc<AtomicBool>) -> Watchdog {
-    let cancel = Arc::new(AtomicBool::new(false));
-    let c = Arc::clone(&cancel);
-    let a = Arc::clone(abort);
-    let handle = std::thread::spawn(move || {
-        let start = Instant::now();
-        while start.elapsed() < timeout {
-            if c.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1).min(timeout / 10));
-        }
-        a.store(true, Ordering::Relaxed);
-    });
-    Watchdog {
-        cancel,
-        handle: Some(handle),
-    }
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.cancel.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }
 

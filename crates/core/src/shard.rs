@@ -78,7 +78,7 @@ use crate::encoding::CandidateTable;
 use crate::engine::{BatchResult, GammaConfig};
 use crate::fault::FaultPlan;
 use crate::registry::{QueryConfig, QueryId, QueryRegistry};
-use crate::wbm::{IncidentRange, QueryMeta, UpdateOrder};
+use crate::wbm::{poll_deadline, IncidentRange, QueryMeta, UpdateOrder};
 
 /// Survivor chunks narrower than this are intersected candidate-by-
 /// candidate (early-exit scalar probes) instead of mask-carrying chunked
@@ -836,9 +836,11 @@ struct ShardEnv<'a> {
     /// among survivors (all-true with no faults, where `live_owner`
     /// degenerates to `Partition::owner`).
     alive: &'a [bool],
-    /// Per-vertex u64 run signatures of the shared store (empty
+    /// Per-vertex u64 run signatures the shared store maintains (empty
     /// disables the bitmap prefilter; results identical either way).
     signatures: &'a [u64],
+    /// The batch deadline, polled by every unit ([`poll_deadline`]).
+    deadline: Option<Instant>,
     collect: bool,
     /// Envelope tag stamped on shipped migrants.
     query_id: u64,
@@ -867,6 +869,9 @@ struct UnitTask<'a, 'b> {
     v2: VertexId,
     elabel: ELabel,
     anchor_order: u32,
+    /// DFS steps taken, for [`poll_deadline`]: one unit can run a whole
+    /// subtree.
+    steps: u32,
 }
 
 impl UnitTask<'_, '_> {
@@ -939,6 +944,7 @@ impl UnitTask<'_, '_> {
 
     fn drive(&mut self, mut st: SDfs) {
         loop {
+            poll_deadline(self.env.deadline, &mut self.steps, self.abort);
             if self.abort.load(Ordering::Relaxed) {
                 // Return frame buffers so the pool survives aborts.
                 for f in st.frames.drain(..) {
@@ -1768,23 +1774,19 @@ impl ShardRuntime {
         collect: bool,
         query_id: u64,
         abort: &Arc<AtomicBool>,
+        deadline: Option<Instant>,
     ) -> (Vec<VMatch>, u64, KernelStats) {
         let wall_t0 = Instant::now();
         let degrees = Arc::clone(&self.degrees);
         let num_shards = self.shards.len();
-        let update_order = {
-            let mut uo = UpdateOrder::build(anchors);
-            uo.index_vertices(graph.num_vertices());
-            uo
-        };
-        // One O(capacity) sweep over the shared store amortizes the
-        // bitmap prefilter across every scan of the phase, on every
-        // shard — resident runs are complete, so the signatures each
-        // device would compute locally are the shared store's.
-        let signatures: Vec<u64> = if config.bitmap_intersect {
-            store.run_signatures()
+        let update_order = UpdateOrder::build(anchors);
+        // The shared store's maintained signatures serve every shard —
+        // resident runs are complete, so the signatures each device would
+        // compute locally are the shared store's.
+        let signatures: &[u64] = if config.bitmap_intersect {
+            store.signatures()
         } else {
-            Vec::new()
+            &[]
         };
         let dev = &config.device;
         let lanes_per_shard = (dev.num_sms * dev.warps_per_block).max(1);
@@ -1837,8 +1839,10 @@ impl ShardRuntime {
         let mut faults_injected = 0u64;
         let mut failovers = 0u64;
         let mut requeued_units = 0u64;
+        let mut loop_steps = 0u32;
 
         loop {
+            poll_deadline(deadline, &mut loop_steps, abort);
             if abort.load(Ordering::Relaxed) {
                 break;
             }
@@ -2047,7 +2051,8 @@ impl ShardRuntime {
                         degrees: &degrees,
                         resident: &self.shards[s].resident,
                         alive: &self.alive,
-                        signatures: &signatures,
+                        signatures,
+                        deadline,
                         collect,
                         query_id,
                     };
@@ -2067,6 +2072,7 @@ impl ShardRuntime {
                                 v2: a.v,
                                 elabel: a.label,
                                 anchor_order: order,
+                                steps: 0,
                             };
                             task.run_anchor();
                         }
@@ -2088,6 +2094,7 @@ impl ShardRuntime {
                                 v2: mig.anchor.1,
                                 elabel: mig.anchor.2,
                                 anchor_order: mig.anchor_order,
+                                steps: 0,
                             };
                             task.run_migrant(mig);
                         }

@@ -35,16 +35,21 @@
 //! between probes (the host realization of §IV-C's warp-cooperative
 //! intersection, in GSI's Prealloc-Combine shape: gather → mask AND →
 //! popcount → contention-free ascending emit). Backward runs additionally
-//! get a u64 [`Gpma::run_signatures`] bitmap — precomputed once per phase —
-//! in front of the exact probe, so most misses die on a single
-//! AND+popcount without touching the run. Both paths are exact filters — a
-//! rejected lane is *proven* absent — so results stay bit-identical with
-//! the scalar galloping reference (`KernelShared::signatures` left empty
-//! disables the prefilter for parity testing).
+//! get the u64 run signature the store maintains ([`Gpma::signatures`]) in
+//! front of the exact probe, so most misses die on a single AND+popcount
+//! without touching the run. Both paths are exact filters — a rejected
+//! lane is *proven* absent — so results stay bit-identical with the scalar
+//! galloping reference (`KernelShared::signatures` set to `false` disables
+//! the prefilter for parity testing).
+//!
+//! Nothing a launch sets up scales with the graph: the signatures are the
+//! store's, and the dedup rule's incident index ([`UpdateOrder`]) is sized
+//! by the phase's anchors.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use gamma_gpma::{Gpma, RunCursor, CHUNK_WIDTH};
 use gamma_gpu::{StepResult, WarpCtx, WarpTask};
@@ -66,6 +71,25 @@ const FLUSH_THRESHOLD: usize = 1024;
 /// candidate (early-exit scalar probes) instead of mask-carrying chunked
 /// merges: the per-lane bookkeeping only amortizes on wide fronts.
 const SCALAR_CHUNK_MIN: usize = 8;
+/// Kernel steps between two reads of the clock against a batch deadline;
+/// every task also reads it on its first step. A clock read costs tens of
+/// nanoseconds, a step typically more.
+pub const DEADLINE_POLL_STEPS: u32 = 64;
+
+/// Sets `abort` once `deadline` has passed. Reads the clock on a task's
+/// first step and on every [`DEADLINE_POLL_STEPS`]th after it; `steps`
+/// counts the calling task's steps. A deadline that passed before the
+/// launch therefore aborts every task before its first scan.
+#[inline]
+pub(crate) fn poll_deadline(deadline: Option<Instant>, steps: &mut u32, abort: &AtomicBool) {
+    let Some(at) = deadline else {
+        return;
+    };
+    if steps.is_multiple_of(DEADLINE_POLL_STEPS) && Instant::now() >= at {
+        abort.store(true, Ordering::Relaxed);
+    }
+    *steps = steps.wrapping_add(1);
+}
 
 /// One seed: a query edge the kernel maps update edges onto, with its
 /// offline matching order.
@@ -191,14 +215,17 @@ pub struct KernelShared {
     pub collect: bool,
     /// Cooperative abort flag (timeout / match-limit).
     pub abort: Arc<AtomicBool>,
+    /// The batch deadline: tasks poll it ([`DEADLINE_POLL_STEPS`]) and set
+    /// `abort` once it has passed. `None`: no deadline.
+    pub deadline: Option<Instant>,
     /// Abort the launch once this many matches were found.
     pub match_limit: u64,
-    /// Per-vertex u64 run signatures ([`Gpma::run_signatures`]), built
-    /// once per phase and placed in front of the exact chunked probe as a
-    /// quick-reject. Empty disables the prefilter — results are
-    /// bit-identical either way (a clear bit proves absence); the toggle
-    /// exists for parity testing and ablation.
-    pub signatures: Vec<u64>,
+    /// Put the store's maintained run signatures ([`Gpma::signatures`])
+    /// in front of the exact chunked probe as a quick-reject. `false`
+    /// disables the prefilter — results are bit-identical either way (a
+    /// clear bit proves absence); the toggle exists for parity testing and
+    /// ablation.
+    pub signatures: bool,
     /// Grouped multi-query launch state (`None` for the classic one-query
     /// launch). When set, `meta` holds the *shared-prefix* seeds (orders
     /// truncated to the group's per-seed compatible prefix, member 0's
@@ -325,6 +352,8 @@ pub struct WbmTask {
     /// backward intersection (the pooled output region of the
     /// Prealloc-Combine pass).
     chunk_buf: Vec<VertexId>,
+    /// Steps taken, for [`poll_deadline`].
+    steps: u32,
 }
 
 /// Per-scan probe state for one backward-matched vertex: which run to
@@ -372,6 +401,7 @@ impl WbmTask {
             pool: Vec::new(),
             others_buf: Vec::new(),
             chunk_buf: Vec::new(),
+            steps: 0,
         }
     }
 
@@ -399,6 +429,7 @@ impl WbmTask {
             pool: Vec::new(),
             others_buf: Vec::new(),
             chunk_buf: Vec::new(),
+            steps: 0,
         }
     }
 
@@ -652,7 +683,11 @@ impl WbmTask {
         others.clear();
         let gpma = &shared.gpma;
         let uord = &shared.update_order;
-        let sigs: &[u64] = &shared.signatures;
+        let sigs: &[u64] = if shared.signatures {
+            gpma.signatures()
+        } else {
+            &[]
+        };
         let probe = |v: VertexId, el: ELabel| {
             let deg = gpma.degree(v);
             BackProbe {
@@ -1179,6 +1214,7 @@ impl WbmTask {
 
 impl WarpTask for WbmTask {
     fn step(&mut self, ctx: &mut WarpCtx) -> StepResult {
+        poll_deadline(self.shared.deadline, &mut self.steps, &self.shared.abort);
         if self.shared.abort.load(Ordering::Relaxed) {
             self.flush();
             return StepResult::Done;
@@ -1278,23 +1314,11 @@ impl WarpTask for WbmTask {
                     warm: false,
                     member: st.member,
                 };
-                return Some(Box::new(WbmTask {
-                    shared: Arc::clone(&self.shared),
-                    v1: self.v1,
-                    v2: self.v2,
-                    elabel: self.elabel,
-                    anchor_order: self.anchor_order,
-                    seed_queue: VecDeque::new(),
-                    pending: VecDeque::new(),
-                    state: Some(thief_state),
-                    local: Vec::new(),
-                    local_count: 0,
-                    member_local: vec![Vec::new(); self.member_local.len()],
-                    member_count: vec![0; self.member_count.len()],
-                    pool: Vec::new(),
-                    others_buf: Vec::new(),
-                    chunk_buf: Vec::new(),
-                }));
+                return Some(Box::new(self.child(
+                    VecDeque::new(),
+                    VecDeque::new(),
+                    Some(thief_state),
+                )));
             }
         }
         // Priority 2: hand over half of the pending partials.
@@ -1327,7 +1351,10 @@ impl Drop for WbmTask {
 /// loop queries it once per scanned candidate edge, so the per-probe
 /// SipHash of a `HashMap` was a measurable constant factor; a sorted
 /// `Vec` probe is a handful of well-predicted comparisons and no hashing.
-#[derive(Clone, Debug, Default)]
+///
+/// Everything here is sized by the phase's anchors, never by the graph:
+/// building it is O(batch log batch) however large the store is.
+#[derive(Clone, Debug)]
 pub struct UpdateOrder {
     entries: Vec<(u64, u32)>,
     /// `(endpoint, other endpoint, order)`, sorted — both directions of
@@ -1336,11 +1363,14 @@ pub struct UpdateOrder {
     /// which is empty for almost every base, so the per-candidate dedup
     /// check is one length test instead of a full binary search.
     by_endpoint: Vec<(VertexId, VertexId, u32)>,
-    /// Optional dense per-vertex index into `by_endpoint` (built per
-    /// kernel launch via [`UpdateOrder::index_vertices`]): makes
-    /// [`UpdateOrder::incident`] a single array load, which matters on
-    /// low-degree graphs where scan setup rivals the scan itself.
-    per_vertex: Vec<IncidentRange>,
+    /// Open-addressing index from each endpoint to its `by_endpoint`
+    /// range: a power-of-two table at most half full, probed linearly from
+    /// a multiplicative hash (an empty range marks a free slot). Makes
+    /// [`UpdateOrder::incident`] O(1) — on the scan hot path, where most
+    /// queried vertices are absent and stop at the first free slot.
+    slots: Vec<(VertexId, IncidentRange)>,
+    /// `64 - log2(slots.len())`: the hash keeps its top bits.
+    shift: u32,
 }
 
 /// Half-open range into `UpdateOrder::by_endpoint`: the update edges
@@ -1377,32 +1407,40 @@ impl UpdateOrder {
             by_endpoint.push((b, a, order));
         }
         by_endpoint.sort_unstable();
+
+        // At most half full: there are no more endpoints than entries.
+        let len = (2 * by_endpoint.len()).next_power_of_two().max(2);
+        let shift = 64 - len.trailing_zeros();
+        let mut slots = vec![(0, IncidentRange::default()); len];
+        let mut lo = 0usize;
+        for run in by_endpoint.chunk_by(|x, y| x.0 == y.0) {
+            let v = run[0].0;
+            let mut i = Self::home(v, shift);
+            while !slots[i].1.is_empty() {
+                i = (i + 1) & (len - 1);
+            }
+            let hi = lo + run.len();
+            slots[i] = (
+                v,
+                IncidentRange {
+                    lo: lo as u32,
+                    hi: hi as u32,
+                },
+            );
+            lo = hi;
+        }
         Self {
             entries,
             by_endpoint,
-            per_vertex: Vec::new(),
+            slots,
+            shift,
         }
     }
 
-    /// Builds the dense per-vertex incident index for vertex ids
-    /// `< num_vertices` (one pass over the endpoint table).
-    pub fn index_vertices(&mut self, num_vertices: usize) {
-        let mut per_vertex = vec![IncidentRange::default(); num_vertices];
-        let mut i = 0usize;
-        while i < self.by_endpoint.len() {
-            let v = self.by_endpoint[i].0 as usize;
-            let lo = i;
-            while i < self.by_endpoint.len() && self.by_endpoint[i].0 as usize == v {
-                i += 1;
-            }
-            if v < per_vertex.len() {
-                per_vertex[v] = IncidentRange {
-                    lo: lo as u32,
-                    hi: i as u32,
-                };
-            }
-        }
-        self.per_vertex = per_vertex;
+    /// `v`'s first probe slot (Fibonacci hashing).
+    #[inline]
+    fn home(v: VertexId, shift: u32) -> usize {
+        ((v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
     }
 
     /// The anchor order of `key`, if it is an update edge of this phase.
@@ -1417,21 +1455,15 @@ impl UpdateOrder {
     /// The update edges incident to `v`, as a reusable index range.
     #[inline]
     pub fn incident(&self, v: VertexId) -> IncidentRange {
-        if let Some(&r) = self.per_vertex.get(v as usize) {
-            return r;
-        }
-        if !self.per_vertex.is_empty() {
-            // Indexed, but `v` is beyond the indexed range ⇒ no updates.
-            return IncidentRange::default();
-        }
-        let lo = self.by_endpoint.partition_point(|e| e.0 < v);
-        let mut hi = lo;
-        while hi < self.by_endpoint.len() && self.by_endpoint[hi].0 == v {
-            hi += 1;
-        }
-        IncidentRange {
-            lo: lo as u32,
-            hi: hi as u32,
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(v, self.shift);
+        loop {
+            let (w, r) = self.slots[i];
+            // A free slot ends the probe: `v` has no update edge.
+            if w == v || r.is_empty() {
+                return r;
+            }
+            i = (i + 1) & mask;
         }
     }
 
@@ -1465,7 +1497,8 @@ pub fn build_update_order(anchors: &[Update]) -> UpdateOrder {
 
 /// Convenience: launches one kernel phase over `anchors` and returns
 /// `(matches, count, stats)`. The `gpma` and `table` are moved in and
-/// returned, mirroring host↔device buffer ownership.
+/// returned, mirroring host↔device buffer ownership. No deadline: only
+/// `abort` and `match_limit` cut the phase short.
 #[allow(clippy::too_many_arguments)]
 pub fn run_phase(
     device: &gamma_gpu::Device,
@@ -1485,6 +1518,43 @@ pub fn run_phase(
     u64,
     gamma_gpu::KernelStats,
 ) {
+    run_phase_until(
+        device,
+        gpma,
+        meta,
+        table,
+        encodings,
+        anchors,
+        collect,
+        match_limit,
+        abort,
+        None,
+        bitmap_intersect,
+    )
+}
+
+/// [`run_phase`] under a batch deadline: every task polls it
+/// ([`poll_deadline`]) and sets `abort` once it has passed.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_phase_until(
+    device: &gamma_gpu::Device,
+    gpma: Gpma,
+    meta: Arc<QueryMeta>,
+    table: CandidateTable,
+    encodings: Arc<Vec<u64>>,
+    anchors: &[Update],
+    collect: bool,
+    match_limit: u64,
+    abort: Arc<AtomicBool>,
+    deadline: Option<Instant>,
+    bitmap_intersect: bool,
+) -> (
+    Gpma,
+    CandidateTable,
+    Vec<VMatch>,
+    u64,
+    gamma_gpu::KernelStats,
+) {
     let (shared, stats) = launch(
         device,
         gpma,
@@ -1495,6 +1565,7 @@ pub fn run_phase(
         collect,
         match_limit,
         abort,
+        deadline,
         bitmap_intersect,
         None,
     );
@@ -1519,6 +1590,7 @@ pub fn run_phase(
 /// `members[0]` must be the group representative whose (full) orders
 /// `meta`'s seeds truncate. Ownership of `gpma` and the members (their
 /// tables in particular) round-trips, mirroring host↔device buffers.
+/// `deadline`, if any, is polled as [`KernelShared::deadline`] says.
 #[allow(clippy::too_many_arguments, clippy::type_complexity)]
 pub fn run_group_phase(
     device: &gamma_gpu::Device,
@@ -1529,6 +1601,7 @@ pub fn run_group_phase(
     anchors: &[Update],
     match_limit: u64,
     abort: Arc<AtomicBool>,
+    deadline: Option<Instant>,
     bitmap_intersect: bool,
 ) -> (
     Gpma,
@@ -1552,6 +1625,7 @@ pub fn run_group_phase(
         false,
         match_limit,
         abort,
+        deadline,
         bitmap_intersect,
         Some(Arc::clone(&group)),
     );
@@ -1567,10 +1641,10 @@ pub fn run_group_phase(
     (shared.gpma, group.members, per_member, stats)
 }
 
-/// The launch body [`run_phase`] and [`run_group_phase`] share: index the
-/// phase's update order, sweep the run signatures, build the shared
-/// kernel state, launch one task per anchor, and take the state back once
-/// every task released it.
+/// The launch body [`run_phase_until`] and [`run_group_phase`] share:
+/// build the phase's update order (O(batch); the run signatures are the
+/// store's), build the shared kernel state, launch one task per anchor,
+/// and take the state back once every task released it.
 #[allow(clippy::too_many_arguments)]
 fn launch(
     device: &gamma_gpu::Device,
@@ -1582,33 +1656,23 @@ fn launch(
     collect: bool,
     match_limit: u64,
     abort: Arc<AtomicBool>,
+    deadline: Option<Instant>,
     bitmap_intersect: bool,
     group: Option<Arc<GroupShared>>,
 ) -> (KernelShared, gamma_gpu::KernelStats) {
-    let update_order = {
-        let mut uo = UpdateOrder::build(anchors);
-        uo.index_vertices(gpma.num_vertices());
-        uo
-    };
-    // One O(capacity) sweep amortizes the bitmap prefilter across every
-    // scan of the phase (per-scan builds would dwarf the probes saved).
-    let signatures = if bitmap_intersect {
-        gpma.run_signatures()
-    } else {
-        Vec::new()
-    };
     let shared = Arc::new(KernelShared {
         gpma,
         meta,
         table,
         encodings,
-        update_order,
+        update_order: UpdateOrder::build(anchors),
         sink: Mutex::new(Vec::new()),
         match_count: AtomicU64::new(0),
         collect,
         abort,
+        deadline,
         match_limit,
-        signatures,
+        signatures: bitmap_intersect,
         group,
     });
     let tasks: Vec<Box<dyn WarpTask>> = anchors
@@ -1620,4 +1684,61 @@ fn launch(
     let shared = Arc::try_unwrap(shared)
         .unwrap_or_else(|_| panic!("kernel tasks must release shared state"));
     (shared, stats)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gamma_graph::edge_key;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `incident`, `order_within` and `get` against a brute-force scan of
+    /// random anchor sets: duplicate keys in both orientations, dense small
+    /// ids and sparse ids across the whole `u32` range, probed at present
+    /// and absent vertices alike.
+    #[test]
+    fn incident_index_matches_brute_force() {
+        let mut rng = StdRng::seed_from_u64(0x1dc1);
+        for round in 0..300 {
+            let nv = rng.random_range(2..40usize);
+            let ids: Vec<VertexId> = if round % 2 == 0 {
+                (0..nv as VertexId).collect()
+            } else {
+                (0..nv).map(|_| rng.random::<u32>()).collect()
+            };
+            let anchors: Vec<Update> = (0..rng.random_range(0..3 * nv))
+                .filter_map(|_| {
+                    let u = ids[rng.random_range(0..nv)];
+                    let v = ids[rng.random_range(0..nv)];
+                    (u != v).then(|| Update::insert(u, v))
+                })
+                .collect();
+            let uo = UpdateOrder::build(&anchors);
+            let mut probes = ids.clone();
+            probes.extend((0..8).map(|_| rng.random::<u32>()));
+            probes.extend([0, VertexId::MAX]);
+            for &v in &probes {
+                let r = uo.incident(v);
+                for &w in &probes {
+                    let lowest = anchors
+                        .iter()
+                        .position(|a| a.key() == edge_key(v, w))
+                        .map(|i| i as u32);
+                    assert_eq!(uo.order_within(r, w), lowest, "round {round}: {v}-{w}");
+                    assert_eq!(uo.get(edge_key(v, w)), lowest, "round {round}: {v}-{w}");
+                }
+                let touching: std::collections::BTreeSet<VertexId> = anchors
+                    .iter()
+                    .filter_map(|a| match a.endpoints() {
+                        (x, y) if x == v => Some(y),
+                        (x, y) if y == v => Some(x),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!((r.hi - r.lo) as usize, touching.len(), "round {round}: {v}");
+                assert_eq!(r.is_empty(), touching.is_empty(), "round {round}: {v}");
+            }
+        }
+    }
 }

@@ -4,6 +4,7 @@
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
+use std::time::Duration;
 
 use gamma_core::wbm::{build_update_order, KernelShared, QueryMeta, WbmTask};
 use gamma_core::{
@@ -27,7 +28,6 @@ fn run_raw_block(
     let (enc, table) = IncrementalEncoder::build(g2, q, 2);
     let meta = Arc::new(QueryMeta::build(q, &table, enc.scheme(), coalesced, 2));
     let gpma = Gpma::from_graph(g2, GpmaConfig::default());
-    let signatures = gpma.run_signatures();
     let shared = Arc::new(KernelShared {
         gpma,
         meta,
@@ -38,8 +38,9 @@ fn run_raw_block(
         match_count: std::sync::atomic::AtomicU64::new(0),
         collect: true,
         abort: Arc::new(AtomicBool::new(false)),
+        deadline: None,
         match_limit: u64::MAX,
-        signatures,
+        signatures: true,
         group: None,
     });
     let tasks: Vec<Box<dyn WarpTask>> = anchors
@@ -328,4 +329,60 @@ fn engine_abort_flag_stops_everything() {
     let mut reg = ShardedQueryRegistry::new(g, sharded);
     reg.register(q);
     assert!(reg.apply_batch(&ups).timed_out, "sharded registry");
+}
+
+#[test]
+fn timeout_edges_on_every_view() {
+    // `Duration::MAX` cannot be added to a clock reading, so it is no
+    // deadline at all; a deadline that has already passed when the first
+    // kernel step polls it trips `timed_out` on every run, not only when a
+    // timer happens to win a race against the kernel.
+    let d = DatasetPreset::GH.build(0.05, 56);
+    let queries = generate_queries(&d.graph, QueryClass::Sparse, 5, 1, 57);
+    let q = &queries[0];
+    let mut g = d.graph.clone();
+    let inserts = gamma_datasets::split_insertion_workload(&mut g, 0.05, 58);
+    let deletes: Vec<Update> = inserts.iter().map(|u| Update::delete(u.u, u.v)).collect();
+    let batches = [inserts, deletes];
+    // (positive, negative, timed_out) per batch, on each of the four views.
+    let run = |timeout: Option<Duration>| -> Vec<(u64, u64, bool)> {
+        let mut cfg = GammaConfig::default();
+        cfg.timeout = timeout;
+        let sharded = ShardedConfig {
+            base: cfg.clone(),
+            ..ShardedConfig::default()
+        };
+        let mut out = Vec::new();
+        let mut engine = GammaEngine::new(g.clone(), q, cfg.clone());
+        let mut reg = QueryRegistry::new(g.clone(), cfg);
+        let id = reg.register(q, QueryConfig::default());
+        let mut sengine = ShardedEngine::new(g.clone(), q, sharded.clone());
+        let mut sreg = ShardedQueryRegistry::new(g.clone(), sharded);
+        let sid = sreg.register(q);
+        for b in &batches {
+            let r = engine.apply_batch(b);
+            out.push((r.positive_count, r.negative_count, r.stats.timed_out));
+            let r = reg.apply_batch(b);
+            let dq = r.delta(id).expect("registered");
+            out.push((dq.positive_count, dq.negative_count, r.timed_out));
+            let r = sengine.apply_batch(b);
+            out.push((r.positive_count, r.negative_count, r.stats.timed_out));
+            let r = sreg.apply_batch(b);
+            let dq = r.delta(sid).expect("registered");
+            out.push((dq.positive_count, dq.negative_count, r.timed_out));
+        }
+        out
+    };
+    let none = run(None);
+    assert!(none.iter().all(|&(_, _, t)| !t), "{none:?}");
+    assert!(
+        none[0].0 > 0 && none[4].1 > 0,
+        "the batches must match: {none:?}"
+    );
+    assert_eq!(run(Some(Duration::MAX)), none, "Duration::MAX");
+    for timeout in [Duration::ZERO, Duration::from_nanos(1)] {
+        for (i, &(_, _, t)) in run(Some(timeout)).iter().enumerate() {
+            assert!(t, "batch {} on view {} ran past {timeout:?}", i / 4, i % 4);
+        }
+    }
 }

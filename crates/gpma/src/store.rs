@@ -40,6 +40,18 @@
 //!
 //! `assert_consistent` cross-checks the whole directory against a full
 //! scan.
+//!
+//! # Run signatures
+//!
+//! Beside the degree cache the store keeps every vertex's 64-bit run
+//! signature ([`Gpma::run_signature`]), so a kernel phase reads them
+//! ([`Gpma::signatures`]) instead of sweeping the array. An insert ORs its
+//! bit in; `batch_delete` recomputes the run of every source it deleted
+//! from (a clear bit must prove absence, so a bit cannot simply be
+//! dropped); only the passes that already touch every key — bulk load,
+//! grow (`rebuild_with`) and snapshot restore — rebuild all of them.
+//! Redistributions move keys but never change a run's key set, so they
+//! leave the signatures alone.
 
 use gamma_gpu::CostModel;
 use gamma_graph::{DynamicGraph, ELabel, VertexId};
@@ -134,6 +146,9 @@ pub struct Gpma {
     seg_counts: Vec<u32>,
     num_elems: usize,
     degrees: Vec<u32>,
+    /// Per-vertex run signatures, maintained beside `degrees` (see the
+    /// module docs).
+    sigs: Vec<u64>,
     /// Vertex directory: position of each vertex's first directed entry
     /// (meaningful only while the vertex's degree is non-zero; see the
     /// module docs for the maintenance invariants).
@@ -222,6 +237,7 @@ impl Gpma {
             seg_counts: vec![0; 1],
             num_elems: 0,
             degrees: vec![0; num_vertices],
+            sigs: vec![0; num_vertices],
             dir: vec![DirEnt::default(); num_vertices],
             cfg,
             stats: GpmaStats::default(),
@@ -245,6 +261,7 @@ impl Gpma {
     pub fn ensure_vertices(&mut self, n: usize) {
         if n > self.degrees.len() {
             self.degrees.resize(n, 0);
+            self.sigs.resize(n, 0);
             self.dir.resize(n, DirEnt::default());
         }
     }
@@ -572,16 +589,15 @@ impl Gpma {
         let mut sig = 0u64;
         self.for_each_run_slice(u, |ks, _| {
             for &k in ks {
-                sig |= 1u64 << (k as u32 & 63);
+                sig |= sig_bit(k);
             }
         });
         sig
     }
 
-    /// [`Gpma::run_signature`] for **every** vertex in one sweep over the
-    /// live slots — O(capacity), independent of the number of runs, so a
-    /// kernel phase can precompute all signatures instead of paying a
-    /// per-scan directory walk per backward run.
+    /// [`Gpma::run_signature`] for **every** vertex, recomputed in one
+    /// O(capacity) sweep over the live slots. The reference the maintained
+    /// [`Gpma::signatures`] are checked against; kernels read those.
     pub fn run_signatures(&self) -> Vec<u64> {
         let mut sigs = vec![0u64; self.num_vertices()];
         let ss = self.cfg.seg_size;
@@ -589,10 +605,19 @@ impl Gpma {
             let base = seg * ss;
             let cnt = self.seg_counts[seg] as usize;
             for &k in &self.keys[base..base + cnt] {
-                sigs[(k >> 32) as usize] |= 1u64 << (k as u32 & 63);
+                sigs[(k >> 32) as usize] |= sig_bit(k);
             }
         }
         sigs
+    }
+
+    /// Every vertex's [`Gpma::run_signature`], indexed by vertex id and
+    /// kept current by every update, so reading it costs nothing. Equal to
+    /// [`Gpma::run_signatures`] at all times ([`Gpma::assert_consistent`]
+    /// checks it).
+    #[inline]
+    pub fn signatures(&self) -> &[u64] {
+        &self.sigs
     }
 
     /// Zero-copy iterator over `u`'s sorted neighbor run.
@@ -796,6 +821,7 @@ impl Gpma {
         for &(k, _) in items {
             let src = (k >> 32) as usize;
             self.degrees[src] += 1;
+            self.sigs[src] |= sig_bit(k);
         }
         self.num_elems += items.len();
         self.stats.inserted += items.len() as u64;
@@ -872,7 +898,9 @@ impl Gpma {
         // Repair directory entries whose run head moved past a rewritten
         // segment (all of a vertex's entries in its head segment deleted,
         // remainder living further right). `dir_valid` is exact, so the
-        // descent is paid only for genuinely stale entries.
+        // descent is paid only for genuinely stale entries. The repaired
+        // entry then leads the walk that recomputes the shrunk run's
+        // signature (the rebalancing below moves keys, not run contents).
         let mut prev_src = u64::MAX;
         for &k in keys.iter() {
             let src = k >> 32;
@@ -884,6 +912,7 @@ impl Gpma {
             if self.degrees[u] > 0 && !self.dir_valid(u) {
                 self.dir[u] = self.locate_first(u);
             }
+            self.sigs[u] = self.run_signature(u as VertexId);
         }
 
         // Fix lower-density violations bottom-up.
@@ -1089,16 +1118,17 @@ impl Gpma {
         self.vals = vec![0; capacity];
         self.seg_counts = vec![0; capacity / self.cfg.seg_size];
         self.num_elems = items.len();
-        // Degrees are rebuilt from scratch.
-        for d in self.degrees.iter_mut() {
-            *d = 0;
-        }
+        // Degrees and signatures are rebuilt from scratch.
+        self.degrees.fill(0);
+        self.sigs.fill(0);
         for &(k, _) in &items {
             let src = (k >> 32) as usize;
             if src >= self.degrees.len() {
                 self.degrees.resize(src + 1, 0);
+                self.sigs.resize(src + 1, 0);
             }
             self.degrees[src] += 1;
+            self.sigs[src] |= sig_bit(k);
         }
         self.dir.resize(self.degrees.len(), DirEnt::default());
         // `redistribute` over the full extent rebuilds the directory too.
@@ -1242,6 +1272,8 @@ impl Gpma {
                 );
             }
         }
+        // Maintained run signatures equal a fresh sweep.
+        assert!(self.sigs == self.run_signatures(), "run signature drift");
     }
 
     // ------------------------------------------------------------------
@@ -1337,6 +1369,7 @@ impl Gpma {
         let mut keys = vec![EMPTY; capacity];
         let mut vals: Vec<ELabel> = vec![0; capacity];
         let mut seg_counts = vec![0u32; nsegs];
+        let mut sigs = vec![0u64; nverts];
         let mut total = 0usize;
         for (s, sc) in seg_counts.iter_mut().enumerate() {
             let cnt = r.u32()?;
@@ -1351,6 +1384,12 @@ impl Gpma {
                 if k == EMPTY {
                     return Err(format!("empty-sentinel key in live slot of segment {s}"));
                 }
+                let Some(sig) = sigs.get_mut((k >> 32) as usize) else {
+                    return Err(format!(
+                        "key source beyond {nverts} vertices in segment {s}"
+                    ));
+                };
+                *sig |= sig_bit(k);
                 keys[base + i] = k;
                 vals[base + i] = r.u16()?;
             }
@@ -1381,6 +1420,7 @@ impl Gpma {
             seg_counts,
             num_elems,
             degrees,
+            sigs,
             dir,
             cfg,
             stats: GpmaStats::default(),
@@ -1392,6 +1432,12 @@ impl Gpma {
 
 /// Version tag of the [`Gpma::snapshot_bytes`] format.
 const SNAPSHOT_VERSION: u32 = 1;
+
+/// The bit directed entry `k` contributes to its source's run signature.
+#[inline]
+fn sig_bit(k: u64) -> u64 {
+    1u64 << (k as u32 & 63)
+}
 
 /// First index of `slice` whose low 32 bits (the dst) are ≥ `dst`,
 /// galloping from the front. The caller guarantees the last element
@@ -1857,5 +1903,13 @@ mod tests {
         let mut other = GpmaConfig::default();
         other.seg_size = 64;
         assert!(Gpma::from_snapshot_bytes(&blob, other).is_err());
+        // A header vertex count that leaves key sources 2 and 3 out (the
+        // degree section trimmed to match) is an error, not an index out
+        // of bounds. Degree entries: 12 bytes per live vertex (0..4), 4
+        // per isolated one (4..10).
+        let degrees_at = blob.len() - (4 * 12 + 6 * 4);
+        let mut short = blob[..degrees_at + 2 * 12].to_vec();
+        short[12..16].copy_from_slice(&2u32.to_le_bytes());
+        assert!(Gpma::from_snapshot_bytes(&short, GpmaConfig::default()).is_err());
     }
 }

@@ -195,10 +195,12 @@ proptest! {
         let (seed, del, reins) = churn;
         let (pma, adj) = build_churned(seed, del, reins);
         let bulk = pma.run_signatures();
+        let kept = pma.signatures();
         let empty = Vec::new();
         for u in 0..48u32 {
             let sig = pma.run_signature(u);
             prop_assert_eq!(bulk[u as usize], sig, "bulk signature drift at v{}", u);
+            prop_assert_eq!(kept[u as usize], sig, "maintained signature drift at v{}", u);
             let run = adj.get(&u).unwrap_or(&empty);
             for &(v, _) in run {
                 prop_assert!(sig & (1u64 << (v & 63)) != 0, "live bit clear at {}:{}", u, v);

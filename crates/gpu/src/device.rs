@@ -1,11 +1,13 @@
-//! Device-level kernel launches: blocks over SM worker threads.
+//! Device-level kernel launches: blocks over the launching thread plus a
+//! process-wide pool of helper threads.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::block::run_block;
-use crate::stats::KernelStats;
+use crate::stats::{BlockStats, KernelStats};
 use crate::task::WarpTask;
 use crate::DeviceConfig;
 
@@ -27,7 +29,11 @@ impl Device {
     }
 
     /// Launches a grid: `tasks` are chunked into blocks of
-    /// `warps_per_block` and executed on `num_sms` worker threads.
+    /// `warps_per_block` and executed by `min(num_sms, host parallelism,
+    /// blocks)` host threads — the calling thread plus helpers from a
+    /// process-wide pool, started on the first multi-block launch. A
+    /// single-block launch runs inline. A task that panics makes this call
+    /// panic once every block has retired; the pool keeps serving.
     ///
     /// Device makespan is the max over SMs of the sum of makespans of the
     /// blocks that SM executed (blocks are picked up greedily, modeling the
@@ -48,62 +54,37 @@ impl Device {
         }
 
         let num_blocks = blocks.len();
-        let block_queue: Vec<Mutex<Option<Vec<Box<dyn WarpTask>>>>> =
-            blocks.into_iter().map(|b| Mutex::new(Some(b))).collect();
-        let next = AtomicUsize::new(0);
         let sm_count = self.config.num_sms.max(1);
-        // Host threads actually executing blocks: never more than the
-        // machine offers (the *simulated* clock still divides by sm_count).
-        let workers = sm_count
-            .min(std::thread::available_parallelism().map_or(1, |n| n.get()))
-            .min(num_blocks.max(1));
-        let max_block_cycles = Mutex::new(0u64);
-        let agg = Mutex::new(KernelStats {
-            num_blocks,
-            num_tasks,
-            ..Default::default()
+        let launch = Arc::new(Launch {
+            cfg: self.config.clone(),
+            blocks: Mutex::new(blocks.into_iter()),
+            progress: Mutex::new(Progress {
+                stats: KernelStats {
+                    num_blocks,
+                    num_tasks,
+                    ..Default::default()
+                },
+                ..Default::default()
+            }),
+            retired: Condvar::new(),
         });
+        if sm_count > 1 && num_blocks > 1 {
+            pool().enlist(&launch, sm_count.min(num_blocks));
+        }
+        launch.work();
+        let progress = launch.wait();
+        if let Some(payload) = progress.panic {
+            panic::resume_unwind(payload);
+        }
 
-        std::thread::scope(|scope| {
-            for _sm in 0..workers {
-                let next = &next;
-                let block_queue = &block_queue;
-                let agg = &agg;
-                let max_block_cycles = &max_block_cycles;
-                let cfg = &self.config;
-                scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= block_queue.len() {
-                        break;
-                    }
-                    let tasks = block_queue[i].lock().take().expect("block taken twice");
-                    let outcome = run_block(tasks, cfg);
-                    let s = &outcome.stats;
-                    {
-                        let mut m = max_block_cycles.lock();
-                        *m = (*m).max(s.makespan_cycles);
-                    }
-                    let mut a = agg.lock();
-                    a.total_block_cycles += s.makespan_cycles;
-                    a.busy_cycles += s.busy_cycles;
-                    a.resident_warp_cycles += s.num_warps as u64 * s.makespan_cycles;
-                    a.steals += s.steals;
-                    a.global_transactions += s.global_transactions;
-                    a.shared_accesses += s.shared_accesses;
-                    a.buf_reuse += s.buf_reuse;
-                    a.buf_alloc += s.buf_alloc;
-                });
-            }
-        });
-
-        let mut stats = agg.into_inner();
+        let mut stats = progress.stats;
         // Device makespan: with many blocks in flight the hardware block
         // scheduler approaches the LPT bound
         // `max(ceil(total / num_sms), longest single block)`. Using the
         // bound (instead of the racy host assignment realized above) keeps
         // the simulated clock deterministic.
         let ideal = stats.total_block_cycles.div_ceil(sm_count as u64);
-        stats.device_cycles = ideal.max(max_block_cycles.into_inner());
+        stats.device_cycles = ideal.max(progress.max_block_cycles);
         stats.wall_seconds = started.elapsed().as_secs_f64();
         stats
     }
@@ -113,6 +94,146 @@ impl Device {
     pub fn seconds(&self, cycles: u64) -> f64 {
         self.config.cycles_to_seconds(cycles)
     }
+}
+
+/// One launch's grid, shared by every host thread working on it. Owned
+/// (`Arc`, `'static` tasks), so a helper never borrows the launching
+/// thread's stack.
+struct Launch {
+    cfg: DeviceConfig,
+    /// The blocks no thread has claimed yet, in launch order.
+    blocks: Mutex<std::vec::IntoIter<Vec<Box<dyn WarpTask>>>>,
+    progress: Mutex<Progress>,
+    /// Signalled when the last block retires.
+    retired: Condvar,
+}
+
+/// Aggregated outcome of a launch's retired blocks. Sums and a max, so
+/// the result is independent of which thread ran which block.
+#[derive(Default)]
+struct Progress {
+    stats: KernelStats,
+    max_block_cycles: u64,
+    retired: usize,
+    /// The first panic a block raised, re-raised on the launching thread.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+impl Progress {
+    fn absorb(&mut self, s: &BlockStats) {
+        self.max_block_cycles = self.max_block_cycles.max(s.makespan_cycles);
+        let a = &mut self.stats;
+        a.total_block_cycles += s.makespan_cycles;
+        a.busy_cycles += s.busy_cycles;
+        a.resident_warp_cycles += s.num_warps as u64 * s.makespan_cycles;
+        a.steals += s.steals;
+        a.global_transactions += s.global_transactions;
+        a.shared_accesses += s.shared_accesses;
+        a.buf_reuse += s.buf_reuse;
+        a.buf_alloc += s.buf_alloc;
+    }
+}
+
+impl Launch {
+    /// Claims and runs blocks until none is left unclaimed.
+    fn work(&self) {
+        loop {
+            let Some(tasks) = lock(&self.blocks).next() else {
+                return;
+            };
+            let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_block(tasks, &self.cfg)));
+            let mut p = lock(&self.progress);
+            match outcome {
+                Ok(o) => p.absorb(&o.stats),
+                Err(payload) => {
+                    p.panic.get_or_insert(payload);
+                }
+            }
+            p.retired += 1;
+            if p.retired == p.stats.num_blocks {
+                self.retired.notify_all();
+            }
+        }
+    }
+
+    /// Blocks until every block has retired — including those helpers
+    /// claimed — and takes the aggregate. Never waits on a helper that
+    /// claimed none of this launch's blocks.
+    fn wait(&self) -> Progress {
+        let mut p = lock(&self.progress);
+        while p.retired < p.stats.num_blocks {
+            p = self.retired.wait(p).unwrap_or_else(PoisonError::into_inner);
+        }
+        std::mem::take(&mut *p)
+    }
+}
+
+/// The process-wide launch helpers: `threads - 1` parked threads that
+/// join whichever launch asks for them. They are never joined: they park
+/// between launches for the life of the process, and [`Launch::work`]
+/// catches a task's panic for the launching thread to re-raise, so none
+/// is lost.
+struct Pool {
+    /// Host parallelism, read once: the most threads one launch uses.
+    threads: usize,
+    /// One entry per helper a launch asked for. An entry whose launch has
+    /// no unclaimed block left is dropped on pickup.
+    jobs: Mutex<VecDeque<Arc<Launch>>>,
+    wake: Condvar,
+}
+
+/// The pool, sized and started on first use.
+fn pool() -> &'static Pool {
+    static POOL: OnceLock<Pool> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for i in 1..threads {
+            // A helper that fails to start costs parallelism only: the
+            // launching thread runs every block no helper claims.
+            let _ = std::thread::Builder::new()
+                .name(format!("launch-helper-{i}"))
+                .spawn(|| pool().serve());
+        }
+        Pool {
+            threads,
+            jobs: Mutex::new(VecDeque::new()),
+            wake: Condvar::new(),
+        }
+    })
+}
+
+impl Pool {
+    /// Asks for helpers so that `threads` host threads (the caller
+    /// included, capped at host parallelism) can work on `launch`.
+    fn enlist(&self, launch: &Arc<Launch>, threads: usize) {
+        let helpers = threads.min(self.threads) - 1;
+        lock(&self.jobs).extend((0..helpers).map(|_| Arc::clone(launch)));
+        for _ in 0..helpers {
+            self.wake.notify_one();
+        }
+    }
+
+    /// A helper's loop: park until a launch asks, work on it, repeat.
+    fn serve(&self) {
+        loop {
+            let launch = {
+                let mut jobs = lock(&self.jobs);
+                loop {
+                    if let Some(l) = jobs.pop_front() {
+                        break l;
+                    }
+                    jobs = self.wake.wait(jobs).unwrap_or_else(PoisonError::into_inner);
+                }
+            };
+            launch.work();
+        }
+    }
+}
+
+/// Locks `m`; no critical section here panics, so poisoning carries no
+/// information.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -189,6 +310,75 @@ mod tests {
         let stats = dev.launch(vec![Box::new(Fixed(10)) as _, Box::new(Fixed(20)) as _]);
         assert_eq!(stats.num_blocks, 1);
         assert_eq!(stats.device_cycles, 20 * 100);
+    }
+
+    /// Tasks of varied length, so a lost or double-counted block shows
+    /// in the aggregate.
+    fn mixed(n: u64) -> Vec<Box<dyn WarpTask>> {
+        (0..n).map(|i| Box::new(Fixed(1 + i % 7)) as _).collect()
+    }
+
+    /// Every field but the informational host wall time.
+    fn simulated(s: &KernelStats) -> String {
+        format!(
+            "{:?}",
+            KernelStats {
+                wall_seconds: 0.0,
+                ..s.clone()
+            }
+        )
+    }
+
+    #[test]
+    fn concurrent_launches_match_sequential() {
+        let dev = Device::new(cfg(4, 3));
+        let expected: Vec<String> = (0..8)
+            .map(|t| simulated(&dev.launch(mixed(20 + t))))
+            .collect();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|s| {
+            for (t, want) in expected.iter().enumerate() {
+                let (dev, start) = (&dev, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..25 {
+                        assert_eq!(&simulated(&dev.launch(mixed(20 + t as u64))), want);
+                    }
+                });
+            }
+        });
+    }
+
+    struct Panics;
+    impl WarpTask for Panics {
+        fn step(&mut self, _ctx: &mut WarpCtx) -> StepResult {
+            panic!("task failure")
+        }
+    }
+
+    #[test]
+    fn task_panic_reaches_the_caller_and_the_pool_survives() {
+        let dev = Device::new(cfg(4, 2));
+        // Six blocks; the first one, then all of them, panic — on the
+        // calling thread or on a helper, wherever they land.
+        for panicking in [1, 6] {
+            let tasks: Vec<Box<dyn WarpTask>> = (0..12)
+                .map(|i| {
+                    if i / 2 < panicking {
+                        Box::new(Panics) as _
+                    } else {
+                        Box::new(Fixed(3)) as _
+                    }
+                })
+                .collect();
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| dev.launch(tasks)))
+                .expect_err("a task panic must panic the launch");
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"task failure"));
+        }
+        let stats = dev.launch(mixed(12));
+        assert_eq!(stats.num_blocks, 6);
+        let charged: u64 = (0..12).map(|i| (1 + i % 7) * 100).sum();
+        assert_eq!(stats.busy_cycles, charged);
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //!   tasks* ([`WarpTask`]) — in GAMMA, one task per update edge, exactly the
 //!   paper's warp-centric assignment (§IV-C).
 //! * Tasks are grouped into **blocks** of `warps_per_block` warps. Blocks
-//!   are executed in parallel on real OS threads, one per simulated
-//!   **SM** (streaming multiprocessor), mirroring how CUDA distributes
-//!   resident blocks over SMs.
+//!   are picked up greedily by up to `min(num_sms, host parallelism)` host
+//!   threads — the launching thread plus helpers from one process-wide
+//!   pool, started on the first multi-block launch — mirroring how CUDA
+//!   distributes resident blocks over **SMs** (streaming
+//!   multiprocessors). Only that first launch starts threads; a
+//!   single-block launch runs inline.
 //! * Inside a block, warps are interleaved by a deterministic event-driven
 //!   scheduler: the warp with the smallest virtual clock is advanced by one
 //!   [`WarpTask::step`], whose cost (in simulated cycles) is charged through
@@ -71,8 +74,9 @@ pub enum Stealing {
 #[derive(Clone, Debug)]
 pub struct DeviceConfig {
     /// Number of simulated streaming multiprocessors. Drives the device
-    /// makespan model (`max(total/num_sms, longest block)`); execution uses
-    /// `min(num_sms, host parallelism)` OS threads.
+    /// makespan model (`max(total/num_sms, longest block)`); a launch runs
+    /// on `min(num_sms, host parallelism, blocks)` host threads: the caller
+    /// and helpers from the process-wide launch pool.
     pub num_sms: usize,
     /// Warps per block (the pool a warp can steal from).
     pub warps_per_block: usize,

@@ -25,8 +25,9 @@
 //! straight off the GPMA vertex-directory run ([`Gpma::neighbor_run`],
 //! zero-copy), candidate buffers are recycled through a task-local pool
 //! (reuse is reported via `KernelStats::buf_reuse` / `buf_alloc`), and the
-//! anchor-order dedup map is a sorted array probed by binary search rather
-//! than a hashed map.
+//! anchor-order dedup rule reads a sorted array of the batch's update
+//! edges through a small hashed index of their endpoints
+//! ([`UpdateOrder`]).
 //!
 //! Backward-edge checks are **chunked**, not per-element: base-run
 //! survivors are gathered into [`CHUNK_WIDTH`]-wide chunks and each chunk
@@ -45,6 +46,27 @@
 //! Nothing a launch sets up scales with the graph: the signatures are the
 //! store's, and the dedup rule's incident index ([`UpdateOrder`]) is sized
 //! by the phase's anchors.
+//!
+//! # Count-only launches and coalesced search
+//!
+//! Without `collect` (and outside a grouped launch's shared prefix), the
+//! last DFS level is counted, never materialized: a last frame collapses
+//! into one bulk count, and a second-to-last level stream-counts its
+//! child's candidates (memoized across siblings when they cannot differ).
+//! Seeds of a **whole-query class** (`k = 0`, `vk_size == n`) keep both
+//! fast paths: each counted match stands for itself plus one permuted
+//! match per class member, the matches collect mode emits one by one, so
+//! the count is multiplied by `1 + members`. That multiply is exact. A
+//! `k = 0` member permutation is an automorphism of the whole query,
+//! which keeps vertex labels, degrees and edge labels, so every permuted
+//! match is a valid embedding over the same data vertices and the same
+//! data edges. Injectivity and the anchor-order dedup rule (which looks
+//! only at which data edges a match uses) therefore hold for it exactly
+//! when they hold for the representative match. The candidate-table
+//! recheck in collect mode can never fail either, since an automorphism
+//! keeps every query vertex's code; a `debug_assert!` there states it.
+//! `k > 0` classes still push permuted partials to extend: their removed
+//! vertices constrain the permuted roles differently.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -922,6 +944,12 @@ impl WbmTask {
             let ok = pm
                 .pairs()
                 .all(|(w, v)| self.shared.table.is_candidate(v, w));
+            // A k = 0 member is an automorphism of the whole query, so no
+            // vertex changes its code: the count-only multiply relies on it.
+            debug_assert!(
+                ok || class.vk_size != meta.q.num_vertices(),
+                "whole-query permutation failed the candidate table"
+            );
             if !ok {
                 continue;
             }
@@ -971,6 +999,13 @@ impl WbmTask {
         // continuations at completion instead of emitting.
         let forking = grp.is_some() && st.member.is_none();
         let n = seed.order.len();
+        // Matches one complete assignment stands for in the count-only
+        // fast paths: a whole-query class (k = 0) adds one permuted match
+        // per member (see the module docs for why each is valid).
+        let mult = match seed.class {
+            Some(ci) if seed.vk_size == n => 1 + shared.meta.plan.classes[ci].members.len() as u64,
+            _ => 1,
+        };
 
         if st.warm {
             st.warm = false;
@@ -1011,20 +1046,20 @@ impl WbmTask {
             if last {
                 // Count-only fast path: every candidate in the frame was
                 // fully validated by `GenCandidates`, so when matches are
-                // not materialized (and no coalesced-search permutation
-                // rides on the final assignment, and no group fork needs
-                // the assignment itself) the frame collapses into one
-                // bulk-counted emit — the per-match join loop is pure
-                // overhead in benchmarking mode.
-                if !(collect || forking || seed.class.is_some() && seed.vk_size == n) {
+                // not materialized (and no group fork needs the assignment
+                // itself) the frame collapses into one bulk-counted emit —
+                // the per-match join loop is pure overhead in benchmarking
+                // mode.
+                if !(collect || forking) {
                     let f = &mut st.frames[top_idx];
                     let remaining = f.cands.len() - f.p;
                     f.p = f.cands.len();
                     ctx.compute(remaining as u64);
+                    let matches = remaining as u64 * mult;
                     match st.member {
-                        Some(mi) => self.note_member_count(mi, remaining as u64),
+                        Some(mi) => self.note_member_count(mi, matches),
                         None => {
-                            self.local_count += remaining as u64;
+                            self.local_count += matches;
                             if self.local_count >= FLUSH_THRESHOLD as u64 {
                                 self.flush();
                             }
@@ -1113,8 +1148,7 @@ impl WbmTask {
             // candidate set would be materialized only to be counted —
             // stream-count it instead and never build the frame. (Forking
             // prefix searches need the materialized last frame.)
-            let vk_ends_at_last = seed.class.is_some() && seed.vk_size == n;
-            if level + 2 == n && !collect && !forking && !vk_ends_at_last {
+            if level + 2 == n && !collect && !forking {
                 let qv_last = seed.order[level + 1];
                 // When the last query vertex has no backward edge to *this*
                 // level's vertex, its candidate set is identical across all
@@ -1143,10 +1177,11 @@ impl WbmTask {
                     self.spawn_permutations(st.seed, &m, ctx);
                 }
                 ctx.compute(count);
+                let matches = count * mult;
                 match st.member {
-                    Some(mi) => self.note_member_count(mi, count),
+                    Some(mi) => self.note_member_count(mi, matches),
                     None => {
-                        self.local_count += count;
+                        self.local_count += matches;
                         if self.local_count >= FLUSH_THRESHOLD as u64 {
                             self.flush();
                         }

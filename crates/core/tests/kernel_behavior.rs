@@ -83,7 +83,7 @@ fn stealing_preserves_exact_match_set() {
 #[test]
 fn coalesced_search_preserves_exact_match_set() {
     let d = DatasetPreset::AZ.build(0.05, 51);
-    for class in [QueryClass::Dense, QueryClass::Sparse] {
+    for class in QueryClass::ALL {
         let queries = generate_queries(&d.graph, class, 5, 3, 52);
         for q in &queries {
             let mut g = d.graph.clone();
@@ -244,6 +244,132 @@ fn count_only_mode_counts_exactly_like_collection() {
             }
         }
     }
+}
+
+#[test]
+fn count_only_coalesced_search_counts_like_collection() {
+    // A whole-query class (k = 0) counts each representative match once
+    // per member plus itself in count-only launches instead of
+    // materializing its permutations; k > 0 classes and plain seeds keep
+    // enumerating. Every count must equal the collected coalesced and the
+    // collected plain counts, under every stealing mode. A batch that hit
+    // `match_limit` is skipped: where an aborted phase stops depends on
+    // when its tasks flushed.
+    let (mut whole_query, mut partial) = (0usize, 0usize);
+    for preset in [DatasetPreset::GH, DatasetPreset::AZ, DatasetPreset::NF] {
+        let d = preset.build(0.03, 91);
+        for class in QueryClass::ALL {
+            for size in 4..=8 {
+                for q in generate_queries(&d.graph, class, size, 1, 92) {
+                    let mut g = d.graph.clone();
+                    let inserts = gamma_datasets::split_insertion_workload(&mut g, 0.10, 93);
+                    let mut g2 = g.clone();
+                    UpdateBatch::canonicalize(&g, &inserts).apply(&mut g2);
+                    let deletes = gamma_datasets::sample_deletion_workload(&g2, 0.05, 94);
+                    // `(positive, negative)` of the insert batch, then of the
+                    // delete batch; `None` where the batch hit `match_limit`.
+                    let run = |coalesced: bool, collect: bool, stealing: StealingMode| {
+                        let mut cfg = GammaConfig::default();
+                        cfg.coalesced_search = coalesced;
+                        cfg.collect_matches = collect;
+                        cfg.match_limit = 20_000;
+                        cfg.device.stealing = stealing;
+                        cfg.device.min_steal_hint = 2;
+                        let mut engine = GammaEngine::new(g.clone(), &q, cfg);
+                        [&inserts, &deletes].map(|b| {
+                            let r = engine.apply_batch(b);
+                            (!r.stats.timed_out).then_some((r.positive_count, r.negative_count))
+                        })
+                    };
+                    let plain = run(false, true, StealingMode::Off);
+                    let mut compared = false;
+                    for stealing in [
+                        StealingMode::Off,
+                        StealingMode::Active,
+                        StealingMode::Passive,
+                    ] {
+                        let collected = run(true, true, stealing);
+                        let counted = run(true, false, stealing);
+                        for i in 0..2 {
+                            let (Some(p), Some(c), Some(k)) = (plain[i], collected[i], counted[i])
+                            else {
+                                continue;
+                            };
+                            let at =
+                                format!("{preset:?} {class:?} size {size} batch {i} {stealing:?}");
+                            assert_eq!(c, p, "collected coalesced vs plain at {at}");
+                            assert_eq!(k, p, "count-only coalesced vs plain at {at}");
+                            compared |= p.0 + p.1 > 0;
+                        }
+                    }
+                    if compared {
+                        let engine = GammaEngine::new(g, &q, GammaConfig::default());
+                        let classes = &engine.meta().plan.classes;
+                        whole_query += usize::from(classes.iter().any(|c| c.k == 0));
+                        partial += usize::from(classes.iter().any(|c| c.k > 0));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        whole_query > 0,
+        "no compared query planned a whole-query class"
+    );
+    assert!(partial > 0, "no compared query planned a k > 0 class");
+}
+
+#[test]
+fn whole_query_class_counts_without_enumerating_permutations() {
+    // Hub A with three B spokes: one k = 0 class whose two members permute
+    // the spokes. Four A hubs with 12 B spokes each gain 4 spokes apiece,
+    // so each hub adds 16·15·14 − 12·11·10 = 2040 ordered embeddings.
+    let mut b = QueryGraph::builder();
+    let hub = b.vertex(0);
+    for _ in 0..3 {
+        let spoke = b.vertex(1);
+        b.edge(hub, spoke);
+    }
+    let q = b.build();
+    let mut g = gamma_graph::DynamicGraph::new();
+    let mut ups = Vec::new();
+    for _ in 0..4 {
+        let h = g.add_vertex(0);
+        for i in 0..16 {
+            let s = g.add_vertex(1);
+            if i < 12 {
+                g.insert_edge(h, s, 0);
+            } else {
+                ups.push(Update::insert(h, s));
+            }
+        }
+    }
+    let run = |coalesced: bool, collect: bool| {
+        let mut cfg = GammaConfig::default();
+        cfg.coalesced_search = coalesced;
+        cfg.collect_matches = collect;
+        cfg.device.stealing = StealingMode::Off;
+        let mut engine = GammaEngine::new(g.clone(), &q, cfg);
+        if coalesced {
+            let classes = &engine.meta().plan.classes;
+            assert_eq!(classes.len(), 1);
+            assert_eq!((classes[0].k, classes[0].members.len()), (0, 2));
+        }
+        let r = engine.apply_batch(&ups);
+        (r.positive_count, r.stats.kernel.busy_cycles)
+    };
+    let (counted, counted_cycles) = run(true, false);
+    let (plain_counted, plain_cycles) = run(false, false);
+    assert_eq!(counted, 8160);
+    assert_eq!(plain_counted, 8160);
+    assert_eq!(run(true, true).0, 8160);
+    assert_eq!(run(false, true).0, 8160);
+    // Counting the permuted matches is one multiply, so coalesced search
+    // must cost less than searching every spoke edge.
+    assert!(
+        counted_cycles < plain_cycles,
+        "count-only coalesced {counted_cycles} busy cycles vs plain {plain_cycles}"
+    );
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! Seeded dynamic workloads — dataset presets × query classes × batched
 //! insert / delete / Zipf-skewed churn streams — are replayed through
 //!
-//! * [`GammaEngine`] under multiple `StealingMode`s,
+//! * [`GammaEngine`] under multiple `StealingMode`s, and in count-only
+//!   mode (`collect_matches` off: its counts are checked),
 //! * [`PipelinedEngine`] (asynchronous three-stage pipeline),
 //! * [`ShardedEngine`] at 1, 2 and 4 simulated devices (hash and greedy
 //!   partitions, both inter-device stealing modes — embedding migration
@@ -250,6 +251,19 @@ fn run_differential(
             name: "gamma[steal=passive]",
             engine: GammaEngine::new(start.clone(), q, gamma_config(StealingMode::Passive)),
         },
+        // Count-only launches take the kernel's bulk-count fast paths,
+        // where a whole-query coalesced class multiplies its count.
+        GammaVariant {
+            name: "gamma[count-only]",
+            engine: GammaEngine::new(
+                start.clone(),
+                q,
+                GammaConfig {
+                    collect_matches: false,
+                    ..gamma_config(StealingMode::Active)
+                },
+            ),
+        },
     ];
     let mut csms = vec![
         CsmVariant {
@@ -333,9 +347,17 @@ fn run_differential(
                 "{} negative_count at {context}",
                 v.name
             );
-            assert_delta(
-                v.name, &context, r.positive, r.negative, &want_pos, &want_neg,
-            );
+            if v.engine.config().collect_matches {
+                assert_delta(
+                    v.name, &context, r.positive, r.negative, &want_pos, &want_neg,
+                );
+            } else {
+                assert!(
+                    r.positive.is_empty() && r.negative.is_empty(),
+                    "{} materialized matches at {context}",
+                    v.name
+                );
+            }
             assert_eq!(
                 v.engine.graph().num_edges(),
                 host.num_edges(),

@@ -44,7 +44,7 @@ fn main() {
     ] {
         let gpma = Gpma::from_graph(&g2, GpmaConfig::default());
         let shared = Arc::new(wbm::KernelShared {
-            gpma,
+            gpma: Arc::new(gpma),
             meta: Arc::clone(&meta),
             table: table.clone(),
             encodings: Arc::clone(&enc.encodings),

@@ -50,9 +50,17 @@ pub struct GammaConfig {
     /// [`DEADLINE_POLL_STEPS`](crate::wbm::DEADLINE_POLL_STEPS) steps
     /// after, and once the deadline has passed the kernels abort. A
     /// timeout too large to add to the clock (`Duration::MAX`) is no
-    /// deadline, the same as `None`.
+    /// deadline, the same as `None`. In a [`QueryRegistry`] on one device
+    /// the abort stops every group of the phase, which is one launch call
+    /// for all of them, so a timed-out batch's `timed_out` marks every
+    /// delta of the batch as partial.
     pub timeout: Option<Duration>,
-    /// Abort a phase after this many matches (guards runaway tree queries).
+    /// Abort a phase after this many matches (guards runaway tree
+    /// queries). The limit counts one launch's matches: one query's, or
+    /// one shared-prefix group's. The abort it raises is the batch's: in
+    /// a [`QueryRegistry`] on one device it stops every group of the
+    /// phase and the phases after it, and `timed_out` marks every delta
+    /// of the batch as partial.
     pub match_limit: u64,
     /// Bitmap quick-reject in front of the kernel's chunked backward-edge
     /// intersection (low-degree runs only). Exact either way — results are

@@ -15,7 +15,13 @@
 //!   (see [`crate::order::compatible_prefix_len`]) are grouped: the shared
 //!   DFS levels run **once** per group against the representative's
 //!   candidate table, forking into per-query suffix scans only where the
-//!   patterns diverge ([`crate::wbm::run_group_phase`]).
+//!   patterns diverge ([`crate::wbm::GroupShared`]).
+//! * **One launch call per phase** — on the single device, each kernel
+//!   phase is one [`Device::launch_grids`] call with one grid per group,
+//!   over one store shared as `Arc<Gpma>`. The host threads overlap the
+//!   groups' blocks, while the simulated device still runs each grid as a
+//!   serial kernel of its own, so every group's simulated stats equal
+//!   those of a launch of its own.
 //! * **Per-query routing** — every query gets its own delta stream,
 //!   candidate table, and [`QueryStats`] telemetry; match vectors are
 //!   bit-identical to what a dedicated [`GammaEngine`](crate::GammaEngine)
@@ -25,7 +31,20 @@
 //! Telemetry attribution: a singleton group's launch stats are exclusive
 //! to its query; a shared group's launch stats are attributed whole to
 //! *each* member (the levels are genuinely shared — there is no meaningful
-//! per-member split of a shared prefix scan).
+//! per-member split of a shared prefix scan). A group's `wall_seconds` is
+//! its grid's share of the launch call's elapsed time, in proportion to
+//! the host time its blocks ran. The shares of one call sum to its
+//! elapsed time, so [`RegistryBatchResult::kernel`] reports the batch's
+//! elapsed launch time.
+//!
+//! Aborts stop the whole batch. A passed deadline
+//! ([`GammaConfig::timeout`]) or one group's [`GammaConfig::match_limit`]
+//! raises the batch's one abort flag, which stops every launch still
+//! running and every launch after it. On the single device a phase is one
+//! launch call, so that is every group of the phase (on the shard
+//! executor the groups launched before complete).
+//! [`RegistryBatchResult::timed_out`] then marks every delta of the batch
+//! as partial; the structural update still lands.
 //!
 //! [`QueryRegistry::apply_canonical_batch`] is also the only batch
 //! pipeline in the crate (Figure 3: negative launches, store update,
@@ -94,7 +113,7 @@ use crate::encoding::{CandidateTable, EncodingScheme, IncrementalEncoder};
 use crate::engine::{BatchResult, BatchStats, GammaConfig};
 use crate::order::compatible_prefix_len;
 use crate::shard::{Partition, ShardRuntime, ShardedConfig};
-use crate::wbm::{run_group_phase, run_phase_until, GroupMember, QueryMeta, SeedPlan};
+use crate::wbm::{finish_grid, GroupMember, GroupShared, Phase, QueryMeta, SeedPlan};
 
 /// Opaque handle to a registered standing query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -155,7 +174,10 @@ pub struct RegistryBatchResult {
     pub dirty_vertices: usize,
     /// Merged kernel stats across every launch of the batch.
     pub kernel: KernelStats,
-    /// Whether any launch hit the timeout or match limit.
+    /// Whether any launch hit the timeout or match limit. Every launch of
+    /// the batch shares one abort flag, so every delta of the batch may
+    /// then be partial, not only the tripping group's (see the module
+    /// docs).
     pub timed_out: bool,
     /// Net updates after canonicalization.
     pub net_updates: usize,
@@ -233,9 +255,8 @@ struct Group {
 
 /// Where a registry's kernel launches run, fixed by its constructor.
 enum Executor {
-    /// One simulated device: singleton groups launch through
-    /// [`run_phase_until`], shared-prefix groups through
-    /// [`run_group_phase`].
+    /// One simulated device: each phase is one [`Device::launch_grids`]
+    /// call, with one grid per group ([`Phase::grid`]).
     Device(Device),
     /// The partitioned multi-device runtime of [`crate::shard`]: one
     /// launch per group of identical patterns.
@@ -649,7 +670,9 @@ impl QueryRegistry {
 
     /// Runs one kernel phase (negative or positive) for every group on
     /// the registry's executor, routing each member's matches into its
-    /// delta.
+    /// delta. On the single device the whole phase is one
+    /// [`Device::launch_grids`] call, one grid per group over the one
+    /// store; on the shard executor each group launches in turn.
     fn run_groups(
         &mut self,
         anchors: &[Update],
@@ -658,76 +681,79 @@ impl QueryRegistry {
         result: &mut RegistryBatchResult,
         positive: bool,
     ) {
-        for gi in 0..self.groups.len() {
-            let members = self.groups[gi].members.clone();
-            let (outputs, stats) = match &mut self.exec {
-                Executor::Device(device) if members.len() == 1 => {
-                    let st = &mut self.queries[members[0]];
-                    let encodings = Arc::clone(&self.slots[st.slot].enc.encodings);
-                    let gpma = self.gpma.take().expect("gpma present");
-                    let table = st.table.take().expect("table present");
-                    let (gpma, table, matches, count, stats) = run_phase_until(
-                        device,
-                        gpma,
-                        Arc::clone(&st.full_meta),
-                        table,
-                        encodings,
-                        anchors,
-                        st.collect,
-                        self.config.match_limit,
-                        Arc::clone(abort),
-                        deadline,
-                        self.config.bitmap_intersect,
-                    );
-                    self.gpma = Some(gpma);
-                    st.table = Some(table);
-                    (vec![(matches, count)], stats)
-                }
-                Executor::Device(device) => {
-                    let shared_meta = Arc::clone(
-                        self.groups[gi]
-                            .shared_meta
-                            .as_ref()
-                            .expect("multi-member groups carry shared metadata"),
-                    );
+        // Per group: each member's (matches, count), and the group's stats.
+        let mut launched: Vec<(Vec<(Vec<VMatch>, u64)>, KernelStats)> =
+            Vec::with_capacity(self.groups.len());
+        match &mut self.exec {
+            Executor::Device(device) => {
+                let phase = Phase {
+                    gpma: Arc::new(self.gpma.take().expect("gpma present")),
+                    anchors,
+                    match_limit: self.config.match_limit,
+                    abort: Arc::clone(abort),
+                    deadline,
+                    signatures: self.config.bitmap_intersect,
+                };
+                let mut shares = Vec::with_capacity(self.groups.len());
+                let mut grids = Vec::with_capacity(self.groups.len());
+                for g in &self.groups {
                     let encodings =
-                        Arc::clone(&self.slots[self.queries[members[0]].slot].enc.encodings);
-                    let group_members: Vec<GroupMember> = members
-                        .iter()
-                        .map(|&qi| {
-                            let st = &mut self.queries[qi];
-                            GroupMember {
-                                q: st.q.clone(),
-                                seeds: st.seeds.clone(),
-                                table: st.table.take().expect("table present"),
-                                collect: st.collect,
-                            }
-                        })
-                        .collect();
-                    let gpma = self.gpma.take().expect("gpma present");
-                    let (gpma, group_members, outputs, stats) = run_group_phase(
-                        device,
-                        gpma,
-                        shared_meta,
-                        group_members,
-                        encodings,
-                        anchors,
-                        self.config.match_limit,
-                        Arc::clone(abort),
-                        deadline,
-                        self.config.bitmap_intersect,
-                    );
-                    self.gpma = Some(gpma);
-                    for (&qi, member) in members.iter().zip(group_members) {
-                        self.queries[qi].table = Some(member.table);
-                    }
-                    (outputs, stats)
+                        Arc::clone(&self.slots[self.queries[g.members[0]].slot].enc.encodings);
+                    let (shared, tasks) = match &g.shared_meta {
+                        None => {
+                            let st = &mut self.queries[g.members[0]];
+                            phase.grid(
+                                Arc::clone(&st.full_meta),
+                                st.table.take().expect("table present"),
+                                encodings,
+                                st.collect,
+                                None,
+                            )
+                        }
+                        Some(meta) => {
+                            let members = g
+                                .members
+                                .iter()
+                                .map(|&qi| {
+                                    let st = &mut self.queries[qi];
+                                    GroupMember {
+                                        q: st.q.clone(),
+                                        seeds: st.seeds.clone(),
+                                        table: st.table.take().expect("table present"),
+                                        collect: st.collect,
+                                    }
+                                })
+                                .collect();
+                            phase.grid(
+                                Arc::clone(meta),
+                                CandidateTable::empty(),
+                                encodings,
+                                false,
+                                Some(GroupShared::new(members)),
+                            )
+                        }
+                    };
+                    shares.push(shared);
+                    grids.push(tasks);
                 }
-                Executor::Shards(rt) => {
+                let stats = device.launch_grids(grids);
+                for ((g, shared), stats) in self.groups.iter().zip(shares).zip(stats) {
+                    let mut outputs = Vec::with_capacity(g.members.len());
+                    for (&qi, (table, matches, count)) in g.members.iter().zip(finish_grid(shared))
+                    {
+                        self.queries[qi].table = Some(table);
+                        outputs.push((matches, count));
+                    }
+                    launched.push((outputs, stats));
+                }
+                self.gpma = Some(phase.into_store());
+            }
+            Executor::Shards(rt) => {
+                for g in &self.groups {
                     // Identical patterns: one launch under the
                     // representative's id, its delta cloned per member.
-                    let rep = &self.queries[members[0]];
-                    let collect = members.iter().any(|&qi| self.queries[qi].collect);
+                    let rep = &self.queries[g.members[0]];
+                    let collect = g.members.iter().any(|&qi| self.queries[qi].collect);
                     let (matches, count, stats) = rt.kernel_phase(
                         &self.graph,
                         self.gpma.as_ref().expect("gpma present"),
@@ -740,7 +766,8 @@ impl QueryRegistry {
                         abort,
                         deadline,
                     );
-                    let outputs = members
+                    let outputs = g
+                        .members
                         .iter()
                         .map(|&qi| {
                             let ms = if self.queries[qi].collect {
@@ -751,10 +778,12 @@ impl QueryRegistry {
                             (ms, count)
                         })
                         .collect();
-                    (outputs, stats)
+                    launched.push((outputs, stats));
                 }
-            };
-            for (&qi, (matches, count)) in members.iter().zip(outputs) {
+            }
+        }
+        for (g, (outputs, stats)) in self.groups.iter().zip(launched) {
+            for (&qi, (matches, count)) in g.members.iter().zip(outputs) {
                 Self::route(&mut result.deltas[qi], matches, count, &stats, positive);
             }
             result.kernel.absorb(&stats);

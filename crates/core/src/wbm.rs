@@ -47,6 +47,17 @@
 //! store's, and the dedup rule's incident index ([`UpdateOrder`]) is sized
 //! by the phase's anchors.
 //!
+//! Tasks read launch state through a borrow. A [`WbmTask`] holds one
+//! `Arc<KernelShared>`, cloned once per task and once per steal, and its
+//! search state in a separate field. Each step passes `&KernelShared`
+//! (and the `&SeedPlan` resolved from it) alongside `&mut` access to that
+//! state. So a DFS step changes no reference count, and the hot loop
+//! writes only memory its task owns. Shared memory is written only when
+//! a task flushes its matches, every `FLUSH_THRESHOLD` (1024) of them. This
+//! matters on the host: when launch threads on different cores clone and
+//! drop one `Arc` per step, its counter's cache line moves between the
+//! cores on every step.
+//!
 //! # Count-only launches and coalesced search
 //!
 //! Without `collect` (and outside a grouped launch's shared prefix), the
@@ -217,8 +228,9 @@ impl QueryMeta {
 /// State shared by every warp task of one kernel launch.
 pub struct KernelShared {
     /// The device edge store being searched (pre-update graph for the
-    /// negative phase, post-update graph for the positive phase).
-    pub gpma: Gpma,
+    /// negative phase, post-update graph for the positive phase). Every
+    /// grid of one multi-grid launch searches the same store.
+    pub gpma: Arc<Gpma>,
     /// Query metadata.
     pub meta: Arc<QueryMeta>,
     /// Candidate table matching `gpma`'s graph state.
@@ -254,7 +266,7 @@ pub struct KernelShared {
     /// query vertices), completed prefix assignments fork into per-member
     /// suffix searches, and matches route to the group's per-member sinks
     /// instead of [`KernelShared::sink`].
-    pub group: Option<Arc<GroupShared>>,
+    pub group: Option<GroupShared>,
 }
 
 /// One registered query riding a grouped launch. `seeds` is aligned 1:1
@@ -289,11 +301,76 @@ pub struct GroupShared {
     pub counts: Vec<AtomicU64>,
 }
 
+impl GroupShared {
+    /// The launch state of `members`: empty sinks, zero counts.
+    pub(crate) fn new(members: Vec<GroupMember>) -> Self {
+        let nm = members.len();
+        Self {
+            members,
+            sinks: (0..nm).map(|_| Mutex::new(Vec::new())).collect(),
+            counts: (0..nm).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+}
+
 impl KernelShared {
     fn note_matches(&self, n: u64) {
         let total = self.match_count.fetch_add(n, Ordering::Relaxed) + n;
         if total > self.match_limit {
             self.abort.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// The query context a search of seed `si` runs under, as `(seed,
+    /// query, table, collect)`. The shared (truncated) prefix search
+    /// (`member` `None`) runs the launch meta, gated by the
+    /// representative's table in a grouped launch; a member suffix search
+    /// runs the member's own full order, query graph and table.
+    fn context(
+        &self,
+        member: Option<u32>,
+        si: usize,
+    ) -> (&SeedPlan, &QueryGraph, &CandidateTable, bool) {
+        match member {
+            None => {
+                let table = self
+                    .group
+                    .as_ref()
+                    .map_or(&self.table, |g| &g.members[0].table);
+                (&self.meta.seeds[si], &self.meta.q, table, self.collect)
+            }
+            Some(mi) => {
+                let mem = &self
+                    .group
+                    .as_ref()
+                    .expect("member state requires a group")
+                    .members[mi as usize];
+                (&mem.seeds[si], &mem.q, &mem.table, mem.collect)
+            }
+        }
+    }
+
+    /// Candidate gate for query vertex `qv` at a given DFS `level` of
+    /// `seed`. Inside a class representative's `V^k` phase the test uses
+    /// the `V^k`-restricted code (weaker, so member-edge matches survive to
+    /// be recovered by permutation); everywhere else it uses the full
+    /// candidate table.
+    #[inline]
+    fn candidate_ok(
+        &self,
+        seed: &SeedPlan,
+        table: &CandidateTable,
+        level: usize,
+        qv: u8,
+        v: VertexId,
+    ) -> bool {
+        match seed.class {
+            Some(ci) if level < seed.vk_size => {
+                let ucode = self.meta.class_vk_codes[ci][qv as usize];
+                let vcode = self.encodings.get(v as usize).copied().unwrap_or(0);
+                crate::encoding::EncodingScheme::is_candidate(ucode, vcode)
+            }
+            _ => table.is_candidate(v, qv),
         }
     }
 }
@@ -344,9 +421,61 @@ struct DfsState {
     member: Option<u32>,
 }
 
-/// The warp task for one update edge.
+impl DfsState {
+    /// Splits off half of the unexplored candidates of the shallowest
+    /// frame with at least two beyond its current one, with their parent
+    /// partial match (the paper's "appropriates half of the unexplored
+    /// candidates along with their parents"). `order` is the state's seed
+    /// order.
+    fn split_frame(&mut self, order: &[u8]) -> Option<DfsState> {
+        let num_frames = self.frames.len();
+        for (fi, f) in self.frames.iter_mut().enumerate() {
+            let level = self.base_level + fi;
+            let top = fi + 1 == num_frames;
+            // Non-top frames have their current candidate assigned at
+            // `p`; unexplored start at p+1. Top frame: unexplored at p.
+            let first_unexplored = if top { f.p } else { f.p + 1 };
+            let unexplored = f.cands.len().saturating_sub(first_unexplored);
+            if unexplored < 2 {
+                continue;
+            }
+            let take = unexplored / 2;
+            let stolen: Vec<VertexId> = f.cands.split_off(f.cands.len() - take);
+            // Parent partial: assignments for levels < this frame's.
+            let mut m = VMatch::EMPTY;
+            for &qv in &order[..level] {
+                if let Some(v) = self.m.get(qv) {
+                    m.set(qv, v);
+                }
+            }
+            return Some(DfsState {
+                seed: self.seed,
+                base_level: level,
+                m,
+                frames: vec![Frame {
+                    cands: stolen,
+                    p: 0,
+                    memo_last: None,
+                }],
+                warm: false,
+                member: self.member,
+            });
+        }
+        None
+    }
+}
+
+/// The warp task for one update edge: the launch state it reads, one
+/// `Arc` per task, and the search state it writes.
 pub struct WbmTask {
     shared: Arc<KernelShared>,
+    search: Search,
+}
+
+/// Everything a [`WbmTask`] writes. Its methods take the launch state as a
+/// separate `&KernelShared` borrow, so a DFS step touches no reference
+/// count and writes only memory its task owns.
+struct Search {
     /// Update edge endpoints (anchor).
     v1: VertexId,
     v2: VertexId,
@@ -401,25 +530,30 @@ impl WbmTask {
     /// Creates the task for `anchor` (an insertion for the positive phase,
     /// a deletion for the negative phase) with batch order `anchor_order`.
     pub fn new(shared: Arc<KernelShared>, anchor: &Update, anchor_order: u32) -> Self {
-        let mut seed_queue = VecDeque::new();
-        for (si, _) in shared.meta.seeds.iter().enumerate() {
-            seed_queue.push_back((si, false));
-            seed_queue.push_back((si, true));
-        }
-        let nm = shared.group.as_ref().map_or(0, |g| g.members.len());
+        let members = shared.group.as_ref().map_or(0, |g| g.members.len());
+        let mut search = Search::new(anchor.u, anchor.v, anchor.label, anchor_order, members);
+        search.seed_queue = (0..shared.meta.seeds.len())
+            .flat_map(|si| [(si, false), (si, true)])
+            .collect();
+        Self { shared, search }
+    }
+}
+
+impl Search {
+    /// An idle search of one anchor: nothing queued, empty scratch.
+    fn new(v1: VertexId, v2: VertexId, elabel: ELabel, anchor_order: u32, members: usize) -> Self {
         Self {
-            shared,
-            v1: anchor.u,
-            v2: anchor.v,
-            elabel: anchor.label,
+            v1,
+            v2,
+            elabel,
             anchor_order,
-            seed_queue,
+            seed_queue: VecDeque::new(),
             pending: VecDeque::new(),
             state: None,
             local: Vec::new(),
             local_count: 0,
-            member_local: vec![Vec::new(); nm],
-            member_count: vec![0; nm],
+            member_local: vec![Vec::new(); members],
+            member_count: vec![0; members],
             pool: Vec::new(),
             others_buf: Vec::new(),
             chunk_buf: Vec::new(),
@@ -427,31 +561,25 @@ impl WbmTask {
         }
     }
 
-    /// A fresh task sharing this one's anchor and launch state (the shape
-    /// every `try_split` thief starts from).
+    /// A fresh search of this one's anchor (the shape every `try_split`
+    /// thief starts from).
     fn child(
         &self,
         seed_queue: VecDeque<(usize, bool)>,
         pending: VecDeque<PendingPartial>,
         state: Option<DfsState>,
-    ) -> WbmTask {
-        WbmTask {
-            shared: Arc::clone(&self.shared),
-            v1: self.v1,
-            v2: self.v2,
-            elabel: self.elabel,
-            anchor_order: self.anchor_order,
+    ) -> Search {
+        Search {
             seed_queue,
             pending,
             state,
-            local: Vec::new(),
-            local_count: 0,
-            member_local: vec![Vec::new(); self.member_local.len()],
-            member_count: vec![0; self.member_count.len()],
-            pool: Vec::new(),
-            others_buf: Vec::new(),
-            chunk_buf: Vec::new(),
-            steps: 0,
+            ..Search::new(
+                self.v1,
+                self.v2,
+                self.elabel,
+                self.anchor_order,
+                self.member_count.len(),
+            )
         }
     }
 
@@ -477,15 +605,25 @@ impl WbmTask {
         self.pool.push(buf);
     }
 
-    fn flush(&mut self) {
+    /// Pops the top frame and recycles its buffers.
+    fn pop_frame(&mut self, st: &mut DfsState) {
+        if let Some(f) = st.frames.pop() {
+            self.recycle(f.cands);
+            if let Some(s) = f.memo_last {
+                self.recycle(s);
+            }
+        }
+    }
+
+    fn flush(&mut self, sh: &KernelShared) {
         if self.local_count > 0 {
-            self.shared.note_matches(self.local_count);
+            sh.note_matches(self.local_count);
             self.local_count = 0;
         }
         if !self.local.is_empty() {
-            self.shared.sink.lock().append(&mut self.local);
+            sh.sink.lock().append(&mut self.local);
         }
-        if let Some(grp) = self.shared.group.clone() {
+        if let Some(grp) = &sh.group {
             for (mi, c) in self.member_count.iter_mut().enumerate() {
                 if *c > 0 {
                     grp.counts[mi].fetch_add(*c, Ordering::Relaxed);
@@ -500,19 +638,19 @@ impl WbmTask {
         }
     }
 
-    fn emit(&mut self, m: VMatch) {
+    fn emit(&mut self, sh: &KernelShared, m: VMatch) {
         self.local_count += 1;
-        if self.shared.collect {
+        if sh.collect {
             self.local.push(m);
         }
         if self.local.len() >= FLUSH_THRESHOLD || self.local_count >= FLUSH_THRESHOLD as u64 {
-            self.flush();
+            self.flush(sh);
         }
     }
 
     /// Routes a complete match of group member `mi` to its sink/count
     /// (`local_count` still feeds the launch-wide match limit).
-    fn emit_member(&mut self, mi: u32, m: VMatch, collect: bool) {
+    fn emit_member(&mut self, sh: &KernelShared, mi: u32, m: VMatch, collect: bool) {
         self.local_count += 1;
         self.member_count[mi as usize] += 1;
         if collect {
@@ -521,17 +659,20 @@ impl WbmTask {
         if self.member_local[mi as usize].len() >= FLUSH_THRESHOLD
             || self.local_count >= FLUSH_THRESHOLD as u64
         {
-            self.flush();
+            self.flush(sh);
         }
     }
 
-    /// Bulk count for group member `mi` (the count-only fast paths of a
-    /// member suffix search).
-    fn note_member_count(&mut self, mi: u32, n: u64) {
+    /// Bulk count of the count-only fast paths, for group member `member`
+    /// if the search is a member suffix (`local_count` feeds the
+    /// launch-wide match limit either way).
+    fn note_count(&mut self, sh: &KernelShared, member: Option<u32>, n: u64) {
         self.local_count += n;
-        self.member_count[mi as usize] += n;
+        if let Some(mi) = member {
+            self.member_count[mi as usize] += n;
+        }
         if self.local_count >= FLUSH_THRESHOLD as u64 {
-            self.flush();
+            self.flush(sh);
         }
     }
 
@@ -542,9 +683,15 @@ impl WbmTask {
     /// registration-time grouping invariant, so the remapped partial is
     /// exactly the state the member's independent search would have
     /// reached. Members whose whole order is the prefix emit directly.
-    fn fork_members(&mut self, grp: &GroupShared, si: usize, m: &VMatch, ctx: &mut WarpCtx) {
-        let meta = Arc::clone(&self.shared.meta);
-        let rep_order = &meta.seeds[si].order;
+    fn fork_members(
+        &mut self,
+        sh: &KernelShared,
+        grp: &GroupShared,
+        si: usize,
+        m: &VMatch,
+        ctx: &mut WarpCtx,
+    ) {
+        let rep_order = &sh.meta.seeds[si].order;
         let p = rep_order.len();
         for (mi, mem) in grp.members.iter().enumerate() {
             ctx.compute(p as u64);
@@ -554,7 +701,7 @@ impl WbmTask {
                 mm.set(mord[l], m.at(rep_order[l]));
             }
             if mord.len() == p {
-                self.emit_member(mi as u32, mm, mem.collect);
+                self.emit_member(sh, mi as u32, mm, mem.collect);
             } else {
                 self.pending.push_back(PendingPartial {
                     m: mm,
@@ -566,41 +713,17 @@ impl WbmTask {
         }
     }
 
-    /// Candidate gate for query vertex `qv` at a given DFS `level` of
-    /// `seed`. Inside a class representative's `V^k` phase the test uses
-    /// the `V^k`-restricted code (weaker, so member-edge matches survive to
-    /// be recovered by permutation); everywhere else it uses the full
-    /// candidate table.
-    #[inline]
-    fn candidate_ok(
-        &self,
-        seed: &SeedPlan,
-        table: &CandidateTable,
-        level: usize,
-        qv: u8,
-        v: VertexId,
-    ) -> bool {
-        match seed.class {
-            Some(ci) if level < seed.vk_size => {
-                let ucode = self.shared.meta.class_vk_codes[ci][qv as usize];
-                let vcode = self.shared.encodings.get(v as usize).copied().unwrap_or(0);
-                crate::encoding::EncodingScheme::is_candidate(ucode, vcode)
-            }
-            _ => table.is_candidate(v, qv),
-        }
-    }
-
     /// Validates and installs the next seed; returns the ready state.
-    fn start_seed(&mut self, si: usize, flipped: bool, ctx: &mut WarpCtx) -> Option<DfsState> {
-        let meta = Arc::clone(&self.shared.meta);
-        let grp = self.shared.group.clone();
-        let seed = &meta.seeds[si];
+    fn start_seed(
+        &self,
+        sh: &KernelShared,
+        si: usize,
+        flipped: bool,
+        ctx: &mut WarpCtx,
+    ) -> Option<DfsState> {
         // Grouped launches gate the shared prefix (including the two
         // anchored levels) with the representative's table.
-        let table = match &grp {
-            Some(g) => &g.members[0].table,
-            None => &self.shared.table,
-        };
+        let (seed, _, table, _) = sh.context(None, si);
         let (x, y) = if flipped {
             (self.v2, self.v1)
         } else {
@@ -612,8 +735,8 @@ impl WbmTask {
         }
         // Candidate gate for the two anchored vertices (levels 0 and 1).
         ctx.shared_access(2);
-        if !self.candidate_ok(seed, table, 0, seed.a, x)
-            || !self.candidate_ok(seed, table, 1, seed.b, y)
+        if !sh.candidate_ok(seed, table, 0, seed.a, x)
+            || !sh.candidate_ok(seed, table, 1, seed.b, y)
         {
             return None;
         }
@@ -640,8 +763,10 @@ impl WbmTask {
     /// resumes where the previous one stopped (the warp-cooperative
     /// binary-search intersection of §IV-C, now also realized on the
     /// host).
+    #[allow(clippy::too_many_arguments)]
     fn gen_candidates(
         &mut self,
+        sh: &KernelShared,
         seed: &SeedPlan,
         q: &QueryGraph,
         table: &CandidateTable,
@@ -650,16 +775,18 @@ impl WbmTask {
         ctx: &mut WarpCtx,
     ) -> Vec<VertexId> {
         let mut out = self.take_buf(ctx);
-        self.scan_candidates(seed, q, table, level, m, ctx, |c| out.push(c));
+        self.scan_candidates(sh, seed, q, table, level, m, ctx, |c| out.push(c));
         out
     }
 
-    /// [`WbmTask::gen_candidates`] without materialization: the number of
+    /// [`Search::gen_candidates`] without materialization: the number of
     /// valid candidates only. Used by the count-only fast path at the last
     /// DFS level, where the candidate set would be consumed solely to be
     /// counted.
+    #[allow(clippy::too_many_arguments)]
     fn count_candidates(
         &mut self,
+        sh: &KernelShared,
         seed: &SeedPlan,
         q: &QueryGraph,
         table: &CandidateTable,
@@ -668,12 +795,12 @@ impl WbmTask {
         ctx: &mut WarpCtx,
     ) -> u64 {
         let mut n = 0u64;
-        self.scan_candidates(seed, q, table, level, m, ctx, |_| n += 1);
+        self.scan_candidates(sh, seed, q, table, level, m, ctx, |_| n += 1);
         n
     }
 
-    /// The scan core shared by [`WbmTask::gen_candidates`] and
-    /// [`WbmTask::count_candidates`]: streams every valid candidate into
+    /// The scan core shared by [`Search::gen_candidates`] and
+    /// [`Search::count_candidates`]: streams every valid candidate into
     /// `sink`, in ascending vertex order.
     ///
     /// Shape (Prealloc-Combine): base-run survivors of the cheap per-vertex
@@ -688,6 +815,7 @@ impl WbmTask {
     #[allow(clippy::too_many_arguments)]
     fn scan_candidates(
         &mut self,
+        sh: &KernelShared,
         seed: &SeedPlan,
         q: &QueryGraph,
         table: &CandidateTable,
@@ -696,16 +824,15 @@ impl WbmTask {
         ctx: &mut WarpCtx,
         mut sink: impl FnMut(VertexId),
     ) {
-        let shared = Arc::clone(&self.shared);
         let qv = seed.order[level];
         // Matched backward neighbors of qv; the smallest adjacency list
         // seeds the scan, the rest are probed by chunked merge cursors.
         let mut base: Option<(VertexId, ELabel, usize)> = None; // (vertex, required elabel, degree)
         let mut others = std::mem::take(&mut self.others_buf);
         others.clear();
-        let gpma = &shared.gpma;
-        let uord = &shared.update_order;
-        let sigs: &[u64] = if shared.signatures {
+        let gpma: &Gpma = &sh.gpma;
+        let uord = &sh.update_order;
+        let sigs: &[u64] = if sh.signatures {
             gpma.signatures()
         } else {
             &[]
@@ -757,10 +884,10 @@ impl WbmTask {
         // branch of `candidate_ok`, resolved once instead of per
         // candidate).
         let vk_code: Option<u64> = match seed.class {
-            Some(ci) if level < seed.vk_size => Some(shared.meta.class_vk_codes[ci][qv as usize]),
+            Some(ci) if level < seed.vk_size => Some(sh.meta.class_vk_codes[ci][qv as usize]),
             _ => None,
         };
-        let encodings: &[u64] = &shared.encodings;
+        let encodings: &[u64] = &sh.encodings;
         let anchor_order = self.anchor_order;
         // Directory fetch of the base run head, then one warp-coalesced
         // read of the run itself.
@@ -929,8 +1056,14 @@ impl WbmTask {
 
     /// On completing a `V^k` assignment under a class representative seed,
     /// inject the permuted partial matches (coalesced search, §V-B).
-    fn spawn_permutations(&mut self, seed_idx: usize, m: &VMatch, ctx: &mut WarpCtx) {
-        let meta = Arc::clone(&self.shared.meta);
+    fn spawn_permutations(
+        &mut self,
+        sh: &KernelShared,
+        seed_idx: usize,
+        m: &VMatch,
+        ctx: &mut WarpCtx,
+    ) {
+        let meta = &sh.meta;
         let seed = &meta.seeds[seed_idx];
         let Some(ci) = seed.class else { return };
         let class = &meta.plan.classes[ci];
@@ -941,9 +1074,7 @@ impl WbmTask {
             // within-V^k structure is automorphism-invariant, but removed-
             // vertex constraints may no longer hold for the new roles.
             ctx.shared_access(class.vk_size as u64);
-            let ok = pm
-                .pairs()
-                .all(|(w, v)| self.shared.table.is_candidate(v, w));
+            let ok = pm.pairs().all(|(w, v)| sh.table.is_candidate(v, w));
             // A k = 0 member is an automorphism of the whole query, so no
             // vertex changes its code: the count-only multiply relies on it.
             debug_assert!(
@@ -955,7 +1086,7 @@ impl WbmTask {
             }
             if class.vk_size == meta.q.num_vertices() {
                 // k = 0: the permuted partial is already a complete match.
-                self.emit(pm);
+                self.emit(sh, pm);
             } else {
                 self.pending.push_back(PendingPartial {
                     m: pm,
@@ -969,41 +1100,21 @@ impl WbmTask {
 
     /// Advances the DFS by one quantum. Returns `false` when the current
     /// state is exhausted.
-    fn advance(&mut self, ctx: &mut WarpCtx) -> bool {
+    fn advance(&mut self, sh: &KernelShared, ctx: &mut WarpCtx) -> bool {
         let Some(mut st) = self.state.take() else {
             return false;
         };
-        let shared = Arc::clone(&self.shared);
-        let grp = shared.group.clone();
-        // Resolve the state's query context: the shared (truncated) prefix
-        // search runs the launch meta gated by the representative's table;
-        // a member suffix search runs the member's own full order, query
-        // graph and table.
-        let (seed, q, table, collect) = match st.member {
-            None => (
-                &shared.meta.seeds[st.seed],
-                &shared.meta.q,
-                match &grp {
-                    Some(g) => &g.members[0].table,
-                    None => &shared.table,
-                },
-                shared.collect,
-            ),
-            Some(mi) => {
-                let mem =
-                    &grp.as_ref().expect("member state requires a group").members[mi as usize];
-                (&mem.seeds[st.seed], &mem.q, &mem.table, mem.collect)
-            }
-        };
+        let (seed, q, table, collect) = sh.context(st.member, st.seed);
         // Shared-prefix searches of a grouped launch fork per-member
         // continuations at completion instead of emitting.
-        let forking = grp.is_some() && st.member.is_none();
+        let grp = sh.group.as_ref().filter(|_| st.member.is_none());
+        let forking = grp.is_some();
         let n = seed.order.len();
         // Matches one complete assignment stands for in the count-only
         // fast paths: a whole-query class (k = 0) adds one permuted match
         // per member (see the module docs for why each is valid).
         let mult = match seed.class {
-            Some(ci) if seed.vk_size == n => 1 + shared.meta.plan.classes[ci].members.len() as u64,
+            Some(ci) if seed.vk_size == n => 1 + sh.meta.plan.classes[ci].members.len() as u64,
             _ => 1,
         };
 
@@ -1013,16 +1124,14 @@ impl WbmTask {
                 // Degenerate: nothing to extend (k = 0 classes emit
                 // directly and never get here; a 2-long shared prefix
                 // forks straight off the validated anchor pair).
-                if let Some(mi) = st.member {
-                    self.emit_member(mi, st.m, collect);
-                } else if forking {
-                    self.fork_members(grp.as_deref().expect("grouped"), st.seed, &st.m, ctx);
-                } else {
-                    self.emit(st.m);
+                match (st.member, grp) {
+                    (Some(mi), _) => self.emit_member(sh, mi, st.m, collect),
+                    (None, Some(g)) => self.fork_members(sh, g, st.seed, &st.m, ctx),
+                    (None, None) => self.emit(sh, st.m),
                 }
                 return false;
             }
-            let cands = self.gen_candidates(seed, q, table, st.base_level, &st.m, ctx);
+            let cands = self.gen_candidates(sh, seed, q, table, st.base_level, &st.m, ctx);
             if cands.is_empty() {
                 self.recycle(cands);
                 return false;
@@ -1055,22 +1164,8 @@ impl WbmTask {
                     let remaining = f.cands.len() - f.p;
                     f.p = f.cands.len();
                     ctx.compute(remaining as u64);
-                    let matches = remaining as u64 * mult;
-                    match st.member {
-                        Some(mi) => self.note_member_count(mi, matches),
-                        None => {
-                            self.local_count += matches;
-                            if self.local_count >= FLUSH_THRESHOLD as u64 {
-                                self.flush();
-                            }
-                        }
-                    }
-                    if let Some(f) = st.frames.pop() {
-                        self.recycle(f.cands);
-                        if let Some(s) = f.memo_last {
-                            self.recycle(s);
-                        }
-                    }
+                    self.note_count(sh, st.member, remaining as u64 * mult);
+                    self.pop_frame(&mut st);
                     if !self.backtrack(&mut st, seed) {
                         return false;
                     }
@@ -1090,30 +1185,23 @@ impl WbmTask {
                     let mut m = st.m;
                     m.set(qv, c);
                     ctx.compute(1);
-                    match st.member {
-                        Some(mi) => self.emit_member(mi, m, collect),
-                        None if forking => {
-                            self.fork_members(grp.as_deref().expect("grouped"), st.seed, &m, ctx)
-                        }
-                        None => self.emit(m),
+                    match (st.member, grp) {
+                        (Some(mi), _) => self.emit_member(sh, mi, m, collect),
+                        (None, Some(g)) => self.fork_members(sh, g, st.seed, &m, ctx),
+                        (None, None) => self.emit(sh, m),
                     }
                     // Coalesced-search trigger when V^k ends at the last
                     // level (|R^k| = 0 handled at class build; this arm
                     // covers vk_size == n with class present).
                     if seed.class.is_some() && seed.vk_size == n {
-                        self.spawn_permutations(st.seed, &m, ctx);
+                        self.spawn_permutations(sh, st.seed, &m, ctx);
                     }
                     emitted += 1;
                 }
                 let f = &st.frames[top_idx];
                 if f.p >= f.cands.len() {
                     // Lines 12–13: backtrack.
-                    if let Some(f) = st.frames.pop() {
-                        self.recycle(f.cands);
-                        if let Some(s) = f.memo_last {
-                            self.recycle(s);
-                        }
-                    }
+                    self.pop_frame(&mut st);
                     if !self.backtrack(&mut st, seed) {
                         return false;
                     }
@@ -1126,12 +1214,7 @@ impl WbmTask {
             // candidate set is nonempty.
             let f = &mut st.frames[top_idx];
             if f.p >= f.cands.len() {
-                if let Some(f) = st.frames.pop() {
-                    self.recycle(f.cands);
-                    if let Some(s) = f.memo_last {
-                        self.recycle(s);
-                    }
-                }
+                self.pop_frame(&mut st);
                 if !self.backtrack(&mut st, seed) {
                     return false;
                 }
@@ -1160,7 +1243,9 @@ impl WbmTask {
                     if st.frames[top_idx].memo_last.is_none() {
                         st.m.unset(qv);
                         let mut s = self.take_buf(ctx);
-                        self.scan_candidates(seed, q, table, level + 1, &st.m, ctx, |v| s.push(v));
+                        self.scan_candidates(sh, seed, q, table, level + 1, &st.m, ctx, |v| {
+                            s.push(v)
+                        });
                         st.m.set(qv, c);
                         st.frames[top_idx].memo_last = Some(s);
                     }
@@ -1170,33 +1255,24 @@ impl WbmTask {
                     ctx.shared_access((64 - (s.len() as u64).leading_zeros() as u64).max(1));
                     (s.len() - usize::from(s.binary_search(&c).is_ok())) as u64
                 } else {
-                    self.count_candidates(seed, q, table, level + 1, &st.m, ctx)
+                    self.count_candidates(sh, seed, q, table, level + 1, &st.m, ctx)
                 };
                 if crossing_vk {
                     let m = st.m;
-                    self.spawn_permutations(st.seed, &m, ctx);
+                    self.spawn_permutations(sh, st.seed, &m, ctx);
                 }
                 ctx.compute(count);
-                let matches = count * mult;
-                match st.member {
-                    Some(mi) => self.note_member_count(mi, matches),
-                    None => {
-                        self.local_count += matches;
-                        if self.local_count >= FLUSH_THRESHOLD as u64 {
-                            self.flush();
-                        }
-                    }
-                }
+                self.note_count(sh, st.member, count * mult);
                 st.m.unset(qv);
                 st.frames[top_idx].p += 1;
                 budget -= 1;
                 continue;
             }
-            let next = self.gen_candidates(seed, q, table, level + 1, &st.m, ctx);
+            let next = self.gen_candidates(sh, seed, q, table, level + 1, &st.m, ctx);
             if !next.is_empty() {
                 if crossing_vk {
                     let m = st.m;
-                    self.spawn_permutations(st.seed, &m, ctx);
+                    self.spawn_permutations(sh, st.seed, &m, ctx);
                 }
                 st.frames.push(Frame {
                     cands: next,
@@ -1208,7 +1284,7 @@ impl WbmTask {
                     // The V^k partial itself is complete even if it cannot
                     // be extended: permutations may still extend.
                     let m = st.m;
-                    self.spawn_permutations(st.seed, &m, ctx);
+                    self.spawn_permutations(sh, st.seed, &m, ctx);
                 }
                 self.recycle(next);
                 st.m.unset(qv);
@@ -1237,26 +1313,20 @@ impl WbmTask {
             if f.p < f.cands.len() {
                 return true;
             }
-            if let Some(f) = st.frames.pop() {
-                self.recycle(f.cands);
-                if let Some(s) = f.memo_last {
-                    self.recycle(s);
-                }
-            }
+            self.pop_frame(st);
         }
     }
-}
 
-impl WarpTask for WbmTask {
-    fn step(&mut self, ctx: &mut WarpCtx) -> StepResult {
-        poll_deadline(self.shared.deadline, &mut self.steps, &self.shared.abort);
-        if self.shared.abort.load(Ordering::Relaxed) {
-            self.flush();
+    /// One scheduler quantum of the task (see [`WarpTask::step`]).
+    fn step(&mut self, sh: &KernelShared, ctx: &mut WarpCtx) -> StepResult {
+        poll_deadline(sh.deadline, &mut self.steps, &sh.abort);
+        if sh.abort.load(Ordering::Relaxed) {
+            self.flush(sh);
             return StepResult::Done;
         }
         // Continue the running DFS.
         if self.state.is_some() {
-            if self.advance(ctx) {
+            if self.advance(sh, ctx) {
                 return StepResult::Continue;
             }
             self.state = None;
@@ -1277,12 +1347,12 @@ impl WarpTask for WbmTask {
         }
         // Start the next seed.
         while let Some((si, flipped)) = self.seed_queue.pop_front() {
-            if let Some(st) = self.start_seed(si, flipped, ctx) {
+            if let Some(st) = self.start_seed(sh, si, flipped, ctx) {
                 self.state = Some(st);
                 return StepResult::Continue;
             }
         }
-        self.flush();
+        self.flush(sh);
         StepResult::Done
     }
 
@@ -1300,60 +1370,14 @@ impl WarpTask for WbmTask {
         frames + 8 * self.pending.len() as u64 + 16 * self.seed_queue.len() as u64
     }
 
-    fn try_split(&mut self) -> Option<Box<dyn WarpTask>> {
+    /// The search a thief takes (see [`WarpTask::try_split`]).
+    fn split(&mut self, sh: &KernelShared) -> Option<Search> {
         // Priority 1: split the shallowest frame with ≥ 2 unexplored
-        // candidates beyond the current one (the paper's "appropriates half
-        // of the unexplored candidates along with their parents").
+        // candidates beyond the current one.
         if let Some(st) = &mut self.state {
-            let seed = match st.member {
-                None => self.shared.meta.seeds[st.seed].clone(),
-                Some(mi) => self
-                    .shared
-                    .group
-                    .as_ref()
-                    .expect("member state requires a group")
-                    .members[mi as usize]
-                    .seeds[st.seed]
-                    .clone(),
-            };
-            let num_frames = st.frames.len();
-            for (fi, f) in st.frames.iter_mut().enumerate() {
-                let level = st.base_level + fi;
-                let top = fi + 1 == num_frames;
-                // Non-top frames have their current candidate assigned at
-                // `p`; unexplored start at p+1. Top frame: unexplored at p.
-                let first_unexplored = if top { f.p } else { f.p + 1 };
-                let unexplored = f.cands.len().saturating_sub(first_unexplored);
-                if unexplored < 2 {
-                    continue;
-                }
-                let take = unexplored / 2;
-                let stolen: Vec<VertexId> = f.cands.split_off(f.cands.len() - take);
-                // Parent partial: assignments for levels < this frame's.
-                let mut m = VMatch::EMPTY;
-                for l in 0..level {
-                    let qv = seed.order[l];
-                    if let Some(v) = st.m.get(qv) {
-                        m.set(qv, v);
-                    }
-                }
-                let thief_state = DfsState {
-                    seed: st.seed,
-                    base_level: level,
-                    m,
-                    frames: vec![Frame {
-                        cands: stolen,
-                        p: 0,
-                        memo_last: None,
-                    }],
-                    warm: false,
-                    member: st.member,
-                };
-                return Some(Box::new(self.child(
-                    VecDeque::new(),
-                    VecDeque::new(),
-                    Some(thief_state),
-                )));
+            let (seed, ..) = sh.context(st.member, st.seed);
+            if let Some(thief) = st.split_frame(&seed.order) {
+                return Some(self.child(VecDeque::new(), VecDeque::new(), Some(thief)));
             }
         }
         // Priority 2: hand over half of the pending partials.
@@ -1361,23 +1385,41 @@ impl WarpTask for WbmTask {
             let take = self.pending.len() / 2;
             let stolen: VecDeque<PendingPartial> =
                 self.pending.split_off(self.pending.len() - take);
-            return Some(Box::new(self.child(VecDeque::new(), stolen, None)));
+            return Some(self.child(VecDeque::new(), stolen, None));
         }
         // Priority 3: hand over half of the unstarted seeds.
         if self.seed_queue.len() >= 2 {
             let take = self.seed_queue.len() / 2;
             let stolen: VecDeque<(usize, bool)> =
                 self.seed_queue.split_off(self.seed_queue.len() - take);
-            return Some(Box::new(self.child(stolen, VecDeque::new(), None)));
+            return Some(self.child(stolen, VecDeque::new(), None));
         }
         None
+    }
+}
+
+impl WarpTask for WbmTask {
+    fn step(&mut self, ctx: &mut WarpCtx) -> StepResult {
+        self.search.step(&self.shared, ctx)
+    }
+
+    fn remaining_hint(&self) -> u64 {
+        self.search.remaining_hint()
+    }
+
+    fn try_split(&mut self) -> Option<Box<dyn WarpTask>> {
+        let search = self.search.split(&self.shared)?;
+        Some(Box::new(WbmTask {
+            shared: Arc::clone(&self.shared),
+            search,
+        }))
     }
 }
 
 impl Drop for WbmTask {
     fn drop(&mut self) {
         // Safety net: a task dropped early (abort) must not lose counts.
-        self.flush();
+        self.search.flush(&self.shared);
     }
 }
 
@@ -1530,10 +1572,99 @@ pub fn build_update_order(anchors: &[Update]) -> UpdateOrder {
     UpdateOrder::build(anchors)
 }
 
-/// Convenience: launches one kernel phase over `anchors` and returns
-/// `(matches, count, stats)`. The `gpma` and `table` are moved in and
-/// returned, mirroring host↔device buffer ownership. No deadline: only
-/// `abort` and `match_limit` cut the phase short.
+/// What every grid of one kernel phase shares: the store, the anchors and
+/// the limits the batch sets. This is the single-device launch body: a
+/// phase prepares one grid per query or group ([`Phase::grid`]), launches
+/// them in one [`Device::launch_grids`](gamma_gpu::Device::launch_grids)
+/// call, takes each grid's results back ([`finish_grid`]) and then the
+/// store ([`Phase::into_store`]).
+pub(crate) struct Phase<'a> {
+    /// The store every grid searches.
+    pub gpma: Arc<Gpma>,
+    /// One task per anchor in every grid.
+    pub anchors: &'a [Update],
+    /// Each grid's [`KernelShared::match_limit`].
+    pub match_limit: u64,
+    /// The batch's abort flag, shared by every grid: one grid's match
+    /// limit or the passed deadline stops them all.
+    pub abort: Arc<AtomicBool>,
+    /// The batch deadline ([`KernelShared::deadline`]).
+    pub deadline: Option<Instant>,
+    /// [`KernelShared::signatures`].
+    pub signatures: bool,
+}
+
+impl Phase<'_> {
+    /// One grid of the phase: the launch state and one task per anchor,
+    /// either for one query (`group` `None`; `meta`, `table` and `collect`
+    /// are the query's) or for a shared-prefix group (`meta` holds the
+    /// truncated shared seeds and the members' tables ride in `group`).
+    pub(crate) fn grid(
+        &self,
+        meta: Arc<QueryMeta>,
+        table: CandidateTable,
+        encodings: Arc<Vec<u64>>,
+        collect: bool,
+        group: Option<GroupShared>,
+    ) -> (Arc<KernelShared>, Vec<Box<dyn WarpTask>>) {
+        let shared = Arc::new(KernelShared {
+            gpma: Arc::clone(&self.gpma),
+            meta,
+            table,
+            encodings,
+            update_order: UpdateOrder::build(self.anchors),
+            sink: Mutex::new(Vec::new()),
+            match_count: AtomicU64::new(0),
+            collect,
+            abort: Arc::clone(&self.abort),
+            deadline: self.deadline,
+            match_limit: self.match_limit,
+            signatures: self.signatures,
+            group,
+        });
+        let tasks = self
+            .anchors
+            .iter()
+            .enumerate()
+            .map(|(i, a)| Box::new(WbmTask::new(Arc::clone(&shared), a, i as u32)) as _)
+            .collect();
+        (shared, tasks)
+    }
+
+    /// The store, once every grid of the phase is finished.
+    pub(crate) fn into_store(self) -> Gpma {
+        Arc::try_unwrap(self.gpma)
+            .unwrap_or_else(|_| panic!("finished grids must release the store"))
+    }
+}
+
+/// Takes a launched grid's state back and returns, for each query it
+/// served (the one query, or every group member in order), its candidate
+/// table, matches and match count.
+pub(crate) fn finish_grid(shared: Arc<KernelShared>) -> Vec<(CandidateTable, Vec<VMatch>, u64)> {
+    let shared = Arc::try_unwrap(shared)
+        .unwrap_or_else(|_| panic!("kernel tasks must release shared state"));
+    match shared.group {
+        None => vec![(
+            shared.table,
+            shared.sink.into_inner(),
+            shared.match_count.into_inner(),
+        )],
+        Some(g) => g
+            .members
+            .into_iter()
+            .zip(g.sinks)
+            .zip(g.counts)
+            .map(|((m, s), c)| (m.table, s.into_inner(), c.into_inner()))
+            .collect(),
+    }
+}
+
+/// Convenience: launches one kernel phase over `anchors` as one grid and
+/// returns `(gpma, table, matches, count, stats)`. The
+/// `gpma` and `table` are moved in and returned, mirroring host↔device
+/// buffer ownership. No deadline: only `abort` and `match_limit` cut the
+/// phase short.
 #[allow(clippy::too_many_arguments)]
 pub fn run_phase(
     device: &gamma_gpu::Device,
@@ -1553,172 +1684,20 @@ pub fn run_phase(
     u64,
     gamma_gpu::KernelStats,
 ) {
-    run_phase_until(
-        device,
-        gpma,
-        meta,
-        table,
-        encodings,
+    let phase = Phase {
+        gpma: Arc::new(gpma),
         anchors,
-        collect,
         match_limit,
         abort,
-        None,
-        bitmap_intersect,
-    )
-}
-
-/// [`run_phase`] under a batch deadline: every task polls it
-/// ([`poll_deadline`]) and sets `abort` once it has passed.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_phase_until(
-    device: &gamma_gpu::Device,
-    gpma: Gpma,
-    meta: Arc<QueryMeta>,
-    table: CandidateTable,
-    encodings: Arc<Vec<u64>>,
-    anchors: &[Update],
-    collect: bool,
-    match_limit: u64,
-    abort: Arc<AtomicBool>,
-    deadline: Option<Instant>,
-    bitmap_intersect: bool,
-) -> (
-    Gpma,
-    CandidateTable,
-    Vec<VMatch>,
-    u64,
-    gamma_gpu::KernelStats,
-) {
-    let (shared, stats) = launch(
-        device,
-        gpma,
-        meta,
-        table,
-        encodings,
-        anchors,
-        collect,
-        match_limit,
-        abort,
-        deadline,
-        bitmap_intersect,
-        None,
-    );
-    let count = shared.match_count.load(Ordering::Relaxed);
-    (
-        shared.gpma,
-        shared.table,
-        shared.sink.into_inner(),
-        count,
-        stats,
-    )
-}
-
-/// Launches one *grouped* kernel phase over `anchors`: the shared-prefix
-/// levels of every seed run once (gated by member 0's table under `meta`'s
-/// truncated orders), fork into per-member suffix searches where the
-/// registered patterns diverge, and each member's matches land in its own
-/// slot of the returned `(matches, count)` vector — bit-identical to
-/// running each member through [`run_phase`] alone (the `QueryRegistry`
-/// parity gate).
-///
-/// `members[0]` must be the group representative whose (full) orders
-/// `meta`'s seeds truncate. Ownership of `gpma` and the members (their
-/// tables in particular) round-trips, mirroring host↔device buffers.
-/// `deadline`, if any, is polled as [`KernelShared::deadline`] says.
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-pub fn run_group_phase(
-    device: &gamma_gpu::Device,
-    gpma: Gpma,
-    meta: Arc<QueryMeta>,
-    members: Vec<GroupMember>,
-    encodings: Arc<Vec<u64>>,
-    anchors: &[Update],
-    match_limit: u64,
-    abort: Arc<AtomicBool>,
-    deadline: Option<Instant>,
-    bitmap_intersect: bool,
-) -> (
-    Gpma,
-    Vec<GroupMember>,
-    Vec<(Vec<VMatch>, u64)>,
-    gamma_gpu::KernelStats,
-) {
-    let nm = members.len();
-    let group = Arc::new(GroupShared {
-        members,
-        sinks: (0..nm).map(|_| Mutex::new(Vec::new())).collect(),
-        counts: (0..nm).map(|_| AtomicU64::new(0)).collect(),
-    });
-    let (shared, stats) = launch(
-        device,
-        gpma,
-        meta,
-        CandidateTable::empty(),
-        encodings,
-        anchors,
-        false,
-        match_limit,
-        abort,
-        deadline,
-        bitmap_intersect,
-        Some(Arc::clone(&group)),
-    );
-    drop(shared.group);
-    let group =
-        Arc::try_unwrap(group).unwrap_or_else(|_| panic!("kernel tasks must release group state"));
-    let per_member: Vec<(Vec<VMatch>, u64)> = group
-        .sinks
-        .into_iter()
-        .zip(group.counts)
-        .map(|(s, c)| (s.into_inner(), c.load(Ordering::Relaxed)))
-        .collect();
-    (shared.gpma, group.members, per_member, stats)
-}
-
-/// The launch body [`run_phase_until`] and [`run_group_phase`] share:
-/// build the phase's update order (O(batch); the run signatures are the
-/// store's), build the shared kernel state, launch one task per anchor,
-/// and take the state back once every task released it.
-#[allow(clippy::too_many_arguments)]
-fn launch(
-    device: &gamma_gpu::Device,
-    gpma: Gpma,
-    meta: Arc<QueryMeta>,
-    table: CandidateTable,
-    encodings: Arc<Vec<u64>>,
-    anchors: &[Update],
-    collect: bool,
-    match_limit: u64,
-    abort: Arc<AtomicBool>,
-    deadline: Option<Instant>,
-    bitmap_intersect: bool,
-    group: Option<Arc<GroupShared>>,
-) -> (KernelShared, gamma_gpu::KernelStats) {
-    let shared = Arc::new(KernelShared {
-        gpma,
-        meta,
-        table,
-        encodings,
-        update_order: UpdateOrder::build(anchors),
-        sink: Mutex::new(Vec::new()),
-        match_count: AtomicU64::new(0),
-        collect,
-        abort,
-        deadline,
-        match_limit,
+        deadline: None,
         signatures: bitmap_intersect,
-        group,
-    });
-    let tasks: Vec<Box<dyn WarpTask>> = anchors
-        .iter()
-        .enumerate()
-        .map(|(i, a)| Box::new(WbmTask::new(Arc::clone(&shared), a, i as u32)) as _)
-        .collect();
+    };
+    let (shared, tasks) = phase.grid(meta, table, encodings, collect, None);
     let stats = device.launch(tasks);
-    let shared = Arc::try_unwrap(shared)
-        .unwrap_or_else(|_| panic!("kernel tasks must release shared state"));
-    (shared, stats)
+    let (table, matches, count) = finish_grid(shared)
+        .pop()
+        .expect("an ungrouped grid serves one query");
+    (phase.into_store(), table, matches, count, stats)
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ fn run_raw_block(
     let meta = Arc::new(QueryMeta::build(q, &table, enc.scheme(), coalesced, 2));
     let gpma = Gpma::from_graph(g2, GpmaConfig::default());
     let shared = Arc::new(KernelShared {
-        gpma,
+        gpma: Arc::new(gpma),
         meta,
         table,
         encodings: Arc::clone(&enc.encodings),
@@ -466,11 +466,15 @@ fn timeout_edges_on_every_view() {
     let d = DatasetPreset::GH.build(0.05, 56);
     let queries = generate_queries(&d.graph, QueryClass::Sparse, 5, 1, 57);
     let q = &queries[0];
+    let other = &generate_queries(&d.graph, QueryClass::Dense, 4, 1, 59)[0];
     let mut g = d.graph.clone();
     let inserts = gamma_datasets::split_insertion_workload(&mut g, 0.05, 58);
     let deletes: Vec<Update> = inserts.iter().map(|u| Update::delete(u.u, u.v)).collect();
+    // A timed-out batch leaves the store and every table in place, so the
+    // batch after it runs.
     let batches = [inserts, deletes];
-    // (positive, negative, timed_out) per batch, on each of the four views.
+    const VIEWS: usize = 5;
+    // (positive, negative, timed_out) per batch, on each view.
     let run = |timeout: Option<Duration>| -> Vec<(u64, u64, bool)> {
         let mut cfg = GammaConfig::default();
         cfg.timeout = timeout;
@@ -480,11 +484,21 @@ fn timeout_edges_on_every_view() {
         };
         let mut out = Vec::new();
         let mut engine = GammaEngine::new(g.clone(), q, cfg.clone());
-        let mut reg = QueryRegistry::new(g.clone(), cfg);
+        let mut reg = QueryRegistry::new(g.clone(), cfg.clone());
         let id = reg.register(q, QueryConfig::default());
         let mut sengine = ShardedEngine::new(g.clone(), q, sharded.clone());
         let mut sreg = ShardedQueryRegistry::new(g.clone(), sharded);
         let sid = sreg.register(q);
+        // Two groups in one launch call per phase: `q` twice (a
+        // shared-prefix group) and a pattern of its own.
+        let mut greg = QueryRegistry::new(g.clone(), cfg);
+        let gid = greg.register(q, QueryConfig::default());
+        greg.register(q, QueryConfig::default());
+        greg.register(other, QueryConfig::default());
+        assert_eq!(
+            greg.groups().iter().map(Vec::len).collect::<Vec<_>>(),
+            [2, 1]
+        );
         for b in &batches {
             let r = engine.apply_batch(b);
             out.push((r.positive_count, r.negative_count, r.stats.timed_out));
@@ -496,19 +510,33 @@ fn timeout_edges_on_every_view() {
             let r = sreg.apply_batch(b);
             let dq = r.delta(sid).expect("registered");
             out.push((dq.positive_count, dq.negative_count, r.timed_out));
+            let r = greg.apply_batch(b);
+            let dq = r.delta(gid).expect("registered");
+            out.push((dq.positive_count, dq.negative_count, r.timed_out));
         }
         out
     };
     let none = run(None);
     assert!(none.iter().all(|&(_, _, t)| !t), "{none:?}");
     assert!(
-        none[0].0 > 0 && none[4].1 > 0,
+        none[0].0 > 0 && none[VIEWS].1 > 0,
         "the batches must match: {none:?}"
     );
+    for batch in none.chunks(VIEWS) {
+        assert!(
+            batch.iter().all(|v| v == &batch[0]),
+            "views disagree: {none:?}"
+        );
+    }
     assert_eq!(run(Some(Duration::MAX)), none, "Duration::MAX");
     for timeout in [Duration::ZERO, Duration::from_nanos(1)] {
         for (i, &(_, _, t)) in run(Some(timeout)).iter().enumerate() {
-            assert!(t, "batch {} on view {} ran past {timeout:?}", i / 4, i % 4);
+            assert!(
+                t,
+                "batch {} on view {} ran past {timeout:?}",
+                i / VIEWS,
+                i % VIEWS
+            );
         }
     }
 }

@@ -5,6 +5,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 use crate::block::run_block;
 use crate::stats::{BlockStats, KernelStats};
@@ -37,20 +38,53 @@ impl Device {
     ///
     /// Device makespan is the max over SMs of the sum of makespans of the
     /// blocks that SM executed (blocks are picked up greedily, modeling the
-    /// hardware block scheduler).
+    /// hardware block scheduler). The one-grid case of
+    /// [`Device::launch_grids`].
     pub fn launch(&self, tasks: Vec<Box<dyn WarpTask>>) -> KernelStats {
-        let started = std::time::Instant::now();
-        let num_tasks = tasks.len();
-        let mut blocks: Vec<Vec<Box<dyn WarpTask>>> = Vec::new();
-        let mut current: Vec<Box<dyn WarpTask>> = Vec::new();
-        for t in tasks {
-            current.push(t);
-            if current.len() == self.config.warps_per_block {
-                blocks.push(std::mem::take(&mut current));
+        self.launch_grids(vec![tasks])
+            .pop()
+            .expect("one stats per grid")
+    }
+
+    /// Launches several grids in one call and returns each grid's stats,
+    /// in order. Every grid is chunked into blocks as [`Device::launch`]
+    /// does, and the blocks of all grids go into one claim queue, grid by
+    /// grid, served by `min(num_sms, host parallelism, blocks)` host
+    /// threads. So the host overlaps the grids, while the simulated device
+    /// still runs them as serial kernels: each grid's stats aggregate its
+    /// own blocks only, and its `device_cycles` is the bound over its own
+    /// blocks, exactly as a lone launch of its tasks reports.
+    ///
+    /// The grids' `wall_seconds` sum to the call's elapsed time, split in
+    /// proportion to the host time of each grid's blocks (evenly when no
+    /// block ran); a one-grid call reports its elapsed time. A task that
+    /// panics, in any grid, makes this call panic once every block has
+    /// retired; the pool keeps serving.
+    pub fn launch_grids(&self, grids: Vec<Vec<Box<dyn WarpTask>>>) -> Vec<KernelStats> {
+        let started = Instant::now();
+        let mut blocks: Vec<(usize, Vec<Box<dyn WarpTask>>)> = Vec::new();
+        let mut per_grid = Vec::with_capacity(grids.len());
+        for (gi, tasks) in grids.into_iter().enumerate() {
+            let before = blocks.len();
+            let num_tasks = tasks.len();
+            let mut current: Vec<Box<dyn WarpTask>> = Vec::new();
+            for t in tasks {
+                current.push(t);
+                if current.len() == self.config.warps_per_block {
+                    blocks.push((gi, std::mem::take(&mut current)));
+                }
             }
-        }
-        if !current.is_empty() {
-            blocks.push(current);
+            if !current.is_empty() {
+                blocks.push((gi, current));
+            }
+            per_grid.push(Grid {
+                stats: KernelStats {
+                    num_blocks: blocks.len() - before,
+                    num_tasks,
+                    ..Default::default()
+                },
+                ..Default::default()
+            });
         }
 
         let num_blocks = blocks.len();
@@ -59,11 +93,8 @@ impl Device {
             cfg: self.config.clone(),
             blocks: Mutex::new(blocks.into_iter()),
             progress: Mutex::new(Progress {
-                stats: KernelStats {
-                    num_blocks,
-                    num_tasks,
-                    ..Default::default()
-                },
+                grids: per_grid,
+                blocks: num_blocks,
                 ..Default::default()
             }),
             retired: Condvar::new(),
@@ -77,16 +108,30 @@ impl Device {
             panic::resume_unwind(payload);
         }
 
-        let mut stats = progress.stats;
-        // Device makespan: with many blocks in flight the hardware block
-        // scheduler approaches the LPT bound
-        // `max(ceil(total / num_sms), longest single block)`. Using the
-        // bound (instead of the racy host assignment realized above) keeps
-        // the simulated clock deterministic.
-        let ideal = stats.total_block_cycles.div_ceil(sm_count as u64);
-        stats.device_cycles = ideal.max(progress.max_block_cycles);
-        stats.wall_seconds = started.elapsed().as_secs_f64();
-        stats
+        let elapsed = started.elapsed().as_secs_f64();
+        let host_total: f64 = progress.grids.iter().map(|g| g.host_seconds).sum();
+        let even = 1.0 / progress.grids.len() as f64;
+        progress
+            .grids
+            .into_iter()
+            .map(|g| {
+                let mut stats = g.stats;
+                // Device makespan: with many blocks in flight the hardware
+                // block scheduler approaches the LPT bound
+                // `max(ceil(total / num_sms), longest single block)`. Using
+                // the bound (instead of the racy host assignment realized
+                // above) keeps the simulated clock deterministic.
+                let ideal = stats.total_block_cycles.div_ceil(sm_count as u64);
+                stats.device_cycles = ideal.max(g.max_block_cycles);
+                let share = if host_total > 0.0 {
+                    g.host_seconds / host_total
+                } else {
+                    even
+                };
+                stats.wall_seconds = elapsed * share;
+                stats
+            })
+            .collect()
     }
 
     /// Converts simulated cycles into simulated seconds using the device
@@ -96,32 +141,44 @@ impl Device {
     }
 }
 
-/// One launch's grid, shared by every host thread working on it. Owned
-/// (`Arc`, `'static` tasks), so a helper never borrows the launching
-/// thread's stack.
+/// One launch call's grids, shared by every host thread working on it.
+/// Owned (`Arc`, `'static` tasks), so a helper never borrows the
+/// launching thread's stack.
 struct Launch {
     cfg: DeviceConfig,
-    /// The blocks no thread has claimed yet, in launch order.
-    blocks: Mutex<std::vec::IntoIter<Vec<Box<dyn WarpTask>>>>,
+    /// The blocks no thread has claimed yet, in launch order, each tagged
+    /// with its grid's index.
+    blocks: Mutex<std::vec::IntoIter<(usize, Vec<Box<dyn WarpTask>>)>>,
     progress: Mutex<Progress>,
     /// Signalled when the last block retires.
     retired: Condvar,
 }
 
-/// Aggregated outcome of a launch's retired blocks. Sums and a max, so
-/// the result is independent of which thread ran which block.
+/// Aggregated outcome of a launch's retired blocks.
 #[derive(Default)]
 struct Progress {
-    stats: KernelStats,
-    max_block_cycles: u64,
+    grids: Vec<Grid>,
+    /// Blocks over every grid.
+    blocks: usize,
     retired: usize,
     /// The first panic a block raised, re-raised on the launching thread.
     panic: Option<Box<dyn Any + Send>>,
 }
 
-impl Progress {
-    fn absorb(&mut self, s: &BlockStats) {
+/// One grid's aggregate. Sums and a max, so the result is independent of
+/// which thread ran which block.
+#[derive(Default)]
+struct Grid {
+    stats: KernelStats,
+    max_block_cycles: u64,
+    /// Host seconds its blocks ran, summed over threads.
+    host_seconds: f64,
+}
+
+impl Grid {
+    fn absorb(&mut self, s: &BlockStats, host_seconds: f64) {
         self.max_block_cycles = self.max_block_cycles.max(s.makespan_cycles);
+        self.host_seconds += host_seconds;
         let a = &mut self.stats;
         a.total_block_cycles += s.makespan_cycles;
         a.busy_cycles += s.busy_cycles;
@@ -138,19 +195,21 @@ impl Launch {
     /// Claims and runs blocks until none is left unclaimed.
     fn work(&self) {
         loop {
-            let Some(tasks) = lock(&self.blocks).next() else {
+            let Some((gi, tasks)) = lock(&self.blocks).next() else {
                 return;
             };
+            let started = Instant::now();
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_block(tasks, &self.cfg)));
+            let host_seconds = started.elapsed().as_secs_f64();
             let mut p = lock(&self.progress);
             match outcome {
-                Ok(o) => p.absorb(&o.stats),
+                Ok(o) => p.grids[gi].absorb(&o.stats, host_seconds),
                 Err(payload) => {
                     p.panic.get_or_insert(payload);
                 }
             }
             p.retired += 1;
-            if p.retired == p.stats.num_blocks {
+            if p.retired == p.blocks {
                 self.retired.notify_all();
             }
         }
@@ -161,7 +220,7 @@ impl Launch {
     /// claimed none of this launch's blocks.
     fn wait(&self) -> Progress {
         let mut p = lock(&self.progress);
-        while p.retired < p.stats.num_blocks {
+        while p.retired < p.blocks {
             p = self.retired.wait(p).unwrap_or_else(PoisonError::into_inner);
         }
         std::mem::take(&mut *p)
@@ -337,16 +396,44 @@ mod tests {
             .collect();
         let start = std::sync::Barrier::new(8);
         std::thread::scope(|s| {
-            for (t, want) in expected.iter().enumerate() {
-                let (dev, start) = (&dev, &start);
+            for t in 0..8 {
+                let (dev, start, expected) = (&dev, &start, &expected);
                 s.spawn(move || {
                     start.wait();
-                    for _ in 0..25 {
-                        assert_eq!(&simulated(&dev.launch(mixed(20 + t as u64))), want);
+                    for i in 0..25 {
+                        assert_eq!(&simulated(&dev.launch(mixed(20 + t as u64))), &expected[t]);
+                        // This thread's grid next to another's in one call.
+                        let other = (t + 1 + i) % 8;
+                        let got =
+                            dev.launch_grids(vec![mixed(20 + t as u64), mixed(20 + other as u64)]);
+                        assert_eq!(&simulated(&got[0]), &expected[t]);
+                        assert_eq!(&simulated(&got[1]), &expected[other]);
                     }
                 });
             }
         });
+    }
+
+    #[test]
+    fn launch_grids_match_lone_launches() {
+        let dev = Device::new(cfg(4, 3));
+        // Grids of different lengths, one of them empty.
+        let sizes = [20u64, 0, 7, 33, 1];
+        let lone: Vec<String> = sizes
+            .iter()
+            .map(|&n| simulated(&dev.launch(mixed(n))))
+            .collect();
+        let before = std::time::Instant::now();
+        let grids = dev.launch_grids(sizes.iter().map(|&n| mixed(n)).collect());
+        let elapsed = before.elapsed().as_secs_f64();
+        assert_eq!(grids.len(), sizes.len());
+        for (g, want) in grids.iter().zip(&lone) {
+            assert_eq!(&simulated(g), want);
+            assert!(g.wall_seconds >= 0.0, "{g:?}");
+        }
+        let wall: f64 = grids.iter().map(|g| g.wall_seconds).sum();
+        assert!(wall <= elapsed, "grids' wall {wall} s > call's {elapsed} s");
+        assert!(dev.launch_grids(Vec::new()).is_empty());
     }
 
     struct Panics;
@@ -373,6 +460,21 @@ mod tests {
                 .collect();
             let err = std::panic::catch_unwind(AssertUnwindSafe(|| dev.launch(tasks)))
                 .expect_err("a task panic must panic the launch");
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"task failure"));
+        }
+        // A panicking task in any grid of a multi-grid call.
+        for panicking_grid in 0..3 {
+            let grids: Vec<Vec<Box<dyn WarpTask>>> = (0..3)
+                .map(|gi| {
+                    let mut tasks = mixed(9);
+                    if gi == panicking_grid {
+                        tasks[4] = Box::new(Panics);
+                    }
+                    tasks
+                })
+                .collect();
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| dev.launch_grids(grids)))
+                .expect_err("a task panic must panic the call");
             assert_eq!(err.downcast_ref::<&str>(), Some(&"task failure"));
         }
         let stats = dev.launch(mixed(12));

@@ -19,6 +19,10 @@
 //!   distributes resident blocks over **SMs** (streaming
 //!   multiprocessors). Only that first launch starts threads; a
 //!   single-block launch runs inline.
+//! * Several grids can share one call ([`Device::launch_grids`]): their
+//!   blocks share the host threads, while each grid's stats and device
+//!   time are its own, as if it were launched alone (the simulated device
+//!   runs the grids as serial kernels).
 //! * Inside a block, warps are interleaved by a deterministic event-driven
 //!   scheduler: the warp with the smallest virtual clock is advanced by one
 //!   [`WarpTask::step`], whose cost (in simulated cycles) is charged through

@@ -74,7 +74,11 @@ pub struct KernelStats {
     /// steady state this is bounded by tasks × query depth (warm-up);
     /// per-quantum allocations would make it scale with `busy_cycles`.
     pub buf_alloc: u64,
-    /// Wall-clock time of the launch on the host (informational).
+    /// Host wall-clock seconds of the launch (informational). A lone
+    /// launch reports its elapsed time. The grids of one
+    /// [`Device::launch_grids`](crate::Device::launch_grids) call share
+    /// the call's elapsed time, in proportion to the host time of each
+    /// grid's blocks, so their shares sum to it.
     pub wall_seconds: f64,
 }
 
@@ -87,8 +91,10 @@ impl KernelStats {
         self.busy_cycles as f64 / self.resident_warp_cycles as f64
     }
 
-    /// Merges another launch's stats into this one (device time adds up:
-    /// launches are serial w.r.t. each other).
+    /// Merges another launch's stats into this one. Device time adds up:
+    /// launches, and the grids of one multi-grid call, are serial kernels
+    /// on the simulated device. Host wall time adds up too, so absorbing
+    /// every grid of one call gives back the call's elapsed time.
     pub fn absorb(&mut self, other: &KernelStats) {
         self.num_blocks += other.num_blocks;
         self.num_tasks += other.num_tasks;

@@ -4,8 +4,9 @@
 //! A [`QueryRegistry`] owns the data graph and its device-resident store.
 //! Clients `register` patterns and get back a [`QueryId`]; every
 //! `apply_batch` then runs the batch **once** — one structural update, one
-//! re-encoding pass, and one kernel launch per *group* of queries whose
-//! matching-order prefixes are compatible — and routes a per-query match
+//! re-encoding pass, and one kernel grid per *group* of queries whose
+//! matching-order prefixes are compatible, all grids of a phase in one
+//! launch call — and routes a per-query match
 //! delta to every subscription. Identical patterns collapse into one
 //! group, so serving them costs barely more than serving one.
 //!

@@ -8,7 +8,10 @@
 //!   plus duplicate subscriptions, so both singleton launches and
 //!   grouped shared-prefix launches are exercised), against K dedicated
 //!   [`GammaEngine`]s — batch by batch, counts and sorted-unique match
-//!   sets must agree exactly; and
+//!   sets must agree exactly, and a singleton group's kernel stats must
+//!   equal its engine's in every simulated field (its grid shares one
+//!   launch call with the other groups, which must not change its work);
+//!   and
 //! * one [`ShardedQueryRegistry`] at 2 and 4 simulated devices against
 //!   per-subscription dedicated [`ShardedEngine`]s, its per-batch update
 //!   cycles equal to one dedicated engine's (one store for every
@@ -26,7 +29,7 @@ use gamma::engine::{
     GammaConfig, GammaEngine, PartitionStrategy, ShardStealing, ShardedConfig, ShardedEngine,
     StealingMode,
 };
-use gamma::gpu::DeviceConfig;
+use gamma::gpu::{DeviceConfig, KernelStats};
 use gamma::graph::{DynamicGraph, QueryGraph, Update, VMatch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -38,6 +41,17 @@ fn sorted_unique(mut ms: Vec<VMatch>, who: &str, side: &str) -> Vec<VMatch> {
         "{who}: duplicate {side} matches reported"
     );
     ms
+}
+
+/// Every field but the informational host wall time.
+fn simulated(s: &KernelStats) -> String {
+    format!(
+        "{:?}",
+        KernelStats {
+            wall_seconds: 0.0,
+            ..s.clone()
+        }
+    )
 }
 
 fn gamma_config() -> GammaConfig {
@@ -143,7 +157,17 @@ fn run_registry_parity(preset: DatasetPreset, k: usize, scale: f64, seed: u64) {
         );
     }
 
+    // A singleton group launches its subscription's own plan and table,
+    // exactly as the dedicated engine does.
+    let singletons: Vec<QueryId> = reg
+        .groups()
+        .into_iter()
+        .filter(|g| g.len() == 1)
+        .map(|g| g[0])
+        .collect();
+
     let mut total_delta = 0u64;
+    let mut singleton_checks = 0usize;
     for (bi, raw) in batches.iter().enumerate() {
         let r = reg.apply_batch(raw);
         assert_eq!(r.deltas.len(), k);
@@ -170,6 +194,14 @@ fn run_registry_parity(preset: DatasetPreset, k: usize, scale: f64, seed: u64) {
                 sorted_unique(e.negative.clone(), "engine", "negative"),
                 "negative delta diverges at {ctx}"
             );
+            if singletons.contains(id) {
+                assert_eq!(
+                    simulated(&d.kernel),
+                    simulated(&e.stats.kernel),
+                    "singleton kernel stats diverge at {ctx}"
+                );
+                singleton_checks += 1;
+            }
             total_delta += d.positive_count + d.negative_count;
         }
         assert_eq!(
@@ -183,6 +215,15 @@ fn run_registry_parity(preset: DatasetPreset, k: usize, scale: f64, seed: u64) {
         "preset {} produced no registry deltas — parity cell has gone vacuous",
         preset.name()
     );
+    // Below two subscriptions per pattern some pattern is subscribed once,
+    // and these cells group it alone: the stats check must not go vacuous.
+    if k < 2 * qs.len() {
+        assert!(
+            singleton_checks > 0,
+            "preset {} / k={k}: no singleton group was compared",
+            preset.name()
+        );
+    }
     // Telemetry sanity: every query saw every batch and its totals add up.
     for id in &ids {
         let st = reg.stats(*id).expect("registered id has stats");

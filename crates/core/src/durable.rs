@@ -1,44 +1,49 @@
-//! Crash-recoverable engine wrappers: WAL + snapshot durability for
-//! [`GammaEngine`] and [`ShardedEngine`].
+//! Crash recovery for every view of the batch pipeline: one write-ahead
+//! logging wrapper, [`Durable`], over [`GammaEngine`], [`ShardedEngine`]
+//! and [`QueryRegistry`].
 //!
-//! The protocol is classic write-ahead logging at batch granularity:
+//! Every view runs its batches through one [`QueryRegistry`], so one
+//! protocol covers all three, on one device and on the shard executor
+//! alike. It is classic write-ahead logging at batch granularity:
 //!
 //! 1. **Log first.** `apply_batch` appends the *raw* (pre-canonicalization)
-//!    update batch to the log, stamped with the engine's batch epoch, and
-//!    only then applies it. Canonicalization is deterministic against the
-//!    engine's graph, so replaying the raw batch from the same state
-//!    reproduces the same canonical batch — and the same match deltas.
-//! 2. **Snapshot to bound replay.** A snapshot captures the host graph
-//!    mirror plus the history-dependent device state (GPMA segment
-//!    geometry; for the sharded engine also each shard's monotone resident
-//!    set). Snapshots are written atomically (tmp + rename) and rotate the
-//!    log: a crash between the two leaves a log whose first epoch predates
-//!    the snapshot, which replay rejects as non-contiguous and recovery
-//!    safely ignores — the snapshot alone is already consistent at its
-//!    epoch.
-//! 3. **Recover = snapshot + log tail.** Recovery restores the snapshot,
-//!    replays the log's valid prefix through the real batch path (so
-//!    recovered in-memory state is *bit-identical* to the uninterrupted
-//!    run's — `tests/recovery.rs` checks the per-batch match-delta stream),
-//!    truncates any torn tail, and resumes appending.
-//!
-//! The sharded variant logs per shard — each shard's slice of the batch to
-//! its own log, every epoch (possibly empty, keeping epochs contiguous
-//! per log) — and commits the epoch in a separate **manifest** only after
-//! every per-shard append landed. The manifest is the atomic commit point:
-//! recovery discards per-shard records beyond the last committed epoch, so
-//! all shards recover to the same batch boundary no matter where between
-//! two shard appends the crash fell.
+//!    update batch to `wal.log`, stamped with the batch epoch, and only
+//!    then applies it. The appended record is the batch's commit point.
+//!    Canonicalization is deterministic against the view's graph, so
+//!    replaying the raw batch from the same state reproduces the same
+//!    canonical batch — and the same match deltas. A batch that names a
+//!    vertex outside the graph is refused before it is logged
+//!    ([`WalError::Rejected`]): applying it would panic, and so would
+//!    every replay of it.
+//! 2. **Snapshot to bound replay.** A snapshot (`snapshot.bin`) captures
+//!    the registry in one layout of sections: `[graph, store, query set]`
+//!    — the host graph mirror, the GPMA store (whose segment geometry is
+//!    history-dependent) and the registered query set with its id
+//!    allocator — followed on the shard executor by `[partition,
+//!    resident × S]`, the vertex partition and each shard's monotone
+//!    resident set. Snapshots are written atomically (tmp + rename) and
+//!    rotate the log: a crash between the two leaves a log whose first
+//!    epoch predates the snapshot, which replay rejects as non-contiguous
+//!    and recovery safely ignores — the snapshot alone is already
+//!    consistent at its epoch.
+//! 3. **Recover = snapshot + log tail.** Recovery restores the snapshot on
+//!    the executor the configuration names — sections that do not fit it
+//!    (another executor, another shard count) are [`WalError::Corrupt`] —
+//!    re-registers the query set in id order, replays the log's valid
+//!    prefix through the real batch path (so recovered in-memory state is
+//!    *bit-identical* to the uninterrupted run's — `tests/recovery.rs`
+//!    checks the per-batch match-delta stream), truncates any torn tail,
+//!    and resumes appending.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use gamma_gpma::Gpma;
-use gamma_graph::{DynamicGraph, QueryGraph, Update, VertexId};
-use gamma_wal::codec::{decode_graph, encode_graph, ByteReader, ByteWriter};
-use gamma_wal::{
-    manifest_len, read_manifest, Failpoints, ManifestWriter, Snapshot, SyncPolicy, WalError,
-    WalReader, WalWriter,
+use gamma_graph::{DynamicGraph, QueryGraph, Update};
+use gamma_wal::codec::{
+    decode_graph, decode_query, encode_graph, encode_query, updates_from_bytes, updates_to_bytes,
+    ByteReader, ByteWriter,
 };
+use gamma_wal::{Failpoints, Snapshot, SyncPolicy, WalError, WalReader, WalWriter};
 
 use crate::engine::{BatchResult, GammaConfig, GammaEngine};
 use crate::registry::{QueryConfig, QueryId, QueryRegistry, RegistryBatchResult};
@@ -46,22 +51,21 @@ use crate::shard::{Partition, PartitionStrategy, ShardedConfig, ShardedEngine};
 
 const SNAPSHOT_FILE: &str = "snapshot.bin";
 const LOG_FILE: &str = "wal.log";
-const MANIFEST_FILE: &str = "manifest.bin";
 
 /// Where and how durably an engine logs.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
-    /// Directory holding the snapshot, log(s) and manifest.
+    /// Directory holding the snapshot and the log.
     pub dir: PathBuf,
-    /// `fsync` cadence of the log(s).
+    /// `fsync` cadence of the log.
     pub sync: SyncPolicy,
     /// Automatic snapshot every `n` batches (`None` = only explicit
-    /// [`DurableGammaEngine::snapshot`] calls). Snapshots rotate the log.
+    /// [`Durable::snapshot`] calls). Snapshots rotate the log.
     pub snapshot_every: Option<u64>,
     /// Optional deterministic I/O fault schedule (see
-    /// [`gamma_wal::Failpoints`]). Every log, manifest and snapshot write
-    /// of this engine goes through the shared schedule's byte clock, so a
-    /// single plan addresses faults anywhere in the durable state.
+    /// [`gamma_wal::Failpoints`]). Every log and snapshot write of this
+    /// engine goes through the shared schedule's byte clock, so a single
+    /// plan addresses faults anywhere in the durable state.
     /// `None` (the default) uses plain file I/O.
     pub failpoints: Option<Failpoints>,
 }
@@ -85,58 +89,78 @@ impl DurabilityConfig {
     }
 }
 
-/// What recovery found and did.
+/// What recovery found and did. `R` is what one batch of the recovered
+/// view returns.
 #[derive(Debug)]
-pub struct RecoveryReport {
+pub struct RecoveryReport<R = BatchResult> {
     /// Epoch of the snapshot recovery started from.
     pub snapshot_epoch: u64,
     /// Batch epoch after replay — the next batch to be applied.
     pub recovered_epoch: u64,
-    /// Whether every log ended cleanly on a record boundary (a torn or
-    /// discarded tail is expected after a crash and was truncated).
+    /// Whether the log ended cleanly on a record boundary (a torn tail is
+    /// expected after a crash and was truncated).
     pub clean: bool,
     /// Match deltas of the replayed batches, in epoch order. Replay goes
     /// through the real batch path, so these equal the deltas the original
     /// run emitted for the same epochs (the recovery harness asserts it).
-    pub replayed: Vec<BatchResult>,
+    pub replayed: Vec<R>,
 }
 
-fn shard_log_path(dir: &Path, shard: usize) -> PathBuf {
-    dir.join(format!("wal_shard{shard}.log"))
+/// What registry recovery found and did: per-query deltas of the replayed
+/// batches.
+pub type RegistryRecoveryReport = RecoveryReport<RegistryBatchResult>;
+
+/// A view of the batch pipeline that [`Durable`] logs, snapshots and
+/// recovers: [`GammaEngine`], [`ShardedEngine`] and [`QueryRegistry`].
+/// Each runs its batches through one registry, and that registry's state
+/// is everything a snapshot holds.
+pub trait DurableView {
+    /// What one batch returns.
+    type Result;
+
+    /// The registry the view's batches run through.
+    fn registry(&self) -> &QueryRegistry;
+
+    /// Applies one raw update batch.
+    fn apply(&mut self, raw: &[Update]) -> Self::Result;
 }
 
-// ---------------------------------------------------------------------------
-// Single-device engine
-// ---------------------------------------------------------------------------
+impl DurableView for QueryRegistry {
+    type Result = RegistryBatchResult;
 
-/// [`GammaEngine`] with write-ahead durability. Every applied batch is
-/// logged before it executes; [`DurableGammaEngine::recover`] rebuilds the
-/// exact pre-crash state from the latest snapshot plus the log tail.
-pub struct DurableGammaEngine {
-    engine: GammaEngine,
+    fn registry(&self) -> &QueryRegistry {
+        self
+    }
+
+    fn apply(&mut self, raw: &[Update]) -> RegistryBatchResult {
+        self.apply_batch(raw)
+    }
+}
+
+/// A view with write-ahead durability: every batch is logged before it
+/// executes, and `recover` rebuilds the exact pre-crash state from the
+/// latest snapshot plus the log tail (see the module docs).
+/// [`DurableGammaEngine`], [`DurableShardedEngine`] and
+/// [`DurableQueryRegistry`] name its three instances.
+pub struct Durable<V> {
+    view: V,
     wal: WalWriter,
     durability: DurabilityConfig,
 }
 
-impl DurableGammaEngine {
-    /// Builds a fresh engine and initializes its durable state: a
-    /// snapshot of the starting graph at epoch 0 and an empty log.
-    pub fn create(
-        graph: DynamicGraph,
-        query: &QueryGraph,
-        config: GammaConfig,
-        durability: DurabilityConfig,
-    ) -> Result<Self, WalError> {
+impl<V: DurableView> Durable<V> {
+    /// Initializes the durable state of a freshly built view: an empty log
+    /// and a snapshot at the view's epoch.
+    fn init(view: V, durability: DurabilityConfig) -> Result<Self, WalError> {
         std::fs::create_dir_all(&durability.dir)?;
-        let engine = GammaEngine::new(graph, query, config);
         let wal = WalWriter::create_with(
             &durability.dir.join(LOG_FILE),
             durability.sync,
-            0,
+            view.registry().batches_processed(),
             durability.failpoints.as_ref(),
         )?;
         let this = Self {
-            engine,
+            view,
             wal,
             durability,
         };
@@ -144,34 +168,22 @@ impl DurableGammaEngine {
         Ok(this)
     }
 
-    /// Recovers an engine from `durability.dir`: restores the snapshot,
-    /// replays the log's valid prefix through the real batch path, and
-    /// truncates whatever invalid tail the crash left.
-    pub fn recover(
-        query: &QueryGraph,
-        config: GammaConfig,
+    /// Recovers from `durability.dir`: `restore` rebuilds the view from
+    /// the snapshot, the log's valid prefix replays through the real batch
+    /// path, and whatever invalid tail the crash left is truncated.
+    fn recover_with(
         durability: DurabilityConfig,
-    ) -> Result<(Self, RecoveryReport), WalError> {
+        restore: impl FnOnce(&Snapshot) -> Result<V, WalError>,
+    ) -> Result<(Self, RecoveryReport<V::Result>), WalError> {
         let snap = Snapshot::read(&durability.dir.join(SNAPSHOT_FILE))?;
-        if snap.sections.len() != 2 {
-            return Err(WalError::Corrupt(format!(
-                "engine snapshot holds {} sections, expected 2",
-                snap.sections.len()
-            )));
-        }
-        let graph = decode_graph(&mut ByteReader::new(&snap.sections[0]))?;
-        let gpma = Gpma::from_snapshot_bytes(&snap.sections[1], config.gpma.clone())
-            .map_err(WalError::Corrupt)?;
-        let mut engine = GammaEngine::restore(graph, query, config, gpma, snap.epoch);
-
+        let mut view = restore(&snap)?;
         let log_path = durability.dir.join(LOG_FILE);
         let replay = WalReader::replay(&log_path, snap.epoch)?;
         let mut replayed = Vec::with_capacity(replay.records.len());
         for rec in &replay.records {
-            let ups = gamma_wal::codec::updates_from_bytes(&rec.payload)?;
-            replayed.push(engine.apply_batch(&ups));
+            replayed.push(view.apply(&updates_from_bytes(&rec.payload)?));
         }
-        let recovered_epoch = engine.batches_processed();
+        let recovered_epoch = view.registry().batches_processed();
         let wal = WalWriter::open_after_replay_with(
             &log_path,
             durability.sync,
@@ -187,7 +199,7 @@ impl DurableGammaEngine {
         };
         Ok((
             Self {
-                engine,
+                view,
                 wal,
                 durability,
             },
@@ -195,12 +207,21 @@ impl DurableGammaEngine {
         ))
     }
 
-    /// Logs `raw` (durably, per the sync policy), then applies it.
-    pub fn apply_batch(&mut self, raw: &[Update]) -> Result<BatchResult, WalError> {
-        self.wal.append(&gamma_wal::codec::updates_to_bytes(raw))?;
-        let result = self.engine.apply_batch(raw);
+    /// Logs `raw` (durably, per the sync policy), then applies it. A batch
+    /// that names a vertex outside the graph is refused with
+    /// [`WalError::Rejected`] before anything is logged or applied.
+    pub fn apply_batch(&mut self, raw: &[Update]) -> Result<V::Result, WalError> {
+        let n = self.view.registry().graph().num_vertices();
+        if let Some(u) = raw.iter().find(|u| u.u.max(u.v) as usize >= n) {
+            return Err(WalError::Rejected(format!(
+                "update ({}, {}) names a vertex outside the graph's {n}",
+                u.u, u.v
+            )));
+        }
+        self.wal.append(&updates_to_bytes(raw))?;
+        let result = self.view.apply(raw);
         if let Some(every) = self.durability.snapshot_every {
-            if every > 0 && self.engine.batches_processed().is_multiple_of(every) {
+            if every > 0 && self.batches_processed().is_multiple_of(every) {
                 self.snapshot()?;
             }
         }
@@ -213,18 +234,28 @@ impl DurableGammaEngine {
         self.wal = WalWriter::create_with(
             &self.durability.dir.join(LOG_FILE),
             self.durability.sync,
-            self.engine.batches_processed(),
+            self.batches_processed(),
             self.durability.failpoints.as_ref(),
         )?;
         Ok(())
     }
 
     fn write_snapshot(&self) -> Result<(), WalError> {
-        let mut g = ByteWriter::new();
-        encode_graph(&mut g, self.engine.graph());
+        let reg = self.view.registry();
+        let mut graph = ByteWriter::new();
+        encode_graph(&mut graph, reg.graph());
+        let mut sections = vec![
+            graph.into_bytes(),
+            reg.gpma().snapshot_bytes(),
+            encode_query_set(reg),
+        ];
+        if let Some(rt) = reg.shard_runtime() {
+            sections.push(encode_partition(rt.partition()));
+            sections.extend(rt.residents().map(encode_resident));
+        }
         Snapshot {
-            epoch: self.engine.batches_processed(),
-            sections: vec![g.into_bytes(), self.engine.gpma().snapshot_bytes()],
+            epoch: reg.batches_processed(),
+            sections,
         }
         .write_with(
             &self.durability.dir.join(SNAPSHOT_FILE),
@@ -232,74 +263,316 @@ impl DurableGammaEngine {
         )
     }
 
-    /// The wrapped engine.
-    pub fn engine(&self) -> &GammaEngine {
-        &self.engine
-    }
-
     /// Batch epoch (batches applied since creation, across restarts).
     pub fn batches_processed(&self) -> u64 {
-        self.engine.batches_processed()
+        self.view.registry().batches_processed()
     }
 }
 
 // ---------------------------------------------------------------------------
-// Sharded engine
+// The three views
 // ---------------------------------------------------------------------------
 
-/// [`ShardedEngine`] with per-shard write-ahead logs and a batch-epoch
-/// manifest as the cross-shard commit point (see the module docs).
-pub struct DurableShardedEngine {
-    engine: ShardedEngine,
-    wals: Vec<WalWriter>,
-    manifest: ManifestWriter,
-    durability: DurabilityConfig,
+/// [`GammaEngine`] with write-ahead durability.
+pub type DurableGammaEngine = Durable<GammaEngine>;
+
+impl DurableGammaEngine {
+    /// Builds a fresh engine and initializes its durable state: a
+    /// snapshot of the starting graph at epoch 0 and an empty log.
+    pub fn create(
+        graph: DynamicGraph,
+        query: &QueryGraph,
+        config: GammaConfig,
+        durability: DurabilityConfig,
+    ) -> Result<Self, WalError> {
+        Self::init(GammaEngine::new(graph, query, config), durability)
+    }
+
+    /// Recovers an engine from `durability.dir` (see the module docs). The
+    /// directory must hold a one-device snapshot whose only registration
+    /// is `query`; anything else is [`WalError::Corrupt`].
+    pub fn recover(
+        query: &QueryGraph,
+        config: GammaConfig,
+        durability: DurabilityConfig,
+    ) -> Result<(Self, RecoveryReport), WalError> {
+        Self::recover_with(durability, |snap| {
+            let (registry, set) = restore_registry(snap, Executor::Device(&config))?;
+            set.expect_only(query)?;
+            Ok(GammaEngine::from_registry(registry, query))
+        })
+    }
+
+    /// The wrapped engine.
+    pub fn engine(&self) -> &GammaEngine {
+        &self.view
+    }
 }
 
-/// Encodes one shard's slice of a batch: `(original index, update)` pairs,
-/// so recovery can reassemble the exact original batch order by merging
-/// the per-shard slices on the index.
-fn encode_shard_slice(slice: &[(u32, Update)]) -> Vec<u8> {
+/// [`ShardedEngine`] with write-ahead durability: one log for every
+/// shard, whose raw-batch record commits the batch on all of them.
+pub type DurableShardedEngine = Durable<ShardedEngine>;
+
+impl DurableShardedEngine {
+    /// Builds a fresh sharded engine and initializes its durable state: a
+    /// snapshot at epoch 0 and an empty log.
+    pub fn create(
+        graph: DynamicGraph,
+        query: &QueryGraph,
+        config: ShardedConfig,
+        durability: DurabilityConfig,
+    ) -> Result<Self, WalError> {
+        Self::init(ShardedEngine::new(graph, query, config), durability)
+    }
+
+    /// Recovers from `durability.dir` (see the module docs): restores the
+    /// snapshot's partition, shared store and resident sets, and replays
+    /// the log tail. The directory must hold a shard snapshot of
+    /// `config.num_shards` shards whose only registration is `query`;
+    /// anything else is [`WalError::Corrupt`].
+    ///
+    /// ```
+    /// use gamma_core::{DurabilityConfig, DurableShardedEngine, ShardedConfig};
+    /// use gamma_graph::{DynamicGraph, QueryGraph, Update, NO_ELABEL};
+    /// use gamma_wal::SyncPolicy;
+    ///
+    /// // A 2-path data graph and a triangle query: inserting (0, 2)
+    /// // completes one data triangle — 6 embeddings under the unlabeled
+    /// // triangle's 3! automorphisms.
+    /// let mut g = DynamicGraph::new();
+    /// for _ in 0..3 {
+    ///     g.add_vertex(0);
+    /// }
+    /// g.insert_edge(0, 1, NO_ELABEL);
+    /// g.insert_edge(1, 2, NO_ELABEL);
+    /// let mut b = QueryGraph::builder();
+    /// let (x, y, z) = (b.vertex(0), b.vertex(0), b.vertex(0));
+    /// b.edge(x, y).edge(y, z).edge(x, z);
+    /// let q = b.build();
+    ///
+    /// let dir = std::env::temp_dir().join(format!("doc_recover_{}", std::process::id()));
+    /// let durability = DurabilityConfig {
+    ///     dir: dir.clone(),
+    ///     sync: SyncPolicy::EveryRecord,
+    ///     snapshot_every: None,
+    ///     failpoints: None,
+    /// };
+    /// let config = ShardedConfig {
+    ///     num_shards: 2,
+    ///     ..ShardedConfig::default()
+    /// };
+    ///
+    /// let mut durable =
+    ///     DurableShardedEngine::create(g, &q, config.clone(), durability.clone())?;
+    /// let r = durable.apply_batch(&[Update::insert(0, 2)])?; // log, then apply
+    /// assert_eq!(r.positive_count, 6);
+    /// drop(durable); // "crash"
+    ///
+    /// // Recovery replays the logged batch through the real batch path:
+    /// // the replayed delta equals what the original run emitted.
+    /// let (recovered, report) = DurableShardedEngine::recover(&q, config, durability)?;
+    /// assert_eq!(report.recovered_epoch, 1);
+    /// assert_eq!(recovered.batches_processed(), 1);
+    /// assert_eq!(report.replayed[0].positive_count, 6);
+    /// # std::fs::remove_dir_all(&dir).ok();
+    /// # Ok::<(), gamma_wal::WalError>(())
+    /// ```
+    pub fn recover(
+        query: &QueryGraph,
+        config: ShardedConfig,
+        durability: DurabilityConfig,
+    ) -> Result<(Self, RecoveryReport), WalError> {
+        Self::recover_with(durability, |snap| {
+            let (registry, set) = restore_registry(snap, Executor::Shards(&config))?;
+            set.expect_only(query)?;
+            Ok(ShardedEngine::from_registry(registry, query, config))
+        })
+    }
+
+    /// The wrapped engine.
+    pub fn engine(&self) -> &ShardedEngine {
+        &self.view
+    }
+}
+
+/// [`QueryRegistry`] with write-ahead durability. Update batches are
+/// logged before they execute, like every view's; the *registered query
+/// set* is snapshot state — every [`register`](Self::register)/
+/// [`unregister`](Self::unregister) writes a fresh snapshot (and rotates
+/// the log) before returning, so the subscription change commits
+/// atomically with the graph state it saw. Registration is rare next to
+/// batch traffic, so the snapshot-per-change cost is the simple and safe
+/// trade.
+pub type DurableQueryRegistry = Durable<QueryRegistry>;
+
+impl DurableQueryRegistry {
+    /// Builds a fresh, empty registry and initializes its durable state:
+    /// a snapshot of the starting graph at epoch 0 and an empty log.
+    pub fn create(
+        graph: DynamicGraph,
+        config: GammaConfig,
+        durability: DurabilityConfig,
+    ) -> Result<Self, WalError> {
+        Self::init(QueryRegistry::new(graph, config), durability)
+    }
+
+    /// Recovers a registry from `durability.dir` (see the module docs).
+    /// Queries are re-registered in id order, so the recovered grouping is
+    /// the deterministic one the same registration sequence always
+    /// produces.
+    pub fn recover(
+        config: GammaConfig,
+        durability: DurabilityConfig,
+    ) -> Result<(Self, RegistryRecoveryReport), WalError> {
+        Self::recover_with(durability, |snap| {
+            let (mut registry, set) = restore_registry(snap, Executor::Device(&config))?;
+            for (id, collect, q) in &set.queries {
+                registry.register_with_id(
+                    *id,
+                    q,
+                    QueryConfig {
+                        collect_matches: Some(*collect),
+                    },
+                );
+            }
+            registry.set_next_id(set.next_id);
+            Ok(registry)
+        })
+    }
+
+    /// Registers a standing query and durably commits the new query set
+    /// (snapshot + log rotation) before returning its id.
+    pub fn register(&mut self, query: &QueryGraph, qcfg: QueryConfig) -> Result<QueryId, WalError> {
+        let id = self.view.register(query, qcfg);
+        self.snapshot()?;
+        Ok(id)
+    }
+
+    /// Unregisters a standing query, durably committing the removal.
+    /// Returns `Ok(false)` (with no I/O) if `id` is unknown.
+    pub fn unregister(&mut self, id: QueryId) -> Result<bool, WalError> {
+        if !self.view.unregister(id) {
+            return Ok(false);
+        }
+        self.snapshot()?;
+        Ok(true)
+    }
+
+    /// The wrapped registry.
+    pub fn registry(&self) -> &QueryRegistry {
+        &self.view
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot sections
+// ---------------------------------------------------------------------------
+
+/// The executor a recovered registry runs on, with the configuration its
+/// snapshot sections are checked against.
+enum Executor<'a> {
+    Device(&'a GammaConfig),
+    Shards(&'a ShardedConfig),
+}
+
+/// Rebuilds the registry `snap` holds on `exec`, with no query registered
+/// yet, and returns it with the persisted registrations.
+fn restore_registry(
+    snap: &Snapshot,
+    exec: Executor<'_>,
+) -> Result<(QueryRegistry, QuerySet), WalError> {
+    let (gpma_config, expected) = match exec {
+        Executor::Device(config) => (config.gpma.clone(), 3),
+        Executor::Shards(config) => (config.base.gpma.clone(), 4 + config.num_shards),
+    };
+    if snap.sections.len() != expected {
+        return Err(WalError::Corrupt(format!(
+            "snapshot holds {} sections, the configured executor expects {expected}",
+            snap.sections.len()
+        )));
+    }
+    let graph = decode_graph(&mut ByteReader::new(&snap.sections[0]))?;
+    let store =
+        Gpma::from_snapshot_bytes(&snap.sections[1], gpma_config).map_err(WalError::Corrupt)?;
+    let set = decode_query_set(&snap.sections[2])?;
+    let registry = match exec {
+        Executor::Device(config) => {
+            QueryRegistry::restore(graph, config.clone(), store, snap.epoch)
+        }
+        Executor::Shards(config) => {
+            let partition = decode_partition(&snap.sections[3], config.num_shards)?;
+            let residents = snap.sections[4..]
+                .iter()
+                .map(|s| decode_resident(s))
+                .collect::<Result<Vec<_>, _>>()?;
+            if residents.iter().any(|r| r.len() != graph.num_vertices()) {
+                return Err(WalError::Corrupt(
+                    "resident set length differs from the graph's vertex count".into(),
+                ));
+            }
+            QueryRegistry::restore_sharded(graph, config, partition, store, residents, snap.epoch)
+        }
+    };
+    Ok((registry, set))
+}
+
+/// The persisted registrations: the id allocator and, per query in id
+/// order, its id, collection flag and pattern.
+struct QuerySet {
+    next_id: u64,
+    queries: Vec<(QueryId, bool, QueryGraph)>,
+}
+
+impl QuerySet {
+    /// Checks that an engine view's snapshot holds exactly its one query:
+    /// recovering another pattern would silently build another engine.
+    fn expect_only(&self, query: &QueryGraph) -> Result<(), WalError> {
+        match self.queries.as_slice() {
+            [(_, _, q)] if q == query => Ok(()),
+            _ => Err(WalError::Corrupt(format!(
+                "the snapshot's {} registrations are not exactly the engine's query",
+                self.queries.len()
+            ))),
+        }
+    }
+}
+
+fn encode_query_set(reg: &QueryRegistry) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u32(slice.len() as u32);
-    for &(idx, u) in slice {
-        w.put_u32(idx);
-        w.put_u8(match u.op {
-            gamma_graph::Op::Insert => 0,
-            gamma_graph::Op::Delete => 1,
-        });
-        w.put_u32(u.u);
-        w.put_u32(u.v);
-        w.put_u16(u.label);
+    let ids = reg.query_ids();
+    w.put_u64(reg.next_query_id());
+    w.put_u32(ids.len() as u32);
+    for id in ids {
+        w.put_u64(id.0);
+        w.put_u8(u8::from(reg.collects(id).expect("listed id is registered")));
+        encode_query(&mut w, reg.query(id).expect("listed id is registered"));
     }
     w.into_bytes()
 }
 
-fn decode_shard_slice(bytes: &[u8]) -> Result<Vec<(u32, Update)>, WalError> {
+fn decode_query_set(bytes: &[u8]) -> Result<QuerySet, WalError> {
     let mut r = ByteReader::new(bytes);
+    let next_id = r.get_u64()?;
     let n = r.get_u32()? as usize;
     if n > bytes.len() {
         return Err(WalError::Corrupt(format!(
-            "slice count {n} exceeds payload"
+            "query-set count {n} exceeds payload"
         )));
     }
-    let mut out = Vec::with_capacity(n);
+    let mut queries = Vec::with_capacity(n);
     for _ in 0..n {
-        let idx = r.get_u32()?;
-        let op = match r.get_u8()? {
-            0 => gamma_graph::Op::Insert,
-            1 => gamma_graph::Op::Delete,
-            other => return Err(WalError::Corrupt(format!("unknown update op {other}"))),
+        let id = QueryId(r.get_u64()?);
+        let collect = match r.get_u8()? {
+            0 => false,
+            1 => true,
+            other => return Err(WalError::Corrupt(format!("unknown collect flag {other}"))),
         };
-        let u = r.get_u32()?;
-        let v = r.get_u32()?;
-        let label = r.get_u16()?;
-        out.push((idx, Update { op, u, v, label }));
+        queries.push((id, collect, decode_query(&mut r)?));
     }
     if r.remaining() != 0 {
-        return Err(WalError::Corrupt("trailing bytes after shard slice".into()));
+        return Err(WalError::Corrupt("trailing bytes after query set".into()));
     }
-    Ok(out)
+    Ok(QuerySet { next_id, queries })
 }
 
 /// Encodes the vertex partition: strategy tag, range block width, and the
@@ -400,507 +673,6 @@ fn decode_resident(bytes: &[u8]) -> Result<Vec<bool>, WalError> {
     Ok(out)
 }
 
-impl DurableShardedEngine {
-    /// Builds a fresh sharded engine and initializes its durable state:
-    /// snapshot at epoch 0, one empty log per shard, an empty manifest.
-    pub fn create(
-        graph: DynamicGraph,
-        query: &QueryGraph,
-        config: ShardedConfig,
-        durability: DurabilityConfig,
-    ) -> Result<Self, WalError> {
-        std::fs::create_dir_all(&durability.dir)?;
-        let engine = ShardedEngine::new(graph, query, config);
-        let sync_each = durability.sync == SyncPolicy::EveryRecord;
-        let mut wals = Vec::with_capacity(engine.config().num_shards);
-        for s in 0..engine.config().num_shards {
-            wals.push(WalWriter::create_with(
-                &shard_log_path(&durability.dir, s),
-                durability.sync,
-                0,
-                durability.failpoints.as_ref(),
-            )?);
-        }
-        let manifest = ManifestWriter::create_with(
-            &durability.dir.join(MANIFEST_FILE),
-            0,
-            sync_each,
-            durability.failpoints.as_ref(),
-        )?;
-        let this = Self {
-            engine,
-            wals,
-            manifest,
-            durability,
-        };
-        this.write_snapshot()?;
-        Ok(this)
-    }
-
-    /// Recovers from `durability.dir`: restores the snapshot, replays
-    /// every shard log up to the manifest's committed boundary (discarding
-    /// per-shard records the crash left uncommitted), and reopens logs and
-    /// manifest at that common epoch.
-    ///
-    /// ```
-    /// use gamma_core::{DurabilityConfig, DurableShardedEngine, ShardedConfig};
-    /// use gamma_graph::{DynamicGraph, QueryGraph, Update, NO_ELABEL};
-    /// use gamma_wal::SyncPolicy;
-    ///
-    /// // A 2-path data graph and a triangle query: inserting (0, 2)
-    /// // completes one data triangle — 6 embeddings under the unlabeled
-    /// // triangle's 3! automorphisms.
-    /// let mut g = DynamicGraph::new();
-    /// for _ in 0..3 {
-    ///     g.add_vertex(0);
-    /// }
-    /// g.insert_edge(0, 1, NO_ELABEL);
-    /// g.insert_edge(1, 2, NO_ELABEL);
-    /// let mut b = QueryGraph::builder();
-    /// let (x, y, z) = (b.vertex(0), b.vertex(0), b.vertex(0));
-    /// b.edge(x, y).edge(y, z).edge(x, z);
-    /// let q = b.build();
-    ///
-    /// let dir = std::env::temp_dir().join(format!("doc_recover_{}", std::process::id()));
-    /// let durability = DurabilityConfig {
-    ///     dir: dir.clone(),
-    ///     sync: SyncPolicy::EveryRecord,
-    ///     snapshot_every: None,
-    ///     failpoints: None,
-    /// };
-    /// let config = ShardedConfig {
-    ///     num_shards: 2,
-    ///     ..ShardedConfig::default()
-    /// };
-    ///
-    /// let mut durable =
-    ///     DurableShardedEngine::create(g, &q, config.clone(), durability.clone())?;
-    /// let r = durable.apply_batch(&[Update::insert(0, 2)])?; // log, then apply
-    /// assert_eq!(r.positive_count, 6);
-    /// drop(durable); // "crash"
-    ///
-    /// // Recovery replays the logged batch through the real batch path:
-    /// // the replayed delta equals what the original run emitted.
-    /// let (recovered, report) = DurableShardedEngine::recover(&q, config, durability)?;
-    /// assert_eq!(report.recovered_epoch, 1);
-    /// assert_eq!(recovered.batches_processed(), 1);
-    /// assert_eq!(report.replayed[0].positive_count, 6);
-    /// # std::fs::remove_dir_all(&dir).ok();
-    /// # Ok::<(), gamma_wal::WalError>(())
-    /// ```
-    pub fn recover(
-        query: &QueryGraph,
-        config: ShardedConfig,
-        durability: DurabilityConfig,
-    ) -> Result<(Self, RecoveryReport), WalError> {
-        let num_shards = config.num_shards;
-        let snap = Snapshot::read(&durability.dir.join(SNAPSHOT_FILE))?;
-        if snap.sections.len() != 3 + num_shards {
-            return Err(WalError::Corrupt(format!(
-                "sharded snapshot holds {} sections, expected {}",
-                snap.sections.len(),
-                3 + num_shards
-            )));
-        }
-        let graph = decode_graph(&mut ByteReader::new(&snap.sections[0]))?;
-        let partition = decode_partition(&snap.sections[1], num_shards)?;
-        let store = Gpma::from_snapshot_bytes(&snap.sections[2], config.base.gpma.clone())
-            .map_err(WalError::Corrupt)?;
-        let mut residents = Vec::with_capacity(num_shards);
-        for s in 0..num_shards {
-            residents.push(decode_resident(&snap.sections[3 + s])?);
-        }
-
-        // Replay every shard log; the recovery boundary is the manifest's
-        // last committed epoch, further capped by each log's contiguous
-        // coverage (a corrupted committed record loses its epoch on every
-        // shard — they must stay in lockstep).
-        let man = read_manifest(&durability.dir.join(MANIFEST_FILE), snap.epoch)?;
-        let mut boundary = man.last_committed.map_or(snap.epoch, |e| e + 1);
-        let mut clean = man.clean;
-        let mut replays = Vec::with_capacity(num_shards);
-        for s in 0..num_shards {
-            let replay = WalReader::replay(&shard_log_path(&durability.dir, s), snap.epoch)?;
-            clean &= replay.tail.is_clean();
-            boundary = boundary.min(replay.last_epoch().map_or(snap.epoch, |e| e + 1));
-            replays.push(replay);
-        }
-        for replay in &mut replays {
-            clean &= replay.last_epoch().map_or(snap.epoch, |e| e + 1) == boundary;
-            replay.discard_from(boundary);
-        }
-
-        let mut engine = ShardedEngine::restore(
-            graph, query, config, partition, store, residents, snap.epoch,
-        );
-        let mut replayed = Vec::with_capacity((boundary - snap.epoch) as usize);
-        for (i, epoch) in (snap.epoch..boundary).enumerate() {
-            // Merge the per-shard slices back into the original batch.
-            let mut merged: Vec<(u32, Update)> = Vec::new();
-            for replay in &replays {
-                debug_assert_eq!(replay.records[i].epoch, epoch);
-                merged.extend(decode_shard_slice(&replay.records[i].payload)?);
-            }
-            merged.sort_unstable_by_key(|&(idx, _)| idx);
-            let batch: Vec<Update> = merged.into_iter().map(|(_, u)| u).collect();
-            replayed.push(engine.apply_batch(&batch));
-        }
-
-        let sync_each = durability.sync == SyncPolicy::EveryRecord;
-        let mut wals = Vec::with_capacity(num_shards);
-        for (s, replay) in replays.iter().enumerate() {
-            wals.push(WalWriter::open_after_replay_with(
-                &shard_log_path(&durability.dir, s),
-                durability.sync,
-                replay,
-                boundary,
-                durability.failpoints.as_ref(),
-            )?);
-        }
-        let manifest = ManifestWriter::open_after_replay_with(
-            &durability.dir.join(MANIFEST_FILE),
-            man.valid_len.min(manifest_len(boundary - snap.epoch)),
-            boundary,
-            sync_each,
-            durability.failpoints.as_ref(),
-        )?;
-        let report = RecoveryReport {
-            snapshot_epoch: snap.epoch,
-            recovered_epoch: boundary,
-            clean,
-            replayed,
-        };
-        Ok((
-            Self {
-                engine,
-                wals,
-                manifest,
-                durability,
-            },
-            report,
-        ))
-    }
-
-    /// Logs `raw` across the per-shard logs (every shard gets a record
-    /// every epoch, possibly empty), commits the epoch in the manifest,
-    /// then applies the batch.
-    pub fn apply_batch(&mut self, raw: &[Update]) -> Result<BatchResult, WalError> {
-        let num_shards = self.wals.len();
-        let mut slices: Vec<Vec<(u32, Update)>> = vec![Vec::new(); num_shards];
-        for (idx, &u) in raw.iter().enumerate() {
-            let anchor = u.u.min(u.v) as VertexId;
-            // Live-owner routing: after a fail-stop the dead shard's log
-            // receives only empty records (epochs stay contiguous per log)
-            // while its slices land on the surviving owner's log. Recovery
-            // merges the per-shard slices back by index, so slice placement
-            // never affects the replayed batch — it only has to be a
-            // function of durable state, which `owner_shard` is for the
-            // repaired partition (the repair table is snapshot state).
-            slices[self.engine.owner_shard(anchor)].push((idx as u32, u));
-        }
-        for (wal, slice) in self.wals.iter_mut().zip(&slices) {
-            wal.append(&encode_shard_slice(slice))?;
-        }
-        // The manifest record commits the epoch only once every shard's
-        // append is durable.
-        if self.durability.sync == SyncPolicy::EveryRecord {
-            for wal in &mut self.wals {
-                wal.sync()?;
-            }
-        }
-        self.manifest.commit()?;
-        let result = self.engine.apply_batch(raw);
-        if let Some(every) = self.durability.snapshot_every {
-            if every > 0 && self.engine.batches_processed().is_multiple_of(every) {
-                self.snapshot()?;
-            }
-        }
-        Ok(result)
-    }
-
-    /// Writes a snapshot at the current epoch and rotates logs + manifest.
-    pub fn snapshot(&mut self) -> Result<(), WalError> {
-        self.write_snapshot()?;
-        let epoch = self.engine.batches_processed();
-        let sync_each = self.durability.sync == SyncPolicy::EveryRecord;
-        for (s, wal) in self.wals.iter_mut().enumerate() {
-            *wal = WalWriter::create_with(
-                &shard_log_path(&self.durability.dir, s),
-                self.durability.sync,
-                epoch,
-                self.durability.failpoints.as_ref(),
-            )?;
-        }
-        self.manifest = ManifestWriter::create_with(
-            &self.durability.dir.join(MANIFEST_FILE),
-            epoch,
-            sync_each,
-            self.durability.failpoints.as_ref(),
-        )?;
-        Ok(())
-    }
-
-    fn write_snapshot(&self) -> Result<(), WalError> {
-        let mut g = ByteWriter::new();
-        encode_graph(&mut g, self.engine.graph());
-        let mut sections = vec![g.into_bytes(), encode_partition(self.engine.partition())];
-        let (store, residents) = self.engine.shard_state();
-        sections.push(store.snapshot_bytes());
-        for resident in residents {
-            sections.push(encode_resident(resident));
-        }
-        Snapshot {
-            epoch: self.engine.batches_processed(),
-            sections,
-        }
-        .write_with(
-            &self.durability.dir.join(SNAPSHOT_FILE),
-            self.durability.failpoints.as_ref(),
-        )
-    }
-
-    /// The wrapped engine.
-    pub fn engine(&self) -> &ShardedEngine {
-        &self.engine
-    }
-
-    /// Batch epoch (batches applied since creation, across restarts).
-    pub fn batches_processed(&self) -> u64 {
-        self.engine.batches_processed()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Standing-query registry
-// ---------------------------------------------------------------------------
-
-/// Encodes the registered query set: the id allocator plus, per query in
-/// id order, its id, collection flag, and pattern.
-fn encode_query_set(reg: &QueryRegistry) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    let ids = reg.query_ids();
-    w.put_u64(reg.next_query_id());
-    w.put_u32(ids.len() as u32);
-    for id in ids {
-        w.put_u64(id.0);
-        w.put_u8(u8::from(reg.collects(id).expect("listed id is registered")));
-        gamma_wal::codec::encode_query(&mut w, reg.query(id).expect("listed id is registered"));
-    }
-    w.into_bytes()
-}
-
-fn decode_query_set(bytes: &[u8]) -> Result<(u64, Vec<(QueryId, bool, QueryGraph)>), WalError> {
-    let mut r = ByteReader::new(bytes);
-    let next_id = r.get_u64()?;
-    let n = r.get_u32()? as usize;
-    if n > bytes.len() {
-        return Err(WalError::Corrupt(format!(
-            "query-set count {n} exceeds payload"
-        )));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = QueryId(r.get_u64()?);
-        let collect = match r.get_u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(WalError::Corrupt(format!("unknown collect flag {other}"))),
-        };
-        let q = gamma_wal::codec::decode_query(&mut r)?;
-        out.push((id, collect, q));
-    }
-    if r.remaining() != 0 {
-        return Err(WalError::Corrupt("trailing bytes after query set".into()));
-    }
-    Ok((next_id, out))
-}
-
-/// [`QueryRegistry`] with write-ahead durability. Update batches are
-/// logged before they execute, exactly like [`DurableGammaEngine`]; the
-/// *registered query set* is snapshot state — every
-/// [`register`](Self::register)/[`unregister`](Self::unregister) writes a
-/// fresh snapshot (and rotates the log) before returning, so the
-/// subscription change commits atomically with the graph state it saw.
-/// Registration is rare next to batch traffic, so the snapshot-per-change
-/// cost is the simple and safe trade.
-pub struct DurableQueryRegistry {
-    registry: QueryRegistry,
-    wal: WalWriter,
-    durability: DurabilityConfig,
-}
-
-/// What registry recovery found and did.
-#[derive(Debug)]
-pub struct RegistryRecoveryReport {
-    /// Epoch of the snapshot recovery started from.
-    pub snapshot_epoch: u64,
-    /// Batch epoch after replay — the next batch to be applied.
-    pub recovered_epoch: u64,
-    /// Whether the log ended cleanly on a record boundary.
-    pub clean: bool,
-    /// Per-query deltas of the replayed batches, in epoch order.
-    pub replayed: Vec<RegistryBatchResult>,
-}
-
-impl DurableQueryRegistry {
-    /// Builds a fresh, empty registry and initializes its durable state:
-    /// a snapshot of the starting graph at epoch 0 and an empty log.
-    pub fn create(
-        graph: DynamicGraph,
-        config: GammaConfig,
-        durability: DurabilityConfig,
-    ) -> Result<Self, WalError> {
-        std::fs::create_dir_all(&durability.dir)?;
-        let registry = QueryRegistry::new(graph, config);
-        let wal = WalWriter::create_with(
-            &durability.dir.join(LOG_FILE),
-            durability.sync,
-            0,
-            durability.failpoints.as_ref(),
-        )?;
-        let this = Self {
-            registry,
-            wal,
-            durability,
-        };
-        this.write_snapshot()?;
-        Ok(this)
-    }
-
-    /// Recovers a registry from `durability.dir`: restores the snapshot
-    /// (graph, device store, and registered query set), replays the log's
-    /// valid prefix through the real batch path, and truncates whatever
-    /// invalid tail the crash left. Queries are re-registered in id order,
-    /// so the recovered grouping is the deterministic one the same
-    /// registration sequence always produces.
-    pub fn recover(
-        config: GammaConfig,
-        durability: DurabilityConfig,
-    ) -> Result<(Self, RegistryRecoveryReport), WalError> {
-        let snap = Snapshot::read(&durability.dir.join(SNAPSHOT_FILE))?;
-        if snap.sections.len() != 3 {
-            return Err(WalError::Corrupt(format!(
-                "registry snapshot holds {} sections, expected 3",
-                snap.sections.len()
-            )));
-        }
-        let graph = decode_graph(&mut ByteReader::new(&snap.sections[0]))?;
-        let gpma = Gpma::from_snapshot_bytes(&snap.sections[1], config.gpma.clone())
-            .map_err(WalError::Corrupt)?;
-        let (next_id, queries) = decode_query_set(&snap.sections[2])?;
-        let mut registry = QueryRegistry::restore(graph, config, gpma, snap.epoch);
-        for (id, collect, q) in &queries {
-            registry.register_with_id(
-                *id,
-                q,
-                QueryConfig {
-                    collect_matches: Some(*collect),
-                },
-            );
-        }
-        registry.set_next_id(next_id);
-
-        let log_path = durability.dir.join(LOG_FILE);
-        let replay = WalReader::replay(&log_path, snap.epoch)?;
-        let mut replayed = Vec::with_capacity(replay.records.len());
-        for rec in &replay.records {
-            let ups = gamma_wal::codec::updates_from_bytes(&rec.payload)?;
-            replayed.push(registry.apply_batch(&ups));
-        }
-        let recovered_epoch = registry.batches_processed();
-        let wal = WalWriter::open_after_replay_with(
-            &log_path,
-            durability.sync,
-            &replay,
-            recovered_epoch,
-            durability.failpoints.as_ref(),
-        )?;
-        let report = RegistryRecoveryReport {
-            snapshot_epoch: snap.epoch,
-            recovered_epoch,
-            clean: replay.tail.is_clean(),
-            replayed,
-        };
-        Ok((
-            Self {
-                registry,
-                wal,
-                durability,
-            },
-            report,
-        ))
-    }
-
-    /// Registers a standing query and durably commits the new query set
-    /// (snapshot + log rotation) before returning its id.
-    pub fn register(&mut self, query: &QueryGraph, qcfg: QueryConfig) -> Result<QueryId, WalError> {
-        let id = self.registry.register(query, qcfg);
-        self.snapshot()?;
-        Ok(id)
-    }
-
-    /// Unregisters a standing query, durably committing the removal.
-    /// Returns `Ok(false)` (with no I/O) if `id` is unknown.
-    pub fn unregister(&mut self, id: QueryId) -> Result<bool, WalError> {
-        if !self.registry.unregister(id) {
-            return Ok(false);
-        }
-        self.snapshot()?;
-        Ok(true)
-    }
-
-    /// Logs `raw` (durably, per the sync policy), then applies it.
-    pub fn apply_batch(&mut self, raw: &[Update]) -> Result<RegistryBatchResult, WalError> {
-        self.wal.append(&gamma_wal::codec::updates_to_bytes(raw))?;
-        let result = self.registry.apply_batch(raw);
-        if let Some(every) = self.durability.snapshot_every {
-            if every > 0 && self.registry.batches_processed().is_multiple_of(every) {
-                self.snapshot()?;
-            }
-        }
-        Ok(result)
-    }
-
-    /// Writes a snapshot at the current epoch and rotates the log.
-    pub fn snapshot(&mut self) -> Result<(), WalError> {
-        self.write_snapshot()?;
-        self.wal = WalWriter::create_with(
-            &self.durability.dir.join(LOG_FILE),
-            self.durability.sync,
-            self.registry.batches_processed(),
-            self.durability.failpoints.as_ref(),
-        )?;
-        Ok(())
-    }
-
-    fn write_snapshot(&self) -> Result<(), WalError> {
-        let mut g = ByteWriter::new();
-        encode_graph(&mut g, self.registry.graph());
-        Snapshot {
-            epoch: self.registry.batches_processed(),
-            sections: vec![
-                g.into_bytes(),
-                self.registry.gpma().snapshot_bytes(),
-                encode_query_set(&self.registry),
-            ],
-        }
-        .write_with(
-            &self.durability.dir.join(SNAPSHOT_FILE),
-            self.durability.failpoints.as_ref(),
-        )
-    }
-
-    /// The wrapped registry.
-    pub fn registry(&self) -> &QueryRegistry {
-        &self.registry
-    }
-
-    /// Batch epoch (batches applied since creation, across restarts).
-    pub fn batches_processed(&self) -> u64 {
-        self.registry.batches_processed()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -931,18 +703,5 @@ mod tests {
         // An out-of-range owner is corruption, not a panic later.
         let bad = Partition::from_parts(PartitionStrategy::Greedy, 2, 1, vec![5]);
         assert!(decode_partition(&encode_partition(&bad), 2).is_err());
-    }
-
-    #[test]
-    fn shard_slice_roundtrip() {
-        let slice = vec![
-            (0u32, Update::insert(1, 2)),
-            (3, Update::delete(4, 5)),
-            (7, Update::insert_labeled(6, 7, 9)),
-        ];
-        assert_eq!(
-            decode_shard_slice(&encode_shard_slice(&slice)).unwrap(),
-            slice
-        );
     }
 }

@@ -23,6 +23,7 @@ use gamma_gpma::{Gpma, GpmaConfig};
 use gamma_gpu::{DeviceConfig, KernelStats};
 use gamma_graph::{DynamicGraph, QueryGraph, Update, UpdateBatch, VLabel, VMatch, VertexId};
 
+use crate::durable::DurableView;
 use crate::registry::{QueryConfig, QueryId, QueryRegistry};
 use crate::wbm::QueryMeta;
 
@@ -138,7 +139,7 @@ impl GammaEngine {
     /// table, computes per-edge matching orders and the coalesced-search
     /// plan, and bulk-loads the GPMA device store.
     pub fn new(graph: DynamicGraph, query: &QueryGraph, config: GammaConfig) -> Self {
-        Self::view(QueryRegistry::new(graph, config), query)
+        Self::from_registry(QueryRegistry::new(graph, config), query)
     }
 
     /// Rebuilds an engine from recovered state: the host graph mirror and
@@ -156,13 +157,15 @@ impl GammaEngine {
         gpma: Gpma,
         batches_processed: u64,
     ) -> Self {
-        Self::view(
+        Self::from_registry(
             QueryRegistry::restore(graph, config, gpma, batches_processed),
             query,
         )
     }
 
-    fn view(mut registry: QueryRegistry, query: &QueryGraph) -> Self {
+    /// Wraps a single-device registry with no registration yet as the
+    /// engine for `query`.
+    pub(crate) fn from_registry(mut registry: QueryRegistry, query: &QueryGraph) -> Self {
         registry.register(query, QueryConfig::default());
         Self { registry }
     }
@@ -217,5 +220,17 @@ impl GammaEngine {
     /// Simulated seconds for a cycle count under this engine's clock.
     pub fn seconds(&self, cycles: u64) -> f64 {
         self.registry.seconds(cycles)
+    }
+}
+
+impl DurableView for GammaEngine {
+    type Result = BatchResult;
+
+    fn registry(&self) -> &QueryRegistry {
+        &self.registry
+    }
+
+    fn apply(&mut self, raw: &[Update]) -> BatchResult {
+        self.apply_batch(raw)
     }
 }

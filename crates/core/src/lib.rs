@@ -26,9 +26,9 @@
 //!   virtual-time runtime with inter-device batch stealing.
 //! * [`comm`] — the inter-shard messaging fabric: double-buffered
 //!   per-(src,dst) migrant batches with virtual-cycle ready stamps.
-//! * [`durable`] — crash recovery: write-ahead logged batches + atomic
-//!   snapshots for both engines, with a per-shard log + batch-epoch
-//!   manifest protocol for the sharded one.
+//! * [`durable`] — crash recovery: one wrapper, [`Durable`], that
+//!   write-ahead logs every view's batches to one log and snapshots its
+//!   registry atomically in one section layout, on either executor.
 //! * [`fault`] — deterministic chaos: seeded virtual-time fault plans
 //!   (shard fail-stop at a given phase/step; I/O faults at WAL byte
 //!   offsets via [`gamma_wal::Failpoints`]) driving fail-stop shard
@@ -77,8 +77,8 @@ pub use auto::CoalescedPlan;
 pub use bfs::{run_bfs_phase, BfsReport};
 pub use comm::{Batch, CommFabric, CommStats, MIGRANT_BATCH};
 pub use durable::{
-    DurabilityConfig, DurableGammaEngine, DurableQueryRegistry, DurableShardedEngine,
-    RecoveryReport, RegistryRecoveryReport,
+    DurabilityConfig, Durable, DurableGammaEngine, DurableQueryRegistry, DurableShardedEngine,
+    DurableView, RecoveryReport, RegistryRecoveryReport,
 };
 pub use encoding::{CandidateTable, EncodingScheme, IncrementalEncoder};
 pub use engine::{BatchResult, BatchStats, GammaConfig, GammaEngine, StealingMode};

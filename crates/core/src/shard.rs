@@ -74,6 +74,7 @@ use gamma_graph::{
 };
 
 use crate::comm::{CommFabric, MIGRANT_BATCH};
+use crate::durable::DurableView;
 use crate::encoding::CandidateTable;
 use crate::engine::{BatchResult, GammaConfig};
 use crate::fault::FaultPlan;
@@ -1644,6 +1645,17 @@ impl ShardRuntime {
         }
     }
 
+    /// The vertex partition (snapshot state: the greedy owner table and
+    /// failover repairs cannot be rederived from the graph).
+    pub(crate) fn partition(&self) -> &Partition {
+        &self.partition
+    }
+
+    /// Every shard's resident flags, in shard order (snapshot state).
+    pub(crate) fn residents(&self) -> impl Iterator<Item = &[bool]> {
+        self.shards.iter().map(|s| s.resident.as_slice())
+    }
+
     /// Registers a freshly added vertex `v` (the graph now holds
     /// `num_vertices`): resident on its live owner, degree 0.
     pub(crate) fn add_vertex(&mut self, v: VertexId, num_vertices: usize) {
@@ -2212,34 +2224,16 @@ impl ShardedEngine {
         partition: Partition,
     ) -> Self {
         let registry = QueryRegistry::sharded(graph, &config, partition);
-        Self::view(registry, query, config)
+        Self::from_registry(registry, query, config)
     }
 
-    /// Rebuilds a sharded engine from recovered state: the host graph
-    /// mirror, the snapshotted partition, the restored shared store, and
-    /// every shard's resident-set flags. Encoder, table and metadata are
-    /// pure functions of `(graph, query, config)` and are rebuilt.
-    pub fn restore(
-        graph: DynamicGraph,
+    /// Wraps a shard-executor registry with no registration yet as the
+    /// engine for `query`.
+    pub(crate) fn from_registry(
+        mut registry: QueryRegistry,
         query: &QueryGraph,
         config: ShardedConfig,
-        partition: Partition,
-        store: Gpma,
-        residents: Vec<Vec<bool>>,
-        batches_processed: u64,
     ) -> Self {
-        let registry = QueryRegistry::restore_sharded(
-            graph,
-            &config,
-            partition,
-            store,
-            residents,
-            batches_processed,
-        );
-        Self::view(registry, query, config)
-    }
-
-    fn view(mut registry: QueryRegistry, query: &QueryGraph, config: ShardedConfig) -> Self {
         registry.register_with_id(QueryId(config.query_id), query, QueryConfig::default());
         Self { registry, config }
     }
@@ -2253,16 +2247,6 @@ impl ShardedEngine {
     /// Read access to the host mirror of the data graph.
     pub fn graph(&self) -> &DynamicGraph {
         self.registry.graph()
-    }
-
-    /// State for snapshotting: the shared physical store plus each
-    /// shard's resident flags, in shard order.
-    pub fn shard_state(&self) -> (&Gpma, Vec<&[bool]>) {
-        let shards = &self.runtime().shards;
-        (
-            self.registry.gpma(),
-            shards.iter().map(|s| s.resident.as_slice()).collect(),
-        )
     }
 
     /// The vertex partition.
@@ -2290,15 +2274,6 @@ impl ShardedEngine {
         &self.runtime().alive
     }
 
-    /// The live shard responsible for vertex `v`: the partition owner
-    /// while it is alive, else the deterministic cyclic-successor
-    /// fallback. The durable layer routes per-shard WAL slices through
-    /// this, so logging agrees with where work actually executes.
-    pub fn owner_shard(&self, v: VertexId) -> usize {
-        let rt = self.runtime();
-        live_owner(&rt.partition, &rt.alive, v)
-    }
-
     /// Adds a fresh vertex (owned by its partition shard, resident there).
     pub fn add_vertex(&mut self, label: VLabel) -> VertexId {
         self.registry.add_vertex(label)
@@ -2315,5 +2290,17 @@ impl ShardedEngine {
     /// this engine's current graph).
     pub fn apply_canonical_batch(&mut self, batch: &UpdateBatch) -> BatchResult {
         self.registry.apply_canonical_batch(batch).into_single()
+    }
+}
+
+impl DurableView for ShardedEngine {
+    type Result = BatchResult;
+
+    fn registry(&self) -> &QueryRegistry {
+        &self.registry
+    }
+
+    fn apply(&mut self, raw: &[Update]) -> BatchResult {
+        self.apply_batch(raw)
     }
 }

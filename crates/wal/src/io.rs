@@ -5,11 +5,11 @@
 //! runs wrap that in a [`FailpointIo`] sharing a [`Failpoints`] schedule:
 //! a list of faults, each armed at a **global byte offset** of the
 //! durable write stream (cumulative bytes attempted through every writer
-//! attached to the schedule — WAL appends, manifest commits and snapshot
-//! bodies alike). Because the engines' write sequence is itself a pure
-//! function of the workload, a fault offset identifies one exact write
-//! in every run: the chaos schedule replays bit-exactly, matching the
-//! virtual-time executor's 0%-drift discipline.
+//! attached to the schedule — WAL appends and snapshot bodies alike).
+//! Because the engines' write sequence is itself a pure function of the
+//! workload, a fault offset identifies one exact write in every run: the
+//! chaos schedule replays bit-exactly, matching the virtual-time
+//! executor's 0%-drift discipline.
 //!
 //! Fault semantics:
 //!
@@ -56,8 +56,8 @@ impl IoError {
     }
 }
 
-/// The low-level operations every durable structure (log, manifest,
-/// snapshot) performs, abstracted so faults can be injected under them.
+/// The low-level operations every durable structure (log, snapshot)
+/// performs, abstracted so faults can be injected under them.
 pub trait WalIo: std::fmt::Debug + Send {
     /// Writes the whole buffer (append position).
     fn write_all(&mut self, buf: &[u8]) -> Result<(), IoError>;
@@ -173,7 +173,7 @@ struct FailpointState {
 /// A shared, deterministic I/O fault schedule. Cloning shares the
 /// schedule: every writer wrapped with the same `Failpoints` advances the
 /// same global byte clock, so one schedule spans a whole durable engine
-/// (per-shard logs, manifest and snapshots included).
+/// (its log and snapshots included).
 #[derive(Clone, Debug, Default)]
 pub struct Failpoints(Arc<Mutex<FailpointState>>);
 

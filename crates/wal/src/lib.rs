@@ -15,9 +15,6 @@
 //! * [`snapshot`] — versioned point-in-time snapshots (graph + one or
 //!   more serialized device stores), written atomically via temp-file
 //!   rename so a crash mid-snapshot can never destroy the previous one.
-//! * [`manifest`] — the batch-epoch manifest a multi-shard engine commits
-//!   after all per-shard log appends land, pinning the highest epoch that
-//!   is durable on *every* shard (the common recovery boundary).
 //! * [`trace`] — recorded perf-suite workloads (params, graphs, queries
 //!   and batches) for drift-free fixed-trace benchmarking: CI gates on
 //!   sim-cycles over a committed trace instead of wall-clock noise.
@@ -30,7 +27,6 @@ pub mod codec;
 pub mod crc32;
 pub mod io;
 pub mod log;
-pub mod manifest;
 pub mod snapshot;
 pub mod trace;
 
@@ -38,11 +34,10 @@ pub use codec::{ByteReader, ByteWriter};
 pub use crc32::crc32;
 pub use io::{FailpointIo, Failpoints, FileIo, IoError, IoFault, IoFaultKind, WalIo};
 pub use log::{LogReplay, SyncPolicy, TailState, WalReader, WalRecord, WalWriter};
-pub use manifest::{manifest_len, read_manifest, ManifestReplay, ManifestWriter};
 pub use snapshot::Snapshot;
 pub use trace::{PresetTrace, Trace, TraceParams, WorkloadTrace};
 
-/// Errors surfaced while decoding durable state.
+/// Errors surfaced while writing or decoding durable state.
 #[derive(Debug)]
 pub enum WalError {
     /// Underlying I/O failure.
@@ -67,6 +62,9 @@ pub enum WalError {
         /// The last transient error observed.
         last: String,
     },
+    /// A batch was refused before it was logged: applying it would fail,
+    /// and so would every replay of it.
+    Rejected(String),
 }
 
 impl std::fmt::Display for WalError {
@@ -86,6 +84,7 @@ impl std::fmt::Display for WalError {
                 f,
                 "{context}: transient i/o error persisted past {attempts} attempts: {last}"
             ),
+            WalError::Rejected(m) => write!(f, "batch rejected: {m}"),
         }
     }
 }

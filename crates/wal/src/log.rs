@@ -107,21 +107,6 @@ impl LogReplay {
     pub fn last_epoch(&self) -> Option<u64> {
         self.records.last().map(|r| r.epoch)
     }
-
-    /// Discards every replayed record with `epoch >= boundary`, adjusting
-    /// `valid_len` so a subsequent [`WalWriter::open_after_replay`]
-    /// truncates them from the file. Multi-shard recovery uses this to cut
-    /// per-shard logs back to the manifest's committed boundary: a record
-    /// beyond it landed on *this* shard but not on all of them.
-    pub fn discard_from(&mut self, boundary: u64) {
-        while let Some(last) = self.records.last() {
-            if last.epoch < boundary {
-                break;
-            }
-            self.valid_len -= (FRAME_LEN + last.payload.len()) as u64;
-            self.records.pop();
-        }
-    }
 }
 
 /// Append side of the log.

@@ -14,9 +14,9 @@
 //!   fault injection and fail-stop shard failover (`engine::fault`).
 //! * [`csm`] — CPU continuous-subgraph-matching baselines.
 //! * [`datasets`] — synthetic datasets, query and update-stream generators.
-//! * [`wal`] — durability primitives: write-ahead log, snapshots, the
-//!   multi-shard batch-epoch manifest, and recorded benchmark traces
-//!   (the crash-recoverable engine wrappers live in `engine::durable`).
+//! * [`wal`] — durability primitives: write-ahead log, snapshots, and
+//!   recorded benchmark traces (the crash-recoverable wrapper every
+//!   engine view shares lives in `engine::durable`).
 //!
 //! ## Quickstart
 //!

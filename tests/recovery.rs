@@ -10,8 +10,8 @@
 //! * a [`DurableGammaEngine`] killed at a seeded-random batch boundary
 //!   (the engine is dropped mid-stream, exactly what a process crash
 //!   leaves on disk) and recovered from its durability directory, and
-//! * the same pair for [`ShardedEngine`] at 4 shards, where recovery must
-//!   bring every per-shard log to the manifest's common epoch boundary.
+//! * the same pair for [`ShardedEngine`] at 4 shards, whose one log and
+//!   snapshot also carry the partition and every shard's resident set.
 //!
 //! Mid-stream snapshots (`snapshot_every = 2`) run in all durable
 //! replays, so log rotation and snapshot/restore of live GPMA state —
@@ -27,14 +27,16 @@ use gamma::datasets::{
     sample_deletion_workload, split_insertion_workload, DatasetPreset, QueryClass, Zipf,
 };
 use gamma::engine::durable::{
-    DurabilityConfig, DurableGammaEngine, DurableShardedEngine, RecoveryReport,
+    DurabilityConfig, Durable, DurableGammaEngine, DurableQueryRegistry, DurableShardedEngine,
+    DurableView, RecoveryReport,
 };
+use gamma::engine::registry::{QueryConfig, QueryId, QueryRegistry, RegistryBatchResult};
 use gamma::engine::{
     BatchResult, FaultPlan, GammaConfig, GammaEngine, PartitionStrategy, ShardStealing,
     ShardedConfig, ShardedEngine, StealingMode,
 };
 use gamma::gpu::DeviceConfig;
-use gamma::graph::{DynamicGraph, Update, VMatch};
+use gamma::graph::{DynamicGraph, QueryGraph, Update, VMatch, NO_ELABEL};
 use gamma::wal::{Failpoints, IoFaultKind, SyncPolicy, WalError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,6 +63,28 @@ impl From<BatchResult> for Delta {
             negative_count: r.negative_count,
         }
     }
+}
+
+/// A registry batch's per-query deltas, in comparable (sorted) form.
+fn registry_deltas(r: &RegistryBatchResult) -> Vec<(QueryId, Delta)> {
+    r.deltas
+        .iter()
+        .map(|d| {
+            let mut positive = d.positive.clone();
+            let mut negative = d.negative.clone();
+            positive.sort_unstable();
+            negative.sort_unstable();
+            (
+                d.id,
+                Delta {
+                    positive,
+                    negative,
+                    positive_count: d.positive_count,
+                    negative_count: d.negative_count,
+                },
+            )
+        })
+        .collect()
 }
 
 fn gamma_config() -> GammaConfig {
@@ -727,37 +751,13 @@ fn recovery_preserves_greedy_partition() {
 }
 
 /// Standing-query serving tier: a [`DurableQueryRegistry`] killed at a
-/// batch boundary must recover its registered query set from the snapshot
-/// manifest, replay the log tail through the real grouped batch path, and
+/// batch boundary must recover its registered query set from the snapshot,
+/// replay the log tail through the real grouped batch path, and
 /// then continue emitting per-query delta streams bit-identical to an
 /// uninterrupted registry — including a query registered mid-stream
 /// (registration snapshots eagerly, so it always survives the crash).
 #[test]
 fn recovery_query_registry_preserves_subscriptions() {
-    use gamma::engine::durable::DurableQueryRegistry;
-    use gamma::engine::registry::{QueryConfig, QueryId, QueryRegistry, RegistryBatchResult};
-
-    fn registry_deltas(r: &RegistryBatchResult) -> Vec<(QueryId, Delta)> {
-        r.deltas
-            .iter()
-            .map(|d| {
-                let mut positive = d.positive.clone();
-                let mut negative = d.negative.clone();
-                positive.sort_unstable();
-                negative.sort_unstable();
-                (
-                    d.id,
-                    Delta {
-                        positive,
-                        negative,
-                        positive_count: d.positive_count,
-                        negative_count: d.negative_count,
-                    },
-                )
-            })
-            .collect()
-    }
-
     let dataset = DatasetPreset::GH.build(0.04, 101);
     let mut start = dataset.graph.clone();
     let batches = build_workload(&mut start, 0x9e37);
@@ -834,4 +834,235 @@ fn recovery_query_registry_preserves_subscriptions() {
     }
     drop(recovered);
     std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// The registry cell above never unregisters. Here a registration is
+/// removed mid-stream — the last one handed out, so a recovered id
+/// allocator that forgot it would hand its id out again — after the last
+/// automatic snapshot ahead of the crash, so only the snapshot
+/// `unregister` writes itself carries the removal. The recovered registry
+/// must hold the same ids as the uninterrupted one, give the next
+/// registration the same id, and keep every delta stream bit-identical.
+#[test]
+fn recovery_query_registry_unregister_survives_crash() {
+    let dataset = DatasetPreset::GH.build(0.04, 111);
+    let mut start = dataset.graph.clone();
+    let batches = build_workload(&mut start, 111u64.wrapping_mul(0x9e37));
+    let queries = gamma::datasets::generate_queries(&start, QueryClass::Sparse, 4, 2, 7911);
+    assert!(queries.len() >= 2, "need two patterns");
+    let late = gamma::datasets::generate_queries(&start, QueryClass::Tree, 4, 1, 7912)
+        .pop()
+        .unwrap_or_else(|| queries[0].clone());
+
+    let mut reference = QueryRegistry::new(start.clone(), gamma_config());
+    let dir = temp_dir("registry_unregister");
+    let mut durable = DurableQueryRegistry::create(start.clone(), gamma_config(), durability(&dir))
+        .expect("create durable registry");
+    for q in [&queries[0], &queries[1], &queries[0]] {
+        let id = reference.register(q, QueryConfig::default());
+        let got = durable
+            .register(q, QueryConfig::default())
+            .expect("register");
+        assert_eq!(got, id);
+    }
+
+    let dropped = QueryId(2);
+    let kill_at = 1 + (batches.len() / 2);
+    let mut expected = Vec::new();
+    for (i, b) in batches.iter().take(kill_at).enumerate() {
+        if i == kill_at - 1 {
+            assert!(reference.unregister(dropped));
+            assert!(durable.unregister(dropped).expect("mid-stream unregister"));
+        }
+        expected.push(registry_deltas(&reference.apply_batch(b)));
+        let got = registry_deltas(&durable.apply_batch(b).expect("logged apply"));
+        assert_eq!(
+            got, expected[i],
+            "durable registry diverges pre-kill at {i}"
+        );
+    }
+
+    drop(durable);
+    let (mut recovered, report) =
+        DurableQueryRegistry::recover(gamma_config(), durability(&dir)).expect("recover");
+    assert_eq!(report.recovered_epoch, kill_at as u64);
+    assert_eq!(
+        report.snapshot_epoch + 1,
+        kill_at as u64,
+        "recovery must start from the snapshot unregister wrote"
+    );
+    for (off, r) in report.replayed.iter().enumerate() {
+        let i = report.snapshot_epoch as usize + off;
+        assert_eq!(
+            registry_deltas(r),
+            expected[i],
+            "replayed batch {i} diverges"
+        );
+    }
+    assert_eq!(
+        recovered.registry().query_ids(),
+        reference.query_ids(),
+        "the unregistered id came back, or another went missing"
+    );
+
+    // The id allocator survived: the next registration gets the same id
+    // on both sides, never the unregistered one.
+    let want = reference.register(&late, QueryConfig::default());
+    let got = recovered
+        .register(&late, QueryConfig::default())
+        .expect("register after recovery");
+    assert_eq!(got, want, "recovered id allocator diverges");
+    assert_ne!(got, dropped);
+    for (i, b) in batches.iter().enumerate().skip(kill_at) {
+        let want = registry_deltas(&reference.apply_batch(b));
+        let got = registry_deltas(&recovered.apply_batch(b).expect("logged apply"));
+        assert_eq!(got, want, "recovered registry diverges at {i}");
+    }
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A 4-vertex path 0–1–2–3 (one vertex label) and a triangle query:
+/// inserting (0, 2) closes one data triangle.
+fn probe_graph() -> (DynamicGraph, QueryGraph) {
+    let mut g = DynamicGraph::new();
+    for _ in 0..4 {
+        g.add_vertex(0);
+    }
+    for (u, v) in [(0, 1), (1, 2), (2, 3)] {
+        g.insert_edge(u, v, NO_ELABEL);
+    }
+    let mut b = QueryGraph::builder();
+    let (x, y, z) = (b.vertex(0), b.vertex(0), b.vertex(0));
+    b.edge(x, y).edge(y, z).edge(x, z);
+    (g, b.build())
+}
+
+/// Feeds `d` a batch naming a vertex far outside its 4-vertex graph, then
+/// a valid batch, and recovers. The poison batch must be refused before
+/// it is logged; the valid one must apply and survive the crash.
+fn check_poison_refused<V: DurableView>(
+    view: &str,
+    dir: &std::path::Path,
+    mut d: Durable<V>,
+    recover: impl FnOnce() -> Result<u64, WalError>,
+) {
+    let log = dir.join("wal.log");
+    let log_len = || std::fs::metadata(&log).expect("log exists").len();
+    let before = log_len();
+    match d.apply_batch(&[Update::insert(0, 10_000)]) {
+        Err(WalError::Rejected(_)) => {}
+        Err(e) => panic!("{view}: expected Rejected, got {e:?}"),
+        Ok(_) => panic!("{view}: a batch naming vertex 10000 applied"),
+    }
+    assert_eq!(log_len(), before, "{view}: a refused batch reached the log");
+    assert_eq!(
+        d.batches_processed(),
+        0,
+        "{view}: a refused batch moved the epoch"
+    );
+    d.apply_batch(&[Update::insert(0, 2)])
+        .expect("a valid batch after the refusal applies");
+    assert_eq!(d.batches_processed(), 1);
+    drop(d);
+    let epoch = recover().unwrap_or_else(|e| panic!("{view}: recovery failed: {e}"));
+    assert_eq!(epoch, 1, "{view}: recovery must reach the valid batch");
+    std::fs::remove_dir_all(dir).expect("cleanup");
+}
+
+#[test]
+fn recovery_rejects_poison_batch_on_every_view() {
+    let (g, q) = probe_graph();
+    let sharded = || ShardedConfig {
+        num_shards: 2,
+        ..sharded_config()
+    };
+
+    let dir = temp_dir("poison_gamma");
+    let d = DurableGammaEngine::create(g.clone(), &q, gamma_config(), DurabilityConfig::new(&dir))
+        .expect("create");
+    check_poison_refused("gamma", &dir, d, || {
+        DurableGammaEngine::recover(&q, gamma_config(), DurabilityConfig::new(&dir))
+            .map(|(_, r)| r.recovered_epoch)
+    });
+
+    let dir = temp_dir("poison_sharded");
+    let d = DurableShardedEngine::create(g.clone(), &q, sharded(), DurabilityConfig::new(&dir))
+        .expect("create");
+    check_poison_refused("sharded", &dir, d, || {
+        DurableShardedEngine::recover(&q, sharded(), DurabilityConfig::new(&dir))
+            .map(|(_, r)| r.recovered_epoch)
+    });
+
+    let dir = temp_dir("poison_registry");
+    let mut d = DurableQueryRegistry::create(g, gamma_config(), DurabilityConfig::new(&dir))
+        .expect("create");
+    d.register(&q, QueryConfig::default()).expect("register");
+    check_poison_refused("registry", &dir, d, || {
+        DurableQueryRegistry::recover(gamma_config(), DurabilityConfig::new(&dir))
+            .map(|(_, r)| r.recovered_epoch)
+    });
+}
+
+fn assert_corrupt<T>(case: &str, r: Result<T, WalError>) {
+    match r {
+        Err(WalError::Corrupt(_)) => {}
+        Err(e) => panic!("{case}: expected Corrupt, got {e:?}"),
+        Ok(_) => panic!("{case}: recovery accepted a mismatched directory"),
+    }
+}
+
+/// A directory recovered with a configuration it was not written with —
+/// another query, another shard count, another executor — is refused as
+/// corrupt instead of recovering a different engine or panicking.
+#[test]
+fn recovery_refuses_mismatched_directory() {
+    let (g, q) = probe_graph();
+    let mut b = QueryGraph::builder();
+    let (x, y, z) = (b.vertex(0), b.vertex(0), b.vertex(0));
+    b.edge(x, y).edge(y, z);
+    let path = b.build();
+    let shards = |num_shards| ShardedConfig {
+        num_shards,
+        ..sharded_config()
+    };
+
+    let gamma_dir = temp_dir("mismatch_gamma");
+    let mut d = DurableGammaEngine::create(g.clone(), &q, gamma_config(), durability(&gamma_dir))
+        .expect("create");
+    d.apply_batch(&[Update::insert(0, 2)]).expect("apply");
+    drop(d);
+    let sharded_dir = temp_dir("mismatch_sharded");
+    let mut d =
+        DurableShardedEngine::create(g, &q, shards(4), durability(&sharded_dir)).expect("create");
+    d.apply_batch(&[Update::insert(0, 2)]).expect("apply");
+    drop(d);
+
+    assert_corrupt(
+        "gamma directory, another query",
+        DurableGammaEngine::recover(&path, gamma_config(), durability(&gamma_dir)),
+    );
+    assert_corrupt(
+        "4-shard directory, 2 shards",
+        DurableShardedEngine::recover(&q, shards(2), durability(&sharded_dir)),
+    );
+    assert_corrupt(
+        "sharded directory as one device",
+        DurableGammaEngine::recover(&q, gamma_config(), durability(&sharded_dir)),
+    );
+    assert_corrupt(
+        "one-device directory as sharded",
+        DurableShardedEngine::recover(&q, shards(4), durability(&gamma_dir)),
+    );
+
+    // The refusals changed nothing: each directory still recovers with the
+    // configuration it was written with.
+    let (_, r) = DurableGammaEngine::recover(&q, gamma_config(), durability(&gamma_dir))
+        .expect("recover gamma");
+    assert_eq!(r.recovered_epoch, 1);
+    let (_, r) = DurableShardedEngine::recover(&q, shards(4), durability(&sharded_dir))
+        .expect("recover sharded");
+    assert_eq!(r.recovered_epoch, 1);
+    std::fs::remove_dir_all(&gamma_dir).expect("cleanup");
+    std::fs::remove_dir_all(&sharded_dir).expect("cleanup");
 }

@@ -17,9 +17,11 @@
 //! causally sound *and* bit-reproducible: delivery order depends only on
 //! virtual time, never on host-thread timing.
 //!
-//! The fabric itself is a plain single-owner data structure — the
-//! virtual-time executor is single-threaded, so there are no locks to
-//! take and no atomics to fence. All iteration is in shard-id order.
+//! The fabric itself is a plain single-owner data structure: only the
+//! virtual-time executor's scheduling thread touches it — units that run
+//! ahead on the launch pool return their migrants, and the scheduler
+//! stages them when it commits the unit — so there are no locks to take
+//! and no atomics to fence. All iteration is in shard-id order.
 //!
 //! [`CostModel::migrant_ship`]: gamma_gpu::CostModel::migrant_ship
 

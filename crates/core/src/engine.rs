@@ -61,7 +61,11 @@ pub struct GammaConfig {
     /// one shared-prefix group's. The abort it raises is the batch's: in
     /// a [`QueryRegistry`] on one device it stops every group of the
     /// phase and the phases after it, and `timed_out` marks every delta
-    /// of the batch as partial.
+    /// of the batch as partial. On the shard executor a unit run ahead
+    /// raises it once its own count passes the limit, and the scheduler
+    /// once the count it has committed does; the phase then stops at the
+    /// next unit boundary, in commit order, keeping the matches of the
+    /// units committed before it.
     pub match_limit: u64,
     /// Bitmap quick-reject in front of the kernel's chunked backward-edge
     /// intersection (low-degree runs only). Exact either way — results are

@@ -42,7 +42,11 @@
 //! raises the batch's one abort flag, which stops every launch still
 //! running and every launch after it. On the single device a phase is one
 //! launch call, so that is every group of the phase (on the shard
-//! executor the groups launched before complete).
+//! executor the groups launched before complete). A shard launch stops at
+//! a unit boundary, in commit order: its anchor units run ahead on the
+//! launch pool, each raising the abort once its own match count passes
+//! the limit, and the scheduler raises it once the count it has committed
+//! does, so the launch keeps the matches of the units committed before.
 //! [`RegistryBatchResult::timed_out`] then marks every delta of the batch
 //! as partial; the structural update still lands.
 //!
@@ -684,16 +688,18 @@ impl QueryRegistry {
         // Per group: each member's (matches, count), and the group's stats.
         let mut launched: Vec<(Vec<(Vec<VMatch>, u64)>, KernelStats)> =
             Vec::with_capacity(self.groups.len());
+        // Both executors borrow the store as owned state and hand it back
+        // once every launch of the phase has released it.
+        let phase = Phase {
+            gpma: Arc::new(self.gpma.take().expect("gpma present")),
+            anchors,
+            match_limit: self.config.match_limit,
+            abort: Arc::clone(abort),
+            deadline,
+            signatures: self.config.bitmap_intersect,
+        };
         match &mut self.exec {
             Executor::Device(device) => {
-                let phase = Phase {
-                    gpma: Arc::new(self.gpma.take().expect("gpma present")),
-                    anchors,
-                    match_limit: self.config.match_limit,
-                    abort: Arc::clone(abort),
-                    deadline,
-                    signatures: self.config.bitmap_intersect,
-                };
                 let mut shares = Vec::with_capacity(self.groups.len());
                 let mut grids = Vec::with_capacity(self.groups.len());
                 for g in &self.groups {
@@ -746,26 +752,23 @@ impl QueryRegistry {
                     }
                     launched.push((outputs, stats));
                 }
-                self.gpma = Some(phase.into_store());
             }
             Executor::Shards(rt) => {
                 for g in &self.groups {
                     // Identical patterns: one launch under the
                     // representative's id, its delta cloned per member.
-                    let rep = &self.queries[g.members[0]];
                     let collect = g.members.iter().any(|&qi| self.queries[qi].collect);
-                    let (matches, count, stats) = rt.kernel_phase(
+                    let rep = &mut self.queries[g.members[0]];
+                    let (table, matches, count, stats) = rt.kernel_phase(
                         &self.graph,
-                        self.gpma.as_ref().expect("gpma present"),
-                        rep.table.as_ref().expect("table present"),
+                        &phase,
+                        rep.table.take().expect("table present"),
                         &rep.full_meta,
-                        &self.config,
-                        anchors,
+                        &self.config.device,
                         collect,
                         rep.id.0,
-                        abort,
-                        deadline,
                     );
+                    rep.table = Some(table);
                     let outputs = g
                         .members
                         .iter()
@@ -782,6 +785,7 @@ impl QueryRegistry {
                 }
             }
         }
+        self.gpma = Some(phase.into_store());
         for (g, (outputs, stats)) in self.groups.iter().zip(launched) {
             for (&qi, (matches, count)) in g.members.iter().zip(outputs) {
                 Self::route(&mut result.deltas[qi], matches, count, &stats, positive);

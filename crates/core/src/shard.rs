@@ -51,6 +51,18 @@
 //!   is **bit-reproducible run to run** (the replay gate covers SHARD
 //!   cells at 0% tolerance) — and the phase ends at quiescence: every
 //!   local queue empty and nothing in flight in the fabric.
+//! * **Host work on both launch threads** — a unit's outcome (its cycles,
+//!   counter deltas, matches and the migrants it ships, in order) depends
+//!   only on the unit and the shard that runs it: within a phase a unit
+//!   reads fixed state and scratch it clears first. So before the first
+//!   scheduling step every anchor unit runs ahead, as one job each, on the
+//!   calling thread and the process-wide launch pool
+//!   ([`gamma_gpu::run_jobs`]) that serves device launches; the scheduler,
+//!   on the calling thread alone, commits each outcome when it reaches
+//!   the unit, and runs migrant units inline. Lane stamps, the fabric,
+//!   steals, the sink and every cycle counter see the sequence a
+//!   one-thread run sees. A fail-stop discards the outcomes not yet
+//!   committed, since it changes the partition and residency they read.
 //!
 //! Results are bit-identical to [`GammaEngine`](crate::GammaEngine):
 //! candidate generation at any level reads complete local information
@@ -62,13 +74,14 @@
 //! [`CostModel::migrant_ship`]: gamma_gpu::CostModel::migrant_ship
 //! [`ShardedQueryRegistry`]: crate::registry::ShardedQueryRegistry
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use gamma_gpma::{Gpma, RunCursor, CHUNK_WIDTH};
-use gamma_gpu::{KernelStats, WarpCtx};
+use gamma_gpu::{run_jobs, CostModel, DeviceConfig, Job, KernelStats, WarpCtx};
 use gamma_graph::{
     DynamicGraph, ELabel, QueryGraph, Update, UpdateBatch, VLabel, VMatch, VertexId,
 };
@@ -79,7 +92,7 @@ use crate::encoding::CandidateTable;
 use crate::engine::{BatchResult, GammaConfig};
 use crate::fault::FaultPlan;
 use crate::registry::{QueryConfig, QueryId, QueryRegistry};
-use crate::wbm::{poll_deadline, IncidentRange, QueryMeta, UpdateOrder};
+use crate::wbm::{poll_deadline, IncidentRange, Phase, QueryMeta, UpdateOrder};
 
 /// Survivor chunks narrower than this are intersected candidate-by-
 /// candidate (early-exit scalar probes) instead of mask-carrying chunked
@@ -818,54 +831,135 @@ struct UnitScratch {
     chunk: Vec<VertexId>,
 }
 
-/// Immutable per-shard environment of one kernel phase.
-struct ShardEnv<'a> {
-    shard_id: usize,
-    partition: &'a Partition,
+/// What every unit of one kernel phase reads, owned so that a unit can
+/// run on any launch-pool thread. Units never change it: only a fail-stop,
+/// between two scheduling steps, refreshes its partition, alive mask and
+/// resident sets.
+struct PhaseEnv {
+    partition: Partition,
     /// The shared physical store. A scan only ever reads runs of
-    /// vertices resident on `shard_id` — complete runs, identical to
-    /// what a private replica would hold.
-    gpma: &'a Gpma,
-    table: &'a CandidateTable,
-    meta: &'a QueryMeta,
-    update_order: &'a UpdateOrder,
+    /// vertices resident on the scanning shard — complete runs, identical
+    /// to what a private replica would hold.
+    gpma: Arc<Gpma>,
+    table: CandidateTable,
+    meta: Arc<QueryMeta>,
+    update_order: UpdateOrder,
     /// Shared true degrees — every site must pick the same base for an
     /// anchor or migrants would bounce.
-    degrees: &'a [u32],
-    resident: &'a [bool],
+    degrees: Arc<Vec<u32>>,
+    /// Every shard's resident set, in shard order.
+    residents: Vec<Arc<Vec<bool>>>,
     /// Live-shard mask — migration destinations are always computed
     /// among survivors (all-true with no faults, where `live_owner`
     /// degenerates to `Partition::owner`).
-    alive: &'a [bool],
-    /// Per-vertex u64 run signatures the shared store maintains (empty
-    /// disables the bitmap prefilter; results identical either way).
-    signatures: &'a [u64],
+    alive: Vec<bool>,
+    /// Whether scans read the per-vertex run signatures the shared store
+    /// maintains (the bitmap prefilter; results identical either way).
+    signatures: bool,
     /// The batch deadline, polled by every unit ([`poll_deadline`]).
     deadline: Option<Instant>,
     collect: bool,
     /// Envelope tag stamped on shipped migrants.
     query_id: u64,
+    /// A unit whose own match count passes this raises `abort`.
+    match_limit: u64,
+    abort: Arc<AtomicBool>,
+    cost: CostModel,
+    warp_size: u32,
 }
 
-impl ShardEnv<'_> {
-    #[inline]
-    fn is_resident(&self, v: VertexId) -> bool {
-        self.resident.get(v as usize).copied().unwrap_or(false)
+impl PhaseEnv {
+    /// The run signatures scans read, or none.
+    fn signatures(&self) -> &[u64] {
+        if self.signatures {
+            self.gpma.signatures()
+        } else {
+            &[]
+        }
     }
 }
 
-/// One unit of shard work — an anchor's full seed sweep or an arrived
-/// migrant — run to completion inline, metered through a [`WarpCtx`].
-struct UnitTask<'a, 'b> {
-    env: &'b ShardEnv<'a>,
-    ctx: &'b mut WarpCtx,
-    scratch: &'b mut UnitScratch,
-    sink: &'b mut Vec<VMatch>,
-    /// Migrants this unit produced: `(owner shard, migrant)`.
-    out: &'b mut Vec<(usize, Migrant)>,
-    match_count: &'b mut u64,
-    match_limit: u64,
-    abort: &'b AtomicBool,
+/// What one unit did: its cycles, its counter deltas, its matches and
+/// match count, and the migrants it ships, in order — `(owner shard,
+/// migrant)`. The scheduler commits it when it reaches the unit.
+#[derive(Default)]
+struct UnitOut {
+    cycles: u64,
+    global_transactions: u64,
+    shared_accesses: u64,
+    buf_reuse: u64,
+    buf_alloc: u64,
+    matches: Vec<VMatch>,
+    count: u64,
+    migrants: Vec<(usize, Migrant)>,
+}
+
+thread_local! {
+    /// Each thread's unit scratch, reused by every unit it runs, phase
+    /// after phase.
+    static SCRATCH: RefCell<UnitScratch> = RefCell::new(UnitScratch::default());
+}
+
+/// Runs one unit — an anchor's full seed sweep or an arrived migrant — to
+/// completion on `shard` and returns its outcome.
+///
+/// The outcome depends only on the unit, the shard and `env`: the unit
+/// starts from a fresh [`WarpCtx`] and its own match count, and clears
+/// every scratch buffer before use. So a unit run ahead, on any thread,
+/// has the outcome the scheduler would get running it inline. Only the
+/// buffer-reuse counters see which thread's scratch it drew on.
+fn run_unit(env: &PhaseEnv, shard: usize, work: UnitWork) -> UnitOut {
+    let (v1, v2, elabel, anchor_order) = match &work {
+        UnitWork::Anchor(a, order) => (a.u, a.v, a.label, *order),
+        UnitWork::Mig(mig) => {
+            debug_assert_eq!(
+                mig.qid, env.query_id,
+                "migrant envelope routed to a different standing query"
+            );
+            (mig.anchor.0, mig.anchor.1, mig.anchor.2, mig.anchor_order)
+        }
+    };
+    SCRATCH.with_borrow_mut(|scratch| {
+        let mut task = UnitTask {
+            env,
+            shard,
+            resident: &env.residents[shard],
+            ctx: WarpCtx::new(env.cost, env.warp_size),
+            scratch,
+            out: UnitOut::default(),
+            v1,
+            v2,
+            elabel,
+            anchor_order,
+            steps: 0,
+        };
+        match work {
+            UnitWork::Anchor(..) => task.run_anchor(),
+            UnitWork::Mig(mig) => task.run_migrant(mig),
+        }
+        let ctx = &mut task.ctx;
+        UnitOut {
+            cycles: ctx.take_step_cycles(),
+            global_transactions: ctx.global_transactions,
+            shared_accesses: ctx.shared_accesses,
+            buf_reuse: ctx.buf_reuse,
+            buf_alloc: ctx.buf_alloc,
+            ..task.out
+        }
+    })
+}
+
+/// One unit of shard work in flight, metered through its own
+/// [`WarpCtx`].
+struct UnitTask<'a> {
+    env: &'a PhaseEnv,
+    /// The shard running the unit.
+    shard: usize,
+    /// That shard's resident set.
+    resident: &'a [bool],
+    ctx: WarpCtx,
+    scratch: &'a mut UnitScratch,
+    out: UnitOut,
     v1: VertexId,
     v2: VertexId,
     elabel: ELabel,
@@ -875,7 +969,12 @@ struct UnitTask<'a, 'b> {
     steps: u32,
 }
 
-impl UnitTask<'_, '_> {
+impl UnitTask<'_> {
+    #[inline]
+    fn is_resident(&self, v: VertexId) -> bool {
+        self.resident.get(v as usize).copied().unwrap_or(false)
+    }
+
     /// Draws a candidate buffer from the shared pool (warm-up allocates;
     /// steady state recycles), reporting which to the stats.
     fn take_buf(&mut self) -> Vec<VertexId> {
@@ -899,16 +998,16 @@ impl UnitTask<'_, '_> {
     }
 
     fn note_matches(&mut self, n: u64) {
-        *self.match_count += n;
-        if *self.match_count > self.match_limit {
-            self.abort.store(true, Ordering::Relaxed);
+        self.out.count += n;
+        if self.out.count > self.env.match_limit {
+            self.env.abort.store(true, Ordering::Relaxed);
         }
     }
 
     fn emit(&mut self, m: VMatch) {
         self.note_matches(1);
         if self.env.collect {
-            self.sink.push(m);
+            self.out.matches.push(m);
         }
     }
 
@@ -918,7 +1017,7 @@ impl UnitTask<'_, '_> {
         let num_seeds = self.env.meta.seeds.len();
         for si in 0..num_seeds {
             for flipped in [false, true] {
-                if self.abort.load(Ordering::Relaxed) {
+                if self.env.abort.load(Ordering::Relaxed) {
                     return;
                 }
                 if let Some(st) = self.start_seed(si, flipped) {
@@ -945,8 +1044,8 @@ impl UnitTask<'_, '_> {
 
     fn drive(&mut self, mut st: SDfs) {
         loop {
-            poll_deadline(self.env.deadline, &mut self.steps, self.abort);
-            if self.abort.load(Ordering::Relaxed) {
+            poll_deadline(self.env.deadline, &mut self.steps, &self.env.abort);
+            if self.env.abort.load(Ordering::Relaxed) {
                 // Return frame buffers so the pool survives aborts.
                 for f in st.frames.drain(..) {
                     self.recycle(f.cands);
@@ -1013,7 +1112,7 @@ impl UnitTask<'_, '_> {
         }
         let qv = seed.order[level];
         let mut backward = std::mem::take(&mut self.scratch.backward);
-        backward_neighbors(env.meta, st.seed, level, &st.m, &mut backward);
+        backward_neighbors(&env.meta, st.seed, level, &st.m, &mut backward);
         // Base selection by *true* degree (site-consistent: every shard
         // computes the same base for the same partial, which the migration
         // protocol depends on).
@@ -1022,7 +1121,7 @@ impl UnitTask<'_, '_> {
             .map(|&(dv, _)| dv)
             .min_by_key(|&dv| (env.degrees.get(dv as usize).copied().unwrap_or(0), dv))
             .expect("connected matching order");
-        let owner = live_owner(env.partition, env.alive, base);
+        let owner = live_owner(&env.partition, &env.alive, base);
         // Locality fast-path: the resident-direction scan reads exactly
         // the runs of the backward vertices (base included), all of which
         // are complete on any shard where those vertices are resident —
@@ -1034,7 +1133,7 @@ impl UnitTask<'_, '_> {
         // This is the same soundness argument that licenses batch
         // stealing, and it is what makes the edge cut — not the raw
         // anchor placement — govern migration volume.
-        let local_ok = owner == env.shard_id || backward.iter().all(|&(dv, _)| env.is_resident(dv));
+        let local_ok = owner == self.shard || backward.iter().all(|&(dv, _)| self.is_resident(dv));
         if !local_ok && !st.authorized {
             // Ship this subtree — just the partial match — toward the
             // owner (staged into the comm fabric's open batch; the
@@ -1044,7 +1143,7 @@ impl UnitTask<'_, '_> {
             self.scratch.backward = backward;
             self.ctx
                 .global_read_coalesced(env.meta.q.num_vertices() as u64);
-            self.out.push((
+            self.out.migrants.push((
                 owner,
                 Migrant {
                     anchor: (self.v1, self.v2, self.elabel),
@@ -1173,10 +1272,10 @@ impl UnitTask<'_, '_> {
         let seed = &env.meta.seeds[st.seed];
         let level = st.base_level + st.frames.len();
         let qv = seed.order[level];
-        let gpma = env.gpma;
-        let uo = env.update_order;
-        let table = env.table;
-        let sigs = env.signatures;
+        let gpma: &Gpma = &env.gpma;
+        let uo = &env.update_order;
+        let table = &env.table;
+        let sigs = env.signatures();
         let anchor_order = self.anchor_order;
         let base_el = backward
             .iter()
@@ -1195,7 +1294,7 @@ impl UnitTask<'_, '_> {
 
         let all_resident = backward
             .iter()
-            .all(|&(dv, _)| dv == base || env.is_resident(dv));
+            .all(|&(dv, _)| dv == base || self.is_resident(dv));
         if all_resident {
             // --- Resident direction (single-device shape) ---
             let mut others = std::mem::take(&mut self.scratch.probes);
@@ -1656,6 +1755,14 @@ impl ShardRuntime {
         self.shards.iter().map(|s| s.resident.as_slice())
     }
 
+    /// Every shard's resident set, shared with a phase's units.
+    fn resident_sets(&self) -> Vec<Arc<Vec<bool>>> {
+        self.shards
+            .iter()
+            .map(|s| Arc::clone(&s.resident))
+            .collect()
+    }
+
     /// Registers a freshly added vertex `v` (the graph now holds
     /// `num_vertices`): resident on its live owner, degree 0.
     pub(crate) fn add_vertex(&mut self, v: VertexId, num_vertices: usize) {
@@ -1767,68 +1874,90 @@ impl ShardRuntime {
 
     /// One distributed kernel phase on the virtual-time executor, for one
     /// registered pattern (`table`, `meta`) over the registry's `graph`
-    /// and shared `store`: anchors start on the shard owning their
-    /// canonical endpoint; units run to completion on per-shard lane
-    /// clocks; migrants — stamped `query_id` — flow through the batched
-    /// comm fabric mid-phase (no barriers); idle shards steal eligible
-    /// published batches; the phase ends at quiescence. Every scheduling
-    /// decision reads virtual state only — the whole phase is
+    /// and the `phase`'s shared store and anchors: anchors start on the
+    /// shard owning their canonical endpoint; units run to completion on
+    /// per-shard lane clocks; migrants — stamped `query_id` — flow through
+    /// the batched comm fabric mid-phase (no barriers); idle shards steal
+    /// eligible published batches; the phase ends at quiescence. Every
+    /// scheduling decision reads virtual state only — the whole phase is
     /// bit-reproducible, including all cycle counters.
+    ///
+    /// Before the first scheduling step, every anchor unit runs ahead on
+    /// the launch pool ([`run_jobs`], on `min(num_sms, host parallelism,
+    /// anchors)` threads) against its routed shard; the scheduler commits
+    /// each outcome when it reaches the unit, and runs migrant units
+    /// inline. `table` is lent to the phase and handed back.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn kernel_phase(
         &mut self,
         graph: &DynamicGraph,
-        store: &Gpma,
-        table: &CandidateTable,
-        meta: &QueryMeta,
-        config: &GammaConfig,
-        anchors: &[Update],
+        phase: &Phase<'_>,
+        table: CandidateTable,
+        meta: &Arc<QueryMeta>,
+        device: &DeviceConfig,
         collect: bool,
         query_id: u64,
-        abort: &Arc<AtomicBool>,
-        deadline: Option<Instant>,
-    ) -> (Vec<VMatch>, u64, KernelStats) {
+    ) -> (CandidateTable, Vec<VMatch>, u64, KernelStats) {
         let wall_t0 = Instant::now();
-        let degrees = Arc::clone(&self.degrees);
+        let (anchors, abort, deadline) = (phase.anchors, &phase.abort, phase.deadline);
         let num_shards = self.shards.len();
-        let update_order = UpdateOrder::build(anchors);
-        // The shared store's maintained signatures serve every shard —
-        // resident runs are complete, so the signatures each device would
-        // compute locally are the shared store's.
-        let signatures: &[u64] = if config.bitmap_intersect {
-            store.signatures()
-        } else {
-            &[]
-        };
-        let dev = &config.device;
-        let lanes_per_shard = (dev.num_sms * dev.warps_per_block).max(1);
-        let cost = dev.cost;
-        let warp_size = dev.warp_size;
+        let lanes_per_shard = (device.num_sms * device.warps_per_block).max(1);
+        let cost = device.cost;
+        let warp_size = device.warp_size;
         let nv_words = meta.q.num_vertices() as u64;
-        let match_limit = config.match_limit;
         let stealing = self.stealing;
+        let mut env = Arc::new(PhaseEnv {
+            partition: self.partition.clone(),
+            gpma: Arc::clone(&phase.gpma),
+            table,
+            meta: Arc::clone(meta),
+            update_order: UpdateOrder::build(anchors),
+            degrees: Arc::clone(&self.degrees),
+            residents: self.resident_sets(),
+            alive: self.alive.clone(),
+            // The shared store's maintained signatures serve every shard —
+            // resident runs are complete, so the signatures each device
+            // would compute locally are the shared store's.
+            signatures: phase.signatures,
+            deadline,
+            collect,
+            query_id,
+            match_limit: phase.match_limit,
+            abort: Arc::clone(abort),
+            cost,
+            warp_size,
+        });
 
         // Anchor routing: an update edge starts on the shard owning its
         // canonical (smaller-id) endpoint — both endpoints are resident
         // there, and the first scan migrates on its own if its base lands
-        // elsewhere.
+        // elsewhere. Each anchor unit also becomes a job of the wave.
         let mut local: Vec<VecDeque<Unit>> = (0..num_shards).map(|_| VecDeque::new()).collect();
-        for (i, a) in anchors.iter().enumerate() {
+        let mut wave: Vec<Job<UnitOut>> = Vec::with_capacity(anchors.len());
+        for (i, &a) in anchors.iter().enumerate() {
             let (lo, _) = a.endpoints();
-            local[live_owner(&self.partition, &self.alive, lo)].push_back(Unit {
+            let s = live_owner(&self.partition, &self.alive, lo);
+            local[s].push_back(Unit {
                 ready: 0,
-                work: UnitWork::Anchor(*a, i as u32),
+                work: UnitWork::Anchor(a, i as u32),
             });
+            let env = Arc::clone(&env);
+            wave.push(Box::new(move || {
+                run_unit(&env, s, UnitWork::Anchor(a, i as u32))
+            }));
         }
+        // The wave: a unit's outcome depends only on the unit and its
+        // shard, so every anchor unit runs ahead, on the calling thread
+        // and the launch pool's helpers. Indexed by anchor order.
+        let mut ahead: Vec<Option<UnitOut>> = run_jobs(wave, device.num_sms)
+            .into_iter()
+            .map(Some)
+            .collect();
 
         let mut fabric: CommFabric<Migrant> = CommFabric::new(num_shards, MIGRANT_BATCH);
         let mut lanes: Vec<Lanes> = vec![Lanes::new(lanes_per_shard); num_shards];
-        let mut ctxs: Vec<WarpCtx> = (0..num_shards)
-            .map(|_| WarpCtx::new(cost, warp_size))
-            .collect();
-        let mut scratch = UnitScratch::default();
+        let mut agg = KernelStats::default();
         let mut sink: Vec<VMatch> = Vec::new();
-        let mut out: Vec<(usize, Migrant)> = Vec::new();
         let mut steal_buf: Vec<Migrant> = Vec::new();
         let mut elig_buf: Vec<(VertexId, ELabel)> = Vec::new();
         let mut match_count = 0u64;
@@ -1879,6 +2008,17 @@ impl ShardRuntime {
                     {
                         continue;
                     }
+                    // Every outcome not yet committed was computed
+                    // against the partition, alive mask and residency
+                    // this fail-stop changes: discard them all, so their
+                    // units run inline, on their new shards, against the
+                    // repaired state. The wave has retired, so the phase
+                    // holds the only reference to its environment; its
+                    // resident sets are released first, so that marking
+                    // new residents below copies no bitmap.
+                    ahead.clear();
+                    let e = Arc::get_mut(&mut env).expect("no unit runs between scheduling steps");
+                    e.residents.clear();
                     self.alive[dead] = false;
                     faults_injected += 1;
                     failovers += 1;
@@ -1908,7 +2048,7 @@ impl ShardRuntime {
                                 meta,
                                 &self.partition,
                                 &self.alive,
-                                &degrees,
+                                &e.degrees,
                                 mig,
                                 &mut elig_buf,
                             ),
@@ -1926,7 +2066,7 @@ impl ShardRuntime {
                             meta,
                             &self.partition,
                             &self.alive,
-                            &degrees,
+                            &e.degrees,
                             &mig,
                             &mut elig_buf,
                         );
@@ -1939,6 +2079,9 @@ impl ShardRuntime {
                     // Queues changed shape — every stale-steal verdict
                     // is void.
                     steal_stale.iter_mut().for_each(|f| *f = false);
+                    e.partition = self.partition.clone();
+                    e.alive = self.alive.clone();
+                    e.residents = self.resident_sets();
                 }
             }
             step += 1;
@@ -2053,72 +2196,31 @@ impl ShardRuntime {
                 }
                 Action::Run => {
                     let unit = local[s].pop_front().expect("run action implies a unit");
-                    let env = ShardEnv {
-                        shard_id: s,
-                        partition: &self.partition,
-                        gpma: store,
-                        table,
-                        meta,
-                        update_order: &update_order,
-                        degrees: &degrees,
-                        resident: &self.shards[s].resident,
-                        alive: &self.alive,
-                        signatures,
-                        deadline,
-                        collect,
-                        query_id,
+                    // Commit the unit's outcome: the one computed ahead,
+                    // unless a fail-stop discarded it, or run it now.
+                    let ahead_out = match unit.work {
+                        UnitWork::Anchor(_, order) => {
+                            ahead.get_mut(order as usize).and_then(Option::take)
+                        }
+                        UnitWork::Mig(_) => None,
                     };
-                    out.clear();
-                    match unit.work {
-                        UnitWork::Anchor(a, order) => {
-                            let mut task = UnitTask {
-                                env: &env,
-                                ctx: &mut ctxs[s],
-                                scratch: &mut scratch,
-                                sink: &mut sink,
-                                out: &mut out,
-                                match_count: &mut match_count,
-                                match_limit,
-                                abort,
-                                v1: a.u,
-                                v2: a.v,
-                                elabel: a.label,
-                                anchor_order: order,
-                                steps: 0,
-                            };
-                            task.run_anchor();
-                        }
-                        UnitWork::Mig(mig) => {
-                            debug_assert_eq!(
-                                mig.qid, query_id,
-                                "migrant envelope routed to a different standing query"
-                            );
-                            let mut task = UnitTask {
-                                env: &env,
-                                ctx: &mut ctxs[s],
-                                scratch: &mut scratch,
-                                sink: &mut sink,
-                                out: &mut out,
-                                match_count: &mut match_count,
-                                match_limit,
-                                abort,
-                                v1: mig.anchor.0,
-                                v2: mig.anchor.1,
-                                elabel: mig.anchor.2,
-                                anchor_order: mig.anchor_order,
-                                steps: 0,
-                            };
-                            task.run_migrant(mig);
-                        }
-                    }
-                    let cycles = ctxs[s].take_step_cycles();
-                    let completion = lanes[s].run(unit.ready, cycles);
-                    busy[s] += cycles;
+                    let mut out = ahead_out.unwrap_or_else(|| run_unit(&env, s, unit.work));
+                    let completion = lanes[s].run(unit.ready, out.cycles);
+                    busy[s] += out.cycles;
                     units_run[s] += 1;
+                    agg.global_transactions += out.global_transactions;
+                    agg.shared_accesses += out.shared_accesses;
+                    agg.buf_reuse += out.buf_reuse;
+                    agg.buf_alloc += out.buf_alloc;
+                    sink.append(&mut out.matches);
+                    match_count += out.count;
+                    if match_count > phase.match_limit {
+                        abort.store(true, Ordering::Relaxed);
+                    }
                     // Stage produced migrants; a buffer hitting capacity
                     // publishes immediately (ship cost on the producer).
                     let mut published = false;
-                    for (dst, mig) in out.drain(..) {
+                    for (dst, mig) in out.migrants {
                         migrations += 1;
                         if fabric.push(s, dst, mig, completion) {
                             let ship = cost.migrant_ship(MIGRANT_BATCH as u64, nv_words, warp_size);
@@ -2164,26 +2266,24 @@ impl ShardRuntime {
             *acc += x;
         }
 
-        let mut agg = KernelStats::default();
-        let mut device = 0u64;
+        let mut device_cycles = 0u64;
         for (s, lane) in lanes.iter().enumerate() {
             let mk = lane.makespan();
-            device = device.max(mk);
+            device_cycles = device_cycles.max(mk);
             agg.total_block_cycles += mk;
             agg.resident_warp_cycles += lanes_per_shard as u64 * mk;
             agg.num_tasks += units_run[s] as usize;
-            agg.num_blocks += units_run[s].div_ceil(dev.warps_per_block.max(1) as u64) as usize;
+            agg.num_blocks += units_run[s].div_ceil(device.warps_per_block.max(1) as u64) as usize;
             agg.busy_cycles += busy[s];
-            agg.global_transactions += ctxs[s].global_transactions;
-            agg.shared_accesses += ctxs[s].shared_accesses;
-            agg.buf_reuse += ctxs[s].buf_reuse;
-            agg.buf_alloc += ctxs[s].buf_alloc;
         }
-        agg.device_cycles = device;
+        agg.device_cycles = device_cycles;
         agg.steals = shard_steals;
         agg.wall_seconds = wall_t0.elapsed().as_secs_f64();
 
-        (sink, match_count, agg)
+        // Every job of the wave has retired, so the phase holds the only
+        // reference to its environment, and the table goes back.
+        let env = Arc::into_inner(env).expect("every unit has retired");
+        (env.table, sink, match_count, agg)
     }
 }
 

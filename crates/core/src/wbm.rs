@@ -1572,12 +1572,13 @@ pub fn build_update_order(anchors: &[Update]) -> UpdateOrder {
     UpdateOrder::build(anchors)
 }
 
-/// What every grid of one kernel phase shares: the store, the anchors and
-/// the limits the batch sets. This is the single-device launch body: a
-/// phase prepares one grid per query or group ([`Phase::grid`]), launches
-/// them in one [`Device::launch_grids`](gamma_gpu::Device::launch_grids)
-/// call, takes each grid's results back ([`finish_grid`]) and then the
-/// store ([`Phase::into_store`]).
+/// What every launch of one kernel phase shares: the store, the anchors
+/// and the limits the batch sets. On one device a phase prepares one grid
+/// per query or group ([`Phase::grid`]), launches them in one
+/// [`Device::launch_grids`](gamma_gpu::Device::launch_grids) call and
+/// takes each grid's results back ([`finish_grid`]); on the shard
+/// executor each group's launch reads it (`ShardRuntime::kernel_phase`).
+/// Either way the store comes back last ([`Phase::into_store`]).
 pub(crate) struct Phase<'a> {
     /// The store every grid searches.
     pub gpma: Arc<Gpma>,

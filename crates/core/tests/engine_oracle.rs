@@ -2,7 +2,7 @@
 //! incremental matches must equal the set difference of full enumerations
 //! on the pre- and post-update snapshots.
 
-use gamma_core::{GammaConfig, GammaEngine, StealingMode};
+use gamma_core::{GammaConfig, GammaEngine, ShardedConfig, ShardedEngine, StealingMode};
 use gamma_datasets::{generate_queries, DatasetPreset, QueryClass};
 use gamma_gpu::DeviceConfig;
 use gamma_graph::{
@@ -281,6 +281,37 @@ fn match_limit_aborts() {
     let mut engine = GammaEngine::new(g, &queries[0], cfg);
     let r = engine.apply_batch(&ups);
     assert!(r.stats.timed_out || r.positive_count <= 2);
+}
+
+/// The shard executor honours `match_limit` too: its units run ahead on
+/// the launch pool, and the phase stops at a unit boundary once one
+/// unit's count, or the committed total, passes the limit.
+#[test]
+fn match_limit_aborts_the_shard_executor() {
+    let d = DatasetPreset::GH.build(0.06, 35);
+    let queries = generate_queries(&d.graph, QueryClass::Tree, 4, 1, 80);
+    let q = queries.first().expect("query extractable");
+    let mut g = d.graph.clone();
+    let ups = gamma_datasets::split_insertion_workload(&mut g, 0.2, 8);
+    let run = |match_limit: u64| {
+        let cfg = ShardedConfig {
+            base: GammaConfig {
+                match_limit,
+                ..GammaConfig::default()
+            },
+            num_shards: 4,
+            ..ShardedConfig::default()
+        };
+        ShardedEngine::new(g.clone(), q, cfg).apply_batch(&ups)
+    };
+    let full = run(u64::MAX);
+    assert!(!full.stats.timed_out);
+    assert!(
+        full.positive_count > 1,
+        "the batch must have more matches than the limit: {}",
+        full.positive_count
+    );
+    assert!(run(1).stats.timed_out, "match_limit = 1 must abort");
 }
 
 #[test]

@@ -177,6 +177,71 @@ fn failover_preserves_delta_stream_matrix() {
     );
 }
 
+/// A fail-stop discards every outcome computed ahead. Before its first
+/// scheduling step a phase runs all its anchor units ahead — on the launch
+/// pool's helpers too, since the default device has 16 SMs — against the
+/// partition, alive mask and residency of that moment. A fail-stop
+/// changes all three, so an outcome that outlived it would ship migrants
+/// toward the dead shard or scan under the old residency. Shard 1 dies
+/// before the first step of the delete batch's phase, before the first
+/// step of the re-insert's, and three steps into the delete batch's.
+#[test]
+fn fail_stop_discards_outcomes_computed_ahead() {
+    let d = DatasetPreset::GH.build(0.06, 31);
+    let queries = generate_queries(&d.graph, QueryClass::Tree, 5, 1, 77);
+    let q = queries.first().expect("query extractable");
+    let dels = gamma_datasets::sample_deletion_workload(&d.graph, 0.08, 7);
+    let ins: Vec<Update> = dels
+        .iter()
+        .map(|u| {
+            let l = d.graph.edge_label(u.u, u.v).unwrap_or(0);
+            Update::insert_labeled(u.u, u.v, l)
+        })
+        .collect();
+    let batches = [dels, ins];
+    let mut single = GammaEngine::new(d.graph.clone(), q, GammaConfig::default());
+    let want: Vec<_> = batches
+        .iter()
+        .map(|b| {
+            let r = single.apply_batch(b);
+            (
+                r.positive_count,
+                r.negative_count,
+                sorted(r.positive),
+                sorted(r.negative),
+            )
+        })
+        .collect();
+    assert!(
+        want[0].1 > 0 && want[1].0 > 0,
+        "both phases must match something"
+    );
+    for (phase, step) in [(0, 0), (1, 0), (0, 3)] {
+        let cfg = ShardedConfig {
+            base: GammaConfig::default(),
+            num_shards: 4,
+            strategy: PartitionStrategy::Greedy,
+            stealing: ShardStealing::Active,
+            faults: Some(FaultPlan::new().fail_stop(phase, step, 1)),
+            query_id: 0,
+        };
+        let mut engine = ShardedEngine::new(d.graph.clone(), q, cfg);
+        for (i, batch) in batches.iter().enumerate() {
+            let got = engine.apply_batch(batch);
+            let at = format!("fail-stop at ({phase}, {step}), batch {i}");
+            assert_eq!(got.positive_count, want[i].0, "positive count: {at}");
+            assert_eq!(got.negative_count, want[i].1, "negative count: {at}");
+            assert_eq!(sorted(got.positive), want[i].2, "positive matches: {at}");
+            assert_eq!(sorted(got.negative), want[i].3, "negative matches: {at}");
+        }
+        assert_eq!(
+            engine.shard_stats().failovers,
+            1,
+            "the fail-stop at ({phase}, {step}) must fire"
+        );
+    }
+}
+
 /// Killing every shard but one must still finish every phase with the
 /// oracle's deltas: the last survivor adopts the whole graph through the
 /// cyclic live-owner fallback and the repair table.

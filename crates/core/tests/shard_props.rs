@@ -18,11 +18,11 @@
 //!   SHARD cells to exact equality).
 
 use gamma_core::{
-    GammaConfig, GammaEngine, Partition, PartitionStrategy, ShardStealing, ShardedConfig,
-    ShardedEngine,
+    BatchResult, GammaConfig, GammaEngine, Partition, PartitionStrategy, ShardStealing,
+    ShardedConfig, ShardedEngine,
 };
 use gamma_datasets::{generate_graph, generate_queries, DatasetPreset, QueryClass, SynthSpec};
-use gamma_gpu::DeviceConfig;
+use gamma_gpu::{DeviceConfig, KernelStats};
 use gamma_graph::{DynamicGraph, Update, VMatch, VertexId};
 use proptest::prelude::*;
 
@@ -425,6 +425,90 @@ fn sharded_sim_cycles_are_deterministic() {
         "batch count diverged"
     );
     assert_eq!(sa.shard_steals, sb.shard_steals, "steal count diverged");
+}
+
+/// What a batch result shows of the simulation: the counts, the sorted
+/// deltas, the update cycles and every `KernelStats` field but host wall
+/// time and the buffer-reuse counters, which follow the thread whose
+/// scratch a unit drew on.
+type Simulated = (u64, u64, Vec<VMatch>, Vec<VMatch>, u64, String);
+
+fn simulated(r: BatchResult) -> Simulated {
+    let kernel = KernelStats {
+        wall_seconds: 0.0,
+        buf_reuse: 0,
+        buf_alloc: 0,
+        ..r.stats.kernel
+    };
+    (
+        r.positive_count,
+        r.negative_count,
+        sorted(r.positive),
+        sorted(r.negative),
+        r.stats.update_cycles,
+        format!("{kernel:?}"),
+    )
+}
+
+/// Engines on many threads share one launch pool: four threads, started
+/// together, each drive a 4-shard engine and a single-device engine over
+/// one churn stream, so their shard phases and device launches all queue
+/// on the same helpers (16 SMs, so every phase asks for them). Every
+/// batch must simulate exactly as in a sequential run.
+#[test]
+fn engines_on_many_threads_share_one_pool() {
+    let d = DatasetPreset::GH.build(0.05, 33);
+    let queries = generate_queries(&d.graph, QueryClass::Dense, 5, 1, 44);
+    let q = queries.first().expect("query");
+    let dels = gamma_datasets::sample_deletion_workload(&d.graph, 0.1, 6);
+    let ins: Vec<Update> = dels
+        .iter()
+        .map(|u| {
+            let l = d.graph.edge_label(u.u, u.v).unwrap_or(0);
+            Update::insert_labeled(u.u, u.v, l)
+        })
+        .collect();
+    let batches = [&dels, &ins, &dels, &ins];
+    let sharded = ShardedConfig {
+        base: GammaConfig::default(),
+        num_shards: 4,
+        strategy: PartitionStrategy::Greedy,
+        stealing: ShardStealing::Active,
+        faults: None,
+        query_id: 0,
+    };
+    // Per batch: the sharded engine's result, then the single device's.
+    let replay = || -> Vec<Simulated> {
+        let mut shards = ShardedEngine::new(d.graph.clone(), q, sharded.clone());
+        let mut device = GammaEngine::new(d.graph.clone(), q, GammaConfig::default());
+        batches
+            .iter()
+            .flat_map(|b| {
+                [
+                    simulated(shards.apply_batch(b)),
+                    simulated(device.apply_batch(b)),
+                ]
+            })
+            .collect()
+    };
+    let want = replay();
+    assert!(
+        want.iter().any(|w| w.0 + w.1 > 0),
+        "the stream must match something"
+    );
+    let start = std::sync::Barrier::new(4);
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (replay, start, want) = (&replay, &start, &want);
+            scope.spawn(move || {
+                start.wait();
+                for (i, (got, want)) in replay().iter().zip(want).enumerate() {
+                    let engine = if i % 2 == 0 { "sharded" } else { "device" };
+                    assert_eq!(got, want, "thread {t}: {engine} batch {} diverges", i / 2);
+                }
+            });
+        }
+    });
 }
 
 /// Single-shard configuration must behave exactly like the single device

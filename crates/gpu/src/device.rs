@@ -1,5 +1,6 @@
-//! Device-level kernel launches: blocks over the launching thread plus a
-//! process-wide pool of helper threads.
+//! Device-level kernel launches, and the process-wide pool of helper
+//! threads that runs them: a launch's blocks, or any caller's host jobs
+//! ([`run_jobs`]), on the calling thread plus the helpers.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -32,7 +33,7 @@ impl Device {
     /// Launches a grid: `tasks` are chunked into blocks of
     /// `warps_per_block` and executed by `min(num_sms, host parallelism,
     /// blocks)` host threads — the calling thread plus helpers from a
-    /// process-wide pool, started on the first multi-block launch. A
+    /// process-wide pool, started on first use ([`run_jobs`]). A
     /// single-block launch runs inline. A task that panics makes this call
     /// panic once every block has retired; the pool keeps serving.
     ///
@@ -48,12 +49,13 @@ impl Device {
 
     /// Launches several grids in one call and returns each grid's stats,
     /// in order. Every grid is chunked into blocks as [`Device::launch`]
-    /// does, and the blocks of all grids go into one claim queue, grid by
-    /// grid, served by `min(num_sms, host parallelism, blocks)` host
-    /// threads. So the host overlaps the grids, while the simulated device
-    /// still runs them as serial kernels: each grid's stats aggregate its
-    /// own blocks only, and its `device_cycles` is the bound over its own
-    /// blocks, exactly as a lone launch of its tasks reports.
+    /// does, and the blocks of all grids go into one [`run_jobs`] call,
+    /// one job per block, grid by grid, served by `min(num_sms, host
+    /// parallelism, blocks)` host threads. So the host overlaps the grids,
+    /// while the simulated device still runs them as serial kernels: each
+    /// grid's stats aggregate its own blocks only, and its
+    /// `device_cycles` is the bound over its own blocks, exactly as a lone
+    /// launch of its tasks reports.
     ///
     /// The grids' `wall_seconds` sum to the call's elapsed time, split in
     /// proportion to the host time of each grid's blocks (evenly when no
@@ -62,7 +64,8 @@ impl Device {
     /// retired; the pool keeps serving.
     pub fn launch_grids(&self, grids: Vec<Vec<Box<dyn WarpTask>>>) -> Vec<KernelStats> {
         let started = Instant::now();
-        let mut blocks: Vec<(usize, Vec<Box<dyn WarpTask>>)> = Vec::new();
+        let cfg = Arc::new(self.config.clone());
+        let mut blocks: Vec<Job<(usize, BlockStats, f64)>> = Vec::new();
         let mut per_grid = Vec::with_capacity(grids.len());
         for (gi, tasks) in grids.into_iter().enumerate() {
             let before = blocks.len();
@@ -71,11 +74,11 @@ impl Device {
             for t in tasks {
                 current.push(t);
                 if current.len() == self.config.warps_per_block {
-                    blocks.push((gi, std::mem::take(&mut current)));
+                    blocks.push(block_job(gi, std::mem::take(&mut current), &cfg));
                 }
             }
             if !current.is_empty() {
-                blocks.push((gi, current));
+                blocks.push(block_job(gi, current, &cfg));
             }
             per_grid.push(Grid {
                 stats: KernelStats {
@@ -87,32 +90,15 @@ impl Device {
             });
         }
 
-        let num_blocks = blocks.len();
         let sm_count = self.config.num_sms.max(1);
-        let launch = Arc::new(Launch {
-            cfg: self.config.clone(),
-            blocks: Mutex::new(blocks.into_iter()),
-            progress: Mutex::new(Progress {
-                grids: per_grid,
-                blocks: num_blocks,
-                ..Default::default()
-            }),
-            retired: Condvar::new(),
-        });
-        if sm_count > 1 && num_blocks > 1 {
-            pool().enlist(&launch, sm_count.min(num_blocks));
-        }
-        launch.work();
-        let progress = launch.wait();
-        if let Some(payload) = progress.panic {
-            panic::resume_unwind(payload);
+        for (gi, stats, host_seconds) in run_jobs(blocks, sm_count) {
+            per_grid[gi].absorb(&stats, host_seconds);
         }
 
         let elapsed = started.elapsed().as_secs_f64();
-        let host_total: f64 = progress.grids.iter().map(|g| g.host_seconds).sum();
-        let even = 1.0 / progress.grids.len() as f64;
-        progress
-            .grids
+        let host_total: f64 = per_grid.iter().map(|g| g.host_seconds).sum();
+        let even = 1.0 / per_grid.len() as f64;
+        per_grid
             .into_iter()
             .map(|g| {
                 let mut stats = g.stats;
@@ -141,28 +127,19 @@ impl Device {
     }
 }
 
-/// One launch call's grids, shared by every host thread working on it.
-/// Owned (`Arc`, `'static` tasks), so a helper never borrows the
-/// launching thread's stack.
-struct Launch {
-    cfg: DeviceConfig,
-    /// The blocks no thread has claimed yet, in launch order, each tagged
-    /// with its grid's index.
-    blocks: Mutex<std::vec::IntoIter<(usize, Vec<Box<dyn WarpTask>>)>>,
-    progress: Mutex<Progress>,
-    /// Signalled when the last block retires.
-    retired: Condvar,
-}
-
-/// Aggregated outcome of a launch's retired blocks.
-#[derive(Default)]
-struct Progress {
-    grids: Vec<Grid>,
-    /// Blocks over every grid.
-    blocks: usize,
-    retired: usize,
-    /// The first panic a block raised, re-raised on the launching thread.
-    panic: Option<Box<dyn Any + Send>>,
+/// The job that runs one block of grid `gi` and reports the grid index,
+/// the block's stats and the host seconds it took.
+fn block_job(
+    gi: usize,
+    tasks: Vec<Box<dyn WarpTask>>,
+    cfg: &Arc<DeviceConfig>,
+) -> Job<(usize, BlockStats, f64)> {
+    let cfg = Arc::clone(cfg);
+    Box::new(move || {
+        let started = Instant::now();
+        let stats = run_block(tasks, &cfg).stats;
+        (gi, stats, started.elapsed().as_secs_f64())
+    })
 }
 
 /// One grid's aggregate. Sums and a max, so the result is independent of
@@ -191,53 +168,119 @@ impl Grid {
     }
 }
 
-impl Launch {
-    /// Claims and runs blocks until none is left unclaimed.
+/// One piece of host work for the launch pool: a block of a grid, or one
+/// job of another host executor. It owns what it reads, and running it
+/// consumes it.
+pub type Job<T> = Box<dyn FnOnce() -> T + Send>;
+
+/// Runs `jobs` on `min(threads, host parallelism, jobs)` host threads —
+/// the calling thread plus helpers from the process-wide launch pool,
+/// started on first use — and returns their results in job order.
+///
+/// The calling thread claims jobs too, so the call never waits on a helper
+/// that claimed none, and a single job runs inline. Every job has run, and
+/// dropped what it owned, before the call returns: a caller can lend owned
+/// state to its jobs through `Arc`s and take it back with
+/// `Arc::try_unwrap`. A job that panics makes this call panic once every
+/// job has retired; the pool keeps serving.
+pub fn run_jobs<T: Send + 'static>(jobs: Vec<Job<T>>, threads: usize) -> Vec<T> {
+    let total = jobs.len();
+    let launch = Arc::new(Launch {
+        jobs: Mutex::new(jobs.into_iter().enumerate()),
+        progress: Mutex::new(Progress {
+            results: (0..total).map(|_| None).collect(),
+            retired: 0,
+            panic: None,
+        }),
+        retired: Condvar::new(),
+    });
+    if threads > 1 && total > 1 {
+        let entry: Arc<dyn Work> = launch.clone();
+        pool().enlist(&entry, threads.min(total));
+    }
+    launch.work();
+    let (results, panic) = launch.wait();
+    if let Some(payload) = panic {
+        panic::resume_unwind(payload);
+    }
+    results
+        .into_iter()
+        .map(|r| r.expect("every job retired"))
+        .collect()
+}
+
+/// One [`run_jobs`] call, shared by every host thread working on it.
+/// Owned (`Arc`, `'static` jobs), so a helper never borrows the calling
+/// thread's stack. A helper's queue entry can outlive the call, but by
+/// then it holds no job and no result.
+struct Launch<T> {
+    /// The jobs no thread has claimed yet, with their indices.
+    jobs: Mutex<std::iter::Enumerate<std::vec::IntoIter<Job<T>>>>,
+    progress: Mutex<Progress<T>>,
+    /// Signalled when the last job retires.
+    retired: Condvar,
+}
+
+/// The retired jobs of a [`Launch`].
+struct Progress<T> {
+    /// One slot per job, filled as it retires.
+    results: Vec<Option<T>>,
+    retired: usize,
+    /// The first panic a job raised, re-raised on the calling thread.
+    panic: Option<Box<dyn Any + Send>>,
+}
+
+/// What a helper does with a queue entry, whatever its result type.
+trait Work: Send + Sync {
+    /// Claims and runs jobs until none is left unclaimed.
+    fn work(&self);
+}
+
+impl<T: Send> Work for Launch<T> {
     fn work(&self) {
         loop {
-            let Some((gi, tasks)) = lock(&self.blocks).next() else {
+            let Some((i, job)) = lock(&self.jobs).next() else {
                 return;
             };
-            let started = Instant::now();
-            let outcome = panic::catch_unwind(AssertUnwindSafe(|| run_block(tasks, &self.cfg)));
-            let host_seconds = started.elapsed().as_secs_f64();
+            let outcome = panic::catch_unwind(AssertUnwindSafe(job));
             let mut p = lock(&self.progress);
             match outcome {
-                Ok(o) => p.grids[gi].absorb(&o.stats, host_seconds),
+                Ok(r) => p.results[i] = Some(r),
                 Err(payload) => {
                     p.panic.get_or_insert(payload);
                 }
             }
             p.retired += 1;
-            if p.retired == p.blocks {
+            if p.retired == p.results.len() {
                 self.retired.notify_all();
             }
         }
     }
+}
 
-    /// Blocks until every block has retired — including those helpers
-    /// claimed — and takes the aggregate. Never waits on a helper that
-    /// claimed none of this launch's blocks.
-    fn wait(&self) -> Progress {
+impl<T> Launch<T> {
+    /// Blocks until every job has retired — including those helpers
+    /// claimed — and takes the results and the first panic. Never waits
+    /// on a helper that claimed none of this call's jobs.
+    fn wait(&self) -> (Vec<Option<T>>, Option<Box<dyn Any + Send>>) {
         let mut p = lock(&self.progress);
-        while p.retired < p.blocks {
+        while p.retired < p.results.len() {
             p = self.retired.wait(p).unwrap_or_else(PoisonError::into_inner);
         }
-        std::mem::take(&mut *p)
+        (std::mem::take(&mut p.results), p.panic.take())
     }
 }
 
 /// The process-wide launch helpers: `threads - 1` parked threads that
-/// join whichever launch asks for them. They are never joined: they park
-/// between launches for the life of the process, and [`Launch::work`]
-/// catches a task's panic for the launching thread to re-raise, so none
-/// is lost.
+/// join whichever call asks for them. They are never joined: they park
+/// between calls for the life of the process, and [`Work::work`] catches
+/// a job's panic for the calling thread to re-raise, so none is lost.
 struct Pool {
-    /// Host parallelism, read once: the most threads one launch uses.
+    /// Host parallelism, read once: the most threads one call uses.
     threads: usize,
-    /// One entry per helper a launch asked for. An entry whose launch has
-    /// no unclaimed block left is dropped on pickup.
-    jobs: Mutex<VecDeque<Arc<Launch>>>,
+    /// One entry per helper a call asked for. An entry whose call has no
+    /// unclaimed job left is dropped on pickup.
+    jobs: Mutex<VecDeque<Arc<dyn Work>>>,
     wake: Condvar,
 }
 
@@ -248,7 +291,7 @@ fn pool() -> &'static Pool {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         for i in 1..threads {
             // A helper that fails to start costs parallelism only: the
-            // launching thread runs every block no helper claims.
+            // calling thread runs every job no helper claims.
             let _ = std::thread::Builder::new()
                 .name(format!("launch-helper-{i}"))
                 .spawn(|| pool().serve());
@@ -264,7 +307,7 @@ fn pool() -> &'static Pool {
 impl Pool {
     /// Asks for helpers so that `threads` host threads (the caller
     /// included, capped at host parallelism) can work on `launch`.
-    fn enlist(&self, launch: &Arc<Launch>, threads: usize) {
+    fn enlist(&self, launch: &Arc<dyn Work>, threads: usize) {
         let helpers = threads.min(self.threads) - 1;
         lock(&self.jobs).extend((0..helpers).map(|_| Arc::clone(launch)));
         for _ in 0..helpers {
@@ -272,7 +315,7 @@ impl Pool {
         }
     }
 
-    /// A helper's loop: park until a launch asks, work on it, repeat.
+    /// A helper's loop: park until a call asks, work on it, repeat.
     fn serve(&self) {
         loop {
             let launch = {
@@ -477,6 +520,24 @@ mod tests {
                 .expect_err("a task panic must panic the call");
             assert_eq!(err.downcast_ref::<&str>(), Some(&"task failure"));
         }
+        // A panicking job that is not a block, first or last in line.
+        for panicking in [0u64, 5] {
+            let jobs: Vec<Job<u64>> = (0..6u64)
+                .map(|i| {
+                    Box::new(move || {
+                        if i == panicking {
+                            panic!("job failure")
+                        }
+                        i
+                    }) as Job<u64>
+                })
+                .collect();
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| run_jobs(jobs, 4)))
+                .expect_err("a job panic must panic the call");
+            assert_eq!(err.downcast_ref::<&str>(), Some(&"job failure"));
+        }
+        let squares: Vec<Job<u64>> = (0..6u64).map(|i| Box::new(move || i * i) as _).collect();
+        assert_eq!(run_jobs(squares, 4), [0, 1, 4, 9, 16, 25]);
         let stats = dev.launch(mixed(12));
         assert_eq!(stats.num_blocks, 6);
         let charged: u64 = (0..12).map(|i| (1 + i % 7) * 100).sum();

@@ -15,14 +15,17 @@
 //! * Tasks are grouped into **blocks** of `warps_per_block` warps. Blocks
 //!   are picked up greedily by up to `min(num_sms, host parallelism)` host
 //!   threads — the launching thread plus helpers from one process-wide
-//!   pool, started on the first multi-block launch — mirroring how CUDA
-//!   distributes resident blocks over **SMs** (streaming
-//!   multiprocessors). Only that first launch starts threads; a
-//!   single-block launch runs inline.
+//!   pool, started on first use — mirroring how CUDA distributes resident
+//!   blocks over **SMs** (streaming multiprocessors). Only that first use
+//!   starts threads; a single-block launch runs inline.
 //! * Several grids can share one call ([`Device::launch_grids`]): their
 //!   blocks share the host threads, while each grid's stats and device
 //!   time are its own, as if it were launched alone (the simulated device
 //!   runs the grids as serial kernels).
+//! * The pool runs jobs, of which a block is one kind ([`run_jobs`]): a
+//!   host executor outside the block scheduler — the shard runtime in
+//!   `gamma-core` — runs its own units on the same threads, through the
+//!   same claim queue and the same panic path.
 //! * Inside a block, warps are interleaved by a deterministic event-driven
 //!   scheduler: the warp with the smallest virtual clock is advanced by one
 //!   [`WarpTask::step`], whose cost (in simulated cycles) is charged through
@@ -55,7 +58,7 @@ pub mod task;
 
 pub use block::{run_block, BlockOutcome};
 pub use cost::CostModel;
-pub use device::Device;
+pub use device::{run_jobs, Device, Job};
 pub use memory::MemoryTracker;
 pub use primitives::{ballot, coop_intersect_sorted, exclusive_scan, reduce_sum};
 pub use stats::{BlockStats, KernelStats};
@@ -80,7 +83,9 @@ pub struct DeviceConfig {
     /// Number of simulated streaming multiprocessors. Drives the device
     /// makespan model (`max(total/num_sms, longest block)`); a launch runs
     /// on `min(num_sms, host parallelism, blocks)` host threads: the caller
-    /// and helpers from the process-wide launch pool.
+    /// and helpers from the process-wide launch pool. A shard phase runs
+    /// its anchor units ahead on `min(num_sms, host parallelism, anchors)`
+    /// of them.
     pub num_sms: usize,
     /// Warps per block (the pool a warp can steal from).
     pub warps_per_block: usize,

@@ -69,10 +69,15 @@ pub struct KernelStats {
     /// Total shared accesses.
     pub shared_accesses: u64,
     /// Candidate buffers recycled from task-local pools across the launch.
+    /// On the shard executor the pool is per host thread and outlives the
+    /// phase, so this follows which thread ran which unit and is not
+    /// reproducible run to run.
     pub buf_reuse: u64,
     /// Candidate buffers freshly heap-allocated (pool misses). In the DFS
     /// steady state this is bounded by tasks × query depth (warm-up);
-    /// per-quantum allocations would make it scale with `busy_cycles`.
+    /// per-quantum allocations would make it scale with `busy_cycles`. On
+    /// the shard executor it depends on the host threads, as
+    /// [`KernelStats::buf_reuse`] does.
     pub buf_alloc: u64,
     /// Host wall-clock seconds of the launch (informational). A lone
     /// launch reports its elapsed time. The grids of one

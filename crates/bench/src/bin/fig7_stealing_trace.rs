@@ -57,6 +57,7 @@ fn main() {
             match_limit: u64::MAX,
             signatures: true,
             group: None,
+            residency: None,
         });
         let tasks: Vec<Box<dyn WarpTask>> = batch
             .inserts

@@ -60,7 +60,7 @@
 //!
 //! ## CI perf-regression gate
 //!
-//! `--baseline=BENCH_PR7.json --check` compares the run against a
+//! `--baseline=BENCH_PR8.json --check` compares the run against a
 //! previously committed summary: for every `churn` cell present in both
 //! files (matched on dataset/class/workload/engine, with identical suite
 //! parameters), a drop of more than 30% in updates/sec fails the process
@@ -76,8 +76,6 @@
 //! column: any cell whose `sim_cycles` grew more than 10% over the
 //! baseline fails immediately, with no re-measure (determinism means a
 //! retry cannot differ).
-//! `--baseline-churn=<updates/sec>` still embeds a scalar pre-PR number
-//! into the JSON for the speedup field.
 //!
 //! ## Shard-scaling gate
 //!
@@ -89,6 +87,14 @@
 //! telemetry in the JSON (migrant batches shipped, per-(src,dst) migrant
 //! counts, inbox high-water depth, and the partitioner's edge-cut
 //! fraction) — the observability for tuning the greedy partitioner.
+//!
+//! ## Exit status
+//!
+//! Under `--check` every gate (baseline, shard scaling, registry) runs
+//! and prints its section before the process exits, so a failed gate
+//! never hides the verdicts after it: the exit code is 1 if any gate
+//! failed, 0 otherwise. A refused comparison (missing or mismatched
+//! baseline parameters, conflicting trace parameters) exits 2 at once.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -198,7 +204,6 @@ struct SuiteParams {
     batch_rate: f64,
     seed: u64,
     out: String,
-    baseline_churn: Option<f64>,
     baseline_path: Option<String>,
     check: bool,
     /// `--dataset=GH` / `--class=Dense`: restrict the sweep to one
@@ -248,7 +253,6 @@ impl SuiteParams {
             batch_rate: 0.04,
             seed: 42,
             out: default_out,
-            baseline_churn: None,
             baseline_path: None,
             check,
             only_dataset: None,
@@ -274,9 +278,6 @@ impl SuiteParams {
         }
         if let Some(v) = map.get("out") {
             p.out = v.clone();
-        }
-        if let Some(v) = map.get("baseline-churn") {
-            p.baseline_churn = Some(v.parse().expect("--baseline-churn"));
         }
         if let Some(v) = map.get("baseline") {
             p.baseline_path = Some(v.clone());
@@ -829,18 +830,7 @@ fn write_json(
     j.push_str("  \"churn\": {\n");
     let _ = writeln!(j, "    \"updates_per_sec\": {churn_ups:.1},");
     let _ = writeln!(j, "    \"matches_per_sec\": {churn_mps:.1},");
-    let _ = writeln!(j, "    \"wall_seconds\": {churn_wall:.4},");
-    match p.baseline_churn {
-        Some(b) => {
-            let _ = writeln!(j, "    \"pre_pr_updates_per_sec\": {b:.1},");
-            let speedup = if b > 0.0 { churn_ups / b } else { 0.0 };
-            let _ = writeln!(j, "    \"speedup_vs_pre_pr\": {speedup:.2}");
-        }
-        None => {
-            let _ = writeln!(j, "    \"pre_pr_updates_per_sec\": null,");
-            let _ = writeln!(j, "    \"speedup_vs_pre_pr\": null");
-        }
-    }
+    let _ = writeln!(j, "    \"wall_seconds\": {churn_wall:.4}");
     j.push_str("  },\n");
 
     // Backward-edge membership primitives (ns/probe, lower is better).
@@ -1412,6 +1402,11 @@ fn main() -> ExitCode {
         eprintln!("perf gate: --check requires --baseline=FILE (nothing to compare against)");
         return ExitCode::from(2);
     }
+    // Every gate below runs and prints its section even when one before it
+    // failed, so a red gate never hides the verdicts after it; the process
+    // exits FAILURE at the end if any gate failed. Refused comparisons
+    // (exit 2) still stop the run at once.
+    let mut failed = false;
     if let Some(path) = &p.baseline_path {
         let text =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
@@ -1499,28 +1494,29 @@ fn main() -> ExitCode {
             for v in &violations {
                 eprintln!("  {}", v.msg);
             }
-            return ExitCode::FAILURE;
+            failed = true;
+        } else {
+            println!(
+                "perf gate vs {path}: {} churn cell(s) compared{}, {}",
+                baseline_churn_cells,
+                if sim_gate {
+                    format!(
+                        " + sim-cycles on {} cell(s)",
+                        cells.iter().filter(|c| c.sim_cycles.is_some()).count()
+                    )
+                } else {
+                    String::new()
+                },
+                if violations.is_empty() {
+                    "no regressions".to_string()
+                } else {
+                    format!(
+                        "{} regression(s) (informational, no --check)",
+                        violations.len()
+                    )
+                }
+            );
         }
-        println!(
-            "perf gate vs {path}: {} churn cell(s) compared{}, {}",
-            baseline_churn_cells,
-            if sim_gate {
-                format!(
-                    " + sim-cycles on {} cell(s)",
-                    cells.iter().filter(|c| c.sim_cycles.is_some()).count()
-                )
-            } else {
-                String::new()
-            },
-            if violations.is_empty() {
-                "no regressions".to_string()
-            } else {
-                format!(
-                    "{} regression(s) (informational, no --check)",
-                    violations.len()
-                )
-            }
-        );
     }
 
     // Same-run shard-scaling column: on dense classes, SHARD4 must hold
@@ -1571,12 +1567,13 @@ fn main() -> ExitCode {
                 for (_, _, msg) in failing {
                     eprintln!("  {msg}");
                 }
-                return ExitCode::FAILURE;
+                failed = true;
+            } else {
+                println!(
+                    "shard gate: {} dense cell(s), all ratios >= {SHARD_VS_WBM_FLOOR}",
+                    scaling.len()
+                );
             }
-            println!(
-                "shard gate: {} dense cell(s), all ratios >= {SHARD_VS_WBM_FLOOR}",
-                scaling.len()
-            );
         }
     }
 
@@ -1595,13 +1592,18 @@ fn main() -> ExitCode {
                     r.group_count,
                     r.speedup()
                 );
-                return ExitCode::FAILURE;
+                failed = true;
+            } else {
+                println!(
+                    "registry gate: {:.2}x vs dedicated engines, floor {REGISTRY_SPEEDUP_FLOOR}",
+                    r.speedup()
+                );
             }
-            println!(
-                "registry gate: {:.2}x vs dedicated engines, floor {REGISTRY_SPEEDUP_FLOOR}",
-                r.speedup()
-            );
         }
     }
-    ExitCode::SUCCESS
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }

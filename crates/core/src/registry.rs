@@ -319,8 +319,9 @@ impl QueryRegistry {
     /// An empty registry on the shard executor over `partition`. The
     /// shard runtime builds its own store (see `ShardRuntime::build`);
     /// `config.base.coalesced_search` is ignored, and groups hold
-    /// identical patterns only — the shard kernel cannot fork a shared
-    /// prefix.
+    /// identical patterns only. Both are registry policy: shards run the
+    /// single device's kernel, and coalesced search and prefix forking on
+    /// shards wait for a measured case of their own.
     pub(crate) fn sharded(
         graph: DynamicGraph,
         config: &ShardedConfig,
@@ -444,7 +445,8 @@ impl QueryRegistry {
             CandidateTable::from_encodings(&self.slots[slot].enc.encodings, &qcodes)
         });
         let plain = QueryMeta::build(query, &table, scheme, false, 0);
-        // The shard kernel always searches one seed per query edge.
+        // Registry policy: the shard executor plans one seed per query
+        // edge (its kernel is the device's, which could coalesce).
         let full_meta = match self.exec {
             Executor::Device(_) if self.config.coalesced_search => Arc::new(QueryMeta::build(
                 query,
@@ -759,15 +761,23 @@ impl QueryRegistry {
                     // representative's id, its delta cloned per member.
                     let collect = g.members.iter().any(|&qi| self.queries[qi].collect);
                     let rep = &mut self.queries[g.members[0]];
-                    let (table, matches, count, stats) = rt.kernel_phase(
-                        &self.graph,
-                        &phase,
+                    let shared = phase.shared(
+                        Arc::clone(&rep.full_meta),
                         rep.table.take().expect("table present"),
-                        &rep.full_meta,
-                        &self.config.device,
+                        Arc::clone(&self.slots[rep.slot].enc.encodings),
                         collect,
+                        None,
+                    );
+                    let (shared, stats) = rt.kernel_phase(
+                        &self.graph,
+                        anchors,
+                        shared,
+                        &self.config.device,
                         rep.id.0,
                     );
+                    let (table, matches, count) = finish_grid(shared)
+                        .pop()
+                        .expect("an ungrouped launch serves one query");
                     rep.table = Some(table);
                     let outputs = g
                         .members
@@ -823,7 +833,7 @@ impl QueryRegistry {
             .expect("gpma present between batches")
             .ensure_vertices(n);
         if let Executor::Shards(rt) = &mut self.exec {
-            rt.add_vertex(v, n);
+            rt.add_vertex(v);
         }
         self.reencode(&[v]);
         v
@@ -965,9 +975,10 @@ impl QueryRegistry {
 /// are cloned per subscriber, and every migrant envelope they ship across
 /// the interconnect is stamped with the group representative's
 /// [`QueryId`]. Shared-*prefix* grouping across non-identical patterns is
-/// single-device only (see [`QueryRegistry`]): the sharded kernel's
-/// migration/stealing soundness argument is per-query, and a forked
-/// envelope format is future work (tracked in ROADMAP).
+/// single-device only (see [`QueryRegistry`]) by registry policy: the
+/// shard executor runs the single device's kernel, but migrant envelopes
+/// carry one query's partial match and a forked envelope format is
+/// future work (tracked in ROADMAP).
 pub struct ShardedQueryRegistry {
     registry: QueryRegistry,
 }

@@ -25,14 +25,17 @@
 //!   both endpoint shards; the O(|V|) vertex metadata (NLF codes,
 //!   candidate rows, degrees) is shared, while the O(|E|) edge store — the
 //!   dominant term — is partitioned.
-//! * **Owner-compute rule** — a DFS generates the candidates of a level by
-//!   scanning the run of one matched *base* vertex. When every backward
-//!   vertex is resident, verification probes *their* runs with monotone
-//!   merge cursors (the single-device kernel's exact shape — signatures,
-//!   incident-range dedup, chunked masks); otherwise the probe direction
-//!   flips onto each candidate's own run, which the owner's boundary
-//!   replication guarantees complete. When a partial embedding's next base
-//!   is owned elsewhere, the DFS state **migrates**.
+//! * **Owner-compute rule** — a shard runs the single-device kernel
+//!   itself (the search of [`crate::wbm`]), which generates the candidates
+//!   of a level by scanning the run of one matched *base* vertex, the
+//!   backward vertex with the least `(degree, id)`. Before every scan the
+//!   search checks the launch's [`Residency`]: the scan runs here when the
+//!   base's live owner is this shard or every backward vertex is resident
+//!   here. Verification then probes the backward vertices' runs with
+//!   monotone merge cursors when they are all resident, and flips onto each
+//!   candidate's own run, which the owner's boundary replication
+//!   guarantees complete, when they are not. Otherwise the partial
+//!   embedding **migrates** to the base's owner.
 //! * **Batched, barrier-free migration** — migrants are not shipped one at
 //!   a time and there are no BSP round barriers. Producers append partial
 //!   embeddings into per-(src,dst) double-buffered batches
@@ -51,10 +54,13 @@
 //!   is **bit-reproducible run to run** (the replay gate covers SHARD
 //!   cells at 0% tolerance) — and the phase ends at quiescence: every
 //!   local queue empty and nothing in flight in the fabric.
-//! * **Host work on both launch threads** — a unit's outcome (its cycles,
-//!   counter deltas, matches and the migrants it ships, in order) depends
-//!   only on the unit and the shard that runs it: within a phase a unit
-//!   reads fixed state and scratch it clears first. So before the first
+//! * **Host work on both launch threads** — a unit is one search of that
+//!   kernel, stepped to completion on one warp context. Its outcome (its
+//!   cycles, counter deltas, matches and the migrants it ships, in order)
+//!   depends only on the unit and the shard that runs it: within a phase a
+//!   unit reads fixed state and its thread's scratch, which it clears
+//!   before use, and it keeps its matches and count instead of flushing
+//!   them. So before the first
 //!   scheduling step every anchor unit runs ahead, as one job each, on the
 //!   calling thread and the process-wide launch pool
 //!   ([`gamma_gpu::run_jobs`]) that serves device launches; the scheduler,
@@ -74,13 +80,12 @@
 //! [`CostModel::migrant_ship`]: gamma_gpu::CostModel::migrant_ship
 //! [`ShardedQueryRegistry`]: crate::registry::ShardedQueryRegistry
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use gamma_gpma::{Gpma, RunCursor, CHUNK_WIDTH};
+use gamma_gpma::Gpma;
 use gamma_gpu::{run_jobs, CostModel, DeviceConfig, Job, KernelStats, WarpCtx};
 use gamma_graph::{
     DynamicGraph, ELabel, QueryGraph, Update, UpdateBatch, VLabel, VMatch, VertexId,
@@ -88,16 +93,10 @@ use gamma_graph::{
 
 use crate::comm::{CommFabric, MIGRANT_BATCH};
 use crate::durable::DurableView;
-use crate::encoding::CandidateTable;
 use crate::engine::{BatchResult, GammaConfig};
 use crate::fault::FaultPlan;
 use crate::registry::{QueryConfig, QueryId, QueryRegistry};
-use crate::wbm::{poll_deadline, IncidentRange, Phase, QueryMeta, UpdateOrder};
-
-/// Survivor chunks narrower than this are intersected candidate-by-
-/// candidate (early-exit scalar probes) instead of mask-carrying chunked
-/// merges — same threshold as the single-device kernel.
-const SCALAR_CHUNK_MIN: usize = 8;
+use crate::wbm::{self, backward_set, poll_deadline, KernelShared, QueryMeta};
 
 // ---------------------------------------------------------------------------
 // Partitioning
@@ -539,9 +538,10 @@ pub enum ShardStealing {
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
     /// Per-shard engine configuration (device shape, counter bits, match
-    /// collection, limits). `coalesced_search` is ignored: the sharded
-    /// kernel always searches one seed per query edge, which produces the
-    /// identical match set.
+    /// collection, limits). `coalesced_search` is ignored: the shard
+    /// executor's registry plans one seed per query edge, which produces
+    /// the identical match set. That is registry policy, not a limit of the
+    /// kernel, which shards share with the single device.
     pub base: GammaConfig,
     /// Number of simulated devices.
     pub num_shards: usize,
@@ -684,18 +684,31 @@ impl Shard {
 /// never a frame stack, and the two shards expand disjoint subtrees.
 #[derive(Clone, Debug)]
 pub(crate) struct Migrant {
-    anchor: (VertexId, VertexId, ELabel),
-    anchor_order: u32,
-    seed: usize,
-    base_level: usize,
-    m: VMatch,
+    pub(crate) anchor: (VertexId, VertexId, ELabel),
+    pub(crate) anchor_order: u32,
+    pub(crate) seed: usize,
+    pub(crate) base_level: usize,
+    pub(crate) m: VMatch,
     /// Serving-tier envelope tag ([`ShardedConfig::query_id`]); carried
     /// so multi-registry deployments can route and audit in-flight
     /// partials per standing query.
-    qid: u64,
+    pub(crate) qid: u64,
 }
 
 impl Migrant {
+    /// The backward set of the migrant's pending scan into `scratch`, and
+    /// its base ([`backward_set`], exactly as the scan will pick it).
+    fn base(
+        &self,
+        meta: &QueryMeta,
+        gpma: &Gpma,
+        scratch: &mut Vec<(VertexId, ELabel)>,
+    ) -> VertexId {
+        let qv = meta.seeds[self.seed].order[self.base_level];
+        let bi = backward_set(&meta.q, qv, &self.m, gpma, scratch);
+        scratch[bi].0
+    }
+
     /// Whether batch-stealing may run this migrant on a thief with the
     /// given resident set: the base run must be locally complete, and the
     /// pending level must have no secondary backward edges (their
@@ -704,185 +717,68 @@ impl Migrant {
     fn steal_eligible(
         &self,
         meta: &QueryMeta,
+        gpma: &Gpma,
         resident: &[bool],
         scratch: &mut Vec<(VertexId, ELabel)>,
     ) -> bool {
-        backward_neighbors(meta, self.seed, self.base_level, &self.m, scratch);
-        scratch.len() == 1
-            && resident
-                .get(scratch[0].0 as usize)
-                .copied()
-                .unwrap_or(false)
-    }
-}
-
-/// The matched backward neighbors of `order[level]` under partial match
-/// `m`: `(data vertex, required edge label)`, in query-adjacency order.
-///
-/// This is the **single definition** used both by the kernel's scans and
-/// by [`Migrant::steal_eligible`] — the two must agree exactly, or a
-/// thief could be licensed to run a scan whose actual reads touch a
-/// non-resident (incomplete) run and silently drop matches.
-fn backward_neighbors(
-    meta: &QueryMeta,
-    seed: usize,
-    level: usize,
-    m: &VMatch,
-    out: &mut Vec<(VertexId, ELabel)>,
-) {
-    out.clear();
-    let qv = meta.seeds[seed].order[level];
-    for &(un, el) in meta.q.neighbors(qv) {
-        if let Some(dv) = m.get(un) {
-            out.push((dv, el));
-        }
+        let base = self.base(meta, gpma, scratch);
+        scratch.len() == 1 && resident.get(base as usize).copied().unwrap_or(false)
     }
 }
 
 /// The live shard a migrant must be (re)delivered to: the live owner of
-/// its pending scan's base vertex, computed by the *same* base-selection
-/// rule as [`UnitTask::scan_or_migrate`] — the two must agree exactly,
-/// or a failover-requeued migrant would bounce between shards forever.
+/// its pending scan's base — the base the scan itself picks, or a
+/// failover-requeued migrant would bounce between shards forever.
 fn migrant_dest(
     meta: &QueryMeta,
+    gpma: &Gpma,
     partition: &Partition,
     alive: &[bool],
-    degrees: &[u32],
     mig: &Migrant,
     scratch: &mut Vec<(VertexId, ELabel)>,
 ) -> usize {
-    backward_neighbors(meta, mig.seed, mig.base_level, &mig.m, scratch);
-    let base = scratch
-        .iter()
-        .map(|&(dv, _)| dv)
-        .min_by_key(|&dv| (degrees.get(dv as usize).copied().unwrap_or(0), dv))
-        .expect("connected matching order");
-    live_owner(partition, alive, base)
+    live_owner(partition, alive, mig.base(meta, gpma, scratch))
 }
 
-// ---------------------------------------------------------------------------
-// The unit kernel (one anchor / one migrant, run to completion)
-// ---------------------------------------------------------------------------
-
-/// One DFS frame; the candidate at `p` is always assigned in `m` (unlike
-/// the single-device kernel, top frames included — migration serializes
-/// cleanly that way).
-#[derive(Clone, Debug)]
-struct SFrame {
-    cands: Vec<VertexId>,
-    p: usize,
-    /// Count-only memo: the sorted candidate set of the **last** DFS level
-    /// when it is independent of this frame's own assignment. Every
-    /// sibling then resolves in one binary search — membership of the
-    /// sibling's own vertex is the only per-sibling difference — in place
-    /// of a full rescan of the base run.
-    memo_last: Option<Vec<VertexId>>,
-}
-
-/// The running DFS of one seed.
-#[derive(Clone, Debug)]
-struct SDfs {
-    seed: usize,
-    base_level: usize,
-    m: VMatch,
-    frames: Vec<SFrame>,
-    /// `true` → the next action is generating candidates for level
-    /// `base_level + frames.len()`; `false` → advance the top frame.
-    pending_scan: bool,
-    /// The pending scan may run here regardless of ownership (set on
-    /// migrant arrival; consumed by the first scan).
-    authorized: bool,
-}
-
-/// What a scan decided to do with the state.
-enum ScanOutcome {
-    /// Keep driving this state locally.
-    Continue(SDfs),
-    /// DFS exhausted (any migrated subtrees continue elsewhere).
-    Done,
-}
-
-/// Per-scan probe state for one resident backward vertex (the
-/// single-device kernel's probe shape: monotone merge cursor + incident
-/// dedup range + optional bitmap signature + cost accounting).
-struct BackProbe {
-    el: ELabel,
-    cur: RunCursor,
-    inc: IncidentRange,
-    sig: Option<u64>,
-    tested: u32,
-    probed: u32,
-    rem0: u32,
-}
-
-/// Reusable scratch shared by every unit a shard's context runs (the
-/// task-local pools of the single-device kernel, hoisted to the phase).
-#[derive(Default)]
-struct UnitScratch {
-    /// Recycled candidate buffers.
-    pool: Vec<Vec<VertexId>>,
-    /// Backward-neighbor scratch for the pending scan.
-    backward: Vec<(VertexId, ELabel)>,
-    /// Probe states for the resident-direction scan.
-    probes: Vec<BackProbe>,
-    /// Sorted secondary backward edges for the flipped-direction scan.
-    flipped: Vec<(VertexId, ELabel)>,
-    /// Gather buffer for the chunked combine pass.
-    chunk: Vec<VertexId>,
-}
-
-/// What every unit of one kernel phase reads, owned so that a unit can
-/// run on any launch-pool thread. Units never change it: only a fail-stop,
-/// between two scheduling steps, refreshes its partition, alive mask and
-/// resident sets.
-struct PhaseEnv {
-    partition: Partition,
-    /// The shared physical store. A scan only ever reads runs of
-    /// vertices resident on the scanning shard — complete runs, identical
-    /// to what a private replica would hold.
-    gpma: Arc<Gpma>,
-    table: CandidateTable,
-    meta: Arc<QueryMeta>,
-    update_order: UpdateOrder,
-    /// Shared true degrees — every site must pick the same base for an
-    /// anchor or migrants would bounce.
-    degrees: Arc<Vec<u32>>,
-    /// Every shard's resident set, in shard order.
-    residents: Vec<Arc<Vec<bool>>>,
+/// The residency context of a launch on the shard executor
+/// ([`KernelShared::residency`]): the partition and live-shard mask that
+/// name each vertex's live owner, every shard's resident set, and the
+/// envelope tag shipped migrants carry. A search running on a shard reads
+/// it before every scan (the license check, then the probe direction).
+/// Only the executor builds one; a fail-stop refreshes it between two
+/// scheduling steps.
+pub struct Residency {
+    pub(crate) partition: Partition,
     /// Live-shard mask — migration destinations are always computed
     /// among survivors (all-true with no faults, where `live_owner`
     /// degenerates to `Partition::owner`).
-    alive: Vec<bool>,
-    /// Whether scans read the per-vertex run signatures the shared store
-    /// maintains (the bitmap prefilter; results identical either way).
-    signatures: bool,
-    /// The batch deadline, polled by every unit ([`poll_deadline`]).
-    deadline: Option<Instant>,
-    collect: bool,
+    pub(crate) alive: Vec<bool>,
+    /// Every shard's resident set, in shard order.
+    pub(crate) residents: Vec<Arc<Vec<bool>>>,
     /// Envelope tag stamped on shipped migrants.
-    query_id: u64,
-    /// A unit whose own match count passes this raises `abort`.
-    match_limit: u64,
-    abort: Arc<AtomicBool>,
-    cost: CostModel,
-    warp_size: u32,
+    pub(crate) query_id: u64,
 }
 
-impl PhaseEnv {
-    /// The run signatures scans read, or none.
-    fn signatures(&self) -> &[u64] {
-        if self.signatures {
-            self.gpma.signatures()
-        } else {
-            &[]
-        }
+impl Residency {
+    /// The live owner of `v`.
+    #[inline]
+    pub(crate) fn owner(&self, v: VertexId) -> usize {
+        live_owner(&self.partition, &self.alive, v)
+    }
+
+    /// Whether `v`'s run is complete on `shard`.
+    #[inline]
+    pub(crate) fn is_resident(&self, shard: usize, v: VertexId) -> bool {
+        self.residents[shard]
+            .get(v as usize)
+            .copied()
+            .unwrap_or(false)
     }
 }
 
 /// What one unit did: its cycles, its counter deltas, its matches and
 /// match count, and the migrants it ships, in order — `(owner shard,
 /// migrant)`. The scheduler commits it when it reaches the unit.
-#[derive(Default)]
 struct UnitOut {
     cycles: u64,
     global_transactions: u64,
@@ -894,672 +790,27 @@ struct UnitOut {
     migrants: Vec<(usize, Migrant)>,
 }
 
-thread_local! {
-    /// Each thread's unit scratch, reused by every unit it runs, phase
-    /// after phase.
-    static SCRATCH: RefCell<UnitScratch> = RefCell::new(UnitScratch::default());
-}
-
 /// Runs one unit — an anchor's full seed sweep or an arrived migrant — to
-/// completion on `shard` and returns its outcome.
-///
-/// The outcome depends only on the unit, the shard and `env`: the unit
-/// starts from a fresh [`WarpCtx`] and its own match count, and clears
-/// every scratch buffer before use. So a unit run ahead, on any thread,
-/// has the outcome the scheduler would get running it inline. Only the
-/// buffer-reuse counters see which thread's scratch it drew on.
-fn run_unit(env: &PhaseEnv, shard: usize, work: UnitWork) -> UnitOut {
-    let (v1, v2, elabel, anchor_order) = match &work {
-        UnitWork::Anchor(a, order) => (a.u, a.v, a.label, *order),
-        UnitWork::Mig(mig) => {
-            debug_assert_eq!(
-                mig.qid, env.query_id,
-                "migrant envelope routed to a different standing query"
-            );
-            (mig.anchor.0, mig.anchor.1, mig.anchor.2, mig.anchor_order)
-        }
-    };
-    SCRATCH.with_borrow_mut(|scratch| {
-        let mut task = UnitTask {
-            env,
-            shard,
-            resident: &env.residents[shard],
-            ctx: WarpCtx::new(env.cost, env.warp_size),
-            scratch,
-            out: UnitOut::default(),
-            v1,
-            v2,
-            elabel,
-            anchor_order,
-            steps: 0,
-        };
-        match work {
-            UnitWork::Anchor(..) => task.run_anchor(),
-            UnitWork::Mig(mig) => task.run_migrant(mig),
-        }
-        let ctx = &mut task.ctx;
-        UnitOut {
-            cycles: ctx.take_step_cycles(),
-            global_transactions: ctx.global_transactions,
-            shared_accesses: ctx.shared_accesses,
-            buf_reuse: ctx.buf_reuse,
-            buf_alloc: ctx.buf_alloc,
-            ..task.out
-        }
-    })
-}
-
-/// One unit of shard work in flight, metered through its own
-/// [`WarpCtx`].
-struct UnitTask<'a> {
-    env: &'a PhaseEnv,
-    /// The shard running the unit.
+/// completion on `shard` ([`wbm::run_unit`]), metered on a fresh
+/// [`WarpCtx`], and returns its outcome.
+fn run_unit(
+    sh: &KernelShared,
     shard: usize,
-    /// That shard's resident set.
-    resident: &'a [bool],
-    ctx: WarpCtx,
-    scratch: &'a mut UnitScratch,
-    out: UnitOut,
-    v1: VertexId,
-    v2: VertexId,
-    elabel: ELabel,
-    anchor_order: u32,
-    /// DFS steps taken, for [`poll_deadline`]: one unit can run a whole
-    /// subtree.
-    steps: u32,
-}
-
-impl UnitTask<'_> {
-    #[inline]
-    fn is_resident(&self, v: VertexId) -> bool {
-        self.resident.get(v as usize).copied().unwrap_or(false)
-    }
-
-    /// Draws a candidate buffer from the shared pool (warm-up allocates;
-    /// steady state recycles), reporting which to the stats.
-    fn take_buf(&mut self) -> Vec<VertexId> {
-        match self.scratch.pool.pop() {
-            Some(mut b) => {
-                self.ctx.note_buffer(true);
-                b.clear();
-                b
-            }
-            None => {
-                self.ctx.note_buffer(false);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Returns a candidate buffer to the pool.
-    #[inline]
-    fn recycle(&mut self, buf: Vec<VertexId>) {
-        self.scratch.pool.push(buf);
-    }
-
-    fn note_matches(&mut self, n: u64) {
-        self.out.count += n;
-        if self.out.count > self.env.match_limit {
-            self.env.abort.store(true, Ordering::Relaxed);
-        }
-    }
-
-    fn emit(&mut self, m: VMatch) {
-        self.note_matches(1);
-        if self.env.collect {
-            self.out.matches.push(m);
-        }
-    }
-
-    /// Runs an anchor unit: every seed in both orientations, each driven
-    /// to completion (migrating subtrees as it goes).
-    fn run_anchor(&mut self) {
-        let num_seeds = self.env.meta.seeds.len();
-        for si in 0..num_seeds {
-            for flipped in [false, true] {
-                if self.env.abort.load(Ordering::Relaxed) {
-                    return;
-                }
-                if let Some(st) = self.start_seed(si, flipped) {
-                    self.drive(st);
-                }
-            }
-        }
-    }
-
-    /// Resumes an arrived migrant (first scan authorized: the fabric only
-    /// delivers to the owner or to a residency-eligible thief).
-    fn run_migrant(&mut self, mig: Migrant) {
-        let st = SDfs {
-            seed: mig.seed,
-            base_level: mig.base_level,
-            m: mig.m,
-            frames: Vec::new(),
-            pending_scan: true,
-            authorized: true,
-        };
-        self.ctx.compute(2);
-        self.drive(st);
-    }
-
-    fn drive(&mut self, mut st: SDfs) {
-        loop {
-            poll_deadline(self.env.deadline, &mut self.steps, &self.env.abort);
-            if self.env.abort.load(Ordering::Relaxed) {
-                // Return frame buffers so the pool survives aborts.
-                for f in st.frames.drain(..) {
-                    self.recycle(f.cands);
-                    if let Some(s) = f.memo_last {
-                        self.recycle(s);
-                    }
-                }
-                return;
-            }
-            let outcome = if st.pending_scan {
-                self.scan_or_migrate(st)
-            } else {
-                self.advance(st)
-            };
-            match outcome {
-                ScanOutcome::Continue(next) => st = next,
-                ScanOutcome::Done => return,
-            }
-        }
-    }
-
-    /// Seed validation, identical to the single-device kernel: edge label
-    /// plus the candidate gate on both anchored vertices.
-    fn start_seed(&mut self, si: usize, flipped: bool) -> Option<SDfs> {
-        let env = self.env;
-        let seed = &env.meta.seeds[si];
-        let (x, y) = if flipped {
-            (self.v2, self.v1)
-        } else {
-            (self.v1, self.v2)
-        };
-        self.ctx.compute(4);
-        if seed.elabel != self.elabel {
-            return None;
-        }
-        self.ctx.shared_access(2);
-        if !env.table.is_candidate(x, seed.a) || !env.table.is_candidate(y, seed.b) {
-            return None;
-        }
-        let mut m = VMatch::EMPTY;
-        m.set(seed.a, x);
-        m.set(seed.b, y);
-        Some(SDfs {
-            seed: si,
-            base_level: 2,
-            m,
-            frames: Vec::new(),
-            pending_scan: true,
-            authorized: false,
-        })
-    }
-
-    /// Runs the pending scan of `st` — migrating instead if the base
-    /// vertex is owned elsewhere and the scan is not steal-authorized.
-    fn scan_or_migrate(&mut self, mut st: SDfs) -> ScanOutcome {
-        let env = self.env;
-        let seed = &env.meta.seeds[st.seed];
-        let n = seed.order.len();
-        let level = st.base_level + st.frames.len();
-        if level == n {
-            // Degenerate 2-vertex query: the anchors are the whole match.
-            self.emit(st.m);
-            return ScanOutcome::Done;
-        }
-        let qv = seed.order[level];
-        let mut backward = std::mem::take(&mut self.scratch.backward);
-        backward_neighbors(&env.meta, st.seed, level, &st.m, &mut backward);
-        // Base selection by *true* degree (site-consistent: every shard
-        // computes the same base for the same partial, which the migration
-        // protocol depends on).
-        let base = backward
-            .iter()
-            .map(|&(dv, _)| dv)
-            .min_by_key(|&dv| (env.degrees.get(dv as usize).copied().unwrap_or(0), dv))
-            .expect("connected matching order");
-        let owner = live_owner(&env.partition, &env.alive, base);
-        // Locality fast-path: the resident-direction scan reads exactly
-        // the runs of the backward vertices (base included), all of which
-        // are complete on any shard where those vertices are resident —
-        // owned or boundary replica alike. So whenever *every* backward
-        // vertex is resident here the scan may run locally, and only
-        // partials whose backward set genuinely escapes the local
-        // replication frontier are shipped to the base's owner (who holds
-        // one-hop replication around the base and runs the flipped probe).
-        // This is the same soundness argument that licenses batch
-        // stealing, and it is what makes the edge cut — not the raw
-        // anchor placement — govern migration volume.
-        let local_ok = owner == self.shard || backward.iter().all(|&(dv, _)| self.is_resident(dv));
-        if !local_ok && !st.authorized {
-            // Ship this subtree — just the partial match — toward the
-            // owner (staged into the comm fabric's open batch; the
-            // interconnect ship cost is charged per *batch* at publish),
-            // then keep enumerating the parent's remaining candidates
-            // locally: the two shards now expand disjoint subtrees.
-            self.scratch.backward = backward;
-            self.ctx
-                .global_read_coalesced(env.meta.q.num_vertices() as u64);
-            self.out.migrants.push((
-                owner,
-                Migrant {
-                    anchor: (self.v1, self.v2, self.elabel),
-                    anchor_order: self.anchor_order,
-                    seed: st.seed,
-                    base_level: level,
-                    m: st.m,
-                    qid: env.query_id,
-                },
-            ));
-            st.pending_scan = false;
-            return self.advance(st);
-        }
-        st.authorized = false;
-        if level == n - 1 {
-            // Last level: every scanned candidate is a complete match.
-            if !env.collect {
-                // Count-only fast paths (benchmarking mode): the memo
-                // answers each sibling in one binary search when the last
-                // level is independent of the parent's own assignment;
-                // otherwise stream-count without materializing.
-                let count = if let Some(parent_idx) = st.frames.len().checked_sub(1) {
-                    let qv_parent = seed.order[level - 1];
-                    let independent = !env
-                        .meta
-                        .q
-                        .neighbors(qv)
-                        .iter()
-                        .any(|&(un, _)| un == qv_parent);
-                    if independent {
-                        if st.frames[parent_idx].memo_last.is_none() {
-                            let c = st.m.get(qv_parent).expect("parent assigned");
-                            st.m.unset(qv_parent);
-                            let mut memo = self.take_buf();
-                            // `independent` ⇒ the backward set (and hence
-                            // base and residency) is the same with the
-                            // parent unset, so the scan stays licensed.
-                            self.scan_candidates(&st, base, &backward, |v| memo.push(v));
-                            st.m.set(qv_parent, c);
-                            st.frames[parent_idx].memo_last = Some(memo);
-                        }
-                        let c = st.m.get(qv_parent).expect("parent assigned");
-                        let memo = st.frames[parent_idx]
-                            .memo_last
-                            .as_ref()
-                            .expect("just filled");
-                        // Binary probe of the memoized set parked in
-                        // shared memory (like the C[l] arrays).
-                        self.ctx.shared_access(
-                            (64 - (memo.len() as u64).leading_zeros() as u64).max(1),
-                        );
-                        (memo.len() - usize::from(memo.binary_search(&c).is_ok())) as u64
-                    } else {
-                        let mut cnt = 0u64;
-                        self.scan_candidates(&st, base, &backward, |_| cnt += 1);
-                        cnt
-                    }
-                } else {
-                    // Migrant resumption at the last level: no parent
-                    // frame to memoize on.
-                    let mut cnt = 0u64;
-                    self.scan_candidates(&st, base, &backward, |_| cnt += 1);
-                    cnt
-                };
-                self.ctx.compute(count);
-                self.note_matches(count);
-                self.scratch.backward = backward;
-                st.pending_scan = false;
-                return self.advance(st);
-            }
-            let mut found = self.take_buf();
-            self.scan_candidates(&st, base, &backward, |c| found.push(c));
-            self.scratch.backward = backward;
-            self.ctx.compute(found.len() as u64);
-            for &c in &found {
-                let mut m = st.m;
-                m.set(qv, c);
-                self.emit(m);
-            }
-            self.recycle(found);
-            st.pending_scan = false;
-            return self.advance(st);
-        }
-        let mut cands = self.take_buf();
-        self.scan_candidates(&st, base, &backward, |c| cands.push(c));
-        self.scratch.backward = backward;
-        if cands.is_empty() {
-            self.recycle(cands);
-            st.pending_scan = false;
-            return self.advance(st);
-        }
-        st.m.set(qv, cands[0]);
-        st.frames.push(SFrame {
-            cands,
-            p: 0,
-            memo_last: None,
-        });
-        st.pending_scan = true;
-        ScanOutcome::Continue(st)
-    }
-
-    /// Streams every valid candidate of `st`'s pending level into `sink`,
-    /// in ascending vertex order. Two probe directions, both exact:
-    ///
-    /// * **Resident direction** (every backward vertex resident here —
-    ///   vacuously true with no secondary edges): the single-device
-    ///   kernel's exact shape. Base-run survivors of the cheap gates are
-    ///   gathered into [`CHUNK_WIDTH`]-wide chunks and intersected against
-    ///   each backward vertex's run with monotone merge cursors, a bitmap
-    ///   signature quick-reject in front, and the incident-range dedup
-    ///   rule.
-    /// * **Flipped direction** (some backward vertex non-resident — only
-    ///   the owner executes this, so every *candidate*, being a boundary
-    ///   neighbor of the base, has a complete local run): each candidate's
-    ///   own run is probed for all backward vertices in one
-    ///   [`Gpma::run_seek_chunk`] pass, with a signature quick-reject on
-    ///   the candidate's run.
-    fn scan_candidates(
-        &mut self,
-        st: &SDfs,
-        base: VertexId,
-        backward: &[(VertexId, ELabel)],
-        mut sink: impl FnMut(VertexId),
-    ) {
-        let env = self.env;
-        let seed = &env.meta.seeds[st.seed];
-        let level = st.base_level + st.frames.len();
-        let qv = seed.order[level];
-        let gpma: &Gpma = &env.gpma;
-        let uo = &env.update_order;
-        let table = &env.table;
-        let sigs = env.signatures();
-        let anchor_order = self.anchor_order;
-        let base_el = backward
-            .iter()
-            .find(|&&(dv, _)| dv == base)
-            .expect("base is backward")
-            .1;
-        let bdeg = gpma.degree(base) as u64;
-        let bv_incident = uo.incident(base);
-        // Directory fetch of the base run head, one warp-coalesced read of
-        // the run, the candidate-table rows, and the per-vertex gates.
-        self.ctx.dir_locate();
-        self.ctx.global_read_coalesced(bdeg * 2);
-        self.ctx.global_read_coalesced(bdeg);
-        self.ctx.compute(bdeg);
-        let m = &st.m;
-
-        let all_resident = backward
-            .iter()
-            .all(|&(dv, _)| dv == base || self.is_resident(dv));
-        if all_resident {
-            // --- Resident direction (single-device shape) ---
-            let mut others = std::mem::take(&mut self.scratch.probes);
-            others.clear();
-            for &(dv, el) in backward.iter().filter(|&&(dv, _)| dv != base) {
-                let deg = gpma.degree(dv);
-                others.push(BackProbe {
-                    el,
-                    cur: gpma.run_cursor(dv),
-                    inc: uo.incident(dv),
-                    // Only narrow runs keep their signature: past
-                    // CHUNK_WIDTH neighbors the 64-bit map saturates.
-                    sig: if deg <= CHUNK_WIDTH && !sigs.is_empty() {
-                        Some(sigs[dv as usize])
-                    } else {
-                        None
-                    },
-                    tested: 0,
-                    probed: 0,
-                    rem0: deg as u32,
-                });
-            }
-            let with_sig = others.iter().filter(|o| o.sig.is_some()).count();
-            if with_sig > 0 {
-                self.ctx.global_read_coalesced(with_sig as u64);
-            }
-            // Gather pass: stream the base run through the cheap gates.
-            // With no other backward edges the survivors are final and
-            // bypass the staging buffer entirely.
-            let mut chunk = std::mem::take(&mut self.scratch.chunk);
-            chunk.clear();
-            let direct = others.is_empty();
-            gpma.for_each_neighbor(base, |cand, el| {
-                if el != base_el {
-                    return;
-                }
-                if !table.is_candidate(cand, qv) {
-                    return;
-                }
-                if m.uses(cand) {
-                    return;
-                }
-                // Dedup rule for the base back-edge: almost every base has
-                // no incident update edge, making this one length test.
-                if !bv_incident.is_empty() {
-                    if let Some(o) = uo.order_within(bv_incident, cand) {
-                        if o < anchor_order {
-                            return;
-                        }
-                    }
-                }
-                if direct {
-                    sink(cand);
-                } else {
-                    chunk.push(cand);
-                }
-            });
-            // Combine pass: chunked backward intersection with survivor
-            // masks (scalar early-exit probes for narrow fronts).
-            let mut targets = [0 as VertexId; CHUNK_WIDTH];
-            let mut lane_of = [0u8; CHUNK_WIDTH];
-            let mut labels = [0 as ELabel; CHUNK_WIDTH];
-            for w in chunk.chunks(CHUNK_WIDTH) {
-                if w.len() < SCALAR_CHUNK_MIN {
-                    'cand: for &cand in w {
-                        for o in others.iter_mut() {
-                            if let Some(sig) = o.sig {
-                                o.tested += 1;
-                                if sig & (1u64 << (cand & 63)) == 0 {
-                                    continue 'cand;
-                                }
-                            }
-                            o.probed += 1;
-                            match gpma.run_seek(&mut o.cur, cand) {
-                                Some(l) if l == o.el => {}
-                                _ => continue 'cand,
-                            }
-                            if !o.inc.is_empty()
-                                && matches!(
-                                    uo.order_within(o.inc, cand),
-                                    Some(ord) if ord < anchor_order
-                                )
-                            {
-                                continue 'cand;
-                            }
-                        }
-                        sink(cand);
-                    }
-                    continue;
-                }
-                let mut mask: u64 = if w.len() == CHUNK_WIDTH {
-                    u64::MAX
-                } else {
-                    (1u64 << w.len()) - 1
-                };
-                for o in others.iter_mut() {
-                    if mask == 0 {
-                        break;
-                    }
-                    if let Some(sig) = o.sig {
-                        o.tested += mask.count_ones();
-                        let mut pass = 0u64;
-                        let mut mk = mask;
-                        while mk != 0 {
-                            let i = mk.trailing_zeros() as usize;
-                            mk &= mk - 1;
-                            if sig & (1u64 << (w[i] & 63)) != 0 {
-                                pass |= 1u64 << i;
-                            }
-                        }
-                        mask &= pass;
-                        if mask == 0 {
-                            continue;
-                        }
-                    }
-                    let mut nt = 0usize;
-                    let mut mk = mask;
-                    while mk != 0 {
-                        let i = mk.trailing_zeros() as usize;
-                        mk &= mk - 1;
-                        targets[nt] = w[i];
-                        lane_of[nt] = i as u8;
-                        nt += 1;
-                    }
-                    o.probed += nt as u32;
-                    let found = gpma.run_seek_chunk(&mut o.cur, &targets[..nt], &mut labels);
-                    let mut keep = 0u64;
-                    for t in 0..nt {
-                        if found & (1u64 << t) != 0 && labels[t] == o.el {
-                            let dead = !o.inc.is_empty()
-                                && matches!(
-                                    uo.order_within(o.inc, targets[t]),
-                                    Some(ord) if ord < anchor_order
-                                );
-                            if !dead {
-                                keep |= 1u64 << lane_of[t];
-                            }
-                        }
-                    }
-                    mask &= keep;
-                }
-                self.ctx.compute(2);
-                let mut mk = mask;
-                while mk != 0 {
-                    let i = mk.trailing_zeros() as usize;
-                    mk &= mk - 1;
-                    sink(w[i]);
-                }
-            }
-            self.scratch.chunk = chunk;
-            for o in others.iter() {
-                if o.sig.is_some() {
-                    self.ctx.bitmap_probe(o.tested as u64);
-                }
-                self.ctx
-                    .chunked_intersect(o.probed as u64, (o.rem0 - o.cur.rem()) as u64);
-            }
-            self.scratch.probes = others;
-            return;
-        }
-
-        // --- Flipped direction (owner-only; candidates' runs complete) ---
-        let mut flipped = std::mem::take(&mut self.scratch.flipped);
-        flipped.clear();
-        flipped.extend(backward.iter().copied().filter(|&(dv, _)| dv != base));
-        // Ascending targets: the candidate's run cursor merges monotonically.
-        flipped.sort_unstable();
-        let nt = flipped.len();
-        debug_assert!((1..=CHUNK_WIDTH).contains(&nt));
-        let mut targets = [0 as VertexId; CHUNK_WIDTH];
-        let mut incs = [IncidentRange::default(); CHUNK_WIDTH];
-        let mut req: u64 = 0;
-        for (i, &(dv, _)) in flipped.iter().enumerate() {
-            targets[i] = dv;
-            incs[i] = uo.incident(dv);
-            req |= 1u64 << (dv & 63);
-        }
-        let want: u64 = if nt == 64 { u64::MAX } else { (1u64 << nt) - 1 };
-        let use_sig = !sigs.is_empty();
-        let mut labels = [0 as ELabel; CHUNK_WIDTH];
-        let mut tested = 0u64;
-        let mut probed = 0u64;
-        let mut covered = 0u64;
-        gpma.for_each_neighbor(base, |cand, el| {
-            if el != base_el {
-                return;
-            }
-            if !table.is_candidate(cand, qv) {
-                return;
-            }
-            if m.uses(cand) {
-                return;
-            }
-            if !bv_incident.is_empty() {
-                if let Some(o) = uo.order_within(bv_incident, cand) {
-                    if o < anchor_order {
-                        return;
-                    }
-                }
-            }
-            // Signature quick-reject on the *candidate's* run: a missing
-            // required bit proves some backward vertex absent.
-            if use_sig && gpma.degree(cand) <= CHUNK_WIDTH {
-                tested += 1;
-                if sigs[cand as usize] & req != req {
-                    return;
-                }
-            }
-            let mut cur = gpma.run_cursor(cand);
-            let rem0 = cur.rem();
-            let found = gpma.run_seek_chunk(&mut cur, &targets[..nt], &mut labels);
-            probed += nt as u64;
-            covered += (rem0 - cur.rem()) as u64;
-            if found != want {
-                return;
-            }
-            for (i, &(_, del)) in flipped.iter().enumerate() {
-                if labels[i] != del {
-                    return;
-                }
-                if !incs[i].is_empty()
-                    && matches!(
-                        uo.order_within(incs[i], cand),
-                        Some(ord) if ord < anchor_order
-                    )
-                {
-                    return;
-                }
-            }
-            sink(cand);
-        });
-        if tested > 0 {
-            self.ctx.bitmap_probe(tested);
-        }
-        self.ctx.chunked_intersect(probed, covered);
-        self.scratch.flipped = flipped;
-    }
-
-    /// Moves the top frame to its next candidate (or pops exhausted
-    /// frames). On success the state's next action is a scan again.
-    fn advance(&mut self, mut st: SDfs) -> ScanOutcome {
-        let env = self.env;
-        let seed = &env.meta.seeds[st.seed];
-        loop {
-            if st.frames.is_empty() {
-                return ScanOutcome::Done;
-            }
-            let level = st.base_level + st.frames.len() - 1;
-            let top = st.frames.last_mut().expect("frames non-empty");
-            let qv = seed.order[level];
-            st.m.unset(qv);
-            top.p += 1;
-            if top.p < top.cands.len() {
-                let c = top.cands[top.p];
-                st.m.set(qv, c);
-                st.pending_scan = true;
-                return ScanOutcome::Continue(st);
-            }
-            if let Some(f) = st.frames.pop() {
-                self.recycle(f.cands);
-                if let Some(s) = f.memo_last {
-                    self.recycle(s);
-                }
-            }
-        }
+    work: UnitWork,
+    cost: CostModel,
+    warp_size: u32,
+) -> UnitOut {
+    let mut ctx = WarpCtx::new(cost, warp_size);
+    let (matches, count, migrants) = wbm::run_unit(sh, shard, work, &mut ctx);
+    UnitOut {
+        cycles: ctx.take_step_cycles(),
+        global_transactions: ctx.global_transactions,
+        shared_accesses: ctx.shared_accesses,
+        buf_reuse: ctx.buf_reuse,
+        buf_alloc: ctx.buf_alloc,
+        matches,
+        count,
+        migrants,
     }
 }
 
@@ -1616,8 +867,10 @@ struct Unit {
     work: UnitWork,
 }
 
-enum UnitWork {
+pub(crate) enum UnitWork {
+    /// An update edge with its batch order: every seed, both orientations.
     Anchor(Update, u32),
+    /// An arrived migrant: its subtree.
     Mig(Migrant),
 }
 
@@ -1636,17 +889,14 @@ enum Action {
 // ---------------------------------------------------------------------------
 
 /// The shard executor of a registry: the vertex partition, every shard's
-/// resident set, the shared degree vector, the live-shard mask and the
-/// cumulative cross-shard statistics. The registry owns the graph mirror,
+/// resident set, the live-shard mask and the cumulative cross-shard
+/// statistics. The registry owns the graph mirror,
 /// the one shared store, the encoders and the candidate tables, and lends
 /// them to [`ShardRuntime::kernel_phase`] per launch — so every registered
 /// pattern runs on the same partition and resident sets.
 pub(crate) struct ShardRuntime {
     partition: Partition,
     shards: Vec<Shard>,
-    /// Shared true-degree vector, maintained incrementally per batch
-    /// (O(batch) updates, not O(V) rebuilds).
-    degrees: Arc<Vec<u32>>,
     stats: ShardStats,
     stealing: ShardStealing,
     faults: Option<FaultPlan>,
@@ -1724,16 +974,10 @@ impl ShardRuntime {
                 }
             })
             .collect();
-        let degrees = Arc::new(
-            (0..n as VertexId)
-                .map(|v| graph.degree(v) as u32)
-                .collect::<Vec<u32>>(),
-        );
         let num_shards = config.num_shards;
         Self {
             partition,
             shards,
-            degrees,
             stats: ShardStats {
                 pair_migrants: vec![0; num_shards * num_shards],
                 ..ShardStats::default()
@@ -1763,10 +1007,8 @@ impl ShardRuntime {
             .collect()
     }
 
-    /// Registers a freshly added vertex `v` (the graph now holds
-    /// `num_vertices`): resident on its live owner, degree 0.
-    pub(crate) fn add_vertex(&mut self, v: VertexId, num_vertices: usize) {
-        Arc::make_mut(&mut self.degrees).resize(num_vertices, 0);
+    /// Registers a freshly added vertex `v`: resident on its live owner.
+    pub(crate) fn add_vertex(&mut self, v: VertexId) {
         let owner = live_owner(&self.partition, &self.alive, v);
         self.shards[owner].mark_resident(v);
     }
@@ -1779,8 +1021,7 @@ impl ShardRuntime {
     /// update in parallel, each charged its resident sub-batch's
     /// proportional share of the measured cycles, so the batch's update
     /// time is the slowest shard's; a one-shard runtime is charged the
-    /// full measured cost exactly. The batch's endpoint deltas also land
-    /// in the degree vector.
+    /// full measured cost exactly.
     pub(crate) fn charge_update(
         &mut self,
         graph: &DynamicGraph,
@@ -1796,33 +1037,7 @@ impl ShardRuntime {
             max_update_cycles =
                 max_update_cycles.max(share.cycles(del_cycles, k_del, ins_cycles, k_ins));
         }
-        self.update_degrees(graph.num_vertices(), batch);
         max_update_cycles
-    }
-
-    /// Folds a canonical batch's endpoint deltas into the shared degree
-    /// vector (sized to `num_vertices`).
-    fn update_degrees(&mut self, num_vertices: usize, batch: &UpdateBatch) {
-        let degrees = Arc::make_mut(&mut self.degrees);
-        if degrees.len() < num_vertices {
-            degrees.resize(num_vertices, 0);
-        }
-        // Checked: a canonical batch only deletes present edges, so a
-        // degree underflow here is a canonicalization bug — fail loudly in
-        // both debug and release instead of wrapping (divergent profiles
-        // were the PR-5 overflow class).
-        for d in &batch.deletes {
-            for v in [d.u, d.v] {
-                let dv = &mut degrees[v as usize];
-                *dv = dv
-                    .checked_sub(1)
-                    .unwrap_or_else(|| panic!("degree underflow at vertex {v}"));
-            }
-        }
-        for i in &batch.inserts {
-            degrees[i.u as usize] += 1;
-            degrees[i.v as usize] += 1;
-        }
     }
 
     /// Grows shard `s`'s resident set for one canonical batch (an
@@ -1873,60 +1088,46 @@ impl ShardRuntime {
     }
 
     /// One distributed kernel phase on the virtual-time executor, for one
-    /// registered pattern (`table`, `meta`) over the registry's `graph`
-    /// and the `phase`'s shared store and anchors: anchors start on the
-    /// shard owning their canonical endpoint; units run to completion on
-    /// per-shard lane clocks; migrants — stamped `query_id` — flow through
-    /// the batched comm fabric mid-phase (no barriers); idle shards steal
-    /// eligible published batches; the phase ends at quiescence. Every
+    /// launch of a registered pattern (`shared`, from
+    /// [`Phase::shared`](crate::wbm::Phase::shared), over the phase's
+    /// store and `anchors`; `graph` is the registry's mirror): anchors
+    /// start on the shard owning their canonical endpoint; units run to
+    /// completion on per-shard lane clocks; migrants — stamped `query_id`
+    /// — flow through the batched comm fabric mid-phase (no barriers);
+    /// idle shards steal eligible published batches; the phase ends at
+    /// quiescence. Every
     /// scheduling decision reads virtual state only — the whole phase is
     /// bit-reproducible, including all cycle counters.
     ///
     /// Before the first scheduling step, every anchor unit runs ahead on
     /// the launch pool ([`run_jobs`], on `min(num_sms, host parallelism,
     /// anchors)` threads) against its routed shard; the scheduler commits
-    /// each outcome when it reaches the unit, and runs migrant units
-    /// inline. `table` is lent to the phase and handed back.
-    #[allow(clippy::too_many_arguments)]
+    /// each outcome when it reaches the unit, into the launch's sink and
+    /// match count, and runs migrant units inline. The launch state comes
+    /// back for [`finish_grid`](crate::wbm::finish_grid).
     pub(crate) fn kernel_phase(
         &mut self,
         graph: &DynamicGraph,
-        phase: &Phase<'_>,
-        table: CandidateTable,
-        meta: &Arc<QueryMeta>,
+        anchors: &[Update],
+        mut shared: KernelShared,
         device: &DeviceConfig,
-        collect: bool,
         query_id: u64,
-    ) -> (CandidateTable, Vec<VMatch>, u64, KernelStats) {
+    ) -> (Arc<KernelShared>, KernelStats) {
         let wall_t0 = Instant::now();
-        let (anchors, abort, deadline) = (phase.anchors, &phase.abort, phase.deadline);
         let num_shards = self.shards.len();
         let lanes_per_shard = (device.num_sms * device.warps_per_block).max(1);
         let cost = device.cost;
         let warp_size = device.warp_size;
-        let nv_words = meta.q.num_vertices() as u64;
+        let nv_words = shared.meta.q.num_vertices() as u64;
         let stealing = self.stealing;
-        let mut env = Arc::new(PhaseEnv {
+        let (abort, deadline) = (Arc::clone(&shared.abort), shared.deadline);
+        shared.residency = Some(Residency {
             partition: self.partition.clone(),
-            gpma: Arc::clone(&phase.gpma),
-            table,
-            meta: Arc::clone(meta),
-            update_order: UpdateOrder::build(anchors),
-            degrees: Arc::clone(&self.degrees),
-            residents: self.resident_sets(),
             alive: self.alive.clone(),
-            // The shared store's maintained signatures serve every shard —
-            // resident runs are complete, so the signatures each device
-            // would compute locally are the shared store's.
-            signatures: phase.signatures,
-            deadline,
-            collect,
+            residents: self.resident_sets(),
             query_id,
-            match_limit: phase.match_limit,
-            abort: Arc::clone(abort),
-            cost,
-            warp_size,
         });
+        let mut env = Arc::new(shared);
 
         // Anchor routing: an update edge starts on the shard owning its
         // canonical (smaller-id) endpoint — both endpoints are resident
@@ -1943,7 +1144,7 @@ impl ShardRuntime {
             });
             let env = Arc::clone(&env);
             wave.push(Box::new(move || {
-                run_unit(&env, s, UnitWork::Anchor(a, i as u32))
+                run_unit(&env, s, UnitWork::Anchor(a, i as u32), cost, warp_size)
             }));
         }
         // The wave: a unit's outcome depends only on the unit and its
@@ -1957,10 +1158,8 @@ impl ShardRuntime {
         let mut fabric: CommFabric<Migrant> = CommFabric::new(num_shards, MIGRANT_BATCH);
         let mut lanes: Vec<Lanes> = vec![Lanes::new(lanes_per_shard); num_shards];
         let mut agg = KernelStats::default();
-        let mut sink: Vec<VMatch> = Vec::new();
         let mut steal_buf: Vec<Migrant> = Vec::new();
         let mut elig_buf: Vec<(VertexId, ELabel)> = Vec::new();
-        let mut match_count = 0u64;
         // A thief that found nothing stealable stays idle until the next
         // publish event (avoids rescanning the same unstealable batches).
         let mut steal_stale = vec![false; num_shards];
@@ -1983,15 +1182,16 @@ impl ShardRuntime {
         let mut loop_steps = 0u32;
 
         loop {
-            poll_deadline(deadline, &mut loop_steps, abort);
+            poll_deadline(deadline, &mut loop_steps, &abort);
             if abort.load(Ordering::Relaxed) {
                 break;
             }
             // Fail-stop injection: a scheduled death lands *between*
             // scheduling steps — units are atomic, so the dead shard has
             // no half-executed work, and everything it had emitted is
-            // already in the shared sink. The executor quarantines the
-            // shard's lanes (never scheduled again), repairs the
+            // already committed to the launch's sink. The executor
+            // quarantines the shard's lanes (never scheduled again),
+            // repairs the
             // partition over the survivors, restores the owner-side
             // residency invariant for the moved vertices, and requeues
             // the dead shard's pending units and in-flight fabric
@@ -2018,7 +1218,11 @@ impl ShardRuntime {
                     // new residents below copies no bitmap.
                     ahead.clear();
                     let e = Arc::get_mut(&mut env).expect("no unit runs between scheduling steps");
-                    e.residents.clear();
+                    let res = e
+                        .residency
+                        .as_mut()
+                        .expect("a shard launch has a residency");
+                    res.residents.clear();
                     self.alive[dead] = false;
                     faults_injected += 1;
                     failovers += 1;
@@ -2045,10 +1249,10 @@ impl ShardRuntime {
                                 live_owner(&self.partition, &self.alive, lo)
                             }
                             UnitWork::Mig(mig) => migrant_dest(
-                                meta,
+                                &e.meta,
+                                &e.gpma,
                                 &self.partition,
                                 &self.alive,
-                                &e.degrees,
                                 mig,
                                 &mut elig_buf,
                             ),
@@ -2063,10 +1267,10 @@ impl ShardRuntime {
                     // normally).
                     for (stamp, mig) in fabric.drain_for_failover(dead) {
                         let dst = migrant_dest(
-                            meta,
+                            &e.meta,
+                            &e.gpma,
                             &self.partition,
                             &self.alive,
-                            &e.degrees,
                             &mig,
                             &mut elig_buf,
                         );
@@ -2079,9 +1283,9 @@ impl ShardRuntime {
                     // Queues changed shape — every stale-steal verdict
                     // is void.
                     steal_stale.iter_mut().for_each(|f| *f = false);
-                    e.partition = self.partition.clone();
-                    e.alive = self.alive.clone();
-                    e.residents = self.resident_sets();
+                    res.partition = self.partition.clone();
+                    res.alive = self.alive.clone();
+                    res.residents = self.resident_sets();
                 }
             }
             step += 1;
@@ -2176,7 +1380,7 @@ impl ShardRuntime {
                     let mut taken = 0u64;
                     steal_buf.clear();
                     for mitem in batch.items.drain(..) {
-                        if mitem.steal_eligible(meta, resident, &mut elig_buf) {
+                        if mitem.steal_eligible(&env.meta, &env.gpma, resident, &mut elig_buf) {
                             taken += 1;
                             local[s].push_back(Unit {
                                 ready,
@@ -2204,7 +1408,8 @@ impl ShardRuntime {
                         }
                         UnitWork::Mig(_) => None,
                     };
-                    let mut out = ahead_out.unwrap_or_else(|| run_unit(&env, s, unit.work));
+                    let mut out =
+                        ahead_out.unwrap_or_else(|| run_unit(&env, s, unit.work, cost, warp_size));
                     let completion = lanes[s].run(unit.ready, out.cycles);
                     busy[s] += out.cycles;
                     units_run[s] += 1;
@@ -2212,11 +1417,10 @@ impl ShardRuntime {
                     agg.shared_accesses += out.shared_accesses;
                     agg.buf_reuse += out.buf_reuse;
                     agg.buf_alloc += out.buf_alloc;
-                    sink.append(&mut out.matches);
-                    match_count += out.count;
-                    if match_count > phase.match_limit {
-                        abort.store(true, Ordering::Relaxed);
+                    if !out.matches.is_empty() {
+                        env.sink.lock().append(&mut out.matches);
                     }
+                    env.note_matches(out.count);
                     // Stage produced migrants; a buffer hitting capacity
                     // publishes immediately (ship cost on the producer).
                     let mut published = false;
@@ -2280,10 +1484,7 @@ impl ShardRuntime {
         agg.steals = shard_steals;
         agg.wall_seconds = wall_t0.elapsed().as_secs_f64();
 
-        // Every job of the wave has retired, so the phase holds the only
-        // reference to its environment, and the table goes back.
-        let env = Arc::into_inner(env).expect("every unit has retired");
-        (env.table, sink, match_count, agg)
+        (env, agg)
     }
 }
 
@@ -2307,9 +1508,10 @@ pub struct ShardedEngine {
 impl ShardedEngine {
     /// Partitions `graph`, builds every shard's resident set (owned +
     /// one-hop boundary), the shared store and the shared encoder/table,
-    /// and derives the per-edge matching orders (coalesced search off —
-    /// one seed per query edge keeps the distributed dedup rule identical
-    /// to the single-device engine's match attribution).
+    /// and derives the per-edge matching orders. Coalesced search is off
+    /// by the shard executor's registry policy (the kernel is the single
+    /// device's): one seed per query edge, with the single-device engine's
+    /// match attribution.
     pub fn new(graph: DynamicGraph, query: &QueryGraph, config: ShardedConfig) -> Self {
         let partition = Partition::build(config.strategy, config.num_shards, &graph);
         Self::with_partition(graph, query, config, partition)

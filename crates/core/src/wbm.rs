@@ -78,8 +78,39 @@
 //! keeps every query vertex's code; a `debug_assert!` there states it.
 //! `k > 0` classes still push permuted partials to extend: their removed
 //! vertices constrain the permuted roles differently.
+//!
+//! # One scan shape, and shard units
+//!
+//! A scan's **base** is the matched backward neighbor with the least
+//! `(degree, vertex id)`; the other backward neighbors are probed in
+//! query-adjacency order. `backward_set` is the one definition of both,
+//! shared with the shard executor's migration routing and batch-steal
+//! eligibility, which must agree with the scans exactly.
+//!
+//! The shard executor ([`crate::shard`]) runs this same search. A shard
+//! unit (an anchor's seed sweep, or an arrived migrant's subtree) steps
+//! one search to completion on one [`WarpCtx`] and keeps its matches,
+//! count and shipped migrants as its outcome instead of flushing them. Its
+//! launch carries a residency context ([`KernelShared::residency`];
+//! `None` on the single device, where nothing migrates or flips), and the
+//! search knows its shard. Before every scan (the warm frame, the
+//! count-only last level and its memo, the next-level generation) the
+//! search runs a **license check**: the scan may run here when the base's
+//! live owner is this shard or every backward vertex is resident here (a
+//! migrant's first scan is licensed by its delivery). An unlicensed scan
+//! ships the subtree to the base's owner as a migrant and the level
+//! counts as empty here. A licensed scan whose non-base backward runs are
+//! not all resident takes the **flipped direction**: each candidate's own
+//! run (complete, since the base is owned here and residency covers its
+//! one-hop boundary) is probed for every backward vertex in one
+//! [`Gpma::run_seek_chunk`] pass. All shards read one shared store that
+//! holds every run, so debug builds assert that every run a scan reads is
+//! resident on its shard: a scan past a missing license check would
+//! otherwise still return correct matches.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -92,6 +123,7 @@ use parking_lot::Mutex;
 use crate::auto::{permute_partial, CoalescedPlan};
 use crate::encoding::CandidateTable;
 use crate::order::matching_order;
+use crate::shard::{Migrant, Residency, UnitWork};
 
 /// Candidate attempts processed per scheduler quantum; bounds step length
 /// so intra-block interleaving (and thus stealing) stays fine-grained.
@@ -267,6 +299,10 @@ pub struct KernelShared {
     /// suffix searches, and matches route to the group's per-member sinks
     /// instead of [`KernelShared::sink`].
     pub group: Option<GroupShared>,
+    /// The shard residency context of a launch on the shard executor
+    /// (`None` on the single device): the license check and the probe
+    /// direction of every scan read it (see the module docs).
+    pub residency: Option<Residency>,
 }
 
 /// One registered query riding a grouped launch. `seeds` is aligned 1:1
@@ -314,7 +350,9 @@ impl GroupShared {
 }
 
 impl KernelShared {
-    fn note_matches(&self, n: u64) {
+    /// Adds `n` matches to the launch's count and raises `abort` once it
+    /// passes `match_limit`.
+    pub(crate) fn note_matches(&self, n: u64) {
         let total = self.match_count.fetch_add(n, Ordering::Relaxed) + n;
         if total > self.match_limit {
             self.abort.store(true, Ordering::Relaxed);
@@ -482,8 +520,9 @@ struct Search {
     elabel: ELabel,
     /// This anchor's order `o` in the batch.
     anchor_order: u32,
-    /// Seeds not yet started: `(seed index, flipped orientation)`.
-    seed_queue: VecDeque<(usize, bool)>,
+    /// Seed slots not yet started: slot `k` is seed `k / 2` in orientation
+    /// `k % 2` (`1`: flipped).
+    seeds: Range<usize>,
     pending: VecDeque<PendingPartial>,
     state: Option<DfsState>,
     local: Vec<VMatch>,
@@ -492,19 +531,46 @@ struct Search {
     member_local: Vec<Vec<VMatch>>,
     /// Per-member pending counts (grouped launches; empty otherwise).
     member_count: Vec<u64>,
+    scratch: Scratch,
+    /// Steps taken, for [`poll_deadline`].
+    steps: u32,
+    /// The shard a unit search runs on (`None`: a device task). A unit
+    /// keeps its matches and count as its outcome and ships the subtrees
+    /// its shard may not scan into `migrants`.
+    shard: Option<usize>,
+    /// The next warm scan is licensed by delivery: the fabric delivers a
+    /// migrant only to its base's owner or to a residency-eligible thief.
+    delivered: bool,
+    /// Subtrees shipped by unlicensed scans, in order, with their
+    /// destination shards.
+    migrants: Vec<(usize, Migrant)>,
+}
+
+/// A search's reusable buffers. A device task owns its own; a shard unit
+/// borrows its thread's ([`run_unit`]), so units allocate only while the
+/// thread's buffers warm up.
+#[derive(Default)]
+struct Scratch {
     /// Recycled candidate buffers: every popped DFS frame returns its
     /// vector here and every new frame draws from here, so steady-state
     /// quanta perform no heap allocation.
     pool: Vec<Vec<VertexId>>,
-    /// Reusable backward-edge scratch, one probe state per other matched
-    /// vertex of the level.
-    others_buf: Vec<BackProbe>,
-    /// Reusable gather buffer: base-run survivors staged for the chunked
-    /// backward intersection (the pooled output region of the
-    /// Prealloc-Combine pass).
-    chunk_buf: Vec<VertexId>,
-    /// Steps taken, for [`poll_deadline`].
-    steps: u32,
+    /// The scanned level's matched backward neighbors ([`backward_set`]).
+    backward: Vec<(VertexId, ELabel)>,
+    /// One probe state per non-base backward vertex (resident direction).
+    others: Vec<BackProbe>,
+    /// The non-base backward vertices, ascending (flipped direction).
+    flipped: Vec<(VertexId, ELabel)>,
+    /// Gather buffer: base-run survivors staged for the chunked backward
+    /// intersection (the pooled output region of the Prealloc-Combine
+    /// pass).
+    chunk: Vec<VertexId>,
+}
+
+thread_local! {
+    /// Each thread's unit scratch, reused by every shard unit it runs,
+    /// phase after phase.
+    static UNIT_SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
 /// Per-scan probe state for one backward-matched vertex: which run to
@@ -526,17 +592,142 @@ struct BackProbe {
     rem0: u32,
 }
 
+/// The cheap per-vertex gates every base-run neighbor of a scan passes
+/// before any backward probe: the edge label, the candidate code,
+/// injectivity, and the anchor-order dedup rule for the base back-edge
+/// (almost every base has no incident update edge, making that one length
+/// test). Fixed for the whole scan.
+struct Gate<'a> {
+    bel: ELabel,
+    qv: u8,
+    /// The `V^k`-restricted code inside a class representative's `V^k`
+    /// phase; else the candidate table decides.
+    vk_code: Option<u64>,
+    encodings: &'a [u64],
+    table: &'a CandidateTable,
+    m: &'a VMatch,
+    uord: &'a UpdateOrder,
+    /// The base's incident update edges.
+    incident: IncidentRange,
+    anchor_order: u32,
+}
+
+impl Gate<'_> {
+    /// Whether base-run neighbor `cand`, over an edge labeled `el`,
+    /// passes. Forced inline: it is the scan's innermost test.
+    #[inline(always)]
+    fn pass(&self, cand: VertexId, el: ELabel) -> bool {
+        el == self.bel
+            && match self.vk_code {
+                Some(uc) => crate::encoding::EncodingScheme::is_candidate(
+                    uc,
+                    self.encodings.get(cand as usize).copied().unwrap_or(0),
+                ),
+                None => self.table.is_candidate(cand, self.qv),
+            }
+            && !self.m.uses(cand)
+            && (self.incident.is_empty()
+                || !matches!(
+                    self.uord.order_within(self.incident, cand),
+                    Some(o) if o < self.anchor_order
+                ))
+    }
+}
+
 impl WbmTask {
     /// Creates the task for `anchor` (an insertion for the positive phase,
     /// a deletion for the negative phase) with batch order `anchor_order`.
     pub fn new(shared: Arc<KernelShared>, anchor: &Update, anchor_order: u32) -> Self {
         let members = shared.group.as_ref().map_or(0, |g| g.members.len());
-        let mut search = Search::new(anchor.u, anchor.v, anchor.label, anchor_order, members);
-        search.seed_queue = (0..shared.meta.seeds.len())
-            .flat_map(|si| [(si, false), (si, true)])
-            .collect();
+        let search = Search {
+            seeds: 0..2 * shared.meta.seeds.len(),
+            ..Search::new(anchor.u, anchor.v, anchor.label, anchor_order, members)
+        };
         Self { shared, search }
     }
+}
+
+/// Runs one shard unit to completion on `shard`, metered on `ctx`: an
+/// anchor's sweep of every seed in both orientations, or an arrived
+/// migrant's subtree. Returns the unit's matches, its match count and the
+/// migrants it ships, in order.
+///
+/// The outcome depends only on the unit, the shard and `sh`: the search
+/// starts empty and clears every scratch buffer it draws from this
+/// thread's, so a unit run ahead on any thread has the outcome of one run
+/// inline. Only the buffer-reuse counters see which thread it ran on.
+pub(crate) fn run_unit(
+    sh: &KernelShared,
+    shard: usize,
+    work: UnitWork,
+    ctx: &mut WarpCtx,
+) -> (Vec<VMatch>, u64, Vec<(usize, Migrant)>) {
+    let mut search = match work {
+        UnitWork::Anchor(a, order) => Search {
+            seeds: 0..2 * sh.meta.seeds.len(),
+            ..Search::new(a.u, a.v, a.label, order, 0)
+        },
+        UnitWork::Mig(mig) => {
+            debug_assert_eq!(
+                Some(mig.qid),
+                sh.residency.as_ref().map(|r| r.query_id),
+                "migrant envelope routed to a different standing query"
+            );
+            // Resuming a partial, like a pending partial's pull.
+            ctx.compute(2);
+            let (v1, v2, elabel) = mig.anchor;
+            Search {
+                state: Some(DfsState {
+                    seed: mig.seed,
+                    base_level: mig.base_level,
+                    m: mig.m,
+                    frames: Vec::new(),
+                    warm: true,
+                    member: None,
+                }),
+                delivered: true,
+                ..Search::new(v1, v2, elabel, mig.anchor_order, 0)
+            }
+        }
+    };
+    search.shard = Some(shard);
+    UNIT_SCRATCH.with_borrow_mut(|scratch| {
+        std::mem::swap(&mut search.scratch, scratch);
+        while search.step(sh, ctx) == StepResult::Continue {}
+        std::mem::swap(&mut search.scratch, scratch);
+    });
+    (search.local, search.local_count, search.migrants)
+}
+
+/// The matched backward neighbors of query vertex `qv` under `m` —
+/// `(data vertex, required edge label)`, in query-adjacency order — into
+/// `out`, and the index in `out` of the scan's base: the one with the
+/// least `(degree, vertex id)`.
+///
+/// This is the **single definition** of a scan's reads, used by every
+/// scan, by the license check, and by the shard executor's migrant
+/// routing and batch-steal eligibility: they must agree exactly, or a
+/// thief could be licensed to run a scan that reads a run its shard does
+/// not hold, and a requeued migrant could bounce between shards.
+pub(crate) fn backward_set(
+    q: &QueryGraph,
+    qv: u8,
+    m: &VMatch,
+    gpma: &Gpma,
+    out: &mut Vec<(VertexId, ELabel)>,
+) -> usize {
+    out.clear();
+    let mut base: Option<(usize, VertexId, usize)> = None; // (index, vertex, degree)
+    for &(un, el) in q.neighbors(qv) {
+        if let Some(dv) = m.get(un) {
+            let deg = gpma.degree(dv);
+            if base.is_none_or(|(_, bv, bdeg)| (deg, dv) < (bdeg, bv)) {
+                base = Some((out.len(), dv, deg));
+            }
+            out.push((dv, el));
+        }
+    }
+    base.expect("connected matching order").0
 }
 
 impl Search {
@@ -547,17 +738,18 @@ impl Search {
             v2,
             elabel,
             anchor_order,
-            seed_queue: VecDeque::new(),
+            seeds: 0..0,
             pending: VecDeque::new(),
             state: None,
             local: Vec::new(),
             local_count: 0,
             member_local: vec![Vec::new(); members],
             member_count: vec![0; members],
-            pool: Vec::new(),
-            others_buf: Vec::new(),
-            chunk_buf: Vec::new(),
+            scratch: Scratch::default(),
             steps: 0,
+            shard: None,
+            delivered: false,
+            migrants: Vec::new(),
         }
     }
 
@@ -565,12 +757,12 @@ impl Search {
     /// thief starts from).
     fn child(
         &self,
-        seed_queue: VecDeque<(usize, bool)>,
+        seeds: Range<usize>,
         pending: VecDeque<PendingPartial>,
         state: Option<DfsState>,
     ) -> Search {
         Search {
-            seed_queue,
+            seeds,
             pending,
             state,
             ..Search::new(
@@ -586,7 +778,7 @@ impl Search {
     /// Draws a candidate buffer from the task-local pool (warm-up
     /// allocates; steady state recycles), reporting which to the stats.
     fn take_buf(&mut self, ctx: &mut WarpCtx) -> Vec<VertexId> {
-        match self.pool.pop() {
+        match self.scratch.pool.pop() {
             Some(mut b) => {
                 ctx.note_buffer(true);
                 b.clear();
@@ -602,7 +794,7 @@ impl Search {
     /// Returns a frame's candidate buffer to the pool.
     #[inline]
     fn recycle(&mut self, buf: Vec<VertexId>) {
-        self.pool.push(buf);
+        self.scratch.pool.push(buf);
     }
 
     /// Pops the top frame and recycles its buffers.
@@ -616,6 +808,11 @@ impl Search {
     }
 
     fn flush(&mut self, sh: &KernelShared) {
+        // A shard unit's matches and count are its outcome, which the
+        // shard scheduler commits.
+        if self.shard.is_some() {
+            return;
+        }
         if self.local_count > 0 {
             sh.note_matches(self.local_count);
             self.local_count = 0;
@@ -643,7 +840,20 @@ impl Search {
         if sh.collect {
             self.local.push(m);
         }
-        if self.local.len() >= FLUSH_THRESHOLD || self.local_count >= FLUSH_THRESHOLD as u64 {
+        self.settle(sh);
+    }
+
+    /// After new matches: a device task flushes once a buffer is full; a
+    /// shard unit keeps them and raises `abort` once its own count passes
+    /// the match limit.
+    #[inline]
+    fn settle(&mut self, sh: &KernelShared) {
+        if self.shard.is_some() {
+            if self.local_count > sh.match_limit {
+                sh.abort.store(true, Ordering::Relaxed);
+            }
+        } else if self.local.len() >= FLUSH_THRESHOLD || self.local_count >= FLUSH_THRESHOLD as u64
+        {
             self.flush(sh);
         }
     }
@@ -671,9 +881,7 @@ impl Search {
         if let Some(mi) = member {
             self.member_count[mi as usize] += n;
         }
-        if self.local_count >= FLUSH_THRESHOLD as u64 {
-            self.flush(sh);
-        }
+        self.settle(sh);
     }
 
     /// On completing a shared-prefix assignment of a grouped launch, fork
@@ -799,19 +1007,77 @@ impl Search {
         n
     }
 
+    /// The license check in front of every scan: whether this search may
+    /// scan `level` of seed `si` under partial match `m` where it runs. A
+    /// device search always may. A shard unit may when the base's live
+    /// owner is its shard or every backward vertex is resident there;
+    /// otherwise it ships the subtree (just `m`) to that owner as a
+    /// [`Migrant`], charged as one coalesced read of the partial match,
+    /// and the caller treats the level as empty here. Shard launches never
+    /// fork group members, so their seeds are the launch meta's.
+    fn licensed(
+        &mut self,
+        sh: &KernelShared,
+        si: usize,
+        level: usize,
+        m: &VMatch,
+        ctx: &mut WarpCtx,
+    ) -> bool {
+        let (Some(res), Some(shard)) = (&sh.residency, self.shard) else {
+            return true;
+        };
+        let q = &sh.meta.q;
+        let qv = sh.meta.seeds[si].order[level];
+        // Residency first: it is the common license and needs no base,
+        // whose choice reads every backward vertex's degree.
+        let resident =
+            |&(un, _): &(u8, ELabel)| m.get(un).is_none_or(|dv| res.is_resident(shard, dv));
+        if q.neighbors(qv).iter().all(resident) {
+            return true;
+        }
+        let back = &mut self.scratch.backward;
+        let bi = backward_set(q, qv, m, &sh.gpma, back);
+        let owner = res.owner(back[bi].0);
+        if owner == shard {
+            return true;
+        }
+        ctx.global_read_coalesced(q.num_vertices() as u64);
+        self.migrants.push((
+            owner,
+            Migrant {
+                anchor: (self.v1, self.v2, self.elabel),
+                anchor_order: self.anchor_order,
+                seed: si,
+                base_level: level,
+                m: *m,
+                qid: res.query_id,
+            },
+        ));
+        false
+    }
+
     /// The scan core shared by [`Search::gen_candidates`] and
     /// [`Search::count_candidates`]: streams every valid candidate into
-    /// `sink`, in ascending vertex order.
+    /// `sink`, in ascending vertex order. The base run ([`backward_set`])
+    /// streams through the cheap per-vertex gates, and the survivors are
+    /// verified against the other backward vertices in one of two probe
+    /// directions, both exact:
     ///
-    /// Shape (Prealloc-Combine): base-run survivors of the cheap per-vertex
-    /// gates are **gathered** into the pooled chunk buffer, then every
-    /// [`CHUNK_WIDTH`]-wide chunk is intersected against the other matched
-    /// vertices' runs carrying a u64 survivor mask — a bitmap quick-reject
-    /// for low-degree runs, one [`Gpma::run_seek_chunk`] merge pass
-    /// otherwise — and the surviving lanes are emitted in ascending order
-    /// (popcount = the count pass, bit order = the exclusive-scan offsets,
-    /// so writes are contention-free). Every filter is exact, so the result
-    /// is bit-identical with per-element galloping.
+    /// * **Resident direction** (always on the single device; on a shard
+    ///   that holds every backward run), in Prealloc-Combine shape: the
+    ///   survivors are **gathered** into the pooled chunk buffer, then every
+    ///   [`CHUNK_WIDTH`]-wide chunk is intersected against the other
+    ///   backward vertices' runs carrying a u64 survivor mask — a bitmap
+    ///   quick-reject for low-degree runs, one [`Gpma::run_seek_chunk`]
+    ///   merge pass otherwise — and the surviving lanes are emitted in
+    ///   ascending order (popcount = the count pass, bit order = the
+    ///   exclusive-scan offsets, so writes are contention-free). The result
+    ///   is bit-identical with per-element galloping.
+    /// * **Flipped direction** (a shard that owns the base but lacks some
+    ///   other backward run): each survivor's own run, complete by the
+    ///   owner's one-hop residency, is probed for every other backward
+    ///   vertex in one [`Gpma::run_seek_chunk`] pass, behind a signature
+    ///   quick-reject on the survivor's run.
     #[allow(clippy::too_many_arguments)]
     fn scan_candidates(
         &mut self,
@@ -825,11 +1091,6 @@ impl Search {
         mut sink: impl FnMut(VertexId),
     ) {
         let qv = seed.order[level];
-        // Matched backward neighbors of qv; the smallest adjacency list
-        // seeds the scan, the rest are probed by chunked merge cursors.
-        let mut base: Option<(VertexId, ELabel, usize)> = None; // (vertex, required elabel, degree)
-        let mut others = std::mem::take(&mut self.others_buf);
-        others.clear();
         let gpma: &Gpma = &sh.gpma;
         let uord = &sh.update_order;
         let sigs: &[u64] = if sh.signatures {
@@ -837,49 +1098,20 @@ impl Search {
         } else {
             &[]
         };
-        let probe = |v: VertexId, el: ELabel| {
-            let deg = gpma.degree(v);
-            BackProbe {
-                el,
-                cur: gpma.run_cursor(v),
-                inc: uord.incident(v),
-                // Only narrow runs keep their signature: past CHUNK_WIDTH
-                // neighbors the 64-bit map saturates and the prefilter is
-                // pure per-lane overhead with no rejection power.
-                sig: if deg <= CHUNK_WIDTH && !sigs.is_empty() {
-                    Some(sigs[v as usize])
-                } else {
-                    None
-                },
-                tested: 0,
-                probed: 0,
-                rem0: deg as u32,
-            }
-        };
-        for &(un, el) in q.neighbors(qv) {
-            if let Some(dv) = m.get(un) {
-                let deg = gpma.degree(dv);
-                match base {
-                    None => base = Some((dv, el, deg)),
-                    Some((bv, bel, bdeg)) => {
-                        if deg < bdeg {
-                            others.push(probe(bv, bel));
-                            base = Some((dv, el, deg));
-                        } else {
-                            others.push(probe(dv, el));
-                        }
-                    }
-                }
-            }
-        }
-        let (bv, bel, bdeg) = base.expect("connected matching order");
-        let bv_incident = uord.incident(bv);
-        // One transaction per backward run fetches its precomputed
-        // signature (a single u64 each, coalesced across the warp).
-        let with_sig = others.iter().filter(|o| o.sig.is_some()).count();
-        if with_sig > 0 {
-            ctx.global_read_coalesced(with_sig as u64);
-        }
+        let mut back = std::mem::take(&mut self.scratch.backward);
+        let bi = backward_set(q, qv, m, gpma, &mut back);
+        let (bv, bel) = back[bi];
+        let bdeg = gpma.degree(bv);
+        // The shard this scan runs on, if any: whether a run is resident
+        // there picks the probe direction, and debug builds check every run
+        // the scan reads.
+        let here = sh.residency.as_ref().zip(self.shard);
+        let resident = |v: VertexId| here.is_none_or(|(r, s)| r.is_resident(s, v));
+        let flipped = here.is_some_and(|(r, s)| {
+            back.iter()
+                .enumerate()
+                .any(|(i, &(dv, _))| i != bi && !r.is_resident(s, dv))
+        });
         // Hoisted candidate gate — fixed for the whole scan (the per-level
         // branch of `candidate_ok`, resolved once instead of per
         // candidate).
@@ -887,8 +1119,18 @@ impl Search {
             Some(ci) if level < seed.vk_size => Some(sh.meta.class_vk_codes[ci][qv as usize]),
             _ => None,
         };
-        let encodings: &[u64] = &sh.encodings;
         let anchor_order = self.anchor_order;
+        let gate = Gate {
+            bel,
+            qv,
+            vk_code,
+            encodings: &sh.encodings,
+            table,
+            m,
+            uord,
+            incident: uord.incident(bv),
+            anchor_order,
+        };
         // Directory fetch of the base run head, then one warp-coalesced
         // read of the run itself.
         ctx.dir_locate();
@@ -896,37 +1138,121 @@ impl Search {
         // Candidate-table rows for the scanned vertices.
         ctx.global_read_coalesced(bdeg as u64);
         ctx.compute(bdeg as u64);
-        // Gather pass: stream the base run through the cheap per-vertex
-        // gates. With no other backward edges the survivors are final and
-        // bypass the staging buffer entirely (the common shallow case).
-        let mut chunk = std::mem::take(&mut self.chunk_buf);
-        chunk.clear();
-        let direct = others.is_empty();
-        gpma.for_each_neighbor(bv, |cand, el| {
-            if el != bel {
-                return;
+        if flipped {
+            debug_assert!(resident(bv), "flipped scan of a base run not resident here");
+            // Ascending targets: a candidate's run cursor merges them
+            // monotonically.
+            let mut targets_of = std::mem::take(&mut self.scratch.flipped);
+            targets_of.clear();
+            targets_of.extend(
+                back.iter()
+                    .enumerate()
+                    .filter(|&(i, _)| i != bi)
+                    .map(|(_, &b)| b),
+            );
+            targets_of.sort_unstable();
+            let nt = targets_of.len();
+            debug_assert!((1..=CHUNK_WIDTH).contains(&nt));
+            let mut targets = [0 as VertexId; CHUNK_WIDTH];
+            let mut incs = [IncidentRange::default(); CHUNK_WIDTH];
+            let mut req: u64 = 0;
+            for (i, &(dv, _)) in targets_of.iter().enumerate() {
+                targets[i] = dv;
+                incs[i] = uord.incident(dv);
+                req |= 1u64 << (dv & 63);
             }
-            let ok = match vk_code {
-                Some(uc) => crate::encoding::EncodingScheme::is_candidate(
-                    uc,
-                    encodings.get(cand as usize).copied().unwrap_or(0),
-                ),
-                None => table.is_candidate(cand, qv),
-            };
-            if !ok {
-                return;
-            }
-            if m.uses(cand) {
-                return;
-            }
-            // Dedup rule for the base back-edge: almost every base has no
-            // incident update edge, making this one length test.
-            if !bv_incident.is_empty() {
-                if let Some(o) = uord.order_within(bv_incident, cand) {
-                    if o < anchor_order {
+            let want: u64 = if nt == 64 { u64::MAX } else { (1u64 << nt) - 1 };
+            let mut labels = [0 as ELabel; CHUNK_WIDTH];
+            let (mut tested, mut probed, mut covered) = (0u64, 0u64, 0u64);
+            gpma.for_each_neighbor(bv, |cand, el| {
+                if !gate.pass(cand, el) {
+                    return;
+                }
+                debug_assert!(
+                    resident(cand),
+                    "flipped scan probes a run not resident here"
+                );
+                // Signature quick-reject on the *candidate's* run: a
+                // missing required bit proves some backward vertex absent.
+                if !sigs.is_empty() && gpma.degree(cand) <= CHUNK_WIDTH {
+                    tested += 1;
+                    if sigs[cand as usize] & req != req {
                         return;
                     }
                 }
+                let mut cur = gpma.run_cursor(cand);
+                let rem0 = cur.rem();
+                let found = gpma.run_seek_chunk(&mut cur, &targets[..nt], &mut labels);
+                probed += nt as u64;
+                covered += (rem0 - cur.rem()) as u64;
+                if found != want {
+                    return;
+                }
+                for (i, &(_, del)) in targets_of.iter().enumerate() {
+                    if labels[i] != del
+                        || (!incs[i].is_empty()
+                            && matches!(
+                                uord.order_within(incs[i], cand),
+                                Some(ord) if ord < anchor_order
+                            ))
+                    {
+                        return;
+                    }
+                }
+                sink(cand);
+            });
+            if tested > 0 {
+                ctx.bitmap_probe(tested);
+            }
+            ctx.chunked_intersect(probed, covered);
+            self.scratch.flipped = targets_of;
+            self.scratch.backward = back;
+            return;
+        }
+        debug_assert!(
+            back.iter().all(|&(dv, _)| resident(dv)),
+            "scan reads a backward run not resident here"
+        );
+        let mut others = std::mem::take(&mut self.scratch.others);
+        others.clear();
+        for (i, &(dv, el)) in back.iter().enumerate() {
+            if i == bi {
+                continue;
+            }
+            let deg = gpma.degree(dv);
+            others.push(BackProbe {
+                el,
+                cur: gpma.run_cursor(dv),
+                inc: uord.incident(dv),
+                // Only narrow runs keep their signature: past CHUNK_WIDTH
+                // neighbors the 64-bit map saturates and the prefilter is
+                // pure per-lane overhead with no rejection power.
+                sig: if deg <= CHUNK_WIDTH && !sigs.is_empty() {
+                    Some(sigs[dv as usize])
+                } else {
+                    None
+                },
+                tested: 0,
+                probed: 0,
+                rem0: deg as u32,
+            });
+        }
+        self.scratch.backward = back;
+        // One transaction per backward run fetches its precomputed
+        // signature (a single u64 each, coalesced across the warp).
+        let with_sig = others.iter().filter(|o| o.sig.is_some()).count();
+        if with_sig > 0 {
+            ctx.global_read_coalesced(with_sig as u64);
+        }
+        // Gather pass: stream the base run through the cheap per-vertex
+        // gates. With no other backward edges the survivors are final and
+        // bypass the staging buffer entirely (the common shallow case).
+        let mut chunk = std::mem::take(&mut self.scratch.chunk);
+        chunk.clear();
+        let direct = others.is_empty();
+        gpma.for_each_neighbor(bv, |cand, el| {
+            if !gate.pass(cand, el) {
+                return;
             }
             if direct {
                 sink(cand);
@@ -1040,7 +1366,7 @@ impl Search {
                 sink(w[i]);
             }
         }
-        self.chunk_buf = chunk;
+        self.scratch.chunk = chunk;
         // Charge the chunked intersections: each backward run is billed
         // for the lanes it actually probed and the span its cursor
         // actually walked (plus its bitmap probes), not a synthetic
@@ -1051,7 +1377,7 @@ impl Search {
             }
             ctx.chunked_intersect(o.probed as u64, (o.rem0 - o.cur.rem()) as u64);
         }
-        self.others_buf = others;
+        self.scratch.others = others;
     }
 
     /// On completing a `V^k` assignment under a class representative seed,
@@ -1129,6 +1455,10 @@ impl Search {
                     (None, Some(g)) => self.fork_members(sh, g, st.seed, &st.m, ctx),
                     (None, None) => self.emit(sh, st.m),
                 }
+                return false;
+            }
+            let delivered = std::mem::take(&mut self.delivered);
+            if !delivered && !self.licensed(sh, st.seed, st.base_level, &st.m, ctx) {
                 return false;
             }
             let cands = self.gen_candidates(sh, seed, q, table, st.base_level, &st.m, ctx);
@@ -1239,7 +1569,9 @@ impl Search {
                 // memoize it on the parent frame and answer each sibling
                 // with one binary search instead of a rescan.
                 let independent = !q.neighbors(qv_last).iter().any(|&(un, _)| un == qv);
-                let count = if independent {
+                let count = if !self.licensed(sh, st.seed, level + 1, &st.m, ctx) {
+                    0 // shipped: its owner counts it
+                } else if independent {
                     if st.frames[top_idx].memo_last.is_none() {
                         st.m.unset(qv);
                         let mut s = self.take_buf(ctx);
@@ -1268,7 +1600,11 @@ impl Search {
                 budget -= 1;
                 continue;
             }
-            let next = self.gen_candidates(sh, seed, q, table, level + 1, &st.m, ctx);
+            let next = if self.licensed(sh, st.seed, level + 1, &st.m, ctx) {
+                self.gen_candidates(sh, seed, q, table, level + 1, &st.m, ctx)
+            } else {
+                self.take_buf(ctx) // shipped: empty here
+            };
             if !next.is_empty() {
                 if crossing_vk {
                     let m = st.m;
@@ -1346,8 +1682,8 @@ impl Search {
             return StepResult::Continue;
         }
         // Start the next seed.
-        while let Some((si, flipped)) = self.seed_queue.pop_front() {
-            if let Some(st) = self.start_seed(sh, si, flipped, ctx) {
+        while let Some(k) = self.seeds.next() {
+            if let Some(st) = self.start_seed(sh, k / 2, k % 2 == 1, ctx) {
                 self.state = Some(st);
                 return StepResult::Continue;
             }
@@ -1367,7 +1703,7 @@ impl Search {
                     .sum()
             })
             .unwrap_or(0);
-        frames + 8 * self.pending.len() as u64 + 16 * self.seed_queue.len() as u64
+        frames + 8 * self.pending.len() as u64 + 16 * self.seeds.len() as u64
     }
 
     /// The search a thief takes (see [`WarpTask::try_split`]).
@@ -1377,7 +1713,7 @@ impl Search {
         if let Some(st) = &mut self.state {
             let (seed, ..) = sh.context(st.member, st.seed);
             if let Some(thief) = st.split_frame(&seed.order) {
-                return Some(self.child(VecDeque::new(), VecDeque::new(), Some(thief)));
+                return Some(self.child(0..0, VecDeque::new(), Some(thief)));
             }
         }
         // Priority 2: hand over half of the pending partials.
@@ -1385,13 +1721,13 @@ impl Search {
             let take = self.pending.len() / 2;
             let stolen: VecDeque<PendingPartial> =
                 self.pending.split_off(self.pending.len() - take);
-            return Some(self.child(VecDeque::new(), stolen, None));
+            return Some(self.child(0..0, stolen, None));
         }
         // Priority 3: hand over half of the unstarted seeds.
-        if self.seed_queue.len() >= 2 {
-            let take = self.seed_queue.len() / 2;
-            let stolen: VecDeque<(usize, bool)> =
-                self.seed_queue.split_off(self.seed_queue.len() - take);
+        if self.seeds.len() >= 2 {
+            let mid = self.seeds.end - self.seeds.len() / 2;
+            let stolen = mid..self.seeds.end;
+            self.seeds.end = mid;
             return Some(self.child(stolen, VecDeque::new(), None));
         }
         None
@@ -1461,7 +1797,7 @@ pub struct IncidentRange {
 
 impl IncidentRange {
     #[inline]
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.lo == self.hi
     }
 }
@@ -1545,10 +1881,9 @@ impl UpdateOrder {
     }
 
     /// The anchor order of update edge `(v, other)` within `v`'s
-    /// pre-resolved incident range. `pub(crate)`: the sharded kernel's
-    /// scans apply the identical dedup rule.
+    /// pre-resolved incident range.
     #[inline]
-    pub(crate) fn order_within(&self, r: IncidentRange, other: VertexId) -> Option<u32> {
+    fn order_within(&self, r: IncidentRange, other: VertexId) -> Option<u32> {
         let slice = &self.by_endpoint[r.lo as usize..r.hi as usize];
         slice
             .binary_search_by_key(&other, |e| e.1)
@@ -1577,8 +1912,9 @@ pub fn build_update_order(anchors: &[Update]) -> UpdateOrder {
 /// per query or group ([`Phase::grid`]), launches them in one
 /// [`Device::launch_grids`](gamma_gpu::Device::launch_grids) call and
 /// takes each grid's results back ([`finish_grid`]); on the shard
-/// executor each group's launch reads it (`ShardRuntime::kernel_phase`).
-/// Either way the store comes back last ([`Phase::into_store`]).
+/// executor each group's launch state ([`Phase::shared`]) runs through
+/// `ShardRuntime::kernel_phase` and comes back the same way. Either way
+/// the store comes back last ([`Phase::into_store`]).
 pub(crate) struct Phase<'a> {
     /// The store every grid searches.
     pub gpma: Arc<Gpma>,
@@ -1596,19 +1932,19 @@ pub(crate) struct Phase<'a> {
 }
 
 impl Phase<'_> {
-    /// One grid of the phase: the launch state and one task per anchor,
-    /// either for one query (`group` `None`; `meta`, `table` and `collect`
-    /// are the query's) or for a shared-prefix group (`meta` holds the
-    /// truncated shared seeds and the members' tables ride in `group`).
-    pub(crate) fn grid(
+    /// The launch state of one query (`group` `None`; `meta`, `table` and
+    /// `collect` are the query's) or of a shared-prefix group (`meta`
+    /// holds the truncated shared seeds and the members' tables ride in
+    /// `group`), with empty results and no residency context.
+    pub(crate) fn shared(
         &self,
         meta: Arc<QueryMeta>,
         table: CandidateTable,
         encodings: Arc<Vec<u64>>,
         collect: bool,
         group: Option<GroupShared>,
-    ) -> (Arc<KernelShared>, Vec<Box<dyn WarpTask>>) {
-        let shared = Arc::new(KernelShared {
+    ) -> KernelShared {
+        KernelShared {
             gpma: Arc::clone(&self.gpma),
             meta,
             table,
@@ -1622,7 +1958,21 @@ impl Phase<'_> {
             match_limit: self.match_limit,
             signatures: self.signatures,
             group,
-        });
+            residency: None,
+        }
+    }
+
+    /// One grid of the phase: [`Phase::shared`]'s launch state and one
+    /// device task per anchor.
+    pub(crate) fn grid(
+        &self,
+        meta: Arc<QueryMeta>,
+        table: CandidateTable,
+        encodings: Arc<Vec<u64>>,
+        collect: bool,
+        group: Option<GroupShared>,
+    ) -> (Arc<KernelShared>, Vec<Box<dyn WarpTask>>) {
+        let shared = Arc::new(self.shared(meta, table, encodings, collect, group));
         let tasks = self
             .anchors
             .iter()
@@ -1704,9 +2054,75 @@ pub fn run_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gamma_graph::edge_key;
+    use crate::encoding::IncrementalEncoder;
+    use crate::shard::{Partition, PartitionStrategy};
+    use gamma_gpma::GpmaConfig;
+    use gamma_gpu::CostModel;
+    use gamma_graph::{edge_key, DynamicGraph, NO_ELABEL};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The license check at a seed's first scan: a unit on a shard that
+    /// holds none of the anchor's runs ships every seed's first scan (level
+    /// 2) to the owner of its base, and the owner's migrant units find
+    /// exactly the matches the anchor's unit finds there.
+    #[test]
+    fn unlicensed_first_scans_ship_to_the_owner() {
+        // Two triangles sharing the anchor edge 0-1.
+        let mut g = DynamicGraph::new();
+        for _ in 0..4 {
+            g.add_vertex(0);
+        }
+        for (u, v) in [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)] {
+            g.insert_edge(u, v, NO_ELABEL);
+        }
+        let mut b = QueryGraph::builder();
+        let (u0, u1, u2) = (b.vertex(0), b.vertex(0), b.vertex(0));
+        b.edge(u0, u1).edge(u0, u2).edge(u1, u2);
+        let q = b.build();
+        let (enc, table) = IncrementalEncoder::build(&g, &q, 2);
+        let meta = Arc::new(QueryMeta::build(&q, &table, enc.scheme(), false, 0));
+        let anchors = [Update::insert(0, 1)];
+        let phase = Phase {
+            gpma: Arc::new(Gpma::from_graph(&g, GpmaConfig::default())),
+            anchors: &anchors,
+            match_limit: u64::MAX,
+            abort: Arc::new(AtomicBool::new(false)),
+            deadline: None,
+            signatures: true,
+        };
+        let mut sh = phase.shared(meta, table, Arc::clone(&enc.encodings), true, None);
+        // Shard 1 owns and holds every vertex; shard 0 holds none.
+        sh.residency = Some(Residency {
+            partition: Partition::from_parts(PartitionStrategy::Greedy, 2, 2, vec![1; 4]),
+            alive: vec![true; 2],
+            residents: vec![Arc::new(vec![false; 4]), Arc::new(vec![true; 4])],
+            query_id: 0,
+        });
+        let unit = |shard: usize, work: UnitWork| {
+            let mut ctx = WarpCtx::new(CostModel::default(), 32);
+            run_unit(&sh, shard, work, &mut ctx)
+        };
+        let (matches, count, migrants) = unit(0, UnitWork::Anchor(anchors[0], 0));
+        assert!(matches.is_empty() && count == 0);
+        assert_eq!(migrants.len(), 2 * 3, "every seed, both orientations");
+        assert!(migrants
+            .iter()
+            .all(|(dst, m)| *dst == 1 && m.base_level == 2));
+        let mut resumed = Vec::new();
+        for (_, mig) in migrants {
+            let (ms, n, shipped) = unit(1, UnitWork::Mig(mig));
+            assert!(shipped.is_empty());
+            assert_eq!(n, ms.len() as u64);
+            resumed.extend(ms);
+        }
+        let (mut direct, n, shipped) = unit(1, UnitWork::Anchor(anchors[0], 0));
+        assert!(shipped.is_empty());
+        assert_eq!(n, 12, "6 embeddings of each triangle");
+        resumed.sort_unstable();
+        direct.sort_unstable();
+        assert_eq!(resumed, direct);
+    }
 
     /// `incident`, `order_within` and `get` against a brute-force scan of
     /// random anchor sets: duplicate keys in both orientations, dense small

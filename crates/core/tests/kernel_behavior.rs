@@ -42,6 +42,7 @@ fn run_raw_block(
         match_limit: u64::MAX,
         signatures: true,
         group: None,
+        residency: None,
     });
     let tasks: Vec<Box<dyn WarpTask>> = anchors
         .iter()

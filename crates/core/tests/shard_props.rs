@@ -19,7 +19,7 @@
 
 use gamma_core::{
     BatchResult, GammaConfig, GammaEngine, Partition, PartitionStrategy, ShardStealing,
-    ShardedConfig, ShardedEngine,
+    ShardedConfig, ShardedEngine, StealingMode,
 };
 use gamma_datasets::{generate_graph, generate_queries, DatasetPreset, QueryClass, SynthSpec};
 use gamma_gpu::{DeviceConfig, KernelStats};
@@ -511,8 +511,14 @@ fn engines_on_many_threads_share_one_pool() {
     });
 }
 
-/// Single-shard configuration must behave exactly like the single device
-/// (sanity floor for the distributed path) — including on vertex adds.
+/// One shard does the single device's kernel work: both run the one DFS
+/// kernel with the one scan shape. With coalesced search, device stealing
+/// and shard stealing off, every batch of a delete / re-insert churn
+/// stream (GH, AZ and NF × Dense, Sparse and Tree, collect on and off)
+/// has equal counts, equal sorted deltas, and equal global transactions
+/// and shared accesses. The shard's busy cycles are at most the device's:
+/// the block scheduler charges a step that charged nothing one cycle. A
+/// vertex add keeps the deltas equal too.
 #[test]
 fn one_shard_is_the_single_device_engine() {
     let d = DatasetPreset::AZ.build(0.03, 5);
@@ -533,4 +539,71 @@ fn one_shard_is_the_single_device_engine() {
     let b = sharded.apply_batch(&batch);
     assert_eq!(a.positive_count, b.positive_count);
     assert_eq!(sorted(a.positive), sorted(b.positive));
+
+    let mut matched = 0u64;
+    for preset in [DatasetPreset::GH, DatasetPreset::AZ, DatasetPreset::NF] {
+        let d = preset.build(0.05, 33);
+        let dels = gamma_datasets::sample_deletion_workload(&d.graph, 0.1, 6);
+        let ins: Vec<Update> = dels
+            .iter()
+            .map(|u| {
+                let l = d.graph.edge_label(u.u, u.v).unwrap_or(0);
+                Update::insert_labeled(u.u, u.v, l)
+            })
+            .collect();
+        for class in [QueryClass::Dense, QueryClass::Sparse, QueryClass::Tree] {
+            let queries = generate_queries(&d.graph, class, 5, 1, 44);
+            let q = queries.first().expect("query");
+            for collect in [true, false] {
+                let base = GammaConfig {
+                    device: DeviceConfig {
+                        stealing: StealingMode::Off,
+                        ..DeviceConfig::single_sm()
+                    },
+                    coalesced_search: false,
+                    collect_matches: collect,
+                    ..GammaConfig::default()
+                };
+                let mut device = GammaEngine::new(d.graph.clone(), q, base.clone());
+                let mut shard = ShardedEngine::new(
+                    d.graph.clone(),
+                    q,
+                    ShardedConfig {
+                        base,
+                        ..sharded_cfg(1, PartitionStrategy::Hash, ShardStealing::Off)
+                    },
+                );
+                for (i, batch) in [&dels, &ins, &dels, &ins].into_iter().enumerate() {
+                    let cell = format!(
+                        "{} {} collect={collect} batch {i}",
+                        preset.name(),
+                        class.name()
+                    );
+                    let a = device.apply_batch(batch);
+                    let b = shard.apply_batch(batch);
+                    assert_eq!(a.positive_count, b.positive_count, "{cell}");
+                    assert_eq!(a.negative_count, b.negative_count, "{cell}");
+                    assert_eq!(sorted(a.positive), sorted(b.positive), "{cell}");
+                    assert_eq!(sorted(a.negative), sorted(b.negative), "{cell}");
+                    let (ka, kb) = (&a.stats.kernel, &b.stats.kernel);
+                    assert_eq!(
+                        ka.global_transactions, kb.global_transactions,
+                        "{cell}: global transactions"
+                    );
+                    assert_eq!(
+                        ka.shared_accesses, kb.shared_accesses,
+                        "{cell}: shared accesses"
+                    );
+                    assert!(
+                        ka.busy_cycles >= kb.busy_cycles,
+                        "{cell}: one shard is busier ({}) than the device ({})",
+                        kb.busy_cycles,
+                        ka.busy_cycles
+                    );
+                    matched += a.positive_count + a.negative_count;
+                }
+            }
+        }
+    }
+    assert!(matched > 0, "the churn streams must match something");
 }

@@ -10,7 +10,7 @@
 //! * [`ShardedEngine`] at 1, 2 and 4 simulated devices (hash and greedy
 //!   partitions, both inter-device stealing modes — embedding migration
 //!   and cross-shard stealing run under the same oracle as everything
-//!   else), and
+//!   else — and a 4-shard count-only cell, whose counts are checked), and
 //! * the sequential CSM baselines (`TurboFluxLite`, `RapidFlowLite`),
 //!
 //! and after **every** batch each engine's positive/negative incremental
@@ -298,20 +298,32 @@ fn run_differential(
             )
         })
         .collect();
-    // Locality-aware partition cells: same oracle, greedy placement.
-    for (n, stealing) in [(2usize, ShardStealing::Off), (4, ShardStealing::Active)] {
+    // Locality-aware partition cells: same oracle, greedy placement. The
+    // count-only cell takes the kernel's count-only paths (the last-level
+    // count and the parent-frame memo) under migration and batch stealing:
+    // its counts are checked, and it must materialize nothing.
+    for (n, stealing, collect) in [
+        (2usize, ShardStealing::Off, true),
+        (4, ShardStealing::Active, true),
+        (4, ShardStealing::Active, false),
+    ] {
         let cfg = ShardedConfig {
-            base: gamma_config(StealingMode::Active),
+            base: GammaConfig {
+                collect_matches: collect,
+                ..gamma_config(StealingMode::Active)
+            },
             num_shards: n,
             strategy: PartitionStrategy::Greedy,
             stealing,
             faults: None,
             query_id: 0,
         };
-        shardeds.push((
-            format!("sharded-greedy[{n}]"),
-            ShardedEngine::new(start.clone(), q, cfg),
-        ));
+        let name = if collect {
+            format!("sharded-greedy[{n}]")
+        } else {
+            format!("sharded-greedy[{n},count-only]")
+        };
+        shardeds.push((name, ShardedEngine::new(start.clone(), q, cfg)));
     }
 
     let mut host = start;
@@ -378,7 +390,14 @@ fn run_differential(
                 want_neg.len() as u64,
                 "{name} negative_count at {context}"
             );
-            assert_delta(name, &context, r.positive, r.negative, &want_pos, &want_neg);
+            if engine.config().base.collect_matches {
+                assert_delta(name, &context, r.positive, r.negative, &want_pos, &want_neg);
+            } else {
+                assert!(
+                    r.positive.is_empty() && r.negative.is_empty(),
+                    "{name} materialized matches at {context}"
+                );
+            }
             assert_eq!(
                 engine.graph().num_edges(),
                 host.num_edges(),

@@ -18,8 +18,9 @@
 //! curve the JSON summary records.
 //!
 //! For every (dataset, class, workload, engine) cell it prints updates/sec
-//! (net structural updates over host wall time), matches/sec, and the
-//! simulated device-cycle total, then writes a machine-readable JSON
+//! (net structural updates over host wall time), matches/sec, the
+//! simulated device-cycle total and the kernels' summed warp work (busy
+//! cycles, which no gate reads), then writes a machine-readable JSON
 //! summary (default `BENCH_PR10.json`; `--smoke` defaults to a
 //! per-invocation file under the system temp dir so parallel CI jobs never
 //! clobber each other — `--out=PATH` is honored everywhere).
@@ -172,6 +173,11 @@ struct Sample {
     wall_seconds: f64,
     /// Simulated device cycles (GPMA update + kernels).
     sim_cycles: u64,
+    /// Summed warp work of the kernels ([`KernelStats::busy_cycles`]):
+    /// `sim_cycles` is the makespan, this the work behind it.
+    ///
+    /// [`KernelStats::busy_cycles`]: gamma_gpu::KernelStats::busy_cycles
+    busy_cycles: u64,
     /// Batches applied.
     batches: u64,
     /// Sharded cells' migration telemetry.
@@ -402,6 +408,7 @@ fn run_engine(
         matches: 0,
         wall_seconds: 0.0,
         sim_cycles: 0,
+        busy_cycles: 0,
         batches: 0,
         shard: None,
     };
@@ -410,6 +417,7 @@ fn run_engine(
         s.updates += r.stats.net_updates as u64;
         s.matches += r.positive_count + r.negative_count;
         s.sim_cycles += r.stats.update_cycles + r.stats.kernel.device_cycles;
+        s.busy_cycles += r.stats.kernel.busy_cycles;
         s.batches += 1;
     };
     match under_test {
@@ -916,7 +924,8 @@ fn write_json(
             j,
             "    {{\"dataset\": \"{}\", \"class\": \"{}\", \"workload\": \"{}\", \"engine\": \"{}\", \
              \"updates\": {}, \"matches\": {}, \"batches\": {}, \"wall_seconds\": {:.6}, \
-             \"updates_per_sec\": {:.1}, \"matches_per_sec\": {:.1}, \"sim_cycles\": {}{}}}{}",
+             \"updates_per_sec\": {:.1}, \"matches_per_sec\": {:.1}, \"sim_cycles\": {}, \
+             \"busy_cycles\": {}{}}}{}",
             json_escape(s.dataset),
             json_escape(s.class),
             json_escape(s.workload),
@@ -928,6 +937,7 @@ fn write_json(
             s.updates_per_sec(),
             s.matches_per_sec(),
             s.sim_cycles,
+            s.busy_cycles,
             shard_fields,
             comma
         );
@@ -1240,6 +1250,7 @@ fn main() -> ExitCode {
         "match/s",
         "wall",
         "sim-cycles",
+        "busy-cycles",
         "migr",
         "cut%",
     ]);
@@ -1344,6 +1355,7 @@ fn main() -> ExitCode {
                         format!("{:.0}", s.matches_per_sec()),
                         fmt_secs(s.wall_seconds),
                         s.sim_cycles.to_string(),
+                        s.busy_cycles.to_string(),
                         migr,
                         cut,
                     ]);

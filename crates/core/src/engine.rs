@@ -38,7 +38,9 @@ pub struct GammaConfig {
     /// Enable coalesced search (§V-B).
     pub coalesced_search: bool,
     /// Max vertices removed when hunting k-degenerated automorphic
-    /// subgraphs.
+    /// subgraphs. A single-device setting: the shard executor caps its
+    /// plans at whole-query (k = 0) classes (see
+    /// [`ShardedConfig::base`](crate::ShardedConfig::base)).
     pub max_degenerate_k: usize,
     /// NLF counter width `M` (Figure 4 uses 2).
     pub counter_bits: u32,

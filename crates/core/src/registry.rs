@@ -238,9 +238,10 @@ struct QueryState {
     seeds: Vec<SeedPlan>,
     /// Per-query candidate table (`None` only while a launch borrows it).
     table: Option<CandidateTable>,
-    /// Metadata for singleton launches (honors the registry's coalesced
-    /// setting on the single device — a singleton serves exactly like a
-    /// dedicated engine; plain on the shard executor).
+    /// Metadata for singleton launches. It honors the registry's coalesced
+    /// setting: on the single device with `max_degenerate_k`, so a
+    /// singleton serves exactly like a dedicated engine; on the shard
+    /// executor capped at whole-query (k = 0) classes.
     full_meta: Arc<QueryMeta>,
     stats: QueryStats,
 }
@@ -317,11 +318,12 @@ impl QueryRegistry {
     }
 
     /// An empty registry on the shard executor over `partition`. The
-    /// shard runtime builds its own store (see `ShardRuntime::build`);
-    /// `config.base.coalesced_search` is ignored, and groups hold
-    /// identical patterns only. Both are registry policy: shards run the
-    /// single device's kernel, and coalesced search and prefix forking on
-    /// shards wait for a measured case of their own.
+    /// shard runtime builds its own store (see `ShardRuntime::build`).
+    /// With `config.base.coalesced_search` on, queries plan only their
+    /// whole-query (k = 0) coalesced classes (see [`ShardedConfig::base`]),
+    /// and groups hold identical patterns only. Both are registry policy:
+    /// shards run the single device's kernel, and k > 0 classes and prefix
+    /// forking on shards wait for a measured case of their own.
     pub(crate) fn sharded(
         graph: DynamicGraph,
         config: &ShardedConfig,
@@ -445,18 +447,19 @@ impl QueryRegistry {
             CandidateTable::from_encodings(&self.slots[slot].enc.encodings, &qcodes)
         });
         let plain = QueryMeta::build(query, &table, scheme, false, 0);
-        // Registry policy: the shard executor plans one seed per query
-        // edge (its kernel is the device's, which could coalesce).
-        let full_meta = match self.exec {
-            Executor::Device(_) if self.config.coalesced_search => Arc::new(QueryMeta::build(
-                query,
-                &table,
-                scheme,
-                true,
-                self.config.max_degenerate_k,
-            )),
-            _ => Arc::new(plain.clone()),
+        // Registry policy: the shard executor plans the device's coalesced
+        // classes capped at k = 0. A whole-query class only removes scans,
+        // while a k > 0 class queues permuted partials that device warps
+        // steal but a shard unit runs serially on its one lane.
+        let max_k = match self.exec {
+            Executor::Device(_) => self.config.max_degenerate_k,
+            Executor::Shards(_) => 0,
         };
+        let full_meta = Arc::new(if self.config.coalesced_search {
+            QueryMeta::build(query, &table, scheme, true, max_k)
+        } else {
+            plain.clone()
+        });
 
         let id = QueryId(self.next_id);
         self.next_id += 1;

@@ -538,10 +538,13 @@ pub enum ShardStealing {
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
     /// Per-shard engine configuration (device shape, counter bits, match
-    /// collection, limits). `coalesced_search` is ignored: the shard
-    /// executor's registry plans one seed per query edge, which produces
-    /// the identical match set. That is registry policy, not a limit of the
-    /// kernel, which shards share with the single device.
+    /// collection, limits, coalesced search). With `coalesced_search` on,
+    /// the shard executor's registry plans the device's coalesced classes
+    /// capped at whole-query (k = 0) ones; `max_degenerate_k` stays a
+    /// device setting. That is registry policy, not a limit of the kernel,
+    /// which shards share with the single device: a k = 0 class only
+    /// removes scans, while a k > 0 class queues permuted partials that a
+    /// shard unit runs serially on its one lane.
     pub base: GammaConfig,
     /// Number of simulated devices.
     pub num_shards: usize,
@@ -1508,10 +1511,11 @@ pub struct ShardedEngine {
 impl ShardedEngine {
     /// Partitions `graph`, builds every shard's resident set (owned +
     /// one-hop boundary), the shared store and the shared encoder/table,
-    /// and derives the per-edge matching orders. Coalesced search is off
-    /// by the shard executor's registry policy (the kernel is the single
-    /// device's): one seed per query edge, with the single-device engine's
-    /// match attribution.
+    /// and derives the matching orders. With `config.base.coalesced_search`
+    /// on, the seeds are the single-device engine's coalesced plan capped
+    /// at whole-query (k = 0) classes, by the shard executor's registry
+    /// policy (the kernel is the single device's); otherwise one seed per
+    /// query edge.
     pub fn new(graph: DynamicGraph, query: &QueryGraph, config: ShardedConfig) -> Self {
         let partition = Partition::build(config.strategy, config.num_shards, &graph);
         Self::with_partition(graph, query, config, partition)

@@ -77,7 +77,10 @@
 //! recheck in collect mode can never fail either, since an automorphism
 //! keeps every query vertex's code; a `debug_assert!` there states it.
 //! `k > 0` classes still push permuted partials to extend: their removed
-//! vertices constrain the permuted roles differently.
+//! vertices constrain the permuted roles differently. Shard launches plan
+//! whole-query classes only ([`crate::ShardedConfig::base`]): a shard
+//! unit runs to completion on one lane, where no idle warp could steal a
+//! permuted partial from it.
 //!
 //! # One scan shape, and shard units
 //!

@@ -512,13 +512,14 @@ fn engines_on_many_threads_share_one_pool() {
 }
 
 /// One shard does the single device's kernel work: both run the one DFS
-/// kernel with the one scan shape. With coalesced search, device stealing
+/// kernel with the one scan shape and the one plan. With device stealing
 /// and shard stealing off, every batch of a delete / re-insert churn
-/// stream (GH, AZ and NF × Dense, Sparse and Tree, collect on and off)
-/// has equal counts, equal sorted deltas, and equal global transactions
-/// and shared accesses. The shard's busy cycles are at most the device's:
-/// the block scheduler charges a step that charged nothing one cycle. A
-/// vertex add keeps the deltas equal too.
+/// stream (GH, AZ and NF × Dense, Sparse and Tree, collect on and off,
+/// coalesced search off, or on with the device capped at the whole-query
+/// classes shards plan) has equal counts, equal sorted deltas, and equal
+/// global transactions and shared accesses. The shard's busy cycles are
+/// at most the device's: the block scheduler charges a step that charged
+/// nothing one cycle. A vertex add keeps the deltas equal too.
 #[test]
 fn one_shard_is_the_single_device_engine() {
     let d = DatasetPreset::AZ.build(0.03, 5);
@@ -554,17 +555,28 @@ fn one_shard_is_the_single_device_engine() {
         for class in [QueryClass::Dense, QueryClass::Sparse, QueryClass::Tree] {
             let queries = generate_queries(&d.graph, class, 5, 1, 44);
             let q = queries.first().expect("query");
-            for collect in [true, false] {
+            for (collect, coalesced) in [(true, false), (false, false), (true, true), (false, true)]
+            {
+                // Shards plan coalesced classes capped at k = 0 whatever
+                // `max_degenerate_k` says, so the device runs that plan
+                // while the shard keeps the default k.
                 let base = GammaConfig {
                     device: DeviceConfig {
                         stealing: StealingMode::Off,
                         ..DeviceConfig::single_sm()
                     },
-                    coalesced_search: false,
+                    coalesced_search: coalesced,
                     collect_matches: collect,
                     ..GammaConfig::default()
                 };
-                let mut device = GammaEngine::new(d.graph.clone(), q, base.clone());
+                let mut device = GammaEngine::new(
+                    d.graph.clone(),
+                    q,
+                    GammaConfig {
+                        max_degenerate_k: 0,
+                        ..base.clone()
+                    },
+                );
                 let mut shard = ShardedEngine::new(
                     d.graph.clone(),
                     q,
@@ -575,7 +587,7 @@ fn one_shard_is_the_single_device_engine() {
                 );
                 for (i, batch) in [&dels, &ins, &dels, &ins].into_iter().enumerate() {
                     let cell = format!(
-                        "{} {} collect={collect} batch {i}",
+                        "{} {} collect={collect} coalesced={coalesced} batch {i}",
                         preset.name(),
                         class.name()
                     );

@@ -4,14 +4,13 @@
 //! `cargo run --release -p gamma-bench --bin fig7_stealing_trace`
 
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use gamma_core::{wbm, GammaConfig, IncrementalEncoder};
 use gamma_datasets::skewed_star_workload;
 use gamma_gpma::{Gpma, GpmaConfig};
 use gamma_gpu::{run_block, DeviceConfig, Stealing, WarpTask};
 use gamma_graph::UpdateBatch;
-use parking_lot::Mutex;
 
 fn main() {
     // v0 has 3 spokes, v1 has 120: the Figure 6 shape.

@@ -204,11 +204,6 @@ impl<T> CommFabric<T> {
         self.queued[dst]
     }
 
-    /// Sealed batches queued at `dst`.
-    pub fn queued_batches(&self, dst: usize) -> usize {
-        self.queues[dst].len()
-    }
-
     /// `ready` stamp of the oldest sealed batch at `dst`.
     pub fn head_ready(&self, dst: usize) -> Option<u64> {
         self.queues[dst].front().map(|b| b.ready)

@@ -81,12 +81,6 @@ impl DurabilityConfig {
             failpoints: None,
         }
     }
-
-    /// Builder: attach a deterministic I/O fault schedule.
-    pub fn with_failpoints(mut self, failpoints: Failpoints) -> Self {
-        self.failpoints = Some(failpoints);
-        self
-    }
 }
 
 /// What recovery found and did. `R` is what one batch of the recovered

@@ -86,7 +86,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gamma_gpma::Gpma;
-use gamma_gpu::{run_jobs, CostModel, DeviceConfig, Job, KernelStats, WarpCtx};
+use gamma_gpu::{lock, run_jobs, CostModel, DeviceConfig, Job, KernelStats, WarpCtx};
 use gamma_graph::{
     DynamicGraph, ELabel, QueryGraph, Update, UpdateBatch, VLabel, VMatch, VertexId,
 };
@@ -148,6 +148,69 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The greedy partitioner's scoring, shared by the streaming placement,
+/// its refinement sweeps and failover repair. An edge weighs `1 +
+/// scale/freq(label(u)) + scale/freq(label(v))` with `scale = |V|`, so
+/// rare-label edges — the selective ones the matching orders chase — are
+/// the costliest to cut. Integer arithmetic throughout (scores must be
+/// platform-exact for the replay gate).
+struct GreedyScore<'g> {
+    graph: &'g DynamicGraph,
+    /// `scale / freq(l)` per vertex label `l`.
+    rarity: Vec<u64>,
+    /// Per-shard neighborhood weight of the vertex last gathered.
+    gain: Vec<u64>,
+}
+
+impl<'g> GreedyScore<'g> {
+    fn new(graph: &'g DynamicGraph, num_shards: usize) -> Self {
+        let max_label = graph.labels().iter().copied().max().unwrap_or(0) as usize;
+        let mut freq = vec![0u64; max_label + 1];
+        for &l in graph.labels() {
+            freq[l as usize] += 1;
+        }
+        let scale = graph.num_vertices() as u64;
+        Self {
+            graph,
+            rarity: freq.iter().map(|&f| scale / f.max(1)).collect(),
+            gain: vec![0; num_shards],
+        }
+    }
+
+    /// Sets each shard's gain to the weight of `v`'s edges to the
+    /// neighbors `owner` places on it (`None`: the neighbor counts for no
+    /// shard) and returns the gains.
+    fn gather(&mut self, v: VertexId, owner: impl Fn(VertexId) -> Option<usize>) -> &[u64] {
+        self.gain.iter_mut().for_each(|g| *g = 0);
+        let rv = self.rarity[self.graph.label(v) as usize];
+        for &(w, _) in self.graph.neighbors(v) {
+            if let Some(s) = owner(w) {
+                self.gain[s] += 1 + rv + self.rarity[self.graph.label(w) as usize];
+            }
+        }
+        &self.gain
+    }
+
+    /// The shard to place the last gathered vertex on: the highest
+    /// `gain × remaining capacity` among the `eligible` shards under
+    /// `cap`. Ties between equally attractive shards break toward the
+    /// emptier one, then the lower id; a full shard is ineligible. `None`
+    /// when no eligible shard has room.
+    fn pick(&self, load: &[u64], cap: u64, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut best: Option<(u128, u64, usize)> = None;
+        for (s, (&g, &l)) in self.gain.iter().zip(load).enumerate() {
+            if !eligible(s) || l >= cap {
+                continue;
+            }
+            let score = g as u128 * (cap - l) as u128;
+            if best.is_none_or(|(bs, bl, _)| score > bs || (score == bs && l < bl)) {
+                best = Some((score, l, s));
+            }
+        }
+        best.map(|(_, _, s)| s)
+    }
+}
+
 /// The deterministic greedy streaming placement (LDG with a label-aware
 /// edge weight). BFS order from the highest-degree unvisited seed keeps
 /// the stream locality-coherent — each vertex arrives with most of its
@@ -159,21 +222,9 @@ fn greedy_owners(graph: &DynamicGraph, num_shards: usize) -> Vec<u16> {
     if n == 0 || num_shards == 1 {
         return owners;
     }
-    // Label frequencies → per-edge weights. Integer arithmetic throughout
-    // (scores must be platform-exact for the replay gate).
-    let max_label = graph.labels().iter().copied().max().unwrap_or(0) as usize;
-    let mut freq = vec![0u64; max_label + 1];
-    for &l in graph.labels() {
-        freq[l as usize] += 1;
-    }
-    let scale = n as u64;
-    let weight = |u: VertexId, v: VertexId| -> u64 {
-        1 + scale / freq[graph.label(u) as usize].max(1)
-            + scale / freq[graph.label(v) as usize].max(1)
-    };
+    let mut score = GreedyScore::new(graph, num_shards);
     let cap = n.div_ceil(num_shards) as u64;
     let mut load = vec![0u64; num_shards];
-    let mut gain = vec![0u64; num_shards];
     let mut placed = vec![false; n];
     let mut visited = vec![false; n];
     // Seeds by descending degree (tie: lowest id) — hubs first, so the
@@ -188,30 +239,13 @@ fn greedy_owners(graph: &DynamicGraph, num_shards: usize) -> Vec<u16> {
         visited[sv as usize] = true;
         queue.push_back(sv);
         while let Some(v) = queue.pop_front() {
-            gain.iter_mut().for_each(|g| *g = 0);
-            for &(w, _) in graph.neighbors(v) {
-                if placed[w as usize] {
-                    gain[owners[w as usize] as usize] += weight(v, w);
-                }
-            }
-            // score = gain × remaining capacity: ties between equally
-            // attractive shards break toward the emptier one, and a full
-            // shard is ineligible. Σ caps ≥ |V| guarantees a slot.
-            let mut best: Option<(u128, u64, usize)> = None;
-            for (s, (&g, &l)) in gain.iter().zip(load.iter()).enumerate() {
-                if l >= cap {
-                    continue;
-                }
-                let score = g as u128 * (cap - l) as u128;
-                let better = match best {
-                    None => true,
-                    Some((bs, bl, _)) => score > bs || (score == bs && l < bl),
-                };
-                if better {
-                    best = Some((score, l, s));
-                }
-            }
-            let s = best.expect("total capacity covers all vertices").2;
+            score.gather(v, |w| {
+                placed[w as usize].then(|| owners[w as usize] as usize)
+            });
+            // Σ caps ≥ |V| guarantees a slot.
+            let s = score
+                .pick(&load, cap, |_| true)
+                .expect("total capacity covers all vertices");
             owners[v as usize] = s as u16;
             placed[v as usize] = true;
             load[s] += 1;
@@ -239,10 +273,7 @@ fn greedy_owners(graph: &DynamicGraph, num_shards: usize) -> Vec<u16> {
     for _pass in 0..8 {
         let mut moved = false;
         for v in 0..n as VertexId {
-            gain.iter_mut().for_each(|g| *g = 0);
-            for &(w, _) in graph.neighbors(v) {
-                gain[owners[w as usize] as usize] += weight(v, w);
-            }
+            let gain = score.gather(v, |w| Some(owners[w as usize] as usize));
             let cur = owners[v as usize] as usize;
             let (mut best_gain, mut best_shard) = (gain[cur], cur);
             for (s, &g) in gain.iter().enumerate() {
@@ -434,57 +465,27 @@ impl Partition {
         let mut table: Vec<u16> = (0..n as VertexId).map(|v| self.owner(v) as u16).collect();
         let mut moved = Vec::new();
         if n > 0 {
-            let max_label = graph.labels().iter().copied().max().unwrap_or(0) as usize;
-            let mut freq = vec![0u64; max_label + 1];
-            for &l in graph.labels() {
-                freq[l as usize] += 1;
-            }
-            let scale = n as u64;
-            let weight = |u: VertexId, v: VertexId| -> u64 {
-                1 + scale / freq[graph.label(u) as usize].max(1)
-                    + scale / freq[graph.label(v) as usize].max(1)
-            };
+            let live = |s: usize| s != dead && alive.get(s).copied().unwrap_or(false);
+            let mut score = GreedyScore::new(graph, num_shards);
             let cap = greedy_capacity(n, num_alive) as u64;
             let mut load = vec![0u64; num_shards];
             for &o in &table {
                 load[o as usize] += 1;
             }
-            let mut gain = vec![0u64; num_shards];
             for v in 0..n as VertexId {
                 if table[v as usize] as usize != dead {
                     continue;
                 }
-                gain.iter_mut().for_each(|g| *g = 0);
-                for &(w, _) in graph.neighbors(v) {
-                    let o = table[w as usize] as usize;
-                    if o != dead && alive.get(o).copied().unwrap_or(false) {
-                        gain[o] += weight(v, w);
-                    }
-                }
-                let mut best: Option<(u128, u64, usize)> = None;
-                for s in 0..num_shards {
-                    if s == dead || !alive[s] || load[s] >= cap {
-                        continue;
-                    }
-                    let score = gain[s] as u128 * (cap - load[s]) as u128;
-                    let better = match best {
-                        None => true,
-                        Some((bs, bl, _)) => score > bs || (score == bs && load[s] < bl),
-                    };
-                    if better {
-                        best = Some((score, load[s], s));
-                    }
-                }
+                score.gather(v, |w| Some(table[w as usize] as usize));
                 // The relaxed capacity leaves (S−1)·cap ≥ n·9/8 > n slots,
                 // so the fallback only triggers in degenerate tiny-graph
                 // corners: place on the least-loaded survivor.
-                let s = match best {
-                    Some((_, _, s)) => s,
-                    None => (0..num_shards)
-                        .filter(|&s| s != dead && alive[s])
+                let s = score.pick(&load, cap, live).unwrap_or_else(|| {
+                    (0..num_shards)
+                        .filter(|&s| live(s))
                         .min_by_key(|&s| (load[s], s))
-                        .expect("at least one survivor"),
-                };
+                        .expect("at least one survivor")
+                });
                 table[v as usize] = s as u16;
                 load[s] += 1;
                 moved.push((v, s));
@@ -1421,7 +1422,7 @@ impl ShardRuntime {
                     agg.buf_reuse += out.buf_reuse;
                     agg.buf_alloc += out.buf_alloc;
                     if !out.matches.is_empty() {
-                        env.sink.lock().append(&mut out.matches);
+                        lock(&env.sink).append(&mut out.matches);
                     }
                     env.note_matches(out.count);
                     // Stage produced migrants; a buffer hitting capacity

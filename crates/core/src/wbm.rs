@@ -115,13 +115,12 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use gamma_gpma::{Gpma, RunCursor, CHUNK_WIDTH};
-use gamma_gpu::{StepResult, WarpCtx, WarpTask};
+use gamma_gpu::{lock, StepResult, WarpCtx, WarpTask};
 use gamma_graph::{ELabel, QueryGraph, Update, VMatch, VertexId};
-use parking_lot::Mutex;
 
 use crate::auto::{permute_partial, CoalescedPlan};
 use crate::encoding::CandidateTable;
@@ -821,7 +820,7 @@ impl Search {
             self.local_count = 0;
         }
         if !self.local.is_empty() {
-            sh.sink.lock().append(&mut self.local);
+            lock(&sh.sink).append(&mut self.local);
         }
         if let Some(grp) = &sh.group {
             for (mi, c) in self.member_count.iter_mut().enumerate() {
@@ -832,7 +831,7 @@ impl Search {
             }
             for (mi, buf) in self.member_local.iter_mut().enumerate() {
                 if !buf.is_empty() {
-                    grp.sinks[mi].lock().append(buf);
+                    lock(&grp.sinks[mi]).append(buf);
                 }
             }
         }
@@ -2001,7 +2000,10 @@ pub(crate) fn finish_grid(shared: Arc<KernelShared>) -> Vec<(CandidateTable, Vec
     match shared.group {
         None => vec![(
             shared.table,
-            shared.sink.into_inner(),
+            shared
+                .sink
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
             shared.match_count.into_inner(),
         )],
         Some(g) => g
@@ -2009,7 +2011,10 @@ pub(crate) fn finish_grid(shared: Arc<KernelShared>) -> Vec<(CandidateTable, Vec
             .into_iter()
             .zip(g.sinks)
             .zip(g.counts)
-            .map(|((m, s), c)| (m.table, s.into_inner(), c.into_inner()))
+            .map(|((m, s), c)| {
+                let s = s.into_inner().unwrap_or_else(PoisonError::into_inner);
+                (m.table, s, c.into_inner())
+            })
             .collect(),
     }
 }

@@ -3,7 +3,7 @@
 //! coverage of the coalesced plan.
 
 use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use gamma_core::wbm::{build_update_order, KernelShared, QueryMeta, WbmTask};
@@ -15,7 +15,6 @@ use gamma_datasets::{generate_queries, skewed_star_workload, DatasetPreset, Quer
 use gamma_gpma::{Gpma, GpmaConfig};
 use gamma_gpu::{run_block, DeviceConfig, Stealing, WarpTask};
 use gamma_graph::{QueryGraph, Update, UpdateBatch, VMatch};
-use parking_lot::Mutex;
 
 /// Runs one raw block over the given anchors and returns sorted matches.
 fn run_raw_block(
@@ -56,7 +55,7 @@ fn run_raw_block(
     };
     let out = run_block(tasks, &cfg);
     let shared = Arc::try_unwrap(shared).unwrap_or_else(|_| panic!("tasks leaked"));
-    let mut ms = shared.sink.into_inner();
+    let mut ms = shared.sink.into_inner().unwrap();
     ms.sort_unstable();
     (ms, out.stats)
 }

@@ -10,6 +10,8 @@
 //! * The greedy label-frequency partitioner must actually earn its keep:
 //!   a strictly lower edge-cut fraction than hash placement on the
 //!   labeled dense presets it is tuned for.
+//! * Failover repair moves exactly the dead shard's vertices, onto
+//!   survivors, and its placement is pinned move by move.
 //! * The merged per-shard match deltas of [`ShardedEngine`] must equal
 //!   the single-device [`GammaEngine`]'s, batch after batch, across shard
 //!   counts, strategies and stealing modes (the distributed DFS enumerates
@@ -375,6 +377,84 @@ fn greedy_cut_beats_hash_on_labeled_presets() {
             );
         }
     }
+}
+
+/// FNV-1a over a sequence of words: a short, stable digest for pinning
+/// an owner table or a move list in an assertion.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Failover repair is pinned, not just parity-checked: deltas do not
+/// depend on the partition, so `fault_props` cannot see a change in
+/// where orphans land. Two successive fail-stops on a fixed greedy
+/// 4-shard partition of a small GH graph must return exactly these
+/// moves (orphans only, in ascending vertex order, onto survivors) and
+/// leave exactly this owner table.
+#[test]
+fn failover_repair_placement_is_pinned() {
+    let g = DatasetPreset::GH.build(0.05, 33).graph;
+    let n = g.num_vertices();
+    let mut p = Partition::build(PartitionStrategy::Greedy, 4, &g);
+    let mut alive = vec![true; 4];
+    let mut digests = Vec::new();
+    for dead in [1usize, 3] {
+        let before = p.assignments(n);
+        alive[dead] = false;
+        let moves = p.repair_failover(dead, &g, &alive);
+        let orphans: Vec<VertexId> = (0..n as VertexId)
+            .filter(|&v| before[v as usize] == dead)
+            .collect();
+        assert_eq!(
+            moves.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
+            orphans,
+            "shard {dead}: repair must move exactly its orphans, in order"
+        );
+        assert!(
+            moves.iter().all(|&(_, s)| alive[s]),
+            "moved onto a dead shard"
+        );
+        let after = p.assignments(n);
+        for v in 0..n {
+            if before[v] != dead {
+                assert_eq!(after[v], before[v], "survivor-owned vertex {v} moved");
+            }
+        }
+        digests.push((
+            moves.len(),
+            moves[..4].to_vec(),
+            fnv1a(moves.iter().flat_map(|&(v, s)| [v as u64, s as u64])),
+        ));
+    }
+    let owners = p.assignments(n);
+    let mut loads = [0usize; 4];
+    for &s in &owners {
+        loads[s] += 1;
+    }
+    let table = fnv1a(owners.iter().map(|&s| s as u64));
+    assert_eq!(
+        (n, digests, loads, table),
+        (
+            90,
+            vec![
+                (
+                    26,
+                    vec![(1, 2), (5, 3), (8, 3), (10, 2)],
+                    14_697_812_486_559_799_282
+                ),
+                (
+                    31,
+                    vec![(0, 0), (2, 0), (5, 0), (8, 0)],
+                    4_512_908_424_047_698_082
+                ),
+            ],
+            [47, 0, 43, 0],
+            10_248_567_987_147_428_327,
+        ),
+        "failover placement changed"
+    );
 }
 
 /// The async-drain executor's virtual-time accounting must be bit-stable:

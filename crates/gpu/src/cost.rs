@@ -67,14 +67,7 @@ impl CostModel {
         if small == 0 || large == 0 {
             return self.compute;
         }
-        self.coop_intersect_rounds(small.div_ceil(warp_size as u64), large)
-    }
-
-    /// [`CostModel::coop_intersect`] with the round count already in hand
-    /// and both sides known non-empty — the single place the intersection
-    /// formula lives.
-    #[inline]
-    pub fn coop_intersect_rounds(&self, rounds: u64, large: u64) -> u64 {
+        let rounds = small.div_ceil(warp_size as u64);
         let probes = (64 - large.leading_zeros() as u64).max(1);
         rounds * (self.global_latency + probes * self.global_latency / 4 + self.sync)
     }

@@ -332,9 +332,10 @@ impl Pool {
     }
 }
 
-/// Locks `m`; no critical section here panics, so poisoning carries no
-/// information.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Locks `m`, ignoring poison. The simulator's critical sections (the
+/// launch pool's queues, a kernel's match sinks) only move data and never
+/// panic midway, so poisoning carries no information.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

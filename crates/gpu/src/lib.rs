@@ -52,15 +52,13 @@ pub mod block;
 pub mod cost;
 pub mod device;
 pub mod memory;
-pub mod primitives;
 pub mod stats;
 pub mod task;
 
 pub use block::{run_block, BlockOutcome};
 pub use cost::CostModel;
-pub use device::{run_jobs, Device, Job};
+pub use device::{lock, run_jobs, Device, Job};
 pub use memory::MemoryTracker;
-pub use primitives::{ballot, coop_intersect_sorted, exclusive_scan, reduce_sum};
 pub use stats::{BlockStats, KernelStats};
 pub use task::{StepResult, WarpCtx, WarpTask};
 

@@ -97,21 +97,6 @@ impl WarpCtx {
         self.charge(c);
     }
 
-    /// Charges a warp-cooperative sorted intersection (shift-based round
-    /// count; the formula itself lives in
-    /// [`CostModel::coop_intersect_rounds`]).
-    #[inline]
-    pub fn coop_intersect(&mut self, small: u64, large: u64) {
-        let rounds = self.warp_rounds(small);
-        self.global_transactions += rounds;
-        if small == 0 || large == 0 {
-            self.charge(self.cost.compute);
-            return;
-        }
-        let c = self.cost.coop_intersect_rounds(rounds, large);
-        self.charge(c);
-    }
-
     /// Charges a chunked merge intersection of `small` candidates against
     /// the `covered` span of the larger run (shift-based round counts; the
     /// formula lives in [`CostModel::chunked_intersect_rounds`]). Chunk
@@ -151,8 +136,8 @@ impl WarpCtx {
 
     /// Records a candidate-buffer acquisition: `reused` when it came from
     /// the task-local pool, fresh heap allocation otherwise. Free (no
-    /// cycles) — this instruments the *host* allocation behaviour that the
-    /// zero-allocation acceptance criterion tracks.
+    /// cycles) — this instruments the *host* allocation behaviour, whose
+    /// steady state must allocate nothing.
     pub fn note_buffer(&mut self, reused: bool) {
         if reused {
             self.buf_reuse += 1;

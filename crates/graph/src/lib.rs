@@ -18,12 +18,10 @@
 //!   (the basis of GAMMA's *coalesced search*).
 //! * [`kcore`] — k-core decomposition (used by the Figure-10 density
 //!   experiment's update sampling).
-//! * [`csr`] — immutable CSR snapshots (host-side read-optimized layout).
 //! * [`io`] — text serialization for graphs, queries and update streams.
 //! * [`mod@metrics`] — degree/label/clustering statistics for dataset
 //!   validation and experiment reports.
 
-pub mod csr;
 pub mod dynamic;
 pub mod io;
 pub mod iso;
@@ -33,7 +31,6 @@ pub mod query;
 pub mod update;
 pub mod vmatch;
 
-pub use csr::CsrGraph;
 pub use dynamic::DynamicGraph;
 pub use iso::{automorphisms, count_matches, enumerate_matches, MatchSink};
 pub use kcore::core_numbers;

@@ -3,7 +3,7 @@
 
 use gamma::engine::PipelinedEngine;
 use gamma::graph::io;
-use gamma::graph::{metrics, CsrGraph};
+use gamma::graph::metrics;
 use gamma::prelude::*;
 
 #[test]
@@ -67,18 +67,6 @@ fn preset_metrics_match_table2_shapes() {
             preset.name(),
             m.degree_gini
         );
-    }
-}
-
-#[test]
-fn csr_snapshot_agrees_with_dynamic_on_dataset() {
-    let d = DatasetPreset::AZ.build(0.1, 65);
-    let csr = CsrGraph::from_dynamic(&d.graph);
-    assert_eq!(csr.num_edges(), d.graph.num_edges());
-    for v in (0..d.graph.num_vertices() as u32).step_by(37) {
-        let dyn_n: Vec<u32> = d.graph.neighbors(v).iter().map(|&(n, _)| n).collect();
-        assert_eq!(csr.neighbors(v), &dyn_n[..]);
-        assert_eq!(csr.degree(v), d.graph.degree(v));
     }
 }
 

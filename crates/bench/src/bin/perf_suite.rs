@@ -87,7 +87,9 @@
 //! speed cancels out of the ratio. Sharded cells also carry migration
 //! telemetry in the JSON (migrant batches shipped, per-(src,dst) migrant
 //! counts, inbox high-water depth, and the partitioner's edge-cut
-//! fraction) — the observability for tuning the greedy partitioner.
+//! fraction) — the observability for tuning the greedy partitioner — and
+//! `unit_splits`, the parts their units split off (also the table's
+//! `splits` column).
 //!
 //! ## Exit status
 //!
@@ -156,6 +158,9 @@ struct ShardTelemetry {
     failovers: u64,
     /// Pending units reassigned to survivors by failovers.
     requeued_units: u64,
+    /// Parts split off units (device stealing on: every unit that ran
+    /// the split budget hands half its remaining work to its shard).
+    unit_splits: u64,
 }
 
 /// One measured cell of the suite.
@@ -463,6 +468,7 @@ fn run_engine(
                 faults_injected: st.faults_injected,
                 failovers: st.failovers,
                 requeued_units: st.requeued_units,
+                unit_splits: st.unit_splits,
             });
         }
     }
@@ -906,7 +912,8 @@ fn write_json(
                 format!(
                     ", \"migrations\": {}, \"migrant_batches\": {}, \"shard_steals\": {}, \
                      \"inbox_high_water\": {}, \"edge_cut\": {:.4}, \"pair_migrants\": [{}], \
-                     \"faults_injected\": {}, \"failovers\": {}, \"requeued_units\": {}",
+                     \"faults_injected\": {}, \"failovers\": {}, \"requeued_units\": {}, \
+                     \"unit_splits\": {}",
                     t.migrations,
                     t.migrant_batches,
                     t.shard_steals,
@@ -915,7 +922,8 @@ fn write_json(
                     pairs,
                     t.faults_injected,
                     t.failovers,
-                    t.requeued_units
+                    t.requeued_units,
+                    t.unit_splits
                 )
             }
             None => String::new(),
@@ -1253,6 +1261,7 @@ fn main() -> ExitCode {
         "busy-cycles",
         "migr",
         "cut%",
+        "splits",
     ]);
 
     // `--record-trace`: accumulate the generated sweep as it is built —
@@ -1337,12 +1346,13 @@ fn main() -> ExitCode {
                         under_test,
                         (preset.name(), class.name(), wname, ename),
                     );
-                    let (migr, cut) = match &s.shard {
+                    let (migr, cut, splits) = match &s.shard {
                         Some(t) => (
                             format!("{}/{}b", t.migrations, t.migrant_batches),
                             format!("{:.1}", t.edge_cut * 100.0),
+                            t.unit_splits.to_string(),
                         ),
-                        None => ("-".to_string(), "-".to_string()),
+                        None => ("-".to_string(), "-".to_string(), "-".to_string()),
                     };
                     print_row(&[
                         s.dataset.to_string(),
@@ -1358,6 +1368,7 @@ fn main() -> ExitCode {
                         s.busy_cycles.to_string(),
                         migr,
                         cut,
+                        splits,
                     ]);
                     samples.push(s);
                 }

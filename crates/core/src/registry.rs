@@ -448,9 +448,11 @@ impl QueryRegistry {
         });
         let plain = QueryMeta::build(query, &table, scheme, false, 0);
         // Registry policy: the shard executor plans the device's coalesced
-        // classes capped at k = 0. A whole-query class only removes scans,
-        // while a k > 0 class queues permuted partials that device warps
-        // steal but a shard unit runs serially on its one lane.
+        // classes capped at k = 0. A whole-query class only removes scans.
+        // A k > 0 class queues permuted partials, which shard units split
+        // off like device warps do, yet lifting the cap grows 9 of the 27
+        // SHARD cells of the fixed-trace replay (GH Dense by 67%; summed
+        // 250.1M -> 271.8M sim-cycles) while `sharded` gains 1.4%.
         let max_k = match self.exec {
             Executor::Device(_) => self.config.max_degenerate_k,
             Executor::Shards(_) => 0,

@@ -54,21 +54,37 @@
 //!   is **bit-reproducible run to run** (the replay gate covers SHARD
 //!   cells at 0% tolerance) — and the phase ends at quiescence: every
 //!   local queue empty and nothing in flight in the fabric.
-//! * **Host work on both launch threads** — a unit is one search of that
-//!   kernel, stepped to completion on one warp context. Its outcome (its
-//!   cycles, counter deltas, matches and the migrants it ships, in order)
-//!   depends only on the unit and the shard that runs it: within a phase a
-//!   unit reads fixed state and its thread's scratch, which it clears
-//!   before use, and it keeps its matches and count instead of flushing
-//!   them. So before the first
-//!   scheduling step every anchor unit runs ahead, as one job each, on the
-//!   calling thread and the process-wide launch pool
-//!   ([`gamma_gpu::run_jobs`]) that serves device launches; the scheduler,
-//!   on the calling thread alone, commits each outcome when it reaches
-//!   the unit, and runs migrant units inline. Lane stamps, the fabric,
-//!   steals, the sink and every cycle counter see the sequence a
-//!   one-thread run sees. A fail-stop discards the outcomes not yet
-//!   committed, since it changes the partition and residency they read.
+//! * **Units that split** — a unit (an anchor's seed sweep, an arrived
+//!   migrant's subtree, or a part split off a unit) is one search of that
+//!   kernel on one warp context. With device stealing on, a unit that has
+//!   spent `wbm::SPLIT_BUDGET` (65,536) cycles since it started or last
+//!   split, and whose remaining work hint is at least the device's
+//!   `min_steal_hint`, hands a part off through the device's own split
+//!   (half the shallowest frame, else half the pending partials, else half
+//!   the unstarted seeds). The part becomes a new unit of the same shard,
+//!   ready at the unit's start plus the cycle offset at which it left, so a
+//!   phase does not wait for its heaviest anchor on one lane. A shard's
+//!   lanes span SMs and share no shared memory, so the hand-off is one
+//!   coalesced global transfer of the part on each side. With device
+//!   stealing off every unit runs whole, as the device's warps do.
+//! * **Host work on both launch threads** — a unit's outcome (its cycles,
+//!   counter deltas, matches, the migrants it ships, in order, and the
+//!   parts it split off) depends only on the unit and the shard that runs
+//!   it: within a phase a unit reads fixed state and its thread's scratch,
+//!   which it clears before use, and it keeps its matches and count
+//!   instead of flushing them. So before the first scheduling step every
+//!   anchor unit runs ahead, then every part it split off and theirs in
+//!   turn, as one job per anchor, on the calling thread and the
+//!   process-wide launch pool ([`gamma_gpu::run_jobs`]) that serves device
+//!   launches. The scheduler, on the calling thread alone, commits each
+//!   outcome when it reaches the unit and queues the unit's parts with
+//!   their outcomes; migrant units (and their parts) run inline. Lane
+//!   stamps, the fabric, steals, the sink and every cycle counter see the
+//!   sequence a one-thread run sees. A fail-stop discards every outcome
+//!   not yet committed, queued parts' included, since it changes the
+//!   partition and residency they read: a discarded part reruns from a
+//!   copy kept under a fault plan. Each outcome carries the failover epoch
+//!   it was computed under, and debug builds assert it at the commit.
 //!
 //! Results are bit-identical to [`GammaEngine`](crate::GammaEngine):
 //! candidate generation at any level reads complete local information
@@ -86,7 +102,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use gamma_gpma::Gpma;
-use gamma_gpu::{lock, run_jobs, CostModel, DeviceConfig, Job, KernelStats, WarpCtx};
+use gamma_gpu::{lock, run_jobs, CostModel, DeviceConfig, Job, KernelStats, Stealing, WarpCtx};
 use gamma_graph::{
     DynamicGraph, ELabel, QueryGraph, Update, UpdateBatch, VLabel, VMatch, VertexId,
 };
@@ -96,7 +112,7 @@ use crate::durable::DurableView;
 use crate::engine::{BatchResult, GammaConfig};
 use crate::fault::FaultPlan;
 use crate::registry::{QueryConfig, QueryId, QueryRegistry};
-use crate::wbm::{self, backward_set, poll_deadline, KernelShared, QueryMeta};
+use crate::wbm::{self, backward_set, poll_deadline, KernelShared, Part, QueryMeta};
 
 // ---------------------------------------------------------------------------
 // Partitioning
@@ -539,13 +555,17 @@ pub enum ShardStealing {
 #[derive(Clone, Debug)]
 pub struct ShardedConfig {
     /// Per-shard engine configuration (device shape, counter bits, match
-    /// collection, limits, coalesced search). With `coalesced_search` on,
-    /// the shard executor's registry plans the device's coalesced classes
-    /// capped at whole-query (k = 0) ones; `max_degenerate_k` stays a
-    /// device setting. That is registry policy, not a limit of the kernel,
-    /// which shards share with the single device: a k = 0 class only
-    /// removes scans, while a k > 0 class queues permuted partials that a
-    /// shard unit runs serially on its one lane.
+    /// collection, limits, coalesced search). Its device's `stealing`
+    /// also decides whether shard units split: with `Off` every unit runs
+    /// whole. With `coalesced_search` on, the shard executor's registry
+    /// plans the device's coalesced classes capped at whole-query (k = 0)
+    /// ones; `max_degenerate_k` stays a device setting. That is registry
+    /// policy, not a limit of the kernel, which shards share with the
+    /// single device: a k = 0 class only removes scans, while a k > 0
+    /// class queues permuted partials. Shard units split those off as
+    /// they split any work, yet lifting the cap makes 9 of the 27 SHARD
+    /// cells of the fixed-trace replay do more simulated work (GH Dense
+    /// 67% more).
     pub base: GammaConfig,
     /// Number of simulated devices.
     pub num_shards: usize,
@@ -607,6 +627,11 @@ pub struct ShardStats {
     /// Pending units (local queue entries plus in-flight fabric
     /// migrants) reassigned to survivors by failovers.
     pub requeued_units: u64,
+    /// Parts split off units: with device stealing on, a unit that has
+    /// run 65,536 cycles (`wbm::SPLIT_BUDGET`) since it started or last
+    /// split hands half its remaining work to a new unit of its shard.
+    /// Counted when the unit that split commits.
+    pub unit_splits: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -781,9 +806,14 @@ impl Residency {
 }
 
 /// What one unit did: its cycles, its counter deltas, its matches and
-/// match count, and the migrants it ships, in order — `(owner shard,
-/// migrant)`. The scheduler commits it when it reaches the unit.
+/// match count, the migrants it ships, in order — `(owner shard,
+/// migrant)` — and the parts it split off, each with its own outcome. The
+/// scheduler commits it when it reaches the unit and queues its parts.
 struct UnitOut {
+    /// The failover epoch (the phase's failover count) it was computed
+    /// under. A fail-stop discards every outcome not yet committed, so a
+    /// commit only ever sees the current epoch.
+    epoch: u64,
     cycles: u64,
     global_transactions: u64,
     shared_accesses: u64,
@@ -792,29 +822,63 @@ struct UnitOut {
     matches: Vec<VMatch>,
     count: u64,
     migrants: Vec<(usize, Migrant)>,
+    parts: Vec<PartOut>,
 }
 
-/// Runs one unit — an anchor's full seed sweep or an arrived migrant — to
-/// completion on `shard` ([`wbm::run_unit`]), metered on a fresh
-/// [`WarpCtx`], and returns its outcome.
-fn run_unit(
-    sh: &KernelShared,
-    shard: usize,
-    work: UnitWork,
+/// A part split off a unit, run ahead with it.
+struct PartOut {
+    /// Cycles into the unit at which the part left: it is ready at the
+    /// unit's start plus this.
+    offset: u64,
+    /// A copy of the part as it left, to rerun it once a fail-stop has
+    /// discarded `out`. Kept only under a fault plan.
+    kept: Option<Part>,
+    out: UnitOut,
+}
+
+/// How a phase's units run.
+#[derive(Clone, Copy)]
+struct UnitCfg {
     cost: CostModel,
     warp_size: u32,
-) -> UnitOut {
-    let mut ctx = WarpCtx::new(cost, warp_size);
-    let (matches, count, migrants) = wbm::run_unit(sh, shard, work, &mut ctx);
+    /// The device's `min_steal_hint` when device stealing is on, so units
+    /// split ([`wbm::run_unit`]); `None` runs every unit whole.
+    split_hint: Option<u64>,
+    /// Keep a copy of every part: under a fault plan a fail-stop may
+    /// discard a part's outcome before it commits.
+    keep_parts: bool,
+}
+
+/// Runs one unit on `shard` ([`wbm::run_unit`]), metered on a fresh
+/// [`WarpCtx`], and then, on the same thread, every part it split off:
+/// its outcome under failover `epoch`, with its parts' nested. A part
+/// takes at most half of what its unit had left of one DFS level's
+/// candidates, its pending partials or its unstarted seeds, so the tree
+/// is only as deep as the logarithms of those sizes add up to, however
+/// long the unit runs.
+fn run_unit(sh: &KernelShared, shard: usize, work: UnitWork, cfg: UnitCfg, epoch: u64) -> UnitOut {
+    let mut ctx = WarpCtx::new(cfg.cost, cfg.warp_size);
+    let run = wbm::run_unit(sh, shard, work, cfg.split_hint, &mut ctx);
+    let parts = run
+        .parts
+        .into_iter()
+        .map(|(offset, part)| PartOut {
+            offset,
+            kept: cfg.keep_parts.then(|| part.clone()),
+            out: run_unit(sh, shard, UnitWork::Part(part), cfg, epoch),
+        })
+        .collect();
     UnitOut {
-        cycles: ctx.take_step_cycles(),
+        epoch,
+        cycles: run.cycles,
         global_transactions: ctx.global_transactions,
         shared_accesses: ctx.shared_accesses,
         buf_reuse: ctx.buf_reuse,
         buf_alloc: ctx.buf_alloc,
-        matches,
-        count,
-        migrants,
+        matches: run.matches,
+        count: run.count,
+        migrants: run.migrants,
+        parts,
     }
 }
 
@@ -864,19 +928,30 @@ impl Lanes {
     }
 }
 
-/// A schedulable unit: an anchor (with its batch order) or an arrived
-/// migrant, available from virtual cycle `ready`.
+/// A schedulable unit, available from virtual cycle `ready`.
 struct Unit {
     ready: u64,
-    work: UnitWork,
+    /// What to run when no outcome is at hand: always set for anchors and
+    /// migrants. A part holds the copy kept under a fault plan, since only
+    /// a fail-stop discards an outcome.
+    work: Option<UnitWork>,
+    /// Its outcome, computed ahead: an anchor's in the wave, a part's with
+    /// the unit it left. A fail-stop discards it.
+    out: Option<UnitOut>,
 }
 
+/// What a unit runs.
 pub(crate) enum UnitWork {
     /// An update edge with its batch order: every seed, both orientations.
     Anchor(Update, u32),
     /// An arrived migrant: its subtree.
     Mig(Migrant),
+    /// Work split off a unit.
+    Part(Part),
 }
+
+/// Why a unit without an outcome still has its work.
+const KEPT: &str = "only a fail-stop discards an outcome, and under a fault plan parts keep a copy";
 
 /// The action the scheduler picked for a shard.
 enum Action {
@@ -1095,20 +1170,21 @@ impl ShardRuntime {
     /// launch of a registered pattern (`shared`, from
     /// [`Phase::shared`](crate::wbm::Phase::shared), over the phase's
     /// store and `anchors`; `graph` is the registry's mirror): anchors
-    /// start on the shard owning their canonical endpoint; units run to
-    /// completion on per-shard lane clocks; migrants — stamped `query_id`
-    /// — flow through the batched comm fabric mid-phase (no barriers);
-    /// idle shards steal eligible published batches; the phase ends at
-    /// quiescence. Every
+    /// start on the shard owning their canonical endpoint; units run on
+    /// per-shard lane clocks, splitting parts off at the cycle budget when
+    /// device stealing is on; migrants — stamped `query_id` — flow through
+    /// the batched comm fabric mid-phase (no barriers); idle shards steal
+    /// eligible published batches; the phase ends at quiescence. Every
     /// scheduling decision reads virtual state only — the whole phase is
     /// bit-reproducible, including all cycle counters.
     ///
     /// Before the first scheduling step, every anchor unit runs ahead on
     /// the launch pool ([`run_jobs`], on `min(num_sms, host parallelism,
-    /// anchors)` threads) against its routed shard; the scheduler commits
-    /// each outcome when it reaches the unit, into the launch's sink and
-    /// match count, and runs migrant units inline. The launch state comes
-    /// back for [`finish_grid`](crate::wbm::finish_grid).
+    /// anchors)` threads) against its routed shard, with the parts it
+    /// splits off; the scheduler commits each outcome when it reaches the
+    /// unit, into the launch's sink and match count, queues its parts, and
+    /// runs migrant units inline. The launch state comes back for
+    /// [`finish_grid`](crate::wbm::finish_grid).
     pub(crate) fn kernel_phase(
         &mut self,
         graph: &DynamicGraph,
@@ -1122,6 +1198,12 @@ impl ShardRuntime {
         let lanes_per_shard = (device.num_sms * device.warps_per_block).max(1);
         let cost = device.cost;
         let warp_size = device.warp_size;
+        let cfg = UnitCfg {
+            cost,
+            warp_size,
+            split_hint: (device.stealing != Stealing::Off).then_some(device.min_steal_hint),
+            keep_parts: self.faults.is_some(),
+        };
         let nv_words = shared.meta.q.num_vertices() as u64;
         let stealing = self.stealing;
         let (abort, deadline) = (Arc::clone(&shared.abort), shared.deadline);
@@ -1136,28 +1218,32 @@ impl ShardRuntime {
         // Anchor routing: an update edge starts on the shard owning its
         // canonical (smaller-id) endpoint — both endpoints are resident
         // there, and the first scan migrates on its own if its base lands
-        // elsewhere. Each anchor unit also becomes a job of the wave.
-        let mut local: Vec<VecDeque<Unit>> = (0..num_shards).map(|_| VecDeque::new()).collect();
-        let mut wave: Vec<Job<UnitOut>> = Vec::with_capacity(anchors.len());
-        for (i, &a) in anchors.iter().enumerate() {
-            let (lo, _) = a.endpoints();
-            let s = live_owner(&self.partition, &self.alive, lo);
-            local[s].push_back(Unit {
-                ready: 0,
-                work: UnitWork::Anchor(a, i as u32),
-            });
-            let env = Arc::clone(&env);
-            wave.push(Box::new(move || {
-                run_unit(&env, s, UnitWork::Anchor(a, i as u32), cost, warp_size)
-            }));
-        }
+        // elsewhere.
+        let route = |a: &Update| live_owner(&self.partition, &self.alive, a.endpoints().0);
         // The wave: a unit's outcome depends only on the unit and its
-        // shard, so every anchor unit runs ahead, on the calling thread
-        // and the launch pool's helpers. Indexed by anchor order.
-        let mut ahead: Vec<Option<UnitOut>> = run_jobs(wave, device.num_sms)
-            .into_iter()
-            .map(Some)
+        // shard, so every anchor unit runs ahead, with the parts it splits
+        // off, as one job each on the calling thread and the launch pool's
+        // helpers.
+        let wave: Vec<Job<UnitOut>> = anchors
+            .iter()
+            .enumerate()
+            .map(|(i, &a)| {
+                let (env, s) = (Arc::clone(&env), route(&a));
+                Box::new(move || run_unit(&env, s, UnitWork::Anchor(a, i as u32), cfg, 0)) as _
+            })
             .collect();
+        let mut local: Vec<VecDeque<Unit>> = (0..num_shards).map(|_| VecDeque::new()).collect();
+        for ((i, a), out) in anchors
+            .iter()
+            .enumerate()
+            .zip(run_jobs(wave, device.num_sms))
+        {
+            local[route(a)].push_back(Unit {
+                ready: 0,
+                work: Some(UnitWork::Anchor(*a, i as u32)),
+                out: Some(out),
+            });
+        }
 
         let mut fabric: CommFabric<Migrant> = CommFabric::new(num_shards, MIGRANT_BATCH);
         let mut lanes: Vec<Lanes> = vec![Lanes::new(lanes_per_shard); num_shards];
@@ -1172,6 +1258,7 @@ impl ShardRuntime {
         let mut migrations = 0u64;
         let mut shard_steals = 0u64;
         let mut drains = 0u64;
+        let mut unit_splits = 0u64;
 
         let phase_id = self.stats.phases;
         self.stats.phases += 1;
@@ -1214,13 +1301,16 @@ impl ShardRuntime {
                     }
                     // Every outcome not yet committed was computed
                     // against the partition, alive mask and residency
-                    // this fail-stop changes: discard them all, so their
-                    // units run inline, on their new shards, against the
-                    // repaired state. The wave has retired, so the phase
-                    // holds the only reference to its environment; its
-                    // resident sets are released first, so that marking
-                    // new residents below copies no bitmap.
-                    ahead.clear();
+                    // this fail-stop changes: discard them all (a queued
+                    // unit's, and with it the parts it split off), so
+                    // their units run inline, on their new shards, against
+                    // the repaired state. The wave has retired, so the
+                    // phase holds the only reference to its environment;
+                    // its resident sets are released first, so that
+                    // marking new residents below copies no bitmap.
+                    for unit in local.iter_mut().flatten() {
+                        unit.out = None;
+                    }
                     let e = Arc::get_mut(&mut env).expect("no unit runs between scheduling steps");
                     let res = e
                         .residency
@@ -1244,10 +1334,12 @@ impl ShardRuntime {
                     // their new homes, original ready stamps intact
                     // (coordinator redelivery: the units were already
                     // causally priced when first enqueued; survivors
-                    // simply adopt them).
+                    // simply adopt them). A part goes where its anchor
+                    // would: any live shard may run it, since its next
+                    // scan runs the license check.
                     let orphaned: Vec<Unit> = local[dead].drain(..).collect();
                     for unit in orphaned {
-                        let dst = match &unit.work {
+                        let dst = match unit.work.as_ref().expect(KEPT) {
                             UnitWork::Anchor(a, _) => {
                                 let (lo, _) = a.endpoints();
                                 live_owner(&self.partition, &self.alive, lo)
@@ -1260,6 +1352,9 @@ impl ShardRuntime {
                                 mig,
                                 &mut elig_buf,
                             ),
+                            UnitWork::Part(part) => {
+                                live_owner(&self.partition, &self.alive, part.anchor_lo())
+                            }
                         };
                         requeued_units += 1;
                         local[dst].push_back(unit);
@@ -1281,7 +1376,8 @@ impl ShardRuntime {
                         requeued_units += 1;
                         local[dst].push_back(Unit {
                             ready: stamp,
-                            work: UnitWork::Mig(mig),
+                            work: Some(UnitWork::Mig(mig)),
+                            out: None,
                         });
                     }
                     // Queues changed shape — every stale-steal verdict
@@ -1372,7 +1468,8 @@ impl ShardRuntime {
                     for mitem in batch.items.drain(..) {
                         local[s].push_back(Unit {
                             ready,
-                            work: UnitWork::Mig(mitem),
+                            work: Some(UnitWork::Mig(mitem)),
+                            out: None,
                         });
                     }
                     fabric.recycle(batch.items);
@@ -1388,7 +1485,8 @@ impl ShardRuntime {
                             taken += 1;
                             local[s].push_back(Unit {
                                 ready,
-                                work: UnitWork::Mig(mitem),
+                                work: Some(UnitWork::Mig(mitem)),
+                                out: None,
                             });
                         } else {
                             steal_buf.push(mitem);
@@ -1406,15 +1504,25 @@ impl ShardRuntime {
                     let unit = local[s].pop_front().expect("run action implies a unit");
                     // Commit the unit's outcome: the one computed ahead,
                     // unless a fail-stop discarded it, or run it now.
-                    let ahead_out = match unit.work {
-                        UnitWork::Anchor(_, order) => {
-                            ahead.get_mut(order as usize).and_then(Option::take)
-                        }
-                        UnitWork::Mig(_) => None,
-                    };
-                    let mut out =
-                        ahead_out.unwrap_or_else(|| run_unit(&env, s, unit.work, cost, warp_size));
+                    let mut out = unit.out.unwrap_or_else(|| {
+                        run_unit(&env, s, unit.work.expect(KEPT), cfg, failovers)
+                    });
+                    debug_assert_eq!(
+                        out.epoch, failovers,
+                        "an outcome computed before a fail-stop outlived it"
+                    );
                     let completion = lanes[s].run(unit.ready, out.cycles);
+                    // The parts it split off join its shard's queue,
+                    // each ready when it left the unit.
+                    let start = completion - out.cycles;
+                    for part in out.parts {
+                        unit_splits += 1;
+                        local[s].push_back(Unit {
+                            ready: start + part.offset,
+                            work: part.kept.map(UnitWork::Part),
+                            out: Some(part.out),
+                        });
+                    }
                     busy[s] += out.cycles;
                     units_run[s] += 1;
                     agg.global_transactions += out.global_transactions;
@@ -1464,6 +1572,7 @@ impl ShardRuntime {
         self.stats.faults_injected += faults_injected;
         self.stats.failovers += failovers;
         self.stats.requeued_units += requeued_units;
+        self.stats.unit_splits += unit_splits;
         self.stats.migrant_batches += comm.batches_published;
         self.stats.drains += drains;
         self.stats.inbox_high_water = self.stats.inbox_high_water.max(comm.inbox_high_water);

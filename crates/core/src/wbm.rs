@@ -78,9 +78,10 @@
 //! keeps every query vertex's code; a `debug_assert!` there states it.
 //! `k > 0` classes still push permuted partials to extend: their removed
 //! vertices constrain the permuted roles differently. Shard launches plan
-//! whole-query classes only ([`crate::ShardedConfig::base`]): a shard
-//! unit runs to completion on one lane, where no idle warp could steal a
-//! permuted partial from it.
+//! whole-query classes only ([`crate::ShardedConfig::base`]). A shard
+//! unit would split a k > 0 class's pending partials off like any other
+//! work, but with the cap lifted 9 of the 27 SHARD cells of the
+//! fixed-trace replay do more simulated work, GH Dense 67% more.
 //!
 //! # One scan shape, and shard units
 //!
@@ -91,25 +92,29 @@
 //! eligibility, which must agree with the scans exactly.
 //!
 //! The shard executor ([`crate::shard`]) runs this same search. A shard
-//! unit (an anchor's seed sweep, or an arrived migrant's subtree) steps
-//! one search to completion on one [`WarpCtx`] and keeps its matches,
-//! count and shipped migrants as its outcome instead of flushing them. Its
-//! launch carries a residency context ([`KernelShared::residency`];
-//! `None` on the single device, where nothing migrates or flips), and the
-//! search knows its shard. Before every scan (the warm frame, the
-//! count-only last level and its memo, the next-level generation) the
-//! search runs a **license check**: the scan may run here when the base's
-//! live owner is this shard or every backward vertex is resident here (a
-//! migrant's first scan is licensed by its delivery). An unlicensed scan
-//! ships the subtree to the base's owner as a migrant and the level
-//! counts as empty here. A licensed scan whose non-base backward runs are
-//! not all resident takes the **flipped direction**: each candidate's own
-//! run (complete, since the base is owned here and residency covers its
-//! one-hop boundary) is probed for every backward vertex in one
-//! [`Gpma::run_seek_chunk`] pass. All shards read one shared store that
-//! holds every run, so debug builds assert that every run a scan reads is
-//! resident on its shard: a scan past a missing license check would
-//! otherwise still return correct matches.
+//! unit (an anchor's seed sweep, an arrived migrant's subtree, or a part
+//! split off a unit) steps one search on one [`WarpCtx`] and keeps its
+//! matches, count and shipped migrants as its outcome instead of flushing
+//! them. With device stealing on it also splits: every `SPLIT_BUDGET`
+//! (65,536) cycles, while its remaining work hint is at least the device's
+//! `min_steal_hint`, it hands work off through the split the device's warps
+//! steal with ([`WbmTask::try_split`]), and the part runs as a unit of its
+//! own. Its launch carries a residency context
+//! ([`KernelShared::residency`]; `None` on the single device, where nothing
+//! migrates or flips), and the search knows its shard. Before every scan
+//! (the warm frame, the count-only last level and its memo, the next-level
+//! generation) the search runs a **license check**: the scan may run here
+//! when the base's live owner is this shard or every backward vertex is
+//! resident here (a migrant's first scan is licensed by its delivery). An
+//! unlicensed scan ships the subtree to the base's owner as a migrant and
+//! the level counts as empty here. A licensed scan whose non-base backward
+//! runs are not all resident takes the **flipped direction**: each
+//! candidate's own run (complete, since the base is owned here and
+//! residency covers its one-hop boundary) is probed for every backward
+//! vertex in one [`Gpma::run_seek_chunk`] pass. All shards read one shared
+//! store that holds every run, so debug builds assert that every run a scan
+//! reads is resident on its shard: a scan past a missing license check
+//! would otherwise still return correct matches.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -466,8 +471,12 @@ impl DfsState {
     /// frame with at least two beyond its current one, with their parent
     /// partial match (the paper's "appropriates half of the unexplored
     /// candidates along with their parents"). `order` is the state's seed
-    /// order.
-    fn split_frame(&mut self, order: &[u8]) -> Option<DfsState> {
+    /// order; the taken candidates are copied into a buffer from `buf`.
+    fn split_frame(
+        &mut self,
+        order: &[u8],
+        buf: impl FnOnce() -> Vec<VertexId>,
+    ) -> Option<DfsState> {
         let num_frames = self.frames.len();
         for (fi, f) in self.frames.iter_mut().enumerate() {
             let level = self.base_level + fi;
@@ -479,8 +488,10 @@ impl DfsState {
             if unexplored < 2 {
                 continue;
             }
-            let take = unexplored / 2;
-            let stolen: Vec<VertexId> = f.cands.split_off(f.cands.len() - take);
+            let keep = f.cands.len() - unexplored / 2;
+            let mut stolen = buf();
+            stolen.extend_from_slice(&f.cands[keep..]);
+            f.cands.truncate(keep);
             // Parent partial: assignments for levels < this frame's.
             let mut m = VMatch::EMPTY;
             for &qv in &order[..level] {
@@ -575,6 +586,22 @@ thread_local! {
     static UNIT_SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
+/// Draws a candidate buffer from `pool` (warm-up allocates; steady state
+/// recycles), reporting which to the stats.
+fn pooled(pool: &mut Vec<Vec<VertexId>>, ctx: &mut WarpCtx) -> Vec<VertexId> {
+    match pool.pop() {
+        Some(mut b) => {
+            ctx.note_buffer(true);
+            b.clear();
+            b
+        }
+        None => {
+            ctx.note_buffer(false);
+            Vec::new()
+        }
+    }
+}
+
 /// Per-scan probe state for one backward-matched vertex: which run to
 /// intersect against, the merge cursor into it, the dedup incident range,
 /// the optional bitmap signature, and the accounting the cost model is
@@ -649,10 +676,70 @@ impl WbmTask {
     }
 }
 
+/// Cycles a shard unit runs between two splits. With device stealing on,
+/// a unit that has spent this many since it started or last split, and
+/// whose remaining work hint ([`WarpTask::remaining_hint`]) is at least
+/// the device's `min_steal_hint`, hands part of its work to a new unit of
+/// its shard. Picked from a sweep of 16,384 to 262,144 cycles: on the
+/// `sharded` benchmark stream each halving cut the simulated cycles by
+/// 14–21% and made 1.6–1.8× as many splits, each of which costs host
+/// time and heap.
+pub(crate) const SPLIT_BUDGET: u64 = 65_536;
+
+/// Work split off a shard unit through the device's split (half the
+/// shallowest frame, else half the pending partials, else half the
+/// unstarted seeds): a fresh search of the unit's anchor over what it
+/// took. It runs as a unit of its own ([`UnitWork::Part`]). Its next scan
+/// runs the license check, so any live shard may run it. Boxed, so that
+/// the units queued on a shard stay small.
+pub(crate) struct Part(Box<Search>);
+
+impl Part {
+    /// The lower endpoint of the part's anchor.
+    pub(crate) fn anchor_lo(&self) -> VertexId {
+        self.0.v1.min(self.0.v2)
+    }
+}
+
+impl Clone for Part {
+    fn clone(&self) -> Self {
+        let s = &self.0;
+        Part(Box::new(s.child(
+            s.seeds.clone(),
+            s.pending.clone(),
+            s.state.clone(),
+        )))
+    }
+}
+
+/// What a shard unit did ([`run_unit`]).
+pub(crate) struct UnitRun {
+    /// Cycles the unit spent, its hand-offs included.
+    pub(crate) cycles: u64,
+    /// Its matches (collect mode).
+    pub(crate) matches: Vec<VMatch>,
+    /// Its match count.
+    pub(crate) count: u64,
+    /// The subtrees its unlicensed scans shipped, in order, with their
+    /// destination shards.
+    pub(crate) migrants: Vec<(usize, Migrant)>,
+    /// The parts it split off, in order, each with the cycle offset into
+    /// the unit at which it left.
+    pub(crate) parts: Vec<(u64, Part)>,
+}
+
 /// Runs one shard unit to completion on `shard`, metered on `ctx`: an
-/// anchor's sweep of every seed in both orientations, or an arrived
-/// migrant's subtree. Returns the unit's matches, its match count and the
-/// migrants it ships, in order.
+/// anchor's sweep of every seed in both orientations, an arrived
+/// migrant's subtree, or a part split off a unit.
+///
+/// With `split_hint` set (the device's `min_steal_hint`, when device
+/// stealing is on) the unit splits every [`SPLIT_BUDGET`] cycles while
+/// its remaining work hint is at least `split_hint`: it hands a [`Part`]
+/// off through the device's split. A shard's lanes span SMs and share no
+/// shared memory, so a hand-off is one coalesced global transfer of the
+/// part on each side: the unit pays it when the part leaves, the part
+/// when it starts. The part's candidate buffer comes from this thread's
+/// pool, which gets it back when the part's frame pops.
 ///
 /// The outcome depends only on the unit, the shard and `sh`: the search
 /// starts empty and clears every scratch buffer it draws from this
@@ -662,8 +749,9 @@ pub(crate) fn run_unit(
     sh: &KernelShared,
     shard: usize,
     work: UnitWork,
+    split_hint: Option<u64>,
     ctx: &mut WarpCtx,
-) -> (Vec<VMatch>, u64, Vec<(usize, Migrant)>) {
+) -> UnitRun {
     let mut search = match work {
         UnitWork::Anchor(a, order) => Search {
             seeds: 0..2 * sh.meta.seeds.len(),
@@ -691,14 +779,43 @@ pub(crate) fn run_unit(
                 ..Search::new(v1, v2, elabel, mig.anchor_order, 0)
             }
         }
+        UnitWork::Part(Part(search)) => {
+            ctx.global_read_coalesced(search.remaining_hint().max(1));
+            *search
+        }
     };
     search.shard = Some(shard);
+    let (mut cycles, mut since, mut parts) = (0u64, 0u64, Vec::new());
     UNIT_SCRATCH.with_borrow_mut(|scratch| {
         std::mem::swap(&mut search.scratch, scratch);
-        while search.step(sh, ctx) == StepResult::Continue {}
+        loop {
+            let done = search.step(sh, ctx) == StepResult::Done;
+            cycles += ctx.take_step_cycles();
+            if done {
+                break;
+            }
+            let Some(min_hint) = split_hint else {
+                continue;
+            };
+            if cycles - since < SPLIT_BUDGET || search.remaining_hint() < min_hint {
+                continue;
+            }
+            if let Some(part) = search.split(sh, Some(&mut *ctx)) {
+                ctx.global_read_coalesced(part.remaining_hint().max(1));
+                cycles += ctx.take_step_cycles();
+                since = cycles;
+                parts.push((cycles, Part(Box::new(part))));
+            }
+        }
         std::mem::swap(&mut search.scratch, scratch);
     });
-    (search.local, search.local_count, search.migrants)
+    UnitRun {
+        cycles,
+        matches: search.local,
+        count: search.local_count,
+        migrants: search.migrants,
+        parts,
+    }
 }
 
 /// The matched backward neighbors of query vertex `qv` under `m` —
@@ -780,17 +897,7 @@ impl Search {
     /// Draws a candidate buffer from the task-local pool (warm-up
     /// allocates; steady state recycles), reporting which to the stats.
     fn take_buf(&mut self, ctx: &mut WarpCtx) -> Vec<VertexId> {
-        match self.scratch.pool.pop() {
-            Some(mut b) => {
-                ctx.note_buffer(true);
-                b.clear();
-                b
-            }
-            None => {
-                ctx.note_buffer(false);
-                Vec::new()
-            }
-        }
+        pooled(&mut self.scratch.pool, ctx)
     }
 
     /// Returns a frame's candidate buffer to the pool.
@@ -1708,13 +1815,18 @@ impl Search {
         frames + 8 * self.pending.len() as u64 + 16 * self.seeds.len() as u64
     }
 
-    /// The search a thief takes (see [`WarpTask::try_split`]).
-    fn split(&mut self, sh: &KernelShared) -> Option<Search> {
+    /// The search a thief takes (see [`WarpTask::try_split`]). A frame
+    /// split copies the taken candidates into a buffer drawn from this
+    /// search's pool and metered on `meter` (a shard unit's split), or
+    /// into a fresh one (`None`: a device steal).
+    fn split(&mut self, sh: &KernelShared, meter: Option<&mut WarpCtx>) -> Option<Search> {
         // Priority 1: split the shallowest frame with ≥ 2 unexplored
         // candidates beyond the current one.
         if let Some(st) = &mut self.state {
             let (seed, ..) = sh.context(st.member, st.seed);
-            if let Some(thief) = st.split_frame(&seed.order) {
+            let bufs = &mut self.scratch.pool;
+            let buf = || meter.map_or_else(Vec::new, |ctx| pooled(bufs, ctx));
+            if let Some(thief) = st.split_frame(&seed.order, buf) {
                 return Some(self.child(0..0, VecDeque::new(), Some(thief)));
             }
         }
@@ -1746,7 +1858,7 @@ impl WarpTask for WbmTask {
     }
 
     fn try_split(&mut self) -> Option<Box<dyn WarpTask>> {
-        let search = self.search.split(&self.shared)?;
+        let search = self.search.split(&self.shared, None)?;
         Some(Box::new(WbmTask {
             shared: Arc::clone(&self.shared),
             search,
@@ -2109,7 +2221,8 @@ mod tests {
         });
         let unit = |shard: usize, work: UnitWork| {
             let mut ctx = WarpCtx::new(CostModel::default(), 32);
-            run_unit(&sh, shard, work, &mut ctx)
+            let run = run_unit(&sh, shard, work, None, &mut ctx);
+            (run.matches, run.count, run.migrants)
         };
         let (matches, count, migrants) = unit(0, UnitWork::Anchor(anchors[0], 0));
         assert!(matches.is_empty() && count == 0);
@@ -2130,6 +2243,83 @@ mod tests {
         resumed.sort_unstable();
         direct.sort_unstable();
         assert_eq!(resumed, direct);
+    }
+
+    /// A unit that runs past the split budget hands parts off, at least
+    /// [`SPLIT_BUDGET`] cycles apart, and the unit with every part it and
+    /// its parts split off finds exactly the matches of the unit run
+    /// whole; with no split hint a unit never splits.
+    #[test]
+    fn split_parts_cover_the_unit() {
+        // K_16 with one label and a 4-clique query: every seed of the
+        // anchor's sweep scans a long candidate list.
+        let n = 16;
+        let mut g = DynamicGraph::new();
+        for _ in 0..n {
+            g.add_vertex(0);
+        }
+        for u in 0..n {
+            for v in u + 1..n {
+                g.insert_edge(u, v, NO_ELABEL);
+            }
+        }
+        let mut b = QueryGraph::builder();
+        let us: Vec<_> = (0..4).map(|_| b.vertex(0)).collect();
+        for i in 0..4 {
+            for j in i + 1..4 {
+                b.edge(us[i], us[j]);
+            }
+        }
+        let q = b.build();
+        let (enc, table) = IncrementalEncoder::build(&g, &q, 2);
+        let meta = Arc::new(QueryMeta::build(&q, &table, enc.scheme(), false, 0));
+        let anchors = [Update::insert(0, 1)];
+        let phase = Phase {
+            gpma: Arc::new(Gpma::from_graph(&g, GpmaConfig::default())),
+            anchors: &anchors,
+            match_limit: u64::MAX,
+            abort: Arc::new(AtomicBool::new(false)),
+            deadline: None,
+            signatures: true,
+        };
+        let mut sh = phase.shared(meta, table, Arc::clone(&enc.encodings), true, None);
+        sh.residency = Some(Residency {
+            partition: Partition::from_parts(PartitionStrategy::Greedy, 1, 1, vec![0; n as usize]),
+            alive: vec![true],
+            residents: vec![Arc::new(vec![true; n as usize])],
+            query_id: 0,
+        });
+        let unit = |work: UnitWork, split_hint: Option<u64>| {
+            let mut ctx = WarpCtx::new(CostModel::default(), 32);
+            run_unit(&sh, 0, work, split_hint, &mut ctx)
+        };
+        let whole = unit(UnitWork::Anchor(anchors[0], 0), None);
+        assert!(whole.parts.is_empty(), "no split hint, no split");
+        assert!(
+            whole.cycles > 2 * SPLIT_BUDGET,
+            "the unit must outrun the budget"
+        );
+        let (mut found, mut count, mut splits) = (Vec::new(), 0, 0);
+        let mut todo = vec![UnitWork::Anchor(anchors[0], 0)];
+        while let Some(work) = todo.pop() {
+            let run = unit(work, Some(2));
+            assert!(run.migrants.is_empty(), "one shard holds every run");
+            let mut last = 0;
+            for (offset, part) in run.parts {
+                assert!(offset >= last + SPLIT_BUDGET && offset <= run.cycles);
+                last = offset;
+                splits += 1;
+                todo.push(UnitWork::Part(part));
+            }
+            count += run.count;
+            found.extend(run.matches);
+        }
+        assert!(splits > 1, "the unit and its parts must split");
+        assert_eq!(count, whole.count);
+        let mut want = whole.matches;
+        want.sort_unstable();
+        found.sort_unstable();
+        assert_eq!(found, want);
     }
 
     /// `incident`, `order_within` and `get` against a brute-force scan of

@@ -179,12 +179,19 @@ fn failover_preserves_delta_stream_matrix() {
 
 /// A fail-stop discards every outcome computed ahead. Before its first
 /// scheduling step a phase runs all its anchor units ahead — on the launch
-/// pool's helpers too, since the default device has 16 SMs — against the
-/// partition, alive mask and residency of that moment. A fail-stop
-/// changes all three, so an outcome that outlived it would ship migrants
-/// toward the dead shard or scan under the old residency. Shard 1 dies
-/// before the first step of the delete batch's phase, before the first
-/// step of the re-insert's, and three steps into the delete batch's.
+/// pool's helpers too, since the default device has 16 SMs — with the
+/// parts they split off, against the partition, alive mask and residency
+/// of that moment. A committed unit queues its parts with their outcomes.
+/// A fail-stop changes all three, so an outcome that outlived it would
+/// ship migrants toward the dead shard or scan under the old residency;
+/// each outcome carries the failover epoch it was computed under, and
+/// debug builds assert it at the commit. Shard 1 dies before the first
+/// step of the delete batch's phase, before the first step of the
+/// re-insert's, and three steps into the delete batch's. The later
+/// coordinates land while split parts are queued (three on shard 1, from
+/// about step 12 to step 70 of either phase): shard 1 dies holding them,
+/// twice, and shards 2 and 3 die while shard 1 holds them, so they rerun
+/// from their kept copies on a survivor and on their own shard.
 #[test]
 fn fail_stop_discards_outcomes_computed_ahead() {
     let d = DatasetPreset::GH.build(0.06, 31);
@@ -216,28 +223,41 @@ fn fail_stop_discards_outcomes_computed_ahead() {
         want[0].1 > 0 && want[1].0 > 0,
         "both phases must match something"
     );
-    for (phase, step) in [(0, 0), (1, 0), (0, 3)] {
+    let cells = [
+        (0, 0, 1),
+        (1, 0, 1),
+        (0, 3, 1),
+        (0, 12, 1),
+        (1, 40, 1),
+        (0, 30, 2),
+        (1, 20, 3),
+    ];
+    for (phase, step, dead) in cells {
         let cfg = ShardedConfig {
             base: GammaConfig::default(),
             num_shards: 4,
             strategy: PartitionStrategy::Greedy,
             stealing: ShardStealing::Active,
-            faults: Some(FaultPlan::new().fail_stop(phase, step, 1)),
+            faults: Some(FaultPlan::new().fail_stop(phase, step, dead)),
             query_id: 0,
         };
         let mut engine = ShardedEngine::new(d.graph.clone(), q, cfg);
         for (i, batch) in batches.iter().enumerate() {
             let got = engine.apply_batch(batch);
-            let at = format!("fail-stop at ({phase}, {step}), batch {i}");
+            let at = format!("fail-stop of shard {dead} at ({phase}, {step}), batch {i}");
             assert_eq!(got.positive_count, want[i].0, "positive count: {at}");
             assert_eq!(got.negative_count, want[i].1, "negative count: {at}");
             assert_eq!(sorted(got.positive), want[i].2, "positive matches: {at}");
             assert_eq!(sorted(got.negative), want[i].3, "negative matches: {at}");
         }
+        let stats = engine.shard_stats();
         assert_eq!(
-            engine.shard_stats().failovers,
-            1,
-            "the fail-stop at ({phase}, {step}) must fire"
+            stats.failovers, 1,
+            "the fail-stop of shard {dead} at ({phase}, {step}) must fire"
+        );
+        assert!(
+            stats.unit_splits > 0,
+            "fail-stop of shard {dead} at ({phase}, {step}): no unit split — vacuous"
         );
     }
 }

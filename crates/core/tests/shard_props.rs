@@ -534,11 +534,14 @@ fn simulated(r: BatchResult) -> Simulated {
 /// together, each drive a 4-shard engine and a single-device engine over
 /// one churn stream, so their shard phases and device launches all queue
 /// on the same helpers (16 SMs, so every phase asks for them). Every
-/// batch must simulate exactly as in a sequential run.
+/// batch must simulate exactly as in a sequential run. The shard units
+/// split, so their parts run ahead inside their anchors' jobs on the
+/// pool too.
 #[test]
 fn engines_on_many_threads_share_one_pool() {
     let d = DatasetPreset::GH.build(0.05, 33);
-    let queries = generate_queries(&d.graph, QueryClass::Dense, 5, 1, 44);
+    // Six query vertices: enough DFS per anchor that shard units split.
+    let queries = generate_queries(&d.graph, QueryClass::Dense, 6, 1, 44);
     let q = queries.first().expect("query");
     let dels = gamma_datasets::sample_deletion_workload(&d.graph, 0.1, 6);
     let ins: Vec<Update> = dels
@@ -557,11 +560,12 @@ fn engines_on_many_threads_share_one_pool() {
         faults: None,
         query_id: 0,
     };
-    // Per batch: the sharded engine's result, then the single device's.
-    let replay = || -> Vec<Simulated> {
+    // Per batch: the sharded engine's result, then the single device's;
+    // and the parts the sharded engine's units split off.
+    let replay = || -> (Vec<Simulated>, u64) {
         let mut shards = ShardedEngine::new(d.graph.clone(), q, sharded.clone());
         let mut device = GammaEngine::new(d.graph.clone(), q, GammaConfig::default());
-        batches
+        let results = batches
             .iter()
             .flat_map(|b| {
                 [
@@ -569,23 +573,27 @@ fn engines_on_many_threads_share_one_pool() {
                     simulated(device.apply_batch(b)),
                 ]
             })
-            .collect()
+            .collect();
+        (results, shards.shard_stats().unit_splits)
     };
-    let want = replay();
+    let (want, splits) = replay();
     assert!(
         want.iter().any(|w| w.0 + w.1 > 0),
         "the stream must match something"
     );
+    assert!(splits > 0, "no shard unit split — vacuous for parts");
     let start = std::sync::Barrier::new(4);
     std::thread::scope(|scope| {
         for t in 0..4 {
             let (replay, start, want) = (&replay, &start, &want);
             scope.spawn(move || {
                 start.wait();
-                for (i, (got, want)) in replay().iter().zip(want).enumerate() {
+                let (got, got_splits) = replay();
+                for (i, (got, want)) in got.iter().zip(want).enumerate() {
                     let engine = if i % 2 == 0 { "sharded" } else { "device" };
                     assert_eq!(got, want, "thread {t}: {engine} batch {} diverges", i / 2);
                 }
+                assert_eq!(got_splits, splits, "thread {t}: unit splits diverge");
             });
         }
     });

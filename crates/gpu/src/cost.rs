@@ -110,13 +110,6 @@ impl CostModel {
         lanes.div_ceil(warp_size as u64).max(1) * (self.shared_latency + self.compute)
     }
 
-    /// Cycles for a single thread doing a binary search of a list of length
-    /// `n` in global memory (used by the thread-per-update ablation).
-    pub fn serial_binary_search(&self, n: u64) -> u64 {
-        let probes = (64 - n.leading_zeros() as u64).max(1);
-        probes * self.global_latency
-    }
-
     /// Cycles for fetching a key's run head from the per-vertex directory:
     /// one coalesced global read of the directory entry. Constant — unlike
     /// a segment-tree descent, it does not grow with the array height,
@@ -151,6 +144,17 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CostModel {
+        /// The serial yardstick the directory lookup and the cooperative
+        /// intersection are held against: one thread binary-searching a
+        /// list of `n` entries in global memory, one dependent transaction
+        /// per probe.
+        fn serial_binary_search(&self, n: u64) -> u64 {
+            let probes = (64 - n.leading_zeros() as u64).max(1);
+            probes * self.global_latency
+        }
+    }
 
     #[test]
     fn coalesced_folds_transactions() {

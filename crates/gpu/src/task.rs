@@ -148,7 +148,7 @@ impl WarpCtx {
 
     /// Drains and returns the cycles charged since the last drain. Public
     /// for the same reason as [`WarpCtx::new`]: external executors meter a
-    /// unit of work by running it to completion and draining its cycles.
+    /// unit of work by draining its cycles as it steps.
     pub fn take_step_cycles(&mut self) -> u64 {
         std::mem::take(&mut self.step_cycles)
     }

@@ -189,14 +189,15 @@ fn build_workload(dataset: &mut DynamicGraph, seed: u64) -> Vec<Vec<Update>> {
 }
 
 /// The harness core: replays `batches` through every engine, checking each
-/// batch delta against the oracle.
+/// batch delta against the oracle. Returns every sharded cell's name and
+/// the parts its units split off.
 fn run_differential(
     preset: DatasetPreset,
     class: QueryClass,
     scale: f64,
     query_size: usize,
     seed: u64,
-) {
+) -> Vec<(String, u64)> {
     let dataset = preset.build(scale, seed);
     let mut start = dataset.graph.clone();
     let mut batches = build_workload(&mut start, seed.wrapping_mul(0x9e37));
@@ -440,6 +441,10 @@ fn run_differential(
         preset.name(),
         class.name()
     );
+    shardeds
+        .iter()
+        .map(|(name, e)| (name.clone(), e.shard_stats().unit_splits))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -459,9 +464,14 @@ fn differential_gh_sparse() {
     run_differential(DatasetPreset::GH, QueryClass::Sparse, 0.04, 5, 102);
 }
 
+/// The Tree query's hub anchors run past the shard split budget, so every
+/// sharded cell (device stealing is on in all of them) splits units into
+/// parts, and its deltas check the parts too.
 #[test]
 fn differential_gh_tree() {
-    run_differential(DatasetPreset::GH, QueryClass::Tree, 0.04, 5, 103);
+    for (name, splits) in run_differential(DatasetPreset::GH, QueryClass::Tree, 0.04, 5, 103) {
+        assert!(splits > 0, "{name}: no unit split — vacuous for parts");
+    }
 }
 
 #[test]

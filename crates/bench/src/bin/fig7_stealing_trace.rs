@@ -55,7 +55,6 @@ fn main() {
             deadline: None,
             match_limit: u64::MAX,
             signatures: true,
-            group: None,
             residency: None,
         });
         let tasks: Vec<Box<dyn WarpTask>> = batch

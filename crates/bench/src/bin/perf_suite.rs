@@ -537,7 +537,7 @@ fn build_workloads(
 
 /// Same-run floor for the registry-vs-independent churn throughput ratio:
 /// 8 same-class subscriptions served by one [`QueryRegistry`] (shared
-/// structural update, shared encoders, shared-prefix grouped launches)
+/// structural update, shared encoders, one launch per distinct pattern)
 /// must beat 8 sequential dedicated engines by at least this factor.
 const REGISTRY_SPEEDUP_FLOOR: f64 = 1.3;
 
@@ -594,7 +594,7 @@ impl RegistryBench {
 
 /// Runs the serving-tier cell on the GH preset's steady-state churn
 /// workload: 8 same-class subscriptions cycling a couple of distinct
-/// patterns (duplicates land in shared-prefix groups — the serving tier's
+/// patterns (duplicates share their pattern's launch — the serving tier's
 /// whole point), measured against 8 sequential dedicated engines.
 fn bench_registry(p: &SuiteParams) -> Option<RegistryBench> {
     const SUBS: usize = 8;
@@ -1602,7 +1602,7 @@ fn main() -> ExitCode {
 
     // Serving-tier gate: same-run ratio (host speed cancels), so no
     // baseline needed. The registry amortizes the structural update, the
-    // re-encoding pipeline and shared-prefix DFS levels across its
+    // re-encoding pipeline and each pattern's launch across its
     // subscriptions — if it cannot beat dedicated engines by the floor,
     // the sharing machinery has regressed.
     if p.check {

@@ -8,9 +8,11 @@
 //! ## Latency semantics
 //!
 //! * **GAMMA** latency = simulated device seconds (GPMA update + kernel
-//!   cycles at the configured clock) + measured host preprocessing — the
-//!   quantity the simulated-GPU substitution is calibrated to report (see
-//!   `DESIGN.md`).
+//!   cycles at the configured clock) + measured host preprocessing: the
+//!   device work runs on the deterministic SIMT simulator (`gamma-gpu`),
+//!   whose cost model prices it in cycles, while preprocessing runs on the
+//!   host in the paper too. The number therefore adds a simulated clock
+//!   to a host clock.
 //! * **Baselines** latency = host wall-clock of sequential application.
 //!
 //! Absolute values are not comparable to the paper's RTX-3090 testbed;

@@ -650,6 +650,11 @@ fn decode_resident(bytes: &[u8]) -> Result<Vec<bool>, WalError> {
     let mut r = ByteReader::new(bytes);
     let n = r.get_u32()? as usize;
     let packed = n.div_ceil(8);
+    if packed > r.remaining() {
+        return Err(WalError::Corrupt(format!(
+            "resident-set count {n} exceeds payload"
+        )));
+    }
     let mut out = Vec::with_capacity(n);
     for i in 0..packed {
         let b = r.get_u8()?;
@@ -677,6 +682,19 @@ mod tests {
             let flags: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
             assert_eq!(decode_resident(&encode_resident(&flags)).unwrap(), flags);
         }
+    }
+
+    #[test]
+    fn resident_count_past_payload_is_corrupt() {
+        // A section that claims u32::MAX entries but holds one byte is
+        // refused before anything is allocated for it.
+        let mut w = ByteWriter::new();
+        w.put_u32(u32::MAX);
+        w.put_u8(0xff);
+        assert!(matches!(
+            decode_resident(&w.into_bytes()),
+            Err(WalError::Corrupt(_))
+        ));
     }
 
     #[test]

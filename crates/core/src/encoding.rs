@@ -144,16 +144,6 @@ impl CandidateTable {
         (Self { rows, counts }, encodings)
     }
 
-    /// An empty table (no rows, no query vertices): placeholder for
-    /// launches that resolve their tables elsewhere (grouped multi-query
-    /// kernels gate through per-member tables).
-    pub fn empty() -> Self {
-        Self {
-            rows: Vec::new(),
-            counts: Vec::new(),
-        }
-    }
-
     /// Builds the table for a query from *already-maintained* data-vertex
     /// encodings (a shared [`IncrementalEncoder`]'s), instead of re-encoding
     /// the graph: row `v` = candidate bits of `encodings[v]` against

@@ -59,8 +59,9 @@ pub struct GammaConfig {
     /// delta of the batch as partial.
     pub timeout: Option<Duration>,
     /// Abort a phase after this many matches (guards runaway tree
-    /// queries). The limit counts one launch's matches: one query's, or
-    /// one shared-prefix group's. The abort it raises is the batch's: in
+    /// queries). The limit counts one launch's matches, and a launch is
+    /// one pattern's, however many subscriptions share it. The abort it
+    /// raises is the batch's: in
     /// a [`QueryRegistry`] on one device it stops every group of the
     /// phase and the phases after it, and `timed_out` marks every delta
     /// of the batch as partial. On the shard executor a unit run ahead

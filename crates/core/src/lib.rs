@@ -14,8 +14,8 @@
 //! * [`bfs`] — the BFS-expansion comparison kernel behind Figure 5.
 //! * [`registry`] — the one batch pipeline, and the standing-query
 //!   serving tier on it: N registered patterns over one graph, with
-//!   shared encoders per label-set class and shared-prefix grouped kernel
-//!   launches, run on one device or on the shard runtime.
+//!   shared encoders per label-set class and one kernel launch per
+//!   distinct pattern, run on one device or on the shard runtime.
 //! * [`engine`] — the synchronous engine: a view of a registry with one
 //!   registration, plus the shared configuration and result types.
 //! * [`pipeline`] — the asynchronous pipelined variant of Figure 3
@@ -86,7 +86,6 @@ pub use fault::{FaultPlan, ShardFailStop};
 pub use pipeline::{PipelineOutput, PipelinedEngine};
 pub use registry::{
     QueryConfig, QueryDelta, QueryId, QueryRegistry, QueryStats, RegistryBatchResult,
-    ShardedQueryRegistry,
 };
 pub use shard::{
     Partition, PartitionStrategy, ShardStats, ShardStealing, ShardedConfig, ShardedEngine,

@@ -64,50 +64,6 @@ pub fn matching_order(
     order
 }
 
-/// Length of the longest matching-order prefix over which two queries'
-/// searches are *gate-equivalent* — the static compatibility test grouped
-/// multi-query evaluation rests on (§ serving tier).
-///
-/// Position `l` is compatible when
-///
-/// 1. the NLF query-vertex codes agree: `a_qcodes[a_order[l]] ==
-///    b_qcodes[b_order[l]]` (both code vectors MUST come from the same
-///    [`crate::encoding::EncodingScheme`] layout, i.e. queries with equal
-///    label sets — equal codes then imply equal vertex labels and equal
-///    candidate gates against any data vertex), and
-/// 2. the within-prefix backward structure agrees positionally: for every
-///    `j < l`, the query edge (or absence) between order positions `l` and
-///    `j` carries the same label in both queries — so the backward
-///    intersection probes, the injectivity tests and the anchor-order
-///    dedup rule all see identical data.
-///
-/// Under these conditions the two searches, started from the same anchor
-/// edge, enumerate *identical* candidate sets at every level `< p` — one
-/// shared DFS can serve both queries up to `p` and fork afterwards.
-pub fn compatible_prefix_len(
-    qa: &QueryGraph,
-    a_order: &[u8],
-    a_qcodes: &[u64],
-    qb: &QueryGraph,
-    b_order: &[u8],
-    b_qcodes: &[u64],
-) -> usize {
-    let lim = a_order.len().min(b_order.len());
-    for l in 0..lim {
-        let ua = a_order[l];
-        let ub = b_order[l];
-        if a_qcodes[ua as usize] != b_qcodes[ub as usize] {
-            return l;
-        }
-        for j in 0..l {
-            if qa.edge_label(ua, a_order[j]) != qb.edge_label(ub, b_order[j]) {
-                return l;
-            }
-        }
-    }
-    lim
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -10,43 +10,48 @@
 //!   vertices runs once per label-set class, not once per query (the
 //!   NLF layout — and hence every data-vertex code — is a function of the
 //!   label set and counter width only; see [`EncodingScheme::labels`]).
-//! * **Shared-prefix grouping** — at (un)registration, queries whose
-//!   per-seed matching orders are *gate-equivalent* over a common prefix
-//!   (see [`crate::order::compatible_prefix_len`]) are grouped: the shared
-//!   DFS levels run **once** per group against the representative's
-//!   candidate table, forking into per-query suffix scans only where the
-//!   patterns diverge ([`crate::wbm::GroupShared`]).
+//! * **One launch per pattern** — a *group* is the subscriptions of one
+//!   pattern (graph equality), on both executors. Each kernel phase
+//!   launches the pattern's own full plan once, coalesced search included,
+//!   exactly as a dedicated engine runs it: with the representative's
+//!   (first subscriber's) matching orders and candidate table, collecting
+//!   matches if any subscriber collects. Every subscriber gets the count,
+//!   and each collecting subscriber a copy of the matches.
 //! * **One launch call per phase** — on the single device, each kernel
 //!   phase is one [`Device::launch_grids`] call with one grid per group,
 //!   over one store shared as `Arc<Gpma>`. The host threads overlap the
 //!   groups' blocks, while the simulated device still runs each grid as a
 //!   serial kernel of its own, so every group's simulated stats equal
-//!   those of a launch of its own.
+//!   those of a launch of its own. On the shard executor each group's
+//!   launch is one distributed kernel phase, in turn.
 //! * **Per-query routing** — every query gets its own delta stream,
 //!   candidate table, and [`QueryStats`] telemetry; match vectors are
 //!   bit-identical to what a dedicated [`GammaEngine`](crate::GammaEngine)
 //!   would produce for the same update stream (modulo match *order*, which
 //!   is compared sorted-unique throughout this codebase).
 //!
-//! Telemetry attribution: a singleton group's launch stats are exclusive
-//! to its query; a shared group's launch stats are attributed whole to
-//! *each* member (the levels are genuinely shared — there is no meaningful
-//! per-member split of a shared prefix scan). A group's `wall_seconds` is
-//! its grid's share of the launch call's elapsed time, in proportion to
-//! the host time its blocks ran. The shares of one call sum to its
-//! elapsed time, so [`RegistryBatchResult::kernel`] reports the batch's
-//! elapsed launch time.
+//! Telemetry attribution: a group's launch is one pattern's launch, and
+//! its stats are attributed whole to *each* subscriber. Matching orders
+//! are chosen at registration from the candidate counts of that moment,
+//! so a subscriber registered on the same graph as its representative
+//! sees exactly the simulated stats of its own dedicated engine (when the
+//! group's collect setting is its own). A group's `wall_seconds` is its
+//! grid's share of the launch call's elapsed time, in proportion to the
+//! host time its blocks ran. The shares of one call sum to its elapsed
+//! time, so [`RegistryBatchResult::kernel`] reports the batch's elapsed
+//! launch time.
 //!
 //! Aborts stop the whole batch. A passed deadline
-//! ([`GammaConfig::timeout`]) or one group's [`GammaConfig::match_limit`]
-//! raises the batch's one abort flag, which stops every launch still
-//! running and every launch after it. On the single device a phase is one
-//! launch call, so that is every group of the phase (on the shard
-//! executor the groups launched before complete). A shard launch stops at
-//! a unit boundary, in commit order: its anchor units run ahead on the
-//! launch pool, each raising the abort once its own match count passes
-//! the limit, and the scheduler raises it once the count it has committed
-//! does, so the launch keeps the matches of the units committed before.
+//! ([`GammaConfig::timeout`]) or one pattern's launch passing
+//! [`GammaConfig::match_limit`] raises the batch's one abort flag, which
+//! stops every launch still running and every launch after it. On the
+//! single device a phase is one launch call, so that is every group of
+//! the phase (on the shard executor the groups launched before
+//! complete). A shard launch stops at a unit boundary, in commit order:
+//! its anchor units run ahead on the launch pool, each raising the abort
+//! once its own match count passes the limit, and the scheduler raises it
+//! once the count it has committed does, so the launch keeps the matches
+//! of the units committed before.
 //! [`RegistryBatchResult::timed_out`] then marks every delta of the batch
 //! as partial; the structural update still lands.
 //!
@@ -56,10 +61,10 @@
 //! one per-batch deadline). Its launches run on one of two executors,
 //! fixed by the constructor: one simulated device
 //! ([`QueryRegistry::new`]), or the partitioned shard runtime of
-//! [`crate::shard`] ([`ShardedQueryRegistry`], whose groups hold identical
-//! patterns only). [`GammaEngine`](crate::GammaEngine) and
-//! [`ShardedEngine`](crate::ShardedEngine) are views that hold a registry
-//! with exactly one registration.
+//! [`crate::shard`] ([`QueryRegistry::sharded`]). Grouping, routing and
+//! the pipeline are the same on both. [`GammaEngine`](crate::GammaEngine)
+//! and [`ShardedEngine`](crate::ShardedEngine) are views that hold a
+//! registry with exactly one registration.
 //!
 //! # Example
 //!
@@ -115,9 +120,8 @@ use gamma_graph::{
 
 use crate::encoding::{CandidateTable, EncodingScheme, IncrementalEncoder};
 use crate::engine::{BatchResult, BatchStats, GammaConfig};
-use crate::order::compatible_prefix_len;
-use crate::shard::{Partition, ShardRuntime, ShardedConfig};
-use crate::wbm::{finish_grid, GroupMember, GroupShared, Phase, QueryMeta, SeedPlan};
+use crate::shard::{Partition, ShardRuntime, ShardStats, ShardedConfig};
+use crate::wbm::{finish_grid, KernelShared, Phase, QueryMeta};
 
 /// Opaque handle to a registered standing query.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -141,9 +145,8 @@ pub struct QueryStats {
     pub positive_total: u64,
     /// Total negative (delete-side) matches delivered.
     pub negative_total: u64,
-    /// Kernel stats of the launches this query participated in. Exclusive
-    /// for singleton groups; whole-group for shared launches (see module
-    /// docs on attribution).
+    /// Kernel stats of its group's launches, each attributed whole to
+    /// every subscriber (see the module docs on attribution).
     pub kernel: KernelStats,
 }
 
@@ -160,8 +163,7 @@ pub struct QueryDelta {
     pub positive_count: u64,
     /// Negative count.
     pub negative_count: u64,
-    /// Kernel stats of the launches that produced this delta (whole-group
-    /// for shared launches).
+    /// Kernel stats of the group launches that produced this delta.
     pub kernel: KernelStats,
 }
 
@@ -180,7 +182,7 @@ pub struct RegistryBatchResult {
     pub kernel: KernelStats,
     /// Whether any launch hit the timeout or match limit. Every launch of
     /// the batch shares one abort flag, so every delta of the batch may
-    /// then be partial, not only the tripping group's (see the module
+    /// then be partial, not only the tripping pattern's (see the module
     /// docs).
     pub timed_out: bool,
     /// Net updates after canonicalization.
@@ -234,28 +236,15 @@ struct QueryState {
     slot: usize,
     /// NLF query-vertex codes under the slot's shared scheme.
     qcodes: Vec<u64>,
-    /// Plain (coalescing-off) per-edge seed plans — the grouping substrate.
-    seeds: Vec<SeedPlan>,
     /// Per-query candidate table (`None` only while a launch borrows it).
     table: Option<CandidateTable>,
-    /// Metadata for singleton launches. It honors the registry's coalesced
-    /// setting: on the single device with `max_degenerate_k`, so a
-    /// singleton serves exactly like a dedicated engine; on the shard
-    /// executor capped at whole-query (k = 0) classes.
-    full_meta: Arc<QueryMeta>,
+    /// The kernel plan its group launches while this query is the
+    /// group's representative. It honors the registry's coalesced
+    /// setting: on the single device with `max_degenerate_k`, so a group
+    /// serves exactly like a dedicated engine; on the shard executor
+    /// capped at whole-query (k = 0) classes.
+    meta: Arc<QueryMeta>,
     stats: QueryStats,
-}
-
-/// One evaluation group: queries proven gate-equivalent over a shared
-/// matching-order prefix on every seed.
-struct Group {
-    /// Indices into [`QueryRegistry::queries`], representative first.
-    members: Vec<usize>,
-    /// Per-seed shared prefix length (min over members).
-    prefix: Vec<usize>,
-    /// Truncated-order metadata for shared launches (`None` for
-    /// singletons and on the shard executor).
-    shared_meta: Option<Arc<QueryMeta>>,
 }
 
 /// Where a registry's kernel launches run, fixed by its constructor.
@@ -264,7 +253,7 @@ enum Executor {
     /// call, with one grid per group ([`Phase::grid`]).
     Device(Device),
     /// The partitioned multi-device runtime of [`crate::shard`]: one
-    /// launch per group of identical patterns.
+    /// distributed kernel phase per group.
     Shards(ShardRuntime),
 }
 
@@ -279,16 +268,15 @@ pub struct QueryRegistry {
     slots: Vec<EncoderSlot>,
     /// Registered queries in [`QueryId`] order.
     queries: Vec<QueryState>,
-    groups: Vec<Group>,
+    /// The subscriptions of each registered pattern, as indices into
+    /// `queries`, representative (first registered) first.
+    groups: Vec<Vec<usize>>,
     next_id: u64,
     batches_processed: u64,
 }
 
 impl QueryRegistry {
     /// Builds an empty registry over `graph` on one simulated device.
-    /// `config.coalesced_search` applies to singleton groups only — shared
-    /// launches always run plain per-edge orders (results are identical
-    /// either way; the coalesced toggle is a pinned parity invariant).
     pub fn new(graph: DynamicGraph, config: GammaConfig) -> Self {
         let gpma = Gpma::from_graph(&graph, config.gpma.clone());
         Self::restore(graph, config, gpma, 0)
@@ -317,18 +305,19 @@ impl QueryRegistry {
         )
     }
 
-    /// An empty registry on the shard executor over `partition`. The
-    /// shard runtime builds its own store (see `ShardRuntime::build`).
-    /// With `config.base.coalesced_search` on, queries plan only their
+    /// Builds an empty registry over `graph` on the shard executor,
+    /// partitioned once by `config.strategy` into `config.num_shards` for
+    /// every pattern registered later: one graph mirror, one store and one
+    /// partition with its resident sets. The shard runtime builds its own
+    /// store (see `ShardRuntime::build`). With
+    /// `config.base.coalesced_search` on, queries plan only their
     /// whole-query (k = 0) coalesced classes (see [`ShardedConfig::base`]),
-    /// and groups hold identical patterns only. Both are registry policy:
-    /// shards run the single device's kernel, and k > 0 classes and prefix
-    /// forking on shards wait for a measured case of their own.
-    pub(crate) fn sharded(
-        graph: DynamicGraph,
-        config: &ShardedConfig,
-        partition: Partition,
-    ) -> Self {
+    /// by registry policy: shards run the single device's kernel, and
+    /// k > 0 classes on shards wait for a measured case of their own.
+    /// `config.query_id` is ignored: ids start at 0, and each group's
+    /// migrant envelopes are stamped with its representative's id.
+    pub fn sharded(graph: DynamicGraph, config: &ShardedConfig) -> Self {
+        let partition = Partition::build(config.strategy, config.num_shards, &graph);
         let (runtime, store) = ShardRuntime::build(&graph, config, partition);
         Self::assemble(
             graph,
@@ -446,7 +435,6 @@ impl QueryRegistry {
         let table = built.unwrap_or_else(|| {
             CandidateTable::from_encodings(&self.slots[slot].enc.encodings, &qcodes)
         });
-        let plain = QueryMeta::build(query, &table, scheme, false, 0);
         // Registry policy: the shard executor plans the device's coalesced
         // classes capped at k = 0. A whole-query class only removes scans.
         // A k > 0 class queues permuted partials, which shard units split
@@ -457,11 +445,13 @@ impl QueryRegistry {
             Executor::Device(_) => self.config.max_degenerate_k,
             Executor::Shards(_) => 0,
         };
-        let full_meta = Arc::new(if self.config.coalesced_search {
-            QueryMeta::build(query, &table, scheme, true, max_k)
-        } else {
-            plain.clone()
-        });
+        let meta = Arc::new(QueryMeta::build(
+            query,
+            &table,
+            scheme,
+            self.config.coalesced_search,
+            max_k,
+        ));
 
         let id = QueryId(self.next_id);
         self.next_id += 1;
@@ -471,9 +461,8 @@ impl QueryRegistry {
             collect: qcfg.collect_matches.unwrap_or(self.config.collect_matches),
             slot,
             qcodes,
-            seeds: plain.seeds,
             table: Some(table),
-            full_meta,
+            meta,
             stats: QueryStats::default(),
         });
         self.rebuild_groups();
@@ -491,91 +480,17 @@ impl QueryRegistry {
         true
     }
 
-    /// Regroups from scratch — registration-order greedy, deterministic.
-    /// A query joins the first group whose representative (a) shares its
-    /// encoder slot, (b) has the same seed count, and (c) is gate-
-    /// equivalent over ≥ 2 order positions on *every* seed; the group's
-    /// per-seed shared prefix is the min over members. On the shard
-    /// executor a query joins only a representative with an identical
-    /// pattern.
+    /// Regroups from scratch, in registration order: a query joins the
+    /// group of the first query with an identical pattern. Identical
+    /// patterns share their label set, hence their encoder slot.
     fn rebuild_groups(&mut self) {
-        let sharded = matches!(self.exec, Executor::Shards(_));
         self.groups.clear();
         for qi in 0..self.queries.len() {
-            let st = &self.queries[qi];
-            let mut joined = false;
-            for g in &mut self.groups {
-                let rep = &self.queries[g.members[0]];
-                if sharded {
-                    if rep.q == st.q {
-                        g.members.push(qi);
-                        joined = true;
-                        break;
-                    }
-                    continue;
-                }
-                if rep.slot != st.slot || rep.seeds.len() != st.seeds.len() {
-                    continue;
-                }
-                let ps: Vec<usize> = rep
-                    .seeds
-                    .iter()
-                    .zip(&st.seeds)
-                    .map(|(rs, ss)| {
-                        compatible_prefix_len(
-                            &rep.q,
-                            &rs.order,
-                            &rep.qcodes,
-                            &st.q,
-                            &ss.order,
-                            &st.qcodes,
-                        )
-                    })
-                    .collect();
-                if ps.iter().all(|&p| p >= 2) {
-                    for (gp, p) in g.prefix.iter_mut().zip(ps) {
-                        *gp = (*gp).min(p);
-                    }
-                    g.members.push(qi);
-                    joined = true;
-                    break;
-                }
+            let q = &self.queries[qi].q;
+            match self.groups.iter_mut().find(|g| self.queries[g[0]].q == *q) {
+                Some(g) => g.push(qi),
+                None => self.groups.push(vec![qi]),
             }
-            if !joined {
-                self.groups.push(Group {
-                    members: vec![qi],
-                    prefix: st.seeds.iter().map(|s| s.order.len()).collect(),
-                    shared_meta: None,
-                });
-            }
-        }
-        if sharded {
-            return;
-        }
-        for g in &mut self.groups {
-            if g.members.len() < 2 {
-                continue;
-            }
-            let rep = &self.queries[g.members[0]];
-            let seeds: Vec<SeedPlan> = rep
-                .seeds
-                .iter()
-                .zip(&g.prefix)
-                .map(|(s, &p)| SeedPlan {
-                    a: s.a,
-                    b: s.b,
-                    elabel: s.elabel,
-                    order: s.order[..p].to_vec(),
-                    class: None,
-                    vk_size: p,
-                })
-                .collect();
-            g.shared_meta = Some(Arc::new(QueryMeta {
-                q: rep.q.clone(),
-                seeds,
-                plan: Default::default(),
-                class_vk_codes: Vec::new(),
-            }));
         }
     }
 
@@ -680,10 +595,12 @@ impl QueryRegistry {
     }
 
     /// Runs one kernel phase (negative or positive) for every group on
-    /// the registry's executor, routing each member's matches into its
-    /// delta. On the single device the whole phase is one
-    /// [`Device::launch_grids`] call, one grid per group over the one
-    /// store; on the shard executor each group launches in turn.
+    /// the registry's executor, routing each launch's count to every
+    /// subscriber of its pattern and its matches to each that collects.
+    /// Each group's launch state is its representative's plan and table,
+    /// collecting if any subscriber does. On the single device the whole
+    /// phase is one [`Device::launch_grids`] call, one grid per group over
+    /// the one store; on the shard executor each group launches in turn.
     fn run_groups(
         &mut self,
         anchors: &[Update],
@@ -692,9 +609,6 @@ impl QueryRegistry {
         result: &mut RegistryBatchResult,
         positive: bool,
     ) {
-        // Per group: each member's (matches, count), and the group's stats.
-        let mut launched: Vec<(Vec<(Vec<VMatch>, u64)>, KernelStats)> =
-            Vec::with_capacity(self.groups.len());
         // Both executors borrow the store as owned state and hand it back
         // once every launch of the phase has released it.
         let phase = Phase {
@@ -705,108 +619,54 @@ impl QueryRegistry {
             deadline,
             signatures: self.config.bitmap_intersect,
         };
-        match &mut self.exec {
+        let states: Vec<KernelShared> = self
+            .groups
+            .iter()
+            .map(|g| {
+                let collect = g.iter().any(|&qi| self.queries[qi].collect);
+                let rep = &mut self.queries[g[0]];
+                phase.shared(
+                    Arc::clone(&rep.meta),
+                    rep.table.take().expect("table present"),
+                    Arc::clone(&self.slots[rep.slot].enc.encodings),
+                    collect,
+                )
+            })
+            .collect();
+        let launched: Vec<(Arc<KernelShared>, KernelStats)> = match &mut self.exec {
             Executor::Device(device) => {
-                let mut shares = Vec::with_capacity(self.groups.len());
-                let mut grids = Vec::with_capacity(self.groups.len());
-                for g in &self.groups {
-                    let encodings =
-                        Arc::clone(&self.slots[self.queries[g.members[0]].slot].enc.encodings);
-                    let (shared, tasks) = match &g.shared_meta {
-                        None => {
-                            let st = &mut self.queries[g.members[0]];
-                            phase.grid(
-                                Arc::clone(&st.full_meta),
-                                st.table.take().expect("table present"),
-                                encodings,
-                                st.collect,
-                                None,
-                            )
-                        }
-                        Some(meta) => {
-                            let members = g
-                                .members
-                                .iter()
-                                .map(|&qi| {
-                                    let st = &mut self.queries[qi];
-                                    GroupMember {
-                                        q: st.q.clone(),
-                                        seeds: st.seeds.clone(),
-                                        table: st.table.take().expect("table present"),
-                                        collect: st.collect,
-                                    }
-                                })
-                                .collect();
-                            phase.grid(
-                                Arc::clone(meta),
-                                CandidateTable::empty(),
-                                encodings,
-                                false,
-                                Some(GroupShared::new(members)),
-                            )
-                        }
-                    };
-                    shares.push(shared);
-                    grids.push(tasks);
-                }
-                let stats = device.launch_grids(grids);
-                for ((g, shared), stats) in self.groups.iter().zip(shares).zip(stats) {
-                    let mut outputs = Vec::with_capacity(g.members.len());
-                    for (&qi, (table, matches, count)) in g.members.iter().zip(finish_grid(shared))
-                    {
-                        self.queries[qi].table = Some(table);
-                        outputs.push((matches, count));
-                    }
-                    launched.push((outputs, stats));
-                }
+                let (shared, grids): (Vec<_>, Vec<_>) =
+                    states.into_iter().map(|st| phase.grid(st)).unzip();
+                shared.into_iter().zip(device.launch_grids(grids)).collect()
             }
-            Executor::Shards(rt) => {
-                for g in &self.groups {
-                    // Identical patterns: one launch under the
-                    // representative's id, its delta cloned per member.
-                    let collect = g.members.iter().any(|&qi| self.queries[qi].collect);
-                    let rep = &mut self.queries[g.members[0]];
-                    let shared = phase.shared(
-                        Arc::clone(&rep.full_meta),
-                        rep.table.take().expect("table present"),
-                        Arc::clone(&self.slots[rep.slot].enc.encodings),
-                        collect,
-                        None,
-                    );
-                    let (shared, stats) = rt.kernel_phase(
-                        &self.graph,
-                        anchors,
-                        shared,
-                        &self.config.device,
-                        rep.id.0,
-                    );
-                    let (table, matches, count) = finish_grid(shared)
-                        .pop()
-                        .expect("an ungrouped launch serves one query");
-                    rep.table = Some(table);
-                    let outputs = g
-                        .members
-                        .iter()
-                        .map(|&qi| {
-                            let ms = if self.queries[qi].collect {
-                                matches.clone()
-                            } else {
-                                Vec::new()
-                            };
-                            (ms, count)
-                        })
-                        .collect();
-                    launched.push((outputs, stats));
-                }
-            }
-        }
-        self.gpma = Some(phase.into_store());
-        for (g, (outputs, stats)) in self.groups.iter().zip(launched) {
-            for (&qi, (matches, count)) in g.members.iter().zip(outputs) {
-                Self::route(&mut result.deltas[qi], matches, count, &stats, positive);
+            Executor::Shards(rt) => states
+                .into_iter()
+                .zip(&self.groups)
+                .map(|(st, g)| {
+                    let qid = self.queries[g[0]].id.0;
+                    rt.kernel_phase(&self.graph, anchors, st, &self.config.device, qid)
+                })
+                .collect(),
+        };
+        for (g, (shared, stats)) in self.groups.iter().zip(launched) {
+            let (table, mut matches, count) = finish_grid(shared);
+            self.queries[g[0]].table = Some(table);
+            // The last collecting subscriber takes the matches, the others
+            // a copy.
+            let last = g.iter().rposition(|&qi| self.queries[qi].collect);
+            for (k, &qi) in g.iter().enumerate() {
+                let ms = if Some(k) == last {
+                    std::mem::take(&mut matches)
+                } else if self.queries[qi].collect {
+                    matches.clone()
+                } else {
+                    Vec::new()
+                };
+                Self::route(&mut result.deltas[qi], ms, count, &stats, positive);
             }
             result.kernel.absorb(&stats);
         }
+        self.gpma = Some(phase.into_store());
     }
 
     fn route(
@@ -871,18 +731,18 @@ impl QueryRegistry {
         self.queries.len()
     }
 
-    /// Number of evaluation groups (≤ [`num_queries`](Self::num_queries);
-    /// lower means more sharing).
+    /// Number of groups, one per distinct registered pattern (≤
+    /// [`num_queries`](Self::num_queries); lower means more sharing).
     pub fn group_count(&self) -> usize {
         self.groups.len()
     }
 
-    /// The current grouping, each group's members in [`QueryId`] order
-    /// with the representative first.
+    /// The current grouping, each group's subscriptions in [`QueryId`]
+    /// order with the representative first.
     pub fn groups(&self) -> Vec<Vec<QueryId>> {
         self.groups
             .iter()
-            .map(|g| g.members.iter().map(|&qi| self.queries[qi].id).collect())
+            .map(|g| g.iter().map(|&qi| self.queries[qi].id).collect())
             .collect()
     }
 
@@ -901,13 +761,13 @@ impl QueryRegistry {
         self.queries.iter().find(|s| s.id == id).map(|s| &s.q)
     }
 
-    /// The kernel metadata (seeds, coalesced plan) `id`'s singleton
-    /// launches run under.
+    /// The kernel metadata (seeds, coalesced plan) the launches of a
+    /// group `id` represents run under.
     pub(crate) fn meta(&self, id: QueryId) -> Option<&QueryMeta> {
         self.queries
             .iter()
             .find(|s| s.id == id)
-            .map(|s| s.full_meta.as_ref())
+            .map(|s| s.meta.as_ref())
     }
 
     /// Whether `id` materializes its match deltas.
@@ -938,6 +798,12 @@ impl QueryRegistry {
         }
     }
 
+    /// Cumulative cross-shard statistics, if this registry runs on the
+    /// shard executor.
+    pub fn shard_stats(&self) -> Option<&ShardStats> {
+        self.shard_runtime().map(ShardRuntime::stats)
+    }
+
     /// The registry-wide configuration.
     pub fn config(&self) -> &GammaConfig {
         &self.config
@@ -964,88 +830,6 @@ impl QueryRegistry {
             .iter()
             .find(|s| s.id == id)
             .map(|s| self.slots[s.slot].enc.scheme())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded serving tier
-// ---------------------------------------------------------------------------
-
-/// The standing-query serving tier on the multi-device shard executor:
-/// one graph mirror, one store and one partition (with its resident sets)
-/// for every registered pattern.
-///
-/// Sharing model: **identity-class dedup** — subscriptions whose patterns
-/// are equal share one group: its launches run once per phase, its deltas
-/// are cloned per subscriber, and every migrant envelope they ship across
-/// the interconnect is stamped with the group representative's
-/// [`QueryId`]. Shared-*prefix* grouping across non-identical patterns is
-/// single-device only (see [`QueryRegistry`]) by registry policy: the
-/// shard executor runs the single device's kernel, but migrant envelopes
-/// carry one query's partial match and a forked envelope format is
-/// future work (tracked in ROADMAP).
-pub struct ShardedQueryRegistry {
-    registry: QueryRegistry,
-}
-
-impl ShardedQueryRegistry {
-    /// Builds an empty sharded registry over `graph`, partitioned once
-    /// for every pattern registered later. `config.query_id` is ignored —
-    /// each group's launches are stamped with its representative's id.
-    pub fn new(graph: DynamicGraph, config: ShardedConfig) -> Self {
-        let partition = Partition::build(config.strategy, config.num_shards, &graph);
-        Self {
-            registry: QueryRegistry::sharded(graph, &config, partition),
-        }
-    }
-
-    /// Registers a standing query. Identical patterns (graph equality)
-    /// share one group; a novel pattern joins the existing partition and
-    /// resident sets with its own encoder-backed candidate table.
-    pub fn register(&mut self, query: &QueryGraph) -> QueryId {
-        self.registry.register(query, QueryConfig::default())
-    }
-
-    /// Removes a subscription. Returns `false` if `id` is unknown.
-    pub fn unregister(&mut self, id: QueryId) -> bool {
-        self.registry.unregister(id)
-    }
-
-    /// Applies one update batch: once per group of identical patterns,
-    /// with each group's delta cloned to every subscriber.
-    pub fn apply_batch(&mut self, raw: &[Update]) -> RegistryBatchResult {
-        self.registry.apply_batch(raw)
-    }
-
-    /// Adds a fresh data vertex (resident on its owner shard).
-    pub fn add_vertex(&mut self, label: VLabel) -> VertexId {
-        self.registry.add_vertex(label)
-    }
-
-    /// Number of currently registered subscriptions.
-    pub fn num_queries(&self) -> usize {
-        self.registry.num_queries()
-    }
-
-    /// Number of groups of identical patterns (≤
-    /// [`num_queries`](Self::num_queries)).
-    pub fn group_count(&self) -> usize {
-        self.registry.group_count()
-    }
-
-    /// Cumulative telemetry for `id`.
-    pub fn stats(&self, id: QueryId) -> Option<&QueryStats> {
-        self.registry.stats(id)
-    }
-
-    /// Read access to the host mirror of the data graph.
-    pub fn graph(&self) -> &DynamicGraph {
-        self.registry.graph()
-    }
-
-    /// Number of batches processed so far.
-    pub fn batches_processed(&self) -> u64 {
-        self.registry.batches_processed()
     }
 }
 

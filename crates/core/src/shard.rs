@@ -5,8 +5,8 @@
 //! [`QueryRegistry`] runs its launches either on one simulated device or
 //! on this module's shard runtime, chosen by its constructor.
 //! [`ShardedEngine`] is a one-registration view of a registry on the
-//! shard runtime, and [`ShardedQueryRegistry`] serves K patterns over the
-//! same one partition, resident sets and store.
+//! shard runtime, and [`QueryRegistry::sharded`] serves K patterns over
+//! the same one partition, resident sets and store.
 //!
 //! The paper's engine is single-GPU; this module scales it along the axis
 //! the ROADMAP calls for — **sharding** — by generalizing the paper's
@@ -94,7 +94,6 @@
 //! every workload through 1/2/4 shards under the same oracle.
 //!
 //! [`CostModel::migrant_ship`]: gamma_gpu::CostModel::migrant_ship
-//! [`ShardedQueryRegistry`]: crate::registry::ShardedQueryRegistry
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -579,11 +578,11 @@ pub struct ShardedConfig {
     pub faults: Option<FaultPlan>,
     /// The raw [`QueryId`] of the single registration a [`ShardedEngine`]
     /// view holds, stamped on every migrant envelope its launches ship.
-    /// [`ShardedQueryRegistry`](crate::registry::ShardedQueryRegistry)
-    /// ignores it: its ids start at 0 and each launch is stamped with its
-    /// group representative's id. Purely an envelope tag — it never
-    /// influences routing, costs, or results — so standalone engines
-    /// leave the default `0`.
+    /// A registry built by [`QueryRegistry::sharded`] ignores it: its ids
+    /// start at 0 and each launch is stamped with its group
+    /// representative's id. Purely an envelope tag — it never influences
+    /// routing, costs, or results — so standalone engines leave the
+    /// default `0`.
     pub query_id: u64,
 }
 
@@ -989,6 +988,11 @@ pub(crate) struct ShardRuntime {
 }
 
 impl ShardRuntime {
+    /// Cumulative cross-shard statistics.
+    pub(crate) fn stats(&self) -> &ShardStats {
+        &self.stats
+    }
+
     /// Builds every shard's resident set (owned ∪ one-hop boundary) under
     /// `partition`, plus the shared physical store over the full edge list
     /// — a resident vertex's run is complete, so every shard reads the
@@ -1627,19 +1631,7 @@ impl ShardedEngine {
     /// policy (the kernel is the single device's); otherwise one seed per
     /// query edge.
     pub fn new(graph: DynamicGraph, query: &QueryGraph, config: ShardedConfig) -> Self {
-        let partition = Partition::build(config.strategy, config.num_shards, &graph);
-        Self::with_partition(graph, query, config, partition)
-    }
-
-    /// [`ShardedEngine::new`] with a caller-supplied partition (to pin a
-    /// placement).
-    pub fn with_partition(
-        graph: DynamicGraph,
-        query: &QueryGraph,
-        config: ShardedConfig,
-        partition: Partition,
-    ) -> Self {
-        let registry = QueryRegistry::sharded(graph, &config, partition);
+        let registry = QueryRegistry::sharded(graph, &config);
         Self::from_registry(registry, query, config)
     }
 

@@ -1,10 +1,13 @@
 //! WBM — the warp-centric batch-dynamic subgraph matching kernel
 //! (Algorithm 1), as a [`WarpTask`] state machine for the SIMT simulator.
 //!
-//! One task = one update edge (the paper's warp-centric assignment). The
-//! DFS of Algorithm 1 is kept in explicit per-level frames (`C[l]`, `p[l]`,
-//! the partial match `M`), which is exactly the state the paper parks in
-//! shared memory — and exactly what lets
+//! One task = one update edge (the paper's warp-centric assignment), and
+//! one launch = one query's plan: the registry runs a group of
+//! subscriptions to one pattern as a single launch of that pattern and
+//! copies its result to each subscriber. The DFS of Algorithm 1 is kept in
+//! explicit per-level frames (`C[l]`, `p[l]`, the partial match `M`),
+//! which is exactly the state the paper parks in shared memory — and
+//! exactly what lets
 //!
 //! * the block scheduler interleave warps deterministically,
 //! * idle warps **steal half of the unexplored candidates at the
@@ -60,10 +63,10 @@
 //!
 //! # Count-only launches and coalesced search
 //!
-//! Without `collect` (and outside a grouped launch's shared prefix), the
-//! last DFS level is counted, never materialized: a last frame collapses
-//! into one bulk count, and a second-to-last level stream-counts its
-//! child's candidates (memoized across siblings when they cannot differ).
+//! Without `collect`, the last DFS level is counted, never materialized:
+//! a last frame collapses into one bulk count, and a second-to-last level
+//! stream-counts its child's candidates (memoized across siblings when
+//! they cannot differ).
 //! Seeds of a **whole-query class** (`k = 0`, `vk_size == n`) keep both
 //! fast paths: each counted match stands for itself plus one permuted
 //! match per class member, the matches collect mode emits one by one, so
@@ -299,61 +302,10 @@ pub struct KernelShared {
     /// clear bit proves absence); the toggle exists for parity testing and
     /// ablation.
     pub signatures: bool,
-    /// Grouped multi-query launch state (`None` for the classic one-query
-    /// launch). When set, `meta` holds the *shared-prefix* seeds (orders
-    /// truncated to the group's per-seed compatible prefix, member 0's
-    /// query vertices), completed prefix assignments fork into per-member
-    /// suffix searches, and matches route to the group's per-member sinks
-    /// instead of [`KernelShared::sink`].
-    pub group: Option<GroupShared>,
     /// The shard residency context of a launch on the shard executor
     /// (`None` on the single device): the license check and the probe
     /// direction of every scan read it (see the module docs).
     pub residency: Option<Residency>,
-}
-
-/// One registered query riding a grouped launch. `seeds` is aligned 1:1
-/// with the shared meta's (truncated) seeds: `seeds[si].order` is this
-/// member's *full* matching order for the query edge the shared seed `si`
-/// maps anchors onto, and its first `p` positions are gate-equivalent to
-/// the shared prefix (same qcodes under one encoding scheme, same
-/// within-prefix backward edges and edge labels) — the precondition
-/// [`crate::order::compatible_prefix_len`] certifies at registration.
-#[derive(Clone, Debug)]
-pub struct GroupMember {
-    /// The member's query graph.
-    pub q: QueryGraph,
-    /// Full-order seed plans, one per shared seed (positionally aligned).
-    pub seeds: Vec<SeedPlan>,
-    /// The member's candidate table (member 0's doubles as the gate for
-    /// the shared prefix levels).
-    pub table: CandidateTable,
-    /// Materialize this member's matches (counts are always maintained).
-    pub collect: bool,
-}
-
-/// Per-launch state of a grouped multi-query search: the members plus
-/// their result routing. Member 0 is the group representative whose
-/// (truncated) orders the shared meta carries.
-pub struct GroupShared {
-    /// The registered queries of this group, representative first.
-    pub members: Vec<GroupMember>,
-    /// Per-member collected matches.
-    pub sinks: Vec<Mutex<Vec<VMatch>>>,
-    /// Per-member match counts (always maintained).
-    pub counts: Vec<AtomicU64>,
-}
-
-impl GroupShared {
-    /// The launch state of `members`: empty sinks, zero counts.
-    pub(crate) fn new(members: Vec<GroupMember>) -> Self {
-        let nm = members.len();
-        Self {
-            members,
-            sinks: (0..nm).map(|_| Mutex::new(Vec::new())).collect(),
-            counts: (0..nm).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
 }
 
 impl KernelShared {
@@ -366,56 +318,20 @@ impl KernelShared {
         }
     }
 
-    /// The query context a search of seed `si` runs under, as `(seed,
-    /// query, table, collect)`. The shared (truncated) prefix search
-    /// (`member` `None`) runs the launch meta, gated by the
-    /// representative's table in a grouped launch; a member suffix search
-    /// runs the member's own full order, query graph and table.
-    fn context(
-        &self,
-        member: Option<u32>,
-        si: usize,
-    ) -> (&SeedPlan, &QueryGraph, &CandidateTable, bool) {
-        match member {
-            None => {
-                let table = self
-                    .group
-                    .as_ref()
-                    .map_or(&self.table, |g| &g.members[0].table);
-                (&self.meta.seeds[si], &self.meta.q, table, self.collect)
-            }
-            Some(mi) => {
-                let mem = &self
-                    .group
-                    .as_ref()
-                    .expect("member state requires a group")
-                    .members[mi as usize];
-                (&mem.seeds[si], &mem.q, &mem.table, mem.collect)
-            }
-        }
-    }
-
     /// Candidate gate for query vertex `qv` at a given DFS `level` of
     /// `seed`. Inside a class representative's `V^k` phase the test uses
     /// the `V^k`-restricted code (weaker, so member-edge matches survive to
     /// be recovered by permutation); everywhere else it uses the full
     /// candidate table.
     #[inline]
-    fn candidate_ok(
-        &self,
-        seed: &SeedPlan,
-        table: &CandidateTable,
-        level: usize,
-        qv: u8,
-        v: VertexId,
-    ) -> bool {
+    fn candidate_ok(&self, seed: &SeedPlan, level: usize, qv: u8, v: VertexId) -> bool {
         match seed.class {
             Some(ci) if level < seed.vk_size => {
                 let ucode = self.meta.class_vk_codes[ci][qv as usize];
                 let vcode = self.encodings.get(v as usize).copied().unwrap_or(0);
                 crate::encoding::EncodingScheme::is_candidate(ucode, vcode)
             }
-            _ => table.is_candidate(v, qv),
+            _ => self.table.is_candidate(v, qv),
         }
     }
 }
@@ -434,18 +350,14 @@ struct Frame {
     memo_last: Option<Vec<VertexId>>,
 }
 
-/// A pending partial match awaiting suffix extension: a permuted `V^k`
-/// partial (coalesced search) or a per-member continuation forked at a
-/// shared-prefix boundary (grouped multi-query search).
+/// A permuted `V^k` partial match (coalesced search) awaiting suffix
+/// extension.
 #[derive(Clone, Debug)]
 struct PendingPartial {
     m: VMatch,
     seed: usize,
-    /// DFS level the suffix search resumes at (`vk_size` for permuted
-    /// partials, the shared-prefix length for group forks).
+    /// DFS level the suffix search resumes at (the seed's `vk_size`).
     base_level: usize,
-    /// Group member this partial belongs to (`None`: the shared search).
-    member: Option<u32>,
 }
 
 /// The DFS engine state for the current seed / pending partial.
@@ -461,9 +373,6 @@ struct DfsState {
     frames: Vec<Frame>,
     /// Needs its initial frame generated on the next step.
     warm: bool,
-    /// Group member whose suffix this state explores (`None`: the shared
-    /// prefix search, or any search of an ungrouped launch).
-    member: Option<u32>,
 }
 
 impl DfsState {
@@ -509,7 +418,6 @@ impl DfsState {
                     memo_last: None,
                 }],
                 warm: false,
-                member: self.member,
             });
         }
         None
@@ -540,10 +448,6 @@ struct Search {
     state: Option<DfsState>,
     local: Vec<VMatch>,
     local_count: u64,
-    /// Per-member collect buffers (grouped launches; empty otherwise).
-    member_local: Vec<Vec<VMatch>>,
-    /// Per-member pending counts (grouped launches; empty otherwise).
-    member_count: Vec<u64>,
     scratch: Scratch,
     /// Steps taken, for [`poll_deadline`].
     steps: u32,
@@ -667,10 +571,9 @@ impl WbmTask {
     /// Creates the task for `anchor` (an insertion for the positive phase,
     /// a deletion for the negative phase) with batch order `anchor_order`.
     pub fn new(shared: Arc<KernelShared>, anchor: &Update, anchor_order: u32) -> Self {
-        let members = shared.group.as_ref().map_or(0, |g| g.members.len());
         let search = Search {
             seeds: 0..2 * shared.meta.seeds.len(),
-            ..Search::new(anchor.u, anchor.v, anchor.label, anchor_order, members)
+            ..Search::new(anchor.u, anchor.v, anchor.label, anchor_order)
         };
         Self { shared, search }
     }
@@ -755,7 +658,7 @@ pub(crate) fn run_unit(
     let mut search = match work {
         UnitWork::Anchor(a, order) => Search {
             seeds: 0..2 * sh.meta.seeds.len(),
-            ..Search::new(a.u, a.v, a.label, order, 0)
+            ..Search::new(a.u, a.v, a.label, order)
         },
         UnitWork::Mig(mig) => {
             debug_assert_eq!(
@@ -773,10 +676,9 @@ pub(crate) fn run_unit(
                     m: mig.m,
                     frames: Vec::new(),
                     warm: true,
-                    member: None,
                 }),
                 delivered: true,
-                ..Search::new(v1, v2, elabel, mig.anchor_order, 0)
+                ..Search::new(v1, v2, elabel, mig.anchor_order)
             }
         }
         UnitWork::Part(Part(search)) => {
@@ -851,7 +753,7 @@ pub(crate) fn backward_set(
 
 impl Search {
     /// An idle search of one anchor: nothing queued, empty scratch.
-    fn new(v1: VertexId, v2: VertexId, elabel: ELabel, anchor_order: u32, members: usize) -> Self {
+    fn new(v1: VertexId, v2: VertexId, elabel: ELabel, anchor_order: u32) -> Self {
         Self {
             v1,
             v2,
@@ -862,8 +764,6 @@ impl Search {
             state: None,
             local: Vec::new(),
             local_count: 0,
-            member_local: vec![Vec::new(); members],
-            member_count: vec![0; members],
             scratch: Scratch::default(),
             steps: 0,
             shard: None,
@@ -884,13 +784,7 @@ impl Search {
             seeds,
             pending,
             state,
-            ..Search::new(
-                self.v1,
-                self.v2,
-                self.elabel,
-                self.anchor_order,
-                self.member_count.len(),
-            )
+            ..Search::new(self.v1, self.v2, self.elabel, self.anchor_order)
         }
     }
 
@@ -929,19 +823,6 @@ impl Search {
         if !self.local.is_empty() {
             lock(&sh.sink).append(&mut self.local);
         }
-        if let Some(grp) = &sh.group {
-            for (mi, c) in self.member_count.iter_mut().enumerate() {
-                if *c > 0 {
-                    grp.counts[mi].fetch_add(*c, Ordering::Relaxed);
-                    *c = 0;
-                }
-            }
-            for (mi, buf) in self.member_local.iter_mut().enumerate() {
-                if !buf.is_empty() {
-                    lock(&grp.sinks[mi]).append(buf);
-                }
-            }
-        }
     }
 
     fn emit(&mut self, sh: &KernelShared, m: VMatch) {
@@ -967,67 +848,10 @@ impl Search {
         }
     }
 
-    /// Routes a complete match of group member `mi` to its sink/count
-    /// (`local_count` still feeds the launch-wide match limit).
-    fn emit_member(&mut self, sh: &KernelShared, mi: u32, m: VMatch, collect: bool) {
-        self.local_count += 1;
-        self.member_count[mi as usize] += 1;
-        if collect {
-            self.member_local[mi as usize].push(m);
-        }
-        if self.member_local[mi as usize].len() >= FLUSH_THRESHOLD
-            || self.local_count >= FLUSH_THRESHOLD as u64
-        {
-            self.flush(sh);
-        }
-    }
-
-    /// Bulk count of the count-only fast paths, for group member `member`
-    /// if the search is a member suffix (`local_count` feeds the
-    /// launch-wide match limit either way).
-    fn note_count(&mut self, sh: &KernelShared, member: Option<u32>, n: u64) {
+    /// Bulk count of the count-only fast paths.
+    fn note_count(&mut self, sh: &KernelShared, n: u64) {
         self.local_count += n;
-        if let Some(mi) = member {
-            self.member_count[mi as usize] += n;
-        }
         self.settle(sh);
-    }
-
-    /// On completing a shared-prefix assignment of a grouped launch, fork
-    /// one suffix continuation per member: the prefix assignment is
-    /// remapped positionally from the shared (representative) order onto
-    /// the member's own order — gate equality at every prefix level is the
-    /// registration-time grouping invariant, so the remapped partial is
-    /// exactly the state the member's independent search would have
-    /// reached. Members whose whole order is the prefix emit directly.
-    fn fork_members(
-        &mut self,
-        sh: &KernelShared,
-        grp: &GroupShared,
-        si: usize,
-        m: &VMatch,
-        ctx: &mut WarpCtx,
-    ) {
-        let rep_order = &sh.meta.seeds[si].order;
-        let p = rep_order.len();
-        for (mi, mem) in grp.members.iter().enumerate() {
-            ctx.compute(p as u64);
-            let mord = &mem.seeds[si].order;
-            let mut mm = VMatch::EMPTY;
-            for l in 0..p {
-                mm.set(mord[l], m.at(rep_order[l]));
-            }
-            if mord.len() == p {
-                self.emit_member(sh, mi as u32, mm, mem.collect);
-            } else {
-                self.pending.push_back(PendingPartial {
-                    m: mm,
-                    seed: si,
-                    base_level: p,
-                    member: Some(mi as u32),
-                });
-            }
-        }
     }
 
     /// Validates and installs the next seed; returns the ready state.
@@ -1038,9 +862,7 @@ impl Search {
         flipped: bool,
         ctx: &mut WarpCtx,
     ) -> Option<DfsState> {
-        // Grouped launches gate the shared prefix (including the two
-        // anchored levels) with the representative's table.
-        let (seed, _, table, _) = sh.context(None, si);
+        let seed = &sh.meta.seeds[si];
         let (x, y) = if flipped {
             (self.v2, self.v1)
         } else {
@@ -1052,9 +874,7 @@ impl Search {
         }
         // Candidate gate for the two anchored vertices (levels 0 and 1).
         ctx.shared_access(2);
-        if !sh.candidate_ok(seed, table, 0, seed.a, x)
-            || !sh.candidate_ok(seed, table, 1, seed.b, y)
-        {
+        if !sh.candidate_ok(seed, 0, seed.a, x) || !sh.candidate_ok(seed, 1, seed.b, y) {
             return None;
         }
         let mut m = VMatch::EMPTY;
@@ -1066,7 +886,6 @@ impl Search {
             m,
             frames: Vec::new(),
             warm: true,
-            member: None,
         })
     }
 
@@ -1080,19 +899,16 @@ impl Search {
     /// resumes where the previous one stopped (the warp-cooperative
     /// binary-search intersection of §IV-C, now also realized on the
     /// host).
-    #[allow(clippy::too_many_arguments)]
     fn gen_candidates(
         &mut self,
         sh: &KernelShared,
         seed: &SeedPlan,
-        q: &QueryGraph,
-        table: &CandidateTable,
         level: usize,
         m: &VMatch,
         ctx: &mut WarpCtx,
     ) -> Vec<VertexId> {
         let mut out = self.take_buf(ctx);
-        self.scan_candidates(sh, seed, q, table, level, m, ctx, |c| out.push(c));
+        self.scan_candidates(sh, seed, level, m, ctx, |c| out.push(c));
         out
     }
 
@@ -1100,19 +916,16 @@ impl Search {
     /// valid candidates only. Used by the count-only fast path at the last
     /// DFS level, where the candidate set would be consumed solely to be
     /// counted.
-    #[allow(clippy::too_many_arguments)]
     fn count_candidates(
         &mut self,
         sh: &KernelShared,
         seed: &SeedPlan,
-        q: &QueryGraph,
-        table: &CandidateTable,
         level: usize,
         m: &VMatch,
         ctx: &mut WarpCtx,
     ) -> u64 {
         let mut n = 0u64;
-        self.scan_candidates(sh, seed, q, table, level, m, ctx, |_| n += 1);
+        self.scan_candidates(sh, seed, level, m, ctx, |_| n += 1);
         n
     }
 
@@ -1122,8 +935,7 @@ impl Search {
     /// owner is its shard or every backward vertex is resident there;
     /// otherwise it ships the subtree (just `m`) to that owner as a
     /// [`Migrant`], charged as one coalesced read of the partial match,
-    /// and the caller treats the level as empty here. Shard launches never
-    /// fork group members, so their seeds are the launch meta's.
+    /// and the caller treats the level as empty here.
     fn licensed(
         &mut self,
         sh: &KernelShared,
@@ -1187,19 +999,17 @@ impl Search {
     ///   owner's one-hop residency, is probed for every other backward
     ///   vertex in one [`Gpma::run_seek_chunk`] pass, behind a signature
     ///   quick-reject on the survivor's run.
-    #[allow(clippy::too_many_arguments)]
     fn scan_candidates(
         &mut self,
         sh: &KernelShared,
         seed: &SeedPlan,
-        q: &QueryGraph,
-        table: &CandidateTable,
         level: usize,
         m: &VMatch,
         ctx: &mut WarpCtx,
         mut sink: impl FnMut(VertexId),
     ) {
         let qv = seed.order[level];
+        let q = &sh.meta.q;
         let gpma: &Gpma = &sh.gpma;
         let uord = &sh.update_order;
         let sigs: &[u64] = if sh.signatures {
@@ -1234,7 +1044,7 @@ impl Search {
             qv,
             vk_code,
             encodings: &sh.encodings,
-            table,
+            table: &sh.table,
             m,
             uord,
             incident: uord.incident(bv),
@@ -1527,7 +1337,6 @@ impl Search {
                     m: pm,
                     seed: seed_idx,
                     base_level: seed.vk_size,
-                    member: None,
                 });
             }
         }
@@ -1539,11 +1348,8 @@ impl Search {
         let Some(mut st) = self.state.take() else {
             return false;
         };
-        let (seed, q, table, collect) = sh.context(st.member, st.seed);
-        // Shared-prefix searches of a grouped launch fork per-member
-        // continuations at completion instead of emitting.
-        let grp = sh.group.as_ref().filter(|_| st.member.is_none());
-        let forking = grp.is_some();
+        let seed = &sh.meta.seeds[st.seed];
+        let q = &sh.meta.q;
         let n = seed.order.len();
         // Matches one complete assignment stands for in the count-only
         // fast paths: a whole-query class (k = 0) adds one permuted match
@@ -1556,21 +1362,16 @@ impl Search {
         if st.warm {
             st.warm = false;
             if st.base_level == n {
-                // Degenerate: nothing to extend (k = 0 classes emit
-                // directly and never get here; a 2-long shared prefix
-                // forks straight off the validated anchor pair).
-                match (st.member, grp) {
-                    (Some(mi), _) => self.emit_member(sh, mi, st.m, collect),
-                    (None, Some(g)) => self.fork_members(sh, g, st.seed, &st.m, ctx),
-                    (None, None) => self.emit(sh, st.m),
-                }
+                // Degenerate: a two-vertex query's anchor pair is already
+                // a match (k = 0 classes emit directly and never get here).
+                self.emit(sh, st.m);
                 return false;
             }
             let delivered = std::mem::take(&mut self.delivered);
             if !delivered && !self.licensed(sh, st.seed, st.base_level, &st.m, ctx) {
                 return false;
             }
-            let cands = self.gen_candidates(sh, seed, q, table, st.base_level, &st.m, ctx);
+            let cands = self.gen_candidates(sh, seed, st.base_level, &st.m, ctx);
             if cands.is_empty() {
                 self.recycle(cands);
                 return false;
@@ -1594,16 +1395,15 @@ impl Search {
             if last {
                 // Count-only fast path: every candidate in the frame was
                 // fully validated by `GenCandidates`, so when matches are
-                // not materialized (and no group fork needs the assignment
-                // itself) the frame collapses into one bulk-counted emit —
-                // the per-match join loop is pure overhead in benchmarking
-                // mode.
-                if !(collect || forking) {
+                // not materialized the frame collapses into one
+                // bulk-counted emit — the per-match join loop is pure
+                // overhead in benchmarking mode.
+                if !sh.collect {
                     let f = &mut st.frames[top_idx];
                     let remaining = f.cands.len() - f.p;
                     f.p = f.cands.len();
                     ctx.compute(remaining as u64);
-                    self.note_count(sh, st.member, remaining as u64 * mult);
+                    self.note_count(sh, remaining as u64 * mult);
                     self.pop_frame(&mut st);
                     if !self.backtrack(&mut st, seed) {
                         return false;
@@ -1624,11 +1424,7 @@ impl Search {
                     let mut m = st.m;
                     m.set(qv, c);
                     ctx.compute(1);
-                    match (st.member, grp) {
-                        (Some(mi), _) => self.emit_member(sh, mi, m, collect),
-                        (None, Some(g)) => self.fork_members(sh, g, st.seed, &m, ctx),
-                        (None, None) => self.emit(sh, m),
-                    }
+                    self.emit(sh, m);
                     // Coalesced-search trigger when V^k ends at the last
                     // level (|R^k| = 0 handled at class build; this arm
                     // covers vk_size == n with class present).
@@ -1668,9 +1464,8 @@ impl Search {
             let crossing_vk = seed.class.is_some() && level + 1 == seed.vk_size;
             // Count-only fast path: when the next level is the last, its
             // candidate set would be materialized only to be counted —
-            // stream-count it instead and never build the frame. (Forking
-            // prefix searches need the materialized last frame.)
-            if level + 2 == n && !collect && !forking {
+            // stream-count it instead and never build the frame.
+            if level + 2 == n && !sh.collect {
                 let qv_last = seed.order[level + 1];
                 // When the last query vertex has no backward edge to *this*
                 // level's vertex, its candidate set is identical across all
@@ -1684,9 +1479,7 @@ impl Search {
                     if st.frames[top_idx].memo_last.is_none() {
                         st.m.unset(qv);
                         let mut s = self.take_buf(ctx);
-                        self.scan_candidates(sh, seed, q, table, level + 1, &st.m, ctx, |v| {
-                            s.push(v)
-                        });
+                        self.scan_candidates(sh, seed, level + 1, &st.m, ctx, |v| s.push(v));
                         st.m.set(qv, c);
                         st.frames[top_idx].memo_last = Some(s);
                     }
@@ -1696,21 +1489,21 @@ impl Search {
                     ctx.shared_access((64 - (s.len() as u64).leading_zeros() as u64).max(1));
                     (s.len() - usize::from(s.binary_search(&c).is_ok())) as u64
                 } else {
-                    self.count_candidates(sh, seed, q, table, level + 1, &st.m, ctx)
+                    self.count_candidates(sh, seed, level + 1, &st.m, ctx)
                 };
                 if crossing_vk {
                     let m = st.m;
                     self.spawn_permutations(sh, st.seed, &m, ctx);
                 }
                 ctx.compute(count);
-                self.note_count(sh, st.member, count * mult);
+                self.note_count(sh, count * mult);
                 st.m.unset(qv);
                 st.frames[top_idx].p += 1;
                 budget -= 1;
                 continue;
             }
             let next = if self.licensed(sh, st.seed, level + 1, &st.m, ctx) {
-                self.gen_candidates(sh, seed, q, table, level + 1, &st.m, ctx)
+                self.gen_candidates(sh, seed, level + 1, &st.m, ctx)
             } else {
                 self.take_buf(ctx) // shipped: empty here
             };
@@ -1777,7 +1570,7 @@ impl Search {
             self.state = None;
             return StepResult::Continue;
         }
-        // Pull the next pending partial (permuted V^k or group fork).
+        // Pull the next pending permuted V^k partial.
         if let Some(p) = self.pending.pop_front() {
             self.state = Some(DfsState {
                 seed: p.seed,
@@ -1785,7 +1578,6 @@ impl Search {
                 m: p.m,
                 frames: Vec::new(),
                 warm: true,
-                member: p.member,
             });
             ctx.compute(2);
             return StepResult::Continue;
@@ -1823,7 +1615,7 @@ impl Search {
         // Priority 1: split the shallowest frame with ≥ 2 unexplored
         // candidates beyond the current one.
         if let Some(st) = &mut self.state {
-            let (seed, ..) = sh.context(st.member, st.seed);
+            let seed = &sh.meta.seeds[st.seed];
             let bufs = &mut self.scratch.pool;
             let buf = || meter.map_or_else(Vec::new, |ctx| pooled(bufs, ctx));
             if let Some(thief) = st.split_frame(&seed.order, buf) {
@@ -2022,13 +1814,13 @@ pub fn build_update_order(anchors: &[Update]) -> UpdateOrder {
 }
 
 /// What every launch of one kernel phase shares: the store, the anchors
-/// and the limits the batch sets. On one device a phase prepares one grid
-/// per query or group ([`Phase::grid`]), launches them in one
-/// [`Device::launch_grids`](gamma_gpu::Device::launch_grids) call and
-/// takes each grid's results back ([`finish_grid`]); on the shard
-/// executor each group's launch state ([`Phase::shared`]) runs through
-/// `ShardRuntime::kernel_phase` and comes back the same way. Either way
-/// the store comes back last ([`Phase::into_store`]).
+/// and the limits the batch sets. A phase builds one launch state per
+/// pattern ([`Phase::shared`]). On one device each becomes a grid
+/// ([`Phase::grid`]) and all of them run in one
+/// [`Device::launch_grids`](gamma_gpu::Device::launch_grids) call; on the
+/// shard executor each runs through `ShardRuntime::kernel_phase`. Either
+/// way [`finish_grid`] takes each launch's results back, and the store
+/// comes back last ([`Phase::into_store`]).
 pub(crate) struct Phase<'a> {
     /// The store every grid searches.
     pub gpma: Arc<Gpma>,
@@ -2046,17 +1838,14 @@ pub(crate) struct Phase<'a> {
 }
 
 impl Phase<'_> {
-    /// The launch state of one query (`group` `None`; `meta`, `table` and
-    /// `collect` are the query's) or of a shared-prefix group (`meta`
-    /// holds the truncated shared seeds and the members' tables ride in
-    /// `group`), with empty results and no residency context.
+    /// The launch state of one query plan, with empty results and no
+    /// residency context.
     pub(crate) fn shared(
         &self,
         meta: Arc<QueryMeta>,
         table: CandidateTable,
         encodings: Arc<Vec<u64>>,
         collect: bool,
-        group: Option<GroupShared>,
     ) -> KernelShared {
         KernelShared {
             gpma: Arc::clone(&self.gpma),
@@ -2071,22 +1860,14 @@ impl Phase<'_> {
             deadline: self.deadline,
             match_limit: self.match_limit,
             signatures: self.signatures,
-            group,
             residency: None,
         }
     }
 
-    /// One grid of the phase: [`Phase::shared`]'s launch state and one
-    /// device task per anchor.
-    pub(crate) fn grid(
-        &self,
-        meta: Arc<QueryMeta>,
-        table: CandidateTable,
-        encodings: Arc<Vec<u64>>,
-        collect: bool,
-        group: Option<GroupShared>,
-    ) -> (Arc<KernelShared>, Vec<Box<dyn WarpTask>>) {
-        let shared = Arc::new(self.shared(meta, table, encodings, collect, group));
+    /// One grid of the phase: a launch state from [`Phase::shared`] and
+    /// one device task per anchor.
+    pub(crate) fn grid(&self, shared: KernelShared) -> (Arc<KernelShared>, Vec<Box<dyn WarpTask>>) {
+        let shared = Arc::new(shared);
         let tasks = self
             .anchors
             .iter()
@@ -2103,32 +1884,19 @@ impl Phase<'_> {
     }
 }
 
-/// Takes a launched grid's state back and returns, for each query it
-/// served (the one query, or every group member in order), its candidate
-/// table, matches and match count.
-pub(crate) fn finish_grid(shared: Arc<KernelShared>) -> Vec<(CandidateTable, Vec<VMatch>, u64)> {
+/// Takes a finished launch's state back as its candidate table, matches
+/// and match count.
+pub(crate) fn finish_grid(shared: Arc<KernelShared>) -> (CandidateTable, Vec<VMatch>, u64) {
     let shared = Arc::try_unwrap(shared)
         .unwrap_or_else(|_| panic!("kernel tasks must release shared state"));
-    match shared.group {
-        None => vec![(
-            shared.table,
-            shared
-                .sink
-                .into_inner()
-                .unwrap_or_else(PoisonError::into_inner),
-            shared.match_count.into_inner(),
-        )],
-        Some(g) => g
-            .members
-            .into_iter()
-            .zip(g.sinks)
-            .zip(g.counts)
-            .map(|((m, s), c)| {
-                let s = s.into_inner().unwrap_or_else(PoisonError::into_inner);
-                (m.table, s, c.into_inner())
-            })
-            .collect(),
-    }
+    (
+        shared.table,
+        shared
+            .sink
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner),
+        shared.match_count.into_inner(),
+    )
 }
 
 /// Convenience: launches one kernel phase over `anchors` as one grid and
@@ -2163,11 +1931,9 @@ pub fn run_phase(
         deadline: None,
         signatures: bitmap_intersect,
     };
-    let (shared, tasks) = phase.grid(meta, table, encodings, collect, None);
+    let (shared, tasks) = phase.grid(phase.shared(meta, table, encodings, collect));
     let stats = device.launch(tasks);
-    let (table, matches, count) = finish_grid(shared)
-        .pop()
-        .expect("an ungrouped grid serves one query");
+    let (table, matches, count) = finish_grid(shared);
     (phase.into_store(), table, matches, count, stats)
 }
 
@@ -2211,7 +1977,7 @@ mod tests {
             deadline: None,
             signatures: true,
         };
-        let mut sh = phase.shared(meta, table, Arc::clone(&enc.encodings), true, None);
+        let mut sh = phase.shared(meta, table, Arc::clone(&enc.encodings), true);
         // Shard 1 owns and holds every vertex; shard 0 holds none.
         sh.residency = Some(Residency {
             partition: Partition::from_parts(PartitionStrategy::Greedy, 2, 2, vec![1; 4]),
@@ -2282,7 +2048,7 @@ mod tests {
             deadline: None,
             signatures: true,
         };
-        let mut sh = phase.shared(meta, table, Arc::clone(&enc.encodings), true, None);
+        let mut sh = phase.shared(meta, table, Arc::clone(&enc.encodings), true);
         sh.residency = Some(Residency {
             partition: Partition::from_parts(PartitionStrategy::Greedy, 1, 1, vec![0; n as usize]),
             alive: vec![true],

@@ -17,8 +17,8 @@
 //!   fault machinery is pure bookkeeping until a fault actually fires.
 
 use gamma_core::{
-    FaultPlan, GammaConfig, GammaEngine, PartitionStrategy, ShardStealing, ShardedConfig,
-    ShardedEngine,
+    FaultPlan, GammaConfig, GammaEngine, PartitionStrategy, QueryConfig, QueryRegistry,
+    ShardStealing, ShardedConfig, ShardedEngine,
 };
 use gamma_datasets::{generate_queries, DatasetPreset, QueryClass};
 use gamma_gpu::DeviceConfig;
@@ -192,11 +192,20 @@ fn failover_preserves_delta_stream_matrix() {
 /// about step 12 to step 70 of either phase): shard 1 dies holding them,
 /// twice, and shards 2 and 3 die while shard 1 holds them, so they rerun
 /// from their kept copies on a survivor and on their own shard.
+///
+/// Each cell also kills a shard inside a later group's launch of a
+/// sharded registry. A Dense pattern and the Tree pattern subscribed twice
+/// make two groups, so the Tree group's launch of the engine's phase `p`
+/// is the registry's phase `2p + 1`, after the Dense group's launch of the
+/// same batch committed under the old partition. Every subscriber's
+/// deltas must equal those of a fault-free twin.
 #[test]
 fn fail_stop_discards_outcomes_computed_ahead() {
     let d = DatasetPreset::GH.build(0.06, 31);
     let queries = generate_queries(&d.graph, QueryClass::Tree, 5, 1, 77);
     let q = queries.first().expect("query extractable");
+    let dense = generate_queries(&d.graph, QueryClass::Dense, 4, 1, 31 ^ 0xfeed);
+    let dense = dense.first().expect("query extractable");
     let dels = gamma_datasets::sample_deletion_workload(&d.graph, 0.08, 7);
     let ins: Vec<Update> = dels
         .iter()
@@ -223,6 +232,40 @@ fn fail_stop_discards_outcomes_computed_ahead() {
         want[0].1 > 0 && want[1].0 > 0,
         "both phases must match something"
     );
+    let cfg = |faults: Option<FaultPlan>| ShardedConfig {
+        base: GammaConfig::default(),
+        num_shards: 4,
+        strategy: PartitionStrategy::Greedy,
+        stealing: ShardStealing::Active,
+        faults,
+        query_id: 0,
+    };
+    // Per batch, per subscriber: counts and sorted matches; then the
+    // registry's failovers.
+    let registry = |faults: Option<FaultPlan>| {
+        let mut reg = QueryRegistry::sharded(d.graph.clone(), &cfg(faults));
+        for sub in [dense, q, q] {
+            reg.register(sub, QueryConfig::default());
+        }
+        assert_eq!(reg.group_count(), 2);
+        let deltas: Vec<Vec<_>> = batches
+            .iter()
+            .map(|b| {
+                let r = reg.apply_batch(b);
+                r.deltas
+                    .into_iter()
+                    .map(|d| {
+                        let (p, n) = (sorted(d.positive), sorted(d.negative));
+                        (d.positive_count, d.negative_count, p, n)
+                    })
+                    .collect()
+            })
+            .collect();
+        let stats = reg.shard_stats().expect("a sharded registry");
+        (deltas, stats.phases, stats.failovers)
+    };
+    let (twin, phases, _) = registry(None);
+    assert_eq!(phases, 4, "two groups, one phase each per batch");
     let cells = [
         (0, 0, 1),
         (1, 0, 1),
@@ -233,15 +276,8 @@ fn fail_stop_discards_outcomes_computed_ahead() {
         (1, 20, 3),
     ];
     for (phase, step, dead) in cells {
-        let cfg = ShardedConfig {
-            base: GammaConfig::default(),
-            num_shards: 4,
-            strategy: PartitionStrategy::Greedy,
-            stealing: ShardStealing::Active,
-            faults: Some(FaultPlan::new().fail_stop(phase, step, dead)),
-            query_id: 0,
-        };
-        let mut engine = ShardedEngine::new(d.graph.clone(), q, cfg);
+        let plan = |phase| Some(FaultPlan::new().fail_stop(phase, step, dead));
+        let mut engine = ShardedEngine::new(d.graph.clone(), q, cfg(plan(phase)));
         for (i, batch) in batches.iter().enumerate() {
             let got = engine.apply_batch(batch);
             let at = format!("fail-stop of shard {dead} at ({phase}, {step}), batch {i}");
@@ -259,6 +295,13 @@ fn fail_stop_discards_outcomes_computed_ahead() {
             stats.unit_splits > 0,
             "fail-stop of shard {dead} at ({phase}, {step}): no unit split — vacuous"
         );
+        let (got, _, failovers) = registry(plan(2 * phase + 1));
+        let at = format!(
+            "registry: fail-stop of shard {dead} at ({}, {step})",
+            2 * phase + 1
+        );
+        assert_eq!(failovers, 1, "{at} must fire");
+        assert_eq!(got, twin, "{at}: subscriber deltas diverge");
     }
 }
 

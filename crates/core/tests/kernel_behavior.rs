@@ -9,7 +9,7 @@ use std::time::Duration;
 use gamma_core::wbm::{build_update_order, KernelShared, QueryMeta, WbmTask};
 use gamma_core::{
     GammaConfig, GammaEngine, IncrementalEncoder, QueryConfig, QueryRegistry, ShardedConfig,
-    ShardedEngine, ShardedQueryRegistry, StealingMode,
+    ShardedEngine, StealingMode,
 };
 use gamma_datasets::{generate_queries, skewed_star_workload, DatasetPreset, QueryClass};
 use gamma_gpma::{Gpma, GpmaConfig};
@@ -40,7 +40,6 @@ fn run_raw_block(
         deadline: None,
         match_limit: u64::MAX,
         signatures: true,
-        group: None,
         residency: None,
     });
     let tasks: Vec<Box<dyn WarpTask>> = anchors
@@ -452,8 +451,8 @@ fn engine_abort_flag_stops_everything() {
     };
     let mut engine = ShardedEngine::new(g.clone(), q, sharded.clone());
     assert!(engine.apply_batch(&ups).stats.timed_out, "sharded engine");
-    let mut reg = ShardedQueryRegistry::new(g, sharded);
-    reg.register(q);
+    let mut reg = QueryRegistry::sharded(g, &sharded);
+    reg.register(q, QueryConfig::default());
     assert!(reg.apply_batch(&ups).timed_out, "sharded registry");
 }
 
@@ -487,10 +486,10 @@ fn timeout_edges_on_every_view() {
         let mut reg = QueryRegistry::new(g.clone(), cfg.clone());
         let id = reg.register(q, QueryConfig::default());
         let mut sengine = ShardedEngine::new(g.clone(), q, sharded.clone());
-        let mut sreg = ShardedQueryRegistry::new(g.clone(), sharded);
-        let sid = sreg.register(q);
-        // Two groups in one launch call per phase: `q` twice (a
-        // shared-prefix group) and a pattern of its own.
+        let mut sreg = QueryRegistry::sharded(g.clone(), &sharded);
+        let sid = sreg.register(q, QueryConfig::default());
+        // Two groups in one launch call per phase: `q` twice (one launch
+        // of `q` for both subscribers) and a pattern of its own.
         let mut greg = QueryRegistry::new(g.clone(), cfg);
         let gid = greg.register(q, QueryConfig::default());
         greg.register(q, QueryConfig::default());

@@ -23,9 +23,9 @@
 //! All engines process updates **one at a time, sequentially** — the
 //! defining contrast with GAMMA's batch-parallel processing (Example 1).
 //!
-//! The simplifications relative to the original systems are catalogued in
-//! `DESIGN.md`; every engine is validated against the snapshot-diff oracle
-//! in this crate's tests.
+//! Each engine's module docs state what it keeps of the original system
+//! and what it leaves out; every engine is validated against the
+//! snapshot-diff oracle in this crate's tests.
 
 pub mod common;
 pub mod graphflow;

@@ -5,8 +5,10 @@
 //! here; instead this crate generates **seeded synthetic graphs with the
 //! same shape parameters** — |V|:|E| ratio, average degree, vertex/edge
 //! label alphabet sizes and power-law degree skew — scaled down to sizes a
-//! laptop handles in seconds (see `DESIGN.md` for the substitution
-//! rationale).
+//! laptop handles in seconds. The label alphabets and average degree are
+//! what decide candidate-set sizes and scan lengths, so they are kept
+//! exactly, while `|V|` scales ([`DatasetPreset`] lists the paper's values
+//! beside what each preset keeps).
 //!
 //! It also reproduces the paper's workload machinery:
 //!

@@ -4,11 +4,11 @@
 //! A [`QueryRegistry`] owns the data graph and its device-resident store.
 //! Clients `register` patterns and get back a [`QueryId`]; every
 //! `apply_batch` then runs the batch **once** — one structural update, one
-//! re-encoding pass, and one kernel grid per *group* of queries whose
-//! matching-order prefixes are compatible, all grids of a phase in one
-//! launch call — and routes a per-query match
-//! delta to every subscription. Identical patterns collapse into one
-//! group, so serving them costs barely more than serving one.
+//! re-encoding pass, and one kernel grid per *group*, the subscriptions of
+//! one pattern, all grids of a phase in one launch call — and routes a
+//! per-query match delta to every subscription. A group launches its
+//! pattern once, so serving many subscribers to one pattern costs barely
+//! more than serving one.
 //!
 //! The delta each subscription receives is bit-identical to what a
 //! dedicated [`GammaEngine`] running that pattern alone would report —

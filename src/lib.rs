@@ -59,7 +59,7 @@ pub mod prelude {
         BatchResult, DurabilityConfig, DurableGammaEngine, DurableQueryRegistry,
         DurableShardedEngine, FaultPlan, GammaConfig, GammaEngine, Partition, PartitionStrategy,
         PipelinedEngine, QueryConfig, QueryId, QueryRegistry, RegistryBatchResult, ShardStealing,
-        ShardedConfig, ShardedEngine, ShardedQueryRegistry, StealingMode,
+        ShardedConfig, ShardedEngine, StealingMode,
     };
     pub use gamma_csm::{CsmEngine, IncrementalResult};
     pub use gamma_datasets::{DatasetPreset, QueryClass};

@@ -36,8 +36,9 @@ fn dataset_roundtrips_through_text_format() {
 
 #[test]
 fn preset_metrics_match_table2_shapes() {
-    // The generators must actually deliver the shape parameters DESIGN.md
-    // promises (Table II analogues).
+    // The generators must actually deliver the shape parameters
+    // `DatasetPreset` promises (Table II analogues: the paper's average
+    // degree and label alphabets).
     let checks = [
         (DatasetPreset::GH, 15.3, 5usize, 1usize),
         (DatasetPreset::NF, 2.0, 1, 7),

@@ -5,17 +5,19 @@
 //! same batched insert / delete / Zipf-churn workloads through
 //!
 //! * one [`QueryRegistry`] holding K subscriptions (mixed query classes
-//!   plus duplicate subscriptions, so both singleton launches and
-//!   grouped shared-prefix launches are exercised), against K dedicated
-//!   [`GammaEngine`]s — batch by batch, counts and sorted-unique match
-//!   sets must agree exactly, and a singleton group's kernel stats must
-//!   equal its engine's in every simulated field (its grid shares one
-//!   launch call with the other groups, which must not change its work);
-//!   and
-//! * one [`ShardedQueryRegistry`] at 2 and 4 simulated devices against
-//!   per-subscription dedicated [`ShardedEngine`]s, its per-batch update
-//!   cycles equal to one dedicated engine's (one store for every
-//!   pattern).
+//!   plus duplicate subscriptions, so both singleton groups and groups of
+//!   several subscribers to one pattern are exercised), against K
+//!   dedicated [`GammaEngine`]s — batch by batch, counts and
+//!   sorted-unique match sets must agree exactly, and every
+//!   subscription's kernel stats must equal its engine's in every
+//!   simulated field (a group launches its pattern's own plan once, and
+//!   its grid shares one launch call with the other groups, which must
+//!   not change its work); and
+//! * one [`QueryRegistry::sharded`] registry at 2 and 4 simulated devices
+//!   against per-subscription dedicated [`ShardedEngine`]s, grouped
+//!   exactly as a single-device registry groups the same registrations,
+//!   its per-batch update cycles equal to one dedicated engine's (one
+//!   store for every pattern).
 //!
 //! Mid-stream register/unregister churn runs on both tiers.
 //!
@@ -24,7 +26,7 @@
 //! registry = engines = oracle without paying for a third enumeration.
 
 use gamma::datasets::{generate_queries, DatasetPreset, QueryClass, Zipf};
-use gamma::engine::registry::{QueryConfig, QueryId, QueryRegistry, ShardedQueryRegistry};
+use gamma::engine::registry::{QueryConfig, QueryId, QueryRegistry};
 use gamma::engine::{
     GammaConfig, GammaEngine, PartitionStrategy, ShardStealing, ShardedConfig, ShardedEngine,
     StealingMode,
@@ -137,7 +139,7 @@ fn run_registry_parity(preset: DatasetPreset, k: usize, scale: f64, seed: u64) {
     let qs = mixed_queries(&start, seed);
 
     // K subscriptions cycling the distinct patterns: with k > distinct
-    // patterns, duplicates guarantee grouped (shared-prefix) launches.
+    // patterns, duplicates guarantee groups of several subscribers.
     let subs: Vec<&QueryGraph> = (0..k).map(|i| &qs[i % qs.len()]).collect();
 
     let mut reg = QueryRegistry::new(start.clone(), gamma_config());
@@ -157,8 +159,10 @@ fn run_registry_parity(preset: DatasetPreset, k: usize, scale: f64, seed: u64) {
         );
     }
 
-    // A singleton group launches its subscription's own plan and table,
-    // exactly as the dedicated engine does.
+    // A group launches its representative's plan and table, exactly as
+    // the representative's dedicated engine does. Every subscription here
+    // registers on the start graph, so its plan is the representative's
+    // and its kernel stats must equal its own engine's.
     let singletons: Vec<QueryId> = reg
         .groups()
         .into_iter()
@@ -167,7 +171,7 @@ fn run_registry_parity(preset: DatasetPreset, k: usize, scale: f64, seed: u64) {
         .collect();
 
     let mut total_delta = 0u64;
-    let mut singleton_checks = 0usize;
+    let (mut singleton_checks, mut grouped_checks) = (0usize, 0usize);
     for (bi, raw) in batches.iter().enumerate() {
         let r = reg.apply_batch(raw);
         assert_eq!(r.deltas.len(), k);
@@ -194,13 +198,15 @@ fn run_registry_parity(preset: DatasetPreset, k: usize, scale: f64, seed: u64) {
                 sorted_unique(e.negative.clone(), "engine", "negative"),
                 "negative delta diverges at {ctx}"
             );
+            assert_eq!(
+                simulated(&d.kernel),
+                simulated(&e.stats.kernel),
+                "kernel stats diverge at {ctx}"
+            );
             if singletons.contains(id) {
-                assert_eq!(
-                    simulated(&d.kernel),
-                    simulated(&e.stats.kernel),
-                    "singleton kernel stats diverge at {ctx}"
-                );
                 singleton_checks += 1;
+            } else {
+                grouped_checks += 1;
             }
             total_delta += d.positive_count + d.negative_count;
         }
@@ -224,6 +230,13 @@ fn run_registry_parity(preset: DatasetPreset, k: usize, scale: f64, seed: u64) {
             preset.name()
         );
     }
+    if k > qs.len() {
+        assert!(
+            grouped_checks > 0,
+            "preset {} / k={k}: no grouped subscription was compared",
+            preset.name()
+        );
+    }
     // Telemetry sanity: every query saw every batch and its totals add up.
     for id in &ids {
         let st = reg.stats(*id).expect("registered id has stats");
@@ -242,15 +255,29 @@ fn run_sharded_registry_parity(preset: DatasetPreset, scale: f64, seed: u64) {
     let mut subs: Vec<&QueryGraph> = qs.iter().collect();
     subs.push(&qs[0]);
 
+    // The grouping rule is the same on both executors.
+    let mut device = QueryRegistry::new(start.clone(), gamma_config());
+    for q in &subs {
+        device.register(q, QueryConfig::default());
+    }
+
     for num_shards in [2usize, 4] {
         let cfg = sharded_config(num_shards);
-        let mut reg = ShardedQueryRegistry::new(start.clone(), cfg.clone());
-        let ids: Vec<_> = subs.iter().map(|q| reg.register(q)).collect();
+        let mut reg = QueryRegistry::sharded(start.clone(), &cfg);
+        let ids: Vec<_> = subs
+            .iter()
+            .map(|q| reg.register(q, QueryConfig::default()))
+            .collect();
         assert_eq!(reg.num_queries(), subs.len());
         assert_eq!(
             reg.group_count(),
             qs.len(),
             "identical patterns must share an engine"
+        );
+        assert_eq!(
+            reg.groups(),
+            device.groups(),
+            "SHARD{num_shards} groups differ from the single device's"
         );
         let mut engines: Vec<ShardedEngine> = subs
             .iter()
@@ -368,12 +395,12 @@ fn run_midstream_churn(preset: DatasetPreset, scale: f64, seed: u64) {
     // graph at its registration point.
     for num_shards in [2usize, 4] {
         let cfg = sharded_config(num_shards);
-        let mut reg = ShardedQueryRegistry::new(start.clone(), cfg.clone());
+        let mut reg = QueryRegistry::sharded(start.clone(), &cfg);
         let mut live: Vec<(QueryId, ShardedEngine)> = Vec::new();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ffee);
         for i in 0..2 {
             let q = &qs[i % qs.len()];
-            let id = reg.register(q);
+            let id = reg.register(q, QueryConfig::default());
             live.push((id, ShardedEngine::new(start.clone(), q, cfg.clone())));
         }
         for (bi, raw) in batches.iter().enumerate() {
@@ -410,7 +437,7 @@ fn run_midstream_churn(preset: DatasetPreset, scale: f64, seed: u64) {
             }
             if rng.random_bool(0.6) {
                 let q = &qs[rng.random_range(0..qs.len())];
-                let id = reg.register(q);
+                let id = reg.register(q, QueryConfig::default());
                 live.push((id, ShardedEngine::new(reg.graph().clone(), q, cfg.clone())));
             }
         }

@@ -183,6 +183,11 @@ struct Sample {
     ///
     /// [`KernelStats::busy_cycles`]: gamma_gpu::KernelStats::busy_cycles
     busy_cycles: u64,
+    /// Summed kernel steals ([`KernelStats::steals`]): warp steals on the
+    /// device (0 with stealing off), migrant batch steals on shards.
+    ///
+    /// [`KernelStats::steals`]: gamma_gpu::KernelStats::steals
+    steals: u64,
     /// Batches applied.
     batches: u64,
     /// Sharded cells' migration telemetry.
@@ -414,6 +419,7 @@ fn run_engine(
         wall_seconds: 0.0,
         sim_cycles: 0,
         busy_cycles: 0,
+        steals: 0,
         batches: 0,
         shard: None,
     };
@@ -423,6 +429,7 @@ fn run_engine(
         s.matches += r.positive_count + r.negative_count;
         s.sim_cycles += r.stats.update_cycles + r.stats.kernel.device_cycles;
         s.busy_cycles += r.stats.kernel.busy_cycles;
+        s.steals += r.stats.kernel.steals;
         s.batches += 1;
     };
     match under_test {
@@ -933,7 +940,7 @@ fn write_json(
             "    {{\"dataset\": \"{}\", \"class\": \"{}\", \"workload\": \"{}\", \"engine\": \"{}\", \
              \"updates\": {}, \"matches\": {}, \"batches\": {}, \"wall_seconds\": {:.6}, \
              \"updates_per_sec\": {:.1}, \"matches_per_sec\": {:.1}, \"sim_cycles\": {}, \
-             \"busy_cycles\": {}{}}}{}",
+             \"busy_cycles\": {}, \"steals\": {}{}}}{}",
             json_escape(s.dataset),
             json_escape(s.class),
             json_escape(s.workload),
@@ -946,6 +953,7 @@ fn write_json(
             s.matches_per_sec(),
             s.sim_cycles,
             s.busy_cycles,
+            s.steals,
             shard_fields,
             comma
         );
@@ -1259,6 +1267,7 @@ fn main() -> ExitCode {
         "wall",
         "sim-cycles",
         "busy-cycles",
+        "steals",
         "migr",
         "cut%",
         "splits",
@@ -1366,6 +1375,7 @@ fn main() -> ExitCode {
                         fmt_secs(s.wall_seconds),
                         s.sim_cycles.to_string(),
                         s.busy_cycles.to_string(),
+                        s.steals.to_string(),
                         migr,
                         cut,
                         splits,

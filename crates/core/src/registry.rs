@@ -24,11 +24,12 @@
 //!   serial kernel of its own, so every group's simulated stats equal
 //!   those of a launch of its own. On the shard executor each group's
 //!   launch is one distributed kernel phase, in turn.
-//! * **Per-query routing** — every query gets its own delta stream,
-//!   candidate table, and [`QueryStats`] telemetry; match vectors are
-//!   bit-identical to what a dedicated [`GammaEngine`](crate::GammaEngine)
-//!   would produce for the same update stream (modulo match *order*, which
-//!   is compared sorted-unique throughout this codebase).
+//! * **Per-query routing** — every query gets its own delta stream and
+//!   [`QueryStats`] telemetry (a group keeps one candidate table, on its
+//!   representative); match vectors are bit-identical to what a dedicated
+//!   [`GammaEngine`](crate::GammaEngine) would produce for the same update
+//!   stream (modulo match *order*, which is compared sorted-unique
+//!   throughout this codebase).
 //!
 //! Telemetry attribution: a group's launch is one pattern's launch, and
 //! its stats are attributed whole to *each* subscriber. Matching orders
@@ -236,13 +237,18 @@ struct QueryState {
     slot: usize,
     /// NLF query-vertex codes under the slot's shared scheme.
     qcodes: Vec<u64>,
-    /// Per-query candidate table (`None` only while a launch borrows it).
+    /// Its group's candidate table, held by the group's representative
+    /// only (`None` on every other subscriber, and while a launch borrows
+    /// it): the launches read only the representative's, so only it is
+    /// refreshed each batch.
     table: Option<CandidateTable>,
     /// The kernel plan its group launches while this query is the
     /// group's representative. It honors the registry's coalesced
     /// setting: on the single device with `max_degenerate_k`, so a group
     /// serves exactly like a dedicated engine; on the shard executor
-    /// capped at whole-query (k = 0) classes.
+    /// capped at whole-query (k = 0) classes. Every subscriber keeps its
+    /// own, so one promoted by [`QueryRegistry::unregister`] launches the
+    /// plan its dedicated engine would.
     meta: Arc<QueryMeta>,
     stats: QueryStats,
 }
@@ -482,14 +488,26 @@ impl QueryRegistry {
 
     /// Regroups from scratch, in registration order: a query joins the
     /// group of the first query with an identical pattern. Identical
-    /// patterns share their label set, hence their encoder slot.
+    /// patterns share their label set, hence their encoder slot. Only
+    /// representatives keep a candidate table; one promoted by an
+    /// unregistration builds its table from its slot's current encodings.
     fn rebuild_groups(&mut self) {
         self.groups.clear();
         for qi in 0..self.queries.len() {
             let q = &self.queries[qi].q;
             match self.groups.iter_mut().find(|g| self.queries[g[0]].q == *q) {
-                Some(g) => g.push(qi),
-                None => self.groups.push(vec![qi]),
+                Some(g) => {
+                    g.push(qi);
+                    self.queries[qi].table = None;
+                }
+                None => {
+                    self.groups.push(vec![qi]);
+                    let st = &mut self.queries[qi];
+                    if st.table.is_none() {
+                        let encodings = &self.slots[st.slot].enc.encodings;
+                        st.table = Some(CandidateTable::from_encodings(encodings, &st.qcodes));
+                    }
+                }
             }
         }
     }
@@ -508,7 +526,7 @@ impl QueryRegistry {
     /// the registry's current graph). This is the four-stage pipeline of
     /// Figure 3 that every engine runs: negative launches on the
     /// pre-update graph, one shared structural update, one re-encode per
-    /// live encoder slot, a candidate refresh per query, positive launches
+    /// live encoder slot, a candidate refresh per group, positive launches
     /// on the post-update graph.
     pub fn apply_canonical_batch(&mut self, batch: &UpdateBatch) -> RegistryBatchResult {
         let mut result = RegistryBatchResult {
@@ -564,7 +582,7 @@ impl QueryRegistry {
         batch.apply(&mut self.graph);
 
         // Preprocess for the next kernel: re-encode touched vertices once
-        // per live encoder slot, refresh every query's dirty rows.
+        // per live encoder slot, refresh every group's dirty rows.
         let pre_t = Instant::now();
         let mut touched: Vec<VertexId> = batch
             .deletes
@@ -688,7 +706,7 @@ impl QueryRegistry {
 
     /// Adds a fresh data vertex (vertex insertions are a vertex plus edge
     /// insertions, §II-A): encoded under every live slot, with a candidate
-    /// row in every query's table (and, on the shard executor, resident
+    /// row in every group's table (and, on the shard executor, resident
     /// on its owner).
     pub fn add_vertex(&mut self, label: VLabel) -> VertexId {
         let v = self.graph.add_vertex(label);
@@ -705,8 +723,8 @@ impl QueryRegistry {
     }
 
     /// Re-encodes `touched` under every live encoder slot and refreshes
-    /// every query's dirty candidate rows; returns the number of dirty
-    /// vertices summed over slots.
+    /// the dirty candidate rows of every group's table; returns the number
+    /// of dirty vertices summed over slots.
     fn reencode(&mut self, touched: &[VertexId]) -> usize {
         let mut dirty_total = 0;
         for si in 0..self.slots.len() {
@@ -717,10 +735,9 @@ impl QueryRegistry {
             dirty_total += dirty.len();
             let encodings = Arc::clone(&self.slots[si].enc.encodings);
             for st in self.queries.iter_mut().filter(|s| s.slot == si) {
-                st.table
-                    .as_mut()
-                    .expect("table present between launches")
-                    .refresh(&dirty, &encodings, &st.qcodes);
+                if let Some(table) = st.table.as_mut() {
+                    table.refresh(&dirty, &encodings, &st.qcodes);
+                }
             }
         }
         dirty_total
@@ -963,6 +980,47 @@ mod tests {
         let r = reg.apply_batch(&[Update::delete(0, 2)]);
         assert_eq!(r.delta(b).unwrap().negative_count, 4);
         assert_eq!(r.delta(c).unwrap().negative_count, 4);
+    }
+
+    #[test]
+    fn promoted_subscriber_serves_like_its_dedicated_engine() {
+        // `b` subscribes to `a`'s pattern, so only `a` keeps a table. The
+        // first batch gives v6 (B) a C neighbor, which makes it a u1
+        // candidate; after `a` leaves, `b`'s launches need that row.
+        let q = triangle_with_tail();
+        let mut reg = QueryRegistry::new(fig1(), GammaConfig::default());
+        let a = reg.register(&q, QueryConfig::default());
+        let b = reg.register(&q, QueryConfig::default());
+        let mut engine = crate::GammaEngine::new(fig1(), &q, GammaConfig::default());
+        let check = |reg: &mut QueryRegistry, engine: &mut crate::GammaEngine, batch: &[Update]| {
+            let e = engine.apply_batch(batch);
+            let r = reg.apply_batch(batch);
+            let d = r.delta(b).unwrap();
+            assert_eq!(e.positive_count, d.positive_count, "{batch:?}");
+            assert_eq!(e.negative_count, d.negative_count, "{batch:?}");
+            assert_eq!(sorted(e.positive.clone()), sorted(d.positive.clone()));
+            assert_eq!(sorted(e.negative.clone()), sorted(d.negative.clone()));
+            let (ek, dk) = (&e.stats.kernel, &d.kernel);
+            assert_eq!(
+                (ek.device_cycles, ek.busy_cycles, ek.steals, ek.num_tasks),
+                (dk.device_cycles, dk.busy_cycles, dk.steals, dk.num_tasks),
+                "{batch:?}"
+            );
+            e.positive_count + e.negative_count
+        };
+        check(&mut reg, &mut engine, &[Update::insert(6, 7)]);
+        check(&mut reg, &mut engine, &[Update::insert(0, 2)]);
+        assert!(reg.unregister(a));
+        assert_eq!(reg.groups(), vec![vec![b]]);
+        // Deleting (1, 6) removes the match with v6 as u1 (u0 = v1,
+        // u2 = v5, u3 = v7), which a table from before the first batch
+        // would not see.
+        assert!(check(&mut reg, &mut engine, &[Update::delete(1, 6)]) > 0);
+        check(
+            &mut reg,
+            &mut engine,
+            &[Update::insert(1, 6), Update::delete(0, 3)],
+        );
     }
 
     #[test]

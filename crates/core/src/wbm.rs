@@ -11,7 +11,9 @@
 //!
 //! * the block scheduler interleave warps deterministically,
 //! * idle warps **steal half of the unexplored candidates at the
-//!   shallowest unfinished level** ([`WbmTask::try_split`], §V-A), and
+//!   shallowest unfinished level** ([`WbmTask::try_split`], §V-A) — a warp
+//!   that finds no victim waits, and takes half of the next busy warp
+//!   whose work becomes worth splitting — and
 //! * **coalesced search** inject permuted `V^k` partial matches as pending
 //!   subtrees instead of re-traversing the same data subgraph (§V-B).
 //!
@@ -26,8 +28,9 @@
 //! `GenCandidates` is the innermost loop of the whole system and is kept
 //! **allocation-free in steady state**: the base adjacency is scanned
 //! straight off the GPMA vertex-directory run ([`Gpma::neighbor_run`],
-//! zero-copy), candidate buffers are recycled through a task-local pool
-//! (reuse is reported via `KernelStats::buf_reuse` / `buf_alloc`), and the
+//! zero-copy), candidate buffers and frame stacks are recycled through a
+//! pool per host thread (reuse is reported via `KernelStats::buf_reuse` /
+//! `buf_alloc`, counted per task), and the
 //! anchor-order dedup rule reads a sorted array of the batch's update
 //! edges through a small hashed index of their endpoints
 //! ([`UpdateOrder`]).
@@ -54,12 +57,17 @@
 //! `Arc<KernelShared>`, cloned once per task and once per steal, and its
 //! search state in a separate field. Each step passes `&KernelShared`
 //! (and the `&SeedPlan` resolved from it) alongside `&mut` access to that
-//! state. So a DFS step changes no reference count, and the hot loop
-//! writes only memory its task owns. Shared memory is written only when
-//! a task flushes its matches, every `FLUSH_THRESHOLD` (1024) of them. This
-//! matters on the host: when launch threads on different cores clone and
-//! drop one `Arc` per step, its counter's cache line moves between the
-//! cores on every step.
+//! state and to its thread's scratch. So a DFS step changes no reference
+//! count, and the hot loop writes only memory its task or thread owns.
+//! Shared memory is written only when a task flushes its matches, every
+//! `FLUSH_THRESHOLD` (1024) of them. This matters on the host: when launch
+//! threads on different cores clone and drop one `Arc` per step, its
+//! counter's cache line moves between the cores on every step.
+//!
+//! A task owns no scratch. Its step borrows its thread's (candidate
+//! buffers, frame stacks and scan buffers), and so does a steal, whose
+//! taken candidates go into a buffer from that pool. So a thief starts
+//! with warm buffers, and a steal allocates only the thief's task box.
 //!
 //! # Count-only launches and coalesced search
 //!
@@ -380,11 +388,13 @@ impl DfsState {
     /// frame with at least two beyond its current one, with their parent
     /// partial match (the paper's "appropriates half of the unexplored
     /// candidates along with their parents"). `order` is the state's seed
-    /// order; the taken candidates are copied into a buffer from `buf`.
+    /// order; the taken candidates are copied into a buffer from `buf`,
+    /// and the new state's frame stack comes from `scratch`.
     fn split_frame(
         &mut self,
         order: &[u8],
-        buf: impl FnOnce() -> Vec<VertexId>,
+        scratch: &mut Scratch,
+        buf: impl FnOnce(&mut Scratch) -> Vec<VertexId>,
     ) -> Option<DfsState> {
         let num_frames = self.frames.len();
         for (fi, f) in self.frames.iter_mut().enumerate() {
@@ -398,7 +408,7 @@ impl DfsState {
                 continue;
             }
             let keep = f.cands.len() - unexplored / 2;
-            let mut stolen = buf();
+            let mut stolen = buf(scratch);
             stolen.extend_from_slice(&f.cands[keep..]);
             f.cands.truncate(keep);
             // Parent partial: assignments for levels < this frame's.
@@ -408,15 +418,17 @@ impl DfsState {
                     m.set(qv, v);
                 }
             }
+            let mut frames = scratch.stack();
+            frames.push(Frame {
+                cands: stolen,
+                p: 0,
+                memo_last: None,
+            });
             return Some(DfsState {
                 seed: self.seed,
                 base_level: level,
                 m,
-                frames: vec![Frame {
-                    cands: stolen,
-                    p: 0,
-                    memo_last: None,
-                }],
+                frames,
                 warm: false,
             });
         }
@@ -448,7 +460,11 @@ struct Search {
     state: Option<DfsState>,
     local: Vec<VMatch>,
     local_count: u64,
-    scratch: Scratch,
+    /// Buffers this search returned to the scratch and has not drawn
+    /// again: what a pool of its own would hold. A draw counts as reused
+    /// ([`WarpCtx::note_buffer`]) when this is nonzero, so the buffer
+    /// stats do not depend on which thread ran the search.
+    spare: u32,
     /// Steps taken, for [`poll_deadline`].
     steps: u32,
     /// The shard a unit search runs on (`None`: a device task). A unit
@@ -463,15 +479,19 @@ struct Search {
     migrants: Vec<(usize, Migrant)>,
 }
 
-/// A search's reusable buffers. A device task owns its own; a shard unit
-/// borrows its thread's ([`run_unit`]), so units allocate only while the
-/// thread's buffers warm up.
+/// A search's reusable buffers. No search owns any: a device task borrows
+/// its thread's for each step, and a shard unit for its whole run
+/// ([`run_unit`]), so searches allocate only while the thread's buffers
+/// warm up, and a thief starts with warm buffers.
 #[derive(Default)]
 struct Scratch {
     /// Recycled candidate buffers: every popped DFS frame returns its
     /// vector here and every new frame draws from here, so steady-state
     /// quanta perform no heap allocation.
     pool: Vec<Vec<VertexId>>,
+    /// Recycled frame stacks: every finished DFS state returns its (empty)
+    /// stack here and every new one draws from here.
+    stacks: Vec<Vec<Frame>>,
     /// The scanned level's matched backward neighbors ([`backward_set`]).
     backward: Vec<(VertexId, ELabel)>,
     /// One probe state per non-base backward vertex (resident direction).
@@ -485,24 +505,29 @@ struct Scratch {
 }
 
 thread_local! {
-    /// Each thread's unit scratch, reused by every shard unit it runs,
-    /// phase after phase.
-    static UNIT_SCRATCH: RefCell<Scratch> = RefCell::default();
+    /// Each thread's search scratch, reused by every device task step and
+    /// shard unit it runs, launch after launch.
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
-/// Draws a candidate buffer from `pool` (warm-up allocates; steady state
-/// recycles), reporting which to the stats.
-fn pooled(pool: &mut Vec<Vec<VertexId>>, ctx: &mut WarpCtx) -> Vec<VertexId> {
-    match pool.pop() {
-        Some(mut b) => {
-            ctx.note_buffer(true);
+impl Scratch {
+    /// Draws an empty candidate buffer from the pool (warm-up allocates;
+    /// steady state recycles) for a search with `spare` buffers of its
+    /// own ([`Search::spare`]), reporting to `meter` whether those served.
+    fn buf(&mut self, spare: &mut u32, meter: Option<&mut WarpCtx>) -> Vec<VertexId> {
+        if let Some(ctx) = meter {
+            ctx.note_buffer(*spare > 0);
+        }
+        *spare = spare.saturating_sub(1);
+        self.pool.pop().map_or_else(Vec::new, |mut b| {
             b.clear();
             b
-        }
-        None => {
-            ctx.note_buffer(false);
-            Vec::new()
-        }
+        })
+    }
+
+    /// Draws an empty frame stack.
+    fn stack(&mut self) -> Vec<Frame> {
+        self.stacks.pop().unwrap_or_default()
     }
 }
 
@@ -674,7 +699,8 @@ pub(crate) fn run_unit(
                     seed: mig.seed,
                     base_level: mig.base_level,
                     m: mig.m,
-                    frames: Vec::new(),
+                    // From the pool its retirement returns it to.
+                    frames: SCRATCH.with_borrow_mut(Scratch::stack),
                     warm: true,
                 }),
                 delivered: true,
@@ -688,28 +714,24 @@ pub(crate) fn run_unit(
     };
     search.shard = Some(shard);
     let (mut cycles, mut since, mut parts) = (0u64, 0u64, Vec::new());
-    UNIT_SCRATCH.with_borrow_mut(|scratch| {
-        std::mem::swap(&mut search.scratch, scratch);
-        loop {
-            let done = search.step(sh, ctx) == StepResult::Done;
-            cycles += ctx.take_step_cycles();
-            if done {
-                break;
-            }
-            let Some(min_hint) = split_hint else {
-                continue;
-            };
-            if cycles - since < SPLIT_BUDGET || search.remaining_hint() < min_hint {
-                continue;
-            }
-            if let Some(part) = search.split(sh, Some(&mut *ctx)) {
-                ctx.global_read_coalesced(part.remaining_hint().max(1));
-                cycles += ctx.take_step_cycles();
-                since = cycles;
-                parts.push((cycles, Part(Box::new(part))));
-            }
+    SCRATCH.with_borrow_mut(|sc| loop {
+        let done = search.step(sh, sc, ctx) == StepResult::Done;
+        cycles += ctx.take_step_cycles();
+        if done {
+            break;
         }
-        std::mem::swap(&mut search.scratch, scratch);
+        let Some(min_hint) = split_hint else {
+            continue;
+        };
+        if cycles - since < SPLIT_BUDGET || search.remaining_hint() < min_hint {
+            continue;
+        }
+        if let Some(part) = search.split(sh, sc, Some(&mut *ctx)) {
+            ctx.global_read_coalesced(part.remaining_hint().max(1));
+            cycles += ctx.take_step_cycles();
+            since = cycles;
+            parts.push((cycles, Part(Box::new(part))));
+        }
     });
     UnitRun {
         cycles,
@@ -752,7 +774,7 @@ pub(crate) fn backward_set(
 }
 
 impl Search {
-    /// An idle search of one anchor: nothing queued, empty scratch.
+    /// An idle search of one anchor: nothing queued.
     fn new(v1: VertexId, v2: VertexId, elabel: ELabel, anchor_order: u32) -> Self {
         Self {
             v1,
@@ -764,7 +786,7 @@ impl Search {
             state: None,
             local: Vec::new(),
             local_count: 0,
-            scratch: Scratch::default(),
+            spare: 0,
             steps: 0,
             shard: None,
             delivered: false,
@@ -788,24 +810,19 @@ impl Search {
         }
     }
 
-    /// Draws a candidate buffer from the task-local pool (warm-up
-    /// allocates; steady state recycles), reporting which to the stats.
-    fn take_buf(&mut self, ctx: &mut WarpCtx) -> Vec<VertexId> {
-        pooled(&mut self.scratch.pool, ctx)
-    }
-
-    /// Returns a frame's candidate buffer to the pool.
+    /// Returns a frame's candidate buffer to the scratch.
     #[inline]
-    fn recycle(&mut self, buf: Vec<VertexId>) {
-        self.scratch.pool.push(buf);
+    fn recycle(&mut self, sc: &mut Scratch, buf: Vec<VertexId>) {
+        self.spare += 1;
+        sc.pool.push(buf);
     }
 
-    /// Pops the top frame and recycles its buffers.
-    fn pop_frame(&mut self, st: &mut DfsState) {
+    /// Pops `st`'s top frame and recycles its buffers.
+    fn pop_frame(&mut self, sc: &mut Scratch, st: &mut DfsState) {
         if let Some(f) = st.frames.pop() {
-            self.recycle(f.cands);
+            self.recycle(sc, f.cands);
             if let Some(s) = f.memo_last {
-                self.recycle(s);
+                self.recycle(sc, s);
             }
         }
     }
@@ -856,8 +873,9 @@ impl Search {
 
     /// Validates and installs the next seed; returns the ready state.
     fn start_seed(
-        &self,
+        &mut self,
         sh: &KernelShared,
+        sc: &mut Scratch,
         si: usize,
         flipped: bool,
         ctx: &mut WarpCtx,
@@ -884,7 +902,7 @@ impl Search {
             seed: si,
             base_level: 2,
             m,
-            frames: Vec::new(),
+            frames: sc.stack(),
             warm: true,
         })
     }
@@ -902,13 +920,14 @@ impl Search {
     fn gen_candidates(
         &mut self,
         sh: &KernelShared,
+        sc: &mut Scratch,
         seed: &SeedPlan,
         level: usize,
         m: &VMatch,
         ctx: &mut WarpCtx,
     ) -> Vec<VertexId> {
-        let mut out = self.take_buf(ctx);
-        self.scan_candidates(sh, seed, level, m, ctx, |c| out.push(c));
+        let mut out = sc.buf(&mut self.spare, Some(ctx));
+        self.scan_candidates(sh, sc, seed, level, m, ctx, |c| out.push(c));
         out
     }
 
@@ -919,13 +938,14 @@ impl Search {
     fn count_candidates(
         &mut self,
         sh: &KernelShared,
+        sc: &mut Scratch,
         seed: &SeedPlan,
         level: usize,
         m: &VMatch,
         ctx: &mut WarpCtx,
     ) -> u64 {
         let mut n = 0u64;
-        self.scan_candidates(sh, seed, level, m, ctx, |_| n += 1);
+        self.scan_candidates(sh, sc, seed, level, m, ctx, |_| n += 1);
         n
     }
 
@@ -939,6 +959,7 @@ impl Search {
     fn licensed(
         &mut self,
         sh: &KernelShared,
+        sc: &mut Scratch,
         si: usize,
         level: usize,
         m: &VMatch,
@@ -956,7 +977,7 @@ impl Search {
         if q.neighbors(qv).iter().all(resident) {
             return true;
         }
-        let back = &mut self.scratch.backward;
+        let back = &mut sc.backward;
         let bi = backward_set(q, qv, m, &sh.gpma, back);
         let owner = res.owner(back[bi].0);
         if owner == shard {
@@ -999,9 +1020,11 @@ impl Search {
     ///   owner's one-hop residency, is probed for every other backward
     ///   vertex in one [`Gpma::run_seek_chunk`] pass, behind a signature
     ///   quick-reject on the survivor's run.
+    #[allow(clippy::too_many_arguments)]
     fn scan_candidates(
         &mut self,
         sh: &KernelShared,
+        sc: &mut Scratch,
         seed: &SeedPlan,
         level: usize,
         m: &VMatch,
@@ -1017,7 +1040,7 @@ impl Search {
         } else {
             &[]
         };
-        let mut back = std::mem::take(&mut self.scratch.backward);
+        let mut back = std::mem::take(&mut sc.backward);
         let bi = backward_set(q, qv, m, gpma, &mut back);
         let (bv, bel) = back[bi];
         let bdeg = gpma.degree(bv);
@@ -1061,7 +1084,7 @@ impl Search {
             debug_assert!(resident(bv), "flipped scan of a base run not resident here");
             // Ascending targets: a candidate's run cursor merges them
             // monotonically.
-            let mut targets_of = std::mem::take(&mut self.scratch.flipped);
+            let mut targets_of = std::mem::take(&mut sc.flipped);
             targets_of.clear();
             targets_of.extend(
                 back.iter()
@@ -1124,15 +1147,15 @@ impl Search {
                 ctx.bitmap_probe(tested);
             }
             ctx.chunked_intersect(probed, covered);
-            self.scratch.flipped = targets_of;
-            self.scratch.backward = back;
+            sc.flipped = targets_of;
+            sc.backward = back;
             return;
         }
         debug_assert!(
             back.iter().all(|&(dv, _)| resident(dv)),
             "scan reads a backward run not resident here"
         );
-        let mut others = std::mem::take(&mut self.scratch.others);
+        let mut others = std::mem::take(&mut sc.others);
         others.clear();
         for (i, &(dv, el)) in back.iter().enumerate() {
             if i == bi {
@@ -1156,7 +1179,7 @@ impl Search {
                 rem0: deg as u32,
             });
         }
-        self.scratch.backward = back;
+        sc.backward = back;
         // One transaction per backward run fetches its precomputed
         // signature (a single u64 each, coalesced across the warp).
         let with_sig = others.iter().filter(|o| o.sig.is_some()).count();
@@ -1166,7 +1189,7 @@ impl Search {
         // Gather pass: stream the base run through the cheap per-vertex
         // gates. With no other backward edges the survivors are final and
         // bypass the staging buffer entirely (the common shallow case).
-        let mut chunk = std::mem::take(&mut self.scratch.chunk);
+        let mut chunk = std::mem::take(&mut sc.chunk);
         chunk.clear();
         let direct = others.is_empty();
         gpma.for_each_neighbor(bv, |cand, el| {
@@ -1285,7 +1308,7 @@ impl Search {
                 sink(w[i]);
             }
         }
-        self.scratch.chunk = chunk;
+        sc.chunk = chunk;
         // Charge the chunked intersections: each backward run is billed
         // for the lanes it actually probed and the span its cursor
         // actually walked (plus its bitmap probes), not a synthetic
@@ -1296,7 +1319,7 @@ impl Search {
             }
             ctx.chunked_intersect(o.probed as u64, (o.rem0 - o.cur.rem()) as u64);
         }
-        self.scratch.others = others;
+        sc.others = others;
     }
 
     /// On completing a `V^k` assignment under a class representative seed,
@@ -1343,11 +1366,30 @@ impl Search {
     }
 
     /// Advances the DFS by one quantum. Returns `false` when the current
-    /// state is exhausted.
-    fn advance(&mut self, sh: &KernelShared, ctx: &mut WarpCtx) -> bool {
+    /// state is exhausted; its frame stack then goes back to the scratch.
+    fn advance(&mut self, sh: &KernelShared, sc: &mut Scratch, ctx: &mut WarpCtx) -> bool {
         let Some(mut st) = self.state.take() else {
             return false;
         };
+        if self.advance_state(sh, sc, &mut st, ctx) {
+            self.state = Some(st);
+            return true;
+        }
+        while !st.frames.is_empty() {
+            self.pop_frame(sc, &mut st);
+        }
+        sc.stacks.push(st.frames);
+        false
+    }
+
+    /// [`Search::advance`] on the state `st` it took.
+    fn advance_state(
+        &mut self,
+        sh: &KernelShared,
+        sc: &mut Scratch,
+        st: &mut DfsState,
+        ctx: &mut WarpCtx,
+    ) -> bool {
         let seed = &sh.meta.seeds[st.seed];
         let q = &sh.meta.q;
         let n = seed.order.len();
@@ -1368,12 +1410,12 @@ impl Search {
                 return false;
             }
             let delivered = std::mem::take(&mut self.delivered);
-            if !delivered && !self.licensed(sh, st.seed, st.base_level, &st.m, ctx) {
+            if !delivered && !self.licensed(sh, sc, st.seed, st.base_level, &st.m, ctx) {
                 return false;
             }
-            let cands = self.gen_candidates(sh, seed, st.base_level, &st.m, ctx);
+            let cands = self.gen_candidates(sh, sc, seed, st.base_level, &st.m, ctx);
             if cands.is_empty() {
-                self.recycle(cands);
+                self.recycle(sc, cands);
                 return false;
             }
             st.frames.push(Frame {
@@ -1381,7 +1423,6 @@ impl Search {
                 p: 0,
                 memo_last: None,
             });
-            self.state = Some(st);
             return true;
         }
 
@@ -1404,8 +1445,8 @@ impl Search {
                     f.p = f.cands.len();
                     ctx.compute(remaining as u64);
                     self.note_count(sh, remaining as u64 * mult);
-                    self.pop_frame(&mut st);
-                    if !self.backtrack(&mut st, seed) {
+                    self.pop_frame(sc, st);
+                    if !self.backtrack(sc, st, seed) {
                         return false;
                     }
                     budget = budget.saturating_sub(remaining.max(1));
@@ -1436,8 +1477,8 @@ impl Search {
                 let f = &st.frames[top_idx];
                 if f.p >= f.cands.len() {
                     // Lines 12–13: backtrack.
-                    self.pop_frame(&mut st);
-                    if !self.backtrack(&mut st, seed) {
+                    self.pop_frame(sc, st);
+                    if !self.backtrack(sc, st, seed) {
                         return false;
                     }
                 }
@@ -1449,8 +1490,8 @@ impl Search {
             // candidate set is nonempty.
             let f = &mut st.frames[top_idx];
             if f.p >= f.cands.len() {
-                self.pop_frame(&mut st);
-                if !self.backtrack(&mut st, seed) {
+                self.pop_frame(sc, st);
+                if !self.backtrack(sc, st, seed) {
                     return false;
                 }
                 budget -= 1;
@@ -1473,13 +1514,13 @@ impl Search {
                 // memoize it on the parent frame and answer each sibling
                 // with one binary search instead of a rescan.
                 let independent = !q.neighbors(qv_last).iter().any(|&(un, _)| un == qv);
-                let count = if !self.licensed(sh, st.seed, level + 1, &st.m, ctx) {
+                let count = if !self.licensed(sh, sc, st.seed, level + 1, &st.m, ctx) {
                     0 // shipped: its owner counts it
                 } else if independent {
                     if st.frames[top_idx].memo_last.is_none() {
                         st.m.unset(qv);
-                        let mut s = self.take_buf(ctx);
-                        self.scan_candidates(sh, seed, level + 1, &st.m, ctx, |v| s.push(v));
+                        let mut s = sc.buf(&mut self.spare, Some(ctx));
+                        self.scan_candidates(sh, sc, seed, level + 1, &st.m, ctx, |v| s.push(v));
                         st.m.set(qv, c);
                         st.frames[top_idx].memo_last = Some(s);
                     }
@@ -1489,7 +1530,7 @@ impl Search {
                     ctx.shared_access((64 - (s.len() as u64).leading_zeros() as u64).max(1));
                     (s.len() - usize::from(s.binary_search(&c).is_ok())) as u64
                 } else {
-                    self.count_candidates(sh, seed, level + 1, &st.m, ctx)
+                    self.count_candidates(sh, sc, seed, level + 1, &st.m, ctx)
                 };
                 if crossing_vk {
                     let m = st.m;
@@ -1502,10 +1543,10 @@ impl Search {
                 budget -= 1;
                 continue;
             }
-            let next = if self.licensed(sh, st.seed, level + 1, &st.m, ctx) {
-                self.gen_candidates(sh, seed, level + 1, &st.m, ctx)
+            let next = if self.licensed(sh, sc, st.seed, level + 1, &st.m, ctx) {
+                self.gen_candidates(sh, sc, seed, level + 1, &st.m, ctx)
             } else {
-                self.take_buf(ctx) // shipped: empty here
+                sc.buf(&mut self.spare, Some(ctx)) // shipped: empty here
             };
             if !next.is_empty() {
                 if crossing_vk {
@@ -1524,13 +1565,12 @@ impl Search {
                     let m = st.m;
                     self.spawn_permutations(sh, st.seed, &m, ctx);
                 }
-                self.recycle(next);
+                self.recycle(sc, next);
                 st.m.unset(qv);
                 st.frames[top_idx].p += 1;
             }
             budget -= 1;
         }
-        self.state = Some(st);
         true
     }
 
@@ -1538,7 +1578,7 @@ impl Search {
     /// clear its assignment). Returns `false` when the whole state is done.
     /// On `true`, the new top frame's candidate at `p` is *unassigned*
     /// (regular top-frame semantics) and the caller's loop resumes there.
-    fn backtrack(&mut self, st: &mut DfsState, seed: &SeedPlan) -> bool {
+    fn backtrack(&mut self, sc: &mut Scratch, st: &mut DfsState, seed: &SeedPlan) -> bool {
         loop {
             let Some(top_idx) = st.frames.len().checked_sub(1) else {
                 return false;
@@ -1551,12 +1591,12 @@ impl Search {
             if f.p < f.cands.len() {
                 return true;
             }
-            self.pop_frame(st);
+            self.pop_frame(sc, st);
         }
     }
 
     /// One scheduler quantum of the task (see [`WarpTask::step`]).
-    fn step(&mut self, sh: &KernelShared, ctx: &mut WarpCtx) -> StepResult {
+    fn step(&mut self, sh: &KernelShared, sc: &mut Scratch, ctx: &mut WarpCtx) -> StepResult {
         poll_deadline(sh.deadline, &mut self.steps, &sh.abort);
         if sh.abort.load(Ordering::Relaxed) {
             self.flush(sh);
@@ -1564,7 +1604,7 @@ impl Search {
         }
         // Continue the running DFS.
         if self.state.is_some() {
-            if self.advance(sh, ctx) {
+            if self.advance(sh, sc, ctx) {
                 return StepResult::Continue;
             }
             self.state = None;
@@ -1576,7 +1616,7 @@ impl Search {
                 seed: p.seed,
                 base_level: p.base_level,
                 m: p.m,
-                frames: Vec::new(),
+                frames: sc.stack(),
                 warm: true,
             });
             ctx.compute(2);
@@ -1584,7 +1624,7 @@ impl Search {
         }
         // Start the next seed.
         while let Some(k) = self.seeds.next() {
-            if let Some(st) = self.start_seed(sh, k / 2, k % 2 == 1, ctx) {
+            if let Some(st) = self.start_seed(sh, sc, k / 2, k % 2 == 1, ctx) {
                 self.state = Some(st);
                 return StepResult::Continue;
             }
@@ -1608,17 +1648,21 @@ impl Search {
     }
 
     /// The search a thief takes (see [`WarpTask::try_split`]). A frame
-    /// split copies the taken candidates into a buffer drawn from this
-    /// search's pool and metered on `meter` (a shard unit's split), or
-    /// into a fresh one (`None`: a device steal).
-    fn split(&mut self, sh: &KernelShared, meter: Option<&mut WarpCtx>) -> Option<Search> {
+    /// split copies the taken candidates into a buffer drawn from the
+    /// scratch pool, metered on `meter` (a shard unit's split; a device
+    /// steal runs outside any step and has no meter).
+    fn split(
+        &mut self,
+        sh: &KernelShared,
+        sc: &mut Scratch,
+        meter: Option<&mut WarpCtx>,
+    ) -> Option<Search> {
         // Priority 1: split the shallowest frame with ≥ 2 unexplored
         // candidates beyond the current one.
         if let Some(st) = &mut self.state {
             let seed = &sh.meta.seeds[st.seed];
-            let bufs = &mut self.scratch.pool;
-            let buf = || meter.map_or_else(Vec::new, |ctx| pooled(bufs, ctx));
-            if let Some(thief) = st.split_frame(&seed.order, buf) {
+            let spare = &mut self.spare;
+            if let Some(thief) = st.split_frame(&seed.order, sc, |sc| sc.buf(spare, meter)) {
                 return Some(self.child(0..0, VecDeque::new(), Some(thief)));
             }
         }
@@ -1642,7 +1686,7 @@ impl Search {
 
 impl WarpTask for WbmTask {
     fn step(&mut self, ctx: &mut WarpCtx) -> StepResult {
-        self.search.step(&self.shared, ctx)
+        SCRATCH.with_borrow_mut(|sc| self.search.step(&self.shared, sc, ctx))
     }
 
     fn remaining_hint(&self) -> u64 {
@@ -1650,7 +1694,7 @@ impl WarpTask for WbmTask {
     }
 
     fn try_split(&mut self) -> Option<Box<dyn WarpTask>> {
-        let search = self.search.split(&self.shared, None)?;
+        let search = SCRATCH.with_borrow_mut(|sc| self.search.split(&self.shared, sc, None))?;
         Some(Box::new(WbmTask {
             shared: Arc::clone(&self.shared),
             search,
@@ -1997,11 +2041,21 @@ mod tests {
             .iter()
             .all(|(dst, m)| *dst == 1 && m.base_level == 2));
         let mut resumed = Vec::new();
+        // Every unit returns to this thread's scratch what it drew, its
+        // frame stack included, so the pools stop growing once warm.
+        let pooled = || SCRATCH.with_borrow(|sc| (sc.pool.len(), sc.stacks.len()));
+        let mut warm = None;
         for (_, mig) in migrants {
             let (ms, n, shipped) = unit(1, UnitWork::Mig(mig));
             assert!(shipped.is_empty());
             assert_eq!(n, ms.len() as u64);
             resumed.extend(ms);
+            let now = pooled();
+            assert_eq!(
+                *warm.get_or_insert(now),
+                now,
+                "a migrant unit grew the pools"
+            );
         }
         let (mut direct, n, shipped) = unit(1, UnitWork::Anchor(anchors[0], 0));
         assert!(shipped.is_empty());

@@ -29,6 +29,13 @@ struct WarpSlot {
 /// Warps are advanced in virtual-clock order (ties broken by warp index),
 /// which makes the interleaving — and therefore stealing decisions,
 /// utilization and makespan — fully deterministic for a given task list.
+///
+/// With [`Stealing::Active`] a warp whose task finishes scans the block
+/// for the busiest victim on its next turn and takes half of its work. If
+/// no victim qualifies it waits: after every step of a busy warp whose
+/// remaining work reaches `min_steal_hint`, the lowest-index waiting warp
+/// takes half of that warp's work. So a warp stays idle only while no
+/// other warp of its block holds work worth splitting.
 pub fn run_block(tasks: Vec<Box<dyn WarpTask>>, cfg: &DeviceConfig) -> BlockOutcome {
     let num_warps = tasks.len().max(1);
     let mut ctx = WarpCtx::new(cfg.cost, cfg.warp_size);
@@ -49,9 +56,9 @@ pub fn run_block(tasks: Vec<Box<dyn WarpTask>>, cfg: &DeviceConfig) -> BlockOutc
         .enumerate()
         .map(|(i, w)| Reverse((w.clock, i)))
         .collect();
-    // Indices of warps that have gone idle (task finished); candidates to
-    // receive work via passive stealing, or (active mode) they re-enter the
-    // heap right away to attempt a steal when their clock comes up.
+    // Indices of warps that have gone idle: in passive mode every warp
+    // whose task finished, in active mode every warp whose steal attempt
+    // found no victim. Both wait here to be handed work by a busy warp.
     let mut idle: Vec<usize> = Vec::new();
 
     while let Some(Reverse((clock, wi))) = heap.pop() {
@@ -64,12 +71,10 @@ pub fn run_block(tasks: Vec<Box<dyn WarpTask>>, cfg: &DeviceConfig) -> BlockOutc
                     warps[wi].clock += cost;
                     // Stole something: resume running.
                     heap.push(Reverse((warps[wi].clock, wi)));
-                } else {
-                    idle.push(wi);
+                    continue;
                 }
-            } else {
-                idle.push(wi);
             }
+            idle.push(wi);
             continue;
         }
 
@@ -97,6 +102,14 @@ pub fn run_block(tasks: Vec<Box<dyn WarpTask>>, cfg: &DeviceConfig) -> BlockOutc
                 }
             }
             StepResult::Continue => {
+                // Active mode: a waiting warp takes half of this warp's
+                // work as soon as it is worth splitting.
+                if cfg.stealing == Stealing::Active && !idle.is_empty() {
+                    if let Some(ti) = hand_off(&mut warps, wi, &mut idle, cfg, &mut ctx) {
+                        stats.steals += 1;
+                        heap.push(Reverse((warps[ti].clock, ti)));
+                    }
+                }
                 // Passive mode: the busy warp periodically interrupts its
                 // work to look for an idle warp and push half its load.
                 if cfg.stealing == Stealing::Passive
@@ -152,7 +165,8 @@ pub fn run_block(tasks: Vec<Box<dyn WarpTask>>, cfg: &DeviceConfig) -> BlockOutc
 
 /// An idle warp scans shared memory for the busiest victim and takes half
 /// of its unexplored candidates. Returns the cycles spent if a steal
-/// happened, `None` if no victim qualified.
+/// happened, `None` if no victim qualified (the scan is then not charged:
+/// the warp waits, and a later hand-off charges it).
 fn try_active_steal(
     warps: &mut [WarpSlot],
     thief: usize,
@@ -160,11 +174,6 @@ fn try_active_steal(
     ctx: &mut WarpCtx,
     stats: &mut BlockStats,
 ) -> Option<u64> {
-    // Scanning csize/p layer by layer: O(L * |W|) shared accesses (§V-A
-    // complexity). L is bounded by the query depth; we charge the scan as
-    // |W| shared reads per scan round and let the task's own hint stand in
-    // for the per-layer walk.
-    ctx.shared_access(warps.len() as u64);
     let victim = warps
         .iter()
         .enumerate()
@@ -176,21 +185,48 @@ fn try_active_steal(
             )
         })
         .map(|(i, _)| i)?;
-    let hint = warps[victim]
-        .task
-        .as_ref()
-        .expect("victim has task")
-        .remaining_hint();
-    if hint < cfg.min_steal_hint {
-        let _ = ctx.take_step_cycles();
+    let task = warps[victim].task.as_mut().expect("victim has task");
+    if task.remaining_hint() < cfg.min_steal_hint {
         return None;
     }
-    let split = warps[victim].task.as_mut().expect("victim").try_split()?;
-    // Copying the stolen range + parent partial match through shared memory.
+    let split = task.try_split()?;
+    // Scanning csize/p layer by layer: O(L * |W|) shared accesses (§V-A
+    // complexity). L is bounded by the query depth; we charge the scan as
+    // |W| shared reads per scan round and let the task's own hint stand in
+    // for the per-layer walk. Then the stolen range + parent partial match
+    // is copied through shared memory.
+    ctx.shared_access(warps.len() as u64);
     ctx.shared_access(split.remaining_hint().max(1));
     warps[thief].task = Some(split);
     stats.steals += 1;
     Some(ctx.take_step_cycles())
+}
+
+/// After a step of busy warp `victim` (active mode, some warp waiting):
+/// if its remaining work is at least `min_steal_hint`, the lowest-index
+/// waiting warp takes half of it. The thief starts at the later of the two
+/// clocks plus what a steal pays: the scan (|W| shared reads) and the
+/// copy. Returns the thief.
+fn hand_off(
+    warps: &mut [WarpSlot],
+    victim: usize,
+    idle: &mut Vec<usize>,
+    cfg: &DeviceConfig,
+    ctx: &mut WarpCtx,
+) -> Option<usize> {
+    let task = warps[victim].task.as_mut().expect("busy");
+    if task.remaining_hint() < cfg.min_steal_hint {
+        return None;
+    }
+    let (k, _) = idle.iter().enumerate().min_by_key(|&(_, &w)| w)?;
+    let split = task.try_split()?;
+    let thief = idle.swap_remove(k);
+    ctx.shared_access(warps.len() as u64);
+    ctx.shared_access(split.remaining_hint().max(1));
+    let start = warps[thief].clock.max(warps[victim].clock);
+    warps[thief].clock = start + ctx.take_step_cycles();
+    warps[thief].task = Some(split);
+    Some(thief)
 }
 
 #[cfg(test)]
@@ -239,6 +275,36 @@ mod tests {
                 cycles_per_unit: self.cycles_per_unit,
                 splittable: true,
             }))
+        }
+    }
+
+    /// A [`Chunk`] whose work stays hidden for its first `hidden` steps:
+    /// until then its hint is 0 and it cannot be split.
+    struct Late {
+        chunk: Chunk,
+        hidden: u64,
+    }
+
+    impl WarpTask for Late {
+        fn step(&mut self, ctx: &mut WarpCtx) -> StepResult {
+            self.hidden = self.hidden.saturating_sub(1);
+            self.chunk.step(ctx)
+        }
+
+        fn remaining_hint(&self) -> u64 {
+            if self.hidden > 0 {
+                0
+            } else {
+                self.chunk.remaining_hint()
+            }
+        }
+
+        fn try_split(&mut self) -> Option<Box<dyn WarpTask>> {
+            if self.hidden > 0 {
+                None
+            } else {
+                self.chunk.try_split()
+            }
         }
     }
 
@@ -308,6 +374,42 @@ mod tests {
             off.makespan_cycles
         );
         assert!(active.utilization() > off.utilization());
+    }
+
+    #[test]
+    fn waiting_warp_steals_once_work_becomes_splittable() {
+        // The short task's warp finishes while the long task is not yet
+        // splittable, so its one steal attempt finds no victim. It waits,
+        // and takes half of the long task once that becomes splittable.
+        let mk = |steal: Stealing| {
+            let tasks: Vec<Box<dyn WarpTask>> = vec![
+                Box::new(Late {
+                    chunk: Chunk {
+                        units: 1000,
+                        cycles_per_unit: 100,
+                        splittable: true,
+                    },
+                    hidden: 10,
+                }),
+                Box::new(Chunk {
+                    units: 2,
+                    cycles_per_unit: 100,
+                    splittable: true,
+                }),
+            ];
+            run_block(tasks, &cfg(steal)).stats
+        };
+        let serial = mk(Stealing::Off);
+        let active = mk(Stealing::Active);
+        assert_eq!(serial.makespan_cycles, 100_000);
+        assert!(active.steals >= 1, "steals={}", active.steals);
+        assert!(
+            active.makespan_cycles * 3 < serial.makespan_cycles * 2,
+            "active={} serial={}",
+            active.makespan_cycles,
+            serial.makespan_cycles
+        );
+        assert_eq!(active.tasks_completed, 2 + active.steals);
     }
 
     #[test]

@@ -70,7 +70,11 @@ pub enum Stealing {
     /// Busy warps periodically scan for idle warps and push half their work.
     Passive,
     /// Idle warps scan `csize`/`p` in shared memory and take half of the
-    /// victim's unexplored candidates (the paper's preferred strategy).
+    /// victim's unexplored candidates (the paper's preferred strategy). A
+    /// warp whose scan finds no victim waits: after each step of a busy
+    /// warp whose remaining work is at least `min_steal_hint`, the
+    /// lowest-index waiting warp takes half of it, so warps keep stealing
+    /// until their block drains.
     #[default]
     Active,
 }

@@ -19,9 +19,10 @@ pub struct BlockStats {
     pub global_transactions: u64,
     /// Shared-memory accesses charged.
     pub shared_accesses: u64,
-    /// Candidate buffers recycled from task-local pools.
+    /// Candidate-buffer draws a pool of the drawing task's own would serve
+    /// (see [`KernelStats::buf_reuse`]).
     pub buf_reuse: u64,
-    /// Candidate buffers freshly heap-allocated (pool misses).
+    /// Candidate-buffer draws such a pool would miss.
     pub buf_alloc: u64,
     /// Per-warp busy cycles (index = warp slot), for workload-skew traces.
     pub warp_busy: Vec<u64>,
@@ -68,16 +69,16 @@ pub struct KernelStats {
     pub global_transactions: u64,
     /// Total shared accesses.
     pub shared_accesses: u64,
-    /// Candidate buffers recycled from task-local pools across the launch.
-    /// On the shard executor the pool is per host thread and outlives the
-    /// phase, so this follows which thread ran which unit and is not
-    /// reproducible run to run.
+    /// Candidate-buffer draws served by buffers the drawing task had
+    /// returned earlier, across the launch. The buffers come from a pool
+    /// per host thread, but each task counts its draws as a pool of its
+    /// own would serve them, so this does not depend on which thread ran
+    /// which task.
     pub buf_reuse: u64,
-    /// Candidate buffers freshly heap-allocated (pool misses). In the DFS
-    /// steady state this is bounded by tasks × query depth (warm-up);
-    /// per-quantum allocations would make it scale with `busy_cycles`. On
-    /// the shard executor it depends on the host threads, as
-    /// [`KernelStats::buf_reuse`] does.
+    /// Candidate-buffer draws a pool of the task's own would have missed
+    /// (counted as [`KernelStats::buf_reuse`] is). In the DFS steady state
+    /// this is bounded by tasks × query depth (warm-up); per-quantum
+    /// allocations would make it scale with `busy_cycles`.
     pub buf_alloc: u64,
     /// Host wall-clock seconds of the launch (informational). A lone
     /// launch reports its elapsed time. The grids of one

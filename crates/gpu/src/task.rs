@@ -25,11 +25,11 @@ pub struct WarpCtx {
     pub global_transactions: u64,
     /// Shared-memory accesses charged during the whole block run.
     pub shared_accesses: u64,
-    /// Candidate buffers recycled from a task-local pool (the
-    /// zero-allocation steady state of the DFS kernel).
+    /// Candidate-buffer draws a pool of the drawing task's own would
+    /// serve (the zero-allocation steady state of the DFS kernel).
     pub buf_reuse: u64,
-    /// Candidate buffers that had to be freshly heap-allocated (pool miss —
-    /// warm-up only, in steady state this must stop growing).
+    /// Candidate-buffer draws such a pool would miss (warm-up only; in
+    /// steady state this must stop growing).
     pub buf_alloc: u64,
 }
 
@@ -134,9 +134,9 @@ impl WarpCtx {
         self.charge(c);
     }
 
-    /// Records a candidate-buffer acquisition: `reused` when it came from
-    /// the task-local pool, fresh heap allocation otherwise. Free (no
-    /// cycles) — this instruments the *host* allocation behaviour, whose
+    /// Records a candidate-buffer acquisition: `reused` when a pool of the
+    /// task's own would serve it, a miss otherwise. Free (no cycles) —
+    /// this instruments the kernel's *host* allocation discipline, whose
     /// steady state must allocate nothing.
     pub fn note_buffer(&mut self, reused: bool) {
         if reused {

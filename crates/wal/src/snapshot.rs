@@ -50,24 +50,25 @@ impl Snapshot {
     /// snapshot untouched (only the `.tmp` file is damaged, and replay
     /// ignores it).
     pub fn write_with(&self, path: &Path, failpoints: Option<&Failpoints>) -> Result<(), WalError> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&VERSION.to_le_bytes());
-        body.extend_from_slice(&self.epoch.to_le_bytes());
-        body.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
+        // The file image, built once: the CRC covers everything after the
+        // magic and is appended in place.
+        let sections: usize = self.sections.iter().map(|s| 4 + s.len()).sum();
+        let mut buf = Vec::with_capacity(4 + 4 + 8 + 4 + sections + 4);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.extend_from_slice(&self.epoch.to_le_bytes());
+        buf.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
         for s in &self.sections {
-            body.extend_from_slice(&(s.len() as u32).to_le_bytes());
-            body.extend_from_slice(s);
+            buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            buf.extend_from_slice(s);
         }
-        let crc = crc32(&body);
+        let crc = crc32(&buf[MAGIC.len()..]);
+        buf.extend_from_slice(&crc.to_le_bytes());
         let tmp = path.with_extension("tmp");
         {
             let mut io = boxed_io(File::create(&tmp)?, failpoints);
             let mut retries = 0u64;
             let mut backoff = 0u64;
-            let mut buf = Vec::with_capacity(4 + body.len() + 4);
-            buf.extend_from_slice(MAGIC);
-            buf.extend_from_slice(&body);
-            buf.extend_from_slice(&crc.to_le_bytes());
             retry_io("snapshot write", &mut retries, &mut backoff, || {
                 io.write_all(&buf)
             })?;

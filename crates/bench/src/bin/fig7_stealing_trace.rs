@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 use gamma_core::{wbm, GammaConfig, IncrementalEncoder};
 use gamma_datasets::skewed_star_workload;
 use gamma_gpma::{Gpma, GpmaConfig};
-use gamma_gpu::{run_block, DeviceConfig, Stealing, WarpTask};
+use gamma_gpu::{run_block, DeviceConfig, Stealing};
 use gamma_graph::UpdateBatch;
 
 fn main() {
@@ -42,7 +42,7 @@ fn main() {
         ("after work stealing", Stealing::Active),
     ] {
         let gpma = Gpma::from_graph(&g2, GpmaConfig::default());
-        let shared = Arc::new(wbm::KernelShared {
+        let shared = wbm::KernelShared {
             gpma: Arc::new(gpma),
             meta: Arc::clone(&meta),
             table: table.clone(),
@@ -56,31 +56,29 @@ fn main() {
             match_limit: u64::MAX,
             signatures: true,
             residency: None,
-        });
-        let tasks: Vec<Box<dyn WarpTask>> = batch
+        };
+        let tasks = batch
             .inserts
             .iter()
             .enumerate()
-            .map(|(i, a)| Box::new(wbm::WbmTask::new(Arc::clone(&shared), a, i as u32)) as _)
+            .map(|(i, a)| wbm::WbmTask::new(&shared, a, i as u32))
             .collect();
         let dev_cfg = DeviceConfig {
             stealing,
             min_steal_hint: 4,
             ..DeviceConfig::single_sm()
         };
-        let out = run_block(tasks, &dev_cfg);
-        let s = &out.stats;
+        let (s, warp_busy) = run_block(&shared, tasks, &dev_cfg);
         println!("## {label}\n");
         println!(
             "block makespan: {} cycles; steals: {}; utilization {:.1}%",
-            s.makespan_cycles,
+            s.device_cycles,
             s.steals,
             s.utilization() * 100.0
         );
-        for (i, (&busy, &clock)) in s.warp_busy.iter().zip(&s.warp_clock).enumerate() {
-            let bar = "#".repeat(((busy as f64 / s.makespan_cycles as f64) * 50.0) as usize);
+        for (i, &busy) in warp_busy.iter().enumerate() {
+            let bar = "#".repeat(((busy as f64 / s.device_cycles as f64) * 50.0) as usize);
             println!("  warp {i}: busy {busy:>9} cycles |{bar}");
-            let _ = clock;
         }
         println!();
     }

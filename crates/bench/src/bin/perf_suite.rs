@@ -19,11 +19,14 @@
 //!
 //! For every (dataset, class, workload, engine) cell it prints updates/sec
 //! (net structural updates over host wall time), matches/sec, the
-//! simulated device-cycle total and the kernels' summed warp work (busy
-//! cycles, which no gate reads), then writes a machine-readable JSON
-//! summary (default `BENCH_PR10.json`; `--smoke` defaults to a
-//! per-invocation file under the system temp dir so parallel CI jobs never
-//! clobber each other — `--out=PATH` is honored everywhere).
+//! simulated device-cycle total, the kernels' summed warp work (busy
+//! cycles, which no gate reads) and their scheduler steps (`steps`), then
+//! writes a machine-readable JSON summary (default `BENCH_PR10.json`;
+//! `--smoke` defaults to a per-invocation file under the system temp dir
+//! so parallel CI jobs never clobber each other — `--out=PATH` is honored
+//! everywhere). Each cell there also carries the kernels' `tasks`,
+//! `tasks_completed` (a stolen part counts as a task, so on the device it
+//! is `tasks + steals`) and `scheduler_steps`.
 //!
 //! The summary's `registry` block measures the standing-query serving
 //! tier: 8 same-class subscriptions served by one [`QueryRegistry`]
@@ -74,9 +77,10 @@
 //! signal for triage.
 //!
 //! Under `--replay-trace` the gate additionally checks the deterministic
-//! column: any cell whose `sim_cycles` grew more than 10% over the
-//! baseline fails immediately, with no re-measure (determinism means a
-//! retry cannot differ).
+//! columns: any cell whose `sim_cycles` grew more than 10% over the
+//! baseline, or whose match count differs from the baseline's at all,
+//! fails immediately, with no re-measure (determinism means a retry
+//! cannot differ).
 //!
 //! ## Shard-scaling gate
 //!
@@ -188,6 +192,22 @@ struct Sample {
     ///
     /// [`KernelStats::steals`]: gamma_gpu::KernelStats::steals
     steals: u64,
+    /// Summed tasks the kernels were given ([`KernelStats::num_tasks`]):
+    /// warp tasks on the device, units run on shards.
+    ///
+    /// [`KernelStats::num_tasks`]: gamma_gpu::KernelStats::num_tasks
+    tasks: u64,
+    /// Summed tasks run to completion, stolen parts included
+    /// ([`KernelStats::tasks_completed`]): `tasks + steals` on the device,
+    /// 0 on shards.
+    ///
+    /// [`KernelStats::tasks_completed`]: gamma_gpu::KernelStats::tasks_completed
+    tasks_completed: u64,
+    /// Summed block-scheduler steps ([`KernelStats::scheduler_steps`]; 0
+    /// on shards).
+    ///
+    /// [`KernelStats::scheduler_steps`]: gamma_gpu::KernelStats::scheduler_steps
+    scheduler_steps: u64,
     /// Batches applied.
     batches: u64,
     /// Sharded cells' migration telemetry.
@@ -420,6 +440,9 @@ fn run_engine(
         sim_cycles: 0,
         busy_cycles: 0,
         steals: 0,
+        tasks: 0,
+        tasks_completed: 0,
+        scheduler_steps: 0,
         batches: 0,
         shard: None,
     };
@@ -430,6 +453,9 @@ fn run_engine(
         s.sim_cycles += r.stats.update_cycles + r.stats.kernel.device_cycles;
         s.busy_cycles += r.stats.kernel.busy_cycles;
         s.steals += r.stats.kernel.steals;
+        s.tasks += r.stats.kernel.num_tasks as u64;
+        s.tasks_completed += r.stats.kernel.tasks_completed;
+        s.scheduler_steps += r.stats.kernel.scheduler_steps;
         s.batches += 1;
     };
     match under_test {
@@ -940,7 +966,8 @@ fn write_json(
             "    {{\"dataset\": \"{}\", \"class\": \"{}\", \"workload\": \"{}\", \"engine\": \"{}\", \
              \"updates\": {}, \"matches\": {}, \"batches\": {}, \"wall_seconds\": {:.6}, \
              \"updates_per_sec\": {:.1}, \"matches_per_sec\": {:.1}, \"sim_cycles\": {}, \
-             \"busy_cycles\": {}, \"steals\": {}{}}}{}",
+             \"busy_cycles\": {}, \"steals\": {}, \"tasks\": {}, \"tasks_completed\": {}, \
+             \"scheduler_steps\": {}{}}}{}",
             json_escape(s.dataset),
             json_escape(s.class),
             json_escape(s.workload),
@@ -954,6 +981,9 @@ fn write_json(
             s.sim_cycles,
             s.busy_cycles,
             s.steals,
+            s.tasks,
+            s.tasks_completed,
+            s.scheduler_steps,
             shard_fields,
             comma
         );
@@ -976,6 +1006,8 @@ struct BaselineCell {
     updates_per_sec: f64,
     /// Absent in pre-PR-4 summaries (the column postdates them).
     sim_cycles: Option<f64>,
+    /// Incremental matches reported.
+    matches: Option<f64>,
 }
 
 /// Extracts `"key": "value"` from one JSON line of our own writer.
@@ -1022,6 +1054,7 @@ fn parse_baseline(text: &str) -> (HashMap<String, f64>, Vec<BaselineCell>) {
                     engine,
                     updates_per_sec: ups,
                     sim_cycles: field_num(line, "sim_cycles"),
+                    matches: field_num(line, "matches"),
                 });
             }
         } else if !in_cells {
@@ -1063,7 +1096,8 @@ fn sim_cycle_note(b: &BaselineCell, s: &Sample) -> String {
 /// must hold at least `1 - REGRESSION_TOLERANCE` of its throughput, and —
 /// when `sim_gate` is on (trace replay: the work is bit-identical) —
 /// every shared cell's deterministic `sim_cycles` must stay within
-/// `1 + SIM_CYCLE_TOLERANCE` of the baseline.
+/// `1 + SIM_CYCLE_TOLERANCE` of the baseline and its match count must
+/// equal the baseline's.
 fn check_regressions(
     samples: &[Sample],
     baseline: &[BaselineCell],
@@ -1124,6 +1158,18 @@ fn check_regressions(
                             ceiling,
                             bs,
                             (s.sim_cycles as f64 / bs - 1.0) * 100.0
+                        ),
+                        deterministic: true,
+                    });
+                }
+            }
+            if let Some(bm) = b.matches {
+                if (s.matches as f64 - bm).abs() >= 1.0 {
+                    violations.push(Violation {
+                        idx: i,
+                        msg: format!(
+                            "{}/{}/{}/{}: matches measured {} != baseline {bm:.0}",
+                            b.dataset, b.class, b.workload, b.engine, s.matches
                         ),
                         deterministic: true,
                     });
@@ -1268,6 +1314,7 @@ fn main() -> ExitCode {
         "sim-cycles",
         "busy-cycles",
         "steals",
+        "steps",
         "migr",
         "cut%",
         "splits",
@@ -1376,6 +1423,7 @@ fn main() -> ExitCode {
                         s.sim_cycles.to_string(),
                         s.busy_cycles.to_string(),
                         s.steals.to_string(),
+                        s.scheduler_steps.to_string(),
                         migr,
                         cut,
                         splits,
@@ -1519,7 +1567,10 @@ fn main() -> ExitCode {
                 "\nperf gate FAILED vs {path} (>{:.0}% churn wall-clock regression{}):",
                 REGRESSION_TOLERANCE * 100.0,
                 if sim_gate {
-                    format!(" or >{:.0}% sim-cycle growth", SIM_CYCLE_TOLERANCE * 100.0)
+                    format!(
+                        ", >{:.0}% sim-cycle growth or a changed match count",
+                        SIM_CYCLE_TOLERANCE * 100.0
+                    )
                 } else {
                     String::new()
                 }
@@ -1534,8 +1585,9 @@ fn main() -> ExitCode {
                 baseline_churn_cells,
                 if sim_gate {
                     format!(
-                        " + sim-cycles on {} cell(s)",
-                        cells.iter().filter(|c| c.sim_cycles.is_some()).count()
+                        " + sim-cycles on {} cell(s) + match counts on {}",
+                        cells.iter().filter(|c| c.sim_cycles.is_some()).count(),
+                        cells.iter().filter(|c| c.matches.is_some()).count()
                     )
                 } else {
                     String::new()

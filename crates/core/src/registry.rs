@@ -655,7 +655,8 @@ impl QueryRegistry {
             Executor::Device(device) => {
                 let (shared, grids): (Vec<_>, Vec<_>) =
                     states.into_iter().map(|st| phase.grid(st)).unzip();
-                shared.into_iter().zip(device.launch_grids(grids)).collect()
+                let stats = device.launch_grids(shared.iter().zip(grids).collect());
+                shared.into_iter().zip(stats).collect()
             }
             Executor::Shards(rt) => states
                 .into_iter()

@@ -11,7 +11,7 @@
 //!
 //! * the block scheduler interleave warps deterministically,
 //! * idle warps **steal half of the unexplored candidates at the
-//!   shallowest unfinished level** ([`WbmTask::try_split`], §V-A) — a warp
+//!   shallowest unfinished level** ([`WarpTask::try_split`], §V-A) — a warp
 //!   that finds no victim waits, and takes half of the next busy warp
 //!   whose work becomes worth splitting — and
 //! * **coalesced search** inject permuted `V^k` partial matches as pending
@@ -53,21 +53,22 @@
 //! store's, and the dedup rule's incident index ([`UpdateOrder`]) is sized
 //! by the phase's anchors.
 //!
-//! Tasks read launch state through a borrow. A [`WbmTask`] holds one
-//! `Arc<KernelShared>`, cloned once per task and once per steal, and its
-//! search state in a separate field. Each step passes `&KernelShared`
-//! (and the `&SeedPlan` resolved from it) alongside `&mut` access to that
-//! state and to its thread's scratch. So a DFS step changes no reference
-//! count, and the hot loop writes only memory its task or thread owns.
-//! Shared memory is written only when a task flushes its matches, every
-//! `FLUSH_THRESHOLD` (1024) of them. This matters on the host: when launch
-//! threads on different cores clone and drop one `Arc` per step, its
-//! counter's cache line moves between the cores on every step.
+//! Tasks borrow their launch. A [`WbmTask`] is the search state it
+//! writes and nothing else: the launch lends its `&KernelShared` (the
+//! task's [`WarpTask::Launch`]) to every step and every split, and each
+//! block of the launch holds the one `Arc` to it. So no `Arc` is cloned
+//! per task or per steal, a DFS step changes no reference count, and the
+//! hot loop writes only memory its task or thread owns. Shared memory is
+//! written only when a task flushes its matches, every `FLUSH_THRESHOLD`
+//! (1024) of them, and when it finishes. This matters on the host: a
+//! counter that launch threads on different cores write moves its cache
+//! line between the cores on every write.
 //!
 //! A task owns no scratch. Its step borrows its thread's (candidate
 //! buffers, frame stacks and scan buffers), and so does a steal, whose
-//! taken candidates go into a buffer from that pool. So a thief starts
-//! with warm buffers, and a steal allocates only the thief's task box.
+//! taken candidates go into a buffer from that pool. A thief is a plain
+//! task value, so it starts with warm buffers, and a steal allocates only
+//! while its thread's buffers warm up.
 //!
 //! # Count-only launches and coalesced search
 //!
@@ -109,7 +110,7 @@
 //! them. With device stealing on it also splits: every `SPLIT_BUDGET`
 //! (65,536) cycles, while its remaining work hint is at least the device's
 //! `min_steal_hint`, it hands work off through the split the device's warps
-//! steal with ([`WbmTask::try_split`]), and the part runs as a unit of its
+//! steal with ([`WarpTask::try_split`]), and the part runs as a unit of its
 //! own. Its launch carries a residency context
 //! ([`KernelShared::residency`]; `None` on the single device, where nothing
 //! migrates or flips), and the search knows its shard. Before every scan
@@ -436,17 +437,11 @@ impl DfsState {
     }
 }
 
-/// The warp task for one update edge: the launch state it reads, one
-/// `Arc` per task, and the search state it writes.
+/// The warp task for one update edge: the search state it writes. Its
+/// steps and splits take the launch's state as a `&KernelShared` borrow,
+/// so a task holds no reference to it, and a DFS step writes only memory
+/// its task or thread owns.
 pub struct WbmTask {
-    shared: Arc<KernelShared>,
-    search: Search,
-}
-
-/// Everything a [`WbmTask`] writes. Its methods take the launch state as a
-/// separate `&KernelShared` borrow, so a DFS step touches no reference
-/// count and writes only memory its task owns.
-struct Search {
     /// Update edge endpoints (anchor).
     v1: VertexId,
     v2: VertexId,
@@ -513,7 +508,7 @@ thread_local! {
 impl Scratch {
     /// Draws an empty candidate buffer from the pool (warm-up allocates;
     /// steady state recycles) for a search with `spare` buffers of its
-    /// own ([`Search::spare`]), reporting to `meter` whether those served.
+    /// own ([`WbmTask::spare`]), reporting to `meter` whether those served.
     fn buf(&mut self, spare: &mut u32, meter: Option<&mut WarpCtx>) -> Vec<VertexId> {
         if let Some(ctx) = meter {
             ctx.note_buffer(*spare > 0);
@@ -592,18 +587,6 @@ impl Gate<'_> {
     }
 }
 
-impl WbmTask {
-    /// Creates the task for `anchor` (an insertion for the positive phase,
-    /// a deletion for the negative phase) with batch order `anchor_order`.
-    pub fn new(shared: Arc<KernelShared>, anchor: &Update, anchor_order: u32) -> Self {
-        let search = Search {
-            seeds: 0..2 * shared.meta.seeds.len(),
-            ..Search::new(anchor.u, anchor.v, anchor.label, anchor_order)
-        };
-        Self { shared, search }
-    }
-}
-
 /// Cycles a shard unit runs between two splits. With device stealing on,
 /// a unit that has spent this many since it started or last split, and
 /// whose remaining work hint ([`WarpTask::remaining_hint`]) is at least
@@ -620,7 +603,7 @@ pub(crate) const SPLIT_BUDGET: u64 = 65_536;
 /// took. It runs as a unit of its own ([`UnitWork::Part`]). Its next scan
 /// runs the license check, so any live shard may run it. Boxed, so that
 /// the units queued on a shard stay small.
-pub(crate) struct Part(Box<Search>);
+pub(crate) struct Part(Box<WbmTask>);
 
 impl Part {
     /// The lower endpoint of the part's anchor.
@@ -681,10 +664,7 @@ pub(crate) fn run_unit(
     ctx: &mut WarpCtx,
 ) -> UnitRun {
     let mut search = match work {
-        UnitWork::Anchor(a, order) => Search {
-            seeds: 0..2 * sh.meta.seeds.len(),
-            ..Search::new(a.u, a.v, a.label, order)
-        },
+        UnitWork::Anchor(a, order) => WbmTask::new(sh, &a, order),
         UnitWork::Mig(mig) => {
             debug_assert_eq!(
                 Some(mig.qid),
@@ -694,7 +674,7 @@ pub(crate) fn run_unit(
             // Resuming a partial, like a pending partial's pull.
             ctx.compute(2);
             let (v1, v2, elabel) = mig.anchor;
-            Search {
+            WbmTask {
                 state: Some(DfsState {
                     seed: mig.seed,
                     base_level: mig.base_level,
@@ -704,7 +684,7 @@ pub(crate) fn run_unit(
                     warm: true,
                 }),
                 delivered: true,
-                ..Search::new(v1, v2, elabel, mig.anchor_order)
+                ..WbmTask::idle(v1, v2, elabel, mig.anchor_order)
             }
         }
         UnitWork::Part(Part(search)) => {
@@ -715,7 +695,7 @@ pub(crate) fn run_unit(
     search.shard = Some(shard);
     let (mut cycles, mut since, mut parts) = (0u64, 0u64, Vec::new());
     SCRATCH.with_borrow_mut(|sc| loop {
-        let done = search.step(sh, sc, ctx) == StepResult::Done;
+        let done = search.step_with(sh, sc, ctx) == StepResult::Done;
         cycles += ctx.take_step_cycles();
         if done {
             break;
@@ -773,9 +753,19 @@ pub(crate) fn backward_set(
     base.expect("connected matching order").0
 }
 
-impl Search {
+impl WbmTask {
+    /// Creates the task for `anchor` (an insertion for the positive phase,
+    /// a deletion for the negative phase) with batch order `anchor_order`:
+    /// a sweep of every seed of `sh`'s plan in both orientations.
+    pub fn new(sh: &KernelShared, anchor: &Update, anchor_order: u32) -> Self {
+        Self {
+            seeds: 0..2 * sh.meta.seeds.len(),
+            ..Self::idle(anchor.u, anchor.v, anchor.label, anchor_order)
+        }
+    }
+
     /// An idle search of one anchor: nothing queued.
-    fn new(v1: VertexId, v2: VertexId, elabel: ELabel, anchor_order: u32) -> Self {
+    fn idle(v1: VertexId, v2: VertexId, elabel: ELabel, anchor_order: u32) -> Self {
         Self {
             v1,
             v2,
@@ -801,12 +791,12 @@ impl Search {
         seeds: Range<usize>,
         pending: VecDeque<PendingPartial>,
         state: Option<DfsState>,
-    ) -> Search {
-        Search {
+    ) -> WbmTask {
+        WbmTask {
             seeds,
             pending,
             state,
-            ..Search::new(self.v1, self.v2, self.elabel, self.anchor_order)
+            ..WbmTask::idle(self.v1, self.v2, self.elabel, self.anchor_order)
         }
     }
 
@@ -931,7 +921,7 @@ impl Search {
         out
     }
 
-    /// [`Search::gen_candidates`] without materialization: the number of
+    /// [`WbmTask::gen_candidates`] without materialization: the number of
     /// valid candidates only. Used by the count-only fast path at the last
     /// DFS level, where the candidate set would be consumed solely to be
     /// counted.
@@ -998,8 +988,8 @@ impl Search {
         false
     }
 
-    /// The scan core shared by [`Search::gen_candidates`] and
-    /// [`Search::count_candidates`]: streams every valid candidate into
+    /// The scan core shared by [`WbmTask::gen_candidates`] and
+    /// [`WbmTask::count_candidates`]: streams every valid candidate into
     /// `sink`, in ascending vertex order. The base run ([`backward_set`])
     /// streams through the cheap per-vertex gates, and the survivors are
     /// verified against the other backward vertices in one of two probe
@@ -1382,7 +1372,7 @@ impl Search {
         false
     }
 
-    /// [`Search::advance`] on the state `st` it took.
+    /// [`WbmTask::advance`] on the state `st` it took.
     fn advance_state(
         &mut self,
         sh: &KernelShared,
@@ -1595,8 +1585,9 @@ impl Search {
         }
     }
 
-    /// One scheduler quantum of the task (see [`WarpTask::step`]).
-    fn step(&mut self, sh: &KernelShared, sc: &mut Scratch, ctx: &mut WarpCtx) -> StepResult {
+    /// One scheduler quantum of the task ([`WarpTask::step`]) on the
+    /// scratch `sc`.
+    fn step_with(&mut self, sh: &KernelShared, sc: &mut Scratch, ctx: &mut WarpCtx) -> StepResult {
         poll_deadline(sh.deadline, &mut self.steps, &sh.abort);
         if sh.abort.load(Ordering::Relaxed) {
             self.flush(sh);
@@ -1633,20 +1624,6 @@ impl Search {
         StepResult::Done
     }
 
-    fn remaining_hint(&self) -> u64 {
-        let frames: u64 = self
-            .state
-            .as_ref()
-            .map(|st| {
-                st.frames
-                    .iter()
-                    .map(|f| (f.cands.len().saturating_sub(f.p + 1)) as u64)
-                    .sum()
-            })
-            .unwrap_or(0);
-        frames + 8 * self.pending.len() as u64 + 16 * self.seeds.len() as u64
-    }
-
     /// The search a thief takes (see [`WarpTask::try_split`]). A frame
     /// split copies the taken candidates into a buffer drawn from the
     /// scratch pool, metered on `meter` (a shard unit's split; a device
@@ -1656,7 +1633,7 @@ impl Search {
         sh: &KernelShared,
         sc: &mut Scratch,
         meter: Option<&mut WarpCtx>,
-    ) -> Option<Search> {
+    ) -> Option<WbmTask> {
         // Priority 1: split the shallowest frame with ≥ 2 unexplored
         // candidates beyond the current one.
         if let Some(st) = &mut self.state {
@@ -1685,27 +1662,28 @@ impl Search {
 }
 
 impl WarpTask for WbmTask {
-    fn step(&mut self, ctx: &mut WarpCtx) -> StepResult {
-        SCRATCH.with_borrow_mut(|sc| self.search.step(&self.shared, sc, ctx))
+    type Launch = KernelShared;
+
+    fn step(&mut self, sh: &KernelShared, ctx: &mut WarpCtx) -> StepResult {
+        SCRATCH.with_borrow_mut(|sc| self.step_with(sh, sc, ctx))
     }
 
     fn remaining_hint(&self) -> u64 {
-        self.search.remaining_hint()
+        let frames: u64 = self
+            .state
+            .as_ref()
+            .map(|st| {
+                st.frames
+                    .iter()
+                    .map(|f| (f.cands.len().saturating_sub(f.p + 1)) as u64)
+                    .sum()
+            })
+            .unwrap_or(0);
+        frames + 8 * self.pending.len() as u64 + 16 * self.seeds.len() as u64
     }
 
-    fn try_split(&mut self) -> Option<Box<dyn WarpTask>> {
-        let search = SCRATCH.with_borrow_mut(|sc| self.search.split(&self.shared, sc, None))?;
-        Some(Box::new(WbmTask {
-            shared: Arc::clone(&self.shared),
-            search,
-        }))
-    }
-}
-
-impl Drop for WbmTask {
-    fn drop(&mut self) {
-        // Safety net: a task dropped early (abort) must not lose counts.
-        self.search.flush(&self.shared);
+    fn try_split(&mut self, sh: &KernelShared) -> Option<WbmTask> {
+        SCRATCH.with_borrow_mut(|sc| self.split(sh, sc, None))
     }
 }
 
@@ -1910,15 +1888,14 @@ impl Phase<'_> {
 
     /// One grid of the phase: a launch state from [`Phase::shared`] and
     /// one device task per anchor.
-    pub(crate) fn grid(&self, shared: KernelShared) -> (Arc<KernelShared>, Vec<Box<dyn WarpTask>>) {
-        let shared = Arc::new(shared);
+    pub(crate) fn grid(&self, shared: KernelShared) -> (Arc<KernelShared>, Vec<WbmTask>) {
         let tasks = self
             .anchors
             .iter()
             .enumerate()
-            .map(|(i, a)| Box::new(WbmTask::new(Arc::clone(&shared), a, i as u32)) as _)
+            .map(|(i, a)| WbmTask::new(&shared, a, i as u32))
             .collect();
-        (shared, tasks)
+        (Arc::new(shared), tasks)
     }
 
     /// The store, once every grid of the phase is finished.
@@ -1976,7 +1953,7 @@ pub fn run_phase(
         signatures: bitmap_intersect,
     };
     let (shared, tasks) = phase.grid(phase.shared(meta, table, encodings, collect));
-    let stats = device.launch(tasks);
+    let stats = device.launch(&shared, tasks);
     let (table, matches, count) = finish_grid(shared);
     (phase.into_store(), table, matches, count, stats)
 }

@@ -124,7 +124,6 @@ fn configs_to_try() -> Vec<(&'static str, GammaConfig)> {
         ("wbm+cs", true, StealingMode::Off),
         ("wbm+ws", false, StealingMode::Active),
         ("wbm+cs+ws", true, StealingMode::Active),
-        ("wbm+cs+passive", true, StealingMode::Passive),
     ] {
         let mut c = base.clone();
         c.coalesced_search = cs;

@@ -2,29 +2,24 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::time::Instant;
 
-use crate::stats::BlockStats;
+use crate::stats::KernelStats;
 use crate::task::{StepResult, WarpCtx, WarpTask};
 use crate::{DeviceConfig, Stealing};
 
-/// Result of running one block to completion.
-pub struct BlockOutcome {
-    /// Per-block statistics (makespan, busy cycles, steals, ...).
-    pub stats: BlockStats,
-}
-
-struct WarpSlot {
+struct WarpSlot<T> {
     /// Virtual clock of this warp (cycles since block start).
     clock: u64,
     /// Cycles this warp spent doing useful work.
     busy: u64,
     /// The running task; `None` once finished and nothing was stolen.
-    task: Option<Box<dyn WarpTask>>,
-    /// Scheduler steps executed since the last passive poll.
-    steps_since_poll: u32,
+    task: Option<T>,
 }
 
-/// Runs one block of warp tasks to completion and returns its statistics.
+/// Runs one block of warp tasks of one launch to completion. Returns its
+/// stats as a one-block launch reports them, and each warp's busy cycles
+/// (index = warp slot) for workload-skew traces.
 ///
 /// Warps are advanced in virtual-clock order (ties broken by warp index),
 /// which makes the interleaving — and therefore stealing decisions,
@@ -36,113 +31,85 @@ struct WarpSlot {
 /// remaining work reaches `min_steal_hint`, the lowest-index waiting warp
 /// takes half of that warp's work. So a warp stays idle only while no
 /// other warp of its block holds work worth splitting.
-pub fn run_block(tasks: Vec<Box<dyn WarpTask>>, cfg: &DeviceConfig) -> BlockOutcome {
+pub fn run_block<T: WarpTask>(
+    launch: &T::Launch,
+    tasks: Vec<T>,
+    cfg: &DeviceConfig,
+) -> (KernelStats, Vec<u64>) {
+    let started = Instant::now();
+    let mut stats = KernelStats {
+        num_blocks: 1,
+        num_tasks: tasks.len(),
+        ..KernelStats::default()
+    };
     let num_warps = tasks.len().max(1);
     let mut ctx = WarpCtx::new(cfg.cost, cfg.warp_size);
-    let mut warps: Vec<WarpSlot> = tasks
+    let mut warps: Vec<WarpSlot<T>> = tasks
         .into_iter()
         .map(|t| WarpSlot {
             clock: 0,
             busy: 0,
             task: Some(t),
-            steps_since_poll: 0,
         })
         .collect();
 
-    let mut stats = BlockStats::new(num_warps);
-    // Min-heap of (clock, warp index) over warps that still hold a task.
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = warps
-        .iter()
-        .enumerate()
-        .map(|(i, w)| Reverse((w.clock, i)))
-        .collect();
-    // Indices of warps that have gone idle: in passive mode every warp
-    // whose task finished, in active mode every warp whose steal attempt
-    // found no victim. Both wait here to be handed work by a busy warp.
+    // Min-heap of (clock, warp index) over warps that hold a task or are
+    // about to scan for a victim.
+    let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
+        (0..warps.len()).map(|i| Reverse((0, i))).collect();
+    // Warps whose scan found no victim, waiting for a busy warp's work to
+    // become worth splitting.
     let mut idle: Vec<usize> = Vec::new();
 
     while let Some(Reverse((clock, wi))) = heap.pop() {
         debug_assert_eq!(warps[wi].clock, clock);
 
-        if warps[wi].task.is_none() {
-            // An idle warp scheduled for an active-steal attempt.
-            if cfg.stealing == Stealing::Active {
-                if let Some(cost) = try_active_steal(&mut warps, wi, cfg, &mut ctx, &mut stats) {
-                    warps[wi].clock += cost;
-                    // Stole something: resume running.
-                    heap.push(Reverse((warps[wi].clock, wi)));
-                    continue;
-                }
+        let Some(task) = warps[wi].task.as_mut() else {
+            // A finished warp's turn: it scans shared memory for the
+            // busiest victim (ties go to the lowest index).
+            let victim = warps
+                .iter()
+                .enumerate()
+                .filter_map(|(i, w)| Some((w.task.as_ref()?.remaining_hint(), Reverse(i))))
+                .max()
+                .map(|(_, Reverse(i))| i);
+            if victim.is_some_and(|v| steal(&mut warps, launch, v, wi, clock, cfg, &mut ctx)) {
+                stats.steals += 1;
+                heap.push(Reverse((warps[wi].clock, wi)));
+            } else {
+                idle.push(wi);
             }
-            idle.push(wi);
             continue;
-        }
+        };
 
         // Advance the task by one quantum.
-        let result = warps[wi].task.as_mut().expect("checked").step(&mut ctx);
+        let result = task.step(launch, &mut ctx);
         let cycles = ctx.take_step_cycles().max(1);
         warps[wi].clock += cycles;
         warps[wi].busy += cycles;
-        warps[wi].steps_since_poll += 1;
         stats.scheduler_steps += 1;
 
         match result {
             StepResult::Done => {
                 warps[wi].task = None;
                 stats.tasks_completed += 1;
-                match cfg.stealing {
-                    Stealing::Active => {
-                        // Re-enter the heap: on its next turn (i.e. when all
-                        // other warps caught up to its clock) it scans for a
-                        // victim. This models "after a warp completes its
-                        // current workloads, it inspects other warps".
-                        heap.push(Reverse((warps[wi].clock, wi)));
-                    }
-                    _ => idle.push(wi),
+                if cfg.stealing == Stealing::Active {
+                    // Re-enter the heap: on its next turn (i.e. when all
+                    // other warps caught up to its clock) it scans for a
+                    // victim. This models "after a warp completes its
+                    // current workloads, it inspects other warps".
+                    heap.push(Reverse((warps[wi].clock, wi)));
                 }
             }
             StepResult::Continue => {
-                // Active mode: a waiting warp takes half of this warp's
-                // work as soon as it is worth splitting.
-                if cfg.stealing == Stealing::Active && !idle.is_empty() {
-                    if let Some(ti) = hand_off(&mut warps, wi, &mut idle, cfg, &mut ctx) {
+                // A waiting warp takes half of this warp's work as soon as
+                // it is worth splitting.
+                if let Some((k, &thief)) = idle.iter().enumerate().min_by_key(|&(_, &w)| w) {
+                    let start = warps[thief].clock.max(warps[wi].clock);
+                    if steal(&mut warps, launch, wi, thief, start, cfg, &mut ctx) {
+                        idle.swap_remove(k);
                         stats.steals += 1;
-                        heap.push(Reverse((warps[ti].clock, ti)));
-                    }
-                }
-                // Passive mode: the busy warp periodically interrupts its
-                // work to look for an idle warp and push half its load.
-                if cfg.stealing == Stealing::Passive
-                    && warps[wi].steps_since_poll >= cfg.passive_poll_interval
-                {
-                    warps[wi].steps_since_poll = 0;
-                    // Scanning the status array costs shared-memory reads,
-                    // charged to the busy (interrupted) warp.
-                    ctx.shared_access(num_warps as u64);
-                    let scan = ctx.take_step_cycles();
-                    warps[wi].clock += scan;
-                    warps[wi].busy += scan;
-                    if let Some(ti) = idle.pop() {
-                        let hint = warps[wi].task.as_ref().expect("busy").remaining_hint();
-                        if hint >= cfg.min_steal_hint {
-                            if let Some(split) = warps[wi].task.as_mut().expect("busy").try_split()
-                            {
-                                // Copying the stolen candidate range + match
-                                // prefix through shared memory.
-                                ctx.shared_access(split.remaining_hint().max(1));
-                                let copy = ctx.take_step_cycles();
-                                warps[wi].clock += copy;
-                                // The thief resumes at the happening time.
-                                warps[ti].clock = warps[ti].clock.max(warps[wi].clock);
-                                warps[ti].task = Some(split);
-                                stats.steals += 1;
-                                heap.push(Reverse((warps[ti].clock, ti)));
-                            } else {
-                                idle.push(ti);
-                            }
-                        } else {
-                            idle.push(ti);
-                        }
+                        heap.push(Reverse((warps[thief].clock, thief)));
                     }
                 }
                 heap.push(Reverse((warps[wi].clock, wi)));
@@ -151,88 +118,54 @@ pub fn run_block(tasks: Vec<Box<dyn WarpTask>>, cfg: &DeviceConfig) -> BlockOutc
     }
 
     let makespan = warps.iter().map(|w| w.clock).max().unwrap_or(0).max(1);
-    stats.makespan_cycles = makespan;
-    stats.busy_cycles = warps.iter().map(|w| w.busy).sum();
-    stats.num_warps = num_warps;
+    let warp_busy: Vec<u64> = warps.iter().map(|w| w.busy).collect();
+    stats.device_cycles = makespan;
+    stats.total_block_cycles = makespan;
+    stats.resident_warp_cycles = num_warps as u64 * makespan;
+    stats.busy_cycles = warp_busy.iter().sum();
     stats.global_transactions = ctx.global_transactions;
     stats.shared_accesses = ctx.shared_accesses;
     stats.buf_reuse = ctx.buf_reuse;
     stats.buf_alloc = ctx.buf_alloc;
-    stats.warp_busy = warps.iter().map(|w| w.busy).collect();
-    stats.warp_clock = warps.iter().map(|w| w.clock).collect();
-    BlockOutcome { stats }
+    stats.wall_seconds = started.elapsed().as_secs_f64();
+    (stats, warp_busy)
 }
 
-/// An idle warp scans shared memory for the busiest victim and takes half
-/// of its unexplored candidates. Returns the cycles spent if a steal
-/// happened, `None` if no victim qualified (the scan is then not charged:
-/// the warp waits, and a later hand-off charges it).
-fn try_active_steal(
-    warps: &mut [WarpSlot],
-    thief: usize,
-    cfg: &DeviceConfig,
-    ctx: &mut WarpCtx,
-    stats: &mut BlockStats,
-) -> Option<u64> {
-    let victim = warps
-        .iter()
-        .enumerate()
-        .filter(|(i, w)| *i != thief && w.task.is_some())
-        .max_by_key(|(i, w)| {
-            (
-                w.task.as_ref().map_or(0, |t| t.remaining_hint()),
-                usize::MAX - *i,
-            )
-        })
-        .map(|(i, _)| i)?;
-    let task = warps[victim].task.as_mut().expect("victim has task");
-    if task.remaining_hint() < cfg.min_steal_hint {
-        return None;
-    }
-    let split = task.try_split()?;
-    // Scanning csize/p layer by layer: O(L * |W|) shared accesses (§V-A
-    // complexity). L is bounded by the query depth; we charge the scan as
-    // |W| shared reads per scan round and let the task's own hint stand in
-    // for the per-layer walk. Then the stolen range + parent partial match
-    // is copied through shared memory.
-    ctx.shared_access(warps.len() as u64);
-    ctx.shared_access(split.remaining_hint().max(1));
-    warps[thief].task = Some(split);
-    stats.steals += 1;
-    Some(ctx.take_step_cycles())
-}
-
-/// After a step of busy warp `victim` (active mode, some warp waiting):
-/// if its remaining work is at least `min_steal_hint`, the lowest-index
-/// waiting warp takes half of it. The thief starts at the later of the two
-/// clocks plus what a steal pays: the scan (|W| shared reads) and the
-/// copy. Returns the thief.
-fn hand_off(
-    warps: &mut [WarpSlot],
+/// The one steal of [`Stealing::Active`]: idle warp `thief` takes half of
+/// busy warp `victim`'s unexplored work, if its remaining work is at least
+/// `min_steal_hint` and it splits. The thief runs from `start` plus what
+/// the steal pays: the scan of the block's status array (`|W|` shared
+/// reads; §V-A's `O(L·|W|)` walk, with the task's own hint standing in for
+/// the per-layer part) and the copy of the stolen range and its parent
+/// partial match through shared memory. A warp whose task finished steals
+/// at its own clock; a waiting warp at the later of its clock and the
+/// victim's. Returns whether it stole.
+fn steal<T: WarpTask>(
+    warps: &mut [WarpSlot<T>],
+    launch: &T::Launch,
     victim: usize,
-    idle: &mut Vec<usize>,
+    thief: usize,
+    start: u64,
     cfg: &DeviceConfig,
     ctx: &mut WarpCtx,
-) -> Option<usize> {
-    let task = warps[victim].task.as_mut().expect("busy");
+) -> bool {
+    let task = warps[victim].task.as_mut().expect("a victim is busy");
     if task.remaining_hint() < cfg.min_steal_hint {
-        return None;
+        return false;
     }
-    let (k, _) = idle.iter().enumerate().min_by_key(|&(_, &w)| w)?;
-    let split = task.try_split()?;
-    let thief = idle.swap_remove(k);
+    let Some(split) = task.try_split(launch) else {
+        return false;
+    };
     ctx.shared_access(warps.len() as u64);
     ctx.shared_access(split.remaining_hint().max(1));
-    let start = warps[thief].clock.max(warps[victim].clock);
     warps[thief].clock = start + ctx.take_step_cycles();
     warps[thief].task = Some(split);
-    Some(thief)
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{StepResult, WarpCtx, WarpTask};
 
     /// A task that performs `units` steps of `cycles_per_unit` cycles each
     /// and can be split in half.
@@ -243,7 +176,9 @@ mod tests {
     }
 
     impl WarpTask for Chunk {
-        fn step(&mut self, ctx: &mut WarpCtx) -> StepResult {
+        type Launch = ();
+
+        fn step(&mut self, _: &(), ctx: &mut WarpCtx) -> StepResult {
             if self.units == 0 {
                 return StepResult::Done;
             }
@@ -264,17 +199,25 @@ mod tests {
             }
         }
 
-        fn try_split(&mut self) -> Option<Box<dyn WarpTask>> {
+        fn try_split(&mut self, _: &()) -> Option<Chunk> {
             if !self.splittable || self.units < 2 {
                 return None;
             }
             let half = self.units / 2;
             self.units -= half;
-            Some(Box::new(Chunk {
+            Some(Chunk {
                 units: half,
                 cycles_per_unit: self.cycles_per_unit,
                 splittable: true,
-            }))
+            })
+        }
+    }
+
+    fn chunk(units: u64, cycles_per_unit: u64) -> Chunk {
+        Chunk {
+            units,
+            cycles_per_unit,
+            splittable: true,
         }
     }
 
@@ -286,9 +229,11 @@ mod tests {
     }
 
     impl WarpTask for Late {
-        fn step(&mut self, ctx: &mut WarpCtx) -> StepResult {
+        type Launch = ();
+
+        fn step(&mut self, _: &(), ctx: &mut WarpCtx) -> StepResult {
             self.hidden = self.hidden.saturating_sub(1);
-            self.chunk.step(ctx)
+            self.chunk.step(&(), ctx)
         }
 
         fn remaining_hint(&self) -> u64 {
@@ -299,12 +244,12 @@ mod tests {
             }
         }
 
-        fn try_split(&mut self) -> Option<Box<dyn WarpTask>> {
+        fn try_split(&mut self, _: &()) -> Option<Late> {
             if self.hidden > 0 {
-                None
-            } else {
-                self.chunk.try_split()
+                return None;
             }
+            let chunk = self.chunk.try_split(&())?;
+            Some(Late { chunk, hidden: 0 })
         }
     }
 
@@ -316,62 +261,33 @@ mod tests {
         }
     }
 
+    fn run<T: WarpTask<Launch = ()>>(tasks: Vec<T>, stealing: Stealing) -> KernelStats {
+        run_block(&(), tasks, &cfg(stealing)).0
+    }
+
+    /// One long task and three short ones.
+    fn skewed() -> Vec<Chunk> {
+        [1000, 2, 2, 2].map(|units| chunk(units, 100)).into()
+    }
+
     #[test]
     fn balanced_tasks_no_steal_needed() {
-        let tasks: Vec<Box<dyn WarpTask>> = (0..4)
-            .map(|_| {
-                Box::new(Chunk {
-                    units: 10,
-                    cycles_per_unit: 100,
-                    splittable: true,
-                }) as Box<dyn WarpTask>
-            })
-            .collect();
-        let out = run_block(tasks, &cfg(Stealing::Active));
-        assert_eq!(out.stats.tasks_completed, 4);
-        assert!(
-            out.stats.utilization() > 0.95,
-            "{}",
-            out.stats.utilization()
-        );
+        let stats = run((0..4).map(|_| chunk(10, 100)).collect(), Stealing::Active);
+        assert_eq!(stats.tasks_completed, 4);
+        assert!(stats.utilization() > 0.95, "{}", stats.utilization());
     }
 
     #[test]
     fn skewed_tasks_active_stealing_cuts_makespan() {
-        let mk = |steal: Stealing| {
-            let tasks: Vec<Box<dyn WarpTask>> = vec![
-                Box::new(Chunk {
-                    units: 1000,
-                    cycles_per_unit: 100,
-                    splittable: true,
-                }),
-                Box::new(Chunk {
-                    units: 2,
-                    cycles_per_unit: 100,
-                    splittable: true,
-                }),
-                Box::new(Chunk {
-                    units: 2,
-                    cycles_per_unit: 100,
-                    splittable: true,
-                }),
-                Box::new(Chunk {
-                    units: 2,
-                    cycles_per_unit: 100,
-                    splittable: true,
-                }),
-            ];
-            run_block(tasks, &cfg(steal)).stats
-        };
-        let off = mk(Stealing::Off);
-        let active = mk(Stealing::Active);
+        let off = run(skewed(), Stealing::Off);
+        let active = run(skewed(), Stealing::Active);
         assert_eq!(off.steals, 0);
         assert!(active.steals >= 2, "steals={}", active.steals);
         assert!(
-            active.makespan_cycles * 2 < off.makespan_cycles,
+            active.device_cycles * 2 < off.device_cycles,
             "active={} off={}",
-            active.makespan_cycles,
-            off.makespan_cycles
+            active.device_cycles,
+            off.device_cycles
         );
         assert!(active.utilization() > off.utilization());
     }
@@ -382,138 +298,150 @@ mod tests {
         // splittable, so its one steal attempt finds no victim. It waits,
         // and takes half of the long task once that becomes splittable.
         let mk = |steal: Stealing| {
-            let tasks: Vec<Box<dyn WarpTask>> = vec![
-                Box::new(Late {
-                    chunk: Chunk {
-                        units: 1000,
-                        cycles_per_unit: 100,
-                        splittable: true,
-                    },
+            let tasks = vec![
+                Late {
+                    chunk: chunk(1000, 100),
                     hidden: 10,
-                }),
-                Box::new(Chunk {
-                    units: 2,
-                    cycles_per_unit: 100,
-                    splittable: true,
-                }),
+                },
+                Late {
+                    chunk: chunk(2, 100),
+                    hidden: 0,
+                },
             ];
-            run_block(tasks, &cfg(steal)).stats
+            run(tasks, steal)
         };
         let serial = mk(Stealing::Off);
         let active = mk(Stealing::Active);
-        assert_eq!(serial.makespan_cycles, 100_000);
+        assert_eq!(serial.device_cycles, 100_000);
         assert!(active.steals >= 1, "steals={}", active.steals);
         assert!(
-            active.makespan_cycles * 3 < serial.makespan_cycles * 2,
+            active.device_cycles * 3 < serial.device_cycles * 2,
             "active={} serial={}",
-            active.makespan_cycles,
-            serial.makespan_cycles
+            active.device_cycles,
+            serial.device_cycles
         );
         assert_eq!(active.tasks_completed, 2 + active.steals);
     }
 
     #[test]
-    fn passive_stealing_also_balances() {
-        let mk = |steal: Stealing| {
-            let tasks: Vec<Box<dyn WarpTask>> = vec![
-                Box::new(Chunk {
-                    units: 4000,
-                    cycles_per_unit: 100,
-                    splittable: true,
-                }),
-                Box::new(Chunk {
-                    units: 2,
-                    cycles_per_unit: 100,
-                    splittable: true,
-                }),
-            ];
-            let mut c = cfg(steal);
-            c.passive_poll_interval = 16;
-            run_block(tasks, &c).stats
-        };
-        let off = mk(Stealing::Off);
-        let passive = mk(Stealing::Passive);
-        assert!(passive.steals >= 1);
-        assert!(passive.makespan_cycles < off.makespan_cycles);
-    }
-
-    #[test]
     fn unsplittable_tasks_never_stolen() {
-        let tasks: Vec<Box<dyn WarpTask>> = vec![
-            Box::new(Chunk {
+        let tasks = vec![
+            Chunk {
                 units: 100,
                 cycles_per_unit: 10,
                 splittable: false,
-            }),
-            Box::new(Chunk {
+            },
+            Chunk {
                 units: 1,
                 cycles_per_unit: 10,
                 splittable: false,
-            }),
+            },
         ];
-        let out = run_block(tasks, &cfg(Stealing::Active));
-        assert_eq!(out.stats.steals, 0);
-        assert_eq!(out.stats.tasks_completed, 2);
+        let stats = run(tasks, Stealing::Active);
+        assert_eq!(stats.steals, 0);
+        assert_eq!(stats.tasks_completed, 2);
     }
 
     #[test]
     fn determinism() {
         let mk = || {
-            let tasks: Vec<Box<dyn WarpTask>> = (0..6)
-                .map(|i| {
-                    Box::new(Chunk {
-                        units: 17 * (i + 1),
-                        cycles_per_unit: 30 + i,
-                        splittable: true,
-                    }) as Box<dyn WarpTask>
-                })
-                .collect();
-            run_block(tasks, &cfg(Stealing::Active)).stats
+            let tasks = (0..6).map(|i| chunk(17 * (i + 1), 30 + i)).collect();
+            run(tasks, Stealing::Active)
         };
         let a = mk();
         let b = mk();
-        assert_eq!(a.makespan_cycles, b.makespan_cycles);
+        assert_eq!(a.device_cycles, b.device_cycles);
         assert_eq!(a.steals, b.steals);
         assert_eq!(a.busy_cycles, b.busy_cycles);
     }
 
     #[test]
     fn empty_block() {
-        let out = run_block(Vec::new(), &cfg(Stealing::Active));
-        assert_eq!(out.stats.tasks_completed, 0);
-        assert_eq!(out.stats.steals, 0);
+        let stats = run(Vec::<Chunk>::new(), Stealing::Active);
+        assert_eq!(stats.tasks_completed, 0);
+        assert_eq!(stats.steals, 0);
     }
 
     #[test]
     fn work_conserved_under_stealing() {
-        // Total busy cycles should be >= the no-stealing payload (steal
-        // overhead adds, never removes, work).
+        // A steal's cost moves the thief's clock, never its busy time, so
+        // total busy cycles are exactly the payload.
         let payload = 1000 * 100 + 3 * 2 * 100;
-        let tasks: Vec<Box<dyn WarpTask>> = vec![
-            Box::new(Chunk {
-                units: 1000,
-                cycles_per_unit: 100,
-                splittable: true,
-            }),
-            Box::new(Chunk {
-                units: 2,
-                cycles_per_unit: 100,
-                splittable: true,
-            }),
-            Box::new(Chunk {
-                units: 2,
-                cycles_per_unit: 100,
-                splittable: true,
-            }),
-            Box::new(Chunk {
-                units: 2,
-                cycles_per_unit: 100,
-                splittable: true,
-            }),
-        ];
-        let out = run_block(tasks, &cfg(Stealing::Active));
-        assert!(out.stats.busy_cycles >= payload);
-        // ... and not wildly more (steal overhead is small).
-        assert!(out.stats.busy_cycles < payload + payload / 4);
+        let stats = run(skewed(), Stealing::Active);
+        assert!(stats.steals > 0);
+        assert_eq!(stats.busy_cycles, payload);
+    }
+
+    /// SplitMix64: the property test's deterministic case generator.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Random blocks of 1–8 tasks, of random units and cycles per unit,
+    /// splittable or not, hidden for a random number of leading steps. Under
+    /// both modes the warps' busy cycles are exactly the payload, every
+    /// steal adds one completed task, and a second run is identical; `Off`
+    /// never steals.
+    #[test]
+    fn random_blocks_conserve_work_and_count_steals() {
+        let mut rng = 0x5eed;
+        let mut steals = 0;
+        for case in 0..400 {
+            let specs: Vec<[u64; 4]> = (0..1 + next(&mut rng) % 8)
+                .map(|_| {
+                    [
+                        1 + next(&mut rng) % 300,
+                        1 + next(&mut rng) % 64,
+                        next(&mut rng) % 4,
+                        next(&mut rng) % 24,
+                    ]
+                })
+                .collect();
+            let block = || -> Vec<Late> {
+                specs
+                    .iter()
+                    .map(|&[units, cycles_per_unit, kind, hidden]| Late {
+                        chunk: Chunk {
+                            units,
+                            cycles_per_unit,
+                            splittable: kind != 0,
+                        },
+                        hidden,
+                    })
+                    .collect()
+            };
+            let payload: u64 = specs.iter().map(|s| s[0] * s[1]).sum();
+            for stealing in [Stealing::Off, Stealing::Active] {
+                let run = || {
+                    let (stats, busy) = run_block(&(), block(), &cfg(stealing));
+                    let simulated = KernelStats {
+                        wall_seconds: 0.0,
+                        ..stats.clone()
+                    };
+                    (stats, busy, format!("{simulated:?}"))
+                };
+                let (stats, busy, first) = run();
+                let at = format!("case {case} {stealing:?} {specs:?}");
+                assert_eq!(stats.busy_cycles, payload, "{at}");
+                assert_eq!(busy.iter().sum::<u64>(), payload, "{at}");
+                assert_eq!(
+                    stats.tasks_completed,
+                    specs.len() as u64 + stats.steals,
+                    "{at}"
+                );
+                assert!(stats.scheduler_steps >= stats.tasks_completed, "{at}");
+                if stealing == Stealing::Off {
+                    assert_eq!(stats.steals, 0, "{at}");
+                }
+                steals += stats.steals;
+                let (_, busy_again, second) = run();
+                assert_eq!((busy_again, second), (busy, first), "{at}");
+            }
+        }
+        assert!(steals > 0, "no case stole");
     }
 }

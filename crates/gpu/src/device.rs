@@ -9,7 +9,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::block::run_block;
-use crate::stats::{BlockStats, KernelStats};
+use crate::stats::KernelStats;
 use crate::task::WarpTask;
 use crate::DeviceConfig;
 
@@ -33,84 +33,84 @@ impl Device {
     /// Launches a grid: `tasks` are chunked into blocks of
     /// `warps_per_block` and executed by `min(num_sms, host parallelism,
     /// blocks)` host threads — the calling thread plus helpers from a
-    /// process-wide pool, started on first use ([`run_jobs`]). A
-    /// single-block launch runs inline. A task that panics makes this call
-    /// panic once every block has retired; the pool keeps serving.
+    /// process-wide pool, started on first use ([`run_jobs`]). Every task
+    /// reads `launch`, which each block holds one reference to; all of
+    /// them are dropped when this call returns. A single-block launch
+    /// runs inline. A task that panics makes this call panic once every
+    /// block has retired; the pool keeps serving.
     ///
     /// Device makespan is the max over SMs of the sum of makespans of the
     /// blocks that SM executed (blocks are picked up greedily, modeling the
     /// hardware block scheduler). The one-grid case of
     /// [`Device::launch_grids`].
-    pub fn launch(&self, tasks: Vec<Box<dyn WarpTask>>) -> KernelStats {
-        self.launch_grids(vec![tasks])
+    pub fn launch<T: WarpTask>(&self, launch: &Arc<T::Launch>, tasks: Vec<T>) -> KernelStats {
+        self.launch_grids(vec![(launch, tasks)])
             .pop()
             .expect("one stats per grid")
     }
 
     /// Launches several grids in one call and returns each grid's stats,
-    /// in order. Every grid is chunked into blocks as [`Device::launch`]
-    /// does, and the blocks of all grids go into one [`run_jobs`] call,
-    /// one job per block, grid by grid, served by `min(num_sms, host
-    /// parallelism, blocks)` host threads. So the host overlaps the grids,
-    /// while the simulated device still runs them as serial kernels: each
-    /// grid's stats aggregate its own blocks only, and its
-    /// `device_cycles` is the bound over its own blocks, exactly as a lone
-    /// launch of its tasks reports.
+    /// in order. A grid is its launch state and its tasks. Every grid is
+    /// chunked into blocks as [`Device::launch`] does, and the blocks of
+    /// all grids go into one [`run_jobs`] call, one job per block, grid by
+    /// grid, served by `min(num_sms, host parallelism, blocks)` host
+    /// threads. So the host overlaps the grids, while the simulated device
+    /// still runs them as serial kernels: each grid's stats aggregate its
+    /// own blocks only, and its `device_cycles` is the bound over its own
+    /// blocks, exactly as a lone launch of its tasks reports.
     ///
     /// The grids' `wall_seconds` sum to the call's elapsed time, split in
     /// proportion to the host time of each grid's blocks (evenly when no
     /// block ran); a one-grid call reports its elapsed time. A task that
     /// panics, in any grid, makes this call panic once every block has
     /// retired; the pool keeps serving.
-    pub fn launch_grids(&self, grids: Vec<Vec<Box<dyn WarpTask>>>) -> Vec<KernelStats> {
+    pub fn launch_grids<T: WarpTask>(
+        &self,
+        grids: Vec<(&Arc<T::Launch>, Vec<T>)>,
+    ) -> Vec<KernelStats> {
         let started = Instant::now();
         let cfg = Arc::new(self.config.clone());
-        let mut blocks: Vec<Job<(usize, BlockStats, f64)>> = Vec::new();
-        let mut per_grid = Vec::with_capacity(grids.len());
-        for (gi, tasks) in grids.into_iter().enumerate() {
-            let before = blocks.len();
-            let num_tasks = tasks.len();
-            let mut current: Vec<Box<dyn WarpTask>> = Vec::new();
+        let mut blocks: Vec<Job<(usize, KernelStats)>> = Vec::new();
+        let num_grids = grids.len();
+        for (gi, (launch, tasks)) in grids.into_iter().enumerate() {
+            let mut current: Vec<T> = Vec::new();
             for t in tasks {
                 current.push(t);
                 if current.len() == self.config.warps_per_block {
-                    blocks.push(block_job(gi, std::mem::take(&mut current), &cfg));
+                    blocks.push(block_job(gi, launch, std::mem::take(&mut current), &cfg));
                 }
             }
             if !current.is_empty() {
-                blocks.push(block_job(gi, current, &cfg));
+                blocks.push(block_job(gi, launch, current, &cfg));
             }
-            per_grid.push(Grid {
-                stats: KernelStats {
-                    num_blocks: blocks.len() - before,
-                    num_tasks,
-                    ..Default::default()
-                },
-                ..Default::default()
-            });
         }
 
+        // Per grid: its blocks' stats summed, and its longest block. Sums
+        // and a max, so the result is independent of which thread ran
+        // which block. A block's `wall_seconds` is its host time.
+        let mut per_grid = vec![(KernelStats::default(), 0u64); num_grids];
         let sm_count = self.config.num_sms.max(1);
-        for (gi, stats, host_seconds) in run_jobs(blocks, sm_count) {
-            per_grid[gi].absorb(&stats, host_seconds);
+        for (gi, block) in run_jobs(blocks, sm_count) {
+            let (stats, longest) = &mut per_grid[gi];
+            *longest = (*longest).max(block.device_cycles);
+            stats.absorb(&block);
         }
 
         let elapsed = started.elapsed().as_secs_f64();
-        let host_total: f64 = per_grid.iter().map(|g| g.host_seconds).sum();
-        let even = 1.0 / per_grid.len() as f64;
+        let host_total: f64 = per_grid.iter().map(|(s, _)| s.wall_seconds).sum();
+        let even = 1.0 / num_grids as f64;
         per_grid
             .into_iter()
-            .map(|g| {
-                let mut stats = g.stats;
+            .map(|(mut stats, longest)| {
                 // Device makespan: with many blocks in flight the hardware
                 // block scheduler approaches the LPT bound
                 // `max(ceil(total / num_sms), longest single block)`. Using
                 // the bound (instead of the racy host assignment realized
                 // above) keeps the simulated clock deterministic.
                 let ideal = stats.total_block_cycles.div_ceil(sm_count as u64);
-                stats.device_cycles = ideal.max(g.max_block_cycles);
+                stats.device_cycles = ideal.max(longest);
                 let share = if host_total > 0.0 {
-                    g.host_seconds / host_total
+                    stats.wall_seconds / host_total
                 } else {
                     even
                 };
@@ -127,45 +127,16 @@ impl Device {
     }
 }
 
-/// The job that runs one block of grid `gi` and reports the grid index,
-/// the block's stats and the host seconds it took.
-fn block_job(
+/// The job that runs one block of grid `gi` and reports the grid index and
+/// the block's stats. It holds the block's one reference to its launch.
+fn block_job<T: WarpTask>(
     gi: usize,
-    tasks: Vec<Box<dyn WarpTask>>,
+    launch: &Arc<T::Launch>,
+    tasks: Vec<T>,
     cfg: &Arc<DeviceConfig>,
-) -> Job<(usize, BlockStats, f64)> {
-    let cfg = Arc::clone(cfg);
-    Box::new(move || {
-        let started = Instant::now();
-        let stats = run_block(tasks, &cfg).stats;
-        (gi, stats, started.elapsed().as_secs_f64())
-    })
-}
-
-/// One grid's aggregate. Sums and a max, so the result is independent of
-/// which thread ran which block.
-#[derive(Default)]
-struct Grid {
-    stats: KernelStats,
-    max_block_cycles: u64,
-    /// Host seconds its blocks ran, summed over threads.
-    host_seconds: f64,
-}
-
-impl Grid {
-    fn absorb(&mut self, s: &BlockStats, host_seconds: f64) {
-        self.max_block_cycles = self.max_block_cycles.max(s.makespan_cycles);
-        self.host_seconds += host_seconds;
-        let a = &mut self.stats;
-        a.total_block_cycles += s.makespan_cycles;
-        a.busy_cycles += s.busy_cycles;
-        a.resident_warp_cycles += s.num_warps as u64 * s.makespan_cycles;
-        a.steals += s.steals;
-        a.global_transactions += s.global_transactions;
-        a.shared_accesses += s.shared_accesses;
-        a.buf_reuse += s.buf_reuse;
-        a.buf_alloc += s.buf_alloc;
-    }
+) -> Job<(usize, KernelStats)> {
+    let (launch, cfg) = (Arc::clone(launch), Arc::clone(cfg));
+    Box::new(move || (gi, run_block(launch.as_ref(), tasks, &cfg).0))
 }
 
 /// One piece of host work for the launch pool: a block of a grid, or one
@@ -345,9 +316,19 @@ mod tests {
     use crate::task::{StepResult, WarpCtx};
     use crate::Stealing;
 
+    /// `self.0` steps of 100 cycles, splittable in half. [`PANICS`]
+    /// panics on its first step instead.
     struct Fixed(u64);
+
+    const PANICS: Fixed = Fixed(u64::MAX);
+
     impl WarpTask for Fixed {
-        fn step(&mut self, ctx: &mut WarpCtx) -> StepResult {
+        type Launch = ();
+
+        fn step(&mut self, _: &(), ctx: &mut WarpCtx) -> StepResult {
+            if self.0 == PANICS.0 {
+                panic!("task failure")
+            }
             if self.0 == 0 {
                 return StepResult::Done;
             }
@@ -358,6 +339,16 @@ mod tests {
             } else {
                 StepResult::Continue
             }
+        }
+
+        fn remaining_hint(&self) -> u64 {
+            self.0
+        }
+
+        fn try_split(&mut self, _: &()) -> Option<Fixed> {
+            let half = self.0 / 2;
+            self.0 -= half;
+            (half > 0).then_some(Fixed(half))
         }
     }
 
@@ -370,11 +361,16 @@ mod tests {
         }
     }
 
+    /// The launch state of the tests' tasks, which read none.
+    fn unit() -> Arc<()> {
+        Arc::new(())
+    }
+
     #[test]
     fn blocks_are_chunked() {
         let dev = Device::new(cfg(2, 4));
-        let tasks: Vec<Box<dyn WarpTask>> = (0..10).map(|_| Box::new(Fixed(3)) as _).collect();
-        let stats = dev.launch(tasks);
+        let tasks = (0..10).map(|_| Fixed(3)).collect();
+        let stats = dev.launch(&unit(), tasks);
         assert_eq!(stats.num_blocks, 3);
         assert_eq!(stats.num_tasks, 10);
         assert!(stats.device_cycles > 0);
@@ -383,11 +379,9 @@ mod tests {
 
     #[test]
     fn more_sms_reduce_device_time() {
-        let tasks = |n: usize| -> Vec<Box<dyn WarpTask>> {
-            (0..n).map(|_| Box::new(Fixed(50)) as _).collect()
-        };
-        let one = Device::new(cfg(1, 2)).launch(tasks(16));
-        let four = Device::new(cfg(4, 2)).launch(tasks(16));
+        let tasks = |n: usize| (0..n).map(|_| Fixed(50)).collect();
+        let one = Device::new(cfg(1, 2)).launch(&unit(), tasks(16));
+        let four = Device::new(cfg(4, 2)).launch(&unit(), tasks(16));
         assert!(
             four.device_cycles < one.device_cycles,
             "four={} one={}",
@@ -401,7 +395,7 @@ mod tests {
     #[test]
     fn empty_launch() {
         let dev = Device::new(cfg(2, 4));
-        let stats = dev.launch(Vec::new());
+        let stats = dev.launch(&unit(), Vec::<Fixed>::new());
         assert_eq!(stats.num_blocks, 0);
         assert_eq!(stats.device_cycles, 0);
         assert_eq!(stats.utilization(), 0.0);
@@ -410,15 +404,15 @@ mod tests {
     #[test]
     fn single_block_device_time_is_block_makespan() {
         let dev = Device::new(cfg(4, 8));
-        let stats = dev.launch(vec![Box::new(Fixed(10)) as _, Box::new(Fixed(20)) as _]);
+        let stats = dev.launch(&unit(), vec![Fixed(10), Fixed(20)]);
         assert_eq!(stats.num_blocks, 1);
         assert_eq!(stats.device_cycles, 20 * 100);
     }
 
     /// Tasks of varied length, so a lost or double-counted block shows
     /// in the aggregate.
-    fn mixed(n: u64) -> Vec<Box<dyn WarpTask>> {
-        (0..n).map(|i| Box::new(Fixed(1 + i % 7)) as _).collect()
+    fn mixed(n: u64) -> Vec<Fixed> {
+        (0..n).map(|i| Fixed(1 + i % 7)).collect()
     }
 
     /// Every field but the informational host wall time.
@@ -433,23 +427,51 @@ mod tests {
     }
 
     #[test]
+    fn launches_count_every_task_and_steal() {
+        // Skewed splittable tasks, so warps steal: each stolen part runs
+        // to completion as a task of its own.
+        let dev = Device::new(DeviceConfig {
+            stealing: Stealing::Active,
+            min_steal_hint: 4,
+            ..cfg(4, 3)
+        });
+        let skewed = |n: u64| (0..n).map(|i| Fixed(1 + (i % 5) * 40)).collect::<Vec<_>>();
+        let launch = unit();
+        let lone = dev.launch(&launch, skewed(20));
+        let grids = dev.launch_grids(vec![(&launch, skewed(20)), (&launch, skewed(7))]);
+        assert_eq!(simulated(&grids[0]), simulated(&lone));
+        for s in std::iter::once(&lone).chain(&grids) {
+            assert!(s.steals > 0, "{s:?}");
+            assert_eq!(s.tasks_completed, s.num_tasks as u64 + s.steals, "{s:?}");
+            assert!(s.scheduler_steps >= s.tasks_completed, "{s:?}");
+        }
+        assert_eq!(Arc::strong_count(&launch), 1, "blocks keep no launch");
+    }
+
+    #[test]
     fn concurrent_launches_match_sequential() {
         let dev = Device::new(cfg(4, 3));
+        let launch = unit();
         let expected: Vec<String> = (0..8)
-            .map(|t| simulated(&dev.launch(mixed(20 + t))))
+            .map(|t| simulated(&dev.launch(&launch, mixed(20 + t))))
             .collect();
         let start = std::sync::Barrier::new(8);
         std::thread::scope(|s| {
             for t in 0..8 {
-                let (dev, start, expected) = (&dev, &start, &expected);
+                let (dev, start, expected, launch) = (&dev, &start, &expected, &launch);
                 s.spawn(move || {
                     start.wait();
                     for i in 0..25 {
-                        assert_eq!(&simulated(&dev.launch(mixed(20 + t as u64))), &expected[t]);
+                        assert_eq!(
+                            &simulated(&dev.launch(launch, mixed(20 + t as u64))),
+                            &expected[t]
+                        );
                         // This thread's grid next to another's in one call.
                         let other = (t + 1 + i) % 8;
-                        let got =
-                            dev.launch_grids(vec![mixed(20 + t as u64), mixed(20 + other as u64)]);
+                        let got = dev.launch_grids(vec![
+                            (launch, mixed(20 + t as u64)),
+                            (launch, mixed(20 + other as u64)),
+                        ]);
                         assert_eq!(&simulated(&got[0]), &expected[t]);
                         assert_eq!(&simulated(&got[1]), &expected[other]);
                     }
@@ -461,14 +483,15 @@ mod tests {
     #[test]
     fn launch_grids_match_lone_launches() {
         let dev = Device::new(cfg(4, 3));
+        let launch = unit();
         // Grids of different lengths, one of them empty.
         let sizes = [20u64, 0, 7, 33, 1];
         let lone: Vec<String> = sizes
             .iter()
-            .map(|&n| simulated(&dev.launch(mixed(n))))
+            .map(|&n| simulated(&dev.launch(&launch, mixed(n))))
             .collect();
         let before = std::time::Instant::now();
-        let grids = dev.launch_grids(sizes.iter().map(|&n| mixed(n)).collect());
+        let grids = dev.launch_grids(sizes.iter().map(|&n| (&launch, mixed(n))).collect());
         let elapsed = before.elapsed().as_secs_f64();
         assert_eq!(grids.len(), sizes.len());
         for (g, want) in grids.iter().zip(&lone) {
@@ -477,44 +500,33 @@ mod tests {
         }
         let wall: f64 = grids.iter().map(|g| g.wall_seconds).sum();
         assert!(wall <= elapsed, "grids' wall {wall} s > call's {elapsed} s");
-        assert!(dev.launch_grids(Vec::new()).is_empty());
-    }
-
-    struct Panics;
-    impl WarpTask for Panics {
-        fn step(&mut self, _ctx: &mut WarpCtx) -> StepResult {
-            panic!("task failure")
-        }
+        let no_grids: Vec<(&Arc<()>, Vec<Fixed>)> = Vec::new();
+        assert!(dev.launch_grids(no_grids).is_empty());
     }
 
     #[test]
     fn task_panic_reaches_the_caller_and_the_pool_survives() {
         let dev = Device::new(cfg(4, 2));
+        let launch = unit();
         // Six blocks; the first one, then all of them, panic — on the
         // calling thread or on a helper, wherever they land.
         for panicking in [1, 6] {
-            let tasks: Vec<Box<dyn WarpTask>> = (0..12)
-                .map(|i| {
-                    if i / 2 < panicking {
-                        Box::new(Panics) as _
-                    } else {
-                        Box::new(Fixed(3)) as _
-                    }
-                })
+            let tasks = (0..12)
+                .map(|i| if i / 2 < panicking { PANICS } else { Fixed(3) })
                 .collect();
-            let err = std::panic::catch_unwind(AssertUnwindSafe(|| dev.launch(tasks)))
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| dev.launch(&launch, tasks)))
                 .expect_err("a task panic must panic the launch");
             assert_eq!(err.downcast_ref::<&str>(), Some(&"task failure"));
         }
         // A panicking task in any grid of a multi-grid call.
         for panicking_grid in 0..3 {
-            let grids: Vec<Vec<Box<dyn WarpTask>>> = (0..3)
+            let grids = (0..3)
                 .map(|gi| {
                     let mut tasks = mixed(9);
                     if gi == panicking_grid {
-                        tasks[4] = Box::new(Panics);
+                        tasks[4] = PANICS;
                     }
-                    tasks
+                    (&launch, tasks)
                 })
                 .collect();
             let err = std::panic::catch_unwind(AssertUnwindSafe(|| dev.launch_grids(grids)))
@@ -539,7 +551,7 @@ mod tests {
         }
         let squares: Vec<Job<u64>> = (0..6u64).map(|i| Box::new(move || i * i) as _).collect();
         assert_eq!(run_jobs(squares, 4), [0, 1, 4, 9, 16, 25]);
-        let stats = dev.launch(mixed(12));
+        let stats = dev.launch(&launch, mixed(12));
         assert_eq!(stats.num_blocks, 6);
         let charged: u64 = (0..12).map(|i| (1 + i % 7) * 100).sum();
         assert_eq!(stats.busy_cycles, charged);

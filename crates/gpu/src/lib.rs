@@ -11,7 +11,10 @@
 //!
 //! * A **kernel launch** ([`Device::launch`]) receives a list of *warp
 //!   tasks* ([`WarpTask`]) — in GAMMA, one task per update edge, exactly the
-//!   paper's warp-centric assignment (§IV-C).
+//!   paper's warp-centric assignment (§IV-C) — and the launch state they
+//!   all read. Tasks are plain values that borrow that state on every step
+//!   and split, so no task or stolen part is boxed and none touches a
+//!   reference count; each block holds one reference to the state.
 //! * Tasks are grouped into **blocks** of `warps_per_block` warps. Blocks
 //!   are picked up greedily by up to `min(num_sms, host parallelism)` host
 //!   threads — the launching thread plus helpers from one process-wide
@@ -32,20 +35,21 @@
 //!   [`WarpCtx`]. The per-warp clocks are exactly the "cumulative execution
 //!   time across warps" the paper's Figure 13 reasons about.
 //! * **Work stealing** (§V-A) is modeled faithfully: each block owns a
-//!   simulated shared-memory status array; in *active* mode an idle warp
-//!   scans it (cost `O(L·|W|)` shared-memory reads, the paper's complexity)
-//!   and appropriates half of the victim's unexplored candidates via
-//!   [`WarpTask::try_split`]; in *passive* mode busy warps periodically poll
-//!   for idle warps and push work.
+//!   simulated shared-memory status array; an idle warp scans it (cost
+//!   `O(L·|W|)` shared-memory reads, the paper's complexity) and
+//!   appropriates half of the victim's unexplored candidates via
+//!   [`WarpTask::try_split`].
 //!
 //! ## What the simulator reports
 //!
 //! [`KernelStats`] exposes device makespan in cycles (converted to
 //! *simulated seconds* through a calibrated clock), warp busy time, GPU
 //! utilization (busy warp-cycles over resident warp-cycles), memory
-//! transaction counts and steal counts — the quantities behind the paper's
-//! Table III latency entries, Figure 13 utilization plots and Figure 14
-//! ablations. Absolute seconds are not expected to match an RTX 3090;
+//! transaction counts, steal counts, and the tasks and scheduler steps run
+//! — the quantities behind the paper's Table III latency entries, Figure
+//! 13 utilization plots and Figure 14 ablations. A block reports the same
+//! type, as a one-block launch ([`run_block`]), and a launch sums its
+//! blocks' stats. Absolute seconds are not expected to match an RTX 3090;
 //! *shapes and ratios* are.
 
 pub mod block;
@@ -55,11 +59,11 @@ pub mod memory;
 pub mod stats;
 pub mod task;
 
-pub use block::{run_block, BlockOutcome};
+pub use block::run_block;
 pub use cost::CostModel;
 pub use device::{lock, run_jobs, Device, Job};
 pub use memory::MemoryTracker;
-pub use stats::{BlockStats, KernelStats};
+pub use stats::KernelStats;
 pub use task::{StepResult, WarpCtx, WarpTask};
 
 /// Work-stealing strategy for warps within a block (§V-A).
@@ -67,8 +71,6 @@ pub use task::{StepResult, WarpCtx, WarpTask};
 pub enum Stealing {
     /// No stealing: the WBM baseline.
     Off,
-    /// Busy warps periodically scan for idle warps and push half their work.
-    Passive,
     /// Idle warps scan `csize`/`p` in shared memory and take half of the
     /// victim's unexplored candidates (the paper's preferred strategy). A
     /// warp whose scan finds no victim waits: after each step of a busy
@@ -97,9 +99,6 @@ pub struct DeviceConfig {
     pub clock_ghz: f64,
     /// Work-stealing strategy.
     pub stealing: Stealing,
-    /// In passive mode, a busy warp polls for idle warps every this many
-    /// scheduler steps.
-    pub passive_poll_interval: u32,
     /// Minimum remaining-work hint for a warp to be considered a victim.
     pub min_steal_hint: u64,
     /// Device (global) memory capacity in bytes; the BFS-variant kernel and
@@ -123,7 +122,6 @@ impl Default for DeviceConfig {
             warp_size: 32,
             clock_ghz: 1.4,
             stealing: Stealing::Active,
-            passive_poll_interval: 64,
             min_steal_hint: 32,
             device_memory_bytes: 64 << 20,
             pcie_bytes_per_cycle: 16.0, // ~22 GB/s at 1.4 GHz

@@ -1,52 +1,4 @@
-//! Kernel- and block-level statistics.
-
-/// Statistics for one block execution.
-#[derive(Clone, Debug, Default)]
-pub struct BlockStats {
-    /// Number of warps resident in the block.
-    pub num_warps: usize,
-    /// Block makespan: the largest per-warp virtual clock at completion.
-    pub makespan_cycles: u64,
-    /// Total useful cycles across all warps.
-    pub busy_cycles: u64,
-    /// Number of successful steals.
-    pub steals: u64,
-    /// Warp tasks run to completion (including stolen fragments).
-    pub tasks_completed: u64,
-    /// Scheduler quanta executed.
-    pub scheduler_steps: u64,
-    /// Global-memory transactions charged.
-    pub global_transactions: u64,
-    /// Shared-memory accesses charged.
-    pub shared_accesses: u64,
-    /// Candidate-buffer draws a pool of the drawing task's own would serve
-    /// (see [`KernelStats::buf_reuse`]).
-    pub buf_reuse: u64,
-    /// Candidate-buffer draws such a pool would miss.
-    pub buf_alloc: u64,
-    /// Per-warp busy cycles (index = warp slot), for workload-skew traces.
-    pub warp_busy: Vec<u64>,
-    /// Per-warp final virtual clocks.
-    pub warp_clock: Vec<u64>,
-}
-
-impl BlockStats {
-    pub(crate) fn new(num_warps: usize) -> Self {
-        Self {
-            num_warps,
-            ..Self::default()
-        }
-    }
-
-    /// GPU utilization of this block: busy warp-cycles over resident
-    /// warp-cycles (`|W| * makespan`). In [0, 1].
-    pub fn utilization(&self) -> f64 {
-        if self.makespan_cycles == 0 || self.num_warps == 0 {
-            return 0.0;
-        }
-        self.busy_cycles as f64 / (self.num_warps as f64 * self.makespan_cycles as f64)
-    }
-}
+//! Kernel-launch statistics.
 
 /// Aggregated statistics for a kernel launch.
 #[derive(Clone, Debug, Default)]
@@ -65,6 +17,16 @@ pub struct KernelStats {
     pub resident_warp_cycles: u64,
     /// Total steals across blocks.
     pub steals: u64,
+    /// Warp tasks run to completion, each stolen part counted as a task
+    /// of its own: the submitted tasks plus the steals. Block launches
+    /// count it; the shard executor, which runs units and no blocks,
+    /// leaves it 0.
+    pub tasks_completed: u64,
+    /// Scheduler quanta executed ([`WarpTask::step`] calls; 0 on the
+    /// shard executor, as `tasks_completed`).
+    ///
+    /// [`WarpTask::step`]: crate::WarpTask::step
+    pub scheduler_steps: u64,
     /// Total global transactions.
     pub global_transactions: u64,
     /// Total shared accesses.
@@ -109,6 +71,8 @@ impl KernelStats {
         self.busy_cycles += other.busy_cycles;
         self.resident_warp_cycles += other.resident_warp_cycles;
         self.steals += other.steals;
+        self.tasks_completed += other.tasks_completed;
+        self.scheduler_steps += other.scheduler_steps;
         self.global_transactions += other.global_transactions;
         self.shared_accesses += other.shared_accesses;
         self.buf_reuse += other.buf_reuse;
@@ -123,14 +87,15 @@ mod tests {
 
     #[test]
     fn utilization_bounds() {
-        let mut b = BlockStats::new(4);
-        b.makespan_cycles = 100;
-        b.busy_cycles = 400;
-        assert!((b.utilization() - 1.0).abs() < 1e-12);
-        b.busy_cycles = 200;
-        assert!((b.utilization() - 0.5).abs() < 1e-12);
-        let empty = BlockStats::new(0);
-        assert_eq!(empty.utilization(), 0.0);
+        let mut k = KernelStats {
+            resident_warp_cycles: 4 * 100,
+            busy_cycles: 400,
+            ..Default::default()
+        };
+        assert!((k.utilization() - 1.0).abs() < 1e-12);
+        k.busy_cycles = 200;
+        assert!((k.utilization() - 0.5).abs() < 1e-12);
+        assert_eq!(KernelStats::default().utilization(), 0.0);
     }
 
     #[test]

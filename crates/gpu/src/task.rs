@@ -160,9 +160,16 @@ impl WarpCtx {
 /// bounded amount of work (one DFS level transition, one segment merge, ...)
 /// and charges its cost to the [`WarpCtx`]. This is what lets the block
 /// scheduler interleave warps deterministically and lets idle warps steal.
-pub trait WarpTask: Send {
+///
+/// What every task of one launch reads is the launch's
+/// [`WarpTask::Launch`] state, which the launch lends to each step and
+/// each split: a task holds no reference to it.
+pub trait WarpTask: Send + Sized + 'static {
+    /// The state every task of one launch reads.
+    type Launch: Send + Sync + 'static;
+
     /// Advances the task by one quantum, charging costs to `ctx`.
-    fn step(&mut self, ctx: &mut WarpCtx) -> StepResult;
+    fn step(&mut self, launch: &Self::Launch, ctx: &mut WarpCtx) -> StepResult;
 
     /// Estimate of remaining work (used for victim selection; GAMMA scans
     /// the `csize`/`p` arrays in shared memory for this). Zero means
@@ -175,7 +182,7 @@ pub trait WarpTask: Send {
     /// (the paper's "appropriates half of its tasks"). Returns `None` when
     /// the task cannot be split. Costs of copying state are charged by the
     /// caller, not here.
-    fn try_split(&mut self) -> Option<Box<dyn WarpTask>> {
+    fn try_split(&mut self, _launch: &Self::Launch) -> Option<Self> {
         None
     }
 }

@@ -248,10 +248,6 @@ fn run_differential(
             name: "gamma[steal=active]",
             engine: GammaEngine::new(start.clone(), q, gamma_config(StealingMode::Active)),
         },
-        GammaVariant {
-            name: "gamma[steal=passive]",
-            engine: GammaEngine::new(start.clone(), q, gamma_config(StealingMode::Passive)),
-        },
         // Count-only launches take the kernel's bulk-count fast paths,
         // where a whole-query coalesced class multiplies its count.
         GammaVariant {

@@ -65,7 +65,6 @@ fn main() {
             .collect();
         let dev_cfg = DeviceConfig {
             stealing,
-            min_steal_hint: 4,
             ..DeviceConfig::single_sm()
         };
         let (s, warp_busy) = run_block(&shared, tasks, &dev_cfg);

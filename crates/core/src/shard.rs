@@ -58,10 +58,13 @@
 //!   migrant's subtree, or a part split off a unit) is one search of that
 //!   kernel on one warp context. With device stealing on, a unit that has
 //!   spent `wbm::SPLIT_BUDGET` (65,536) cycles since it started or last
-//!   split, and whose remaining work hint is at least the device's
-//!   `min_steal_hint`, hands a part off through the device's own split
-//!   (half the shallowest frame, else half the pending partials, else half
-//!   the unstarted seeds). The part becomes a new unit of the same shard,
+//!   split, and whose weighted work hint is at least `wbm::SPLIT_MIN_HINT`
+//!   (32), hands a part off through the device's own split (half the
+//!   shallowest frame, memoized or not, else half the pending partials,
+//!   else half the unstarted seeds). Device steals have no such minimum
+//!   and keep memoized frames whole; moved to that rule, units grow 12 of
+//!   the 27 SHARD cells of the fixed-trace replay (ROADMAP item 10). The
+//!   part becomes a new unit of the same shard,
 //!   ready at the unit's start plus the cycle offset at which it left, so a
 //!   phase does not wait for its heaviest anchor on one lane. A shard's
 //!   lanes span SMs and share no shared memory, so the hand-off is one
@@ -840,8 +843,8 @@ struct PartOut {
 struct UnitCfg {
     cost: CostModel,
     warp_size: u32,
-    /// The device's `min_steal_hint` when device stealing is on, so units
-    /// split ([`wbm::run_unit`]); `None` runs every unit whole.
+    /// [`wbm::SPLIT_MIN_HINT`] when device stealing is on, so units split
+    /// ([`wbm::run_unit`]); `None` runs every unit whole.
     split_hint: Option<u64>,
     /// Keep a copy of every part: under a fault plan a fail-stop may
     /// discard a part's outcome before it commits.
@@ -1205,7 +1208,7 @@ impl ShardRuntime {
         let cfg = UnitCfg {
             cost,
             warp_size,
-            split_hint: (device.stealing != Stealing::Off).then_some(device.min_steal_hint),
+            split_hint: (device.stealing != Stealing::Off).then_some(wbm::SPLIT_MIN_HINT),
             keep_parts: self.faults.is_some(),
         };
         let nv_words = shared.meta.q.num_vertices() as u64;

@@ -10,10 +10,15 @@
 //! exactly what lets
 //!
 //! * the block scheduler interleave warps deterministically,
-//! * idle warps **steal half of the unexplored candidates at the
-//!   shallowest unfinished level** ([`WarpTask::try_split`], §V-A) — a warp
-//!   that finds no victim waits, and takes half of the next busy warp
-//!   whose work becomes worth splitting — and
+//! * idle warps **steal half of the unexplored work at the shallowest
+//!   level** (§V-A): a task offers what its split would take
+//!   ([`WarpTask::offer`]: half the shallowest frame with two or more
+//!   unexplored candidates, else half its pending partials, else half its
+//!   unstarted seeds, which sit at level 1), the thief picks the
+//!   shallowest offer of its block, and a warp that finds none waits for
+//!   the next busy warp that offers one. A frame that holds a count-only
+//!   memo stays whole: each of its siblings costs one binary probe of the
+//!   memo, which a thief would rescan — and
 //! * **coalesced search** inject permuted `V^k` partial matches as pending
 //!   subtrees instead of re-traversing the same data subgraph (§V-B).
 //!
@@ -108,10 +113,10 @@
 //! split off a unit) steps one search on one [`WarpCtx`] and keeps its
 //! matches, count and shipped migrants as its outcome instead of flushing
 //! them. With device stealing on it also splits: every `SPLIT_BUDGET`
-//! (65,536) cycles, while its remaining work hint is at least the device's
-//! `min_steal_hint`, it hands work off through the split the device's warps
-//! steal with ([`WarpTask::try_split`]), and the part runs as a unit of its
-//! own. Its launch carries a residency context
+//! (65,536) cycles, while its weighted work hint is at least
+//! `SPLIT_MIN_HINT` (32), it hands work off through the split the device's
+//! warps steal with, in the same order but memoized frames included, and
+//! the part runs as a unit of its own. Its launch carries a residency context
 //! ([`KernelShared::residency`]; `None` on the single device, where nothing
 //! migrates or flips), and the search knows its shard. Before every scan
 //! (the warm frame, the count-only last level and its memo, the next-level
@@ -136,7 +141,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use gamma_gpma::{Gpma, RunCursor, CHUNK_WIDTH};
-use gamma_gpu::{lock, StepResult, WarpCtx, WarpTask};
+use gamma_gpu::{lock, Offer, StepResult, WarpCtx, WarpTask};
 use gamma_graph::{ELabel, QueryGraph, Update, VMatch, VertexId};
 
 use crate::auto::{permute_partial, CoalescedPlan};
@@ -385,56 +390,85 @@ struct DfsState {
 }
 
 impl DfsState {
-    /// Splits off half of the unexplored candidates of the shallowest
-    /// frame with at least two beyond its current one, with their parent
-    /// partial match (the paper's "appropriates half of the unexplored
-    /// candidates along with their parents"). `order` is the state's seed
-    /// order; the taken candidates are copied into a buffer from `buf`,
-    /// and the new state's frame stack comes from `scratch`.
+    /// Unexplored candidates of frame `fi`. A non-top frame has its
+    /// current candidate assigned at `p`, so its unexplored ones start at
+    /// `p + 1`; the top frame's start at `p`.
+    fn unexplored(&self, fi: usize) -> usize {
+        let f = &self.frames[fi];
+        let first = if fi + 1 == self.frames.len() {
+            f.p
+        } else {
+            f.p + 1
+        };
+        f.cands.len().saturating_sub(first)
+    }
+
+    /// The shallowest frame with at least two unexplored candidates. With
+    /// `keep_memo` a frame that holds a count-only memo
+    /// ([`Frame::memo_last`]) is passed over: each of its siblings costs
+    /// one binary probe of the memo, which a thief would have to rescan.
+    fn split_frame_at(&self, keep_memo: bool) -> Option<usize> {
+        (0..self.frames.len()).find(|&fi| {
+            self.unexplored(fi) >= 2 && !(keep_memo && self.frames[fi].memo_last.is_some())
+        })
+    }
+
+    /// The parent partial match of the frame at `level`: the assignments
+    /// of the levels above it. `order` is the state's seed order.
+    fn parent(&self, order: &[u8], level: usize) -> VMatch {
+        let mut m = VMatch::EMPTY;
+        for &qv in &order[..level] {
+            if let Some(v) = self.m.get(qv) {
+                m.set(qv, v);
+            }
+        }
+        m
+    }
+
+    /// Splits off half of frame `fi`'s unexplored candidates, with their
+    /// parent partial match (the paper's "appropriates half of the
+    /// unexplored candidates along with their parents"). `order` is the
+    /// state's seed order; the taken candidates are copied into a buffer
+    /// from `buf`, and the new state's frame stack comes from `scratch`.
     fn split_frame(
         &mut self,
+        fi: usize,
         order: &[u8],
         scratch: &mut Scratch,
         buf: impl FnOnce(&mut Scratch) -> Vec<VertexId>,
-    ) -> Option<DfsState> {
-        let num_frames = self.frames.len();
-        for (fi, f) in self.frames.iter_mut().enumerate() {
-            let level = self.base_level + fi;
-            let top = fi + 1 == num_frames;
-            // Non-top frames have their current candidate assigned at
-            // `p`; unexplored start at p+1. Top frame: unexplored at p.
-            let first_unexplored = if top { f.p } else { f.p + 1 };
-            let unexplored = f.cands.len().saturating_sub(first_unexplored);
-            if unexplored < 2 {
-                continue;
-            }
-            let keep = f.cands.len() - unexplored / 2;
-            let mut stolen = buf(scratch);
-            stolen.extend_from_slice(&f.cands[keep..]);
-            f.cands.truncate(keep);
-            // Parent partial: assignments for levels < this frame's.
-            let mut m = VMatch::EMPTY;
-            for &qv in &order[..level] {
-                if let Some(v) = self.m.get(qv) {
-                    m.set(qv, v);
-                }
-            }
-            let mut frames = scratch.stack();
-            frames.push(Frame {
-                cands: stolen,
-                p: 0,
-                memo_last: None,
-            });
-            return Some(DfsState {
-                seed: self.seed,
-                base_level: level,
-                m,
-                frames,
-                warm: false,
-            });
+    ) -> DfsState {
+        let level = self.base_level + fi;
+        let keep = self.frames[fi].cands.len() - self.unexplored(fi) / 2;
+        let f = &mut self.frames[fi];
+        let mut stolen = buf(scratch);
+        stolen.extend_from_slice(&f.cands[keep..]);
+        f.cands.truncate(keep);
+        let mut frames = scratch.stack();
+        frames.push(Frame {
+            cands: stolen,
+            p: 0,
+            memo_last: None,
+        });
+        DfsState {
+            seed: self.seed,
+            base_level: level,
+            m: self.parent(order, level),
+            frames,
+            warm: false,
         }
-        None
     }
+}
+
+/// What a split of a search takes, in the order [`WbmTask::take`] looks
+/// for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Take {
+    /// Half the unexplored candidates of the running state's frame `.0`.
+    Frame(usize),
+    /// Half the pending partials, from the back.
+    Pending,
+    /// Half the unstarted seed slots, from the back.
+    Seeds,
 }
 
 /// The warp task for one update edge: the search state it writes. Its
@@ -589,13 +623,17 @@ impl Gate<'_> {
 
 /// Cycles a shard unit runs between two splits. With device stealing on,
 /// a unit that has spent this many since it started or last split, and
-/// whose remaining work hint ([`WarpTask::remaining_hint`]) is at least
-/// the device's `min_steal_hint`, hands part of its work to a new unit of
-/// its shard. Picked from a sweep of 16,384 to 262,144 cycles: on the
-/// `sharded` benchmark stream each halving cut the simulated cycles by
-/// 14–21% and made 1.6–1.8× as many splits, each of which costs host
-/// time and heap.
+/// whose work hint is at least [`SPLIT_MIN_HINT`], hands part of its work
+/// to a new unit of its shard. Picked from a sweep of 16,384 to 262,144
+/// cycles: on the `sharded` benchmark stream each halving cut the
+/// simulated cycles by 14–21% and made 1.6–1.8× as many splits, each of
+/// which costs host time and heap.
 pub(crate) const SPLIT_BUDGET: u64 = 65_536;
+
+/// The least work hint ([`WbmTask::work_hint`]) at which a shard unit
+/// splits: an unexplored frame candidate counts 1, a pending partial 8,
+/// an unstarted seed slot 16. Device steals have no minimum.
+pub(crate) const SPLIT_MIN_HINT: u64 = 32;
 
 /// Work split off a shard unit through the device's split (half the
 /// shallowest frame, else half the pending partials, else half the
@@ -614,12 +652,7 @@ impl Part {
 
 impl Clone for Part {
     fn clone(&self) -> Self {
-        let s = &self.0;
-        Part(Box::new(s.child(
-            s.seeds.clone(),
-            s.pending.clone(),
-            s.state.clone(),
-        )))
+        Part(Box::new(self.0.copy()))
     }
 }
 
@@ -643,14 +676,15 @@ pub(crate) struct UnitRun {
 /// anchor's sweep of every seed in both orientations, an arrived
 /// migrant's subtree, or a part split off a unit.
 ///
-/// With `split_hint` set (the device's `min_steal_hint`, when device
-/// stealing is on) the unit splits every [`SPLIT_BUDGET`] cycles while
-/// its remaining work hint is at least `split_hint`: it hands a [`Part`]
-/// off through the device's split. A shard's lanes span SMs and share no
-/// shared memory, so a hand-off is one coalesced global transfer of the
-/// part on each side: the unit pays it when the part leaves, the part
-/// when it starts. The part's candidate buffer comes from this thread's
-/// pool, which gets it back when the part's frame pops.
+/// With `split_hint` set ([`SPLIT_MIN_HINT`], when device stealing is on)
+/// the unit splits every [`SPLIT_BUDGET`] cycles while its work hint
+/// ([`WbmTask::work_hint`]) is at least `split_hint`: it hands a [`Part`]
+/// off through the device's split, memoized frames included. A shard's
+/// lanes span SMs and share no shared memory, so a hand-off is one
+/// coalesced global transfer of the part on each side: the unit pays it
+/// when the part leaves, the part when it starts. The part's candidate
+/// buffer comes from this thread's pool, which gets it back when the part's
+/// frame pops.
 ///
 /// The outcome depends only on the unit, the shard and `sh`: the search
 /// starts empty and clears every scratch buffer it draws from this
@@ -688,7 +722,7 @@ pub(crate) fn run_unit(
             }
         }
         UnitWork::Part(Part(search)) => {
-            ctx.global_read_coalesced(search.remaining_hint().max(1));
+            ctx.global_read_coalesced(search.work_hint().max(1));
             *search
         }
     };
@@ -703,11 +737,12 @@ pub(crate) fn run_unit(
         let Some(min_hint) = split_hint else {
             continue;
         };
-        if cycles - since < SPLIT_BUDGET || search.remaining_hint() < min_hint {
+        if cycles - since < SPLIT_BUDGET || search.work_hint() < min_hint {
             continue;
         }
-        if let Some(part) = search.split(sh, sc, Some(&mut *ctx)) {
-            ctx.global_read_coalesced(part.remaining_hint().max(1));
+        if let Some(take) = search.take(false) {
+            let part = search.split(sh, sc, take, Some(&mut *ctx));
+            ctx.global_read_coalesced(part.work_hint().max(1));
             cycles += ctx.take_step_cycles();
             since = cycles;
             parts.push((cycles, Part(Box::new(part))));
@@ -798,6 +833,12 @@ impl WbmTask {
             state,
             ..WbmTask::idle(self.v1, self.v2, self.elabel, self.anchor_order)
         }
+    }
+
+    /// A fresh search of this one's anchor over a copy of its unexplored
+    /// work.
+    fn copy(&self) -> WbmTask {
+        self.child(self.seeds.clone(), self.pending.clone(), self.state.clone())
     }
 
     /// Returns a frame's candidate buffer to the scratch.
@@ -1624,51 +1665,66 @@ impl WbmTask {
         StepResult::Done
     }
 
-    /// The search a thief takes (see [`WarpTask::try_split`]). A frame
-    /// split copies the taken candidates into a buffer drawn from the
-    /// scratch pool, metered on `meter` (a shard unit's split; a device
+    /// What a split takes now: the shallowest frame with at least two
+    /// unexplored candidates, else half the pending partials (if two or
+    /// more), else half the unstarted seeds (if two or more). A device
+    /// steal (`keep_memo`) passes over memoized frames
+    /// ([`DfsState::split_frame_at`]); a shard unit's split does not.
+    fn take(&self, keep_memo: bool) -> Option<Take> {
+        if let Some(fi) = self
+            .state
+            .as_ref()
+            .and_then(|st| st.split_frame_at(keep_memo))
+        {
+            Some(Take::Frame(fi))
+        } else if self.pending.len() >= 2 {
+            Some(Take::Pending)
+        } else if self.seeds.len() >= 2 {
+            Some(Take::Seeds)
+        } else {
+            None
+        }
+    }
+
+    /// The search a thief takes: what `take` names (see [`WbmTask::take`]).
+    /// A frame split copies the taken candidates into a buffer drawn from
+    /// the scratch pool, metered on `meter` (a shard unit's split; a device
     /// steal runs outside any step and has no meter).
     fn split(
         &mut self,
         sh: &KernelShared,
         sc: &mut Scratch,
+        take: Take,
         meter: Option<&mut WarpCtx>,
-    ) -> Option<WbmTask> {
-        // Priority 1: split the shallowest frame with ≥ 2 unexplored
-        // candidates beyond the current one.
-        if let Some(st) = &mut self.state {
-            let seed = &sh.meta.seeds[st.seed];
-            let spare = &mut self.spare;
-            if let Some(thief) = st.split_frame(&seed.order, sc, |sc| sc.buf(spare, meter)) {
-                return Some(self.child(0..0, VecDeque::new(), Some(thief)));
+    ) -> WbmTask {
+        match take {
+            Take::Frame(fi) => {
+                let st = self.state.as_mut().expect("a frame split has a state");
+                let order = &sh.meta.seeds[st.seed].order;
+                let spare = &mut self.spare;
+                let thief = st.split_frame(fi, order, sc, |sc| sc.buf(spare, meter));
+                self.child(0..0, VecDeque::new(), Some(thief))
+            }
+            Take::Pending => {
+                let take = self.pending.len() / 2;
+                let stolen = self.pending.split_off(self.pending.len() - take);
+                self.child(0..0, stolen, None)
+            }
+            Take::Seeds => {
+                let mid = self.seeds.end - self.seeds.len() / 2;
+                let stolen = mid..self.seeds.end;
+                self.seeds.end = mid;
+                self.child(stolen, VecDeque::new(), None)
             }
         }
-        // Priority 2: hand over half of the pending partials.
-        if self.pending.len() >= 2 {
-            let take = self.pending.len() / 2;
-            let stolen: VecDeque<PendingPartial> =
-                self.pending.split_off(self.pending.len() - take);
-            return Some(self.child(0..0, stolen, None));
-        }
-        // Priority 3: hand over half of the unstarted seeds.
-        if self.seeds.len() >= 2 {
-            let mid = self.seeds.end - self.seeds.len() / 2;
-            let stolen = mid..self.seeds.end;
-            self.seeds.end = mid;
-            return Some(self.child(stolen, VecDeque::new(), None));
-        }
-        None
-    }
-}
-
-impl WarpTask for WbmTask {
-    type Launch = KernelShared;
-
-    fn step(&mut self, sh: &KernelShared, ctx: &mut WarpCtx) -> StepResult {
-        SCRATCH.with_borrow_mut(|sc| self.step_with(sh, sc, ctx))
     }
 
-    fn remaining_hint(&self) -> u64 {
+    /// A shard unit's weighted estimate of its remaining work: one per
+    /// unexplored frame candidate beyond each frame's current one, 8 per
+    /// pending partial and 16 per unstarted seed slot. A unit splits only
+    /// while this is at least [`SPLIT_MIN_HINT`], and a hand-off moves this
+    /// many words of the part.
+    fn work_hint(&self) -> u64 {
         let frames: u64 = self
             .state
             .as_ref()
@@ -1681,9 +1737,57 @@ impl WarpTask for WbmTask {
             .unwrap_or(0);
         frames + 8 * self.pending.len() as u64 + 16 * self.seeds.len() as u64
     }
+}
+
+impl WarpTask for WbmTask {
+    type Launch = KernelShared;
+
+    fn step(&mut self, sh: &KernelShared, ctx: &mut WarpCtx) -> StepResult {
+        SCRATCH.with_borrow_mut(|sc| self.step_with(sh, sc, ctx))
+    }
+
+    /// What a device steal takes: half the shallowest frame with two or
+    /// more unexplored candidates, a frame that holds a count-only memo
+    /// passed over, else half the pending partials, else half the unstarted
+    /// seeds. A frame split copies the taken candidates and their parent
+    /// partial's assigned vertices; a pending split copies each taken
+    /// partial's assigned vertices plus its seed and level; a seed split
+    /// copies the range's two ends. Unstarted seeds sit at level 1: the
+    /// anchor edge fills levels 0 and 1.
+    fn offer(&self, sh: &KernelShared) -> Option<Offer> {
+        Some(match self.take(true)? {
+            Take::Frame(fi) => {
+                let st = self.state.as_ref()?;
+                let level = st.base_level + fi;
+                let units = (st.unexplored(fi) / 2) as u64;
+                let parent = st.parent(&sh.meta.seeds[st.seed].order, level);
+                Offer {
+                    level,
+                    units,
+                    words: units + parent.pairs().count() as u64,
+                }
+            }
+            Take::Pending => {
+                let taken = self
+                    .pending
+                    .range(self.pending.len() - self.pending.len() / 2..);
+                Offer {
+                    level: taken.clone().map(|p| p.base_level).min()?,
+                    units: (self.pending.len() / 2) as u64,
+                    words: taken.map(|p| p.m.pairs().count() as u64 + 2).sum(),
+                }
+            }
+            Take::Seeds => Offer {
+                level: 1,
+                units: (self.seeds.len() / 2) as u64,
+                words: 2,
+            },
+        })
+    }
 
     fn try_split(&mut self, sh: &KernelShared) -> Option<WbmTask> {
-        SCRATCH.with_borrow_mut(|sc| self.split(sh, sc, None))
+        let take = self.take(true)?;
+        Some(SCRATCH.with_borrow_mut(|sc| self.split(sh, sc, take, None)))
     }
 }
 
@@ -2117,6 +2221,165 @@ mod tests {
         want.sort_unstable();
         found.sort_unstable();
         assert_eq!(found, want);
+    }
+
+    /// A device launch of `q` over a seeded random graph of 60 vertices
+    /// (labels 0 and 1, about half of all pairs adjacent), with coalesced
+    /// search up to k = 2, and the graph's first 12 edges as its anchors.
+    fn random_launch(seed: u64, q: &QueryGraph, collect: bool) -> (KernelShared, Vec<Update>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nv = 60;
+        let mut g = DynamicGraph::new();
+        for _ in 0..nv {
+            g.add_vertex(rng.random_range(0..2));
+        }
+        let mut anchors = Vec::new();
+        for u in 0..nv {
+            for v in u + 1..nv {
+                if rng.random_range(0..2) == 0 {
+                    g.insert_edge(u, v, NO_ELABEL);
+                    if anchors.len() < 12 {
+                        anchors.push(Update::insert(u, v));
+                    }
+                }
+            }
+        }
+        let (enc, table) = IncrementalEncoder::build(&g, q, 2);
+        let meta = Arc::new(QueryMeta::build(q, &table, enc.scheme(), true, 2));
+        let phase = Phase {
+            gpma: Arc::new(Gpma::from_graph(&g, GpmaConfig::default())),
+            anchors: &anchors,
+            match_limit: u64::MAX,
+            abort: Arc::new(AtomicBool::new(false)),
+            deadline: None,
+            signatures: true,
+        };
+        let sh = phase.shared(meta, table, Arc::clone(&enc.encodings), collect);
+        (sh, anchors)
+    }
+
+    /// Figure 1's query shape (a labeled triangle with a tail), whose
+    /// class of k = 1 queues permuted partials, and a 4-clique with a
+    /// tail, whose DFS runs four levels deep.
+    fn split_queries() -> [QueryGraph; 2] {
+        let mut b = QueryGraph::builder();
+        let (u0, u1, u2, u3) = (b.vertex(0), b.vertex(1), b.vertex(1), b.vertex(0));
+        b.edge(u0, u1).edge(u0, u2).edge(u1, u2).edge(u1, u3);
+        let fig1 = b.build();
+        let mut b = QueryGraph::builder();
+        let us: Vec<_> = (0..5).map(|i| b.vertex(i % 2)).collect();
+        for i in 0..4 {
+            for j in i + 1..4 {
+                b.edge(us[i], us[j]);
+            }
+        }
+        b.edge(us[3], us[4]);
+        [fig1, b.build()]
+    }
+
+    /// Calls `f` with every state of every anchor's task of `sh`'s
+    /// launch, from the task's start through each of its steps.
+    fn each_state(sh: &KernelShared, anchors: &[Update], mut f: impl FnMut(&WbmTask)) {
+        let mut ctx = WarpCtx::new(CostModel::default(), 32);
+        for (o, a) in anchors.iter().enumerate() {
+            let mut task = WbmTask::new(sh, a, o as u32);
+            f(&task);
+            while task.step(sh, &mut ctx) == StepResult::Continue {
+                f(&task);
+            }
+        }
+    }
+
+    /// Over the DFS states of seeded launches, in both modes, a task
+    /// offers work exactly when `try_split` splits it, and the thief holds
+    /// what the offer names: its level, its units, and words that match
+    /// what the thief copied.
+    #[test]
+    fn offers_are_what_try_split_takes() {
+        let mut seen = [0usize; 4]; // frame, pending, seeds, nothing
+        for (qi, q) in split_queries().iter().enumerate() {
+            for seed in 0..4u64 {
+                for collect in [false, true] {
+                    let (sh, anchors) = random_launch(seed, q, collect);
+                    each_state(&sh, &anchors, |task| {
+                        let mut victim = task.copy();
+                        let offer = victim.offer(&sh);
+                        let thief = victim.try_split(&sh);
+                        let at = format!("query {qi} seed {seed} collect {collect}: {offer:?}");
+                        assert_eq!(offer.is_some(), thief.is_some(), "{at}");
+                        let (Some(offer), Some(thief)) = (offer, thief) else {
+                            seen[3] += 1;
+                            return;
+                        };
+                        if let Some(st) = &thief.state {
+                            assert!(thief.pending.is_empty() && thief.seeds.is_empty(), "{at}");
+                            assert_eq!(st.base_level, offer.level, "{at}");
+                            assert_eq!(st.frames.len(), 1, "{at}");
+                            let units = st.frames[0].cands.len() as u64;
+                            assert_eq!(units, offer.units, "{at}");
+                            let parent = st.m.pairs().count() as u64;
+                            assert_eq!(parent, offer.level as u64, "{at}");
+                            assert_eq!(units + parent, offer.words, "{at}");
+                            seen[0] += 1;
+                        } else if !thief.pending.is_empty() {
+                            assert!(thief.seeds.is_empty(), "{at}");
+                            assert_eq!(thief.pending.len() as u64, offer.units, "{at}");
+                            let level = thief.pending.iter().map(|p| p.base_level).min();
+                            assert_eq!(level, Some(offer.level), "{at}");
+                            let words = thief.pending.iter().map(|p| p.m.pairs().count() + 2);
+                            assert_eq!(words.sum::<usize>() as u64, offer.words, "{at}");
+                            seen[1] += 1;
+                        } else {
+                            assert_eq!(thief.seeds.len() as u64, offer.units, "{at}");
+                            assert_eq!((offer.level, offer.words), (1, 2), "{at}");
+                            seen[2] += 1;
+                        }
+                        assert!(offer.units >= 1, "{at}");
+                    });
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every kind of split: {seen:?}");
+    }
+
+    /// Where the shallowest splittable frame holds a count-only memo, a
+    /// device steal passes it over (and takes a deeper frame, pending
+    /// partials or seeds, or nothing), while a shard unit's split takes
+    /// half of it.
+    #[test]
+    fn device_steals_keep_memoized_frames_whole() {
+        let mut memoized = 0;
+        for q in &split_queries() {
+            for seed in 0..4u64 {
+                let (sh, anchors) = random_launch(seed, q, false);
+                each_state(&sh, &anchors, |task| {
+                    let Some(Take::Frame(fi)) = task.take(false) else {
+                        return;
+                    };
+                    let st = task.state.as_ref().expect("a frame split has a state");
+                    if st.frames[fi].memo_last.is_none() {
+                        return;
+                    }
+                    memoized += 1;
+                    let level = st.base_level + fi;
+                    let mut device = task.copy();
+                    if let Some(thief) = device.try_split(&sh) {
+                        assert!(thief.state.as_ref().is_none_or(|t| t.base_level > level));
+                    }
+                    let dst = device.state.as_ref().expect("the victim keeps its state");
+                    assert_eq!(dst.frames[fi].cands, st.frames[fi].cands, "kept whole");
+                    let mut unit = task.copy();
+                    let part = SCRATCH.with_borrow_mut(|sc| {
+                        let take = unit.take(false).expect("splittable");
+                        unit.split(&sh, sc, take, None)
+                    });
+                    let pst = part.state.as_ref().expect("a frame part");
+                    assert_eq!(pst.base_level, level);
+                    assert_eq!(pst.frames[0].cands.len(), st.unexplored(fi) / 2);
+                });
+            }
+        }
+        assert!(memoized > 0, "no state held a splittable memoized frame");
     }
 
     /// `incident`, `order_within` and `get` against a brute-force scan of

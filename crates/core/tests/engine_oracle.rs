@@ -128,7 +128,6 @@ fn configs_to_try() -> Vec<(&'static str, GammaConfig)> {
         let mut c = base.clone();
         c.coalesced_search = cs;
         c.device.stealing = steal;
-        c.device.min_steal_hint = 2; // aggressive stealing in tests
         v.push((name, c));
     }
     v

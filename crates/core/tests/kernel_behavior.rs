@@ -50,7 +50,6 @@ fn run_raw_block(
         .collect();
     let cfg = DeviceConfig {
         stealing,
-        min_steal_hint: 2,
         ..DeviceConfig::single_sm()
     };
     let (stats, warp_busy) = run_block(&shared, tasks, &cfg);
@@ -270,7 +269,6 @@ fn count_only_coalesced_search_counts_like_collection() {
                         cfg.collect_matches = collect;
                         cfg.match_limit = 20_000;
                         cfg.device.stealing = stealing;
-                        cfg.device.min_steal_hint = 2;
                         let mut engine = GammaEngine::new(g.clone(), &q, cfg);
                         [&inserts, &deletes].map(|b| {
                             let r = engine.apply_batch(b);

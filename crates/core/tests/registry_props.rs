@@ -24,7 +24,6 @@ fn test_config() -> GammaConfig {
         ..GammaConfig::default()
     };
     cfg.device.stealing = StealingMode::Active;
-    cfg.device.min_steal_hint = 2;
     cfg
 }
 

@@ -5,7 +5,7 @@ use std::collections::BinaryHeap;
 use std::time::Instant;
 
 use crate::stats::KernelStats;
-use crate::task::{StepResult, WarpCtx, WarpTask};
+use crate::task::{Offer, StepResult, WarpCtx, WarpTask};
 use crate::{DeviceConfig, Stealing};
 
 struct WarpSlot<T> {
@@ -25,12 +25,14 @@ struct WarpSlot<T> {
 /// which makes the interleaving — and therefore stealing decisions,
 /// utilization and makespan — fully deterministic for a given task list.
 ///
-/// With [`Stealing::Active`] a warp whose task finishes scans the block
-/// for the busiest victim on its next turn and takes half of its work. If
-/// no victim qualifies it waits: after every step of a busy warp whose
-/// remaining work reaches `min_steal_hint`, the lowest-index waiting warp
-/// takes half of that warp's work. So a warp stays idle only while no
-/// other warp of its block holds work worth splitting.
+/// With [`Stealing::Active`] a warp whose task finishes walks the block's
+/// status array on its next turn and steals from the busy warp whose
+/// split ([`WarpTask::offer`]) takes work at the shallowest DFS level;
+/// ties go to the larger offer, then to the lowest warp index. Any offer
+/// qualifies. If no warp offers anything the thief waits: after every
+/// step of a busy warp that offers a split, the lowest-index waiting warp
+/// takes it. So a warp stays idle only while no other warp of its block
+/// holds work that can be split.
 pub fn run_block<T: WarpTask>(
     launch: &T::Launch,
     tasks: Vec<T>,
@@ -57,23 +59,26 @@ pub fn run_block<T: WarpTask>(
     // about to scan for a victim.
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
         (0..warps.len()).map(|i| Reverse((0, i))).collect();
-    // Warps whose scan found no victim, waiting for a busy warp's work to
-    // become worth splitting.
+    // Warps whose walk found no victim, waiting for a busy warp to offer a
+    // split.
     let mut idle: Vec<usize> = Vec::new();
 
     while let Some(Reverse((clock, wi))) = heap.pop() {
         debug_assert_eq!(warps[wi].clock, clock);
 
         let Some(task) = warps[wi].task.as_mut() else {
-            // A finished warp's turn: it scans shared memory for the
-            // busiest victim (ties go to the lowest index).
+            // A finished warp's turn: it walks shared memory for the
+            // shallowest offer (then the largest, then the lowest index).
             let victim = warps
                 .iter()
                 .enumerate()
-                .filter_map(|(i, w)| Some((w.task.as_ref()?.remaining_hint(), Reverse(i))))
-                .max()
-                .map(|(_, Reverse(i))| i);
-            if victim.is_some_and(|v| steal(&mut warps, launch, v, wi, clock, cfg, &mut ctx)) {
+                .filter_map(|(i, w)| {
+                    let offer = w.task.as_ref()?.offer(launch)?;
+                    Some(((offer.level, Reverse(offer.units), i), offer))
+                })
+                .min_by_key(|&(key, _)| key);
+            if let Some(((_, _, v), offer)) = victim {
+                steal(&mut warps, launch, v, offer, wi, clock, &mut ctx);
                 stats.steals += 1;
                 heap.push(Reverse((warps[wi].clock, wi)));
             } else {
@@ -95,18 +100,20 @@ pub fn run_block<T: WarpTask>(
                 stats.tasks_completed += 1;
                 if cfg.stealing == Stealing::Active {
                     // Re-enter the heap: on its next turn (i.e. when all
-                    // other warps caught up to its clock) it scans for a
+                    // other warps caught up to its clock) it walks for a
                     // victim. This models "after a warp completes its
                     // current workloads, it inspects other warps".
                     heap.push(Reverse((warps[wi].clock, wi)));
                 }
             }
             StepResult::Continue => {
-                // A waiting warp takes half of this warp's work as soon as
-                // it is worth splitting.
+                // A waiting warp takes what this warp offers as soon as it
+                // offers anything.
                 if let Some((k, &thief)) = idle.iter().enumerate().min_by_key(|&(_, &w)| w) {
-                    let start = warps[thief].clock.max(warps[wi].clock);
-                    if steal(&mut warps, launch, wi, thief, start, cfg, &mut ctx) {
+                    let offer = warps[wi].task.as_ref().and_then(|t| t.offer(launch));
+                    if let Some(offer) = offer {
+                        let start = warps[thief].clock.max(warps[wi].clock);
+                        steal(&mut warps, launch, wi, offer, thief, start, &mut ctx);
                         idle.swap_remove(k);
                         stats.steals += 1;
                         heap.push(Reverse((warps[thief].clock, thief)));
@@ -131,40 +138,36 @@ pub fn run_block<T: WarpTask>(
     (stats, warp_busy)
 }
 
-/// The one steal of [`Stealing::Active`]: idle warp `thief` takes half of
-/// busy warp `victim`'s unexplored work, if its remaining work is at least
-/// `min_steal_hint` and it splits. The thief runs from `start` plus what
-/// the steal pays: the scan of the block's status array (`|W|` shared
-/// reads; §V-A's `O(L·|W|)` walk, with the task's own hint standing in for
-/// the per-layer part) and the copy of the stolen range and its parent
-/// partial match through shared memory. A warp whose task finished steals
-/// at its own clock; a waiting warp at the later of its clock and the
-/// victim's. Returns whether it stole.
+/// The one steal of [`Stealing::Active`]: idle warp `thief` takes what
+/// busy warp `victim` offers (`offer`, its [`WarpTask::offer`]). The thief
+/// runs from `start` plus what the steal pays in shared-memory reads: the
+/// walk of the block's status array down to the offer's level (`(level +
+/// 1)·|W|`, §V-A's `O(L·|W|)` scan) and the copy of the offer's words (the
+/// taken work and the partial match it extends). A warp whose task
+/// finished steals at its own clock; a waiting warp at the later of its
+/// clock and the victim's.
 fn steal<T: WarpTask>(
     warps: &mut [WarpSlot<T>],
     launch: &T::Launch,
     victim: usize,
+    offer: Offer,
     thief: usize,
     start: u64,
-    cfg: &DeviceConfig,
     ctx: &mut WarpCtx,
-) -> bool {
+) {
     let task = warps[victim].task.as_mut().expect("a victim is busy");
-    if task.remaining_hint() < cfg.min_steal_hint {
-        return false;
-    }
-    let Some(split) = task.try_split(launch) else {
-        return false;
-    };
-    ctx.shared_access(warps.len() as u64);
-    ctx.shared_access(split.remaining_hint().max(1));
+    let split = task
+        .try_split(launch)
+        .expect("a task splits off what it offers");
+    ctx.shared_access((offer.level as u64 + 1) * warps.len() as u64 + offer.words);
     warps[thief].clock = start + ctx.take_step_cycles();
     warps[thief].task = Some(split);
-    true
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Mutex;
+
     use super::*;
 
     /// A task that performs `units` steps of `cycles_per_unit` cycles each
@@ -191,12 +194,13 @@ mod tests {
             }
         }
 
-        fn remaining_hint(&self) -> u64 {
-            if self.splittable {
-                self.units
-            } else {
-                0
-            }
+        fn offer(&self, _: &()) -> Option<Offer> {
+            let half = self.units / 2;
+            (self.splittable && half > 0).then_some(Offer {
+                level: 0,
+                units: half,
+                words: half,
+            })
         }
 
         fn try_split(&mut self, _: &()) -> Option<Chunk> {
@@ -222,7 +226,7 @@ mod tests {
     }
 
     /// A [`Chunk`] whose work stays hidden for its first `hidden` steps:
-    /// until then its hint is 0 and it cannot be split.
+    /// until then it offers nothing and cannot be split.
     struct Late {
         chunk: Chunk,
         hidden: u64,
@@ -236,11 +240,11 @@ mod tests {
             self.chunk.step(&(), ctx)
         }
 
-        fn remaining_hint(&self) -> u64 {
+        fn offer(&self, _: &()) -> Option<Offer> {
             if self.hidden > 0 {
-                0
+                None
             } else {
-                self.chunk.remaining_hint()
+                self.chunk.offer(&())
             }
         }
 
@@ -253,10 +257,61 @@ mod tests {
         }
     }
 
+    /// A [`Chunk`] that offers its split at DFS level `level` and logs its
+    /// `id` in the launch each time it is split.
+    struct Deep {
+        id: usize,
+        level: usize,
+        chunk: Chunk,
+    }
+
+    impl WarpTask for Deep {
+        type Launch = Mutex<Vec<usize>>;
+
+        fn step(&mut self, _: &Self::Launch, ctx: &mut WarpCtx) -> StepResult {
+            self.chunk.step(&(), ctx)
+        }
+
+        fn offer(&self, _: &Self::Launch) -> Option<Offer> {
+            let offer = self.chunk.offer(&())?;
+            Some(Offer {
+                level: self.level,
+                ..offer
+            })
+        }
+
+        fn try_split(&mut self, splits: &Self::Launch) -> Option<Deep> {
+            let chunk = self.chunk.try_split(&())?;
+            crate::lock(splits).push(self.id);
+            Some(Deep {
+                id: self.id,
+                level: self.level,
+                chunk,
+            })
+        }
+    }
+
+    /// Runs warp 0, which holds no work, beside one [`Deep`] task per
+    /// `(level, units)` (ids from 1), all at 100 cycles a unit; returns
+    /// the stats and the ids of the tasks split, in order.
+    fn run_deep(specs: &[(usize, u64)]) -> (KernelStats, Vec<usize>) {
+        let tasks = std::iter::once((0, 0))
+            .chain(specs.iter().copied())
+            .enumerate()
+            .map(|(id, (level, units))| Deep {
+                id,
+                level,
+                chunk: chunk(units, 100),
+            })
+            .collect();
+        let splits = Mutex::new(Vec::new());
+        let (stats, _) = run_block(&splits, tasks, &cfg(Stealing::Active));
+        (stats, splits.into_inner().unwrap())
+    }
+
     fn cfg(stealing: Stealing) -> DeviceConfig {
         DeviceConfig {
             stealing,
-            min_steal_hint: 4,
             ..DeviceConfig::single_sm()
         }
     }
@@ -321,6 +376,45 @@ mod tests {
             serial.device_cycles
         );
         assert_eq!(active.tasks_completed, 2 + active.steals);
+    }
+
+    #[test]
+    fn small_splittable_work_is_stolen() {
+        // Warp 0 has nothing to do, so it walks the block at clock 1, when
+        // warp 1's task holds 3 units: any split qualifies, so it takes 1.
+        let stats = run(vec![chunk(0, 100), chunk(4, 100)], Stealing::Active);
+        assert_eq!(stats.steals, 1);
+        assert_eq!(stats.tasks_completed, 3);
+        assert_eq!(stats.device_cycles, 300, "serial: 400");
+    }
+
+    #[test]
+    fn thief_takes_the_shallowest_offer() {
+        // Each task has taken one step when warp 0 walks the block, so a
+        // task of 2u + 1 units offers u. The shallowest offer wins however
+        // small it is; at one level the larger offer, then the lower index.
+        for (specs, victim) in [
+            (vec![(5, 81), (2, 5)], 2),
+            (vec![(3, 5), (3, 9)], 2),
+            (vec![(3, 9), (3, 9)], 1),
+        ] {
+            let (_, splits) = run_deep(&specs);
+            assert_eq!(splits.first(), Some(&victim), "{specs:?}");
+        }
+    }
+
+    #[test]
+    fn steal_pays_the_walk_to_its_level_and_the_words_it_copies() {
+        // Warp 0 walks at clock 1 and takes 3 of the 6 units warp 1 has
+        // left at level 4, 3 words; it then runs them, 100 cycles each,
+        // and finishes last.
+        let (level, words, warps) = (4, 3, 2);
+        let (stats, splits) = run_deep(&[(level, 7)]);
+        assert_eq!(splits, [1]);
+        let reads = (level as u64 + 1) * warps + words;
+        let latency = cfg(Stealing::Active).cost.shared_latency;
+        assert_eq!(stats.shared_accesses, reads);
+        assert_eq!(stats.device_cycles, 1 + reads * latency + 3 * 100);
     }
 
     #[test]

@@ -313,7 +313,7 @@ pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{StepResult, WarpCtx};
+    use crate::task::{Offer, StepResult, WarpCtx};
     use crate::Stealing;
 
     /// `self.0` steps of 100 cycles, splittable in half. [`PANICS`]
@@ -341,8 +341,13 @@ mod tests {
             }
         }
 
-        fn remaining_hint(&self) -> u64 {
-            self.0
+        fn offer(&self, _: &()) -> Option<Offer> {
+            let half = self.0 / 2;
+            (half > 0).then_some(Offer {
+                level: 0,
+                units: half,
+                words: half,
+            })
         }
 
         fn try_split(&mut self, _: &()) -> Option<Fixed> {
@@ -432,7 +437,6 @@ mod tests {
         // to completion as a task of its own.
         let dev = Device::new(DeviceConfig {
             stealing: Stealing::Active,
-            min_steal_hint: 4,
             ..cfg(4, 3)
         });
         let skewed = |n: u64| (0..n).map(|i| Fixed(1 + (i % 5) * 40)).collect::<Vec<_>>();

@@ -35,10 +35,12 @@
 //!   [`WarpCtx`]. The per-warp clocks are exactly the "cumulative execution
 //!   time across warps" the paper's Figure 13 reasons about.
 //! * **Work stealing** (§V-A) is modeled faithfully: each block owns a
-//!   simulated shared-memory status array; an idle warp scans it (cost
-//!   `O(L·|W|)` shared-memory reads, the paper's complexity) and
-//!   appropriates half of the victim's unexplored candidates via
-//!   [`WarpTask::try_split`].
+//!   simulated shared-memory status array; an idle warp walks it level by
+//!   level and appropriates half of the unexplored work at the shallowest
+//!   level any warp can split ([`WarpTask::offer`],
+//!   [`WarpTask::try_split`]). The walk costs `(L + 1)·|W|` shared-memory
+//!   reads for work found at level `L` (the paper's `O(L·|W|)`), and the
+//!   copy one read per word it moves.
 //!
 //! ## What the simulator reports
 //!
@@ -64,19 +66,19 @@ pub use cost::CostModel;
 pub use device::{lock, run_jobs, Device, Job};
 pub use memory::MemoryTracker;
 pub use stats::KernelStats;
-pub use task::{StepResult, WarpCtx, WarpTask};
+pub use task::{Offer, StepResult, WarpCtx, WarpTask};
 
 /// Work-stealing strategy for warps within a block (§V-A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Stealing {
     /// No stealing: the WBM baseline.
     Off,
-    /// Idle warps scan `csize`/`p` in shared memory and take half of the
-    /// victim's unexplored candidates (the paper's preferred strategy). A
-    /// warp whose scan finds no victim waits: after each step of a busy
-    /// warp whose remaining work is at least `min_steal_hint`, the
-    /// lowest-index waiting warp takes half of it, so warps keep stealing
-    /// until their block drains.
+    /// Idle warps walk `csize`/`p` in shared memory and take half of the
+    /// unexplored work at the shallowest level a busy warp can split (the
+    /// paper's preferred strategy); any splittable work qualifies. A warp
+    /// whose walk finds no victim waits: after each step of a busy warp
+    /// that can split, the lowest-index waiting warp takes half of its
+    /// work, so warps keep stealing until their block drains.
     #[default]
     Active,
 }
@@ -97,10 +99,9 @@ pub struct DeviceConfig {
     pub warp_size: u32,
     /// Simulated core clock in GHz; converts cycles to simulated seconds.
     pub clock_ghz: f64,
-    /// Work-stealing strategy.
+    /// Work-stealing strategy. Under [`Stealing::Active`] every split a
+    /// task offers is eligible: there is no minimum.
     pub stealing: Stealing,
-    /// Minimum remaining-work hint for a warp to be considered a victim.
-    pub min_steal_hint: u64,
     /// Device (global) memory capacity in bytes; the BFS-variant kernel and
     /// GPMA use it to model spill-to-host transfers.
     pub device_memory_bytes: u64,
@@ -122,7 +123,6 @@ impl Default for DeviceConfig {
             warp_size: 32,
             clock_ghz: 1.4,
             stealing: Stealing::Active,
-            min_steal_hint: 32,
             device_memory_bytes: 64 << 20,
             pcie_bytes_per_cycle: 16.0, // ~22 GB/s at 1.4 GHz
             cost: CostModel::default(),

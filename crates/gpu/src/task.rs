@@ -171,20 +171,33 @@ pub trait WarpTask: Send + Sized + 'static {
     /// Advances the task by one quantum, charging costs to `ctx`.
     fn step(&mut self, launch: &Self::Launch, ctx: &mut WarpCtx) -> StepResult;
 
-    /// Estimate of remaining work (used for victim selection; GAMMA scans
-    /// the `csize`/`p` arrays in shared memory for this). Zero means
-    /// nothing left to steal.
-    fn remaining_hint(&self) -> u64 {
-        0
+    /// What [`WarpTask::try_split`] would take now, or `None` when the
+    /// task cannot be split. An idle warp reads this for every busy warp of
+    /// its block (GAMMA walks the `csize`/`p` arrays in shared memory for
+    /// it) and steals from the one whose offer is shallowest.
+    fn offer(&self, _launch: &Self::Launch) -> Option<Offer> {
+        None
     }
 
-    /// Splits off roughly half of the *unexplored* work into a new task
-    /// (the paper's "appropriates half of its tasks"). Returns `None` when
-    /// the task cannot be split. Costs of copying state are charged by the
-    /// caller, not here.
+    /// Splits off exactly what [`WarpTask::offer`] reports into a new task
+    /// (the paper's "appropriates half of its tasks"). Returns `None`
+    /// exactly when the offer is `None`. Costs of copying state are
+    /// charged by the caller, from the offer, not here.
     fn try_split(&mut self, _launch: &Self::Launch) -> Option<Self> {
         None
     }
+}
+
+/// What a task's split would take ([`WarpTask::offer`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Offer {
+    /// The DFS level the taken work sits at: how deep a thief's walk of
+    /// the block's status array goes before it finds it.
+    pub level: usize,
+    /// Units taken: candidates of one level, partial matches or seeds.
+    pub units: u64,
+    /// Words the thief copies out of the victim's shared memory.
+    pub words: u64,
 }
 
 #[cfg(test)]

@@ -153,7 +153,6 @@ fn stealing_helps_on_skewed_star() {
         cfg.device.stealing = steal;
         cfg.device.num_sms = 1;
         cfg.device.warps_per_block = 8;
-        cfg.device.min_steal_hint = 8;
         cfg.collect_matches = false;
         let mut engine = GammaEngine::new(g.clone(), &q, cfg);
         let r = engine.apply_batch(&ups);

@@ -137,7 +137,6 @@ fn gamma_config(stealing: StealingMode) -> GammaConfig {
         ..GammaConfig::default()
     };
     cfg.device.stealing = stealing;
-    cfg.device.min_steal_hint = 2; // make stealing actually fire on small work
     cfg
 }
 

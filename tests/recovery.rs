@@ -93,7 +93,6 @@ fn gamma_config() -> GammaConfig {
         ..GammaConfig::default()
     };
     cfg.device.stealing = StealingMode::Active;
-    cfg.device.min_steal_hint = 2;
     cfg
 }
 

@@ -63,8 +63,10 @@ fn main() {
             .enumerate()
             .map(|(i, a)| wbm::WbmTask::new(&shared, a, i as u32))
             .collect();
+        // One warp per insertion, as Figure 6 draws the block.
         let dev_cfg = DeviceConfig {
             stealing,
+            warps_per_block: 2,
             ..DeviceConfig::single_sm()
         };
         let (s, warp_busy) = run_block(&shared, tasks, &dev_cfg);

@@ -26,7 +26,8 @@
 //! so parallel CI jobs never clobber each other — `--out=PATH` is honored
 //! everywhere). Each cell there also carries the kernels' `tasks`,
 //! `tasks_completed` (a stolen part counts as a task, so on the device it
-//! is `tasks + steals`) and `scheduler_steps`.
+//! is `tasks + steals`), `scheduler_steps` and `shared_scans` (the steps
+//! whose scan a block's waiting warps joined; the table's `shared`).
 //!
 //! The summary's `registry` block measures the standing-query serving
 //! tier: 8 same-class subscriptions served by one [`QueryRegistry`]
@@ -208,6 +209,11 @@ struct Sample {
     ///
     /// [`KernelStats::scheduler_steps`]: gamma_gpu::KernelStats::scheduler_steps
     scheduler_steps: u64,
+    /// Summed steps whose scan waiting warps joined
+    /// ([`KernelStats::shared_scans`]; 0 with stealing off and on shards).
+    ///
+    /// [`KernelStats::shared_scans`]: gamma_gpu::KernelStats::shared_scans
+    shared_scans: u64,
     /// Batches applied.
     batches: u64,
     /// Sharded cells' migration telemetry.
@@ -443,6 +449,7 @@ fn run_engine(
         tasks: 0,
         tasks_completed: 0,
         scheduler_steps: 0,
+        shared_scans: 0,
         batches: 0,
         shard: None,
     };
@@ -456,6 +463,7 @@ fn run_engine(
         s.tasks += r.stats.kernel.num_tasks as u64;
         s.tasks_completed += r.stats.kernel.tasks_completed;
         s.scheduler_steps += r.stats.kernel.scheduler_steps;
+        s.shared_scans += r.stats.kernel.shared_scans;
         s.batches += 1;
     };
     match under_test {
@@ -967,7 +975,7 @@ fn write_json(
              \"updates\": {}, \"matches\": {}, \"batches\": {}, \"wall_seconds\": {:.6}, \
              \"updates_per_sec\": {:.1}, \"matches_per_sec\": {:.1}, \"sim_cycles\": {}, \
              \"busy_cycles\": {}, \"steals\": {}, \"tasks\": {}, \"tasks_completed\": {}, \
-             \"scheduler_steps\": {}{}}}{}",
+             \"scheduler_steps\": {}, \"shared_scans\": {}{}}}{}",
             json_escape(s.dataset),
             json_escape(s.class),
             json_escape(s.workload),
@@ -984,6 +992,7 @@ fn write_json(
             s.tasks,
             s.tasks_completed,
             s.scheduler_steps,
+            s.shared_scans,
             shard_fields,
             comma
         );
@@ -1315,6 +1324,7 @@ fn main() -> ExitCode {
         "busy-cycles",
         "steals",
         "steps",
+        "shared",
         "migr",
         "cut%",
         "splits",
@@ -1424,6 +1434,7 @@ fn main() -> ExitCode {
                         s.busy_cycles.to_string(),
                         s.steals.to_string(),
                         s.scheduler_steps.to_string(),
+                        s.shared_scans.to_string(),
                         migr,
                         cut,
                         splits,

@@ -18,7 +18,15 @@
 //!   shallowest offer of its block, and a warp that finds none waits for
 //!   the next busy warp that offers one. A frame that holds a count-only
 //!   memo stays whole: each of its siblings costs one binary probe of the
-//!   memo, which a thief would rescan — and
+//!   memo, which a thief would rescan,
+//! * waiting warps **share a busy warp's scan**: the work a
+//!   `GenCandidates` scan charges after its directory locate (the base
+//!   run and candidate-row reads, the gate compute, the bitmap probes and
+//!   the chunked intersections, in either probe direction) is marked
+//!   shareable ([`WarpCtx::shareable`]), and the block scheduler splits
+//!   it between the scanning warp and its block's waiting warps when
+//!   that pays ([`gamma_gpu::run_block`]); a shard unit has no block and
+//!   drains its steps without reading the share — and
 //! * **coalesced search** inject permuted `V^k` partial matches as pending
 //!   subtrees instead of re-traversing the same data subgraph (§V-B).
 //!
@@ -531,6 +539,10 @@ struct Scratch {
     /// intersection (the pooled output region of the Prealloc-Combine
     /// pass).
     chunk: Vec<VertexId>,
+    /// Scans this thread ran ([`WbmTask::scan_candidates`]): tests tell
+    /// the steps that scanned by it.
+    #[cfg(test)]
+    scans: u64,
 }
 
 thread_local! {
@@ -1051,6 +1063,10 @@ impl WbmTask {
     ///   owner's one-hop residency, is probed for every other backward
     ///   vertex in one [`Gpma::run_seek_chunk`] pass, behind a signature
     ///   quick-reject on the survivor's run.
+    ///
+    /// In both directions every charge after the directory locate but the
+    /// signature fetch and the emit pass is shareable
+    /// ([`WarpCtx::shareable`]): the block's waiting warps can split it.
     #[allow(clippy::too_many_arguments)]
     fn scan_candidates(
         &mut self,
@@ -1062,6 +1078,10 @@ impl WbmTask {
         ctx: &mut WarpCtx,
         mut sink: impl FnMut(VertexId),
     ) {
+        #[cfg(test)]
+        {
+            sc.scans += 1;
+        }
         let qv = seed.order[level];
         let q = &sh.meta.q;
         let gpma: &Gpma = &sh.gpma;
@@ -1105,12 +1125,15 @@ impl WbmTask {
             anchor_order,
         };
         // Directory fetch of the base run head, then one warp-coalesced
-        // read of the run itself.
+        // read of the run itself. The run reads, gates and probes after the
+        // fetch are shareable: waiting warps of the block can split them.
         ctx.dir_locate();
-        ctx.global_read_coalesced(bdeg as u64 * 2);
-        // Candidate-table rows for the scanned vertices.
-        ctx.global_read_coalesced(bdeg as u64);
-        ctx.compute(bdeg as u64);
+        ctx.shareable(|ctx| {
+            ctx.global_read_coalesced(bdeg as u64 * 2);
+            // Candidate-table rows for the scanned vertices.
+            ctx.global_read_coalesced(bdeg as u64);
+            ctx.compute(bdeg as u64);
+        });
         if flipped {
             debug_assert!(resident(bv), "flipped scan of a base run not resident here");
             // Ascending targets: a candidate's run cursor merges them
@@ -1174,10 +1197,12 @@ impl WbmTask {
                 }
                 sink(cand);
             });
-            if tested > 0 {
-                ctx.bitmap_probe(tested);
-            }
-            ctx.chunked_intersect(probed, covered);
+            ctx.shareable(|ctx| {
+                if tested > 0 {
+                    ctx.bitmap_probe(tested);
+                }
+                ctx.chunked_intersect(probed, covered);
+            });
             sc.flipped = targets_of;
             sc.backward = back;
             return;
@@ -1344,12 +1369,14 @@ impl WbmTask {
         // for the lanes it actually probed and the span its cursor
         // actually walked (plus its bitmap probes), not a synthetic
         // per-candidate binary-search chain.
-        for o in others.iter() {
-            if o.sig.is_some() {
-                ctx.bitmap_probe(o.tested as u64);
+        ctx.shareable(|ctx| {
+            for o in others.iter() {
+                if o.sig.is_some() {
+                    ctx.bitmap_probe(o.tested as u64);
+                }
+                ctx.chunked_intersect(o.probed as u64, (o.rem0 - o.cur.rem()) as u64);
             }
-            ctx.chunked_intersect(o.probed as u64, (o.rem0 - o.cur.rem()) as u64);
-        }
+        });
         sc.others = others;
     }
 
@@ -2340,6 +2367,58 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&n| n > 0), "every kind of split: {seen:?}");
+    }
+
+    /// Over the steps of seeded launches, in both modes, a step marks
+    /// shareable cycles exactly when it scanned, and never more than its
+    /// cycles. A shard unit drains its steps without reading the share:
+    /// its outcome is the device task's steps', cycle for cycle and match
+    /// for match, and its meter carries no share past a step.
+    #[test]
+    fn scans_mark_their_work_shareable() {
+        let mut scanned = [0usize; 2]; // steps that did not scan, that did
+        for q in &split_queries() {
+            for seed in 0..4u64 {
+                for collect in [false, true] {
+                    let (sh, anchors) = random_launch(seed, q, collect);
+                    let scans = || SCRATCH.with_borrow(|sc| sc.scans);
+                    let mut ctx = WarpCtx::new(CostModel::default(), 32);
+                    let mut unit_count = 0;
+                    for (o, a) in anchors.iter().enumerate() {
+                        let at = format!("seed {seed} collect {collect} anchor {o}");
+                        let mut task = WbmTask::new(&sh, a, o as u32);
+                        let mut cycles = 0;
+                        loop {
+                            let before = scans();
+                            let done = task.step(&sh, &mut ctx) == StepResult::Done;
+                            let scan = scans() > before;
+                            let shareable = ctx.shareable_cycles();
+                            let step = ctx.take_step_cycles();
+                            assert!(shareable <= step, "{at}: {shareable} > {step}");
+                            assert_eq!(shareable > 0, scan, "{at}: {shareable}");
+                            scanned[usize::from(scan)] += 1;
+                            cycles += step;
+                            if done {
+                                break;
+                            }
+                        }
+                        let mut meter = WarpCtx::new(CostModel::default(), 32);
+                        let run =
+                            run_unit(&sh, 0, UnitWork::Anchor(*a, o as u32), None, &mut meter);
+                        assert_eq!(run.cycles, cycles, "{at}");
+                        assert_eq!(meter.shareable_cycles(), 0, "{at}");
+                        assert!(run.migrants.is_empty() && run.parts.is_empty(), "{at}");
+                        unit_count += run.count;
+                        if collect {
+                            assert_eq!(run.matches.len() as u64, run.count, "{at}");
+                        }
+                    }
+                    let device_count = sh.match_count.load(Ordering::Relaxed);
+                    assert_eq!(unit_count, device_count, "seed {seed} collect {collect}");
+                }
+            }
+        }
+        assert!(scanned.iter().all(|&n| n > 0), "{scanned:?}");
     }
 
     /// Where the shallowest splittable frame holds a count-only memo, a

@@ -25,6 +25,21 @@ fn run_raw_block(
     stealing: Stealing,
     coalesced: bool,
 ) -> (Vec<VMatch>, KernelStats, Vec<u64>) {
+    let cfg = DeviceConfig {
+        stealing,
+        ..DeviceConfig::single_sm()
+    };
+    run_raw_block_on(g2, q, anchors, &cfg, coalesced)
+}
+
+/// [`run_raw_block`] on the device `cfg`.
+fn run_raw_block_on(
+    g2: &gamma_graph::DynamicGraph,
+    q: &QueryGraph,
+    anchors: &[Update],
+    cfg: &DeviceConfig,
+    coalesced: bool,
+) -> (Vec<VMatch>, KernelStats, Vec<u64>) {
     let (enc, table) = IncrementalEncoder::build(g2, q, 2);
     let meta = Arc::new(QueryMeta::build(q, &table, enc.scheme(), coalesced, 2));
     let gpma = Gpma::from_graph(g2, GpmaConfig::default());
@@ -48,11 +63,7 @@ fn run_raw_block(
         .enumerate()
         .map(|(i, a)| WbmTask::new(&shared, a, i as u32))
         .collect();
-    let cfg = DeviceConfig {
-        stealing,
-        ..DeviceConfig::single_sm()
-    };
-    let (stats, warp_busy) = run_block(&shared, tasks, &cfg);
+    let (stats, warp_busy) = run_block(&shared, tasks, cfg);
     let mut ms = shared.sink.into_inner().unwrap();
     ms.sort_unstable();
     (ms, stats, warp_busy)
@@ -187,7 +198,13 @@ fn vk_codes_are_weaker_than_full_codes() {
 #[test]
 fn per_warp_skew_is_visible_without_stealing() {
     let (g2, ups, q) = star_instance();
-    let (_, _, warp_busy) = run_raw_block(&g2, &q, &ups, Stealing::Off, false);
+    // A block exactly as wide as its two tasks.
+    let cfg = DeviceConfig {
+        stealing: Stealing::Off,
+        warps_per_block: ups.len(),
+        ..DeviceConfig::single_sm()
+    };
+    let (_, _, warp_busy) = run_raw_block_on(&g2, &q, &ups, &cfg, false);
     assert_eq!(warp_busy.len(), 2);
     let (small, large) = (warp_busy[0], warp_busy[1]);
     assert!(

@@ -128,6 +128,15 @@ impl CostModel {
         (probes * self.global_latency / 4).max(self.compute)
     }
 
+    /// Cycles every warp of a shared scan pays to coordinate, for
+    /// `helpers` waiting warps joining a busy warp's scan: the scan
+    /// descriptor's publish and its read by the helpers (two shared
+    /// rounds), a block-level exclusive scan of the survivor counts
+    /// (`⌈log2(helpers + 1)⌉` shared rounds) and a sync.
+    pub fn shared_scan_coordination(&self, helpers: u64) -> u64 {
+        (2 + scan_rounds(helpers + 1)) * self.shared_latency + self.sync
+    }
+
     /// Cycles for shipping a published migrant batch of `items` partial
     /// embeddings of `words` 4-byte words each across the inter-device
     /// fabric: a fixed per-message launch overhead (descriptor + doorbell,
@@ -139,6 +148,12 @@ impl CostModel {
         let payload = self.coalesced_read((items * words).max(1), warp_size);
         2 * self.global_latency + self.sync + payload
     }
+}
+
+/// `⌈log2(warps)⌉`: the shared-memory rounds of a block-level exclusive
+/// scan over `warps` warps (one value each).
+pub(crate) fn scan_rounds(warps: u64) -> u64 {
+    (u64::BITS - warps.saturating_sub(1).leading_zeros()) as u64
 }
 
 #[cfg(test)]
@@ -230,6 +245,15 @@ mod tests {
         assert!(probe < c.coop_intersect(64, 64, 32));
         assert!(probe < c.run_search(64));
         assert!(c.bitmap_probe(0, 32) > 0);
+    }
+
+    #[test]
+    fn shared_scan_coordination_grows_with_the_scan_rounds() {
+        // ⌈log2(k + 1)⌉ scan rounds for k helpers, on top of the
+        // descriptor's two rounds and a sync.
+        let c = CostModel::default();
+        let rounds = |k| (c.shared_scan_coordination(k) - c.sync) / c.shared_latency;
+        assert_eq!([1, 2, 3, 4, 7, 8].map(rounds), [3, 4, 4, 5, 5, 6]);
     }
 
     #[test]

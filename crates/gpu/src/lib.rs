@@ -15,12 +15,15 @@
 //!   all read. Tasks are plain values that borrow that state on every step
 //!   and split, so no task or stolen part is boxed and none touches a
 //!   reference count; each block holds one reference to the state.
-//! * Tasks are grouped into **blocks** of `warps_per_block` warps. Blocks
-//!   are picked up greedily by up to `min(num_sms, host parallelism)` host
-//!   threads — the launching thread plus helpers from one process-wide
-//!   pool, started on first use — mirroring how CUDA distributes resident
-//!   blocks over **SMs** (streaming multiprocessors). Only that first use
-//!   starts threads; a single-block launch runs inline.
+//! * Tasks are grouped into **blocks** of `warps_per_block` tasks, and
+//!   every block launches all `warps_per_block` warps: a block with fewer
+//!   tasks (a grid's last, or a small grid's only one) starts its other
+//!   warps idle ([`run_block`]). Blocks are picked up greedily by up to
+//!   `min(num_sms, host parallelism)` host threads — the launching thread
+//!   plus helpers from one process-wide pool, started on first use —
+//!   mirroring how CUDA distributes resident blocks over **SMs**
+//!   (streaming multiprocessors). Only that first use starts threads; a
+//!   single-block launch runs inline.
 //! * Several grids can share one call ([`Device::launch_grids`]): their
 //!   blocks share the host threads, while each grid's stats and device
 //!   time are its own, as if it were launched alone (the simulated device
@@ -40,7 +43,14 @@
 //!   level any warp can split ([`WarpTask::offer`],
 //!   [`WarpTask::try_split`]). The walk costs `(L + 1)·|W|` shared-memory
 //!   reads for work found at level `L` (the paper's `O(L·|W|)`), and the
-//!   copy one read per word it moves.
+//!   copy one read per word it moves. An idle warp that finds nothing to
+//!   steal waits, and waiting warps also **share scans**: a step marks the
+//!   cycles of its `GenCandidates` scan that other warps could take on
+//!   ([`WarpCtx::shareable`]), and the block splits them between the
+//!   stepping warp and its waiting warps whenever the split saves more
+//!   than its coordination costs ([`CostModel::shared_scan_coordination`]),
+//!   as GSM's load balancing has a whole block expand one large neighbor
+//!   list.
 //!
 //! ## What the simulator reports
 //!
@@ -71,14 +81,18 @@ pub use task::{Offer, StepResult, WarpCtx, WarpTask};
 /// Work-stealing strategy for warps within a block (§V-A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Stealing {
-    /// No stealing: the WBM baseline.
+    /// No stealing: the WBM baseline. A warp without a task never runs,
+    /// and no warp waits to share a scan.
     Off,
     /// Idle warps walk `csize`/`p` in shared memory and take half of the
     /// unexplored work at the shallowest level a busy warp can split (the
-    /// paper's preferred strategy); any splittable work qualifies. A warp
-    /// whose walk finds no victim waits: after each step of a busy warp
-    /// that can split, the lowest-index waiting warp takes half of its
-    /// work, so warps keep stealing until their block drains.
+    /// paper's preferred strategy); any splittable work qualifies. A
+    /// block's warps without a task walk at clock 0. A warp whose walk
+    /// finds no victim waits: after each step of a busy warp that can
+    /// split, the lowest-index waiting warp takes half of its work, so
+    /// warps keep stealing until their block drains. Until then, the
+    /// waiting warps take on a share of each step's shareable scan cycles
+    /// whenever that saves more than it costs ([`run_block`]).
     #[default]
     Active,
 }
@@ -93,7 +107,11 @@ pub struct DeviceConfig {
     /// its anchor units ahead on `min(num_sms, host parallelism, anchors)`
     /// of them.
     pub num_sms: usize,
-    /// Warps per block (the pool a warp can steal from).
+    /// Warps per block: the tasks a block is given, and the warps every
+    /// block launches, tasks or not (the pool a warp can steal from and
+    /// share scans with). A block given fewer tasks starts its other warps
+    /// idle; under [`Stealing::Off`] they never run, but they are resident
+    /// all the same.
     pub warps_per_block: usize,
     /// Threads per warp (32 on all CUDA hardware).
     pub warp_size: u32,

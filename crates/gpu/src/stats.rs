@@ -13,10 +13,18 @@ pub struct KernelStats {
     pub total_block_cycles: u64,
     /// Total busy warp-cycles.
     pub busy_cycles: u64,
-    /// Total resident warp-cycles (`Σ |W|·makespan` per block).
+    /// Total resident warp-cycles (`Σ |W|·makespan` per block, `|W|` the
+    /// block's warps: `max(tasks, warps_per_block)`, idle or not).
     pub resident_warp_cycles: u64,
     /// Total steals across blocks.
     pub steals: u64,
+    /// Steps whose shareable cycles ([`WarpCtx::shareable`]) the waiting
+    /// warps of their block joined: the scans split between the stepping
+    /// warp and its helpers. 0 with stealing off (no warp waits) and on
+    /// the shard executor (a unit has no block).
+    ///
+    /// [`WarpCtx::shareable`]: crate::WarpCtx::shareable
+    pub shared_scans: u64,
     /// Warp tasks run to completion, each stolen part counted as a task
     /// of its own: the submitted tasks plus the steals. Block launches
     /// count it; the shard executor, which runs units and no blocks,
@@ -71,6 +79,7 @@ impl KernelStats {
         self.busy_cycles += other.busy_cycles;
         self.resident_warp_cycles += other.resident_warp_cycles;
         self.steals += other.steals;
+        self.shared_scans += other.shared_scans;
         self.tasks_completed += other.tasks_completed;
         self.scheduler_steps += other.scheduler_steps;
         self.global_transactions += other.global_transactions;
@@ -118,5 +127,17 @@ mod tests {
         assert_eq!(a.num_blocks, 3);
         assert_eq!(a.device_cycles, 30);
         assert!((a.utilization() - 20.0 / 30.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn absorb_sums_shared_scans() {
+        let block = KernelStats {
+            shared_scans: 4,
+            ..Default::default()
+        };
+        let mut launch = KernelStats::default();
+        launch.absorb(&block);
+        launch.absorb(&block);
+        assert_eq!(launch.shared_scans, 8);
     }
 }

@@ -12,7 +12,9 @@ pub enum StepResult {
 }
 
 /// Execution context handed to a warp on every step; the warp charges the
-/// simulated cycle cost of whatever it did through these methods.
+/// simulated cycle cost of whatever it did through these methods, and
+/// marks the part of it the waiting warps of its block could share
+/// ([`WarpCtx::shareable`]).
 #[derive(Debug)]
 pub struct WarpCtx {
     /// Cost model shared by the device.
@@ -21,6 +23,8 @@ pub struct WarpCtx {
     pub warp_size: u32,
     /// Cycles charged during the current step.
     step_cycles: u64,
+    /// The part of `step_cycles` marked shareable ([`WarpCtx::shareable`]).
+    shareable: u64,
     /// Global-memory transactions charged during the whole block run.
     pub global_transactions: u64,
     /// Shared-memory accesses charged during the whole block run.
@@ -43,6 +47,7 @@ impl WarpCtx {
             cost,
             warp_size,
             step_cycles: 0,
+            shareable: 0,
             global_transactions: 0,
             shared_accesses: 0,
             buf_reuse: 0,
@@ -146,10 +151,32 @@ impl WarpCtx {
         }
     }
 
-    /// Drains and returns the cycles charged since the last drain. Public
-    /// for the same reason as [`WarpCtx::new`]: external executors meter a
-    /// unit of work by draining its cycles as it steps.
+    /// Runs `f` and marks the cycles it charges as **shareable**: work the
+    /// waiting warps of the block could split with this warp, such as a
+    /// `GenCandidates` scan's run reads, gates and probes. The block
+    /// scheduler reads the step's share ([`WarpCtx::shareable_cycles`])
+    /// before it drains the step; an executor without a block ignores it.
+    #[inline]
+    pub fn shareable<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        let before = self.step_cycles;
+        let r = f(self);
+        self.shareable += self.step_cycles - before;
+        r
+    }
+
+    /// The cycles of the current step marked shareable, at most the
+    /// step's cycles.
+    pub fn shareable_cycles(&self) -> u64 {
+        self.shareable
+    }
+
+    /// Drains and returns the cycles charged since the last drain, and
+    /// clears the shareable count with them, so a drain that ignores it
+    /// never carries it into the next step. Public for the same reason as
+    /// [`WarpCtx::new`]: external executors meter a unit of work by
+    /// draining its cycles as it steps.
     pub fn take_step_cycles(&mut self) -> u64 {
+        self.shareable = 0;
         std::mem::take(&mut self.step_cycles)
     }
 }
@@ -237,5 +264,21 @@ mod tests {
         ctx.bitmap_probe(64);
         assert_eq!(ctx.shared_accesses, 2);
         assert_eq!(ctx.take_step_cycles(), cost.bitmap_probe(64, 32));
+    }
+
+    #[test]
+    fn shareable_cycles_are_marked_and_drained_with_the_step() {
+        let mut ctx = WarpCtx::new(CostModel::default(), 32);
+        ctx.compute(7);
+        let rows = ctx.shareable(|ctx| {
+            ctx.global_read_coalesced(64);
+            ctx.compute(5);
+            3
+        });
+        ctx.shared_access(1);
+        assert_eq!(rows, 3);
+        assert_eq!(ctx.shareable_cycles(), 2 * 200 + 5);
+        assert_eq!(ctx.take_step_cycles(), 7 + 2 * 200 + 5 + 20);
+        assert_eq!(ctx.shareable_cycles(), 0, "a drain clears the share");
     }
 }

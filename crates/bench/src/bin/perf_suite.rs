@@ -164,7 +164,8 @@ struct ShardTelemetry {
     /// Pending units reassigned to survivors by failovers.
     requeued_units: u64,
     /// Parts split off units (device stealing on: every unit that ran
-    /// the split budget hands half its remaining work to its shard).
+    /// the split budget hands what a device thief would take to its
+    /// shard).
     unit_splits: u64,
 }
 

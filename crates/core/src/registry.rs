@@ -444,9 +444,9 @@ impl QueryRegistry {
         // Registry policy: the shard executor plans the device's coalesced
         // classes capped at k = 0. A whole-query class only removes scans.
         // A k > 0 class queues permuted partials, which shard units split
-        // off like device warps do, yet lifting the cap grows 9 of the 27
-        // SHARD cells of the fixed-trace replay (GH Dense by 67%; summed
-        // 250.1M -> 271.8M sim-cycles) while `sharded` gains 1.4%.
+        // off like device warps do, yet lifting the cap grows 6 of the 27
+        // SHARD cells of the fixed-trace replay (GH Dense by 76%; summed
+        // 236.3M -> 264.1M sim-cycles) while `sharded` gains 1.5%.
         let max_k = match self.exec {
             Executor::Device(_) => self.config.max_degenerate_k,
             Executor::Shards(_) => 0,

@@ -58,18 +58,16 @@
 //!   migrant's subtree, or a part split off a unit) is one search of that
 //!   kernel on one warp context. With device stealing on, a unit that has
 //!   spent `wbm::SPLIT_BUDGET` (65,536) cycles since it started or last
-//!   split, and whose weighted work hint is at least `wbm::SPLIT_MIN_HINT`
-//!   (32), hands a part off through the device's own split (half the
-//!   shallowest frame, memoized or not, else half the pending partials,
-//!   else half the unstarted seeds). Device steals have no such minimum
-//!   and keep memoized frames whole; moved to that rule, units grow 12 of
-//!   the 27 SHARD cells of the fixed-trace replay (ROADMAP item 10). The
-//!   part becomes a new unit of the same shard,
-//!   ready at the unit's start plus the cycle offset at which it left, so a
-//!   phase does not wait for its heaviest anchor on one lane. A shard's
-//!   lanes span SMs and share no shared memory, so the hand-off is one
-//!   coalesced global transfer of the part on each side. With device
-//!   stealing off every unit runs whole, as the device's warps do.
+//!   split hands off whatever its task offers, through the split a device
+//!   thief takes (`WarpTask::try_split`: half the shallowest frame with two
+//!   or more unexplored candidates and no count-only memo, else half the
+//!   pending partials, else half the unstarted seeds). The part becomes a
+//!   new unit of the same shard, ready at the unit's start plus the cycle
+//!   offset at which it left, so a phase does not wait for its heaviest
+//!   anchor on one lane. A shard's lanes span SMs and share no shared
+//!   memory, so the hand-off is one coalesced global transfer of the part
+//!   on each side. With device stealing off every unit runs whole, as the
+//!   device's warps do.
 //! * **Host work on both launch threads** — a unit's outcome (its cycles,
 //!   counter deltas, matches, the migrants it ships, in order, and the
 //!   parts it split off) depends only on the unit and the shard that runs
@@ -565,9 +563,9 @@ pub struct ShardedConfig {
     /// policy, not a limit of the kernel, which shards share with the
     /// single device: a k = 0 class only removes scans, while a k > 0
     /// class queues permuted partials. Shard units split those off as
-    /// they split any work, yet lifting the cap makes 9 of the 27 SHARD
+    /// they split any work, yet lifting the cap makes 6 of the 27 SHARD
     /// cells of the fixed-trace replay do more simulated work (GH Dense
-    /// 67% more).
+    /// 76% more, GH Tree 20–23% more).
     pub base: GammaConfig,
     /// Number of simulated devices.
     pub num_shards: usize,
@@ -631,8 +629,10 @@ pub struct ShardStats {
     pub requeued_units: u64,
     /// Parts split off units: with device stealing on, a unit that has
     /// run 65,536 cycles (`wbm::SPLIT_BUDGET`) since it started or last
-    /// split hands half its remaining work to a new unit of its shard.
-    /// Counted when the unit that split commits.
+    /// split hands what a device thief would take (half of one DFS level's
+    /// unexplored candidates, of its pending partials or of its unstarted
+    /// seeds) to a new unit of its shard. Counted when the unit that split
+    /// commits.
     pub unit_splits: u64,
 }
 
@@ -843,9 +843,9 @@ struct PartOut {
 struct UnitCfg {
     cost: CostModel,
     warp_size: u32,
-    /// [`wbm::SPLIT_MIN_HINT`] when device stealing is on, so units split
-    /// ([`wbm::run_unit`]); `None` runs every unit whole.
-    split_hint: Option<u64>,
+    /// Whether units split ([`wbm::run_unit`]): device stealing is on.
+    /// `false` runs every unit whole.
+    split: bool,
     /// Keep a copy of every part: under a fault plan a fail-stop may
     /// discard a part's outcome before it commits.
     keep_parts: bool,
@@ -860,7 +860,7 @@ struct UnitCfg {
 /// long the unit runs.
 fn run_unit(sh: &KernelShared, shard: usize, work: UnitWork, cfg: UnitCfg, epoch: u64) -> UnitOut {
     let mut ctx = WarpCtx::new(cfg.cost, cfg.warp_size);
-    let run = wbm::run_unit(sh, shard, work, cfg.split_hint, &mut ctx);
+    let run = wbm::run_unit(sh, shard, work, cfg.split, &mut ctx);
     let parts = run
         .parts
         .into_iter()
@@ -1208,7 +1208,7 @@ impl ShardRuntime {
         let cfg = UnitCfg {
             cost,
             warp_size,
-            split_hint: (device.stealing != Stealing::Off).then_some(wbm::SPLIT_MIN_HINT),
+            split: device.stealing != Stealing::Off,
             keep_parts: self.faults.is_some(),
         };
         let nv_words = shared.meta.q.num_vertices() as u64;

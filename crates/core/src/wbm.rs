@@ -105,8 +105,9 @@
 //! vertices constrain the permuted roles differently. Shard launches plan
 //! whole-query classes only ([`crate::ShardedConfig::base`]). A shard
 //! unit would split a k > 0 class's pending partials off like any other
-//! work, but with the cap lifted 9 of the 27 SHARD cells of the
-//! fixed-trace replay do more simulated work, GH Dense 67% more.
+//! work, but with the cap lifted 6 of the 27 SHARD cells of the
+//! fixed-trace replay do more simulated work, GH Dense 76% more, and the
+//! 27 together 11.8% more (236.3M → 264.1M), while `sharded` gains 1.5%.
 //!
 //! # One scan shape, and shard units
 //!
@@ -121,10 +122,13 @@
 //! split off a unit) steps one search on one [`WarpCtx`] and keeps its
 //! matches, count and shipped migrants as its outcome instead of flushing
 //! them. With device stealing on it also splits: every `SPLIT_BUDGET`
-//! (65,536) cycles, while its weighted work hint is at least
-//! `SPLIT_MIN_HINT` (32), it hands work off through the split the device's
-//! warps steal with, in the same order but memoized frames included, and
-//! the part runs as a unit of its own. Its launch carries a residency context
+//! (65,536) cycles it calls the task's own [`WarpTask::try_split`], so it
+//! hands off exactly what a device thief would take, whenever the task
+//! offers anything, and the part runs as a unit of its own. So one split
+//! rule serves both executors; only the price differs (a shard's global
+//! hand-off against a block's shared-memory copy).
+//!
+//! A shard launch carries a residency context
 //! ([`KernelShared::residency`]; `None` on the single device, where nothing
 //! migrates or flips), and the search knows its shard. Before every scan
 //! (the warm frame, the count-only last level and its memo, the next-level
@@ -411,14 +415,13 @@ impl DfsState {
         f.cands.len().saturating_sub(first)
     }
 
-    /// The shallowest frame with at least two unexplored candidates. With
-    /// `keep_memo` a frame that holds a count-only memo
-    /// ([`Frame::memo_last`]) is passed over: each of its siblings costs
-    /// one binary probe of the memo, which a thief would have to rescan.
-    fn split_frame_at(&self, keep_memo: bool) -> Option<usize> {
-        (0..self.frames.len()).find(|&fi| {
-            self.unexplored(fi) >= 2 && !(keep_memo && self.frames[fi].memo_last.is_some())
-        })
+    /// The shallowest frame with at least two unexplored candidates that
+    /// holds no count-only memo ([`Frame::memo_last`]): each sibling of a
+    /// memoized frame costs one binary probe of the memo, which a thief
+    /// would have to rescan.
+    fn split_frame_at(&self) -> Option<usize> {
+        (0..self.frames.len())
+            .find(|&fi| self.unexplored(fi) >= 2 && self.frames[fi].memo_last.is_none())
     }
 
     /// The parent partial match of the frame at `level`: the assignments
@@ -437,18 +440,20 @@ impl DfsState {
     /// parent partial match (the paper's "appropriates half of the
     /// unexplored candidates along with their parents"). `order` is the
     /// state's seed order; the taken candidates are copied into a buffer
-    /// from `buf`, and the new state's frame stack comes from `scratch`.
+    /// drawn from `scratch` for a search with `spare` buffers of its own
+    /// ([`Scratch::buf`], unmetered), and the new state's frame stack comes
+    /// from `scratch` too.
     fn split_frame(
         &mut self,
         fi: usize,
         order: &[u8],
         scratch: &mut Scratch,
-        buf: impl FnOnce(&mut Scratch) -> Vec<VertexId>,
+        spare: &mut u32,
     ) -> DfsState {
         let level = self.base_level + fi;
         let keep = self.frames[fi].cands.len() - self.unexplored(fi) / 2;
         let f = &mut self.frames[fi];
-        let mut stolen = buf(scratch);
+        let mut stolen = scratch.buf(spare, None);
         stolen.extend_from_slice(&f.cands[keep..]);
         f.cands.truncate(keep);
         let mut frames = scratch.stack();
@@ -516,10 +521,10 @@ pub struct WbmTask {
     migrants: Vec<(usize, Migrant)>,
 }
 
-/// A search's reusable buffers. No search owns any: a device task borrows
-/// its thread's for each step, and a shard unit for its whole run
-/// ([`run_unit`]), so searches allocate only while the thread's buffers
-/// warm up, and a thief starts with warm buffers.
+/// A search's reusable buffers. No search owns any: a device task and a
+/// shard unit ([`run_unit`]) alike borrow their thread's for each step and
+/// each split, so searches allocate only while the thread's buffers warm
+/// up, and a thief starts with warm buffers.
 #[derive(Default)]
 struct Scratch {
     /// Recycled candidate buffers: every popped DFS frame returns its
@@ -546,8 +551,8 @@ struct Scratch {
 }
 
 thread_local! {
-    /// Each thread's search scratch, reused by every device task step and
-    /// shard unit it runs, launch after launch.
+    /// Each thread's search scratch, reused by every step and split it
+    /// runs, launch after launch.
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
@@ -634,25 +639,18 @@ impl Gate<'_> {
 }
 
 /// Cycles a shard unit runs between two splits. With device stealing on,
-/// a unit that has spent this many since it started or last split, and
-/// whose work hint is at least [`SPLIT_MIN_HINT`], hands part of its work
-/// to a new unit of its shard. Picked from a sweep of 16,384 to 262,144
-/// cycles: on the `sharded` benchmark stream each halving cut the
-/// simulated cycles by 14–21% and made 1.6–1.8× as many splits, each of
-/// which costs host time and heap.
+/// a unit that has spent this many since it started or last split hands
+/// what its [`WarpTask::try_split`] takes to a new unit of its shard.
+/// Picked from a sweep of 16,384 to 262,144 cycles: on the `sharded`
+/// benchmark stream each halving cut the simulated cycles by 14–21% and
+/// made 1.6–1.8× as many splits, each of which costs host time and heap.
 pub(crate) const SPLIT_BUDGET: u64 = 65_536;
 
-/// The least work hint ([`WbmTask::work_hint`]) at which a shard unit
-/// splits: an unexplored frame candidate counts 1, a pending partial 8,
-/// an unstarted seed slot 16. Device steals have no minimum.
-pub(crate) const SPLIT_MIN_HINT: u64 = 32;
-
-/// Work split off a shard unit through the device's split (half the
-/// shallowest frame, else half the pending partials, else half the
-/// unstarted seeds): a fresh search of the unit's anchor over what it
-/// took. It runs as a unit of its own ([`UnitWork::Part`]). Its next scan
-/// runs the license check, so any live shard may run it. Boxed, so that
-/// the units queued on a shard stay small.
+/// Work split off a shard unit by the split a device thief takes
+/// ([`WarpTask::try_split`]): a fresh search of the unit's anchor over
+/// what it took. It runs as a unit of its own ([`UnitWork::Part`]). Its
+/// next scan runs the license check, so any live shard may run it. Boxed,
+/// so that the units queued on a shard stay small.
 pub(crate) struct Part(Box<WbmTask>);
 
 impl Part {
@@ -688,15 +686,13 @@ pub(crate) struct UnitRun {
 /// anchor's sweep of every seed in both orientations, an arrived
 /// migrant's subtree, or a part split off a unit.
 ///
-/// With `split_hint` set ([`SPLIT_MIN_HINT`], when device stealing is on)
-/// the unit splits every [`SPLIT_BUDGET`] cycles while its work hint
-/// ([`WbmTask::work_hint`]) is at least `split_hint`: it hands a [`Part`]
-/// off through the device's split, memoized frames included. A shard's
-/// lanes span SMs and share no shared memory, so a hand-off is one
-/// coalesced global transfer of the part on each side: the unit pays it
-/// when the part leaves, the part when it starts. The part's candidate
-/// buffer comes from this thread's pool, which gets it back when the part's
-/// frame pops.
+/// The unit runs its search through [`WarpTask::step`] alone. With
+/// `split` set (device stealing is on) it also calls
+/// [`WarpTask::try_split`] every [`SPLIT_BUDGET`] cycles, so it hands off
+/// as a [`Part`] exactly what a device thief would take. A shard's lanes
+/// span SMs and share no shared memory, so a hand-off is one coalesced
+/// global transfer of the part ([`WbmTask::handoff_words`]) on each side:
+/// the unit pays it when the part leaves, the part when it starts.
 ///
 /// The outcome depends only on the unit, the shard and `sh`: the search
 /// starts empty and clears every scratch buffer it draws from this
@@ -706,7 +702,7 @@ pub(crate) fn run_unit(
     sh: &KernelShared,
     shard: usize,
     work: UnitWork,
-    split_hint: Option<u64>,
+    split: bool,
     ctx: &mut WarpCtx,
 ) -> UnitRun {
     let mut search = match work {
@@ -734,32 +730,28 @@ pub(crate) fn run_unit(
             }
         }
         UnitWork::Part(Part(search)) => {
-            ctx.global_read_coalesced(search.work_hint().max(1));
+            ctx.global_read_coalesced(search.handoff_words());
             *search
         }
     };
     search.shard = Some(shard);
     let (mut cycles, mut since, mut parts) = (0u64, 0u64, Vec::new());
-    SCRATCH.with_borrow_mut(|sc| loop {
-        let done = search.step_with(sh, sc, ctx) == StepResult::Done;
+    loop {
+        let done = search.step(sh, ctx) == StepResult::Done;
         cycles += ctx.take_step_cycles();
         if done {
             break;
         }
-        let Some(min_hint) = split_hint else {
-            continue;
-        };
-        if cycles - since < SPLIT_BUDGET || search.work_hint() < min_hint {
+        if !split || cycles - since < SPLIT_BUDGET {
             continue;
         }
-        if let Some(take) = search.take(false) {
-            let part = search.split(sh, sc, take, Some(&mut *ctx));
-            ctx.global_read_coalesced(part.work_hint().max(1));
+        if let Some(part) = search.try_split(sh) {
+            ctx.global_read_coalesced(part.handoff_words());
             cycles += ctx.take_step_cycles();
             since = cycles;
             parts.push((cycles, Part(Box::new(part))));
         }
-    });
+    }
     UnitRun {
         cycles,
         matches: search.local,
@@ -1423,21 +1415,20 @@ impl WbmTask {
         }
     }
 
-    /// Advances the DFS by one quantum. Returns `false` when the current
-    /// state is exhausted; its frame stack then goes back to the scratch.
-    fn advance(&mut self, sh: &KernelShared, sc: &mut Scratch, ctx: &mut WarpCtx) -> bool {
+    /// Advances the DFS by one quantum. An exhausted state is dropped, and
+    /// its frame stack goes back to the scratch.
+    fn advance(&mut self, sh: &KernelShared, sc: &mut Scratch, ctx: &mut WarpCtx) {
         let Some(mut st) = self.state.take() else {
-            return false;
+            return;
         };
         if self.advance_state(sh, sc, &mut st, ctx) {
             self.state = Some(st);
-            return true;
+            return;
         }
         while !st.frames.is_empty() {
             self.pop_frame(sc, &mut st);
         }
         sc.stacks.push(st.frames);
-        false
     }
 
     /// [`WbmTask::advance`] on the state `st` it took.
@@ -1653,56 +1644,12 @@ impl WbmTask {
         }
     }
 
-    /// One scheduler quantum of the task ([`WarpTask::step`]) on the
-    /// scratch `sc`.
-    fn step_with(&mut self, sh: &KernelShared, sc: &mut Scratch, ctx: &mut WarpCtx) -> StepResult {
-        poll_deadline(sh.deadline, &mut self.steps, &sh.abort);
-        if sh.abort.load(Ordering::Relaxed) {
-            self.flush(sh);
-            return StepResult::Done;
-        }
-        // Continue the running DFS.
-        if self.state.is_some() {
-            if self.advance(sh, sc, ctx) {
-                return StepResult::Continue;
-            }
-            self.state = None;
-            return StepResult::Continue;
-        }
-        // Pull the next pending permuted V^k partial.
-        if let Some(p) = self.pending.pop_front() {
-            self.state = Some(DfsState {
-                seed: p.seed,
-                base_level: p.base_level,
-                m: p.m,
-                frames: sc.stack(),
-                warm: true,
-            });
-            ctx.compute(2);
-            return StepResult::Continue;
-        }
-        // Start the next seed.
-        while let Some(k) = self.seeds.next() {
-            if let Some(st) = self.start_seed(sh, sc, k / 2, k % 2 == 1, ctx) {
-                self.state = Some(st);
-                return StepResult::Continue;
-            }
-        }
-        self.flush(sh);
-        StepResult::Done
-    }
-
     /// What a split takes now: the shallowest frame with at least two
-    /// unexplored candidates, else half the pending partials (if two or
-    /// more), else half the unstarted seeds (if two or more). A device
-    /// steal (`keep_memo`) passes over memoized frames
-    /// ([`DfsState::split_frame_at`]); a shard unit's split does not.
-    fn take(&self, keep_memo: bool) -> Option<Take> {
-        if let Some(fi) = self
-            .state
-            .as_ref()
-            .and_then(|st| st.split_frame_at(keep_memo))
-        {
+    /// unexplored candidates and no count-only memo
+    /// ([`DfsState::split_frame_at`]), else half the pending partials (if
+    /// two or more), else half the unstarted seeds (if two or more).
+    fn take(&self) -> Option<Take> {
+        if let Some(fi) = self.state.as_ref().and_then(DfsState::split_frame_at) {
             Some(Take::Frame(fi))
         } else if self.pending.len() >= 2 {
             Some(Take::Pending)
@@ -1713,45 +1660,11 @@ impl WbmTask {
         }
     }
 
-    /// The search a thief takes: what `take` names (see [`WbmTask::take`]).
-    /// A frame split copies the taken candidates into a buffer drawn from
-    /// the scratch pool, metered on `meter` (a shard unit's split; a device
-    /// steal runs outside any step and has no meter).
-    fn split(
-        &mut self,
-        sh: &KernelShared,
-        sc: &mut Scratch,
-        take: Take,
-        meter: Option<&mut WarpCtx>,
-    ) -> WbmTask {
-        match take {
-            Take::Frame(fi) => {
-                let st = self.state.as_mut().expect("a frame split has a state");
-                let order = &sh.meta.seeds[st.seed].order;
-                let spare = &mut self.spare;
-                let thief = st.split_frame(fi, order, sc, |sc| sc.buf(spare, meter));
-                self.child(0..0, VecDeque::new(), Some(thief))
-            }
-            Take::Pending => {
-                let take = self.pending.len() / 2;
-                let stolen = self.pending.split_off(self.pending.len() - take);
-                self.child(0..0, stolen, None)
-            }
-            Take::Seeds => {
-                let mid = self.seeds.end - self.seeds.len() / 2;
-                let stolen = mid..self.seeds.end;
-                self.seeds.end = mid;
-                self.child(stolen, VecDeque::new(), None)
-            }
-        }
-    }
-
-    /// A shard unit's weighted estimate of its remaining work: one per
-    /// unexplored frame candidate beyond each frame's current one, 8 per
-    /// pending partial and 16 per unstarted seed slot. A unit splits only
-    /// while this is at least [`SPLIT_MIN_HINT`], and a hand-off moves this
-    /// many words of the part.
-    fn work_hint(&self) -> u64 {
+    /// The words a shard unit's hand-off of this search moves on each side
+    /// ([`run_unit`]): one per unexplored frame candidate beyond each
+    /// frame's current one, 8 per pending partial and 16 per unstarted
+    /// seed slot.
+    fn handoff_words(&self) -> u64 {
         let frames: u64 = self
             .state
             .as_ref()
@@ -1769,20 +1682,53 @@ impl WbmTask {
 impl WarpTask for WbmTask {
     type Launch = KernelShared;
 
+    /// One quantum of the search, on its thread's scratch.
     fn step(&mut self, sh: &KernelShared, ctx: &mut WarpCtx) -> StepResult {
-        SCRATCH.with_borrow_mut(|sc| self.step_with(sh, sc, ctx))
+        poll_deadline(sh.deadline, &mut self.steps, &sh.abort);
+        if sh.abort.load(Ordering::Relaxed) {
+            self.flush(sh);
+            return StepResult::Done;
+        }
+        SCRATCH.with_borrow_mut(|sc| {
+            // Continue the running DFS.
+            if self.state.is_some() {
+                self.advance(sh, sc, ctx);
+                return StepResult::Continue;
+            }
+            // Pull the next pending permuted V^k partial.
+            if let Some(p) = self.pending.pop_front() {
+                self.state = Some(DfsState {
+                    seed: p.seed,
+                    base_level: p.base_level,
+                    m: p.m,
+                    frames: sc.stack(),
+                    warm: true,
+                });
+                ctx.compute(2);
+                return StepResult::Continue;
+            }
+            // Start the next seed.
+            while let Some(k) = self.seeds.next() {
+                if let Some(st) = self.start_seed(sh, sc, k / 2, k % 2 == 1, ctx) {
+                    self.state = Some(st);
+                    return StepResult::Continue;
+                }
+            }
+            self.flush(sh);
+            StepResult::Done
+        })
     }
 
-    /// What a device steal takes: half the shallowest frame with two or
-    /// more unexplored candidates, a frame that holds a count-only memo
-    /// passed over, else half the pending partials, else half the unstarted
-    /// seeds. A frame split copies the taken candidates and their parent
-    /// partial's assigned vertices; a pending split copies each taken
-    /// partial's assigned vertices plus its seed and level; a seed split
-    /// copies the range's two ends. Unstarted seeds sit at level 1: the
-    /// anchor edge fills levels 0 and 1.
+    /// What a device steal or a shard unit's split takes: half the
+    /// shallowest frame with two or more unexplored candidates, a frame
+    /// that holds a count-only memo passed over, else half the pending
+    /// partials, else half the unstarted seeds. A frame split copies the
+    /// taken candidates and their parent partial's assigned vertices; a
+    /// pending split copies each taken partial's assigned vertices plus its
+    /// seed and level; a seed split copies the range's two ends. Unstarted
+    /// seeds sit at level 1: the anchor edge fills levels 0 and 1.
     fn offer(&self, sh: &KernelShared) -> Option<Offer> {
-        Some(match self.take(true)? {
+        Some(match self.take()? {
             Take::Frame(fi) => {
                 let st = self.state.as_ref()?;
                 let level = st.base_level + fi;
@@ -1812,9 +1758,32 @@ impl WarpTask for WbmTask {
         })
     }
 
+    /// The search a thief takes: what `WbmTask::take` names. A frame split
+    /// copies the taken candidates into a buffer drawn from this thread's
+    /// scratch, unmetered: the caller charges the split, a device steal
+    /// from its offer and a shard unit by its hand-off
+    /// (`WbmTask::handoff_words`).
     fn try_split(&mut self, sh: &KernelShared) -> Option<WbmTask> {
-        let take = self.take(true)?;
-        Some(SCRATCH.with_borrow_mut(|sc| self.split(sh, sc, take, None)))
+        Some(match self.take()? {
+            Take::Frame(fi) => {
+                let st = self.state.as_mut().expect("a frame split has a state");
+                let order = &sh.meta.seeds[st.seed].order;
+                let thief =
+                    SCRATCH.with_borrow_mut(|sc| st.split_frame(fi, order, sc, &mut self.spare));
+                self.child(0..0, VecDeque::new(), Some(thief))
+            }
+            Take::Pending => {
+                let take = self.pending.len() / 2;
+                let stolen = self.pending.split_off(self.pending.len() - take);
+                self.child(0..0, stolen, None)
+            }
+            Take::Seeds => {
+                let mid = self.seeds.end - self.seeds.len() / 2;
+                let stolen = mid..self.seeds.end;
+                self.seeds.end = mid;
+                self.child(stolen, VecDeque::new(), None)
+            }
+        })
     }
 }
 
@@ -2139,7 +2108,7 @@ mod tests {
         });
         let unit = |shard: usize, work: UnitWork| {
             let mut ctx = WarpCtx::new(CostModel::default(), 32);
-            let run = run_unit(&sh, shard, work, None, &mut ctx);
+            let run = run_unit(&sh, shard, work, false, &mut ctx);
             (run.matches, run.count, run.migrants)
         };
         let (matches, count, migrants) = unit(0, UnitWork::Anchor(anchors[0], 0));
@@ -2173,15 +2142,8 @@ mod tests {
         assert_eq!(resumed, direct);
     }
 
-    /// A unit that runs past the split budget hands parts off, at least
-    /// [`SPLIT_BUDGET`] cycles apart, and the unit with every part it and
-    /// its parts split off finds exactly the matches of the unit run
-    /// whole; with no split hint a unit never splits.
-    #[test]
-    fn split_parts_cover_the_unit() {
-        // K_16 with one label and a 4-clique query: every seed of the
-        // anchor's sweep scans a long candidate list.
-        let n = 16;
+    /// `n` vertices of label 0, all adjacent.
+    fn clique(n: VertexId) -> DynamicGraph {
         let mut g = DynamicGraph::new();
         for _ in 0..n {
             g.add_vertex(0);
@@ -2191,59 +2153,168 @@ mod tests {
                 g.insert_edge(u, v, NO_ELABEL);
             }
         }
-        let mut b = QueryGraph::builder();
-        let us: Vec<_> = (0..4).map(|_| b.vertex(0)).collect();
-        for i in 0..4 {
-            for j in i + 1..4 {
-                b.edge(us[i], us[j]);
+        g
+    }
+
+    /// The 4-clique query on label 0, and the diamond: the 4-clique less
+    /// the edge u2–u3. A diamond seed on u0–u1 counts its last level
+    /// against a memo on the level above, since u3's backward vertices are
+    /// u0 and u1 alone.
+    fn clique_and_diamond() -> [QueryGraph; 2] {
+        [true, false].map(|full| {
+            let mut b = QueryGraph::builder();
+            let us: Vec<_> = (0..4).map(|_| b.vertex(0)).collect();
+            for i in 0..4 {
+                for j in i + 1..4 {
+                    if full || (i, j) != (2, 3) {
+                        b.edge(us[i], us[j]);
+                    }
+                }
             }
-        }
-        let q = b.build();
-        let (enc, table) = IncrementalEncoder::build(&g, &q, 2);
-        let meta = Arc::new(QueryMeta::build(&q, &table, enc.scheme(), false, 0));
-        let anchors = [Update::insert(0, 1)];
+            b.build()
+        })
+    }
+
+    /// A launch of `q` over `g` on one shard that holds every run, with
+    /// `anchors` as its update edges and coalesced search off.
+    fn one_shard_launch(
+        g: &DynamicGraph,
+        q: &QueryGraph,
+        anchors: &[Update],
+        collect: bool,
+    ) -> KernelShared {
+        let (enc, table) = IncrementalEncoder::build(g, q, 2);
+        let meta = Arc::new(QueryMeta::build(q, &table, enc.scheme(), false, 0));
         let phase = Phase {
-            gpma: Arc::new(Gpma::from_graph(&g, GpmaConfig::default())),
-            anchors: &anchors,
+            gpma: Arc::new(Gpma::from_graph(g, GpmaConfig::default())),
+            anchors,
             match_limit: u64::MAX,
             abort: Arc::new(AtomicBool::new(false)),
             deadline: None,
             signatures: true,
         };
-        let mut sh = phase.shared(meta, table, Arc::clone(&enc.encodings), true);
+        let mut sh = phase.shared(meta, table, Arc::clone(&enc.encodings), collect);
+        let nv = g.num_vertices();
         sh.residency = Some(Residency {
-            partition: Partition::from_parts(PartitionStrategy::Greedy, 1, 1, vec![0; n as usize]),
+            partition: Partition::from_parts(PartitionStrategy::Greedy, 1, 1, vec![0; nv]),
             alive: vec![true],
-            residents: vec![Arc::new(vec![true; n as usize])],
+            residents: vec![Arc::new(vec![true; nv])],
             query_id: 0,
         });
-        let unit = |work: UnitWork, split_hint: Option<u64>| {
-            let mut ctx = WarpCtx::new(CostModel::default(), 32);
-            run_unit(&sh, 0, work, split_hint, &mut ctx)
-        };
-        let whole = unit(UnitWork::Anchor(anchors[0], 0), None);
-        assert!(whole.parts.is_empty(), "no split hint, no split");
-        assert!(
-            whole.cycles > 2 * SPLIT_BUDGET,
-            "the unit must outrun the budget"
-        );
-        let (mut found, mut count, mut splits) = (Vec::new(), 0, 0);
-        let mut todo = vec![UnitWork::Anchor(anchors[0], 0)];
-        while let Some(work) = todo.pop() {
-            let run = unit(work, Some(2));
-            assert!(run.migrants.is_empty(), "one shard holds every run");
-            let mut last = 0;
-            for (offset, part) in run.parts {
-                assert!(offset >= last + SPLIT_BUDGET && offset <= run.cycles);
-                last = offset;
-                splits += 1;
-                todo.push(UnitWork::Part(part));
+        sh
+    }
+
+    /// A unit that runs past the split budget hands parts off, at least
+    /// [`SPLIT_BUDGET`] cycles apart, and the unit with every part it and
+    /// its parts split off finds exactly the matches and the count of the
+    /// unit run whole: a 4-clique query on K_16 collecting its matches,
+    /// and a diamond on K_24 counting them against memoized frames. A unit
+    /// told not to split never does.
+    #[test]
+    fn split_parts_cover_the_unit() {
+        let anchors = [Update::insert(0, 1)];
+        let [clique4, diamond] = clique_and_diamond();
+        for (q, n, collect) in [(clique4, 16, true), (diamond, 24, false)] {
+            let sh = one_shard_launch(&clique(n), &q, &anchors, collect);
+            let unit = |work: UnitWork, split: bool| {
+                let mut ctx = WarpCtx::new(CostModel::default(), 32);
+                run_unit(&sh, 0, work, split, &mut ctx)
+            };
+            let at = format!("K_{n}, collect {collect}");
+            let whole = unit(UnitWork::Anchor(anchors[0], 0), false);
+            assert!(whole.parts.is_empty(), "{at}: no split flag, no split");
+            assert!(
+                whole.cycles > 2 * SPLIT_BUDGET,
+                "{at}: the unit must outrun the budget"
+            );
+            let mut memoized = false;
+            each_state(&sh, &anchors, |task| {
+                memoized |= task
+                    .state
+                    .as_ref()
+                    .is_some_and(|st| st.frames.iter().any(|f| f.memo_last.is_some()));
+            });
+            assert!(
+                collect || memoized,
+                "{at}: the count-only launch must memoize"
+            );
+            let (mut found, mut count, mut splits) = (Vec::new(), 0, 0);
+            let mut todo = vec![UnitWork::Anchor(anchors[0], 0)];
+            while let Some(work) = todo.pop() {
+                let run = unit(work, true);
+                assert!(run.migrants.is_empty(), "{at}: one shard holds every run");
+                let mut last = 0;
+                for (offset, part) in run.parts {
+                    assert!(
+                        offset >= last + SPLIT_BUDGET && offset <= run.cycles,
+                        "{at}"
+                    );
+                    last = offset;
+                    splits += 1;
+                    todo.push(UnitWork::Part(part));
+                }
+                count += run.count;
+                found.extend(run.matches);
             }
-            count += run.count;
-            found.extend(run.matches);
+            assert!(splits > 1, "{at}: the unit and its parts must split");
+            assert_eq!(count, whole.count, "{at}");
+            let mut want = whole.matches;
+            want.sort_unstable();
+            found.sort_unstable();
+            assert_eq!(found, want, "{at}");
         }
-        assert!(splits > 1, "the unit and its parts must split");
-        assert_eq!(count, whole.count);
+    }
+
+    /// A unit past the split budget splits whenever its task offers work,
+    /// however few words its hand-off would move: here a unit of one seed
+    /// slot whose hand-off never reaches 32 words still hands parts off,
+    /// and they find the rest of its matches.
+    #[test]
+    fn units_split_whenever_they_offer_work() {
+        // K_10 on label 0, plus 1,000 vertices of label 1 adjacent to each
+        // of its vertices: every scan reads a run of 1,009 entries, while
+        // the 4-clique's candidates are the clique's vertices alone.
+        let mut g = clique(10);
+        for _ in 0..1000 {
+            let f = g.add_vertex(1);
+            for v in 0..10 {
+                g.insert_edge(v, f, NO_ELABEL);
+            }
+        }
+        let [q, _] = clique_and_diamond();
+        let anchors = [Update::insert(0, 1)];
+        let sh = one_shard_launch(&g, &q, &anchors, true);
+        // The first seed in one orientation.
+        let search = || WbmTask {
+            seeds: 0..1,
+            ..WbmTask::new(&sh, &anchors[0], 0)
+        };
+        let mut task = WbmTask {
+            shard: Some(0),
+            ..search()
+        };
+        let mut ctx = WarpCtx::new(CostModel::default(), 32);
+        let mut heaviest = task.handoff_words();
+        while task.step(&sh, &mut ctx) == StepResult::Continue {
+            heaviest = heaviest.max(task.handoff_words());
+        }
+        assert!(heaviest < 32, "{heaviest} words");
+        let unit = |work: UnitWork, split: bool| {
+            let mut ctx = WarpCtx::new(CostModel::default(), 32);
+            run_unit(&sh, 0, work, split, &mut ctx)
+        };
+        let part = || UnitWork::Part(Part(Box::new(search())));
+        let whole = unit(part(), false);
+        assert!(whole.cycles > 2 * SPLIT_BUDGET, "{} cycles", whole.cycles);
+        assert_eq!(whole.count, 8 * 7, "ordered pairs of the other 8 vertices");
+        let (mut found, mut splits, mut todo) = (Vec::new(), 0, vec![part()]);
+        while let Some(work) = todo.pop() {
+            let run = unit(work, true);
+            found.extend(run.matches);
+            splits += run.parts.len();
+            todo.extend(run.parts.into_iter().map(|(_, p)| UnitWork::Part(p)));
+        }
+        assert!(splits > 0, "a unit past the budget that offers work splits");
         let mut want = whole.matches;
         want.sort_unstable();
         found.sort_unstable();
@@ -2404,7 +2475,7 @@ mod tests {
                         }
                         let mut meter = WarpCtx::new(CostModel::default(), 32);
                         let run =
-                            run_unit(&sh, 0, UnitWork::Anchor(*a, o as u32), None, &mut meter);
+                            run_unit(&sh, 0, UnitWork::Anchor(*a, o as u32), false, &mut meter);
                         assert_eq!(run.cycles, cycles, "{at}");
                         assert_eq!(meter.shareable_cycles(), 0, "{at}");
                         assert!(run.migrants.is_empty() && run.parts.is_empty(), "{at}");
@@ -2421,40 +2492,41 @@ mod tests {
         assert!(scanned.iter().all(|&n| n > 0), "{scanned:?}");
     }
 
-    /// Where the shallowest splittable frame holds a count-only memo, a
-    /// device steal passes it over (and takes a deeper frame, pending
-    /// partials or seeds, or nothing), while a shard unit's split takes
-    /// half of it.
+    /// Where the shallowest frame with two or more unexplored candidates
+    /// holds a count-only memo, a split passes it over, a device thief's
+    /// and a shard unit's alike (a unit splits through
+    /// [`WarpTask::try_split`] too): the thief takes a deeper frame,
+    /// pending partials or seeds, or nothing, and the memoized frame stays
+    /// whole.
     #[test]
-    fn device_steals_keep_memoized_frames_whole() {
+    fn splits_keep_memoized_frames_whole() {
         let mut memoized = 0;
         for q in &split_queries() {
             for seed in 0..4u64 {
                 let (sh, anchors) = random_launch(seed, q, false);
                 each_state(&sh, &anchors, |task| {
-                    let Some(Take::Frame(fi)) = task.take(false) else {
+                    let Some(st) = &task.state else {
                         return;
                     };
-                    let st = task.state.as_ref().expect("a frame split has a state");
+                    let Some(fi) = (0..st.frames.len()).find(|&fi| st.unexplored(fi) >= 2) else {
+                        return;
+                    };
                     if st.frames[fi].memo_last.is_none() {
                         return;
                     }
                     memoized += 1;
                     let level = st.base_level + fi;
-                    let mut device = task.copy();
-                    if let Some(thief) = device.try_split(&sh) {
-                        assert!(thief.state.as_ref().is_none_or(|t| t.base_level > level));
+                    for shard in [None, Some(0)] {
+                        let mut victim = WbmTask {
+                            shard,
+                            ..task.copy()
+                        };
+                        if let Some(thief) = victim.try_split(&sh) {
+                            assert!(thief.state.as_ref().is_none_or(|t| t.base_level > level));
+                        }
+                        let vst = victim.state.as_ref().expect("the victim keeps its state");
+                        assert_eq!(vst.frames[fi].cands, st.frames[fi].cands, "kept whole");
                     }
-                    let dst = device.state.as_ref().expect("the victim keeps its state");
-                    assert_eq!(dst.frames[fi].cands, st.frames[fi].cands, "kept whole");
-                    let mut unit = task.copy();
-                    let part = SCRATCH.with_borrow_mut(|sc| {
-                        let take = unit.take(false).expect("splittable");
-                        unit.split(&sh, sc, take, None)
-                    });
-                    let pst = part.state.as_ref().expect("a frame part");
-                    assert_eq!(pst.base_level, level);
-                    assert_eq!(pst.frames[0].cands.len(), st.unexplored(fi) / 2);
                 });
             }
         }

@@ -723,7 +723,7 @@ mod tests {
         assert_eq!((stats.device_cycles, stats.shared_scans), (2 * 10_007, 0));
     }
 
-    /// SplitMix64: the property test's deterministic case generator.    /// SplitMix64: the property test's deterministic case generator.
+    /// SplitMix64: the property test's deterministic case generator.
     fn next(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = *state;

@@ -47,17 +47,6 @@ impl CostModel {
         transactions * self.global_latency
     }
 
-    /// Cycles for `words` divergent (non-consecutive) global accesses: one
-    /// transaction each, but the warp's lanes issue them in parallel, so
-    /// the latency is paid once per *round* of up to `warp_size` accesses
-    /// and the memory system serializes a fraction of them. We charge an
-    /// extra serialization factor of 4 over the coalesced case, consistent
-    /// with the bandwidth loss the paper attributes to memory divergence.
-    pub fn divergent_read(&self, words: u64, warp_size: u32) -> u64 {
-        let rounds = words.div_ceil(warp_size as u64).max(1);
-        rounds * self.global_latency * 4
-    }
-
     /// Cycles for the warp-cooperative sorted-set intersection GAMMA uses in
     /// `GenCandidates` (§IV-C): each lane takes one element of the smaller
     /// list and binary-searches the larger. Rounds = ⌈small / warp_size⌉;
@@ -177,12 +166,6 @@ mod tests {
         assert_eq!(c.coalesced_read(32, 32), c.global_latency);
         assert_eq!(c.coalesced_read(33, 32), 2 * c.global_latency);
         assert_eq!(c.coalesced_read(0, 32), c.global_latency);
-    }
-
-    #[test]
-    fn divergent_costs_more() {
-        let c = CostModel::default();
-        assert!(c.divergent_read(32, 32) > c.coalesced_read(32, 32));
     }
 
     #[test]

@@ -82,13 +82,6 @@ impl WarpCtx {
         self.charge(c);
     }
 
-    /// Charges a divergent global read of `words` scattered words.
-    pub fn global_read_divergent(&mut self, words: u64) {
-        self.global_transactions += words.max(1);
-        let c = self.cost.divergent_read(words, self.warp_size);
-        self.charge(c);
-    }
-
     /// Charges `accesses` shared-memory accesses.
     pub fn shared_access(&mut self, accesses: u64) {
         self.shared_accesses += accesses;
@@ -247,8 +240,6 @@ mod tests {
         let mut ctx = WarpCtx::new(CostModel::default(), 32);
         ctx.global_read_coalesced(64);
         assert_eq!(ctx.global_transactions, 2);
-        ctx.global_read_divergent(5);
-        assert_eq!(ctx.global_transactions, 7);
     }
 
     #[test]

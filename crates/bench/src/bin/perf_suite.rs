@@ -26,8 +26,10 @@
 //! so parallel CI jobs never clobber each other — `--out=PATH` is honored
 //! everywhere). Each cell there also carries the kernels' `tasks`,
 //! `tasks_completed` (a stolen part counts as a task, so on the device it
-//! is `tasks + steals`), `scheduler_steps` and `shared_scans` (the steps
-//! whose scan a block's waiting warps joined; the table's `shared`).
+//! is `tasks + steals`), `scheduler_steps`, `shared_scans` (the steps
+//! whose scan a block's waiting warps joined; the table's `shared`) and
+//! `block_splits` (the blocks split off blocks past the split budget;
+//! the table's `bsplits`).
 //!
 //! The summary's `registry` block measures the standing-query serving
 //! tier: 8 same-class subscriptions served by one [`QueryRegistry`]
@@ -81,7 +83,10 @@
 //! columns: any cell whose `sim_cycles` grew more than 10% over the
 //! baseline, or whose match count differs from the baseline's at all,
 //! fails immediately, with no re-measure (determinism means a retry
-//! cannot differ).
+//! cannot differ). A replay that is not narrowed by `--dataset` or
+//! `--class` must also measure every baseline cell: a cell it did not
+//! measure (a renamed engine, a dropped class) fails the same way. The
+//! gate's summary line counts the cells it compared, not the baseline's.
 //!
 //! ## Shard-scaling gate
 //!
@@ -215,6 +220,11 @@ struct Sample {
     ///
     /// [`KernelStats::shared_scans`]: gamma_gpu::KernelStats::shared_scans
     shared_scans: u64,
+    /// Summed blocks split off blocks past the split budget
+    /// ([`KernelStats::block_splits`]; 0 with stealing off and on shards).
+    ///
+    /// [`KernelStats::block_splits`]: gamma_gpu::KernelStats::block_splits
+    block_splits: u64,
     /// Batches applied.
     batches: u64,
     /// Sharded cells' migration telemetry.
@@ -451,6 +461,7 @@ fn run_engine(
         tasks_completed: 0,
         scheduler_steps: 0,
         shared_scans: 0,
+        block_splits: 0,
         batches: 0,
         shard: None,
     };
@@ -465,6 +476,7 @@ fn run_engine(
         s.tasks_completed += r.stats.kernel.tasks_completed;
         s.scheduler_steps += r.stats.kernel.scheduler_steps;
         s.shared_scans += r.stats.kernel.shared_scans;
+        s.block_splits += r.stats.kernel.block_splits;
         s.batches += 1;
     };
     match under_test {
@@ -976,7 +988,7 @@ fn write_json(
              \"updates\": {}, \"matches\": {}, \"batches\": {}, \"wall_seconds\": {:.6}, \
              \"updates_per_sec\": {:.1}, \"matches_per_sec\": {:.1}, \"sim_cycles\": {}, \
              \"busy_cycles\": {}, \"steals\": {}, \"tasks\": {}, \"tasks_completed\": {}, \
-             \"scheduler_steps\": {}, \"shared_scans\": {}{}}}{}",
+             \"scheduler_steps\": {}, \"shared_scans\": {}, \"block_splits\": {}{}}}{}",
             json_escape(s.dataset),
             json_escape(s.class),
             json_escape(s.workload),
@@ -994,6 +1006,7 @@ fn write_json(
             s.tasks_completed,
             s.scheduler_steps,
             s.shared_scans,
+            s.block_splits,
             shard_fields,
             comma
         );
@@ -1080,13 +1093,24 @@ fn parse_baseline(text: &str) -> (HashMap<String, f64>, Vec<BaselineCell>) {
     (params, cells)
 }
 
-/// One gate violation: the offending sample, the message, and whether it
-/// came from the deterministic sim-cycle column (never re-measured — a
-/// retry of deterministic work cannot differ).
+/// One gate violation: its message, and the sample to re-measure — a
+/// wall-clock violation's cell — or `None` for a deterministic one (a
+/// sim-cycle or match-count violation, or a cell the run did not
+/// measure), which a retry of identical work cannot change.
 struct Violation {
-    idx: usize,
     msg: String,
-    deterministic: bool,
+    retry: Option<usize>,
+}
+
+/// What the regression gate compared, and what it found.
+struct GateReport {
+    violations: Vec<Violation>,
+    /// Churn cells whose throughput was compared.
+    churn: usize,
+    /// Cells whose sim-cycles were compared (trace replay only).
+    sim_cycles: usize,
+    /// Cells whose match counts were compared (trace replay only).
+    matches: usize,
 }
 
 /// Formats a cell's baseline-vs-measured sim-cycles for a violation
@@ -1107,45 +1131,58 @@ fn sim_cycle_note(b: &BaselineCell, s: &Sample) -> String {
 /// when `sim_gate` is on (trace replay: the work is bit-identical) —
 /// every shared cell's deterministic `sim_cycles` must stay within
 /// `1 + SIM_CYCLE_TOLERANCE` of the baseline and its match count must
-/// equal the baseline's.
+/// equal the baseline's. With `complete` set (a replay of the whole
+/// trace), a baseline cell the run did not measure is a deterministic
+/// violation; otherwise it is skipped. The report counts the cells
+/// actually compared.
 fn check_regressions(
     samples: &[Sample],
     baseline: &[BaselineCell],
     sim_gate: bool,
-) -> Vec<Violation> {
-    let mut violations = Vec::new();
+    complete: bool,
+) -> GateReport {
+    let mut report = GateReport {
+        violations: Vec::new(),
+        churn: 0,
+        sim_cycles: 0,
+        matches: 0,
+    };
     for b in baseline {
+        let cell = format!("{}/{}/{}/{}", b.dataset, b.class, b.workload, b.engine);
         let Some((i, s)) = samples.iter().enumerate().find(|(_, s)| {
             s.dataset == b.dataset
                 && s.class == b.class
                 && s.workload == b.workload
                 && s.engine == b.engine
         }) else {
-            continue; // cell no longer measured (engine removed / renamed)
+            if complete {
+                report.violations.push(Violation {
+                    msg: format!("{cell}: in the baseline but not measured by this run"),
+                    retry: None,
+                });
+            }
+            continue;
         };
         if b.workload == "churn" {
+            report.churn += 1;
             let floor = b.updates_per_sec * (1.0 - REGRESSION_TOLERANCE);
             if s.updates_per_sec() < floor {
-                violations.push(Violation {
-                    idx: i,
+                report.violations.push(Violation {
                     msg: format!(
-                        "{}/{}/{}/{}: {:.0} upd/s < floor {:.0} (baseline {:.0}, -{:.0}%){}",
-                        b.dataset,
-                        b.class,
-                        b.workload,
-                        b.engine,
+                        "{cell}: {:.0} upd/s < floor {:.0} (baseline {:.0}, -{:.0}%){}",
                         s.updates_per_sec(),
                         floor,
                         b.updates_per_sec,
                         (1.0 - s.updates_per_sec() / b.updates_per_sec) * 100.0,
                         sim_cycle_note(b, s)
                     ),
-                    deterministic: false,
+                    retry: Some(i),
                 });
             }
         }
         if sim_gate {
             if let Some(bs) = b.sim_cycles.filter(|&bs| bs > 0.0) {
+                report.sim_cycles += 1;
                 // Sharded cells replay bit-exactly (virtual-time executor);
                 // single-device cells keep the algorithmic-drift headroom.
                 let tol = if b.engine.starts_with("SHARD") {
@@ -1155,39 +1192,31 @@ fn check_regressions(
                 };
                 let ceiling = bs * (1.0 + tol);
                 if s.sim_cycles as f64 > ceiling {
-                    violations.push(Violation {
-                        idx: i,
+                    report.violations.push(Violation {
                         msg: format!(
-                            "{}/{}/{}/{}: sim-cycles measured {} > ceiling {:.0} \
+                            "{cell}: sim-cycles measured {} > ceiling {:.0} \
                              (baseline {:.0}, +{:.1}%)",
-                            b.dataset,
-                            b.class,
-                            b.workload,
-                            b.engine,
                             s.sim_cycles,
                             ceiling,
                             bs,
                             (s.sim_cycles as f64 / bs - 1.0) * 100.0
                         ),
-                        deterministic: true,
+                        retry: None,
                     });
                 }
             }
             if let Some(bm) = b.matches {
+                report.matches += 1;
                 if (s.matches as f64 - bm).abs() >= 1.0 {
-                    violations.push(Violation {
-                        idx: i,
-                        msg: format!(
-                            "{}/{}/{}/{}: matches measured {} != baseline {bm:.0}",
-                            b.dataset, b.class, b.workload, b.engine, s.matches
-                        ),
-                        deterministic: true,
+                    report.violations.push(Violation {
+                        msg: format!("{cell}: matches measured {} != baseline {bm:.0}", s.matches),
+                        retry: None,
                     });
                 }
             }
         }
     }
-    violations
+    report
 }
 
 /// One dense-class churn comparison of the same-run SHARD4 and WBM cells:
@@ -1326,6 +1355,7 @@ fn main() -> ExitCode {
         "steals",
         "steps",
         "shared",
+        "bsplits",
         "migr",
         "cut%",
         "splits",
@@ -1436,6 +1466,7 @@ fn main() -> ExitCode {
                         s.steals.to_string(),
                         s.scheduler_steps.to_string(),
                         s.shared_scans.to_string(),
+                        s.block_splits.to_string(),
                         migr,
                         cut,
                         splits,
@@ -1540,7 +1571,9 @@ fn main() -> ExitCode {
             }
         }
         let sim_gate = replay.is_some();
-        let mut violations = check_regressions(&samples, &cells, sim_gate);
+        // A replay of the whole trace must measure every baseline cell.
+        let complete = sim_gate && p.only_dataset.is_none() && p.only_class.is_none();
+        let mut report = check_regressions(&samples, &cells, sim_gate, complete);
         // Best-of-3: re-measure violated wall-clock cells before failing.
         // Host noise is one-sided (it only slows cells down), so a retry
         // that clears the floor proves the cell healthy, while a real
@@ -1548,11 +1581,7 @@ fn main() -> ExitCode {
         // sim-cycle violations are never retried — identical work yields
         // identical cycles, so a retry cannot differ.
         for attempt in 1..=2 {
-            let noisy: Vec<usize> = violations
-                .iter()
-                .filter(|v| !v.deterministic)
-                .map(|v| v.idx)
-                .collect();
+            let noisy: Vec<usize> = report.violations.iter().filter_map(|v| v.retry).collect();
             if !p.check || noisy.is_empty() {
                 break;
             }
@@ -1568,48 +1597,47 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            violations = check_regressions(&samples, &cells, sim_gate);
+            report = check_regressions(&samples, &cells, sim_gate, complete);
             // Keep the JSON summary consistent with the retained (best)
             // measurements.
             write_json(&p.out, &samples, &isect, registry.as_ref(), &p, trace_ref)
                 .expect("rewrite JSON summary");
         }
-        if p.check && !violations.is_empty() {
+        if p.check && !report.violations.is_empty() {
             eprintln!(
                 "\nperf gate FAILED vs {path} (>{:.0}% churn wall-clock regression{}):",
                 REGRESSION_TOLERANCE * 100.0,
                 if sim_gate {
                     format!(
-                        ", >{:.0}% sim-cycle growth or a changed match count",
+                        ", >{:.0}% sim-cycle growth, a changed match count or an unmeasured cell",
                         SIM_CYCLE_TOLERANCE * 100.0
                     )
                 } else {
                     String::new()
                 }
             );
-            for v in &violations {
+            for v in &report.violations {
                 eprintln!("  {}", v.msg);
             }
             failed = true;
         } else {
             println!(
                 "perf gate vs {path}: {} churn cell(s) compared{}, {}",
-                baseline_churn_cells,
+                report.churn,
                 if sim_gate {
                     format!(
                         " + sim-cycles on {} cell(s) + match counts on {}",
-                        cells.iter().filter(|c| c.sim_cycles.is_some()).count(),
-                        cells.iter().filter(|c| c.matches.is_some()).count()
+                        report.sim_cycles, report.matches
                     )
                 } else {
                     String::new()
                 },
-                if violations.is_empty() {
+                if report.violations.is_empty() {
                     "no regressions".to_string()
                 } else {
                     format!(
                         "{} regression(s) (informational, no --check)",
-                        violations.len()
+                        report.violations.len()
                     )
                 }
             );
@@ -1702,5 +1730,96 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A measured cell of `engine` on GH/Tree churn.
+    fn sample(engine: &'static str, sim_cycles: u64, matches: u64) -> Sample {
+        Sample {
+            dataset: "GH",
+            class: "Tree",
+            workload: "churn",
+            engine,
+            updates: 1_000,
+            matches,
+            wall_seconds: 1.0,
+            sim_cycles,
+            busy_cycles: 0,
+            steals: 0,
+            tasks: 0,
+            tasks_completed: 0,
+            scheduler_steps: 0,
+            shared_scans: 0,
+            block_splits: 0,
+            batches: 1,
+            shard: None,
+        }
+    }
+
+    /// The baseline line `perf_suite` writes for `s`.
+    fn baseline(s: &Sample) -> BaselineCell {
+        BaselineCell {
+            dataset: s.dataset.to_string(),
+            class: s.class.to_string(),
+            workload: s.workload.to_string(),
+            engine: s.engine.to_string(),
+            updates_per_sec: s.updates_per_sec(),
+            sim_cycles: Some(s.sim_cycles as f64),
+            matches: Some(s.matches as f64),
+        }
+    }
+
+    #[test]
+    fn the_gate_counts_the_cells_it_compared() {
+        let run = [sample("GAMMA", 100, 7), sample("WBM", 200, 7)];
+        let mut cells: Vec<BaselineCell> = run.iter().map(baseline).collect();
+        cells.push(baseline(&sample("SHARD1", 300, 7)));
+        // A narrowed replay skips the cell it did not measure, and does
+        // not count it.
+        let report = check_regressions(&run, &cells, true, false);
+        assert!(report.violations.is_empty());
+        assert_eq!((report.churn, report.sim_cycles, report.matches), (2, 2, 2));
+        // Without the sim gate only churn throughput is compared.
+        let report = check_regressions(&run, &cells, false, false);
+        assert_eq!((report.churn, report.sim_cycles, report.matches), (2, 0, 0));
+    }
+
+    #[test]
+    fn a_whole_replay_refuses_a_cell_it_did_not_measure() {
+        let run = [sample("GAMMA", 100, 7), sample("WBM", 200, 7)];
+        let mut cells: Vec<BaselineCell> = run.iter().map(baseline).collect();
+        cells.push(baseline(&sample("SHARD1", 300, 7)));
+        let report = check_regressions(&run, &cells, true, true);
+        assert_eq!(report.violations.len(), 1);
+        let v = &report.violations[0];
+        assert!(v.msg.starts_with("GH/Tree/churn/SHARD1: "), "{}", v.msg);
+        assert!(v.retry.is_none(), "a missing cell is not re-measured");
+        assert_eq!((report.churn, report.sim_cycles, report.matches), (2, 2, 2));
+        // Every cell measured: nothing to refuse.
+        let all = [
+            sample("GAMMA", 100, 7),
+            sample("WBM", 200, 7),
+            sample("SHARD1", 300, 7),
+        ];
+        let report = check_regressions(&all, &cells, true, true);
+        assert!(report.violations.is_empty());
+        assert_eq!((report.churn, report.sim_cycles, report.matches), (3, 3, 3));
+    }
+
+    #[test]
+    fn deterministic_violations_are_not_retried() {
+        let cells = [baseline(&sample("GAMMA", 100, 7))];
+        let slow = Sample {
+            wall_seconds: 10.0,
+            ..sample("GAMMA", 111, 8)
+        };
+        let report = check_regressions(&[slow], &cells, true, true);
+        let retries: Vec<Option<usize>> = report.violations.iter().map(|v| v.retry).collect();
+        // Throughput (re-measured), sim-cycles 11% over, matches changed.
+        assert_eq!(retries, [Some(0), None, None]);
     }
 }

@@ -57,9 +57,10 @@
 //! * **Units that split** — a unit (an anchor's seed sweep, an arrived
 //!   migrant's subtree, or a part split off a unit) is one search of that
 //!   kernel on one warp context. With device stealing on, a unit that has
-//!   spent `wbm::SPLIT_BUDGET` (65,536) cycles since it started or last
-//!   split hands off whatever its task offers, through the split a device
-//!   thief takes (`WarpTask::try_split`: half the shallowest frame with two
+//!   spent `gamma_gpu::SPLIT_BUDGET` (65,536) cycles since it started or
+//!   last split hands off whatever its task offers, through the split a
+//!   device thief takes, and a device block past that budget too
+//!   (`WarpTask::try_split`: half the shallowest frame with two
 //!   or more unexplored candidates and no count-only memo, else half the
 //!   pending partials, else half the unstarted seeds). The part becomes a
 //!   new unit of the same shard, ready at the unit's start plus the cycle
@@ -628,11 +629,11 @@ pub struct ShardStats {
     /// migrants) reassigned to survivors by failovers.
     pub requeued_units: u64,
     /// Parts split off units: with device stealing on, a unit that has
-    /// run 65,536 cycles (`wbm::SPLIT_BUDGET`) since it started or last
-    /// split hands what a device thief would take (half of one DFS level's
-    /// unexplored candidates, of its pending partials or of its unstarted
-    /// seeds) to a new unit of its shard. Counted when the unit that split
-    /// commits.
+    /// run 65,536 cycles (`gamma_gpu::SPLIT_BUDGET`) since it started or
+    /// last split hands what a device thief would take (half of one DFS
+    /// level's unexplored candidates, of its pending partials or of its
+    /// unstarted seeds) to a new unit of its shard. Counted when the unit
+    /// that split commits.
     pub unit_splits: u64,
 }
 

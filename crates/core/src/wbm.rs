@@ -121,12 +121,15 @@
 //! unit (an anchor's seed sweep, an arrived migrant's subtree, or a part
 //! split off a unit) steps one search on one [`WarpCtx`] and keeps its
 //! matches, count and shipped migrants as its outcome instead of flushing
-//! them. With device stealing on it also splits: every `SPLIT_BUDGET`
+//! them. With device stealing on it also splits: every [`SPLIT_BUDGET`]
 //! (65,536) cycles it calls the task's own [`WarpTask::try_split`], so it
 //! hands off exactly what a device thief would take, whenever the task
-//! offers anything, and the part runs as a unit of its own. So one split
+//! offers anything, and the part runs as a unit of its own. A device
+//! block that runs past the same budget splits its warps' offers off
+//! into a new block the same way ([`gamma_gpu::run_block`]). So one split
 //! rule serves both executors; only the price differs (a shard's global
-//! hand-off against a block's shared-memory copy).
+//! hand-off of its part, a block's coalesced transfer of its offers'
+//! words, a thief's shared-memory copy).
 //!
 //! A shard launch carries a residency context
 //! ([`KernelShared::residency`]; `None` on the single device, where nothing
@@ -153,7 +156,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use gamma_gpma::{Gpma, RunCursor, CHUNK_WIDTH};
-use gamma_gpu::{lock, Offer, StepResult, WarpCtx, WarpTask};
+use gamma_gpu::{lock, Offer, StepResult, WarpCtx, WarpTask, SPLIT_BUDGET};
 use gamma_graph::{ELabel, QueryGraph, Update, VMatch, VertexId};
 
 use crate::auto::{permute_partial, CoalescedPlan};
@@ -637,14 +640,6 @@ impl Gate<'_> {
                 ))
     }
 }
-
-/// Cycles a shard unit runs between two splits. With device stealing on,
-/// a unit that has spent this many since it started or last split hands
-/// what its [`WarpTask::try_split`] takes to a new unit of its shard.
-/// Picked from a sweep of 16,384 to 262,144 cycles: on the `sharded`
-/// benchmark stream each halving cut the simulated cycles by 14–21% and
-/// made 1.6–1.8× as many splits, each of which costs host time and heap.
-pub(crate) const SPLIT_BUDGET: u64 = 65_536;
 
 /// Work split off a shard unit by the split a device thief takes
 /// ([`WarpTask::try_split`]): a fresh search of the unit's anchor over
@@ -2064,7 +2059,7 @@ mod tests {
     use crate::encoding::IncrementalEncoder;
     use crate::shard::{Partition, PartitionStrategy};
     use gamma_gpma::GpmaConfig;
-    use gamma_gpu::CostModel;
+    use gamma_gpu::{CostModel, Device, DeviceConfig, KernelStats, Stealing};
     use gamma_graph::{edge_key, DynamicGraph, NO_ELABEL};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -2261,6 +2256,67 @@ mod tests {
             let mut want = whole.matches;
             want.sort_unstable();
             found.sort_unstable();
+            assert_eq!(found, want, "{at}");
+        }
+    }
+
+    /// A device launch of `q` over `g`, with `anchors` as its update edges
+    /// and coalesced search off, under `stealing`: its sorted matches
+    /// (none when it counts them), its count and its stats.
+    fn device_launch(
+        g: &DynamicGraph,
+        q: &QueryGraph,
+        anchors: &[Update],
+        collect: bool,
+        stealing: Stealing,
+    ) -> (Vec<VMatch>, u64, KernelStats) {
+        let (enc, table) = IncrementalEncoder::build(g, q, 2);
+        let meta = Arc::new(QueryMeta::build(q, &table, enc.scheme(), false, 0));
+        let phase = Phase {
+            gpma: Arc::new(Gpma::from_graph(g, GpmaConfig::default())),
+            anchors,
+            match_limit: u64::MAX,
+            abort: Arc::new(AtomicBool::new(false)),
+            deadline: None,
+            signatures: true,
+        };
+        let (sh, tasks) =
+            phase.grid(phase.shared(meta, table, Arc::clone(&enc.encodings), collect));
+        let device = Device::new(DeviceConfig {
+            stealing,
+            ..DeviceConfig::default()
+        });
+        let stats = device.launch(&sh, tasks);
+        let sh = Arc::into_inner(sh).expect("a finished launch keeps no reference");
+        let mut found = sh.sink.into_inner().expect("sink");
+        found.sort_unstable();
+        (found, sh.match_count.into_inner(), stats)
+    }
+
+    /// A device block past the split budget splits its warps' offers off
+    /// into new blocks, and the launch finds exactly the matches and the
+    /// count it finds with stealing off: a 4-clique query on K_40
+    /// collecting its matches, and a diamond on K_48 counting them against
+    /// memoized frames.
+    #[test]
+    fn split_blocks_find_what_one_warp_finds() {
+        let [clique4, diamond] = clique_and_diamond();
+        for (q, n, collect) in [(clique4, 40, true), (diamond, 48, false)] {
+            let anchors: Vec<Update> = (1..9).map(|v| Update::insert(0, v)).collect();
+            let g = clique(n);
+            let (want, want_count, off) = device_launch(&g, &q, &anchors, collect, Stealing::Off);
+            let (found, count, active) = device_launch(&g, &q, &anchors, collect, Stealing::Active);
+            let at = format!("K_{n}, collect {collect}");
+            assert_eq!(off.block_splits, 0, "{at}");
+            assert!(active.block_splits > 0, "{at}: {active:?}");
+            assert_eq!(
+                active.tasks_completed,
+                active.num_tasks as u64 + active.steals,
+                "{at}"
+            );
+            assert!(want_count > 0, "{at}");
+            assert_eq!(count, want_count, "{at}");
+            assert_eq!(found.len() as u64, if collect { count } else { 0 }, "{at}");
             assert_eq!(found, want, "{at}");
         }
     }

@@ -1,13 +1,13 @@
 //! Event-driven execution of one block of warps, with work stealing.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::Instant;
 
 use crate::cost::scan_rounds;
 use crate::stats::KernelStats;
 use crate::task::{Offer, StepResult, WarpCtx, WarpTask};
-use crate::{DeviceConfig, Stealing};
+use crate::{DeviceConfig, Stealing, SPLIT_BUDGET};
 
 struct WarpSlot<T> {
     /// Virtual clock of this warp (cycles since block start).
@@ -19,9 +19,10 @@ struct WarpSlot<T> {
     task: Option<T>,
 }
 
-/// Runs one block of warp tasks of one launch to completion. Returns its
-/// stats as a one-block launch reports them, and each warp's busy cycles
-/// (index = warp slot) for workload-skew traces.
+/// Runs one block of warp tasks of one launch to completion, and every
+/// block it splits into. Returns their stats as a one-block launch
+/// reports them, and each warp slot's busy cycles, summed over the block
+/// and its split blocks (index = warp slot), for workload-skew traces.
 ///
 /// The block has `max(tasks, warps_per_block)` warps, one per task first.
 /// A slot without a task starts idle: under [`Stealing::Active`] it walks
@@ -53,6 +54,26 @@ struct WarpSlot<T> {
 /// So a warp stays idle only while no other warp of its block holds work
 /// that can be split or shared.
 ///
+/// **Block splits.** A block's warps steal only from each other, so under
+/// [`Stealing::Active`] a block that has run [`SPLIT_BUDGET`] cycles since
+/// it started or last split also splits: after the first busy step that
+/// starts past the budget and after which any warp offers work, every
+/// busy warp's offer goes through [`WarpTask::try_split`], and the parts
+/// run as a new block of the same grid, one part per warp. The block's
+/// clock is the clock its next step starts at. The stepping warp reads the
+/// block's `|W|` status slots and the offers' words, then writes them in
+/// one coalesced global transfer; the new block reads them back in
+/// another before its warps start. Both are clock time, not busy time, as
+/// for a steal. Each part counts as one steal, and each split block in
+/// [`KernelStats::block_splits`].
+///
+/// Split blocks run here, after the block, so the result depends only on
+/// the tasks. A block is ready at 0, a split block at its parent's ready
+/// time plus the parent's clock when it wrote the parts; the stats'
+/// `device_cycles` is `max(⌈Σ makespans / num_sms⌉, max over blocks of
+/// (ready + makespan))`, the makespan of the block alone when it never
+/// splits.
+///
 /// [`CostModel::shared_scan_coordination`]: crate::CostModel::shared_scan_coordination
 pub fn run_block<T: WarpTask>(
     launch: &T::Launch,
@@ -61,8 +82,58 @@ pub fn run_block<T: WarpTask>(
 ) -> (KernelStats, Vec<u64>) {
     let started = Instant::now();
     let mut stats = KernelStats {
-        num_blocks: 1,
         num_tasks: tasks.len(),
+        ..KernelStats::default()
+    };
+    let mut warp_busy = vec![0; tasks.len().max(cfg.warps_per_block).max(1)];
+    // Blocks left to run: ready time, the clock their warps start at, and
+    // their tasks. A split block has at most its parent's warps.
+    let mut blocks = VecDeque::from([(0, 0, tasks)]);
+    let mut finish = 0;
+    while let Some((ready, start, tasks)) = blocks.pop_front() {
+        let (block, busy, splits) = run_one(launch, tasks, start, cfg);
+        finish = finish.max(ready + block.device_cycles);
+        debug_assert!(busy.len() <= warp_busy.len());
+        for (slot, b) in warp_busy.iter_mut().zip(busy) {
+            *slot += b;
+        }
+        blocks.extend(
+            splits
+                .into_iter()
+                .map(|s| (ready + s.offset, s.start, s.parts)),
+        );
+        stats.absorb(&block);
+    }
+    let ideal = stats.total_block_cycles.div_ceil(cfg.num_sms.max(1) as u64);
+    stats.device_cycles = ideal.max(finish);
+    stats.wall_seconds = started.elapsed().as_secs_f64();
+    (stats, warp_busy)
+}
+
+/// Parts a block split off ([`split`]): a new block of its grid.
+struct Split<T> {
+    /// The parent's clock once the parts are written: the new block is
+    /// ready this long after its parent.
+    offset: u64,
+    /// The clock the new block's warps start at: its read-back of the
+    /// parts.
+    start: u64,
+    /// One part per busy warp that offered, in warp order.
+    parts: Vec<T>,
+}
+
+/// Runs one block whose warps start at clock `start`, as [`run_block`]
+/// describes, but not the blocks it splits into: returns its stats (its
+/// makespan as `device_cycles`, no `num_tasks`), its warps' busy cycles
+/// and its splits.
+fn run_one<T: WarpTask>(
+    launch: &T::Launch,
+    tasks: Vec<T>,
+    start: u64,
+    cfg: &DeviceConfig,
+) -> (KernelStats, Vec<u64>, Vec<Split<T>>) {
+    let mut stats = KernelStats {
+        num_blocks: 1,
         ..KernelStats::default()
     };
     let num_tasks = tasks.len();
@@ -74,7 +145,7 @@ pub fn run_block<T: WarpTask>(
         .chain(std::iter::repeat_with(|| None))
         .take(num_warps)
         .map(|task| WarpSlot {
-            clock: 0,
+            clock: start,
             busy: 0,
             task,
         })
@@ -83,15 +154,17 @@ pub fn run_block<T: WarpTask>(
     // Min-heap of (clock, warp index) over warps that hold a task or are
     // about to scan for a victim. Under `Off` a slot without a task never
     // enters it.
-    let runnable = match cfg.stealing {
-        Stealing::Active => num_warps,
-        Stealing::Off => num_tasks,
-    };
+    let active = cfg.stealing == Stealing::Active;
+    let runnable = if active { num_warps } else { num_tasks };
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> =
-        (0..runnable).map(|i| Reverse((0, i))).collect();
+        (0..runnable).map(|i| Reverse((start, i))).collect();
     // Warps whose walk found no victim, in ascending index order, waiting
     // for a busy warp to share a scan or offer a split.
     let mut idle: Vec<usize> = Vec::new();
+    // When the block started or last split, on the block's clock: the
+    // clock its current step started at, the least of its runnable
+    // warps'. And its splits.
+    let (mut since, mut splits) = (0, Vec::new());
 
     while let Some(Reverse((clock, wi))) = heap.pop() {
         debug_assert_eq!(warps[wi].clock, clock);
@@ -119,7 +192,7 @@ pub fn run_block<T: WarpTask>(
         };
 
         // Advance the task by one quantum.
-        let result = task.step(launch, &mut ctx);
+        let done = task.step(launch, &mut ctx) == StepResult::Done;
         let shareable = ctx.shareable_cycles();
         let cycles = ctx.take_step_cycles().max(1);
         let mut own = cycles;
@@ -134,33 +207,35 @@ pub fn run_block<T: WarpTask>(
         warps[wi].busy += own;
         stats.scheduler_steps += 1;
 
-        match result {
-            StepResult::Done => {
-                warps[wi].task = None;
-                stats.tasks_completed += 1;
-                if cfg.stealing == Stealing::Active {
-                    // Re-enter the heap: on its next turn (i.e. when all
-                    // other warps caught up to its clock) it walks for a
-                    // victim. This models "after a warp completes its
-                    // current workloads, it inspects other warps".
-                    heap.push(Reverse((warps[wi].clock, wi)));
-                }
+        if done {
+            warps[wi].task = None;
+            stats.tasks_completed += 1;
+        } else if let Some(&thief) = idle.first() {
+            // A waiting warp takes what this warp offers as soon as it
+            // offers anything.
+            let offer = warps[wi].task.as_ref().and_then(|t| t.offer(launch));
+            if let Some(offer) = offer {
+                let start = warps[thief].clock.max(warps[wi].clock);
+                steal(&mut warps, launch, wi, offer, thief, start, &mut ctx);
+                idle.remove(0);
+                stats.steals += 1;
+                heap.push(Reverse((warps[thief].clock, thief)));
             }
-            StepResult::Continue => {
-                // A waiting warp takes what this warp offers as soon as it
-                // offers anything.
-                if let Some(&thief) = idle.first() {
-                    let offer = warps[wi].task.as_ref().and_then(|t| t.offer(launch));
-                    if let Some(offer) = offer {
-                        let start = warps[thief].clock.max(warps[wi].clock);
-                        steal(&mut warps, launch, wi, offer, thief, start, &mut ctx);
-                        idle.remove(0);
-                        stats.steals += 1;
-                        heap.push(Reverse((warps[thief].clock, thief)));
-                    }
-                }
-                heap.push(Reverse((warps[wi].clock, wi)));
+        }
+        if active && clock >= since + SPLIT_BUDGET {
+            if let Some(s) = split(&mut warps, launch, wi, &mut ctx) {
+                since = clock;
+                stats.steals += s.parts.len() as u64;
+                stats.block_splits += 1;
+                splits.push(s);
             }
+        }
+        // A finished warp re-enters the heap under `Active`: on its next
+        // turn (i.e. when all other warps caught up to its clock) it walks
+        // for a victim. This models "after a warp completes its current
+        // workloads, it inspects other warps".
+        if active || !done {
+            heap.push(Reverse((warps[wi].clock, wi)));
         }
     }
 
@@ -174,8 +249,45 @@ pub fn run_block<T: WarpTask>(
     stats.shared_accesses = ctx.shared_accesses;
     stats.buf_reuse = ctx.buf_reuse;
     stats.buf_alloc = ctx.buf_alloc;
-    stats.wall_seconds = started.elapsed().as_secs_f64();
-    (stats, warp_busy)
+    (stats, warp_busy, splits)
+}
+
+/// The block split of [`Stealing::Active`]: warp `wi` passes every busy
+/// warp's offer ([`WarpTask::offer`]) to [`WarpTask::try_split`]. It pays
+/// the shared-memory reads of the block's `|W|` status slots and of the
+/// offers' words, and one coalesced global write of those words (priced as
+/// a coalesced read), in clock time; the new block's read-back of them is
+/// its start. `None`, at no cost, when no warp offers anything.
+fn split<T: WarpTask>(
+    warps: &mut [WarpSlot<T>],
+    launch: &T::Launch,
+    wi: usize,
+    ctx: &mut WarpCtx,
+) -> Option<Split<T>> {
+    let mut words = 0;
+    let parts: Vec<T> = warps
+        .iter_mut()
+        .filter_map(|w| {
+            let task = w.task.as_mut()?;
+            words += task.offer(launch)?.words;
+            Some(
+                task.try_split(launch)
+                    .expect("a task splits off what it offers"),
+            )
+        })
+        .collect();
+    if parts.is_empty() {
+        return None;
+    }
+    ctx.shared_access(warps.len() as u64 + words);
+    ctx.global_read_coalesced(words);
+    warps[wi].clock += ctx.take_step_cycles();
+    ctx.global_read_coalesced(words);
+    Some(Split {
+        offset: warps[wi].clock,
+        start: ctx.take_step_cycles(),
+        parts,
+    })
 }
 
 /// The shared scan after a step that started at `start` and marked
@@ -247,7 +359,7 @@ fn steal<T: WarpTask>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::sync::Mutex;
 
     use super::*;
@@ -723,8 +835,121 @@ mod tests {
         assert_eq!((stats.device_cycles, stats.shared_scans), (2 * 10_007, 0));
     }
 
-    /// SplitMix64: the property test's deterministic case generator.
-    fn next(state: &mut u64) -> u64 {
+    /// The device time [`run_block`] reports for `tasks`, computed from
+    /// the blocks one by one ([`run_one`]) in depth-first order:
+    /// `max(⌈Σ makespans / num_sms⌉, max over blocks of (ready +
+    /// makespan))`, with a block ready at 0 and a split block when its
+    /// parent wrote the parts. Also returns the number of blocks.
+    fn bound<T: WarpTask<Launch = ()>>(tasks: Vec<T>, cfg: &DeviceConfig) -> (u64, usize) {
+        let (mut total, mut latest, mut blocks) = (0, 0, 0);
+        let mut todo = vec![(0, 0, tasks)];
+        while let Some((ready, start, tasks)) = todo.pop() {
+            let (stats, _, splits) = run_one(&(), tasks, start, cfg);
+            let makespan = stats.device_cycles;
+            total += makespan;
+            latest = latest.max(ready + makespan);
+            blocks += 1;
+            // The k-th split follows a step that started past k budgets.
+            for (k, s) in (1..).zip(splits) {
+                assert!(s.offset > k * SPLIT_BUDGET && s.offset < makespan);
+                todo.push((ready + s.offset, s.start, s.parts));
+            }
+        }
+        (total.div_ceil(cfg.num_sms as u64).max(latest), blocks)
+    }
+
+    #[test]
+    fn a_block_splits_what_it_offers_past_the_budget() {
+        // One warp's 101 units of 1,000 cycles, alone in its block: its
+        // 67th step is the first to start past the budget, at 66,000, and
+        // after it the warp offers 17 of its 34 units. The split reads the
+        // warp's status slot and the 17 words, then writes them in one
+        // transaction: 18 shared reads and 200 cycles, so the new block is
+        // ready at 67,560. It reads the part back (200 cycles) and runs it,
+        // while the block runs its other 17 units.
+        let cfg = |num_sms| DeviceConfig {
+            num_sms,
+            warps_per_block: 1,
+            ..cfg(Stealing::Active)
+        };
+        let (parent, child) = (67_560 + 17_000, 200 + 17_000);
+        let (one, busy) = run_block(&(), vec![chunk(101, 1_000)], &cfg(1));
+        assert_eq!(busy, [101_000]);
+        assert_eq!(
+            (
+                one.num_blocks,
+                one.block_splits,
+                one.steals,
+                one.tasks_completed
+            ),
+            (2, 1, 1, 2)
+        );
+        assert_eq!(one.busy_cycles, 101_000);
+        assert_eq!(one.total_block_cycles, parent + child);
+        assert_eq!(one.resident_warp_cycles, parent + child);
+        assert_eq!((one.global_transactions, one.shared_accesses), (2, 18));
+        assert_eq!(one.device_cycles, parent + child, "one SM runs both");
+        let (two, _) = run_block(&(), vec![chunk(101, 1_000)], &cfg(2));
+        assert_eq!(
+            two.device_cycles,
+            67_560 + child,
+            "the split block ends last"
+        );
+    }
+
+    #[test]
+    fn a_long_task_splits_its_block() {
+        // 1,000,000 cycles of one splittable task over 8 warps: the block
+        // runs past the budget, and so do some of the blocks it splits
+        // into.
+        for num_sms in [1, 16] {
+            let cfg = DeviceConfig {
+                num_sms,
+                ..cfg(Stealing::Active)
+            };
+            let (stats, busy) = run_block(&(), vec![chunk(10_000, 100)], &cfg);
+            let at = format!("{num_sms} SMs");
+            assert_eq!(stats.busy_cycles, 1_000_000, "{at}");
+            assert_eq!(busy.len(), 8, "{at}");
+            assert_eq!(busy.iter().sum::<u64>(), 1_000_000, "{at}");
+            assert!(stats.block_splits > 1, "{at}: {stats:?}");
+            assert_eq!(stats.tasks_completed, 1 + stats.steals, "{at}");
+            let (device_cycles, blocks) = bound(vec![chunk(10_000, 100)], &cfg);
+            assert_eq!(stats.device_cycles, device_cycles, "{at}");
+            assert_eq!(stats.num_blocks, blocks, "{at}");
+            assert_eq!(blocks as u64, 1 + stats.block_splits, "{at}");
+        }
+        // Under `Off` nothing splits: one warp runs it all.
+        let off = run(vec![chunk(10_000, 100)], Stealing::Off);
+        assert_eq!((off.num_blocks, off.block_splits, off.steals), (1, 0, 0));
+        assert_eq!(off.device_cycles, 1_000_000);
+        // A block that ends inside the budget splits nothing, and reports
+        // what it reported before blocks split.
+        for (tasks, want) in [
+            (
+                vec![chunk(1000, 100)],
+                [17_040, 100_000, 136_320, 16, 17, 1000, 1738],
+            ),
+            (skewed(), [16_960, 100_600, 135_680, 15, 19, 1006, 1726]),
+        ] {
+            let s = run(tasks, Stealing::Active);
+            assert_eq!((s.num_blocks, s.block_splits, s.shared_scans), (1, 0, 0));
+            assert_eq!(s.total_block_cycles, s.device_cycles);
+            let got = [
+                s.device_cycles,
+                s.busy_cycles,
+                s.resident_warp_cycles,
+                s.steals,
+                s.tasks_completed,
+                s.scheduler_steps,
+                s.shared_accesses,
+            ];
+            assert_eq!(got, want);
+        }
+    }
+
+    /// SplitMix64: the property tests' deterministic case generator.
+    pub(crate) fn next(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = *state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

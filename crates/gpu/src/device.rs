@@ -39,10 +39,13 @@ impl Device {
     /// runs inline. A task that panics makes this call panic once every
     /// block has retired; the pool keeps serving.
     ///
-    /// Device makespan is the max over SMs of the sum of makespans of the
-    /// blocks that SM executed (blocks are picked up greedily, modeling the
-    /// hardware block scheduler). The one-grid case of
-    /// [`Device::launch_grids`].
+    /// Device makespan is the LPT bound over the grid's blocks:
+    /// `max(⌈Σ makespans / num_sms⌉, max over blocks of (ready +
+    /// makespan))`. A launched block is ready at 0; under
+    /// [`Stealing::Active`](crate::Stealing::Active) a block past the split
+    /// budget splits into a new block, ready when its parent wrote the
+    /// parts, which runs on its parent's job, after it ([`run_block`]).
+    /// The one-grid case of [`Device::launch_grids`].
     pub fn launch<T: WarpTask>(&self, launch: &Arc<T::Launch>, tasks: Vec<T>) -> KernelStats {
         self.launch_grids(vec![(launch, tasks)])
             .pop()
@@ -54,10 +57,11 @@ impl Device {
     /// chunked into blocks as [`Device::launch`] does, and the blocks of
     /// all grids go into one [`run_jobs`] call, one job per block, grid by
     /// grid, served by `min(num_sms, host parallelism, blocks)` host
-    /// threads. So the host overlaps the grids, while the simulated device
-    /// still runs them as serial kernels: each grid's stats aggregate its
-    /// own blocks only, and its `device_cycles` is the bound over its own
-    /// blocks, exactly as a lone launch of its tasks reports.
+    /// threads; a block's job also runs the blocks it splits into. So the
+    /// host overlaps the grids, while the simulated device still runs them
+    /// as serial kernels: each grid's stats aggregate its own blocks only,
+    /// and its `device_cycles` is the bound over its own blocks, exactly
+    /// as a lone launch of its tasks reports.
     ///
     /// The grids' `wall_seconds` sum to the call's elapsed time, split in
     /// proportion to the host time of each grid's blocks (evenly when no
@@ -85,9 +89,12 @@ impl Device {
             }
         }
 
-        // Per grid: its blocks' stats summed, and its longest block. Sums
-        // and a max, so the result is independent of which thread ran
-        // which block. A block's `wall_seconds` is its host time.
+        // Per grid: its jobs' stats summed, and the longest job. Sums and a
+        // max, so the result is independent of which thread ran which job.
+        // A job's `wall_seconds` is its host time, and its
+        // `device_cycles` the bound over its block and the blocks that
+        // split off it: at least their latest `ready + makespan`, and
+        // never above the grid's bound.
         let mut per_grid = vec![(KernelStats::default(), 0u64); num_grids];
         let sm_count = self.config.num_sms.max(1);
         for (gi, block) in run_jobs(blocks, sm_count) {
@@ -104,9 +111,9 @@ impl Device {
             .map(|(mut stats, longest)| {
                 // Device makespan: with many blocks in flight the hardware
                 // block scheduler approaches the LPT bound
-                // `max(ceil(total / num_sms), longest single block)`. Using
-                // the bound (instead of the racy host assignment realized
-                // above) keeps the simulated clock deterministic.
+                // `max(ceil(total / num_sms), latest ready + makespan)`.
+                // Using the bound (instead of the racy host assignment
+                // realized above) keeps the simulated clock deterministic.
                 let ideal = stats.total_block_cycles.div_ceil(sm_count as u64);
                 stats.device_cycles = ideal.max(longest);
                 let share = if host_total > 0.0 {
@@ -450,6 +457,62 @@ mod tests {
             assert!(s.scheduler_steps >= s.tasks_completed, "{s:?}");
         }
         assert_eq!(Arc::strong_count(&launch), 1, "blocks keep no launch");
+    }
+
+    /// Seeded heavy grids of splittable tasks, whose blocks run past the
+    /// split budget: each grid's simulated stats are the same launched
+    /// alone, rerun, in one call with the other grids, and from several
+    /// threads at once; and a launch counts every part as a steal.
+    #[test]
+    fn split_blocks_repeat_across_runs_threads_and_calls() {
+        let dev = Device::new(DeviceConfig {
+            stealing: Stealing::Active,
+            ..cfg(4, 3)
+        });
+        let mut rng = 0x5b1_u64;
+        let grids: Vec<Vec<u64>> = (0..8)
+            .map(|_| {
+                let tasks = 1 + crate::block::tests::next(&mut rng) % 10;
+                (0..tasks)
+                    .map(|_| 1 + crate::block::tests::next(&mut rng) % 4_000)
+                    .collect()
+            })
+            .collect();
+        let tasks = |g: &[u64]| g.iter().map(|&n| Fixed(n)).collect::<Vec<_>>();
+        let launch = unit();
+        let lone: Vec<String> = grids
+            .iter()
+            .map(|g| {
+                let s = dev.launch(&launch, tasks(g));
+                assert_eq!(s.busy_cycles, 100 * g.iter().sum::<u64>(), "{g:?}");
+                assert_eq!(s.tasks_completed, s.num_tasks as u64 + s.steals, "{g:?}");
+                assert_eq!(
+                    s.num_blocks as u64,
+                    g.len().div_ceil(3) as u64 + s.block_splits
+                );
+                simulated(&s)
+            })
+            .collect();
+        assert!(
+            lone.iter().any(|s| !s.contains("block_splits: 0,")),
+            "no grid split"
+        );
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for t in 0..3 {
+                let (dev, start, lone, grids, launch) = (&dev, &start, &lone, &grids, &launch);
+                s.spawn(move || {
+                    start.wait();
+                    for (g, want) in grids.iter().zip(lone).skip(t) {
+                        assert_eq!(&simulated(&dev.launch(launch, tasks(g))), want);
+                    }
+                    let all = dev.launch_grids(grids.iter().map(|g| (launch, tasks(g))).collect());
+                    for (got, want) in all.iter().zip(lone) {
+                        assert_eq!(&simulated(got), want);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

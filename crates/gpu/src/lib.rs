@@ -51,18 +51,28 @@
 //!   than its coordination costs ([`CostModel::shared_scan_coordination`]),
 //!   as GSM's load balancing has a whole block expand one large neighbor
 //!   list.
+//! * **Block splits.** Warps steal only inside their block, so a block
+//!   that has run [`SPLIT_BUDGET`] cycles since it started or last split
+//!   passes every busy warp's offer to [`WarpTask::try_split`], and the
+//!   parts run as a new block of the same grid: one split rule serves
+//!   thieves, blocks and `gamma-core`'s shard units. The split pays a
+//!   coalesced global transfer on each side. A split block runs on its
+//!   parent's host job, after it, and is ready on the device when its
+//!   parent wrote its parts, so no grid waits on its heaviest block while
+//!   SMs sit idle, and a block's outcome still depends only on its tasks.
 //!
 //! ## What the simulator reports
 //!
 //! [`KernelStats`] exposes device makespan in cycles (converted to
 //! *simulated seconds* through a calibrated clock), warp busy time, GPU
 //! utilization (busy warp-cycles over resident warp-cycles), memory
-//! transaction counts, steal counts, and the tasks and scheduler steps run
-//! — the quantities behind the paper's Table III latency entries, Figure
-//! 13 utilization plots and Figure 14 ablations. A block reports the same
-//! type, as a one-block launch ([`run_block`]), and a launch sums its
-//! blocks' stats. Absolute seconds are not expected to match an RTX 3090;
-//! *shapes and ratios* are.
+//! transaction counts, steal and block-split counts, and the tasks and
+//! scheduler steps run — the quantities behind the paper's Table III
+//! latency entries, Figure 13 utilization plots and Figure 14 ablations.
+//! A block and the blocks it splits into report the same type, as a
+//! one-block launch ([`run_block`]), and a launch sums its blocks' stats.
+//! Absolute seconds are not expected to match an RTX 3090; *shapes and
+//! ratios* are.
 
 pub mod block;
 pub mod cost;
@@ -78,6 +88,22 @@ pub use memory::MemoryTracker;
 pub use stats::KernelStats;
 pub use task::{Offer, StepResult, WarpCtx, WarpTask};
 
+/// Cycles a block, or a shard unit, runs between two splits. Under
+/// [`Stealing::Active`] a block that has run this many since it started
+/// or last split passes every busy warp's offer to
+/// [`WarpTask::try_split`], and the parts run as a new block of its grid
+/// ([`run_block`]); a shard unit in `gamma-core` that has spent this many
+/// hands what its task's [`WarpTask::try_split`] takes to a new unit of
+/// its shard. Picked from two sweeps. On the `sharded` benchmark stream,
+/// 16,384 to 262,144 cycles: each halving cut the simulated cycles by
+/// 14–21% and made 1.6–1.8× as many splits, each of which costs host time
+/// and heap. On the device's `tree-churn` stream, against blocks that
+/// never split: 131,072 cuts the simulated cycles by 19%, 65,536 by 30%,
+/// 32,768 by 42% but grows the fixed-trace replay's AZ/Dense/churn GAMMA
+/// cell by 0.9%, and 16,384 by 53%, with ever more split blocks, each of
+/// which costs host time.
+pub const SPLIT_BUDGET: u64 = 65_536;
+
 /// Work-stealing strategy for warps within a block (§V-A).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Stealing {
@@ -92,7 +118,10 @@ pub enum Stealing {
     /// split, the lowest-index waiting warp takes half of its work, so
     /// warps keep stealing until their block drains. Until then, the
     /// waiting warps take on a share of each step's shareable scan cycles
-    /// whenever that saves more than it costs ([`run_block`]).
+    /// whenever that saves more than it costs ([`run_block`]). A block
+    /// that has run [`SPLIT_BUDGET`] cycles since it started or last split
+    /// also splits every busy warp's offer off into a new block of its
+    /// grid.
     #[default]
     Active,
 }
@@ -101,11 +130,13 @@ pub enum Stealing {
 #[derive(Clone, Debug)]
 pub struct DeviceConfig {
     /// Number of simulated streaming multiprocessors. Drives the device
-    /// makespan model (`max(total/num_sms, longest block)`); a launch runs
-    /// on `min(num_sms, host parallelism, blocks)` host threads: the caller
-    /// and helpers from the process-wide launch pool. A shard phase runs
-    /// its anchor units ahead on `min(num_sms, host parallelism, anchors)`
-    /// of them.
+    /// makespan model (`max(⌈Σ makespans / num_sms⌉, max over blocks of
+    /// (ready + makespan))`, a split block ready when its parent wrote its
+    /// parts); a launch runs on `min(num_sms, host parallelism, blocks)`
+    /// host threads: the caller and helpers from the process-wide launch
+    /// pool, a block's split blocks on its thread. A shard phase runs its
+    /// anchor units ahead on `min(num_sms, host parallelism, anchors)` of
+    /// them.
     pub num_sms: usize,
     /// Warps per block: the tasks a block is given, and the warps every
     /// block launches, tasks or not (the pool a warp can steal from and

@@ -3,21 +3,34 @@
 /// Aggregated statistics for a kernel launch.
 #[derive(Clone, Debug, Default)]
 pub struct KernelStats {
-    /// Number of blocks launched.
+    /// Number of blocks run: those launched, and the blocks they split
+    /// into ([`KernelStats::block_splits`]).
     pub num_blocks: usize,
     /// Total warp tasks submitted.
     pub num_tasks: usize,
-    /// Device makespan: max over SMs of the sum of their block makespans.
+    /// Device makespan: the LPT bound over the launch's blocks,
+    /// `max(⌈total_block_cycles / num_sms⌉, max over blocks of (ready +
+    /// makespan))`, where a launched block is ready at 0 and a split block
+    /// when its parent wrote its parts. Launches, and the grids of one
+    /// multi-grid call, add theirs up.
     pub device_cycles: u64,
-    /// Sum of block makespans (total block-serial work).
+    /// Sum of block makespans: the SM-cycles the blocks occupy, busy or
+    /// not.
     pub total_block_cycles: u64,
     /// Total busy warp-cycles.
     pub busy_cycles: u64,
     /// Total resident warp-cycles (`Σ |W|·makespan` per block, `|W|` the
     /// block's warps: `max(tasks, warps_per_block)`, idle or not).
     pub resident_warp_cycles: u64,
-    /// Total steals across blocks.
+    /// Total steals across blocks: each part an idle warp took from a busy
+    /// warp of its block, and each part a block split off into a new block
+    /// ([`KernelStats::block_splits`]).
     pub steals: u64,
+    /// Blocks split off blocks that ran past the split budget
+    /// ([`SPLIT_BUDGET`](crate::SPLIT_BUDGET)) and run as new blocks of
+    /// their grid. 0 with stealing off and on the shard executor (a unit
+    /// has no block).
+    pub block_splits: u64,
     /// Steps whose shareable cycles ([`WarpCtx::shareable`]) the waiting
     /// warps of their block joined: the scans split between the stepping
     /// warp and its helpers. 0 with stealing off (no warp waits) and on
@@ -79,6 +92,7 @@ impl KernelStats {
         self.busy_cycles += other.busy_cycles;
         self.resident_warp_cycles += other.resident_warp_cycles;
         self.steals += other.steals;
+        self.block_splits += other.block_splits;
         self.shared_scans += other.shared_scans;
         self.tasks_completed += other.tasks_completed;
         self.scheduler_steps += other.scheduler_steps;
@@ -139,5 +153,17 @@ mod tests {
         launch.absorb(&block);
         launch.absorb(&block);
         assert_eq!(launch.shared_scans, 8);
+    }
+
+    #[test]
+    fn absorb_sums_block_splits() {
+        let block = KernelStats {
+            block_splits: 3,
+            ..Default::default()
+        };
+        let mut launch = KernelStats::default();
+        launch.absorb(&block);
+        launch.absorb(&block);
+        assert_eq!(launch.block_splits, 6);
     }
 }

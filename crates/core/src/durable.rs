@@ -7,7 +7,7 @@
 //! alike. It is classic write-ahead logging at batch granularity:
 //!
 //! 1. **Log first.** `apply_batch` appends the *raw* (pre-canonicalization)
-//!    update batch to `wal.log`, stamped with the batch epoch, and only
+//!    update batch to the log, stamped with the batch epoch, and only
 //!    then applies it. The appended record is the batch's commit point.
 //!    Canonicalization is deterministic against the view's graph, so
 //!    replaying the raw batch from the same state reproduces the same
@@ -15,27 +15,57 @@
 //!    vertex outside the graph is refused before it is logged
 //!    ([`WalError::Rejected`]): applying it would panic, and so would
 //!    every replay of it.
-//! 2. **Snapshot to bound replay.** A snapshot (`snapshot.bin`) captures
-//!    the registry in one layout of sections: `[graph, store, query set]`
-//!    — the host graph mirror, the GPMA store (whose segment geometry is
-//!    history-dependent) and the registered query set with its id
-//!    allocator — followed on the shard executor by `[partition,
-//!    resident × S]`, the vertex partition and each shard's monotone
-//!    resident set. Snapshots are written atomically (tmp + rename) and
-//!    rotate the log: a crash between the two leaves a log whose first
-//!    epoch predates the snapshot, which replay rejects as non-contiguous
-//!    and recovery safely ignores — the snapshot alone is already
-//!    consistent at its epoch.
+//! 2. **Snapshot to bound replay, off the batch path.** A snapshot
+//!    (`snapshot.bin`) captures the registry in one layout of sections:
+//!    `[graph, store, query set]` — the host graph mirror, the GPMA store
+//!    (whose segment geometry is history-dependent) and the registered
+//!    query set with its id allocator — followed on the shard executor by
+//!    `[partition, resident × S]`, the vertex partition and each shard's
+//!    monotone resident set. The log is two files, `wal.log` and
+//!    `wal.1.log`: one takes the appends, the other is a *spare* that
+//!    holds only its synced header. Taking a snapshot at epoch `S` is a
+//!    hand-off: the batch path encodes the snapshot's file image into one
+//!    buffer and switches the log to the spare (it opens the file, no
+//!    `fsync`, rename or directory operation), and a background thread
+//!    writes the image to a tmp file, syncs it, renames it over
+//!    `snapshot.bin`, syncs the directory, and only then empties the file
+//!    the log left as the next spare. Every snapshot takes this path —
+//!    automatic ones ([`DurabilityConfig::snapshot_every`]), explicit
+//!    [`Durable::snapshot`] calls and the registry's registrations — and
+//!    the explicit and registration snapshots then wait for the thread,
+//!    since their return is their commit point. The next hand-off, and
+//!    dropping the view, wait for it too. If the spare still holds
+//!    records when a snapshot is due (the previous one failed), the log
+//!    stays where it is, and that file holds covered records followed by
+//!    newer ones. A switch under group commit owes the left file a sync,
+//!    paid before the new file's first one, so a synced record never
+//!    waits on an unsynced older one.
+//!
+//!    A failed snapshot — a torn or unsynced tmp file, an unconfirmed
+//!    rename — keeps the file the log left, so nothing its records hold
+//!    is lost. An explicit snapshot returns the error; an automatic one
+//!    never fails the batch that handed it off (that batch is logged and
+//!    applied), is reported by [`Durable::snapshot_failure`], and the next
+//!    one retries. Under a [`Failpoints`] schedule the snapshot's bytes,
+//!    its syncs and the spare's header are charged to the byte clock at
+//!    the hand-off, in the order an inline snapshot and a fresh log would
+//!    write them, so a chaos run replays bit-exactly whatever the
+//!    background thread's timing.
 //! 3. **Recover = snapshot + log tail.** Recovery restores the snapshot on
 //!    the executor the configuration names — sections that do not fit it
 //!    (another executor, another shard count) are [`WalError::Corrupt`] —
-//!    re-registers the query set in id order, replays the log's valid
-//!    prefix through the real batch path (so recovered in-memory state is
-//!    *bit-identical* to the uninterrupted run's — `tests/recovery.rs`
-//!    checks the per-batch match-delta stream), truncates any torn tail,
-//!    and resumes appending.
+//!    re-registers the query set in id order, and replays every logged
+//!    batch from the snapshot's epoch on through the real batch path (so
+//!    recovered in-memory state is *bit-identical* to the uninterrupted
+//!    run's — `tests/recovery.rs` checks the per-batch match-delta
+//!    stream). The batches come from both files in epoch order, skipping
+//!    the records the snapshot covers; replay stops at the first epoch no
+//!    file holds. Appends resume in the file replay ended in, its torn
+//!    tail truncated. The other file is emptied when it holds records —
+//!    after a snapshot of the recovered state if replay read from it.
 
 use std::path::PathBuf;
+use std::thread::JoinHandle;
 
 use gamma_gpma::Gpma;
 use gamma_graph::{DynamicGraph, QueryGraph, Update};
@@ -43,14 +73,19 @@ use gamma_wal::codec::{
     decode_graph, decode_query, encode_graph, encode_query, updates_from_bytes, updates_to_bytes,
     ByteReader, ByteWriter,
 };
-use gamma_wal::{Failpoints, Snapshot, SyncPolicy, WalError, WalReader, WalWriter};
+use gamma_wal::{
+    prepare_spare, Failpoints, LogReplay, Snapshot, SnapshotImage, SyncPolicy, WalError, WalReader,
+    WalWriter,
+};
 
 use crate::engine::{BatchResult, GammaConfig, GammaEngine};
 use crate::registry::{QueryConfig, QueryId, QueryRegistry, RegistryBatchResult};
 use crate::shard::{Partition, PartitionStrategy, ShardedConfig, ShardedEngine};
 
 const SNAPSHOT_FILE: &str = "snapshot.bin";
-const LOG_FILE: &str = "wal.log";
+/// The two log files: one takes the appends, the other is the spare the
+/// log switches to at the next snapshot.
+const LOG_FILES: [&str; 2] = ["wal.log", "wal.1.log"];
 
 /// Where and how durably an engine logs.
 #[derive(Clone, Debug)]
@@ -60,7 +95,10 @@ pub struct DurabilityConfig {
     /// `fsync` cadence of the log.
     pub sync: SyncPolicy,
     /// Automatic snapshot every `n` batches (`None` = only explicit
-    /// [`Durable::snapshot`] calls). Snapshots rotate the log.
+    /// [`Durable::snapshot`] calls). The batch that reaches a multiple of
+    /// `n` hands the snapshot to a background writer and switches the log
+    /// to its spare file; it waits for neither the snapshot's `fsync` nor
+    /// its rename (see the module docs).
     pub snapshot_every: Option<u64>,
     /// Optional deterministic I/O fault schedule (see
     /// [`gamma_wal::Failpoints`]). Every log and snapshot write of this
@@ -91,8 +129,8 @@ pub struct RecoveryReport<R = BatchResult> {
     pub snapshot_epoch: u64,
     /// Batch epoch after replay — the next batch to be applied.
     pub recovered_epoch: u64,
-    /// Whether the log ended cleanly on a record boundary (a torn tail is
-    /// expected after a crash and was truncated).
+    /// Whether both log files ended cleanly on a record boundary (a torn
+    /// tail is expected after a crash and was truncated).
     pub clean: bool,
     /// Match deltas of the replayed batches, in epoch order. Replay goes
     /// through the real batch path, so these equal the deltas the original
@@ -139,71 +177,139 @@ impl DurableView for QueryRegistry {
 pub struct Durable<V> {
     view: V,
     wal: WalWriter,
+    /// Which of [`LOG_FILES`] `wal` appends to; the other is the spare.
+    active: usize,
+    /// Whether the spare holds only its synced header, so the log can
+    /// switch to it.
+    spare_ready: bool,
+    /// The snapshot a background thread is writing, if any.
+    pending: Option<JoinHandle<Result<(), WalError>>>,
+    /// Why the latest automatic snapshot failed, until a snapshot
+    /// succeeds.
+    snapshot_failure: Option<WalError>,
     durability: DurabilityConfig,
 }
 
 impl<V: DurableView> Durable<V> {
-    /// Initializes the durable state of a freshly built view: an empty log
-    /// and a snapshot at the view's epoch.
+    /// Initializes the durable state of a freshly built view: an empty
+    /// log, its spare, and a snapshot at the view's epoch.
     fn init(view: V, durability: DurabilityConfig) -> Result<Self, WalError> {
         std::fs::create_dir_all(&durability.dir)?;
         let wal = WalWriter::create_with(
-            &durability.dir.join(LOG_FILE),
+            &durability.dir.join(LOG_FILES[0]),
             durability.sync,
             view.registry().batches_processed(),
             durability.failpoints.as_ref(),
         )?;
-        let this = Self {
-            view,
-            wal,
-            durability,
-        };
-        this.write_snapshot()?;
+        prepare_spare(&durability.dir.join(LOG_FILES[1]))?;
+        let this = Self::from_parts(view, wal, 0, true, durability);
+        // Nothing to switch away from yet: the snapshot is written here,
+        // and its directory sync makes both log files' entries durable.
+        this.encode_snapshot()
+            .stage(
+                &this.file(SNAPSHOT_FILE),
+                this.durability.failpoints.as_ref(),
+            )
+            .write()?;
         Ok(this)
     }
 
+    fn from_parts(
+        view: V,
+        wal: WalWriter,
+        active: usize,
+        spare_ready: bool,
+        durability: DurabilityConfig,
+    ) -> Self {
+        Self {
+            view,
+            wal,
+            active,
+            spare_ready,
+            pending: None,
+            snapshot_failure: None,
+            durability,
+        }
+    }
+
     /// Recovers from `durability.dir`: `restore` rebuilds the view from
-    /// the snapshot, the log's valid prefix replays through the real batch
-    /// path, and whatever invalid tail the crash left is truncated.
+    /// the snapshot, the logged batches after it replay through the real
+    /// batch path in epoch order across both log files, and whatever
+    /// invalid tail the crash left is truncated.
     fn recover_with(
         durability: DurabilityConfig,
         restore: impl FnOnce(&Snapshot) -> Result<V, WalError>,
     ) -> Result<(Self, RecoveryReport<V::Result>), WalError> {
         let snap = Snapshot::read(&durability.dir.join(SNAPSHOT_FILE))?;
         let mut view = restore(&snap)?;
-        let log_path = durability.dir.join(LOG_FILE);
-        let replay = WalReader::replay(&log_path, snap.epoch)?;
-        let mut replayed = Vec::with_capacity(replay.records.len());
-        for rec in &replay.records {
-            replayed.push(view.apply(&updates_from_bytes(&rec.payload)?));
+        let path = |i: usize| durability.dir.join(LOG_FILES[i]);
+        let mut logs = [WalReader::read(&path(0))?, WalReader::read(&path(1))?];
+
+        // The batches after the snapshot: from its epoch on, each next
+        // epoch is in the file whose contiguous run holds it. A record
+        // below the snapshot's epoch is one the snapshot covers.
+        let mut replayed = Vec::new();
+        let mut replayed_from = [false; 2];
+        let mut last = None;
+        let mut next = snap.epoch;
+        while let Some(i) = (0..2).find(|&i| holds(&logs[i], next)) {
+            let first = logs[i].records[0].epoch;
+            for rec in &logs[i].records[(next - first) as usize..] {
+                replayed.push(view.apply(&updates_from_bytes(&rec.payload)?));
+            }
+            next = logs[i].last_epoch().expect("a file holding an epoch") + 1;
+            replayed_from[i] = true;
+            last = Some(i);
         }
         let recovered_epoch = view.registry().batches_processed();
+        let clean = logs.iter().all(|l| l.tail.is_clean());
+
+        // Appends resume in the file the replay ended in; with nothing
+        // replayed, in a file without records if there is one.
+        let free = |l: &LogReplay| l.records.is_empty() && l.tail.is_clean();
+        let active = last.unwrap_or(if free(&logs[0]) { 0 } else { 1 });
+        if last.is_none() && !free(&logs[active]) {
+            // Both files hold records, none after the snapshot: every one
+            // is covered, so one file is emptied to take the appends.
+            prepare_spare(&path(active))?;
+            logs[active] = WalReader::read(&path(active))?;
+        }
         let wal = WalWriter::open_after_replay_with(
-            &log_path,
+            &path(active),
             durability.sync,
-            &replay,
+            &logs[active],
             recovered_epoch,
             durability.failpoints.as_ref(),
         )?;
+        let spare = 1 - active;
+        let spans_both = replayed_from[spare];
+        if !spans_both && !free(&logs[spare]) {
+            // The spare holds only records the snapshot covers, or records
+            // past a gap the replay could not cross: none is needed.
+            prepare_spare(&path(spare))?;
+        }
+        let mut this = Self::from_parts(view, wal, active, !spans_both, durability);
+        if spans_both {
+            // The spare holds replayed records: a snapshot covers them
+            // before it is emptied for reuse.
+            this.snapshot()?;
+        }
         let report = RecoveryReport {
             snapshot_epoch: snap.epoch,
             recovered_epoch,
-            clean: replay.tail.is_clean(),
+            clean,
             replayed,
         };
-        Ok((
-            Self {
-                view,
-                wal,
-                durability,
-            },
-            report,
-        ))
+        Ok((this, report))
     }
 
     /// Logs `raw` (durably, per the sync policy), then applies it. A batch
     /// that names a vertex outside the graph is refused with
-    /// [`WalError::Rejected`] before anything is logged or applied.
+    /// [`WalError::Rejected`] before anything is logged or applied; a
+    /// batch that could not be logged is not applied either. Once a batch
+    /// is logged and applied its result is returned: an automatic
+    /// snapshot it hands off never turns it into an `Err` — a failed one
+    /// is reported by [`snapshot_failure`](Self::snapshot_failure).
     pub fn apply_batch(&mut self, raw: &[Update]) -> Result<V::Result, WalError> {
         let n = self.view.registry().graph().num_vertices();
         if let Some(u) = raw.iter().find(|u| u.u.max(u.v) as usize >= n) {
@@ -216,50 +322,138 @@ impl<V: DurableView> Durable<V> {
         let result = self.view.apply(raw);
         if let Some(every) = self.durability.snapshot_every {
             if every > 0 && self.batches_processed().is_multiple_of(every) {
-                self.snapshot()?;
+                if let Err(e) = self.hand_off() {
+                    self.snapshot_failure = Some(e);
+                }
             }
         }
         Ok(result)
     }
 
-    /// Writes a snapshot at the current epoch and rotates the log.
+    /// Writes a snapshot at the current epoch and rotates the log: the
+    /// same hand-off an automatic snapshot makes, then a wait for the
+    /// background write. Returns once the snapshot is durable — its
+    /// commit point — or with the error that kept it from being so.
     pub fn snapshot(&mut self) -> Result<(), WalError> {
-        self.write_snapshot()?;
-        self.wal = WalWriter::create_with(
-            &self.durability.dir.join(LOG_FILE),
-            self.durability.sync,
-            self.batches_processed(),
-            self.durability.failpoints.as_ref(),
-        )?;
-        Ok(())
+        let handed = self.hand_off();
+        let written = self.join();
+        handed.and(written)
     }
 
-    fn write_snapshot(&self) -> Result<(), WalError> {
+    /// Why the latest automatic snapshot failed, or `None` if it — or any
+    /// snapshot since — succeeded. Waits for a snapshot still being
+    /// written first, so the answer covers every snapshot handed off so
+    /// far. A failed automatic snapshot keeps the log file it would have
+    /// emptied, so recovery stays complete, and the next one retries.
+    pub fn snapshot_failure(&mut self) -> Option<&WalError> {
+        if let Err(e) = self.join() {
+            self.snapshot_failure = Some(e);
+        }
+        self.snapshot_failure.as_ref()
+    }
+
+    /// Hands a snapshot at the current epoch to a background thread: waits
+    /// for the previous one, encodes this one's file image, and switches
+    /// the log to the spare when the spare is ready. The thread writes,
+    /// syncs and renames the snapshot, syncs the directory, and only then
+    /// empties the file the log switched away from as the next spare.
+    /// Under a failpoint schedule the snapshot's writes and the spare's
+    /// header are charged to the byte clock here, in the order an inline
+    /// snapshot and a fresh log would write them. An error here is a
+    /// failed switch (appends stay where they were) or a thread that could
+    /// not start; the snapshot's own outcome comes from [`join`](Self::join).
+    fn hand_off(&mut self) -> Result<(), WalError> {
+        if let Err(e) = self.join() {
+            self.snapshot_failure = Some(e);
+        }
+        let failpoints = self.durability.failpoints.as_ref();
+        let staged = self
+            .encode_snapshot()
+            .stage(&self.file(SNAPSHOT_FILE), failpoints);
+        let switched = if self.spare_ready {
+            let spare = self.file(LOG_FILES[1 - self.active]);
+            let switched = self.wal.switch_to(&spare, failpoints);
+            if switched.is_ok() {
+                self.active = 1 - self.active;
+                self.spare_ready = false;
+            }
+            switched
+        } else {
+            Ok(())
+        };
+        // The file the log is not appending to is emptied once the
+        // snapshot covering its records is durable, unless it is still a
+        // ready spare.
+        let retired = (!self.spare_ready).then(|| self.file(LOG_FILES[1 - self.active]));
+        let job = std::thread::Builder::new()
+            .name("gamma-snapshot".into())
+            .spawn(move || {
+                staged.write()?;
+                retired.map_or(Ok(()), |path| prepare_spare(&path))
+            });
+        self.pending = Some(job?);
+        switched
+    }
+
+    /// Waits for the snapshot a background thread is writing, if any, and
+    /// returns its outcome. On success the spare is ready again.
+    fn join(&mut self) -> Result<(), WalError> {
+        let Some(job) = self.pending.take() else {
+            return Ok(());
+        };
+        let outcome = job
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        if outcome.is_ok() {
+            self.spare_ready = true;
+            self.snapshot_failure = None;
+        }
+        outcome
+    }
+
+    /// The snapshot's file image at the current epoch: `[graph, store,
+    /// query set]`, then on the shard executor `[partition, resident × S]`,
+    /// each encoded straight into the one buffer the file is written from.
+    fn encode_snapshot(&self) -> SnapshotImage {
         let reg = self.view.registry();
-        let mut graph = ByteWriter::new();
-        encode_graph(&mut graph, reg.graph());
-        let mut sections = vec![
-            graph.into_bytes(),
-            reg.gpma().snapshot_bytes(),
-            encode_query_set(reg),
-        ];
+        let mut image = SnapshotImage::new(reg.batches_processed());
+        image.section(|w| encode_graph(w, reg.graph()));
+        image.section(|w| reg.gpma().write_snapshot(w.vec_mut()));
+        image.section(|w| encode_query_set(w, reg));
         if let Some(rt) = reg.shard_runtime() {
-            sections.push(encode_partition(rt.partition()));
-            sections.extend(rt.residents().map(encode_resident));
+            image.section(|w| w.vec_mut().extend(encode_partition(rt.partition())));
+            for resident in rt.residents() {
+                image.section(|w| w.vec_mut().extend(encode_resident(resident)));
+            }
         }
-        Snapshot {
-            epoch: reg.batches_processed(),
-            sections,
-        }
-        .write_with(
-            &self.durability.dir.join(SNAPSHOT_FILE),
-            self.durability.failpoints.as_ref(),
-        )
+        image
+    }
+
+    fn file(&self, name: &str) -> PathBuf {
+        self.durability.dir.join(name)
     }
 
     /// Batch epoch (batches applied since creation, across restarts).
     pub fn batches_processed(&self) -> u64 {
         self.view.registry().batches_processed()
+    }
+}
+
+/// Whether `log`'s contiguous run of records holds `epoch`.
+fn holds(log: &LogReplay, epoch: u64) -> bool {
+    match (log.records.first(), log.last_epoch()) {
+        (Some(first), Some(last)) => (first.epoch..=last).contains(&epoch),
+        _ => false,
+    }
+}
+
+/// Dropping a durable view finishes the snapshot it handed off, so the
+/// directory it leaves recovers from that snapshot.
+impl<V> Drop for Durable<V> {
+    fn drop(&mut self) {
+        if let Some(job) = self.pending.take() {
+            let _ = job.join();
+        }
     }
 }
 
@@ -392,8 +586,9 @@ impl DurableShardedEngine {
 /// [`QueryRegistry`] with write-ahead durability. Update batches are
 /// logged before they execute, like every view's; the *registered query
 /// set* is snapshot state — every [`register`](Self::register)/
-/// [`unregister`](Self::unregister) writes a fresh snapshot (and rotates
-/// the log) before returning, so the subscription change commits
+/// [`unregister`](Self::unregister) takes a snapshot through the same
+/// hand-off as [`Durable::snapshot`] and waits for the background write
+/// to finish before returning, so the subscription change commits
 /// atomically with the graph state it saw. Registration is rare next to
 /// batch traffic, so the snapshot-per-change cost is the simple and safe
 /// trade.
@@ -435,7 +630,7 @@ impl DurableQueryRegistry {
     }
 
     /// Registers a standing query and durably commits the new query set
-    /// (snapshot + log rotation) before returning its id.
+    /// (a snapshot, waited for, and a log switch) before returning its id.
     pub fn register(&mut self, query: &QueryGraph, qcfg: QueryConfig) -> Result<QueryId, WalError> {
         let id = self.view.register(query, qcfg);
         self.snapshot()?;
@@ -531,17 +726,15 @@ impl QuerySet {
     }
 }
 
-fn encode_query_set(reg: &QueryRegistry) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_query_set(w: &mut ByteWriter, reg: &QueryRegistry) {
     let ids = reg.query_ids();
     w.put_u64(reg.next_query_id());
     w.put_u32(ids.len() as u32);
     for id in ids {
         w.put_u64(id.0);
         w.put_u8(u8::from(reg.collects(id).expect("listed id is registered")));
-        encode_query(&mut w, reg.query(id).expect("listed id is registered"));
+        encode_query(w, reg.query(id).expect("listed id is registered"));
     }
-    w.into_bytes()
 }
 
 fn decode_query_set(bytes: &[u8]) -> Result<QuerySet, WalError> {

@@ -1290,8 +1290,16 @@ impl Gpma {
     /// they describe work performed, not state, and restart at zero after
     /// a restore.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_snapshot(&mut out);
+        out
+    }
+
+    /// Appends [`Gpma::snapshot_bytes`]'s blob to `out`, so a caller
+    /// assembling a larger image writes it in place.
+    pub fn write_snapshot(&self, out: &mut Vec<u8>) {
         let nsegs = self.num_segments();
-        let mut out = Vec::with_capacity(32 + self.num_elems * 10 + self.degrees.len() * 12);
+        out.reserve(32 + self.num_elems * 10 + self.degrees.len() * 12);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&(self.cfg.seg_size as u32).to_le_bytes());
         out.extend_from_slice(&(nsegs as u32).to_le_bytes());
@@ -1313,7 +1321,6 @@ impl Gpma {
                 out.extend_from_slice(&self.dir[u].off.to_le_bytes());
             }
         }
-        out
     }
 
     /// Rebuilds a store from [`Gpma::snapshot_bytes`] output. `cfg` is the

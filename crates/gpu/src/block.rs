@@ -163,8 +163,8 @@ fn run_one<T: WarpTask>(
     let mut idle: Vec<usize> = Vec::new();
     // When the block started or last split, on the block's clock: the
     // clock its current step started at, the least of its runnable
-    // warps'. And its splits.
-    let (mut since, mut splits) = (0, Vec::new());
+    // warps'. And its splits, and whether the last attempt found no offer.
+    let (mut since, mut splits, mut fruitless) = (0, Vec::new(), false);
 
     while let Some(Reverse((clock, wi))) = heap.pop() {
         debug_assert_eq!(warps[wi].clock, clock);
@@ -207,6 +207,7 @@ fn run_one<T: WarpTask>(
         warps[wi].busy += own;
         stats.scheduler_steps += 1;
 
+        let mut handed_to = None;
         if done {
             warps[wi].task = None;
             stats.tasks_completed += 1;
@@ -220,10 +221,12 @@ fn run_one<T: WarpTask>(
                 idle.remove(0);
                 stats.steals += 1;
                 heap.push(Reverse((warps[thief].clock, thief)));
+                handed_to = Some(thief);
             }
         }
         if active && clock >= since + SPLIT_BUDGET {
-            if let Some(s) = split(&mut warps, launch, wi, &mut ctx) {
+            let stepped = [Some(wi), handed_to];
+            if let Some(s) = split(&mut warps, launch, wi, stepped, &mut fruitless, &mut ctx) {
                 since = clock;
                 stats.steals += s.parts.len() as u64;
                 stats.block_splits += 1;
@@ -257,13 +260,32 @@ fn run_one<T: WarpTask>(
 /// the shared-memory reads of the block's `|W|` status slots and of the
 /// offers' words, and one coalesced global write of those words (priced as
 /// a coalesced read), in clock time; the new block's read-back of them is
-/// its start. `None`, at no cost, when no warp offers anything.
+/// its start. `None`, at no cost, when no warp offers anything, which it
+/// records in `fruitless`.
+///
+/// A block attempts a split at every busy step from the budget on until
+/// one succeeds, and a warp's offer changes only when the warp steps or
+/// takes stolen work. So after a fruitless attempt only the `stepped`
+/// warps (the warp that just stepped and the thief its step handed work
+/// to) can offer: their offers are read first, and the block is scanned
+/// only when one of them offers. The attempt runs on few steps, so it
+/// stays out of the scheduler loop.
+#[inline(never)]
 fn split<T: WarpTask>(
     warps: &mut [WarpSlot<T>],
     launch: &T::Launch,
     wi: usize,
+    stepped: [Option<usize>; 2],
+    fruitless: &mut bool,
     ctx: &mut WarpCtx,
 ) -> Option<Split<T>> {
+    let offers = |w: usize| {
+        let task = warps[w].task.as_ref();
+        task.is_some_and(|t| t.offer(launch).is_some())
+    };
+    if *fruitless && !stepped.into_iter().flatten().any(offers) {
+        return None;
+    }
     let mut words = 0;
     let parts: Vec<T> = warps
         .iter_mut()
@@ -276,6 +298,7 @@ fn split<T: WarpTask>(
             )
         })
         .collect();
+    *fruitless = parts.is_empty();
     if parts.is_empty() {
         return None;
     }
@@ -557,6 +580,34 @@ pub(crate) mod tests {
         };
         let (stats, _) = run_block(&splits, tasks, &cfg);
         (stats, splits.into_inner().unwrap())
+    }
+
+    /// What a [`Watched`] task logs in its launch.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Seen {
+        Step(usize),
+        Offer(usize),
+    }
+
+    /// An unsplittable [`Chunk`] that logs its `id` in the launch at each
+    /// step and at each read of its offer, which is always `None`.
+    struct Watched {
+        id: usize,
+        chunk: Chunk,
+    }
+
+    impl WarpTask for Watched {
+        type Launch = Mutex<Vec<Seen>>;
+
+        fn step(&mut self, seen: &Self::Launch, ctx: &mut WarpCtx) -> StepResult {
+            crate::lock(seen).push(Seen::Step(self.id));
+            self.chunk.step(&(), ctx)
+        }
+
+        fn offer(&self, seen: &Self::Launch) -> Option<Offer> {
+            crate::lock(seen).push(Seen::Offer(self.id));
+            None
+        }
     }
 
     fn cfg(stealing: Stealing) -> DeviceConfig {
@@ -955,6 +1006,55 @@ pub(crate) mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
+    }
+
+    /// Past the split budget a block attempts a split after every step.
+    /// When its warps offer nothing, the first attempt reads every warp's
+    /// offer and finds nothing; each later one reads only the offer of the
+    /// warp that just stepped, the only one that can have changed.
+    #[test]
+    fn fruitless_split_attempts_read_only_the_stepping_warp() {
+        // Three equal tasks in a block of three warps step in turn, so no
+        // warp walks for a victim while another still works. Each runs
+        // for twice the budget.
+        let units = 2 * SPLIT_BUDGET / 100;
+        let tasks: Vec<Watched> = (0..3)
+            .map(|id| Watched {
+                id,
+                chunk: Chunk {
+                    units,
+                    cycles_per_unit: 100,
+                    splittable: false,
+                },
+            })
+            .collect();
+        let seen = Mutex::new(Vec::new());
+        let cfg = DeviceConfig {
+            warps_per_block: 3,
+            ..cfg(Stealing::Active)
+        };
+        let (stats, _) = run_block(&seen, tasks, &cfg);
+        assert_eq!((stats.block_splits, stats.steals), (0, 0));
+        let seen = seen.into_inner().unwrap();
+        let first = seen
+            .iter()
+            .position(|s| matches!(s, Seen::Offer(_)))
+            .expect("the block attempts a split");
+        assert_eq!(
+            seen[first..first + 3],
+            [Seen::Offer(0), Seen::Offer(1), Seen::Offer(2)],
+            "the first attempt reads every warp's offer"
+        );
+        let later = &seen[first + 3..];
+        assert!(matches!(later[0], Seen::Step(_)));
+        let mut reads = 0;
+        for pair in later.windows(2) {
+            if let Seen::Offer(w) = pair[1] {
+                assert_eq!(pair[0], Seen::Step(w), "a read of another warp's offer");
+                reads += 1;
+            }
+        }
+        assert!(reads > units, "attempts stopped: {reads} reads");
     }
 
     /// Random blocks of 1–8 tasks, of random units and cycles per unit,

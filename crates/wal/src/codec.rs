@@ -37,6 +37,12 @@ impl ByteWriter {
         self.buf.is_empty()
     }
 
+    /// The buffer itself, for an encoder that appends to a `Vec<u8>`
+    /// (a GPMA store's snapshot, say) without an intermediate copy.
+    pub fn vec_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
     /// Appends one byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

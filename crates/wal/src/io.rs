@@ -23,13 +23,22 @@
 //!   of a crash mid-`write`, including *sub-page* cuts (a `keep` that
 //!   lands inside an OS page of the record being appended).
 //! * **Permanent** faults ([`IoFaultKind::SyncFail`],
-//!   [`IoFaultKind::Enospc`]) are not retryable and surface as typed
-//!   [`WalError`](crate::WalError)s. Each fault fires once and is then
-//!   consumed — "permanent" means not-retryable, not forever-recurring,
-//!   so a test can observe the typed error and keep driving the store.
+//!   [`IoFaultKind::DirSyncFail`], [`IoFaultKind::Enospc`]) are not
+//!   retryable and surface as typed [`WalError`](crate::WalError)s. Each
+//!   fault fires once and is then consumed — "permanent" means
+//!   not-retryable, not forever-recurring, so a test can observe the typed
+//!   error and keep driving the store.
+//!
+//! A write that runs later, off the caller's thread (a snapshot the
+//! engines hand to a background writer), is *charged* to the schedule
+//! where it is handed off: its operations run through the schedule over a
+//! ledger that touches no file, so the byte clock advances and every
+//! fault fires at the same point of the write stream as an inline write
+//! would, whatever the background thread's timing.
 
 use std::fs::File;
 use std::io::Write;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 /// How an injected (or real) low-level I/O operation failed.
@@ -67,6 +76,13 @@ pub trait WalIo: std::fmt::Debug + Send {
     fn set_len(&mut self, len: u64) -> Result<(), IoError>;
     /// Seeks to end-of-file, returning the offset.
     fn seek_end(&mut self) -> Result<u64, IoError>;
+    /// Flushes directory `dir`'s entries to stable storage, so a file
+    /// created or renamed in it survives a crash.
+    fn sync_dir(&mut self, dir: &Path) -> Result<(), IoError> {
+        File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(IoError::from_io)
+    }
 }
 
 /// Passthrough [`WalIo`] over a real file — the production path.
@@ -133,16 +149,31 @@ pub enum IoFaultKind {
     },
     /// Fail the next `sync_data` hard (not retryable).
     SyncFail,
+    /// Fail the next directory sync hard (not retryable): the sync that
+    /// makes a snapshot's rename durable. File syncs never consume it, and
+    /// the other sync faults never fire on a directory sync.
+    DirSyncFail,
     /// Fail the triggering write with `ENOSPC` (not retryable).
     Enospc,
 }
 
+/// The operation a fault fires on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FaultOp {
+    Write,
+    Sync,
+    DirSync,
+}
+
 impl IoFaultKind {
-    fn is_sync(&self) -> bool {
-        matches!(
-            self,
-            IoFaultKind::SyncTransient { .. } | IoFaultKind::SyncFail
-        )
+    fn op(&self) -> FaultOp {
+        match self {
+            IoFaultKind::SyncTransient { .. } | IoFaultKind::SyncFail => FaultOp::Sync,
+            IoFaultKind::DirSyncFail => FaultOp::DirSync,
+            IoFaultKind::WriteTransient { .. }
+            | IoFaultKind::ShortWrite { .. }
+            | IoFaultKind::Enospc => FaultOp::Write,
+        }
     }
 }
 
@@ -152,8 +183,9 @@ impl IoFaultKind {
 pub struct IoFault {
     /// Global byte offset (cumulative bytes attempted through the
     /// schedule) at which the fault arms. Write faults fire on the write
-    /// whose span covers `at`; sync faults fire on the first sync at or
-    /// past it.
+    /// whose span covers `at`; sync faults fire on the first file sync at
+    /// or past it, and [`IoFaultKind::DirSyncFail`] on the first
+    /// directory sync at or past it.
     pub at: u64,
     /// What happens when it fires.
     pub kind: IoFaultKind,
@@ -233,7 +265,7 @@ impl<I: WalIo> WalIo for FailpointIo<I> {
         let hit = st
             .faults
             .iter()
-            .position(|f| !f.kind.is_sync() && f.at < end);
+            .position(|f| f.kind.op() == FaultOp::Write && f.at < end);
         let Some(i) = hit else {
             st.written = end;
             drop(st);
@@ -274,7 +306,9 @@ impl<I: WalIo> WalIo for FailpointIo<I> {
                 )))
             }
             // Sync faults were filtered out above.
-            IoFaultKind::SyncTransient { .. } | IoFaultKind::SyncFail => unreachable!(),
+            IoFaultKind::SyncTransient { .. }
+            | IoFaultKind::SyncFail
+            | IoFaultKind::DirSyncFail => unreachable!(),
         }
     }
 
@@ -284,7 +318,7 @@ impl<I: WalIo> WalIo for FailpointIo<I> {
         let hit = st
             .faults
             .iter()
-            .position(|f| f.kind.is_sync() && f.at <= now);
+            .position(|f| f.kind.op() == FaultOp::Sync && f.at <= now);
         let Some(i) = hit else {
             drop(st);
             return self.inner.sync_data();
@@ -309,6 +343,7 @@ impl<I: WalIo> WalIo for FailpointIo<I> {
             }
             IoFaultKind::WriteTransient { .. }
             | IoFaultKind::ShortWrite { .. }
+            | IoFaultKind::DirSyncFail
             | IoFaultKind::Enospc => unreachable!(),
         }
     }
@@ -319,6 +354,70 @@ impl<I: WalIo> WalIo for FailpointIo<I> {
 
     fn seek_end(&mut self) -> Result<u64, IoError> {
         self.inner.seek_end()
+    }
+
+    fn sync_dir(&mut self, dir: &Path) -> Result<(), IoError> {
+        let mut st = self.fp.0.lock().expect("failpoint lock");
+        let now = st.written;
+        let hit = st
+            .faults
+            .iter()
+            .position(|f| f.kind.op() == FaultOp::DirSync && f.at <= now);
+        let Some(i) = hit else {
+            drop(st);
+            return self.inner.sync_dir(dir);
+        };
+        st.injected += 1;
+        st.faults.remove(i);
+        Err(IoError::Hard(std::io::Error::other(format!(
+            "injected directory sync failure at offset {now}"
+        ))))
+    }
+}
+
+/// A [`WalIo`] over no file: it counts the bytes that reach it and does
+/// nothing else. Wrapped in a [`Failpoints`] schedule it charges a
+/// sequence of operations to the schedule's byte clock — faults fire and
+/// the clock advances exactly as on a file — so the real I/O can run
+/// later, on another thread, with its outcome already decided.
+#[derive(Debug, Default)]
+pub(crate) struct Ledger {
+    /// Bytes that reached the ledger: a torn write's kept prefix counts,
+    /// a write that failed without side effects does not.
+    pub(crate) written: u64,
+}
+
+impl WalIo for Ledger {
+    fn write_all(&mut self, buf: &[u8]) -> Result<(), IoError> {
+        self.written += buf.len() as u64;
+        Ok(())
+    }
+
+    fn sync_data(&mut self) -> Result<(), IoError> {
+        Ok(())
+    }
+
+    fn set_len(&mut self, _: u64) -> Result<(), IoError> {
+        Ok(())
+    }
+
+    fn seek_end(&mut self) -> Result<u64, IoError> {
+        Ok(self.written)
+    }
+
+    fn sync_dir(&mut self, _: &Path) -> Result<(), IoError> {
+        Ok(())
+    }
+}
+
+impl Failpoints {
+    /// Runs `ops` over a [`Ledger`] under this schedule: charges them to
+    /// the byte clock without touching a file. Returns the bytes the
+    /// writes would have left in the file, and `ops`' outcome.
+    pub(crate) fn charge<T>(&self, ops: impl FnOnce(&mut FailpointIo<Ledger>) -> T) -> (u64, T) {
+        let mut io = self.wrap(Ledger::default());
+        let outcome = ops(&mut io);
+        (io.inner.written, outcome)
     }
 }
 
@@ -436,6 +535,44 @@ mod tests {
         assert!(matches!(io.sync_data(), Err(IoError::Hard(_))));
         io.sync_data().unwrap(); // consumed
         std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn dir_sync_faults_fire_only_on_directory_syncs() {
+        let p = temp_file("dirsync");
+        let dir = std::env::temp_dir();
+        let fp = Failpoints::new();
+        fp.schedule(0, IoFaultKind::DirSyncFail);
+        fp.schedule(0, IoFaultKind::SyncFail);
+        let mut io = fp.wrap(FileIo::new(File::create(&p).unwrap()));
+        // Each kind fires on its own operation only.
+        assert!(matches!(io.sync_dir(&dir), Err(IoError::Hard(_))));
+        assert_eq!((fp.injected(), fp.pending()), (1, 1));
+        io.sync_dir(&dir).unwrap(); // consumed
+        assert!(matches!(io.sync_data(), Err(IoError::Hard(_))));
+        io.sync_data().unwrap();
+        assert_eq!((fp.injected(), fp.pending()), (2, 0));
+
+        // Armed past the clock, it waits for the first directory sync at
+        // or after its offset.
+        fp.schedule(4, IoFaultKind::DirSyncFail);
+        io.sync_dir(&dir).unwrap();
+        io.write_all(b"abcd").unwrap();
+        io.sync_data().unwrap();
+        assert!(matches!(io.sync_dir(&dir), Err(IoError::Hard(_))));
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn charges_advance_the_clock_without_touching_a_file() {
+        let fp = Failpoints::new();
+        fp.schedule(6, IoFaultKind::ShortWrite { keep: 2 });
+        let (kept, outcome) = fp.charge(|io| {
+            io.write_all(b"head")?;
+            io.write_all(b"tail")
+        });
+        assert!(matches!(outcome, Err(IoError::Hard(_))));
+        assert_eq!((kept, fp.written(), fp.injected()), (6, 6, 1));
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   got — recovery never silently diverges past damage.
 //! * [`snapshot`] — versioned point-in-time snapshots (graph + one or
 //!   more serialized device stores), written atomically via temp-file
-//!   rename so a crash mid-snapshot can never destroy the previous one.
+//!   rename so a crash mid-snapshot can never destroy the previous one,
+//!   and staged so another thread can write them.
 //! * [`trace`] — recorded perf-suite workloads (params, graphs, queries
 //!   and batches) for drift-free fixed-trace benchmarking: CI gates on
 //!   sim-cycles over a committed trace instead of wall-clock noise.
@@ -33,8 +34,8 @@ pub mod trace;
 pub use codec::{ByteReader, ByteWriter};
 pub use crc32::crc32;
 pub use io::{FailpointIo, Failpoints, FileIo, IoError, IoFault, IoFaultKind, WalIo};
-pub use log::{LogReplay, SyncPolicy, TailState, WalReader, WalRecord, WalWriter};
-pub use snapshot::Snapshot;
+pub use log::{prepare_spare, LogReplay, SyncPolicy, TailState, WalReader, WalRecord, WalWriter};
+pub use snapshot::{Snapshot, SnapshotImage, StagedSnapshot};
 pub use trace::{PresetTrace, Trace, TraceParams, WorkloadTrace};
 
 /// Errors surfaced while writing or decoding durable state.

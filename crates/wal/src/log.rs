@@ -23,9 +23,19 @@
 //! epoch must be exactly `previous + 1`) is also enforced here: a
 //! duplicate or skipped epoch — a replayed batch applied twice would
 //! silently diverge — terminates replay at the last contiguous record.
+//! [`WalReader::read`] applies the same rules from whatever epoch the
+//! file's first record carries, for a reader that decides itself which
+//! records it needs.
+//!
+//! ## Spare files
+//!
+//! A log can move its appends to a *spare*: a file that holds only its
+//! header, already synced ([`prepare_spare`]). [`WalWriter::switch_to`]
+//! adopts one with no `fsync`, rename or directory operation, which is
+//! what lets a snapshot rotate the log without waiting for the disk.
 
 use std::fs::{File, OpenOptions};
-use std::io::Read;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::crc32::crc32;
@@ -124,6 +134,37 @@ pub struct WalWriter {
     next_epoch: u64,
     retries: u64,
     backoff_cycles: u64,
+    /// Files this writer switched away from while records appended to
+    /// them were not yet synced: the next [`WalWriter::sync`] syncs them
+    /// first, so no record becomes durable ahead of an earlier one.
+    behind: Vec<File>,
+}
+
+/// The file header: magic and version.
+fn header() -> [u8; HEADER_LEN as usize] {
+    let mut h = [0; HEADER_LEN as usize];
+    h[..4].copy_from_slice(MAGIC);
+    h[4..].copy_from_slice(&VERSION.to_le_bytes());
+    h
+}
+
+/// Makes `path` a ready spare for [`WalWriter::switch_to`]: a log holding
+/// only its header, synced. Creates the file if it is missing and drops
+/// every record it holds otherwise, so call it only on a file whose
+/// records a snapshot already covers. Plain file I/O: no failpoint
+/// schedule sees it.
+pub fn prepare_spare(path: &Path) -> Result<(), WalError> {
+    let mut file = OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)?;
+    // The header first, then the cut: a crash in between leaves a valid
+    // header over records a snapshot covers, never a headerless file.
+    file.write_all(&header())?;
+    file.set_len(HEADER_LEN)?;
+    file.sync_data()
+        .map_err(|e| WalError::SyncFailed(format!("spare log sync: {e}")))
 }
 
 impl WalWriter {
@@ -154,10 +195,9 @@ impl WalWriter {
             next_epoch: first_epoch,
             retries: 0,
             backoff_cycles: 0,
+            behind: Vec::new(),
         };
-        let mut header = Vec::with_capacity(HEADER_LEN as usize);
-        header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
+        let header = header();
         retry_io(
             "log header write",
             &mut s.retries,
@@ -171,6 +211,50 @@ impl WalWriter {
             || s.io.sync_data(),
         )?;
         Ok(s)
+    }
+
+    /// Moves appends to `spare`, a ready spare ([`prepare_spare`]): the
+    /// next record lands there, with the next epoch. Opens the file and
+    /// nothing more — no `fsync`, rename or directory operation. Under a
+    /// failpoint schedule the header write and sync a fresh log would
+    /// have made are charged to the byte clock here instead, so the write
+    /// stream matches a log created at this point; a fault they fire
+    /// fails the switch and appends stay where they were. If records
+    /// appended to the old file are not yet synced, the next
+    /// [`WalWriter::sync`] syncs that file first.
+    pub fn switch_to(
+        &mut self,
+        spare: &Path,
+        failpoints: Option<&Failpoints>,
+    ) -> Result<(), WalError> {
+        let file = OpenOptions::new().write(true).open(spare)?;
+        let mut io = boxed_io(file, failpoints);
+        let len = io.seek_end().map_err(|e| map_hard(e, "spare log seek"))?;
+        if len != HEADER_LEN {
+            return Err(WalError::Corrupt(format!(
+                "spare log {} holds {len} bytes, not just its header",
+                spare.display()
+            )));
+        }
+        if let Some(fp) = failpoints {
+            let (retries, backoff) = (&mut self.retries, &mut self.backoff_cycles);
+            fp.charge(|ledger| {
+                let header = header();
+                retry_io("log header write", retries, backoff, || {
+                    ledger.write_all(&header)
+                })?;
+                retry_io("log header sync", retries, backoff, || ledger.sync_data())
+            })
+            .1?;
+        }
+        if self.appended_since_sync > 0 {
+            self.behind
+                .push(OpenOptions::new().write(true).open(&self.path)?);
+        }
+        self.io = io;
+        self.path = spare.to_path_buf();
+        self.appended_since_sync = 0;
+        Ok(())
     }
 
     /// Reopens a replayed log for appending: truncates the invalid tail
@@ -202,6 +286,7 @@ impl WalWriter {
             next_epoch,
             retries: 0,
             backoff_cycles: 0,
+            behind: Vec::new(),
         };
         s.io.set_len(replay.valid_len)
             .map_err(|e| map_hard(e, "log truncate"))?;
@@ -271,6 +356,10 @@ impl WalWriter {
 
     /// Forces an `fsync` of everything appended so far.
     pub fn sync(&mut self) -> Result<(), WalError> {
+        for file in self.behind.drain(..) {
+            file.sync_data()
+                .map_err(|e| WalError::SyncFailed(format!("retired log sync: {e}")))?;
+        }
         retry_io(
             "log sync",
             &mut self.retries,
@@ -291,6 +380,18 @@ impl WalReader {
     /// corrupt or non-contiguous frame. `first_epoch` is the epoch the
     /// first record must carry (the snapshot's epoch, for the engines).
     pub fn replay(path: &Path, first_epoch: u64) -> Result<LogReplay, WalError> {
+        Self::scan(path, Some(first_epoch))
+    }
+
+    /// [`WalReader::replay`] from whatever epoch the first record
+    /// carries: the file's contiguous valid prefix, for a caller that
+    /// picks the records it needs (a log file can hold records a snapshot
+    /// already covers ahead of newer ones).
+    pub fn read(path: &Path) -> Result<LogReplay, WalError> {
+        Self::scan(path, None)
+    }
+
+    fn scan(path: &Path, first_epoch: Option<u64>) -> Result<LogReplay, WalError> {
         let mut bytes = Vec::new();
         File::open(path)?.read_to_end(&mut bytes)?;
         if bytes.len() < HEADER_LEN as usize {
@@ -343,7 +444,7 @@ impl WalReader {
                     "checksum mismatch in frame at offset {pos} (epoch {epoch})"
                 ));
             }
-            if epoch != expected {
+            if let Some(expected) = expected.filter(|&e| e != epoch) {
                 break TailState::NonContiguous {
                     found: epoch,
                     expected,
@@ -353,7 +454,7 @@ impl WalReader {
                 epoch,
                 payload: payload.to_vec(),
             });
-            expected += 1;
+            expected = Some(epoch + 1);
             pos += FRAME_LEN + len;
         };
         Ok(LogReplay {
@@ -408,6 +509,85 @@ mod tests {
             }
         );
         std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn read_starts_at_the_first_record() {
+        let p = temp_path("read_any");
+        let mut w = WalWriter::create(&p, SyncPolicy::Never, 7).unwrap();
+        for i in 0..3u8 {
+            w.append(&[i]).unwrap();
+        }
+        let r = WalReader::read(&p).unwrap();
+        assert!(r.tail.is_clean());
+        let epochs: Vec<u64> = r.records.iter().map(|r| r.epoch).collect();
+        assert_eq!(epochs, [7, 8, 9]);
+        std::fs::remove_file(&p).unwrap();
+    }
+
+    #[test]
+    fn switch_to_adopts_a_ready_spare() {
+        let (a, b) = (temp_path("switch_a"), temp_path("switch_b"));
+        let mut w = WalWriter::create(&a, SyncPolicy::EveryN(4), 0).unwrap();
+        prepare_spare(&b).unwrap();
+        assert_eq!(std::fs::metadata(&b).unwrap().len(), HEADER_LEN);
+        for i in 0..3u8 {
+            w.append(&[i]).unwrap();
+        }
+        // Three records are not yet synced: the old file is owed a sync.
+        w.switch_to(&b, None).unwrap();
+        assert_eq!(w.path(), b.as_path());
+        assert_eq!(w.behind.len(), 1);
+        assert_eq!(w.append(&[3]).unwrap(), 3);
+        w.sync().unwrap();
+        assert!(w.behind.is_empty(), "a sync pays what the switch owed");
+
+        let old = WalReader::replay(&a, 0).unwrap();
+        assert_eq!(old.records.len(), 3);
+        let new = WalReader::replay(&b, 3).unwrap();
+        assert!(new.tail.is_clean());
+        assert_eq!(new.records.len(), 1);
+        assert_eq!(new.records[0].payload, vec![3]);
+
+        // A file holding records is no spare; emptying it makes it one.
+        assert!(matches!(w.switch_to(&a, None), Err(WalError::Corrupt(_))));
+        assert_eq!(w.path(), b.as_path(), "a refused switch keeps the log");
+        prepare_spare(&a).unwrap();
+        assert!(WalReader::read(&a).unwrap().records.is_empty());
+        w.switch_to(&a, None).unwrap();
+        w.append(&[4]).unwrap();
+        assert_eq!(WalReader::replay(&a, 4).unwrap().records.len(), 1);
+        std::fs::remove_file(&a).unwrap();
+        std::fs::remove_file(&b).unwrap();
+    }
+
+    #[test]
+    fn switch_charges_the_header_a_fresh_log_writes() {
+        use crate::io::IoFaultKind;
+        let (a, b) = (temp_path("charge_a"), temp_path("charge_b"));
+        let fp = Failpoints::new();
+        let mut w = WalWriter::create_with(&a, SyncPolicy::EveryRecord, 0, Some(&fp)).unwrap();
+        prepare_spare(&b).unwrap();
+        assert_eq!(
+            fp.written(),
+            HEADER_LEN,
+            "the spare is prepared off the clock"
+        );
+        w.switch_to(&b, Some(&fp)).unwrap();
+        assert_eq!(fp.written(), 2 * HEADER_LEN);
+        assert_eq!(std::fs::metadata(&b).unwrap().len(), HEADER_LEN);
+
+        // A fault in the charged header fails the switch, as it would
+        // have failed creating a fresh log.
+        fp.schedule(fp.written(), IoFaultKind::SyncFail);
+        prepare_spare(&a).unwrap();
+        assert!(matches!(
+            w.switch_to(&a, Some(&fp)),
+            Err(WalError::SyncFailed(_))
+        ));
+        assert_eq!((fp.injected(), w.path()), (1, b.as_path()));
+        std::fs::remove_file(&a).unwrap();
+        std::fs::remove_file(&b).unwrap();
     }
 
     #[test]

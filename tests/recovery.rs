@@ -1065,3 +1065,388 @@ fn recovery_refuses_mismatched_directory() {
     std::fs::remove_dir_all(&gamma_dir).expect("cleanup");
     std::fs::remove_dir_all(&sharded_dir).expect("cleanup");
 }
+
+// ---------------------------------------------------------------------------
+// Automatic snapshots off the batch path: the hand-off to a background
+// writer, the two log files it alternates between, and its failures.
+// ---------------------------------------------------------------------------
+
+/// The workload of the cells below: the matrix's GH preset with a Dense
+/// query, and the uninterrupted engine's deltas.
+fn handoff_workload(seed: u64) -> (DynamicGraph, QueryGraph, Vec<Vec<Update>>, Vec<Delta>) {
+    let dataset = DatasetPreset::GH.build(0.04, seed);
+    let mut start = dataset.graph.clone();
+    let batches = build_workload(&mut start, seed.wrapping_mul(0x9e37));
+    let q = gamma::datasets::generate_queries(&start, QueryClass::Dense, 4, 1, seed ^ 0x51_f1ed)
+        .pop()
+        .expect("query extractable");
+    let mut engine = GammaEngine::new(start.clone(), &q, gamma_config());
+    let reference = batches
+        .iter()
+        .map(|b| engine.apply_batch(b).into())
+        .collect();
+    assert!(batches.len() >= 4, "the cells need two automatic snapshots");
+    (start, q, batches, reference)
+}
+
+/// Bytes one batch's log record adds to the write stream: its frame
+/// header (length, epoch, CRC) and the encoded batch.
+fn record_len(batch: &[Update]) -> u64 {
+    16 + gamma::wal::codec::updates_to_bytes(batch).len() as u64
+}
+
+fn log_records(dir: &std::path::Path, file: &str) -> Vec<u64> {
+    gamma::wal::WalReader::read(&dir.join(file))
+        .expect("read a log file")
+        .records
+        .iter()
+        .map(|r| r.epoch)
+        .collect()
+}
+
+/// Automatic snapshots every 2 batches: the batch at each multiple hands
+/// the snapshot off and the log switches files, the file it left is
+/// emptied once the snapshot is durable, and dropping the engine right
+/// after a hand-off finishes that snapshot, so recovery starts from it.
+#[test]
+fn recovery_automatic_snapshots_alternate_log_files() {
+    let (start, q, batches, reference) = handoff_workload(311);
+    let dir = temp_dir("alternate_311");
+    let dura = || DurabilityConfig {
+        sync: SyncPolicy::EveryRecord,
+        snapshot_every: Some(2),
+        ..DurabilityConfig::new(&dir)
+    };
+    let mut d = DurableGammaEngine::create(start.clone(), &q, gamma_config(), dura())
+        .expect("create durable engine");
+    let mut files = Vec::new();
+    for (i, b) in batches.iter().take(4).enumerate() {
+        let got: Delta = d.apply_batch(b).expect("logged apply").into();
+        assert_eq!(got, reference[i], "diverges at {i}");
+        if i < 3 {
+            assert!(d.snapshot_failure().is_none(), "snapshot at {i} failed");
+            files.push((log_records(&dir, "wal.log"), log_records(&dir, "wal.1.log")));
+        }
+    }
+    assert_eq!(
+        files,
+        [
+            (vec![0], vec![]),
+            // Snapshot 2 is durable: the log moved on, its old file is empty.
+            (vec![], vec![]),
+            (vec![], vec![2]),
+        ]
+    );
+    // Batch 3 handed off snapshot 4; the drop finishes it.
+    drop(d);
+    let (mut d, report) = DurableGammaEngine::recover(&q, gamma_config(), dura()).expect("recover");
+    assert_eq!(
+        report.snapshot_epoch, 4,
+        "the dropped engine's last snapshot"
+    );
+    assert!(report.replayed.is_empty() && report.clean);
+    assert_eq!(log_records(&dir, "wal.1.log"), Vec::<u64>::new());
+    for (i, b) in batches.iter().enumerate().skip(4) {
+        let got: Delta = d.apply_batch(b).expect("logged apply").into();
+        assert_eq!(got, reference[i], "diverges post-recovery at {i}");
+    }
+    drop(d);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// Bytes of the first automatic snapshot's file: the write stream of a
+/// fault-free run around the batch that hands it off, less that batch's
+/// record and the spare's header.
+fn first_snapshot_len(start: &DynamicGraph, q: &QueryGraph, batches: &[Vec<Update>]) -> u64 {
+    let fp = Failpoints::new();
+    let dir = temp_dir("snapshot_len");
+    let dura = DurabilityConfig {
+        sync: SyncPolicy::EveryN(3),
+        snapshot_every: Some(2),
+        failpoints: Some(fp.clone()),
+        ..DurabilityConfig::new(&dir)
+    };
+    let mut d = DurableGammaEngine::create(start.clone(), q, gamma_config(), dura)
+        .expect("create durable engine");
+    d.apply_batch(&batches[0]).expect("logged apply");
+    let before = fp.written();
+    d.apply_batch(&batches[1]).expect("logged apply");
+    let len = fp.written() - before - record_len(&batches[1]) - 8;
+    drop(d);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+    len
+}
+
+/// An automatic snapshot whose background write is torn at its first,
+/// middle or last byte, then a crash one batch later. The batch that
+/// handed it off still returns its delta; recovery starts from the
+/// snapshot before it and replays the batches of both log files; and
+/// every delta, after recovery too, equals the uninterrupted run's.
+#[test]
+fn chaos_torn_automatic_snapshot_recovers_across_both_logs() {
+    let (start, q, batches, reference) = handoff_workload(307);
+    let snapshot_len = first_snapshot_len(&start, &q, &batches);
+    for keep in [0, snapshot_len / 2, snapshot_len - 1] {
+        let fp = Failpoints::new();
+        let dir = temp_dir(&format!("chaos_torn_307_{keep}"));
+        let dura = || DurabilityConfig {
+            sync: SyncPolicy::EveryN(3),
+            snapshot_every: Some(2),
+            failpoints: Some(fp.clone()),
+            ..DurabilityConfig::new(&dir)
+        };
+        let kill_at = 3;
+        {
+            let mut d = DurableGammaEngine::create(start.clone(), &q, gamma_config(), dura())
+                .expect("create durable engine");
+            for (i, b) in batches.iter().take(kill_at).enumerate() {
+                if i == 1 {
+                    // The snapshot's bytes follow this batch's record.
+                    let at = fp.written() + record_len(b);
+                    fp.schedule(at, IoFaultKind::ShortWrite { keep });
+                }
+                let got: Delta = d.apply_batch(b).expect("logged apply").into();
+                assert_eq!(got, reference[i], "keep {keep}: diverges pre-kill at {i}");
+            }
+            assert!(
+                matches!(d.snapshot_failure(), Some(WalError::Io(_))),
+                "keep {keep}: the torn snapshot is reported"
+            );
+            assert_eq!(fp.injected(), 1);
+            // Kill. The first file keeps the batches the lost snapshot
+            // would have covered; the second holds the batch after it.
+        }
+        assert_eq!(log_records(&dir, "wal.log"), [0, 1]);
+        assert_eq!(log_records(&dir, "wal.1.log"), [2]);
+        let (mut d, report) = DurableGammaEngine::recover(&q, gamma_config(), dura())
+            .expect("recover across both logs");
+        assert_eq!(report.snapshot_epoch, 0, "keep {keep}: previous snapshot");
+        check_recovery(&format!("torn[{keep}]"), &report, &reference, kill_at);
+        for (i, b) in batches.iter().enumerate().skip(kill_at) {
+            let got: Delta = d.apply_batch(b).expect("logged apply").into();
+            assert_eq!(
+                got, reference[i],
+                "keep {keep}: diverges post-recovery at {i}"
+            );
+        }
+        drop(d);
+        let (_, report) =
+            DurableGammaEngine::recover(&q, gamma_config(), dura()).expect("second recovery");
+        assert_eq!(report.recovered_epoch, batches.len() as u64);
+        assert!(report.snapshot_epoch >= kill_at as u64);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+}
+
+/// An automatic snapshot whose tmp-file fsync fails: the batch that
+/// handed it off still returns `Ok` with its delta, `snapshot_failure`
+/// reports the failure, the next automatic snapshot succeeds and clears
+/// it, and recovery reaches every batch.
+#[test]
+fn chaos_failed_automatic_snapshot_is_reported_and_retried() {
+    let (start, q, batches, reference) = handoff_workload(308);
+    let fp = Failpoints::new();
+    let dir = temp_dir("chaos_autosync_308");
+    let dura = || DurabilityConfig {
+        sync: SyncPolicy::EveryRecord,
+        snapshot_every: Some(2),
+        failpoints: Some(fp.clone()),
+        ..DurabilityConfig::new(&dir)
+    };
+    let mut d = DurableGammaEngine::create(start.clone(), &q, gamma_config(), dura())
+        .expect("create durable engine");
+    for (i, b) in batches.iter().enumerate() {
+        if i == 1 {
+            // Past this batch's record and its own fsync: the first sync
+            // after it is the snapshot's.
+            fp.schedule(fp.written() + record_len(b) + 1, IoFaultKind::SyncFail);
+        }
+        let got: Delta = d
+            .apply_batch(b)
+            .expect("a logged and applied batch returns its delta")
+            .into();
+        assert_eq!(got, reference[i], "diverges at {i}");
+        match i {
+            1 => assert!(
+                matches!(d.snapshot_failure(), Some(WalError::SyncFailed(_))),
+                "the failed snapshot is reported"
+            ),
+            3 => assert!(
+                d.snapshot_failure().is_none(),
+                "the next automatic snapshot succeeds"
+            ),
+            _ => {}
+        }
+    }
+    assert_eq!(fp.injected(), 1);
+    drop(d);
+    let (d, report) = DurableGammaEngine::recover(&q, gamma_config(), dura()).expect("recover");
+    assert_eq!(report.snapshot_epoch, 4, "recovery starts from the retry");
+    check_recovery("auto-sync-fail", &report, &reference, batches.len());
+    drop(d);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// A directory sync that fails after an explicit snapshot's rename: the
+/// new snapshot may not survive a crash, so `snapshot` reports
+/// `SyncFailed` and keeps the log file it would have emptied, and
+/// recovery still reaches every batch.
+#[test]
+fn chaos_snapshot_dir_sync_failure_is_reported() {
+    let (start, q, batches, reference) = handoff_workload(310);
+    let fp = Failpoints::new();
+    let dir = temp_dir("chaos_dirsync_310");
+    let dura = || DurabilityConfig {
+        sync: SyncPolicy::EveryN(3),
+        snapshot_every: None,
+        failpoints: Some(fp.clone()),
+        ..DurabilityConfig::new(&dir)
+    };
+    let mut d = DurableShardedEngine::create(start.clone(), &q, sharded_config(), dura())
+        .expect("create durable engine");
+    for (i, b) in batches.iter().enumerate() {
+        let got: Delta = d.apply_batch(b).expect("logged apply").into();
+        assert_eq!(got, reference[i], "diverges at {i}");
+    }
+    fp.schedule(fp.written(), IoFaultKind::DirSyncFail);
+    let err = d
+        .snapshot()
+        .expect_err("an unconfirmed rename must surface");
+    assert!(
+        matches!(err, WalError::SyncFailed(_)),
+        "expected SyncFailed, got {err:?}"
+    );
+    assert_eq!(fp.injected(), 1, "exactly the scheduled fault fired");
+    let every: Vec<u64> = (0..batches.len() as u64).collect();
+    assert_eq!(log_records(&dir, "wal.log"), every, "the old log is kept");
+    drop(d);
+
+    let (mut d, report) =
+        DurableShardedEngine::recover(&q, sharded_config(), dura()).expect("recover");
+    assert_eq!(report.recovered_epoch, batches.len() as u64);
+    check_recovery("dir-sync", &report, &reference, batches.len());
+    d.snapshot().expect("the next snapshot succeeds");
+    drop(d);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}
+
+/// One fault schedule over a run with automatic snapshots every 2
+/// batches — transient log faults and a torn automatic snapshot — then a
+/// crash, a recovery under the same schedule and the rest of the stream,
+/// run twice. The background writes never touch the byte clock, so both
+/// runs fire the same faults at the same offsets, report the same
+/// recovery and leave the same files.
+#[test]
+fn chaos_automatic_snapshot_schedule_replays_bit_exactly() {
+    let (start, q, batches, reference) = handoff_workload(309);
+    let run = |tag: &str| {
+        let fp = Failpoints::new();
+        let dir = temp_dir(&format!("chaos_replay_309_{tag}"));
+        let dura = || DurabilityConfig {
+            sync: SyncPolicy::EveryN(3),
+            snapshot_every: Some(2),
+            failpoints: Some(fp.clone()),
+            ..DurabilityConfig::new(&dir)
+        };
+        let kill_at = 3;
+        let mut d = DurableGammaEngine::create(start.clone(), &q, gamma_config(), dura())
+            .expect("create durable engine");
+        let base = fp.written();
+        let first_two = record_len(&batches[0]) + record_len(&batches[1]);
+        fp.schedule(base + 5, IoFaultKind::WriteTransient { times: 2 });
+        fp.schedule(base + first_two + 40, IoFaultKind::ShortWrite { keep: 7 });
+        fp.schedule(
+            base + first_two + 100,
+            IoFaultKind::SyncTransient { times: 3 },
+        );
+        for (i, b) in batches.iter().take(kill_at).enumerate() {
+            let got: Delta = d.apply_batch(b).expect("logged apply").into();
+            assert_eq!(got, reference[i], "{tag}: diverges pre-kill at {i}");
+        }
+        assert!(d.snapshot_failure().is_some(), "{tag}: the torn snapshot");
+        drop(d);
+        let (mut d, report) =
+            DurableGammaEngine::recover(&q, gamma_config(), dura()).expect("recover");
+        let replayed: Vec<Delta> = report.replayed.into_iter().map(Delta::from).collect();
+        for (i, b) in batches.iter().enumerate().skip(kill_at) {
+            let got: Delta = d.apply_batch(b).expect("logged apply").into();
+            assert_eq!(got, reference[i], "{tag}: diverges post-recovery at {i}");
+        }
+        drop(d);
+        let files: Vec<Vec<u8>> = ["wal.log", "wal.1.log", "snapshot.bin"]
+            .iter()
+            .map(|f| std::fs::read(dir.join(f)).expect("read a durable file"))
+            .collect();
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        let report = (
+            report.snapshot_epoch,
+            report.recovered_epoch,
+            report.clean,
+            replayed,
+        );
+        (report, fp.injected(), fp.written(), files)
+    };
+    let first = run("a");
+    assert!(first.1 >= 4, "the schedule fired {} faults", first.1);
+    assert!(first == run("b"), "a second run of the schedule diverged");
+}
+
+/// Two snapshot failures in a row leave both log files holding records:
+/// snapshot 2's tmp fsync fails, so the first file keeps batches 0–1 and
+/// the log moves on; snapshot 4 finds no ready spare, so its batches stay
+/// in the second file, and its directory sync fails after the rename.
+/// Every record is then one the snapshot covers, in both files: recovery
+/// replays nothing, empties a file to take the appends, and the stream
+/// continues exactly.
+#[test]
+fn chaos_covered_records_in_both_logs_recover() {
+    let (start, q, mut batches, _) = handoff_workload(312);
+    // Four batches, then the last again: one batch after the crash.
+    batches.truncate(4);
+    batches.push(batches[3].clone());
+    let mut engine = GammaEngine::new(start.clone(), &q, gamma_config());
+    let reference: Vec<Delta> = batches
+        .iter()
+        .map(|b| engine.apply_batch(b).into())
+        .collect();
+    let fp = Failpoints::new();
+    let dir = temp_dir("chaos_covered_312");
+    let dura = || DurabilityConfig {
+        sync: SyncPolicy::EveryRecord,
+        snapshot_every: Some(2),
+        failpoints: Some(fp.clone()),
+        ..DurabilityConfig::new(&dir)
+    };
+    let mut d = DurableGammaEngine::create(start.clone(), &q, gamma_config(), dura())
+        .expect("create durable engine");
+    for (i, b) in batches.iter().take(4).enumerate() {
+        if i == 1 {
+            // Snapshot 2 stops at its tmp fsync, before any directory
+            // sync, so the second fault waits for snapshot 4's.
+            let at = fp.written() + record_len(b) + 1;
+            fp.schedule(at, IoFaultKind::SyncFail);
+            fp.schedule(at, IoFaultKind::DirSyncFail);
+        }
+        let got: Delta = d.apply_batch(b).expect("logged apply").into();
+        assert_eq!(got, reference[i], "diverges at {i}");
+    }
+    assert!(matches!(
+        d.snapshot_failure(),
+        Some(WalError::SyncFailed(_))
+    ));
+    assert_eq!(fp.injected(), 2);
+    drop(d);
+    assert_eq!(log_records(&dir, "wal.log"), [0, 1]);
+    assert_eq!(log_records(&dir, "wal.1.log"), [2, 3]);
+
+    let (mut d, report) = DurableGammaEngine::recover(&q, gamma_config(), dura()).expect("recover");
+    assert_eq!((report.snapshot_epoch, report.recovered_epoch), (4, 4));
+    assert!(report.replayed.is_empty());
+    let got: Delta = d.apply_batch(&batches[4]).expect("logged apply").into();
+    assert_eq!(got, reference[4], "diverges after recovery");
+    drop(d);
+    let (_, report) = DurableGammaEngine::recover(&q, gamma_config(), dura()).expect("recover");
+    assert_eq!(report.recovered_epoch, 5);
+    check_recovery("covered", &report, &reference, 5);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+}

@@ -59,10 +59,10 @@
 //! *conflicts* with the trace is refused with exit code 2 (the same
 //! convention as the baseline parameter check). Replayed work is
 //! bit-identical across hosts, so the `sim_cycles` column becomes a
-//! drift-immune regression signal: single-device cells replay within the
-//! 10% algorithmic-drift tolerance, and multi-shard cells replay to the
-//! **exact** cycle count at 0% tolerance — the sharded engine's
-//! virtual-time executor makes every scheduling decision (and therefore
+//! drift-immune regression signal: every cell replays to the **exact**
+//! cycle count, and the gate's one ceiling is its baseline's count, at 0%
+//! tolerance — the device's block scheduler and the sharded engine's
+//! virtual-time executor make every scheduling decision (and therefore
 //! every cycle of accounting) a pure function of the replayed work.
 //!
 //! ## CI perf-regression gate
@@ -80,8 +80,8 @@
 //! signal for triage.
 //!
 //! Under `--replay-trace` the gate additionally checks the deterministic
-//! columns: any cell whose `sim_cycles` grew more than 10% over the
-//! baseline, or whose match count differs from the baseline's at all,
+//! columns: any cell whose `sim_cycles` grew at all over the baseline,
+//! or whose match count differs from the baseline's at all,
 //! fails immediately, with no re-measure (determinism means a retry
 //! cannot differ). A replay that is not narrowed by `--dataset` or
 //! `--class` must also measure every baseline cell: a cell it did not
@@ -130,15 +130,12 @@ use gamma_wal::{PresetTrace, Trace, TraceParams, WorkloadTrace};
 const REGRESSION_TOLERANCE: f64 = 0.30;
 
 /// The deterministic gate's tolerated sim-cycle growth under a trace
-/// replay (fraction of baseline). Much tighter than the wall-clock gate:
-/// replayed work is bit-identical, so past the multi-shard scheduler
-/// jitter (sub-percent) any growth is a real code change.
-const SIM_CYCLE_TOLERANCE: f64 = 0.10;
-
-/// The sharded cells' replayed sim-cycles are *exactly* reproducible —
-/// the virtual-time executor has no scheduler jitter — so their replay
-/// tolerance is zero: a single cycle of drift is a real code change.
-const SHARD_SIM_CYCLE_TOLERANCE: f64 = 0.0;
+/// replay (fraction of baseline), on every cell. Replayed work is
+/// bit-identical on every engine — the device's blocks and the shard
+/// executor's virtual-time scheduler alike have no jitter — so the
+/// tolerance is zero: a single cycle of growth is a real code change, and
+/// a change that lowers a cell re-pins it.
+const SIM_CYCLE_TOLERANCE: f64 = 0.0;
 
 /// Same-run floor for the SHARD4 / WBM churn throughput ratio on dense
 /// query classes (slightly under 1.0 to absorb wall-clock measurement
@@ -1183,14 +1180,7 @@ fn check_regressions(
         if sim_gate {
             if let Some(bs) = b.sim_cycles.filter(|&bs| bs > 0.0) {
                 report.sim_cycles += 1;
-                // Sharded cells replay bit-exactly (virtual-time executor);
-                // single-device cells keep the algorithmic-drift headroom.
-                let tol = if b.engine.starts_with("SHARD") {
-                    SHARD_SIM_CYCLE_TOLERANCE
-                } else {
-                    SIM_CYCLE_TOLERANCE
-                };
-                let ceiling = bs * (1.0 + tol);
+                let ceiling = bs * (1.0 + SIM_CYCLE_TOLERANCE);
                 if s.sim_cycles as f64 > ceiling {
                     report.violations.push(Violation {
                         msg: format!(
@@ -1609,7 +1599,8 @@ fn main() -> ExitCode {
                 REGRESSION_TOLERANCE * 100.0,
                 if sim_gate {
                     format!(
-                        ", >{:.0}% sim-cycle growth, a changed match count or an unmeasured cell",
+                        ", >{:.0}% sim-cycle growth on any cell, a changed match count or an \
+                         unmeasured cell",
                         SIM_CYCLE_TOLERANCE * 100.0
                     )
                 } else {

@@ -29,7 +29,11 @@
 //!    `fsync`, rename or directory operation), and a background thread
 //!    writes the image to a tmp file, syncs it, renames it over
 //!    `snapshot.bin`, syncs the directory, and only then empties the file
-//!    the log left as the next spare. Every snapshot takes this path —
+//!    the log left as the next spare. A log that holds no record yet (a
+//!    fresh one, or one just switched to) stays where it is, and the spare
+//!    stays ready, so a run of snapshots with no batch between them, such
+//!    as a serving registry's registrations, switches no file and prepares
+//!    no spare. Every snapshot takes this path —
 //!    automatic ones ([`DurabilityConfig::snapshot_every`]), explicit
 //!    [`Durable::snapshot`] calls and the registry's registrations — and
 //!    the explicit and registration snapshots then wait for the thread,
@@ -47,10 +51,10 @@
 //!    never fails the batch that handed it off (that batch is logged and
 //!    applied), is reported by [`Durable::snapshot_failure`], and the next
 //!    one retries. Under a [`Failpoints`] schedule the snapshot's bytes,
-//!    its syncs and the spare's header are charged to the byte clock at
-//!    the hand-off, in the order an inline snapshot and a fresh log would
-//!    write them, so a chaos run replays bit-exactly whatever the
-//!    background thread's timing.
+//!    its syncs and, when the log switches, the spare's header are charged
+//!    to the byte clock at the hand-off, in the order an inline snapshot
+//!    and a fresh log would write them, so a chaos run replays bit-exactly
+//!    whatever the background thread's timing.
 //! 3. **Recover = snapshot + log tail.** Recovery restores the snapshot on
 //!    the executor the configuration names — sections that do not fit it
 //!    (another executor, another shard count) are [`WalError::Corrupt`] —
@@ -354,9 +358,11 @@ impl<V: DurableView> Durable<V> {
 
     /// Hands a snapshot at the current epoch to a background thread: waits
     /// for the previous one, encodes this one's file image, and switches
-    /// the log to the spare when the spare is ready. The thread writes,
-    /// syncs and renames the snapshot, syncs the directory, and only then
-    /// empties the file the log switched away from as the next spare.
+    /// the log to the spare when the spare is ready and the log holds a
+    /// record. The thread writes, syncs and renames the snapshot, syncs the
+    /// directory, and only then empties the file the log switched away
+    /// from as the next spare. A log that holds no record stays where it
+    /// is: a switch would only leave an empty file to prepare again.
     /// Under a failpoint schedule the snapshot's writes and the spare's
     /// header are charged to the byte clock here, in the order an inline
     /// snapshot and a fresh log would write them. An error here is a
@@ -370,7 +376,7 @@ impl<V: DurableView> Durable<V> {
         let staged = self
             .encode_snapshot()
             .stage(&self.file(SNAPSHOT_FILE), failpoints);
-        let switched = if self.spare_ready {
+        let switched = if self.spare_ready && !self.wal.is_empty() {
             let spare = self.file(LOG_FILES[1 - self.active]);
             let switched = self.wal.switch_to(&spare, failpoints);
             if switched.is_ok() {
@@ -868,6 +874,46 @@ fn decode_resident(bytes: &[u8]) -> Result<Vec<bool>, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Registrations on a fresh log snapshot without a switch: the log
+    /// holds no record, so each leaves the active file and the ready spare
+    /// as they were, header-only. Once a batch is logged, the next
+    /// registration switches.
+    #[test]
+    fn registrations_on_a_fresh_log_leave_both_files() {
+        let dir = std::env::temp_dir().join(format!("gamma_fresh_log_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut g = DynamicGraph::new();
+        for _ in 0..4 {
+            g.add_vertex(0);
+        }
+        g.insert_edge(0, 1, 0);
+        g.insert_edge(1, 2, 0);
+        let mut b = QueryGraph::builder();
+        let (u0, u1) = (b.vertex(0), b.vertex(0));
+        b.edge(u0, u1);
+        let q = b.build();
+        let mut d =
+            DurableQueryRegistry::create(g, GammaConfig::default(), DurabilityConfig::new(&dir))
+                .unwrap();
+        let header_only = |i: usize| {
+            let log = WalReader::read(&dir.join(LOG_FILES[i])).unwrap();
+            log.records.is_empty() && log.tail.is_clean()
+        };
+        for n in 1..=3 {
+            d.register(&q, QueryConfig::default()).unwrap();
+            assert_eq!((d.active, d.spare_ready), (0, true), "registration {n}");
+            assert!(
+                d.wal.is_empty() && header_only(0) && header_only(1),
+                "registration {n}"
+            );
+        }
+        d.apply_batch(&[Update::insert(2, 3)]).unwrap();
+        d.register(&q, QueryConfig::default()).unwrap();
+        assert_eq!((d.active, d.spare_ready), (1, true));
+        assert!(header_only(0) && header_only(1));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn resident_bitmap_roundtrip() {

@@ -89,5 +89,6 @@ pub use registry::{
 };
 pub use shard::{
     Partition, PartitionStrategy, ShardStats, ShardStealing, ShardedConfig, ShardedEngine,
+    UNIT_SPLIT_BUDGET,
 };
 pub use wbm::{QueryMeta, SeedPlan, WbmTask};

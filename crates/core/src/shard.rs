@@ -57,18 +57,20 @@
 //! * **Units that split** — a unit (an anchor's seed sweep, an arrived
 //!   migrant's subtree, or a part split off a unit) is one search of that
 //!   kernel on one warp context. With device stealing on, a unit that has
-//!   spent `gamma_gpu::SPLIT_BUDGET` (65,536) cycles since it started or
-//!   last split hands off whatever its task offers, through the split a
-//!   device thief takes, and a device block past that budget too
-//!   (`WarpTask::try_split`: half the shallowest frame with two
-//!   or more unexplored candidates and no count-only memo, else half the
-//!   pending partials, else half the unstarted seeds). The part becomes a
-//!   new unit of the same shard, ready at the unit's start plus the cycle
-//!   offset at which it left, so a phase does not wait for its heaviest
-//!   anchor on one lane. A shard's lanes span SMs and share no shared
-//!   memory, so the hand-off is one coalesced global transfer of the part
-//!   on each side. With device stealing off every unit runs whole, as the
-//!   device's warps do.
+//!   spent [`UNIT_SPLIT_BUDGET`] (12,288) cycles since it started or last
+//!   split hands off whatever its task offers as soon as it offers any,
+//!   through the split a device thief takes (`WarpTask::try_split`: half
+//!   the shallowest frame with two or more unexplored candidates and no
+//!   count-only memo, else half the pending partials, else half the
+//!   unstarted seeds). A device block splits by the same rule, but every
+//!   `gamma_gpu::SPLIT_BUDGET` (65,536) cycles, since a split block
+//!   occupies a new SM. The part becomes a new unit of the same shard,
+//!   ready at the unit's start plus the cycle offset at which it left, so
+//!   a phase does not wait for its heaviest anchor on one lane. A shard's
+//!   lanes span SMs and share no shared memory, so the hand-off is one
+//!   coalesced global transfer of the offer's words on each side, as a
+//!   block split's. With device stealing off every unit runs whole, as
+//!   the device's warps do.
 //! * **Host work on both launch threads** — a unit's outcome (its cycles,
 //!   counter deltas, matches, the migrants it ships, in order, and the
 //!   parts it split off) depends only on the unit and the shard that runs
@@ -78,15 +80,20 @@
 //!   anchor unit runs ahead, then every part it split off and theirs in
 //!   turn, as one job per anchor, on the calling thread and the
 //!   process-wide launch pool ([`gamma_gpu::run_jobs`]) that serves device
-//!   launches. The scheduler, on the calling thread alone, commits each
-//!   outcome when it reaches the unit and queues the unit's parts with
-//!   their outcomes; migrant units (and their parts) run inline. Lane
+//!   launches. A job's outcomes are flat: one record per unit (offset,
+//!   cycles, count, counters) in one buffer, in the order the units ran,
+//!   and their matches and migrants in two more, addressed by range. The
+//!   scheduler, on the calling thread alone, commits each record when it
+//!   reaches the unit and queues the unit's parts as references to their
+//!   records; migrant units (and their parts) run inline into buffers of
+//!   their own, and a buffer is freed once its last record commits. Lane
 //!   stamps, the fabric, steals, the sink and every cycle counter see the
-//!   sequence a one-thread run sees. A fail-stop discards every outcome
+//!   sequence a one-thread run sees. A fail-stop discards every record
 //!   not yet committed, queued parts' included, since it changes the
-//!   partition and residency they read: a discarded part reruns from a
-//!   copy kept under a fault plan. Each outcome carries the failover epoch
-//!   it was computed under, and debug builds assert it at the commit.
+//!   partition and residency they read: a discarded unit reruns from the
+//!   work its record keeps under a fault plan. Each buffer carries the
+//!   failover epoch its records were computed under, and debug builds
+//!   assert it at the commit.
 //!
 //! Results are bit-identical to [`GammaEngine`](crate::GammaEngine):
 //! candidate generation at any level reads complete local information
@@ -629,11 +636,11 @@ pub struct ShardStats {
     /// migrants) reassigned to survivors by failovers.
     pub requeued_units: u64,
     /// Parts split off units: with device stealing on, a unit that has
-    /// run 65,536 cycles (`gamma_gpu::SPLIT_BUDGET`) since it started or
-    /// last split hands what a device thief would take (half of one DFS
-    /// level's unexplored candidates, of its pending partials or of its
-    /// unstarted seeds) to a new unit of its shard. Counted when the unit
-    /// that split commits.
+    /// run [`UNIT_SPLIT_BUDGET`] (12,288) cycles since it started or last
+    /// split hands what a device thief would take (half of one DFS level's
+    /// unexplored candidates, of its pending partials or of its unstarted
+    /// seeds) to a new unit of its shard as soon as its task offers any.
+    /// Counted when the unit that split commits.
     pub unit_splits: u64,
 }
 
@@ -808,35 +815,131 @@ impl Residency {
     }
 }
 
-/// What one unit did: its cycles, its counter deltas, its matches and
-/// match count, the migrants it ships, in order — `(owner shard,
-/// migrant)` — and the parts it split off, each with its own outcome. The
-/// scheduler commits it when it reaches the unit and queues its parts.
-struct UnitOut {
-    /// The failover epoch (the phase's failover count) it was computed
-    /// under. A fail-stop discards every outcome not yet committed, so a
-    /// commit only ever sees the current epoch.
-    epoch: u64,
+/// One unit's outcome, a flat record in an [`Outcomes`] buffer: its
+/// cycles, its counter deltas and its match count, and where its matches,
+/// its migrants and its parts' records lie in the buffer. The scheduler
+/// commits it when it reaches the unit and queues its parts.
+#[derive(Clone, Copy)]
+struct Rec {
+    /// For a part, the cycles into its unit at which it left: it is ready
+    /// at the unit's start plus this. 0 for the buffer's first unit.
+    offset: u64,
     cycles: u64,
+    count: u64,
     global_transactions: u64,
     shared_accesses: u64,
     buf_reuse: u64,
     buf_alloc: u64,
-    matches: Vec<VMatch>,
-    count: u64,
-    migrants: Vec<(usize, Migrant)>,
-    parts: Vec<PartOut>,
+    /// The ends of its matches and its migrants in the buffer's: each
+    /// record's start where the record before it ends.
+    matches_end: u32,
+    migrants_end: u32,
+    /// Records in its subtree, itself included: its parts' records follow
+    /// it in the order it split them off, each followed by its own
+    /// subtree.
+    span: u32,
 }
 
-/// A part split off a unit, run ahead with it.
-struct PartOut {
-    /// Cycles into the unit at which the part left: it is ready at the
-    /// unit's start plus this.
-    offset: u64,
-    /// A copy of the part as it left, to rerun it once a fail-stop has
-    /// discarded `out`. Kept only under a fault plan.
-    kept: Option<Part>,
-    out: UnitOut,
+/// The outcomes of one unit run ahead (an anchor's in the wave, or a unit
+/// run inline) and of every part it and its parts split off, one [`Rec`]
+/// each in the order they ran: the unit, then each part's subtree in turn.
+/// Their matches and migrants (`(owner shard, migrant)`) lie in one buffer
+/// each, in the same order.
+#[derive(Default)]
+struct Outcomes {
+    /// The failover epoch (the phase's failover count) the records were
+    /// computed under. A fail-stop discards every buffer, so a commit only
+    /// ever sees the current epoch.
+    epoch: u64,
+    recs: Vec<Rec>,
+    matches: Vec<VMatch>,
+    migrants: Vec<(usize, Migrant)>,
+    /// Under a fault plan, what each record's unit reruns once a fail-stop
+    /// has discarded the buffer: an anchor's update edge, a part's copy as
+    /// it left. `None` for a unit run inline, which commits at once; empty
+    /// without a fault plan.
+    kept: Vec<Option<UnitWork>>,
+    /// Records not yet committed.
+    left: u32,
+}
+
+/// An index of an outcome buffer, or into one, as stored: a `u32`.
+fn index32(n: usize) -> u32 {
+    u32::try_from(n).expect("a unit's outcomes fit u32 indices")
+}
+
+impl Outcomes {
+    /// Runs `work` on `shard` under failover `epoch`, and then, depth-first
+    /// on the same thread, every part it split off and theirs. `kept` is
+    /// what the unit reruns after a fail-stop (see [`Outcomes::kept`]). A
+    /// part takes at most half of what its unit had left of one DFS
+    /// level's candidates, its pending partials or its unstarted seeds, so
+    /// the recursion is only as deep as the logarithms of those sizes add
+    /// up to, however long the unit runs.
+    fn run(
+        sh: &KernelShared,
+        shard: usize,
+        work: UnitWork,
+        kept: Option<UnitWork>,
+        cfg: UnitCfg,
+        epoch: u64,
+    ) -> Self {
+        let mut out = Outcomes {
+            epoch,
+            recs: Vec::with_capacity(1),
+            ..Outcomes::default()
+        };
+        out.push(sh, shard, work, 0, kept, cfg);
+        out.recs.shrink_to_fit();
+        out.left = index32(out.recs.len());
+        out
+    }
+
+    /// Runs one unit ([`wbm::run_unit`]), metered on a fresh [`WarpCtx`],
+    /// appends its record, and then its parts' subtrees.
+    fn push(
+        &mut self,
+        sh: &KernelShared,
+        shard: usize,
+        work: UnitWork,
+        offset: u64,
+        kept: Option<UnitWork>,
+        cfg: UnitCfg,
+    ) {
+        let mut ctx = WarpCtx::new(cfg.cost, cfg.warp_size);
+        let run = wbm::run_unit(sh, shard, work, cfg.split, &mut ctx);
+        self.matches.extend(run.matches);
+        self.migrants.extend(run.migrants);
+        let at = self.recs.len();
+        self.recs.push(Rec {
+            offset,
+            cycles: run.cycles,
+            count: run.count,
+            global_transactions: ctx.global_transactions,
+            shared_accesses: ctx.shared_accesses,
+            buf_reuse: ctx.buf_reuse,
+            buf_alloc: ctx.buf_alloc,
+            matches_end: index32(self.matches.len()),
+            migrants_end: index32(self.migrants.len()),
+            span: 1,
+        });
+        if cfg.keep {
+            self.kept.push(kept);
+        }
+        for (offset, part) in run.parts {
+            let kept = cfg.keep.then(|| UnitWork::Part(part.clone()));
+            self.push(sh, shard, UnitWork::Part(part), offset, kept, cfg);
+        }
+        self.recs[at].span = index32(self.recs.len() - at);
+    }
+
+    /// Where record `rec`'s matches and migrants start.
+    fn starts(&self, rec: usize) -> (usize, usize) {
+        rec.checked_sub(1).map_or((0, 0), |p| {
+            let r = &self.recs[p];
+            (r.matches_end as usize, r.migrants_end as usize)
+        })
+    }
 }
 
 /// How a phase's units run.
@@ -847,47 +950,35 @@ struct UnitCfg {
     /// Whether units split ([`wbm::run_unit`]): device stealing is on.
     /// `false` runs every unit whole.
     split: bool,
-    /// Keep a copy of every part: under a fault plan a fail-stop may
-    /// discard a part's outcome before it commits.
-    keep_parts: bool,
-}
-
-/// Runs one unit on `shard` ([`wbm::run_unit`]), metered on a fresh
-/// [`WarpCtx`], and then, on the same thread, every part it split off:
-/// its outcome under failover `epoch`, with its parts' nested. A part
-/// takes at most half of what its unit had left of one DFS level's
-/// candidates, its pending partials or its unstarted seeds, so the tree
-/// is only as deep as the logarithms of those sizes add up to, however
-/// long the unit runs.
-fn run_unit(sh: &KernelShared, shard: usize, work: UnitWork, cfg: UnitCfg, epoch: u64) -> UnitOut {
-    let mut ctx = WarpCtx::new(cfg.cost, cfg.warp_size);
-    let run = wbm::run_unit(sh, shard, work, cfg.split, &mut ctx);
-    let parts = run
-        .parts
-        .into_iter()
-        .map(|(offset, part)| PartOut {
-            offset,
-            kept: cfg.keep_parts.then(|| part.clone()),
-            out: run_unit(sh, shard, UnitWork::Part(part), cfg, epoch),
-        })
-        .collect();
-    UnitOut {
-        epoch,
-        cycles: run.cycles,
-        global_transactions: ctx.global_transactions,
-        shared_accesses: ctx.shared_accesses,
-        buf_reuse: ctx.buf_reuse,
-        buf_alloc: ctx.buf_alloc,
-        matches: run.matches,
-        count: run.count,
-        migrants: run.migrants,
-        parts,
-    }
+    /// Keep what every record's unit reruns ([`Outcomes::kept`]): under a
+    /// fault plan a fail-stop may discard records before they commit.
+    keep: bool,
 }
 
 // ---------------------------------------------------------------------------
 // The virtual-time executor
 // ---------------------------------------------------------------------------
+
+/// Cycles a shard unit runs between two hand-offs: with device stealing
+/// on, a unit that has spent this many since it started or last handed
+/// off gives what its task's `WarpTask::try_split` takes to a new unit of
+/// its shard as soon as the task offers anything (`wbm::run_unit`).
+/// Device blocks split at `gamma_gpu::SPLIT_BUDGET` (65,536) instead: a
+/// block split occupies a new SM with a new block, and a shorter block
+/// cadence grows the fixed-trace replay's small Tree grids, while a unit's
+/// hand-off is one transfer to another lane of its shard.
+///
+/// Picked from a sweep on the `sharded` benchmark stream at seed 1, in
+/// simulated cycles and `batch_heap_p95_mb` against 65,536 (before the
+/// outcome records went flat): 16,384 cut the cycles by 46.6% (heap
+/// +8.1%), 12,288 by 52.5% (+12.1%), 8,192 by 61.0% (+18.2%) and 4,096 by
+/// 67.7% (+27.6%). With flat outcome records the heap grows 2.1% at
+/// 12,288 and 5.6% at 8,192, but each part still costs host time: 8,192
+/// splits 531.5 parts a phase where 65,536 splits 93.5, and in four
+/// alternating pairs of 22 s runs its `batch_p95_ms` read +25.4% and its
+/// `recover_s` +28.6%, past the benchmark's 25% bound. 16,384 would leave
+/// `sharded` above `tree-churn`'s 150.4M cycles; 12,288 takes 149.6M.
+pub const UNIT_SPLIT_BUDGET: u64 = 12_288;
 
 /// Per-shard lane clocks: one virtual clock per simulated resident warp.
 /// A unit runs on the earliest-free lane, starting no earlier than its
@@ -934,13 +1025,17 @@ impl Lanes {
 /// A schedulable unit, available from virtual cycle `ready`.
 struct Unit {
     ready: u64,
-    /// What to run when no outcome is at hand: always set for anchors and
-    /// migrants. A part holds the copy kept under a fault plan, since only
-    /// a fail-stop discards an outcome.
-    work: Option<UnitWork>,
-    /// Its outcome, computed ahead: an anchor's in the wave, a part's with
-    /// the unit it left. A fail-stop discards it.
-    out: Option<UnitOut>,
+    out: Out,
+}
+
+/// Where a queued unit's outcome comes from.
+enum Out {
+    /// Record `rec` of outcome buffer `buf`, run ahead: an anchor's in the
+    /// wave, a part's with the unit it left.
+    Ahead { buf: u32, rec: u32 },
+    /// Running the unit inline when the scheduler reaches it: an arrived
+    /// migrant, or a unit whose record a fail-stop discarded.
+    Inline(UnitWork),
 }
 
 /// What a unit runs.
@@ -953,8 +1048,8 @@ pub(crate) enum UnitWork {
     Part(Part),
 }
 
-/// Why a unit without an outcome still has its work.
-const KEPT: &str = "only a fail-stop discards an outcome, and under a fault plan parts keep a copy";
+/// Why a queued record has its unit's work kept.
+const KEPT: &str = "only a fail-stop discards records, and under a fault plan each keeps its work";
 
 /// The action the scheduler picked for a shard.
 enum Action {
@@ -1179,7 +1274,7 @@ impl ShardRuntime {
     /// [`Phase::shared`](crate::wbm::Phase::shared), over the phase's
     /// store and `anchors`; `graph` is the registry's mirror): anchors
     /// start on the shard owning their canonical endpoint; units run on
-    /// per-shard lane clocks, splitting parts off at the cycle budget when
+    /// per-shard lane clocks, splitting parts off at the unit cadence when
     /// device stealing is on; migrants — stamped `query_id` — flow through
     /// the batched comm fabric mid-phase (no barriers); idle shards steal
     /// eligible published batches; the phase ends at quiescence. Every
@@ -1210,7 +1305,7 @@ impl ShardRuntime {
             cost,
             warp_size,
             split: device.stealing != Stealing::Off,
-            keep_parts: self.faults.is_some(),
+            keep: self.faults.is_some(),
         };
         let nv_words = shared.meta.q.num_vertices() as u64;
         let stealing = self.stealing;
@@ -1232,24 +1327,30 @@ impl ShardRuntime {
         // shard, so every anchor unit runs ahead, with the parts it splits
         // off, as one job each on the calling thread and the launch pool's
         // helpers.
-        let wave: Vec<Job<UnitOut>> = anchors
+        let wave: Vec<Job<Outcomes>> = anchors
             .iter()
             .enumerate()
             .map(|(i, &a)| {
-                let (env, s) = (Arc::clone(&env), route(&a));
-                Box::new(move || run_unit(&env, s, UnitWork::Anchor(a, i as u32), cfg, 0)) as _
+                let (env, s, o) = (Arc::clone(&env), route(&a), i as u32);
+                Box::new(move || {
+                    let kept = cfg.keep.then_some(UnitWork::Anchor(a, o));
+                    Outcomes::run(&env, s, UnitWork::Anchor(a, o), kept, cfg, 0)
+                }) as _
             })
             .collect();
+        // Outcome buffers by index: the anchors' first, in order, then
+        // those of units run inline, each in a slot a fully committed
+        // buffer freed (`free`) if there is one.
+        let mut outs = run_jobs(wave, device.num_sms);
+        let mut free: Vec<u32> = Vec::new();
         let mut local: Vec<VecDeque<Unit>> = (0..num_shards).map(|_| VecDeque::new()).collect();
-        for ((i, a), out) in anchors
-            .iter()
-            .enumerate()
-            .zip(run_jobs(wave, device.num_sms))
-        {
+        for (i, a) in anchors.iter().enumerate() {
             local[route(a)].push_back(Unit {
                 ready: 0,
-                work: Some(UnitWork::Anchor(*a, i as u32)),
-                out: Some(out),
+                out: Out::Ahead {
+                    buf: index32(i),
+                    rec: 0,
+                },
             });
         }
 
@@ -1317,8 +1418,13 @@ impl ShardRuntime {
                     // its resident sets are released first, so that
                     // marking new residents below copies no bitmap.
                     for unit in local.iter_mut().flatten() {
-                        unit.out = None;
+                        if let Out::Ahead { buf, rec } = unit.out {
+                            let kept = outs[buf as usize].kept[rec as usize].take();
+                            unit.out = Out::Inline(kept.expect(KEPT));
+                        }
                     }
+                    outs.clear();
+                    free.clear();
                     let e = Arc::get_mut(&mut env).expect("no unit runs between scheduling steps");
                     let res = e
                         .residency
@@ -1347,7 +1453,10 @@ impl ShardRuntime {
                     // scan runs the license check.
                     let orphaned: Vec<Unit> = local[dead].drain(..).collect();
                     for unit in orphaned {
-                        let dst = match unit.work.as_ref().expect(KEPT) {
+                        let Out::Inline(work) = &unit.out else {
+                            unreachable!("every record was discarded above");
+                        };
+                        let dst = match work {
                             UnitWork::Anchor(a, _) => {
                                 let (lo, _) = a.endpoints();
                                 live_owner(&self.partition, &self.alive, lo)
@@ -1384,8 +1493,7 @@ impl ShardRuntime {
                         requeued_units += 1;
                         local[dst].push_back(Unit {
                             ready: stamp,
-                            work: Some(UnitWork::Mig(mig)),
-                            out: None,
+                            out: Out::Inline(UnitWork::Mig(mig)),
                         });
                     }
                     // Queues changed shape — every stale-steal verdict
@@ -1476,8 +1584,7 @@ impl ShardRuntime {
                     for mitem in batch.items.drain(..) {
                         local[s].push_back(Unit {
                             ready,
-                            work: Some(UnitWork::Mig(mitem)),
-                            out: None,
+                            out: Out::Inline(UnitWork::Mig(mitem)),
                         });
                     }
                     fabric.recycle(batch.items);
@@ -1493,8 +1600,7 @@ impl ShardRuntime {
                             taken += 1;
                             local[s].push_back(Unit {
                                 ready,
-                                work: Some(UnitWork::Mig(mitem)),
-                                out: None,
+                                out: Out::Inline(UnitWork::Mig(mitem)),
                             });
                         } else {
                             steal_buf.push(mitem);
@@ -1510,48 +1616,77 @@ impl ShardRuntime {
                 }
                 Action::Run => {
                     let unit = local[s].pop_front().expect("run action implies a unit");
-                    // Commit the unit's outcome: the one computed ahead,
-                    // unless a fail-stop discarded it, or run it now.
-                    let mut out = unit.out.unwrap_or_else(|| {
-                        run_unit(&env, s, unit.work.expect(KEPT), cfg, failovers)
-                    });
+                    // Commit the unit's record: the one run ahead, unless
+                    // a fail-stop discarded it, or one run now.
+                    let (buf, rec) = match unit.out {
+                        Out::Ahead { buf, rec } => (buf as usize, rec as usize),
+                        Out::Inline(work) => {
+                            let o = Outcomes::run(&env, s, work, None, cfg, failovers);
+                            let buf = match free.pop() {
+                                Some(b) => {
+                                    outs[b as usize] = o;
+                                    b as usize
+                                }
+                                None => {
+                                    outs.push(o);
+                                    outs.len() - 1
+                                }
+                            };
+                            (buf, 0)
+                        }
+                    };
+                    let o = &mut outs[buf];
                     debug_assert_eq!(
-                        out.epoch, failovers,
-                        "an outcome computed before a fail-stop outlived it"
+                        o.epoch, failovers,
+                        "a record computed before a fail-stop outlived it"
                     );
-                    let completion = lanes[s].run(unit.ready, out.cycles);
-                    // The parts it split off join its shard's queue,
-                    // each ready when it left the unit.
-                    let start = completion - out.cycles;
-                    for part in out.parts {
+                    let r = o.recs[rec];
+                    let completion = lanes[s].run(unit.ready, r.cycles);
+                    // The parts it split off join its shard's queue, in
+                    // the order they left, each ready when it left.
+                    let start = completion - r.cycles;
+                    let mut part = rec + 1;
+                    while part < rec + r.span as usize {
                         unit_splits += 1;
                         local[s].push_back(Unit {
-                            ready: start + part.offset,
-                            work: part.kept.map(UnitWork::Part),
-                            out: Some(part.out),
+                            ready: start + o.recs[part].offset,
+                            out: Out::Ahead {
+                                buf: index32(buf),
+                                rec: index32(part),
+                            },
                         });
+                        part += o.recs[part].span as usize;
                     }
-                    busy[s] += out.cycles;
+                    busy[s] += r.cycles;
                     units_run[s] += 1;
-                    agg.global_transactions += out.global_transactions;
-                    agg.shared_accesses += out.shared_accesses;
-                    agg.buf_reuse += out.buf_reuse;
-                    agg.buf_alloc += out.buf_alloc;
-                    if !out.matches.is_empty() {
-                        lock(&env.sink).append(&mut out.matches);
+                    agg.global_transactions += r.global_transactions;
+                    agg.shared_accesses += r.shared_accesses;
+                    agg.buf_reuse += r.buf_reuse;
+                    agg.buf_alloc += r.buf_alloc;
+                    let (m0, g0) = o.starts(rec);
+                    let matches = &o.matches[m0..r.matches_end as usize];
+                    if !matches.is_empty() {
+                        lock(&env.sink).extend_from_slice(matches);
                     }
-                    env.note_matches(out.count);
+                    env.note_matches(r.count);
                     // Stage produced migrants; a buffer hitting capacity
                     // publishes immediately (ship cost on the producer).
                     let mut published = false;
-                    for (dst, mig) in out.migrants {
+                    for (dst, mig) in &o.migrants[g0..r.migrants_end as usize] {
                         migrations += 1;
-                        if fabric.push(s, dst, mig, completion) {
+                        if fabric.push(s, *dst, mig.clone(), completion) {
                             let ship = cost.migrant_ship(MIGRANT_BATCH as u64, nv_words, warp_size);
-                            fabric.publish(s, dst, ship);
+                            fabric.publish(s, *dst, ship);
                             busy[s] += ship;
                             published = true;
                         }
+                    }
+                    // A buffer whose every record has committed frees its
+                    // slot.
+                    o.left -= 1;
+                    if o.left == 0 {
+                        *o = Outcomes::default();
+                        free.push(index32(buf));
                     }
                     // A producer going idle flushes its partial batches —
                     // consumers never wait on work the producer has

@@ -121,15 +121,18 @@
 //! unit (an anchor's seed sweep, an arrived migrant's subtree, or a part
 //! split off a unit) steps one search on one [`WarpCtx`] and keeps its
 //! matches, count and shipped migrants as its outcome instead of flushing
-//! them. With device stealing on it also splits: every [`SPLIT_BUDGET`]
-//! (65,536) cycles it calls the task's own [`WarpTask::try_split`], so it
-//! hands off exactly what a device thief would take, whenever the task
-//! offers anything, and the part runs as a unit of its own. A device
-//! block that runs past the same budget splits its warps' offers off
-//! into a new block the same way ([`gamma_gpu::run_block`]). So one split
-//! rule serves both executors; only the price differs (a shard's global
-//! hand-off of its part, a block's coalesced transfer of its offers'
-//! words, a thief's shared-memory copy).
+//! them. With device stealing on it also splits: once it has spent
+//! [`UNIT_SPLIT_BUDGET`] (12,288) cycles since it started or last split,
+//! it calls the task's own [`WarpTask::try_split`] as soon as the task
+//! offers anything, so it hands off exactly what a device thief would
+//! take, and the part runs as a unit of its own. A device block that runs
+//! past [`gamma_gpu::SPLIT_BUDGET`] (65,536) cycles splits its warps'
+//! offers off into a new block the same way ([`gamma_gpu::run_block`]).
+//! So one rule for what a split takes serves both executors; when it
+//! splits differs, since a block split occupies a new SM and a unit's
+//! hand-off one more lane of its shard. Shard hand-offs and block splits
+//! pay the same price, a coalesced global transfer of the offer's words
+//! on each side; a thief pays a shared-memory copy.
 //!
 //! A shard launch carries a residency context
 //! ([`KernelShared::residency`]; `None` on the single device, where nothing
@@ -156,13 +159,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use gamma_gpma::{Gpma, RunCursor, CHUNK_WIDTH};
-use gamma_gpu::{lock, Offer, StepResult, WarpCtx, WarpTask, SPLIT_BUDGET};
+use gamma_gpu::{lock, Offer, StepResult, WarpCtx, WarpTask};
 use gamma_graph::{ELabel, QueryGraph, Update, VMatch, VertexId};
 
 use crate::auto::{permute_partial, CoalescedPlan};
 use crate::encoding::CandidateTable;
 use crate::order::matching_order;
-use crate::shard::{Migrant, Residency, UnitWork};
+use crate::shard::{Migrant, Residency, UnitWork, UNIT_SPLIT_BUDGET};
 
 /// Candidate attempts processed per scheduler quantum; bounds step length
 /// so intra-block interleaving (and thus stealing) stays fine-grained.
@@ -335,6 +338,23 @@ pub struct KernelShared {
     /// (`None` on the single device): the license check and the probe
     /// direction of every scan read it (see the module docs).
     pub residency: Option<Residency>,
+    /// What the launch's searches did, in order, for tests to read: shard
+    /// units' steps and split attempts ([`run_unit`]) and every search's
+    /// pushes of a DFS frame or a pending partial.
+    #[cfg(test)]
+    pub(crate) seen: Mutex<Vec<Seen>>,
+}
+
+/// An event of a launch's searches ([`KernelShared::seen`]).
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Seen {
+    /// A shard unit took a step.
+    Step,
+    /// A search pushed a DFS frame or a pending partial.
+    Push,
+    /// A shard unit attempted a split, and whether its task offered work.
+    Split(bool),
 }
 
 impl KernelShared {
@@ -522,6 +542,10 @@ pub struct WbmTask {
     /// Subtrees shipped by unlicensed scans, in order, with their
     /// destination shards.
     migrants: Vec<(usize, Migrant)>,
+    /// Set whenever the search pushes a DFS frame or a pending partial:
+    /// only such a push can make a search that offered nothing offer
+    /// work. A shard unit clears it at each split attempt ([`run_unit`]).
+    pushed: bool,
 }
 
 /// A search's reusable buffers. No search owns any: a device task and a
@@ -643,21 +667,28 @@ impl Gate<'_> {
 
 /// Work split off a shard unit by the split a device thief takes
 /// ([`WarpTask::try_split`]): a fresh search of the unit's anchor over
-/// what it took. It runs as a unit of its own ([`UnitWork::Part`]). Its
-/// next scan runs the license check, so any live shard may run it. Boxed,
-/// so that the units queued on a shard stay small.
-pub(crate) struct Part(Box<WbmTask>);
+/// what it took, and the words its offer named ([`Offer::words`]), which
+/// the part reads back when it starts. It runs as a unit of its own
+/// ([`UnitWork::Part`]). Its next scan runs the license check, so any live
+/// shard may run it. Boxed, so that a part stays small while it waits.
+pub(crate) struct Part {
+    search: Box<WbmTask>,
+    words: u64,
+}
 
 impl Part {
     /// The lower endpoint of the part's anchor.
     pub(crate) fn anchor_lo(&self) -> VertexId {
-        self.0.v1.min(self.0.v2)
+        self.search.v1.min(self.search.v2)
     }
 }
 
 impl Clone for Part {
     fn clone(&self) -> Self {
-        Part(Box::new(self.0.copy()))
+        Part {
+            search: Box::new(self.search.copy()),
+            words: self.words,
+        }
     }
 }
 
@@ -682,12 +713,21 @@ pub(crate) struct UnitRun {
 /// migrant's subtree, or a part split off a unit.
 ///
 /// The unit runs its search through [`WarpTask::step`] alone. With
-/// `split` set (device stealing is on) it also calls
-/// [`WarpTask::try_split`] every [`SPLIT_BUDGET`] cycles, so it hands off
-/// as a [`Part`] exactly what a device thief would take. A shard's lanes
-/// span SMs and share no shared memory, so a hand-off is one coalesced
-/// global transfer of the part ([`WbmTask::handoff_words`]) on each side:
-/// the unit pays it when the part leaves, the part when it starts.
+/// `split` set (device stealing is on), once it has spent
+/// [`UNIT_SPLIT_BUDGET`] cycles since it started or last split, it hands
+/// off as a [`Part`] exactly what a device thief would take
+/// ([`WarpTask::try_split`]) as soon as its task offers anything. A
+/// shard's lanes span SMs and share no shared memory, so a hand-off is one
+/// coalesced global transfer of the offer's words ([`Offer::words`]) on
+/// each side, as a device block split's: the unit pays it when the part
+/// leaves, the part when it starts.
+///
+/// A search's offer can go from none to some only after it pushes a DFS
+/// frame or a pending partial: a frame's unexplored candidates only fall,
+/// a count-only memo is only ever added, and the unstarted seeds only
+/// shrink. So after an attempt that found nothing the unit tries again
+/// only after such a push ([`WbmTask::pushed`]), which saves host time
+/// and changes no cycle.
 ///
 /// The outcome depends only on the unit, the shard and `sh`: the search
 /// starts empty and clears every scratch buffer it draws from this
@@ -724,28 +764,43 @@ pub(crate) fn run_unit(
                 ..WbmTask::idle(v1, v2, elabel, mig.anchor_order)
             }
         }
-        UnitWork::Part(Part(search)) => {
-            ctx.global_read_coalesced(search.handoff_words());
+        UnitWork::Part(Part { search, words }) => {
+            ctx.global_read_coalesced(words);
             *search
         }
     };
     search.shard = Some(shard);
     let (mut cycles, mut since, mut parts) = (0u64, 0u64, Vec::new());
+    // The last attempt found nothing, and the search has pushed nothing
+    // since.
+    let mut fruitless = false;
     loop {
         let done = search.step(sh, ctx) == StepResult::Done;
+        #[cfg(test)]
+        lock(&sh.seen).push(Seen::Step);
         cycles += ctx.take_step_cycles();
         if done {
             break;
         }
-        if !split || cycles - since < SPLIT_BUDGET {
+        if !split || cycles - since < UNIT_SPLIT_BUDGET || (fruitless && !search.pushed) {
             continue;
         }
-        if let Some(part) = search.try_split(sh) {
-            ctx.global_read_coalesced(part.handoff_words());
-            cycles += ctx.take_step_cycles();
-            since = cycles;
-            parts.push((cycles, Part(Box::new(part))));
-        }
+        search.pushed = false;
+        let offer = search.offer(sh);
+        #[cfg(test)]
+        lock(&sh.seen).push(Seen::Split(offer.is_some()));
+        let Some(Offer { words, .. }) = offer else {
+            fruitless = true;
+            continue;
+        };
+        let part = search
+            .try_split(sh)
+            .expect("a task splits off what it offers");
+        ctx.global_read_coalesced(words);
+        cycles += ctx.take_step_cycles();
+        (since, fruitless) = (cycles, false);
+        let search = Box::new(part);
+        parts.push((cycles, Part { search, words }));
     }
     UnitRun {
         cycles,
@@ -815,6 +870,7 @@ impl WbmTask {
             shard: None,
             delivered: false,
             migrants: Vec::new(),
+            pushed: false,
         }
     }
 
@@ -1406,6 +1462,9 @@ impl WbmTask {
                     seed: seed_idx,
                     base_level: seed.vk_size,
                 });
+                self.pushed = true;
+                #[cfg(test)]
+                lock(&sh.seen).push(Seen::Push);
             }
         }
     }
@@ -1467,6 +1526,9 @@ impl WbmTask {
                 p: 0,
                 memo_last: None,
             });
+            self.pushed = true;
+            #[cfg(test)]
+            lock(&sh.seen).push(Seen::Push);
             return true;
         }
 
@@ -1602,6 +1664,9 @@ impl WbmTask {
                     p: 0,
                     memo_last: None,
                 });
+                self.pushed = true;
+                #[cfg(test)]
+                lock(&sh.seen).push(Seen::Push);
             } else {
                 if crossing_vk {
                     // The V^k partial itself is complete even if it cannot
@@ -1653,24 +1718,6 @@ impl WbmTask {
         } else {
             None
         }
-    }
-
-    /// The words a shard unit's hand-off of this search moves on each side
-    /// ([`run_unit`]): one per unexplored frame candidate beyond each
-    /// frame's current one, 8 per pending partial and 16 per unstarted
-    /// seed slot.
-    fn handoff_words(&self) -> u64 {
-        let frames: u64 = self
-            .state
-            .as_ref()
-            .map(|st| {
-                st.frames
-                    .iter()
-                    .map(|f| (f.cands.len().saturating_sub(f.p + 1)) as u64)
-                    .sum()
-            })
-            .unwrap_or(0);
-        frames + 8 * self.pending.len() as u64 + 16 * self.seeds.len() as u64
     }
 }
 
@@ -1755,9 +1802,9 @@ impl WarpTask for WbmTask {
 
     /// The search a thief takes: what `WbmTask::take` names. A frame split
     /// copies the taken candidates into a buffer drawn from this thread's
-    /// scratch, unmetered: the caller charges the split, a device steal
-    /// from its offer and a shard unit by its hand-off
-    /// (`WbmTask::handoff_words`).
+    /// scratch, unmetered: the caller charges the split from its offer's
+    /// words, as a device steal, a block split and a shard unit's
+    /// hand-off (`wbm::run_unit`) all do.
     fn try_split(&mut self, sh: &KernelShared) -> Option<WbmTask> {
         Some(match self.take()? {
             Take::Frame(fi) => {
@@ -1978,6 +2025,8 @@ impl Phase<'_> {
             match_limit: self.match_limit,
             signatures: self.signatures,
             residency: None,
+            #[cfg(test)]
+            seen: Mutex::new(Vec::new()),
         }
     }
 
@@ -2199,8 +2248,8 @@ mod tests {
         sh
     }
 
-    /// A unit that runs past the split budget hands parts off, at least
-    /// [`SPLIT_BUDGET`] cycles apart, and the unit with every part it and
+    /// A unit that runs past the unit cadence hands parts off, at least
+    /// [`UNIT_SPLIT_BUDGET`] cycles apart, and the unit with every part it and
     /// its parts split off finds exactly the matches and the count of the
     /// unit run whole: a 4-clique query on K_16 collecting its matches,
     /// and a diamond on K_24 counting them against memoized frames. A unit
@@ -2219,8 +2268,8 @@ mod tests {
             let whole = unit(UnitWork::Anchor(anchors[0], 0), false);
             assert!(whole.parts.is_empty(), "{at}: no split flag, no split");
             assert!(
-                whole.cycles > 2 * SPLIT_BUDGET,
-                "{at}: the unit must outrun the budget"
+                whole.cycles > 2 * UNIT_SPLIT_BUDGET,
+                "{at}: the unit must outrun the cadence"
             );
             let mut memoized = false;
             each_state(&sh, &anchors, |task| {
@@ -2241,7 +2290,7 @@ mod tests {
                 let mut last = 0;
                 for (offset, part) in run.parts {
                     assert!(
-                        offset >= last + SPLIT_BUDGET && offset <= run.cycles,
+                        offset >= last + UNIT_SPLIT_BUDGET && offset <= run.cycles,
                         "{at}"
                     );
                     last = offset;
@@ -2321,10 +2370,10 @@ mod tests {
         }
     }
 
-    /// A unit past the split budget splits whenever its task offers work,
+    /// A unit past the unit cadence splits whenever its task offers work,
     /// however few words its hand-off would move: here a unit of one seed
-    /// slot whose hand-off never reaches 32 words still hands parts off,
-    /// and they find the rest of its matches.
+    /// slot whose offers never reach 32 words still hands parts off, and
+    /// they find the rest of its matches.
     #[test]
     fn units_split_whenever_they_offer_work() {
         // K_10 on label 0, plus 1,000 vertices of label 1 adjacent to each
@@ -2350,18 +2399,28 @@ mod tests {
             ..search()
         };
         let mut ctx = WarpCtx::new(CostModel::default(), 32);
-        let mut heaviest = task.handoff_words();
+        let words = |task: &WbmTask| task.offer(&sh).map_or(0, |o| o.words);
+        let mut heaviest = words(&task);
         while task.step(&sh, &mut ctx) == StepResult::Continue {
-            heaviest = heaviest.max(task.handoff_words());
+            heaviest = heaviest.max(words(&task));
         }
         assert!(heaviest < 32, "{heaviest} words");
         let unit = |work: UnitWork, split: bool| {
             let mut ctx = WarpCtx::new(CostModel::default(), 32);
             run_unit(&sh, 0, work, split, &mut ctx)
         };
-        let part = || UnitWork::Part(Part(Box::new(search())));
+        let part = || {
+            UnitWork::Part(Part {
+                search: Box::new(search()),
+                words: 0,
+            })
+        };
         let whole = unit(part(), false);
-        assert!(whole.cycles > 2 * SPLIT_BUDGET, "{} cycles", whole.cycles);
+        assert!(
+            whole.cycles > 2 * UNIT_SPLIT_BUDGET,
+            "{} cycles",
+            whole.cycles
+        );
         assert_eq!(whole.count, 8 * 7, "ordered pairs of the other 8 vertices");
         let (mut found, mut splits, mut todo) = (Vec::new(), 0, vec![part()]);
         while let Some(work) = todo.pop() {
@@ -2375,6 +2434,62 @@ mod tests {
         want.sort_unstable();
         found.sort_unstable();
         assert_eq!(found, want);
+    }
+
+    /// A unit past the cadence whose task offers nothing attempts a split
+    /// again only after its search pushes a DFS frame or a pending
+    /// partial, since nothing else can make it offer work; the launch logs
+    /// its steps, pushes and attempts. Here the 4-clique's first seed slot
+    /// over a K_10 whose every scan reads 1,009 entries: past the cadence
+    /// its frames run out of splittable candidates between pushes, so the
+    /// unit both skips steps and retries after pushes.
+    #[test]
+    fn fruitless_splits_wait_for_a_push() {
+        let mut g = clique(10);
+        for _ in 0..1000 {
+            let f = g.add_vertex(1);
+            for v in 0..10 {
+                g.insert_edge(v, f, NO_ELABEL);
+            }
+        }
+        let [q, _] = clique_and_diamond();
+        let anchors = [Update::insert(0, 1)];
+        let sh = one_shard_launch(&g, &q, &anchors, true);
+        let search = Box::new(WbmTask {
+            seeds: 0..1,
+            ..WbmTask::new(&sh, &anchors[0], 0)
+        });
+        let (mut todo, mut count) = (vec![UnitWork::Part(Part { search, words: 0 })], 0);
+        while let Some(work) = todo.pop() {
+            let mut ctx = WarpCtx::new(CostModel::default(), 32);
+            let run = run_unit(&sh, 0, work, true, &mut ctx);
+            count += run.count;
+            todo.extend(run.parts.into_iter().map(|(_, p)| UnitWork::Part(p)));
+        }
+        let seen = std::mem::take(&mut *lock(&sh.seen));
+        let (mut waiting, mut pushed) = (false, false);
+        // Steps that attempted no split after a fruitless attempt, and
+        // attempts after one.
+        let (mut skipped, mut retried) = (0, 0);
+        for e in seen {
+            match e {
+                Seen::Push => pushed = true,
+                Seen::Step => skipped += usize::from(waiting && !pushed),
+                Seen::Split(offered) => {
+                    assert!(
+                        !waiting || pushed,
+                        "a retry with no push since a fruitless attempt"
+                    );
+                    retried += usize::from(waiting);
+                    (waiting, pushed) = (!offered, false);
+                }
+            }
+        }
+        assert!(
+            skipped > 0 && retried > 0,
+            "skipped {skipped}, retried {retried}"
+        );
+        assert_eq!(count, 8 * 7, "ordered pairs of the other 8 vertices");
     }
 
     /// A device launch of `q` over a seeded random graph of 60 vertices

@@ -21,7 +21,7 @@ use gamma_core::{
     ShardStealing, ShardedConfig, ShardedEngine,
 };
 use gamma_datasets::{generate_queries, DatasetPreset, QueryClass};
-use gamma_gpu::DeviceConfig;
+use gamma_gpu::{DeviceConfig, KernelStats};
 use gamma_graph::{Update, VMatch};
 
 fn gamma_cfg() -> GammaConfig {
@@ -181,17 +181,21 @@ fn failover_preserves_delta_stream_matrix() {
 /// scheduling step a phase runs all its anchor units ahead — on the launch
 /// pool's helpers too, since the default device has 16 SMs — with the
 /// parts they split off, against the partition, alive mask and residency
-/// of that moment. A committed unit queues its parts with their outcomes.
-/// A fail-stop changes all three, so an outcome that outlived it would
-/// ship migrants toward the dead shard or scan under the old residency;
-/// each outcome carries the failover epoch it was computed under, and
-/// debug builds assert it at the commit. Shard 1 dies before the first
+/// of that moment, one flat record each in its anchor's outcome buffer. A
+/// committed unit queues its parts by their records. A fail-stop changes
+/// all three, so an outcome that outlived it would ship migrants toward
+/// the dead shard or scan under the old residency; each buffer carries the
+/// failover epoch its records were computed under, and debug builds
+/// assert it at the commit. Shard 1 dies before the first
 /// step of the delete batch's phase, before the first step of the
 /// re-insert's, and three steps into the delete batch's. The later
-/// coordinates land while split parts are queued (three on shard 1, from
-/// about step 12 to step 70 of either phase): shard 1 dies holding them,
-/// twice, and shards 2 and 3 die while shard 1 holds them, so they rerun
-/// from their kept copies on a survivor and on their own shard.
+/// coordinates land while split parts are queued (8 to 11 on shard 1 at
+/// steps 12 to 40 of either phase): shard 1 dies holding them, twice, and
+/// shards 2 and 3 die while shard 1 holds them, so they rerun
+/// from their kept copies on a survivor and on their own shard. Under the
+/// plan every record also keeps its unit's work, which changes nothing
+/// until the fail-stop: a phase before it commits the kernel stats of a
+/// fault-free engine's, cycle for cycle.
 ///
 /// Each cell also kills a shard inside a later group's launch of a
 /// sharded registry. A Dense pattern and the Tree pattern subscribed twice
@@ -266,6 +270,21 @@ fn fail_stop_discards_outcomes_computed_ahead() {
     };
     let (twin, phases, _) = registry(None);
     assert_eq!(phases, 4, "two groups, one phase each per batch");
+    // A batch's kernel stats but its host time.
+    let kernel = |k: KernelStats| {
+        format!(
+            "{:?}",
+            KernelStats {
+                wall_seconds: 0.0,
+                ..k
+            }
+        )
+    };
+    let mut fault_free = ShardedEngine::new(d.graph.clone(), q, cfg(None));
+    let free_stats: Vec<String> = batches
+        .iter()
+        .map(|b| kernel(fault_free.apply_batch(b).stats.kernel))
+        .collect();
     let cells = [
         (0, 0, 1),
         (1, 0, 1),
@@ -285,6 +304,13 @@ fn fail_stop_discards_outcomes_computed_ahead() {
             assert_eq!(got.negative_count, want[i].1, "negative count: {at}");
             assert_eq!(sorted(got.positive), want[i].2, "positive matches: {at}");
             assert_eq!(sorted(got.negative), want[i].3, "negative matches: {at}");
+            if (i as u64) < phase {
+                assert_eq!(
+                    kernel(got.stats.kernel),
+                    free_stats[i],
+                    "kernel stats: {at}"
+                );
+            }
         }
         let stats = engine.shard_stats();
         assert_eq!(

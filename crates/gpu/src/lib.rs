@@ -54,9 +54,10 @@
 //! * **Block splits.** Warps steal only inside their block, so a block
 //!   that has run [`SPLIT_BUDGET`] cycles since it started or last split
 //!   passes every busy warp's offer to [`WarpTask::try_split`], and the
-//!   parts run as a new block of the same grid: one split rule serves
-//!   thieves, blocks and `gamma-core`'s shard units. The split pays a
-//!   coalesced global transfer on each side. A split block runs on its
+//!   parts run as a new block of the same grid: one rule for what a split
+//!   takes serves thieves, blocks and `gamma-core`'s shard units, which
+//!   hand off at a cadence of their own. The split pays a coalesced global
+//!   transfer of its offers' words on each side. A split block runs on its
 //!   parent's host job, after it, and is ready on the device when its
 //!   parent wrote its parts, so no grid waits on its heaviest block while
 //!   SMs sit idle, and a block's outcome still depends only on its tasks.
@@ -88,20 +89,22 @@ pub use memory::MemoryTracker;
 pub use stats::KernelStats;
 pub use task::{Offer, StepResult, WarpCtx, WarpTask};
 
-/// Cycles a block, or a shard unit, runs between two splits. Under
-/// [`Stealing::Active`] a block that has run this many since it started
-/// or last split passes every busy warp's offer to
-/// [`WarpTask::try_split`], and the parts run as a new block of its grid
-/// ([`run_block`]); a shard unit in `gamma-core` that has spent this many
-/// hands what its task's [`WarpTask::try_split`] takes to a new unit of
-/// its shard. Picked from two sweeps. On the `sharded` benchmark stream,
-/// 16,384 to 262,144 cycles: each halving cut the simulated cycles by
-/// 14–21% and made 1.6–1.8× as many splits, each of which costs host time
-/// and heap. On the device's `tree-churn` stream, against blocks that
-/// never split: 131,072 cuts the simulated cycles by 19%, 65,536 by 30%,
-/// 32,768 by 42% but grows the fixed-trace replay's AZ/Dense/churn GAMMA
-/// cell by 0.9%, and 16,384 by 53%, with ever more split blocks, each of
-/// which costs host time.
+/// Cycles a block runs between two splits: under [`Stealing::Active`] a
+/// block that has run this many since it started or last split passes
+/// every busy warp's offer to [`WarpTask::try_split`], and the parts run
+/// as a new block of its grid ([`run_block`]). Picked on the device's
+/// `tree-churn` stream, against blocks that never split: 131,072 cuts the
+/// simulated cycles by 19%, 65,536 by 30%, and 32,768 by 42% but grows
+/// the fixed-trace replay's AZ/Dense/churn GAMMA cell by 0.9%. Below
+/// that, a split block occupies a new SM with a new block, which the
+/// replay's small Tree grids pay for: against 65,536, 16,384 cuts
+/// `tree-churn` by a further 32.1% but grows the AZ/Tree/churn GAMMA cell
+/// by 20.3% and GH/Tree/churn by 3.9%, and cost `tree-churn` 13.5% of its
+/// updates/s over 4 pairs of runs; 8,192 grows those two cells by 36.2%
+/// and 17.2%. `gamma-core`'s shard units split through the same
+/// [`WarpTask::try_split`] at a cadence of their own, 12,288 cycles
+/// (`gamma_core::UNIT_SPLIT_BUDGET`): a unit's hand-off is one transfer
+/// to another lane of its shard, not a new block.
 pub const SPLIT_BUDGET: u64 = 65_536;
 
 /// Work-stealing strategy for warps within a block (§V-A).

@@ -138,6 +138,9 @@ pub struct WalWriter {
     /// them were not yet synced: the next [`WalWriter::sync`] syncs them
     /// first, so no record becomes durable ahead of an earlier one.
     behind: Vec<File>,
+    /// The file holds nothing past its header: no record, nor what a
+    /// failed append may have left.
+    empty: bool,
 }
 
 /// The file header: magic and version.
@@ -196,6 +199,7 @@ impl WalWriter {
             retries: 0,
             backoff_cycles: 0,
             behind: Vec::new(),
+            empty: true,
         };
         let header = header();
         retry_io(
@@ -254,6 +258,7 @@ impl WalWriter {
         self.io = io;
         self.path = spare.to_path_buf();
         self.appended_since_sync = 0;
+        self.empty = true;
         Ok(())
     }
 
@@ -287,6 +292,7 @@ impl WalWriter {
             retries: 0,
             backoff_cycles: 0,
             behind: Vec::new(),
+            empty: replay.valid_len <= HEADER_LEN,
         };
         s.io.set_len(replay.valid_len)
             .map_err(|e| map_hard(e, "log truncate"))?;
@@ -303,6 +309,13 @@ impl WalWriter {
     /// The log file's path.
     pub fn path(&self) -> &Path {
         &self.path
+    }
+
+    /// Whether the log file holds nothing past its header: no record
+    /// appended or replayed, and no append attempted since it was created,
+    /// reopened or switched to.
+    pub fn is_empty(&self) -> bool {
+        self.empty
     }
 
     /// The epoch the next [`WalWriter::append`] will stamp.
@@ -334,6 +347,8 @@ impl WalWriter {
         crc_input.extend_from_slice(payload);
         frame.extend_from_slice(&crc32(&crc_input).to_le_bytes());
         frame.extend_from_slice(payload);
+        // Even a failed write may leave bytes past the header.
+        self.empty = false;
         retry_io(
             "log append",
             &mut self.retries,

@@ -80,13 +80,16 @@
 //!   anchor unit runs ahead, then every part it split off and theirs in
 //!   turn, as one job per anchor, on the calling thread and the
 //!   process-wide launch pool ([`gamma_gpu::run_jobs`]) that serves device
-//!   launches. A job's outcomes are flat: one record per unit (offset,
+//!   launches, heaviest anchors first by their endpoints' degrees. A
+//!   job's outcomes are flat: one record per unit (offset,
 //!   cycles, count, counters) in one buffer, in the order the units ran,
-//!   and their matches and migrants in two more, addressed by range. The
-//!   scheduler, on the calling thread alone, commits each record when it
-//!   reaches the unit and queues the unit's parts as references to their
-//!   records; migrant units (and their parts) run inline into buffers of
-//!   their own, and a buffer is freed once its last record commits. Lane
+//!   beside the lists of matches and migrants the units produced, which a
+//!   record names by index. The scheduler, on the calling thread alone,
+//!   commits each record when it reaches the unit, moving its matches to
+//!   the sink and its migrants to the fabric, and queues the unit's parts
+//!   as references to their records; migrant units (and their parts) run
+//!   inline into buffers of their own, and a buffer is freed once its last
+//!   record commits. Lane
 //!   stamps, the fabric, steals, the sink and every cycle counter see the
 //!   sequence a one-thread run sees. A fail-stop discards every record
 //!   not yet committed, queued parts' included, since it changes the
@@ -104,6 +107,7 @@
 //!
 //! [`CostModel::migrant_ship`]: gamma_gpu::CostModel::migrant_ship
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -120,7 +124,7 @@ use crate::durable::DurableView;
 use crate::engine::{BatchResult, GammaConfig};
 use crate::fault::FaultPlan;
 use crate::registry::{QueryConfig, QueryId, QueryRegistry};
-use crate::wbm::{self, backward_set, poll_deadline, KernelShared, Part, QueryMeta};
+use crate::wbm::{self, backward_set, poll_deadline, KernelShared, Part, QueryMeta, UnitRun};
 
 // ---------------------------------------------------------------------------
 // Partitioning
@@ -816,9 +820,10 @@ impl Residency {
 }
 
 /// One unit's outcome, a flat record in an [`Outcomes`] buffer: its
-/// cycles, its counter deltas and its match count, and where its matches,
-/// its migrants and its parts' records lie in the buffer. The scheduler
-/// commits it when it reaches the unit and queues its parts.
+/// cycles, its counter deltas and its match count, which of the buffer's
+/// lists hold its matches and its migrants, and where its parts' records
+/// lie. The scheduler commits it when it reaches the unit and queues its
+/// parts.
 #[derive(Clone, Copy)]
 struct Rec {
     /// For a part, the cycles into its unit at which it left: it is ready
@@ -830,21 +835,25 @@ struct Rec {
     shared_accesses: u64,
     buf_reuse: u64,
     buf_alloc: u64,
-    /// The ends of its matches and its migrants in the buffer's: each
-    /// record's start where the record before it ends.
-    matches_end: u32,
-    migrants_end: u32,
+    /// Its list in [`Outcomes::matches`] and in [`Outcomes::migrants`],
+    /// or [`NO_LIST`] for a unit that found or shipped none.
+    matches: u32,
+    migrants: u32,
     /// Records in its subtree, itself included: its parts' records follow
     /// it in the order it split them off, each followed by its own
     /// subtree.
     span: u32,
 }
 
+/// A record's list index when the unit has nothing to list.
+const NO_LIST: u32 = u32::MAX;
+
 /// The outcomes of one unit run ahead (an anchor's in the wave, or a unit
 /// run inline) and of every part it and its parts split off, one [`Rec`]
 /// each in the order they ran: the unit, then each part's subtree in turn.
-/// Their matches and migrants (`(owner shard, migrant)`) lie in one buffer
-/// each, in the same order.
+/// A unit's matches and its migrants (`(owner shard, migrant)`) stay in
+/// the lists it produced them in, which its commit moves out: a match or
+/// a migrant is held once, and only until its unit commits.
 #[derive(Default)]
 struct Outcomes {
     /// The failover epoch (the phase's failover count) the records were
@@ -852,8 +861,8 @@ struct Outcomes {
     /// ever sees the current epoch.
     epoch: u64,
     recs: Vec<Rec>,
-    matches: Vec<VMatch>,
-    migrants: Vec<(usize, Migrant)>,
+    matches: Vec<Vec<VMatch>>,
+    migrants: Vec<Vec<(usize, Migrant)>>,
     /// Under a fault plan, what each record's unit reruns once a fail-stop
     /// has discarded the buffer: an anchor's update edge, a part's copy as
     /// it left. `None` for a unit run inline, which commits at once; empty
@@ -863,9 +872,26 @@ struct Outcomes {
     left: u32,
 }
 
+thread_local! {
+    /// Each thread's record list under construction ([`Outcomes::run`]),
+    /// reused job after job, so that a buffer's records take one
+    /// allocation of the size they need.
+    static RECS: Cell<Vec<Rec>> = const { Cell::new(Vec::new()) };
+}
+
 /// An index of an outcome buffer, or into one, as stored: a `u32`.
 fn index32(n: usize) -> u32 {
     u32::try_from(n).expect("a unit's outcomes fit u32 indices")
+}
+
+/// Appends `list` to `lists` unless it is empty: its index, else
+/// [`NO_LIST`].
+fn file<T>(lists: &mut Vec<Vec<T>>, list: Vec<T>) -> u32 {
+    if list.is_empty() {
+        return NO_LIST;
+    }
+    lists.push(list);
+    index32(lists.len() - 1)
 }
 
 impl Outcomes {
@@ -886,30 +912,35 @@ impl Outcomes {
     ) -> Self {
         let mut out = Outcomes {
             epoch,
-            recs: Vec::with_capacity(1),
+            recs: RECS.take(),
             ..Outcomes::default()
         };
-        out.push(sh, shard, work, 0, kept, cfg);
-        out.recs.shrink_to_fit();
+        let mut ctx = WarpCtx::new(cfg.cost, cfg.warp_size);
+        let run = wbm::run_unit(sh, shard, work, cfg.split, &mut ctx);
+        out.push(sh, shard, run, &ctx, 0, kept, cfg);
+        // The buffer keeps a right-sized copy; the list goes back.
+        let mut built = std::mem::take(&mut out.recs);
+        out.recs = built.to_vec();
+        built.clear();
+        RECS.set(built);
         out.left = index32(out.recs.len());
         out
     }
 
-    /// Runs one unit ([`wbm::run_unit`]), metered on a fresh [`WarpCtx`],
-    /// appends its record, and then its parts' subtrees.
+    /// Appends the record of a unit that ran on `shard`, metered on `ctx`,
+    /// and then runs its parts ([`wbm::run_part`]), each on a fresh
+    /// [`WarpCtx`], and appends their subtrees.
+    #[allow(clippy::too_many_arguments)]
     fn push(
         &mut self,
         sh: &KernelShared,
         shard: usize,
-        work: UnitWork,
+        run: UnitRun,
+        ctx: &WarpCtx,
         offset: u64,
         kept: Option<UnitWork>,
         cfg: UnitCfg,
     ) {
-        let mut ctx = WarpCtx::new(cfg.cost, cfg.warp_size);
-        let run = wbm::run_unit(sh, shard, work, cfg.split, &mut ctx);
-        self.matches.extend(run.matches);
-        self.migrants.extend(run.migrants);
         let at = self.recs.len();
         self.recs.push(Rec {
             offset,
@@ -919,26 +950,22 @@ impl Outcomes {
             shared_accesses: ctx.shared_accesses,
             buf_reuse: ctx.buf_reuse,
             buf_alloc: ctx.buf_alloc,
-            matches_end: index32(self.matches.len()),
-            migrants_end: index32(self.migrants.len()),
+            matches: file(&mut self.matches, run.matches),
+            migrants: file(&mut self.migrants, run.migrants),
             span: 1,
         });
         if cfg.keep {
             self.kept.push(kept);
         }
-        for (offset, part) in run.parts {
-            let kept = cfg.keep.then(|| UnitWork::Part(part.clone()));
-            self.push(sh, shard, UnitWork::Part(part), offset, kept, cfg);
+        let mut parts = run.parts;
+        for (offset, part) in parts.drain(..) {
+            let kept = cfg.keep.then(|| UnitWork::Part(Box::new(part.clone())));
+            let mut ctx = WarpCtx::new(cfg.cost, cfg.warp_size);
+            let run = wbm::run_part(sh, shard, part, cfg.split, &mut ctx);
+            self.push(sh, shard, run, &ctx, offset, kept, cfg);
         }
+        wbm::recycle_parts(parts);
         self.recs[at].span = index32(self.recs.len() - at);
-    }
-
-    /// Where record `rec`'s matches and migrants start.
-    fn starts(&self, rec: usize) -> (usize, usize) {
-        rec.checked_sub(1).map_or((0, 0), |p| {
-            let r = &self.recs[p];
-            (r.matches_end as usize, r.migrants_end as usize)
-        })
     }
 }
 
@@ -968,16 +995,15 @@ struct UnitCfg {
 /// cadence grows the fixed-trace replay's small Tree grids, while a unit's
 /// hand-off is one transfer to another lane of its shard.
 ///
-/// Picked from a sweep on the `sharded` benchmark stream at seed 1, in
-/// simulated cycles and `batch_heap_p95_mb` against 65,536 (before the
-/// outcome records went flat): 16,384 cut the cycles by 46.6% (heap
-/// +8.1%), 12,288 by 52.5% (+12.1%), 8,192 by 61.0% (+18.2%) and 4,096 by
-/// 67.7% (+27.6%). With flat outcome records the heap grows 2.1% at
-/// 12,288 and 5.6% at 8,192, but each part still costs host time: 8,192
-/// splits 531.5 parts a phase where 65,536 splits 93.5, and in four
-/// alternating pairs of 22 s runs its `batch_p95_ms` read +25.4% and its
-/// `recover_s` +28.6%, past the benchmark's 25% bound. 16,384 would leave
-/// `sharded` above `tree-churn`'s 150.4M cycles; 12,288 takes 149.6M.
+/// Picked from a sweep on the `sharded` benchmark stream at seed 1,
+/// against 65,536: 16,384 cuts the simulated cycles by 46.6%, which
+/// leaves `sharded` above `tree-churn`'s 150.4M, 12,288 by 52.5% (149.6M)
+/// and 8,192 by 61.1%. Each part costs host time the simulation does not
+/// price, and a phase splits 392 parts at 12,288, 531 at 8,192 and 94 at
+/// 65,536. In 10 alternating pairs of 22 s runs against 65,536, 12,288
+/// won 6 on updates/s, p50, p95 and `recover_s` (medians +6.3%, −5.9%,
+/// −7.9%, −3.6%; heap +2.5%), while 8,192 won at most 2 (updates/s
+/// −8.4%, p50 +9.6%; heap +5.8%).
 pub const UNIT_SPLIT_BUDGET: u64 = 12_288;
 
 /// Per-shard lane clocks: one virtual clock per simulated resident warp.
@@ -1014,9 +1040,10 @@ impl Lanes {
     /// Schedules `cycles` of work that may not start before `ready` on the
     /// earliest-free lane; returns the completion stamp.
     fn run(&mut self, ready: u64, cycles: u64) -> u64 {
-        let free = self.t.pop().map(|r| r.0).unwrap_or(0);
-        let stamp = free.max(ready) + cycles;
-        self.t.push(std::cmp::Reverse(stamp));
+        let mut lane = self.t.peek_mut().expect("a shard has lanes");
+        let stamp = lane.0.max(ready) + cycles;
+        *lane = std::cmp::Reverse(stamp);
+        drop(lane);
         self.high = self.high.max(stamp);
         stamp
     }
@@ -1044,8 +1071,8 @@ pub(crate) enum UnitWork {
     Anchor(Update, u32),
     /// An arrived migrant: its subtree.
     Mig(Migrant),
-    /// Work split off a unit.
-    Part(Part),
+    /// Work split off a unit, boxed so that a queued unit stays small.
+    Part(Box<Part>),
 }
 
 /// Why a queued record has its unit's work kept.
@@ -1326,12 +1353,25 @@ impl ShardRuntime {
         // The wave: a unit's outcome depends only on the unit and its
         // shard, so every anchor unit runs ahead, with the parts it splits
         // off, as one job each on the calling thread and the launch pool's
-        // helpers.
-        let wave: Vec<Job<Outcomes>> = anchors
+        // helpers. The threads claim the jobs in order, so the anchors
+        // whose endpoints have the most neighbors, a proxy for the most
+        // search, go first: a heavy anchor claimed last would leave the
+        // other threads idle while it runs. Host-only: the outcomes do not
+        // depend on the order.
+        let mut heavy_first: Vec<(std::cmp::Reverse<usize>, u32)> = anchors
             .iter()
             .enumerate()
-            .map(|(i, &a)| {
-                let (env, s, o) = (Arc::clone(&env), route(&a), i as u32);
+            .map(|(i, a)| {
+                let size = env.gpma.degree(a.u) + env.gpma.degree(a.v);
+                (std::cmp::Reverse(size), index32(i))
+            })
+            .collect();
+        heavy_first.sort_unstable();
+        let wave: Vec<Job<Outcomes>> = heavy_first
+            .iter()
+            .map(|&(_, o)| {
+                let a = anchors[o as usize];
+                let (env, s) = (Arc::clone(&env), route(&a));
                 Box::new(move || {
                     let kept = cfg.keep.then_some(UnitWork::Anchor(a, o));
                     Outcomes::run(&env, s, UnitWork::Anchor(a, o), kept, cfg, 0)
@@ -1341,7 +1381,10 @@ impl ShardRuntime {
         // Outcome buffers by index: the anchors' first, in order, then
         // those of units run inline, each in a slot a fully committed
         // buffer freed (`free`) if there is one.
-        let mut outs = run_jobs(wave, device.num_sms);
+        let mut outs: Vec<Outcomes> = anchors.iter().map(|_| Outcomes::default()).collect();
+        for ((_, o), out) in heavy_first.iter().zip(run_jobs(wave, device.num_sms)) {
+            outs[*o as usize] = out;
+        }
         let mut free: Vec<u32> = Vec::new();
         let mut local: Vec<VecDeque<Unit>> = (0..num_shards).map(|_| VecDeque::new()).collect();
         for (i, a) in anchors.iter().enumerate() {
@@ -1663,20 +1706,24 @@ impl ShardRuntime {
                     agg.shared_accesses += r.shared_accesses;
                     agg.buf_reuse += r.buf_reuse;
                     agg.buf_alloc += r.buf_alloc;
-                    let (m0, g0) = o.starts(rec);
-                    let matches = &o.matches[m0..r.matches_end as usize];
-                    if !matches.is_empty() {
-                        lock(&env.sink).extend_from_slice(matches);
+                    if r.matches != NO_LIST {
+                        let found = &mut o.matches[r.matches as usize];
+                        lock(&env.sink).append(found);
+                        *found = Vec::new();
                     }
                     env.note_matches(r.count);
                     // Stage produced migrants; a buffer hitting capacity
                     // publishes immediately (ship cost on the producer).
                     let mut published = false;
-                    for (dst, mig) in &o.migrants[g0..r.migrants_end as usize] {
+                    let shipped = match r.migrants {
+                        NO_LIST => Vec::new(),
+                        i => std::mem::take(&mut o.migrants[i as usize]),
+                    };
+                    for (dst, mig) in shipped {
                         migrations += 1;
-                        if fabric.push(s, *dst, mig.clone(), completion) {
+                        if fabric.push(s, dst, mig, completion) {
                             let ship = cost.migrant_ship(MIGRANT_BATCH as u64, nv_words, warp_size);
-                            fabric.publish(s, *dst, ship);
+                            fabric.publish(s, dst, ship);
                             busy[s] += ship;
                             published = true;
                         }

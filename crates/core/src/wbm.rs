@@ -123,9 +123,10 @@
 //! matches, count and shipped migrants as its outcome instead of flushing
 //! them. With device stealing on it also splits: once it has spent
 //! [`UNIT_SPLIT_BUDGET`] (12,288) cycles since it started or last split,
-//! it calls the task's own [`WarpTask::try_split`] as soon as the task
-//! offers anything, so it hands off exactly what a device thief would
-//! take, and the part runs as a unit of its own. A device block that runs
+//! it splits off what the task's own [`WarpTask::try_split`] takes (the
+//! same `WbmTask::take`) as soon as the task offers anything, so it
+//! hands off exactly what a device thief would take, and the part runs
+//! as a unit of its own. A device block that runs
 //! past [`gamma_gpu::SPLIT_BUDGET`] (65,536) cycles splits its warps'
 //! offers off into a new block the same way ([`gamma_gpu::run_block`]).
 //! So one rule for what a split takes serves both executors; when it
@@ -338,23 +339,6 @@ pub struct KernelShared {
     /// (`None` on the single device): the license check and the probe
     /// direction of every scan read it (see the module docs).
     pub residency: Option<Residency>,
-    /// What the launch's searches did, in order, for tests to read: shard
-    /// units' steps and split attempts ([`run_unit`]) and every search's
-    /// pushes of a DFS frame or a pending partial.
-    #[cfg(test)]
-    pub(crate) seen: Mutex<Vec<Seen>>,
-}
-
-/// An event of a launch's searches ([`KernelShared::seen`]).
-#[cfg(test)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Seen {
-    /// A shard unit took a step.
-    Step,
-    /// A search pushed a DFS frame or a pending partial.
-    Push,
-    /// A shard unit attempted a split, and whether its task offered work.
-    Split(bool),
 }
 
 impl KernelShared {
@@ -571,6 +555,10 @@ struct Scratch {
     /// intersection (the pooled output region of the Prealloc-Combine
     /// pass).
     chunk: Vec<VertexId>,
+    /// Recycled part lists ([`UnitRun::parts`], back through
+    /// [`recycle_parts`]): a unit that splits draws one at its first
+    /// hand-off.
+    parts: Vec<Vec<(u64, Part)>>,
     /// Scans this thread ran ([`WbmTask::scan_candidates`]): tests tell
     /// the steps that scanned by it.
     #[cfg(test)]
@@ -669,10 +657,10 @@ impl Gate<'_> {
 /// ([`WarpTask::try_split`]): a fresh search of the unit's anchor over
 /// what it took, and the words its offer named ([`Offer::words`]), which
 /// the part reads back when it starts. It runs as a unit of its own
-/// ([`UnitWork::Part`]). Its next scan runs the license check, so any live
-/// shard may run it. Boxed, so that a part stays small while it waits.
+/// ([`run_part`]; boxed in [`UnitWork::Part`] while it waits in a queue).
+/// Its next scan runs the license check, so any live shard may run it.
 pub(crate) struct Part {
-    search: Box<WbmTask>,
+    search: WbmTask,
     words: u64,
 }
 
@@ -686,7 +674,7 @@ impl Part {
 impl Clone for Part {
     fn clone(&self) -> Self {
         Part {
-            search: Box::new(self.search.copy()),
+            search: self.search.copy(),
             words: self.words,
         }
     }
@@ -710,17 +698,17 @@ pub(crate) struct UnitRun {
 
 /// Runs one shard unit to completion on `shard`, metered on `ctx`: an
 /// anchor's sweep of every seed in both orientations, an arrived
-/// migrant's subtree, or a part split off a unit.
+/// migrant's subtree, or a part split off a unit ([`run_part`]).
 ///
 /// The unit runs its search through [`WarpTask::step`] alone. With
 /// `split` set (device stealing is on), once it has spent
 /// [`UNIT_SPLIT_BUDGET`] cycles since it started or last split, it hands
-/// off as a [`Part`] exactly what a device thief would take
-/// ([`WarpTask::try_split`]) as soon as its task offers anything. A
-/// shard's lanes span SMs and share no shared memory, so a hand-off is one
-/// coalesced global transfer of the offer's words ([`Offer::words`]) on
-/// each side, as a device block split's: the unit pays it when the part
-/// leaves, the part when it starts.
+/// off as a [`Part`] exactly what a device thief would take (what
+/// [`WarpTask::try_split`] takes, [`WbmTask::take`]) as soon as its task
+/// offers anything. A shard's lanes span SMs and share no shared memory,
+/// so a hand-off is one coalesced global transfer of the offer's words
+/// ([`Offer::words`]) on each side, as a device block split's: the unit
+/// pays it when the part leaves, the part when it starts.
 ///
 /// A search's offer can go from none to some only after it pushes a DFS
 /// frame or a pending partial: a frame's unexplored candidates only fall,
@@ -740,7 +728,7 @@ pub(crate) fn run_unit(
     split: bool,
     ctx: &mut WarpCtx,
 ) -> UnitRun {
-    let mut search = match work {
+    let search = match work {
         UnitWork::Anchor(a, order) => WbmTask::new(sh, &a, order),
         UnitWork::Mig(mig) => {
             debug_assert_eq!(
@@ -764,11 +752,32 @@ pub(crate) fn run_unit(
                 ..WbmTask::idle(v1, v2, elabel, mig.anchor_order)
             }
         }
-        UnitWork::Part(Part { search, words }) => {
-            ctx.global_read_coalesced(words);
-            *search
-        }
+        UnitWork::Part(part) => return run_part(sh, shard, *part, split, ctx),
     };
+    run_search(sh, shard, search, split, ctx)
+}
+
+/// Runs a part split off a unit as a unit of its own ([`run_unit`]),
+/// which first reads back the words its offer named.
+pub(crate) fn run_part(
+    sh: &KernelShared,
+    shard: usize,
+    part: Part,
+    split: bool,
+    ctx: &mut WarpCtx,
+) -> UnitRun {
+    ctx.global_read_coalesced(part.words);
+    run_search(sh, shard, part.search, split, ctx)
+}
+
+/// [`run_unit`] on the unit's search.
+fn run_search(
+    sh: &KernelShared,
+    shard: usize,
+    mut search: WbmTask,
+    split: bool,
+    ctx: &mut WarpCtx,
+) -> UnitRun {
     search.shard = Some(shard);
     let (mut cycles, mut since, mut parts) = (0u64, 0u64, Vec::new());
     // The last attempt found nothing, and the search has pushed nothing
@@ -776,8 +785,6 @@ pub(crate) fn run_unit(
     let mut fruitless = false;
     loop {
         let done = search.step(sh, ctx) == StepResult::Done;
-        #[cfg(test)]
-        lock(&sh.seen).push(Seen::Step);
         cycles += ctx.take_step_cycles();
         if done {
             break;
@@ -786,21 +793,27 @@ pub(crate) fn run_unit(
             continue;
         }
         search.pushed = false;
-        let offer = search.offer(sh);
-        #[cfg(test)]
-        lock(&sh.seen).push(Seen::Split(offer.is_some()));
-        let Some(Offer { words, .. }) = offer else {
+        let Some(take) = search.take() else {
             fruitless = true;
             continue;
         };
-        let part = search
-            .try_split(sh)
-            .expect("a task splits off what it offers");
+        let words = search.offer_of(take, sh).words;
+        let part = search.split_of(take, sh);
         ctx.global_read_coalesced(words);
         cycles += ctx.take_step_cycles();
         (since, fruitless) = (cycles, false);
-        let search = Box::new(part);
-        parts.push((cycles, Part { search, words }));
+        if parts.capacity() == 0 {
+            parts = SCRATCH
+                .with_borrow_mut(|sc| sc.parts.pop())
+                .unwrap_or_default();
+        }
+        parts.push((
+            cycles,
+            Part {
+                search: part,
+                words,
+            },
+        ));
     }
     UnitRun {
         cycles,
@@ -808,6 +821,15 @@ pub(crate) fn run_unit(
         count: search.local_count,
         migrants: search.migrants,
         parts,
+    }
+}
+
+/// Returns a unit's emptied part list ([`UnitRun::parts`]) to this
+/// thread's scratch, for the next unit that splits.
+pub(crate) fn recycle_parts(parts: Vec<(u64, Part)>) {
+    debug_assert!(parts.is_empty(), "a recycled part list holds no part");
+    if parts.capacity() > 0 {
+        SCRATCH.with_borrow_mut(|sc| sc.parts.push(parts));
     }
 }
 
@@ -1463,8 +1485,6 @@ impl WbmTask {
                     base_level: seed.vk_size,
                 });
                 self.pushed = true;
-                #[cfg(test)]
-                lock(&sh.seen).push(Seen::Push);
             }
         }
     }
@@ -1527,8 +1547,6 @@ impl WbmTask {
                 memo_last: None,
             });
             self.pushed = true;
-            #[cfg(test)]
-            lock(&sh.seen).push(Seen::Push);
             return true;
         }
 
@@ -1665,8 +1683,6 @@ impl WbmTask {
                     memo_last: None,
                 });
                 self.pushed = true;
-                #[cfg(test)]
-                lock(&sh.seen).push(Seen::Push);
             } else {
                 if crossing_vk {
                     // The V^k partial itself is complete even if it cannot
@@ -1719,7 +1735,68 @@ impl WbmTask {
             None
         }
     }
+
+    /// What a split of `take`, which [`WbmTask::take`] named, offers
+    /// ([`WarpTask::offer`]).
+    fn offer_of(&self, take: Take, sh: &KernelShared) -> Offer {
+        match take {
+            Take::Frame(fi) => {
+                let st = self.state.as_ref().expect("a frame split has a state");
+                let level = st.base_level + fi;
+                let units = (st.unexplored(fi) / 2) as u64;
+                let parent = st.parent(&sh.meta.seeds[st.seed].order, level);
+                Offer {
+                    level,
+                    units,
+                    words: units + parent.pairs().count() as u64,
+                }
+            }
+            Take::Pending => {
+                let taken = self
+                    .pending
+                    .range(self.pending.len() - self.pending.len() / 2..);
+                Offer {
+                    level: taken.clone().map(|p| p.base_level).min().expect(PENDING),
+                    units: (self.pending.len() / 2) as u64,
+                    words: taken.map(|p| p.m.pairs().count() as u64 + 2).sum(),
+                }
+            }
+            Take::Seeds => Offer {
+                level: 1,
+                units: (self.seeds.len() / 2) as u64,
+                words: 2,
+            },
+        }
+    }
+
+    /// Splits off what `take`, which [`WbmTask::take`] named, takes
+    /// ([`WarpTask::try_split`]).
+    fn split_of(&mut self, take: Take, sh: &KernelShared) -> WbmTask {
+        match take {
+            Take::Frame(fi) => {
+                let st = self.state.as_mut().expect("a frame split has a state");
+                let order = &sh.meta.seeds[st.seed].order;
+                let thief =
+                    SCRATCH.with_borrow_mut(|sc| st.split_frame(fi, order, sc, &mut self.spare));
+                self.child(0..0, VecDeque::new(), Some(thief))
+            }
+            Take::Pending => {
+                let take = self.pending.len() / 2;
+                let stolen = self.pending.split_off(self.pending.len() - take);
+                self.child(0..0, stolen, None)
+            }
+            Take::Seeds => {
+                let mid = self.seeds.end - self.seeds.len() / 2;
+                let stolen = mid..self.seeds.end;
+                self.seeds.end = mid;
+                self.child(stolen, VecDeque::new(), None)
+            }
+        }
+    }
 }
+
+/// Why a pending split has partials to take.
+const PENDING: &str = "a pending split takes half of two or more partials";
 
 impl WarpTask for WbmTask {
     type Launch = KernelShared;
@@ -1770,34 +1847,7 @@ impl WarpTask for WbmTask {
     /// seed and level; a seed split copies the range's two ends. Unstarted
     /// seeds sit at level 1: the anchor edge fills levels 0 and 1.
     fn offer(&self, sh: &KernelShared) -> Option<Offer> {
-        Some(match self.take()? {
-            Take::Frame(fi) => {
-                let st = self.state.as_ref()?;
-                let level = st.base_level + fi;
-                let units = (st.unexplored(fi) / 2) as u64;
-                let parent = st.parent(&sh.meta.seeds[st.seed].order, level);
-                Offer {
-                    level,
-                    units,
-                    words: units + parent.pairs().count() as u64,
-                }
-            }
-            Take::Pending => {
-                let taken = self
-                    .pending
-                    .range(self.pending.len() - self.pending.len() / 2..);
-                Offer {
-                    level: taken.clone().map(|p| p.base_level).min()?,
-                    units: (self.pending.len() / 2) as u64,
-                    words: taken.map(|p| p.m.pairs().count() as u64 + 2).sum(),
-                }
-            }
-            Take::Seeds => Offer {
-                level: 1,
-                units: (self.seeds.len() / 2) as u64,
-                words: 2,
-            },
-        })
+        Some(self.offer_of(self.take()?, sh))
     }
 
     /// The search a thief takes: what `WbmTask::take` names. A frame split
@@ -1806,26 +1856,8 @@ impl WarpTask for WbmTask {
     /// words, as a device steal, a block split and a shard unit's
     /// hand-off (`wbm::run_unit`) all do.
     fn try_split(&mut self, sh: &KernelShared) -> Option<WbmTask> {
-        Some(match self.take()? {
-            Take::Frame(fi) => {
-                let st = self.state.as_mut().expect("a frame split has a state");
-                let order = &sh.meta.seeds[st.seed].order;
-                let thief =
-                    SCRATCH.with_borrow_mut(|sc| st.split_frame(fi, order, sc, &mut self.spare));
-                self.child(0..0, VecDeque::new(), Some(thief))
-            }
-            Take::Pending => {
-                let take = self.pending.len() / 2;
-                let stolen = self.pending.split_off(self.pending.len() - take);
-                self.child(0..0, stolen, None)
-            }
-            Take::Seeds => {
-                let mid = self.seeds.end - self.seeds.len() / 2;
-                let stolen = mid..self.seeds.end;
-                self.seeds.end = mid;
-                self.child(stolen, VecDeque::new(), None)
-            }
-        })
+        let take = self.take()?;
+        Some(self.split_of(take, sh))
     }
 }
 
@@ -2025,8 +2057,6 @@ impl Phase<'_> {
             match_limit: self.match_limit,
             signatures: self.signatures,
             residency: None,
-            #[cfg(test)]
-            seen: Mutex::new(Vec::new()),
         }
     }
 
@@ -2295,7 +2325,7 @@ mod tests {
                     );
                     last = offset;
                     splits += 1;
-                    todo.push(UnitWork::Part(part));
+                    todo.push(UnitWork::Part(Box::new(part)));
                 }
                 count += run.count;
                 found.extend(run.matches);
@@ -2410,10 +2440,10 @@ mod tests {
             run_unit(&sh, 0, work, split, &mut ctx)
         };
         let part = || {
-            UnitWork::Part(Part {
-                search: Box::new(search()),
+            UnitWork::Part(Box::new(Part {
+                search: search(),
                 words: 0,
-            })
+            }))
         };
         let whole = unit(part(), false);
         assert!(
@@ -2427,7 +2457,11 @@ mod tests {
             let run = unit(work, true);
             found.extend(run.matches);
             splits += run.parts.len();
-            todo.extend(run.parts.into_iter().map(|(_, p)| UnitWork::Part(p)));
+            todo.extend(
+                run.parts
+                    .into_iter()
+                    .map(|(_, p)| UnitWork::Part(Box::new(p))),
+            );
         }
         assert!(splits > 0, "a unit past the budget that offers work splits");
         let mut want = whole.matches;
@@ -2436,15 +2470,91 @@ mod tests {
         assert_eq!(found, want);
     }
 
-    /// A unit past the cadence whose task offers nothing attempts a split
-    /// again only after its search pushes a DFS frame or a pending
-    /// partial, since nothing else can make it offer work; the launch logs
-    /// its steps, pushes and attempts. Here the 4-clique's first seed slot
-    /// over a K_10 whose every scan reads 1,009 entries: past the cadence
-    /// its frames run out of splittable candidates between pushes, so the
-    /// unit both skips steps and retries after pushes.
+    /// A search's offer goes from none to some only in a step that pushed
+    /// a DFS frame or a pending partial ([`WbmTask::pushed`]), the fact
+    /// [`run_unit`] skips its fruitless split attempts by. Stepped by hand,
+    /// with a split taken every fifth step and every part stepped the same
+    /// way: a 4-clique collecting its matches on K_16, a diamond counting
+    /// them against memoized frames on K_24, and seeded coalesced launches
+    /// whose classes queue pending partials.
     #[test]
-    fn fruitless_splits_wait_for_a_push() {
+    fn offers_appear_only_after_a_push() {
+        let anchors = [Update::insert(0, 1)];
+        let [clique4, diamond] = clique_and_diamond();
+        let mut launches = vec![
+            (
+                0,
+                one_shard_launch(&clique(16), &clique4, &anchors, true),
+                anchors.to_vec(),
+            ),
+            (
+                1,
+                one_shard_launch(&clique(24), &diamond, &anchors, false),
+                anchors.to_vec(),
+            ),
+        ];
+        for seed in 0..4u64 {
+            for collect in [false, true] {
+                let (sh, anchors) = random_launch(seed, &split_queries()[0], collect);
+                launches.push((2, sh, anchors));
+            }
+        }
+        // Per kind (collecting, count-only, coalesced): steps that began
+        // with no offer, those among them that ended with one, and whether
+        // a frame held a memo or partials were pending.
+        let mut seen = [(0, 0, false, false); 3];
+        let mut ctx = WarpCtx::new(CostModel::default(), 32);
+        for (kind, sh, anchors) in &launches {
+            let (idle, appeared, memoized, pending) = &mut seen[*kind];
+            let mut todo: Vec<WbmTask> = (0..anchors.len())
+                .map(|o| WbmTask::new(sh, &anchors[o], o as u32))
+                .collect();
+            while let Some(mut task) = todo.pop() {
+                for steps in 1.. {
+                    let before = task.offer(sh).is_some();
+                    task.pushed = false;
+                    let done = task.step(sh, &mut ctx) == StepResult::Done;
+                    let after = task.offer(sh).is_some();
+                    assert!(
+                        before || !after || task.pushed,
+                        "kind {kind}: an offer appeared in a step that pushed nothing"
+                    );
+                    *idle += usize::from(!before);
+                    *appeared += usize::from(!before && after);
+                    *memoized |= task
+                        .state
+                        .as_ref()
+                        .is_some_and(|st| st.frames.iter().any(|f| f.memo_last.is_some()));
+                    *pending |= !task.pending.is_empty();
+                    if done {
+                        break;
+                    }
+                    if steps % 5 == 0 {
+                        todo.extend(task.try_split(sh));
+                    }
+                }
+            }
+        }
+        for (kind, &(idle, appeared, _, _)) in seen.iter().enumerate() {
+            assert!(
+                idle > appeared && appeared > 0,
+                "kind {kind}: {idle} idle, {appeared} appeared"
+            );
+        }
+        assert!(seen[1].2, "the count-only launch must memoize");
+        assert!(seen[2].3, "the coalesced launches must queue partials");
+    }
+
+    /// A unit's skipped split attempts change nothing: [`run_part`] ends
+    /// with the cycles and hands off the parts (offsets and words) of a
+    /// loop that attempts a split after every step past the cadence, and
+    /// so do its parts and theirs. Over a K_10 whose every scan reads
+    /// 1,009 entries, an anchor's whole sweep for a 4-clique in both modes
+    /// and for a diamond counting against memoized frames: in each, that
+    /// loop makes attempts that find nothing after one that found nothing,
+    /// with no push between.
+    #[test]
+    fn skipped_split_attempts_change_no_cycle() {
         let mut g = clique(10);
         for _ in 0..1000 {
             let f = g.add_vertex(1);
@@ -2452,44 +2562,66 @@ mod tests {
                 g.insert_edge(v, f, NO_ELABEL);
             }
         }
-        let [q, _] = clique_and_diamond();
+        let [clique4, diamond] = clique_and_diamond();
         let anchors = [Update::insert(0, 1)];
-        let sh = one_shard_launch(&g, &q, &anchors, true);
-        let search = Box::new(WbmTask {
-            seeds: 0..1,
-            ..WbmTask::new(&sh, &anchors[0], 0)
-        });
-        let (mut todo, mut count) = (vec![UnitWork::Part(Part { search, words: 0 })], 0);
-        while let Some(work) = todo.pop() {
-            let mut ctx = WarpCtx::new(CostModel::default(), 32);
-            let run = run_unit(&sh, 0, work, true, &mut ctx);
-            count += run.count;
-            todo.extend(run.parts.into_iter().map(|(_, p)| UnitWork::Part(p)));
-        }
-        let seen = std::mem::take(&mut *lock(&sh.seen));
-        let (mut waiting, mut pushed) = (false, false);
-        // Steps that attempted no split after a fruitless attempt, and
-        // attempts after one.
-        let (mut skipped, mut retried) = (0, 0);
-        for e in seen {
-            match e {
-                Seen::Push => pushed = true,
-                Seen::Step => skipped += usize::from(waiting && !pushed),
-                Seen::Split(offered) => {
-                    assert!(
-                        !waiting || pushed,
-                        "a retry with no push since a fruitless attempt"
-                    );
-                    retried += usize::from(waiting);
-                    (waiting, pushed) = (!offered, false);
+        for (q, collect) in [(&clique4, true), (&clique4, false), (&diamond, false)] {
+            let sh = one_shard_launch(&g, q, &anchors, collect);
+            // The loop without the skip, on a part that read `words`: its
+            // cycles, its parts' offsets and words, the parts, and the
+            // attempts the skip saves.
+            let eager = |mut search: WbmTask, words: u64| {
+                let mut ctx = WarpCtx::new(CostModel::default(), 32);
+                ctx.global_read_coalesced(words);
+                search.shard = Some(0);
+                let (mut cycles, mut since, mut handed, mut parts) = (0, 0, Vec::new(), Vec::new());
+                let (mut fruitless, mut skippable) = (false, 0);
+                loop {
+                    let done = search.step(&sh, &mut ctx) == StepResult::Done;
+                    cycles += ctx.take_step_cycles();
+                    if done {
+                        break;
+                    }
+                    if cycles - since < UNIT_SPLIT_BUDGET {
+                        continue;
+                    }
+                    let Some(offer) = search.offer(&sh) else {
+                        skippable += usize::from(fruitless && !search.pushed);
+                        (fruitless, search.pushed) = (true, false);
+                        continue;
+                    };
+                    let part = search
+                        .try_split(&sh)
+                        .expect("a task splits off what it offers");
+                    ctx.global_read_coalesced(offer.words);
+                    cycles += ctx.take_step_cycles();
+                    (since, fruitless, search.pushed) = (cycles, false, false);
+                    handed.push((cycles, offer.words));
+                    parts.push((part, offer.words));
                 }
+                (cycles, handed, parts, skippable)
+            };
+            let at = format!("{} query edges, collect {collect}", q.num_edges());
+            let first = (WbmTask::new(&sh, &anchors[0], 0), 0);
+            let (mut todo, mut units, mut skippable) = (vec![first], 0, 0);
+            while let Some((search, words)) = todo.pop() {
+                let part = Part {
+                    search: search.copy(),
+                    words,
+                };
+                let mut ctx = WarpCtx::new(CostModel::default(), 32);
+                let run = run_part(&sh, 0, part, true, &mut ctx);
+                let (cycles, handed, parts, n) = eager(search, words);
+                assert_eq!(run.cycles, cycles, "{at}: unit {units}");
+                let got: Vec<_> = run.parts.iter().map(|(o, p)| (*o, p.words)).collect();
+                assert_eq!(got, handed, "{at}: unit {units}");
+                todo.extend(parts);
+                (units, skippable) = (units + 1, skippable + n);
             }
+            assert!(
+                units > 1 && skippable > 0,
+                "{at}: {units} units, {skippable} skippable"
+            );
         }
-        assert!(
-            skipped > 0 && retried > 0,
-            "skipped {skipped}, retried {retried}"
-        );
-        assert_eq!(count, 8 * 7, "ordered pairs of the other 8 vertices");
     }
 
     /// A device launch of `q` over a seeded random graph of 60 vertices
